@@ -1,21 +1,19 @@
-"""Kernel micro-benchmarks: the batched engine vs per-cloud loops.
+"""Kernel benchmarks with ratio gates: large-N engines and partitioning.
 
-``repro bench`` times every hot kernel both ways — one batched NumPy
-dispatch over ``(B, N, 3)`` versus the pre-batching shape, a Python
-loop of per-cloud calls — at a fixed paper-scale workload, and writes
-the results to ``BENCH_kernels.json``.  CI re-runs the suite and fails
-when a kernel's batched-vs-looped *speedup ratio* drops below the
-committed baseline by more than the tolerance band.  Ratios, not
-absolute seconds, are compared: both variants run on the same machine
+``repro bench`` runs two suites and writes their sections to a JSON
+document (committed as ``BENCH_kernels.json`` / ``BENCH_partition.json``):
+
+- ``large-n`` times the exact fast engines (pruning FPS, grid kNN and
+  ball query) against the brute kernels they displace above the
+  dispatch threshold, asserting bit-identical indices on every run;
+- ``partition`` prices chunked scene execution against the monolithic
+  projection on the device cost model (simulated seconds).
+
+CI re-runs a suite and fails when a kernel's *speedup ratio* drops
+below the committed baseline by more than the tolerance band.  Ratios,
+not absolute seconds, are compared: both sides run on the same machine
 in the same process, so the ratio cancels host speed and stays
 meaningful across CI runners.
-
-Several per-cloud wrappers (``farthest_point_sample``, ``knn``,
-``MortonNeighborSearch.search_ranks``) now delegate to the batched
-kernels, so looping them would time the new code twice.  For those the
-looped side is a ``_reference_*`` function below that preserves the
-pre-batching per-cloud algorithm verbatim — the bench keeps measuring
-the real before/after delta.
 
 Timing uses ``time.perf_counter`` best-of-``repeats`` — the standard
 micro-benchmark estimator, robust to one-off scheduler noise.
@@ -28,11 +26,6 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.core import morton
-from repro.core.batched import structurize_batch
-from repro.core.neighbor import MortonNeighborSearch, window_ranks
-from repro.core.sampler import MortonSampler
-from repro.core.structurize import MortonOrder
 from repro.core.workspace import Workspace
 from repro.neighbors.batched import (
     ball_query_batch,
@@ -62,168 +55,6 @@ def _best_of(fn: Callable[[], object], repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-# Pre-batching reference implementations ------------------------------
-#
-# These are the per-cloud algorithms the repo shipped before the
-# batched kernel layer, kept verbatim so the bench's "looped" column
-# stays an honest before/after comparison.
-
-
-def _reference_window_search(
-    points: np.ndarray, order: MortonOrder, query_ranks: np.ndarray,
-    k: int, window: int,
-) -> np.ndarray:
-    candidates = window_ranks(query_ranks, window, len(order))
-    sorted_xyz = order.sorted_points(points)
-    cand_xyz = sorted_xyz[candidates]  # (Q, W, 3)
-    query_xyz = sorted_xyz[np.asarray(query_ranks)]
-    d2 = np.sum((cand_xyz - query_xyz[:, None, :]) ** 2, axis=2)
-    pick = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    rows = np.arange(candidates.shape[0])[:, None]
-    return order.original_index_of(candidates[rows, pick])
-
-
-def _reference_fps(
-    points: np.ndarray, num_samples: int, start_index: int
-) -> np.ndarray:
-    selected = np.empty(num_samples, dtype=np.int64)
-    selected[0] = start_index
-    distance = np.sum((points - points[start_index]) ** 2, axis=1)
-    distance[start_index] = -1.0
-    for i in range(1, num_samples):
-        farthest = int(np.argmax(distance))
-        selected[i] = farthest
-        delta = np.sum((points - points[farthest]) ** 2, axis=1)
-        np.minimum(distance, delta, out=distance)
-        distance[selected[: i + 1]] = -1.0
-    return selected
-
-
-def _reference_knn(
-    queries: np.ndarray, candidates: np.ndarray, k: int
-) -> np.ndarray:
-    out = np.empty((queries.shape[0], k), dtype=np.int64)
-    c_sq = np.sum(candidates**2, axis=1)[None, :]
-    for lo in range(0, queries.shape[0], 2048):
-        block = queries[lo : lo + 2048]
-        d2 = (
-            np.sum(block**2, axis=1)[:, None]
-            - 2.0 * block @ candidates.T
-            + c_sq
-        )
-        np.maximum(d2, 0.0, out=d2)
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        row = np.arange(d2.shape[0])[:, None]
-        sort = np.argsort(d2[row, part], axis=1, kind="stable")
-        out[lo : lo + d2.shape[0]] = part[row, sort]
-    return out
-
-
-def run_suite(
-    batch: int = 8,
-    points: int = 1024,
-    k: int = 16,
-    repeats: int = 5,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Time the batched kernels against per-cloud loops.
-
-    Returns the result document written to ``BENCH_kernels.json``:
-    per-kernel best-of-``repeats`` wall-clock for both variants and
-    their ratio (``looped_s / batched_s``).
-    """
-    if batch < 1 or points < 8:
-        raise ValueError("need batch >= 1 and points >= 8")
-    if not 1 <= k <= points:
-        raise ValueError(f"k must be in [1, {points}], got {k}")
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(batch, points, 3))
-    cells = rng.integers(0, 1 << 10, size=(batch, points, 3))
-    codes = morton.encode(cells)
-    num_samples = max(1, points // 4)
-    num_fps = max(1, points // 8)
-    sampler = MortonSampler()
-    window = min(points, 2 * k)
-    workspace = Workspace()
-    searcher = MortonNeighborSearch(k, window, workspace=workspace)
-    batch_order = structurize_batch(pts)
-    cloud_orders = [batch_order.cloud(b) for b in range(batch)]
-    query_ranks = uniform_stride_indices(points, num_samples)
-
-    pairs: Dict[str, tuple] = {
-        "morton_encode": (
-            lambda: morton.encode(cells),
-            lambda: [morton.encode(cells[b]) for b in range(batch)],
-        ),
-        "morton_sort": (
-            lambda: np.argsort(codes, axis=1, kind="stable"),
-            lambda: [
-                np.argsort(codes[b], kind="stable")
-                for b in range(batch)
-            ],
-        ),
-        "morton_sample": (
-            lambda: sampler.sample_batch(pts, num_samples),
-            lambda: [
-                sampler.sample(pts[b], num_samples)
-                for b in range(batch)
-            ],
-        ),
-        "window_search": (
-            lambda: searcher.search_ranks_batch(
-                pts, batch_order, query_ranks
-            ),
-            lambda: [
-                _reference_window_search(
-                    pts[b], cloud_orders[b], query_ranks, k, window
-                )
-                for b in range(batch)
-            ],
-        ),
-        "fps": (
-            lambda: farthest_point_sample_batch(
-                pts, num_fps, start_index=0
-            ),
-            lambda: [
-                _reference_fps(pts[b], num_fps, 0)
-                for b in range(batch)
-            ],
-        ),
-        "knn": (
-            lambda: knn_batch(pts, pts, k, workspace),
-            lambda: [
-                _reference_knn(pts[b], pts[b], k)
-                for b in range(batch)
-            ],
-        ),
-    }
-
-    kernels: Dict[str, Dict[str, float]] = {}
-    for name, (batched, looped) in pairs.items():
-        batched()  # warm up caches and the workspace pool
-        batched_s = _best_of(batched, repeats)
-        looped_s = _best_of(looped, repeats)
-        kernels[name] = {
-            "batched_s": batched_s,
-            "looped_s": looped_s,
-            "speedup": looped_s / batched_s,
-        }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "bench": "batched_kernels",
-        "params": {
-            "batch": batch,
-            "points": points,
-            "k": k,
-            "repeats": repeats,
-            "seed": seed,
-        },
-        "kernels": kernels,
-    }
 
 
 #: Default point counts for the large-N exact-engine suite.  The CI
@@ -476,33 +307,13 @@ def format_large_n_results(section: Dict[str, object]) -> str:
 
 
 def format_results(results: Dict[str, object]) -> str:
-    """Human-readable tables of one suite run (both sections)."""
-    lines: List[str] = []
-    if "kernels" in results:
-        params = results["params"]
-        lines += [
-            "batched kernel suite "
-            f"(B={params['batch']}, N={params['points']}, "
-            f"k={params['k']}, best of {params['repeats']})",
-            f"{'kernel':<16}{'batched':>12}"
-            f"{'looped':>12}{'speedup':>10}",
-        ]
-        for name, entry in results["kernels"].items():
-            lines.append(
-                f"{name:<16}"
-                f"{entry['batched_s'] * 1e3:>10.2f}ms"
-                f"{entry['looped_s'] * 1e3:>10.2f}ms"
-                f"{entry['speedup']:>9.1f}x"
-            )
+    """Human-readable tables of one suite run (every section)."""
+    tables: List[str] = []
     if "large_n" in results:
-        if lines:
-            lines.append("")
-        lines.append(format_large_n_results(results["large_n"]))
+        tables.append(format_large_n_results(results["large_n"]))
     if "partition" in results:
-        if lines:
-            lines.append("")
-        lines.append(format_partition_results(results["partition"]))
-    return "\n".join(lines)
+        tables.append(format_partition_results(results["partition"]))
+    return "\n\n".join(tables)
 
 
 def compare_with_baseline(
@@ -517,45 +328,35 @@ def compare_with_baseline(
     the suite.  Returns one message per regression; empty means the
     gate passes.
 
-    Each section (``kernels``, ``large_n``, ``partition``) is gated
-    only when the current run produced it, so a ``--suite large-n``
-    smoke run can be checked against the full committed baseline.
-    Within ``large_n`` and ``partition``, baseline entries for sizes
-    the current run did not request (its ``params.sizes``) are
-    skipped — those suites are size-parameterized and CI gates a
+    Each section (``large_n``, ``partition``) is gated only when the
+    current run produced it, so a ``--suite large-n`` smoke run can be
+    checked against the full committed baseline.  Baseline entries for
+    sizes the current run did not request (its ``params.sizes``) are
+    skipped — both suites are size-parameterized and CI gates a
     subset.
     """
     if not 0 <= tolerance < 1:
         raise ValueError("tolerance must be in [0, 1)")
 
-    def check(name, entry, current_kernels, prefix=""):
-        if name not in current_kernels:
-            problems.append(
-                f"{prefix}{name}: missing from current suite"
-            )
-            return
-        floor = entry["speedup"] * (1.0 - tolerance)
-        got = current_kernels[name]["speedup"]
-        if got < floor:
-            problems.append(
-                f"{prefix}{name}: speedup {got:.2f}x fell below "
-                f"{floor:.2f}x (baseline {entry['speedup']:.2f}x "
-                f"- {tolerance:.0%} tolerance)"
-            )
-
     problems: List[str] = []
-    if "kernels" in current:
-        current_kernels = current.get("kernels", {})
-        for name, entry in baseline.get("kernels", {}).items():
-            check(name, entry, current_kernels)
     for key in ("large_n", "partition"):
         if key not in current:
             continue
         section = current[key]
         sizes = {int(n) for n in section["params"]["sizes"]}
-        base = baseline.get(key, {})
-        for name, entry in base.get("kernels", {}).items():
+        current_kernels = section.get("kernels", {})
+        for name, entry in baseline.get(key, {}).get("kernels", {}).items():
             if int(name.rsplit("/", 1)[1]) not in sizes:
                 continue
-            check(name, entry, section.get("kernels", {}), f"{key}/")
+            if name not in current_kernels:
+                problems.append(f"{key}/{name}: missing from current suite")
+                continue
+            floor = entry["speedup"] * (1.0 - tolerance)
+            got = current_kernels[name]["speedup"]
+            if got < floor:
+                problems.append(
+                    f"{key}/{name}: speedup {got:.2f}x fell below "
+                    f"{floor:.2f}x (baseline {entry['speedup']:.2f}x "
+                    f"- {tolerance:.0%} tolerance)"
+                )
     return problems

@@ -6,13 +6,14 @@ Turns the repro library into a runnable service.  Requests for single
 :class:`~repro.serving.batcher.MicroBatcher` into rectangular
 ``(B, N, 3)`` micro-batches that ride the batched kernel path, and
 dispatched by an :class:`~repro.serving.server.InferenceServer`
-worker pool (or deterministically, in virtual time, by a
-:class:`~repro.serving.loadgen.LoadGenerator`).  A
-:class:`~repro.serving.fleet.ServerFleet` fronts N replicas with
+worker pool.  A :class:`~repro.serving.fleet.ServerFleet` fronts N
+replicas (or one) with
 consistent-hash routing, per-replica health tracking, deadline-aware
 retries, hedging, and brownout shedding; the
 :class:`~repro.serving.chaos.ChaosHarness` breaks replicas on a
-deterministic virtual-time schedule to prove it.  See
+deterministic virtual-time schedule to prove it, and the
+:class:`~repro.serving.loadgen.FleetLoadGenerator` drives a fleet
+deterministically in virtual time.  See
 ``docs/serving.md``.
 """
 
@@ -48,7 +49,6 @@ from repro.serving.health import (
 from repro.serving.loadgen import (
     FleetLoadGenerator,
     LoadGenConfig,
-    LoadGenerator,
     LoadReport,
 )
 from repro.serving.queue import (
@@ -96,7 +96,6 @@ __all__ = [
     "InferenceRejectedError",
     "InferenceServer",
     "LoadGenConfig",
-    "LoadGenerator",
     "LoadReport",
     "MicroBatch",
     "MicroBatcher",

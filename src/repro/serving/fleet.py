@@ -1336,12 +1336,6 @@ class ServerFleet:
                 candidates.append(self.clock())
         return min(candidates) if candidates else None
 
-    @property
-    def inflight_attempts(self) -> int:
-        """Attempts dispatched but not yet processed."""
-        with self._cond:
-            return len(self._attempts)
-
     # Health and brownout ---------------------------------------------
 
     def healthy_count(self, now: float) -> int:

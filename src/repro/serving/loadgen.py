@@ -1,20 +1,21 @@
 """Deterministic synthetic load generation against the serving stack.
 
-A :class:`LoadGenerator` drives an
-:class:`~repro.serving.server.InferenceServer` in **virtual time**: it
-owns a :class:`~repro.observability.clock.FixedClock` shared with the
-server, generates seeded clouds and seeded Poisson (or fixed-rate)
-arrivals, and advances the clock from event to event — each arrival,
-micro-batch flush, and deadline expiry happens at an exact virtual
-instant, and batches are dispatched inline through
-:meth:`~repro.serving.server.InferenceServer.pump`.  Because nothing
-depends on host scheduling, two runs at the same seed produce
+A :class:`FleetLoadGenerator` drives a
+:class:`~repro.serving.fleet.ServerFleet` — one replica stands in for
+a single server — in **virtual time**: it shares the fleet's
+:class:`~repro.observability.clock.FixedClock`, generates seeded
+clouds and seeded Poisson (or fixed-rate) arrivals, and advances the
+clock from event to event — each arrival, micro-batch flush, retry
+timer, and deadline expiry happens at an exact virtual instant, and
+batches are dispatched inline through
+:meth:`~repro.serving.fleet.ServerFleet.pump_replica`.  Because
+nothing depends on host scheduling, two runs at the same seed produce
 bit-identical reports: same admission decisions, same batch-size
 histogram, same latency percentiles.
 
 Service is modeled on the paper's simulated edge device: a dispatched
-batch occupies one of ``workers`` virtual servers for the batch's
-simulated device seconds
+batch occupies one of each replica's ``workers`` virtual servers for
+the batch's simulated device seconds
 (:attr:`~repro.runtime.profiler.StageBreakdown.total_s`), so reported
 latencies are queue wait + batching delay + simulated device time —
 the end-to-end budget EdgePC Sec. 7 is about, not host wall time.
@@ -41,7 +42,6 @@ import numpy as np
 from repro.observability.clock import FixedClock
 from repro.serving.fleet import FleetRequest, ServerFleet
 from repro.serving.queue import AdmissionError
-from repro.serving.server import InferenceServer
 
 ARRIVALS = ("poisson", "fixed")
 MODES = ("open", "closed")
@@ -63,7 +63,7 @@ class LoadGenConfig:
         deadline_ms: per-request deadline; ``None`` disables.
         seed: seeds both the arrival process and the cloud contents.
         tenants: distinct tenant keys drawn uniformly per request
-            (fleet runs only; tenants are the routing keys).
+            (tenants are the fleet's routing keys).
         low_priority_tenants: how many of the tenant indices carry
             priority 0 and are shed first under brownout.
     """
@@ -234,226 +234,17 @@ class LoadReport:
         return "\n".join(lines)
 
 
-class LoadGenerator:
-    """Virtual-time load driver for one in-process server.
-
-    Args:
-        server: the server under test.  Its ``clock`` must be the
-            same :class:`~repro.observability.clock.FixedClock`
-            passed here — the generator is the only thing advancing
-            time.
-        config: load shape.
-        clock: the shared virtual clock.
-    """
-
-    def __init__(
-        self,
-        server: InferenceServer,
-        config: Optional[LoadGenConfig] = None,
-        clock: Optional[FixedClock] = None,
-    ) -> None:
-        self.server = server
-        self.config = config or LoadGenConfig()
-        if clock is None:
-            clock = server.clock
-        if not isinstance(clock, FixedClock):
-            raise TypeError(
-                "LoadGenerator needs a FixedClock shared with the "
-                "server; threaded wall-clock serving is exercised via "
-                "InferenceServer.start() instead"
-            )
-        self.clock = clock
-        self.tracer = server.tracer
-        self.metrics = server.metrics
-
-    # Schedules -------------------------------------------------------
-
-    def _open_arrivals(self, rng: np.random.Generator) -> List[float]:
-        cfg = self.config
-        if cfg.arrival == "fixed":
-            count = int(math.floor(cfg.duration_s * cfg.rate))
-            return [i / cfg.rate for i in range(count)]
-        times: List[float] = []
-        t = 0.0
-        while True:
-            t += float(rng.exponential(1.0 / cfg.rate))
-            if t >= cfg.duration_s:
-                return times
-            times.append(t)
-
-    def _cloud(self, rng: np.random.Generator) -> np.ndarray:
-        n = int(rng.choice(np.asarray(self.config.points)))
-        return rng.random((n, 3))
-
-    # Run -------------------------------------------------------------
-
-    def run(self) -> LoadReport:
-        """Drive the configured load to completion; returns the report.
-
-        Deterministic for a given (config, server config, model)
-        triple: every event happens at an exact virtual instant
-        derived from the seed.
-        """
-        with self.tracer.span("loadgen.run", "serving") as span:
-            cfg = self.config
-            span.set("mode", cfg.mode)
-            span.set("rate", cfg.rate)
-            report = self._run_events()
-            span.set("submitted", report.submitted)
-            span.set("batches", report.batches)
-            if self.metrics is not None:
-                self.metrics.gauge("serving_mean_batch_size").set(
-                    report.mean_batch_size
-                )
-            return report
-
-    def _run_events(self) -> LoadReport:
-        cfg = self.config
-        server = self.server
-        rng = np.random.default_rng(cfg.seed)
-        report = LoadReport(
-            mode=cfg.mode,
-            arrival=cfg.arrival,
-            duration_s=cfg.duration_s,
-            offered_rps=cfg.rate,
-            seed=cfg.seed,
-        )
-        arrivals: List[float]
-        if cfg.mode == "open":
-            arrivals = self._open_arrivals(rng)
-        else:
-            arrivals = [0.0] * cfg.concurrency
-        arrivals.reverse()  # pop() from the tail = earliest first
-
-        busy = [0.0] * server.config.workers
-        deadline_s = (
-            None if cfg.deadline_ms is None else cfg.deadline_ms / 1e3
-        )
-        arrival_of: Dict[str, float] = {}
-        latencies: List[float] = []
-        requests = []
-
-        def advance_to(t: float) -> None:
-            delta = t - self.clock()
-            if delta > 0:
-                self.clock.advance(delta)
-
-        def settle(record, worker: int) -> None:
-            """Model one dispatched batch occupying ``worker``."""
-            report.batches += 1
-            key = str(record.size)
-            report.batch_size_hist[key] = (
-                report.batch_size_hist.get(key, 0) + 1
-            )
-            report.trigger_counts[record.trigger] = (
-                report.trigger_counts.get(record.trigger, 0) + 1
-            )
-            if not record.ok:
-                return
-            start = max(record.dispatched_s, busy[worker])
-            done = start + record.simulated_s
-            busy[worker] = done
-            report.simulated_busy_s += record.simulated_s
-            for request_id in record.request_ids:
-                arrived = arrival_of[request_id]
-                latencies.append(done - arrived)
-                if (
-                    deadline_s is not None
-                    and done - arrived > deadline_s
-                ):
-                    report.late += 1
-                if cfg.mode == "closed" and done < cfg.duration_s:
-                    arrivals.insert(0, done)
-
-        def dispatch_free_workers(t: float) -> None:
-            """Hand due batches to workers that are free at ``t``."""
-            while True:
-                free = [
-                    index
-                    for index, until in enumerate(busy)
-                    if until <= t
-                ]
-                if not free:
-                    return
-                records = server.pump(limit=1)
-                if not records:
-                    return
-                settle(records[0], free[0])
-
-        while True:
-            t_arrival = arrivals[-1] if arrivals else None
-            t_flush = server.batcher.next_flush_at
-            if t_arrival is None and t_flush is None:
-                break
-            if t_flush is not None:
-                # A due batch only dispatches once a modeled worker
-                # frees up; queueing delay is part of the simulation.
-                t_flush = max(t_flush, min(busy))
-            if t_flush is None or (
-                t_arrival is not None and t_arrival <= t_flush
-            ):
-                advance_to(t_arrival)
-                arrivals.pop()
-                report.submitted += 1
-                cloud = self._cloud(rng)
-                try:
-                    request = server.submit(
-                        cloud, deadline_s=deadline_s
-                    )
-                except AdmissionError:
-                    pass  # counted by the queue's typed counters
-                else:
-                    arrival_of[request.request_id] = request.arrival_s
-                    requests.append(request)
-                server.batcher.ingest()
-            else:
-                advance_to(t_flush)
-            dispatch_free_workers(self.clock())
-
-        report.admitted = server.queue.admitted
-        report.rejected = server.queue.rejected
-        report.expired = server.batcher.requests_expired
-        report.rejection_reasons = dict(
-            server.queue.rejected_by_reason
-        )
-        if report.expired:
-            report.rejection_reasons["deadline"] = report.expired
-        report.completed = server.completed
-        report.failed = server.failed
-        report.lost = sum(
-            1 for request in requests if not request.future.done()
-        )
-        if report.batches:
-            total = sum(
-                int(size) * count
-                for size, count in report.batch_size_hist.items()
-            )
-            report.mean_batch_size = total / report.batches
-        if latencies:
-            ordered = np.sort(np.asarray(latencies))
-            report.latency_ms = {
-                "p50": float(np.percentile(ordered, 50)) * 1e3,
-                "p95": float(np.percentile(ordered, 95)) * 1e3,
-                "p99": float(np.percentile(ordered, 99)) * 1e3,
-                "mean": float(ordered.mean()) * 1e3,
-                "max": float(ordered.max()) * 1e3,
-            }
-        on_time = report.completed - report.late
-        report.goodput_rps = max(0.0, on_time) / cfg.duration_s
-        return report
-
-
 class FleetLoadGenerator:
     """Virtual-time load driver for a :class:`ServerFleet`.
 
-    The fleet analogue of :class:`LoadGenerator`: one event loop
-    advances the shared :class:`FixedClock` across arrivals, per-
-    replica micro-batch flushes (clamped by each replica's modeled
-    workers), fleet retry/hedge timers, deadline expiries on stalled
-    replicas, and scheduled chaos events — then drains the tail so
-    every submitted request reaches a terminal future state.  Two runs
-    at the same seed (and the same chaos schedule) produce
-    byte-identical reports and fleet retry traces.
+    One event loop advances the shared :class:`FixedClock` across
+    arrivals, per-replica micro-batch flushes (clamped by each
+    replica's modeled workers), fleet retry/hedge timers, deadline
+    expiries on stalled replicas, and scheduled chaos events — then
+    drains the tail so every submitted request reaches a terminal
+    future state.  Two runs at the same seed (and the same chaos
+    schedule) produce byte-identical reports and fleet retry traces.
+    A 1-replica fleet is how a single server is load-tested.
 
     Args:
         fleet: the fleet under test; its ``clock`` must be the
@@ -492,7 +283,7 @@ class FleetLoadGenerator:
         self.tracer = fleet.tracer
         self.metrics = fleet.metrics
 
-    # Schedules (same seeded processes as LoadGenerator) --------------
+    # Schedules -------------------------------------------------------
 
     def _open_arrivals(self, rng: np.random.Generator) -> List[float]:
         cfg = self.config

@@ -699,7 +699,7 @@ class InferenceServer:
         The virtual-time path: no workers run; the caller advances the
         injected clock between calls and uses ``limit`` to model how
         many simulated servers are free (see
-        :class:`~repro.serving.loadgen.LoadGenerator`).
+        :meth:`~repro.serving.fleet.ServerFleet.pump_replica`).
         """
         records: List[DispatchRecord] = []
         while limit is None or len(records) < limit:
@@ -708,11 +708,6 @@ class InferenceServer:
                 break
             records.append(self._dispatch(batch))
         return records
-
-    def drain_virtual(self) -> List[DispatchRecord]:
-        """Close the queue and pump until nothing is buffered."""
-        self.queue.close()
-        return self.pump()
 
     # Introspection ---------------------------------------------------
 

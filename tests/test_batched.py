@@ -4,8 +4,8 @@ Three invariants guard the batched layer:
 
 1. **Identity** — every ``*_batch`` kernel is bit-identical to looping
    its per-cloud counterpart (and, for the kernels whose per-cloud
-   wrappers now *delegate* to the batch path, to the preserved
-   pre-batching reference implementations in :mod:`repro.bench`).
+   wrappers now *delegate* to the batch path, to the pre-batching
+   reference implementations preserved below).
 2. **Bounded scratch** — the chunked exact kernels never materialize a
    full ``(B, Q, N)`` distance block; peak transient memory tracks the
    workspace budget (measured with ``tracemalloc``).
@@ -22,12 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import _reference_fps, _reference_knn, _reference_window_search
 from repro.core.batched import structurize_batch
-from repro.core.neighbor import MortonNeighborSearch
+from repro.core.neighbor import MortonNeighborSearch, window_ranks
 from repro.core.pipeline import EdgePCConfig
 from repro.core.sampler import MortonSampler
-from repro.core.structurize import structurize
+from repro.core.structurize import MortonOrder, structurize
 from repro.core.workspace import Workspace
 from repro.neighbors import ball_query, ball_query_batch, knn, knn_batch
 from repro.sampling.fps import (
@@ -47,6 +46,63 @@ def make_batch(seed, batch, n, duplicates=False):
         m = max(1, n // 3)
         pts[:, n - m :] = pts[:, :m]  # exact ties exercise stable sorts
     return pts
+
+
+# Pre-batching reference implementations ------------------------------
+#
+# The per-cloud algorithms the repo shipped before the batched kernel
+# layer, kept verbatim as identity oracles for the batched kernels
+# whose per-cloud wrappers now delegate to the batch path.
+
+
+def _reference_window_search(
+    points: np.ndarray, order: MortonOrder, query_ranks: np.ndarray,
+    k: int, window: int,
+) -> np.ndarray:
+    candidates = window_ranks(query_ranks, window, len(order))
+    sorted_xyz = order.sorted_points(points)
+    cand_xyz = sorted_xyz[candidates]  # (Q, W, 3)
+    query_xyz = sorted_xyz[np.asarray(query_ranks)]
+    d2 = np.sum((cand_xyz - query_xyz[:, None, :]) ** 2, axis=2)
+    pick = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    rows = np.arange(candidates.shape[0])[:, None]
+    return order.original_index_of(candidates[rows, pick])
+
+
+def _reference_fps(
+    points: np.ndarray, num_samples: int, start_index: int
+) -> np.ndarray:
+    selected = np.empty(num_samples, dtype=np.int64)
+    selected[0] = start_index
+    distance = np.sum((points - points[start_index]) ** 2, axis=1)
+    distance[start_index] = -1.0
+    for i in range(1, num_samples):
+        farthest = int(np.argmax(distance))
+        selected[i] = farthest
+        delta = np.sum((points - points[farthest]) ** 2, axis=1)
+        np.minimum(distance, delta, out=distance)
+        distance[selected[: i + 1]] = -1.0
+    return selected
+
+
+def _reference_knn(
+    queries: np.ndarray, candidates: np.ndarray, k: int
+) -> np.ndarray:
+    out = np.empty((queries.shape[0], k), dtype=np.int64)
+    c_sq = np.sum(candidates**2, axis=1)[None, :]
+    for lo in range(0, queries.shape[0], 2048):
+        block = queries[lo : lo + 2048]
+        d2 = (
+            np.sum(block**2, axis=1)[:, None]
+            - 2.0 * block @ candidates.T
+            + c_sq
+        )
+        np.maximum(d2, 0.0, out=d2)
+        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+        row = np.arange(d2.shape[0])[:, None]
+        sort = np.argsort(d2[row, part], axis=1, kind="stable")
+        out[lo : lo + d2.shape[0]] = part[row, sort]
+    return out
 
 
 batch_params = {

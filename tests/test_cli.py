@@ -1,6 +1,8 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,3 +324,108 @@ class TestProfileCompareTelemetry:
         names = _metric_names(metrics_path)
         assert "compare_end_to_end_speedup" in names
         assert "compare_energy_saving_fraction" in names
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+class TestServingCommands:
+    def test_replica_less_loadgen_matches_single_server_report(
+        self, tmp_path
+    ):
+        """The CI smoke run goes through a 1-replica fleet and
+        reproduces the retired single-server report field for field;
+        only ``replica_states`` is new."""
+        fixture = REPO / "tests" / "data" / "loadgen_single_server.json"
+        recorded = json.loads(fixture.read_text())["ci_smoke"]
+        out_path = tmp_path / "loadgen.json"
+        assert main(recorded["argv"] + ["--out", str(out_path)]) == 0
+        got = json.loads(out_path.read_text())
+        want = dict(recorded["report"])
+        assert got.pop("replica_states") == {"0": "healthy"}
+        want.pop("replica_states")
+        assert got == want
+
+    def test_loadgen_slo_at_one_replica(self, tmp_path, capsys):
+        slo_path = tmp_path / "slo.json"
+        status = main(
+            ["loadgen", "--duration-s", "1",
+             "--slo", str(REPO / "SLO_serving.json"),
+             "--slo-out", str(slo_path)]
+        )
+        report = json.loads(slo_path.read_text())
+        assert status == (1 if report["exhausted"] else 0)
+        assert "wrote SLO report" in capsys.readouterr().out
+
+    def test_serve_prints_fleet_summary_at_one_replica(self, capsys):
+        assert main(
+            ["serve", "--requests", "8", "--replicas", "1"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "with 1 replica(s)" in out
+        assert "ok: 8" in out
+        assert re.search(
+            r"completed 8 .*retries \d+ .*healthy replicas 1", out
+        )
+
+
+class TestBenchCommand:
+    @pytest.fixture
+    def recorded_sizes(self, monkeypatch):
+        """Stub both suites; record the sizes each was asked for."""
+        import repro.bench as bench
+
+        calls = {}
+
+        def fake(name):
+            def run(sizes, **kwargs):
+                calls[name] = tuple(sizes)
+                return {
+                    "params": {
+                        "sizes": list(sizes), "k": 16, "repeats": 1,
+                        "chunk_points": 4096, "halo_width": 0.12,
+                        "seed": 0,
+                    },
+                    "kernels": {},
+                }
+
+            return run
+
+        monkeypatch.setattr(bench, "run_large_n_suite", fake("large_n"))
+        monkeypatch.setattr(
+            bench, "run_partition_suite", fake("partition")
+        )
+        return calls
+
+    def test_partition_suite_defaults_to_its_own_sizes(
+        self, recorded_sizes
+    ):
+        from repro.bench import PARTITION_SIZES
+
+        assert main(["bench", "--suite", "partition"]) == 0
+        assert recorded_sizes == {"partition": PARTITION_SIZES}
+
+    def test_default_suite_is_large_n_at_its_own_sizes(
+        self, recorded_sizes
+    ):
+        from repro.bench import LARGE_N_SIZES
+
+        assert main(["bench"]) == 0
+        assert recorded_sizes == {"large_n": LARGE_N_SIZES}
+
+    def test_sizes_go_to_the_suite_run_alone(self, recorded_sizes):
+        from repro.bench import PARTITION_SIZES
+
+        assert main(
+            ["bench", "--suite", "partition", "--sizes", "5000"]
+        ) == 0
+        assert recorded_sizes == {"partition": (5000,)}
+        assert main(["bench", "--suite", "all", "--sizes", "4096"]) == 0
+        assert recorded_sizes == {
+            "large_n": (4096,), "partition": PARTITION_SIZES,
+        }
+
+    @pytest.mark.parametrize("flag", ["--batch", "--points"])
+    def test_kernel_suite_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit):
+            main(["bench", flag, "8"])

@@ -3,10 +3,13 @@
 Covers the admission queue, the micro-batcher's bucket/trigger logic,
 threaded graceful shutdown (zero lost requests), workspace ownership
 under threads, fault injection through the guarded server, and the
-deterministic virtual-time load generator.
+deterministic virtual-time load generator on a 1-replica fleet (pinned
+to the reports of the single-server generator it replaced).
 """
 
+import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,13 +32,14 @@ from repro.robustness import (
 from repro.serving import (
     DeadlineExceededError,
     DrainTimeoutError,
+    FleetLoadGenerator,
     InferenceServer,
     LoadGenConfig,
-    LoadGenerator,
     MicroBatcher,
     QueueClosedError,
     QueueFullError,
     RequestQueue,
+    ServerFleet,
     ServingConfig,
     ServingRequest,
 )
@@ -453,32 +457,70 @@ class TestServingUnderFaults:
         assert registry.counter("serving_completed_total").value == 1
 
 
-def _virtual_server(registry=None, seed=0, **config_kwargs):
-    clock = FixedClock(0.0)
+SINGLE_SERVER_REPORTS = (
+    Path(__file__).parent / "data" / "loadgen_single_server.json"
+)
+
+
+def _single_server_reports():
+    """``LoadReport.to_dict()`` of the retired single-server load
+    generator, per load shape (with the shape's parameters)."""
+    with open(SINGLE_SERVER_REPORTS) as fh:
+        return json.load(fh)
+
+
+def _virtual_fleet(registry=None, seed=0, **config_kwargs):
+    """A 1-replica virtual-time fleet: how one server is load-tested."""
     defaults = dict(max_batch_size=8, max_wait_ms=50.0, workers=2)
     defaults.update(config_kwargs)
-    server = InferenceServer(
-        _pipeline(registry, seed=seed),
-        ServingConfig(**defaults),
-        clock=clock,
+    return ServerFleet(
+        [_pipeline(registry, seed=seed)],
+        serving_config=ServingConfig(**defaults),
+        clock=FixedClock(0.0),
         metrics=registry,
     )
-    return server
 
 
 class TestLoadGenerator:
     def _run(self, gen_kwargs=None, **config_kwargs):
-        server = _virtual_server(MetricsRegistry(), **config_kwargs)
+        fleet = _virtual_fleet(MetricsRegistry(), **config_kwargs)
         params = dict(
             duration_s=1.0, rate=50.0, seed=11, points=(N_POINTS,)
         )
         params.update(gen_kwargs or {})
-        return LoadGenerator(server, LoadGenConfig(**params)).run()
+        return FleetLoadGenerator(fleet, LoadGenConfig(**params)).run()
 
     def test_two_runs_are_identical(self):
         first = self._run().to_dict()
         second = self._run().to_dict()
         assert first == second
+
+    @pytest.mark.parametrize(
+        "shape", ["default", "overload", "closed", "fixed"]
+    )
+    def test_matches_single_server_report(self, shape):
+        """A 1-replica fleet reproduces the retired single-server
+        generator field for field; only ``replica_states`` is new."""
+        recorded = _single_server_reports()[shape]
+        got = self._run(
+            recorded["loadgen"], **recorded["serving"]
+        ).to_dict()
+        want = dict(recorded["report"])
+        assert got.pop("replica_states") == {"0": "healthy"}
+        want.pop("replica_states")
+        assert got == want
+
+    def test_deadline_shape_ejects_the_sole_replica(self):
+        """The one known divergence from a lone server: the health
+        policy counts deadline expiries as replica failures, so with
+        a deadline shorter than the batching window the only replica
+        is ejected and later arrivals are refused at the door."""
+        recorded = _single_server_reports()["deadline"]
+        report = self._run(recorded["loadgen"], **recorded["serving"])
+        assert report.submitted == recorded["report"]["submitted"]
+        assert report.rejection_reasons["no_healthy_replica"] > 0
+        assert report.admitted + report.rejected == report.submitted
+        assert report.lost == 0
 
     def test_batching_actually_happens_at_50rps(self):
         report = self._run()
@@ -502,8 +544,8 @@ class TestLoadGenerator:
         assert report.failed == 0
 
     def test_deadlines_expire_as_typed_outcomes(self):
-        # A deadline shorter than the batching window: every request
-        # expires before its bucket's timeout flush.
+        # A deadline shorter than the batching window: every admitted
+        # request expires before its bucket's timeout flush.
         report = self._run(
             {"deadline_ms": 10.0, "duration_s": 0.3},
             max_batch_size=64,
@@ -526,13 +568,11 @@ class TestLoadGenerator:
         )
 
     def test_requires_a_fixed_clock(self):
-        server = InferenceServer(_pipeline())  # wall clock
+        fleet = ServerFleet([_pipeline()])  # wall clock
         with pytest.raises(TypeError):
-            LoadGenerator(server, LoadGenConfig(duration_s=0.1))
+            FleetLoadGenerator(fleet, LoadGenConfig(duration_s=0.1))
 
     def test_report_roundtrips_to_json(self, tmp_path):
-        import json
-
         report = self._run({"duration_s": 0.2})
         path = tmp_path / "report.json"
         report.save(str(path))
