@@ -12,7 +12,9 @@ from repro.analysis import format_layer_latencies
 from repro.runtime import CostModel, xavier
 from repro.workloads import standard_workloads, trace
 
-SAMPLE_OPS_DOWN = ("fps", "morton_gen", "morton_sort", "uniform_pick")
+SAMPLE_OPS_DOWN = (
+    "fps", "fps_fast", "morton_gen", "morton_sort", "uniform_pick",
+)
 SAMPLE_OPS_UP = ("interp_exact", "interp_morton")
 
 

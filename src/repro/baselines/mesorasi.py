@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.nn.plan import OP_MATMUL
 from repro.nn.recorder import (
     STAGE_FEATURE,
     STAGE_GROUPING,
@@ -63,7 +64,7 @@ def apply_delayed_aggregation(recorder: StageRecorder) -> StageRecorder:
     for event in recorder:
         if (
             event.stage == STAGE_FEATURE
-            and event.op == "matmul"
+            and event.op == OP_MATMUL
             and event.counts.get("rows") == grouped_rows.get(event.layer)
         ):
             layer_out_channels[event.layer] = event.counts["c_out"]
@@ -73,7 +74,7 @@ def apply_delayed_aggregation(recorder: StageRecorder) -> StageRecorder:
         counts = dict(event.counts)
         if (
             event.stage == STAGE_FEATURE
-            and event.op == "matmul"
+            and event.op == OP_MATMUL
             and counts.get("rows") == grouped_rows.get(event.layer)
         ):
             k = layer_k[event.layer]

@@ -19,7 +19,7 @@ EdgePC integration (Sec. 5.2.3):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,11 +32,17 @@ from repro.neighbors.grid import GridQueryStats
 from repro.nn.autograd import Tensor, concatenate
 from repro.nn.functional import edge_features, max_pool_neighbors
 from repro.nn.layers import Dropout, Linear, Module, shared_mlp
+from repro.nn.plan import (
+    edgeconv_plan,
+    linear_widths,
+    matmul_plan,
+    stage_kernels,
+    with_measured,
+)
 from repro.nn.recorder import (
-    STAGE_FEATURE,
-    STAGE_GROUPING,
     STAGE_NEIGHBOR,
     NullRecorder,
+    StageEvent,
     StageRecorder,
 )
 
@@ -71,50 +77,22 @@ class EdgeConv(Module):
         xyz: np.ndarray,
         features: Tensor,
         cache: NeighborCache,
-        recorder: StageRecorder,
-    ) -> np.ndarray:
-        """Compute or reuse the ``(B, N, k)`` neighbor graph."""
-        batch, n_points = features.shape[0], features.shape[1]
-        policy = self.edgepc.reuse_policy()
-        if self.layer_index > 0 and policy.should_reuse(self.layer_index):
-            if not cache.is_empty:
-                recorder.record(
-                    STAGE_NEIGHBOR, "reuse", self.layer_index,
-                    n_queries=n_points, k=self.k, batch=batch,
-                )
-                return cache.load()
-        if (
-            self.layer_index == 0
-            and self.edgepc.uses_morton_neighbors(0)
-        ):
-            window = min(n_points, self.edgepc.window_for(self.k))
+        kernel: StageEvent,
+    ) -> Tuple[np.ndarray, Dict]:
+        """Run (or reuse) the plan's neighbor kernel; returns the
+        ``(B, N, k)`` neighbor graph and the measured scan counts."""
+        if kernel.op == "reuse":
+            return cache.load(), {}
+        measured: Dict = {}
+        if kernel.op == "morton_window":
             searcher = MortonNeighborSearch(
-                self.k, window, self.edgepc.code_bits, self.workspace
+                self.k, int(kernel.counts["window"]),
+                self.edgepc.code_bits, self.workspace,
             )
             out = searcher.search_batch(xyz)
-            recorder.record(
-                STAGE_NEIGHBOR, "morton_gen", 0,
-                n_points=n_points, batch=batch,
-            )
-            recorder.record(
-                STAGE_NEIGHBOR, "morton_sort", 0,
-                n_points=n_points, batch=batch,
-            )
-            recorder.record(
-                STAGE_NEIGHBOR, "morton_window", 0,
-                n_queries=n_points, window=window, k=self.k, batch=batch,
-            )
         else:
-            space = (
-                xyz
-                if self.layer_index == 0
-                else features.data
-            )
-            dim = space.shape[2]
-            if (
-                dim == 3
-                and self.edgepc.exact_engine_for(n_points) == "fast"
-            ):
+            space = xyz if self.layer_index == 0 else features.data
+            if kernel.op == "knn_grid":
                 # Large-N exact path: grid cell-list kNN (xyz space
                 # only — feature-space graphs are high-dimensional).
                 stats = GridQueryStats()
@@ -122,22 +100,14 @@ class EdgeConv(Module):
                     space, space, self.k,
                     workspace=self.workspace, stats=stats,
                 )
-                recorder.record(
-                    STAGE_NEIGHBOR, "knn_grid", self.layer_index,
-                    n_queries=n_points, n_candidates=n_points,
-                    k=self.k, dim=dim, batch=batch,
-                    pairs_scanned=stats.pairs_scanned / batch,
+                measured = dict(
+                    pairs_scanned=stats.pairs_scanned / space.shape[0],
                     rounds=stats.rounds,
                 )
             else:
                 out = knn_batch(space, space, self.k, self.workspace)
-                recorder.record(
-                    STAGE_NEIGHBOR, "knn", self.layer_index,
-                    n_queries=n_points, n_candidates=n_points,
-                    k=self.k, dim=dim, batch=batch,
-                )
         cache.store(out)
-        return out
+        return out, measured
 
     def forward(
         self,
@@ -147,29 +117,21 @@ class EdgeConv(Module):
         recorder: Optional[StageRecorder] = None,
     ) -> Tensor:
         recorder = NullRecorder() if recorder is None else recorder
-        neighbor_idx = self._graph(xyz, features, cache, recorder)
+        batch, n_points = features.shape[0], features.shape[1]
+        plan = edgeconv_plan(
+            self.layer_index, (n_points, self.k), self.mlp_channels,
+            batch, self.edgepc,
+        )
+        kernel = stage_kernels(plan)[STAGE_NEIGHBOR]
+        neighbor_idx, scanned = self._graph(xyz, features, cache, kernel)
+        plan = with_measured(plan, kernel.op, **scanned)
         if self.edgepc.sorted_grouping:
             # Sec. 5.4.2: order within a neighborhood is irrelevant to
             # the max-pooled edge aggregation.
             neighbor_idx = np.sort(neighbor_idx, axis=-1)
-        batch, n_points, k = neighbor_idx.shape
         edges = edge_features(features, neighbor_idx)
-        recorder.record(
-            STAGE_GROUPING, "gather", self.layer_index,
-            n_groups=n_points, k=k,
-            channels=2 * features.shape[2], batch=batch,
-            sorted=float(self.edgepc.sorted_grouping),
-        )
         out = self.mlp(edges)
-        for c_in, c_out in zip(
-            self.mlp_channels[:-1], self.mlp_channels[1:]
-        ):
-            recorder.record(
-                STAGE_FEATURE, "matmul", self.layer_index,
-                rows=batch * n_points * k,
-                c_in=c_in, c_out=c_out,
-                flops=2.0 * batch * n_points * k * c_in * c_out,
-            )
+        recorder.record_plan(plan)
         return max_pool_neighbors(out)
 
 
@@ -255,18 +217,20 @@ class DGCNNClassifier(Module):
         features = Tensor(xyz)
         per_point = self.backbone(xyz, features, recorder)
         embedded = self.embedding(per_point).leaky_relu(0.2)
-        recorder.record(
-            STAGE_FEATURE, "matmul", len(self.backbone.ec_modules),
-            rows=xyz.shape[0] * xyz.shape[1],
-            c_in=self.embedding.in_features,
-            c_out=self.embedding.out_features,
-            flops=2.0 * xyz.shape[0] * xyz.shape[1]
-            * self.embedding.in_features * self.embedding.out_features,
-        )
+        layer = len(self.backbone.ec_modules)
+        recorder.record_plan(matmul_plan(
+            layer, linear_widths(self.embedding),
+            xyz.shape[0] * xyz.shape[1],
+        ))
         pooled = embedded.max(axis=1)
         hidden = self.head_hidden(pooled).leaky_relu(0.2)
         hidden = self.head_dropout(hidden)
-        return self.head_out(hidden)
+        logits = self.head_out(hidden)
+        recorder.record_plan(matmul_plan(
+            layer + 1, linear_widths(self.head_hidden, self.head_out),
+            xyz.shape[0],
+        ))
+        return logits
 
 
 class DGCNNSegmentation(Module):
@@ -317,13 +281,10 @@ class DGCNNSegmentation(Module):
         features = Tensor(xyz)
         per_point = self.backbone(xyz, features, recorder)
         embedded = self.embedding(per_point).leaky_relu(0.2)
-        recorder.record(
-            STAGE_FEATURE, "matmul", len(self.backbone.ec_modules),
-            rows=xyz.shape[0] * n_points,
-            c_in=self.embedding.in_features,
-            c_out=self.embedding.out_features,
-            flops=2.0 * xyz.shape[0] * n_points
-            * self.embedding.in_features * self.embedding.out_features,
+        layer = len(self.backbone.ec_modules)
+        rows = xyz.shape[0] * n_points
+        recorder.record_plan(
+            matmul_plan(layer, linear_widths(self.embedding), rows)
         )
         global_context = embedded.max(axis=1, keepdims=True)
         tiled = global_context.broadcast_to(
@@ -332,4 +293,8 @@ class DGCNNSegmentation(Module):
         merged = concatenate([per_point, tiled], axis=2)
         hidden = self.head_hidden(merged).leaky_relu(0.2)
         hidden = self.head_dropout(hidden)
-        return self.head_out(hidden)
+        logits = self.head_out(hidden)
+        recorder.record_plan(matmul_plan(
+            layer + 1, linear_widths(self.head_hidden, self.head_out), rows
+        ))
+        return logits

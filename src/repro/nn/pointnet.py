@@ -16,11 +16,8 @@ import numpy as np
 
 from repro.nn.autograd import Tensor, concatenate
 from repro.nn.layers import Dropout, Linear, Module, shared_mlp
-from repro.nn.recorder import (
-    STAGE_FEATURE,
-    NullRecorder,
-    StageRecorder,
-)
+from repro.nn.plan import linear_widths, matmul_plan
+from repro.nn.recorder import NullRecorder, StageRecorder
 
 
 class PointNetClassifier(Module):
@@ -56,29 +53,16 @@ class PointNetClassifier(Module):
         recorder = NullRecorder() if recorder is None else recorder
         batch, n_points, _ = xyz.shape
         features = self.mlp(Tensor(xyz))
-        for c_in, c_out in zip(
-            self.mlp_channels[:-1], self.mlp_channels[1:]
-        ):
-            recorder.record(
-                STAGE_FEATURE, "matmul", 0,
-                rows=batch * n_points, c_in=c_in, c_out=c_out,
-                flops=2.0 * batch * n_points * c_in * c_out,
-            )
+        recorder.record_plan(
+            matmul_plan(0, self.mlp_channels, batch * n_points)
+        )
         pooled = features.max(axis=1)
         hidden = self.head_hidden(pooled).relu()
         hidden = self.head_dropout(hidden)
         logits = self.head_out(hidden)
-        recorder.record(
-            STAGE_FEATURE, "matmul", 1,
-            rows=batch,
-            c_in=self.head_hidden.in_features,
-            c_out=self.num_classes,
-            flops=2.0 * batch * (
-                self.head_hidden.in_features
-                * self.head_hidden.out_features
-                + self.head_hidden.out_features * self.num_classes
-            ),
-        )
+        recorder.record_plan(matmul_plan(
+            1, linear_widths(self.head_hidden, self.head_out), batch
+        ))
         return logits
 
 
@@ -118,14 +102,9 @@ class PointNetSegmentation(Module):
         recorder = NullRecorder() if recorder is None else recorder
         batch, n_points, _ = xyz.shape
         per_point = self.mlp(Tensor(xyz))
-        for c_in, c_out in zip(
-            self.mlp_channels[:-1], self.mlp_channels[1:]
-        ):
-            recorder.record(
-                STAGE_FEATURE, "matmul", 0,
-                rows=batch * n_points, c_in=c_in, c_out=c_out,
-                flops=2.0 * batch * n_points * c_in * c_out,
-            )
+        recorder.record_plan(
+            matmul_plan(0, self.mlp_channels, batch * n_points)
+        )
         global_feature = per_point.max(axis=1, keepdims=True)
         tiled = global_feature.broadcast_to(
             (batch, n_points, per_point.shape[2])
@@ -134,15 +113,8 @@ class PointNetSegmentation(Module):
         hidden = self.head_hidden(merged).relu()
         hidden = self.head_dropout(hidden)
         logits = self.head_out(hidden)
-        recorder.record(
-            STAGE_FEATURE, "matmul", 1,
-            rows=batch * n_points,
-            c_in=self.head_hidden.in_features,
-            c_out=self.num_classes,
-            flops=2.0 * batch * n_points * (
-                self.head_hidden.in_features
-                * self.head_hidden.out_features
-                + self.head_hidden.out_features * self.num_classes
-            ),
-        )
+        recorder.record_plan(matmul_plan(
+            1, linear_widths(self.head_hidden, self.head_out),
+            batch * n_points,
+        ))
         return logits

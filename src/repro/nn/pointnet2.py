@@ -6,11 +6,13 @@ mirrored by FeaturePropagation (FP) modules that interpolate features
 back up, with skip connections between matching levels, and a per-point
 segmentation head (or a global classification head).
 
-EdgePC integration: each SA/FP module consults an
-:class:`~repro.core.pipeline.EdgePCConfig` to decide whether its
-sampling, neighbor-search, and interpolation stages run the exact SOTA
-kernels (FPS / ball query / full 3-NN interpolation) or the Morton
-approximations.  Every priced operation is reported to a
+EdgePC integration: each SA/FP module builds its op plan
+(:mod:`repro.nn.plan`) from its :class:`~repro.core.pipeline.EdgePCConfig`
+on every call; the plan names whether its sampling, neighbor-search,
+and interpolation stages run the exact SOTA kernels (FPS / ball query /
+full 3-NN interpolation, or their large-N fast engines) or the Morton
+approximations.  The forward runs the kernels the plan names and
+reports the plan, with measured scan counts, to a
 :class:`~repro.nn.recorder.StageRecorder`, which the runtime package
 converts into simulated edge-GPU latency/energy.
 """
@@ -18,18 +20,14 @@ converts into simulated edge-GPU latency/energy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.batched import BatchedSampleResult
 from repro.core.neighbor import MortonNeighborSearch
 from repro.core.pipeline import EdgePCConfig
-from repro.core.sampler import (
-    MortonSampler,
-    MortonUpsampler,
-    exact_interpolate,
-)
+from repro.core.sampler import MortonSampler, MortonUpsampler
 from repro.core.workspace import Workspace
 from repro.neighbors.batched import (
     ball_query_batch,
@@ -44,12 +42,19 @@ from repro.nn.functional import (
     relative_neighborhoods,
 )
 from repro.nn.layers import Dropout, Linear, Module, shared_mlp
+from repro.nn.plan import (
+    fp_plan,
+    linear_widths,
+    matmul_plan,
+    sa_plan,
+    stage_kernels,
+    with_measured,
+)
 from repro.nn.recorder import (
-    STAGE_FEATURE,
-    STAGE_GROUPING,
     STAGE_NEIGHBOR,
     STAGE_SAMPLE,
     NullRecorder,
+    StageEvent,
     StageRecorder,
 )
 from repro.sampling.fps import (
@@ -96,25 +101,6 @@ DEFAULT_SA_CONFIGS = (
 )
 
 
-def _record_matmuls(
-    recorder: StageRecorder,
-    layer: int,
-    mlp_channels: Sequence[int],
-    rows: int,
-) -> None:
-    """Price each Linear stage of a shared MLP for the cost model."""
-    for c_in, c_out in zip(mlp_channels[:-1], mlp_channels[1:]):
-        recorder.record(
-            STAGE_FEATURE,
-            "matmul",
-            layer,
-            rows=rows,
-            c_in=c_in,
-            c_out=c_out,
-            flops=2.0 * rows * c_in * c_out,
-        )
-
-
 @dataclass
 class _LevelState:
     """Forward-pass bookkeeping for one resolution level."""
@@ -152,116 +138,67 @@ class SetAbstraction(Module):
     # Index computation (NumPy, outside autograd) -----------------------
 
     def _sample(
-        self, xyz: np.ndarray, recorder: StageRecorder
-    ) -> Tuple[np.ndarray, Optional[BatchedSampleResult]]:
-        batch, n_points, _ = xyz.shape
-        n_out = max(1, int(round(n_points * self.config.ratio)))
-        if self.edgepc.uses_morton_sampling(self.layer_index):
-            result: Optional[BatchedSampleResult] = (
-                self._morton_sampler.sample_batch(xyz, n_out)
-            )
-            indices = result.indices
-            recorder.record(
-                STAGE_SAMPLE, "morton_gen", self.layer_index,
-                n_points=n_points, batch=batch,
-            )
-            recorder.record(
-                STAGE_SAMPLE, "morton_sort", self.layer_index,
-                n_points=n_points, batch=batch,
-            )
-            recorder.record(
-                STAGE_SAMPLE, "uniform_pick", self.layer_index,
-                n_samples=n_out, batch=batch,
-            )
-        elif self.edgepc.exact_engine_for(n_points) == "fast":
+        self, xyz: np.ndarray, n_out: int, kernel: StageEvent
+    ) -> Tuple[np.ndarray, Optional[BatchedSampleResult], Dict]:
+        """Run the plan's sampling kernel; returns the ``(B, n)``
+        indices, the Morton sample result (or None) and the measured
+        scan counts."""
+        if kernel.op == "uniform_pick":
+            result = self._morton_sampler.sample_batch(xyz, n_out)
+            return result.indices, result, {}
+        if kernel.op == "fps_fast":
             # Large-N exact path: pruning FPS, bit-identical picks.
-            result = None
+            batch = xyz.shape[0]
             stats = FastFpsStats()
             indices = farthest_point_sample_fast_batch(
                 xyz, n_out, start_index=0, stats=stats
             )
-            recorder.record(
-                STAGE_SAMPLE, "fps_fast", self.layer_index,
-                n_points=n_points, n_samples=n_out, batch=batch,
+            return indices, None, dict(
                 points_scanned=stats.points_scanned / batch,
                 blocks_applied=stats.block_updates_applied / batch,
                 blocks_pruned=stats.block_updates_pruned / batch,
-                worst_case=stats.worst_case / batch,
             )
-        else:
-            result = None
-            indices = farthest_point_sample_batch(
-                xyz, n_out, start_index=0
-            )
-            recorder.record(
-                STAGE_SAMPLE, "fps", self.layer_index,
-                n_points=n_points, n_samples=n_out, batch=batch,
-            )
-        return indices, result
+        indices = farthest_point_sample_batch(xyz, n_out, start_index=0)
+        return indices, None, {}
 
     def _neighbors(
         self,
         xyz: np.ndarray,
         sampled: np.ndarray,
         sample_result: Optional[BatchedSampleResult],
-        recorder: StageRecorder,
-    ) -> np.ndarray:
-        batch, n_points, _ = xyz.shape
-        n_out = sampled.shape[1]
+        kernel: StageEvent,
+    ) -> Tuple[np.ndarray, Dict]:
+        """Run the plan's neighbor kernel; returns the ``(B, n, k)``
+        neighbor indices and the measured scan counts."""
         k = self.config.k
-        if self.edgepc.uses_morton_neighbors(self.layer_index):
-            window = min(n_points, self.edgepc.window_for(k))
+        if kernel.op == "morton_window":
             searcher = MortonNeighborSearch(
-                k, window, self.edgepc.code_bits, self.workspace
+                k, int(kernel.counts["window"]), self.edgepc.code_bits,
+                self.workspace,
             )
             if sample_result is not None:
                 # Reuse the sampler's Morton codes (Sec. 5.2.3).
-                out = searcher.search_batch(
+                return searcher.search_batch(
                     xyz, sampled, sample_result.order
-                )
-            else:
-                out = searcher.search_batch(xyz, sampled)
-                recorder.record(
-                    STAGE_NEIGHBOR, "morton_gen", self.layer_index,
-                    n_points=n_points, batch=batch,
-                )
-                recorder.record(
-                    STAGE_NEIGHBOR, "morton_sort", self.layer_index,
-                    n_points=n_points, batch=batch,
-                )
-            recorder.record(
-                STAGE_NEIGHBOR, "morton_window", self.layer_index,
-                n_queries=n_out, window=window, k=k, batch=batch,
-            )
-        elif self.edgepc.exact_engine_for(n_points) == "fast":
+                ), {}
+            return searcher.search_batch(xyz, sampled), {}
+        centers = np.take_along_axis(xyz, sampled[:, :, None], axis=1)
+        if kernel.op == "ball_query_grid":
             # Large-N exact path: grid cell-list ball query, identical
             # output rows.
-            centers = np.take_along_axis(
-                xyz, sampled[:, :, None], axis=1
-            )
             stats = GridQueryStats()
             out = ball_query_grid_batch(
                 centers, xyz, self.config.radius, k,
                 workspace=self.workspace, stats=stats,
             )
-            recorder.record(
-                STAGE_NEIGHBOR, "ball_query_grid", self.layer_index,
-                n_queries=n_out, n_candidates=n_points, k=k, batch=batch,
-                pairs_scanned=stats.pairs_scanned / batch,
+            return out, dict(
+                pairs_scanned=stats.pairs_scanned / xyz.shape[0],
                 rounds=stats.rounds,
             )
-        else:
-            centers = np.take_along_axis(
-                xyz, sampled[:, :, None], axis=1
-            )
-            out = ball_query_batch(
-                centers, xyz, self.config.radius, k, self.workspace
-            )
-            recorder.record(
-                STAGE_NEIGHBOR, "ball_query", self.layer_index,
-                n_queries=n_out, n_candidates=n_points, k=k, batch=batch,
-            )
-        return out
+        out = ball_query_batch(
+            centers, xyz, self.config.radius, k, self.workspace
+        )
+        return out, {}
 
     # Forward ------------------------------------------------------------
 
@@ -283,29 +220,32 @@ class SetAbstraction(Module):
             the sample results the matching FP module may reuse.
         """
         recorder = NullRecorder() if recorder is None else recorder
-        sampled, sample_result = self._sample(xyz, recorder)
-        neighbor_idx = self._neighbors(
-            xyz, sampled, sample_result, recorder
+        batch, n_points, _ = xyz.shape
+        n_out = max(1, int(round(n_points * self.config.ratio)))
+        plan = sa_plan(
+            self.layer_index, (n_points, n_out, self.config.k),
+            self.mlp_channels, batch, self.edgepc,
         )
+        kernels = stage_kernels(plan)
+        sample_kernel = kernels[STAGE_SAMPLE]
+        sampled, sample_result, scanned = self._sample(
+            xyz, n_out, sample_kernel
+        )
+        plan = with_measured(plan, sample_kernel.op, **scanned)
+        neighbor_kernel = kernels[STAGE_NEIGHBOR]
+        neighbor_idx, scanned = self._neighbors(
+            xyz, sampled, sample_result, neighbor_kernel
+        )
+        plan = with_measured(plan, neighbor_kernel.op, **scanned)
         if self.edgepc.sorted_grouping:
             # Sec. 5.4.2: row-sorting is a no-op for the max-pooled
             # aggregation but coalesces the gather's memory accesses.
             neighbor_idx = np.sort(neighbor_idx, axis=-1)
-        batch, n_out, k = neighbor_idx.shape
         rel = relative_neighborhoods(xyz, sampled, neighbor_idx)
         grouped = group_points(features, neighbor_idx)
-        recorder.record(
-            STAGE_GROUPING, "gather", self.layer_index,
-            n_groups=n_out, k=k,
-            channels=features.shape[2] + 3, batch=batch,
-            sorted=float(self.edgepc.sorted_grouping),
-        )
         grouped = concatenate([Tensor(rel), grouped], axis=3)
         out = self.mlp(grouped)  # (B, n, k, C_out)
-        _record_matmuls(
-            recorder, self.layer_index, self.mlp_channels,
-            rows=batch * n_out * k,
-        )
+        recorder.record_plan(plan)
         pooled = max_pool_neighbors(out)
         new_xyz = np.take_along_axis(xyz, sampled[:, :, None], axis=1)
         state = _LevelState(
@@ -357,10 +297,13 @@ class FeaturePropagation(Module):
         """
         recorder = NullRecorder() if recorder is None else recorder
         batch, n_fine, _ = fine_xyz.shape
-        n_coarse = coarse_features.shape[1]
-        use_morton = self.edgepc.uses_morton_upsampling(self.layer_index)
         result = sa_state.sample_result
-        if use_morton and result is not None:
+        plan = fp_plan(
+            self.layer_index, (n_fine, coarse_features.shape[1]),
+            self.mlp_channels, batch, self.edgepc,
+            morton_sampled=result is not None,
+        )
+        if stage_kernels(plan)[STAGE_SAMPLE].op == "interp_morton":
             anchors, weights = (
                 self._upsampler.interpolation_weights_batch(
                     fine_xyz, result
@@ -371,28 +314,15 @@ class FeaturePropagation(Module):
             # interpolation_weights rows follow sorted order; gather by
             # rank to restore the original order.
             upsampled = gather_points(mixed, result.order.ranks)
-            recorder.record(
-                STAGE_SAMPLE, "interp_morton", self.layer_index,
-                n_points=n_fine, batch=batch,
-            )
         else:
             upsampled = _exact_interpolate_tensor(
                 fine_xyz,
                 sa_state.sampled_indices,
                 coarse_features,
             )
-            recorder.record(
-                STAGE_SAMPLE, "interp_exact", self.layer_index,
-                n_points=n_fine, n_samples=n_coarse, batch=batch,
-            )
         merged = concatenate([upsampled, fine_features], axis=2)
         out = self.mlp(merged)
-        _record_matmuls(
-            recorder,
-            self.layer_index,
-            self.mlp_channels,
-            rows=batch * n_fine,
-        )
+        recorder.record_plan(plan)
         return out
 
 
@@ -515,16 +445,11 @@ class PointNet2Segmentation(Module):
         hidden = self.head_hidden(coarse).relu()
         hidden = self.head_dropout(hidden)
         logits = self.head_out(hidden)
-        _record_matmuls(
-            recorder,
+        recorder.record_plan(matmul_plan(
             len(self.sa_modules) + len(self.fp_modules),
-            (
-                self.head_hidden.in_features,
-                self.head_hidden.out_features,
-                self.num_classes,
-            ),
-            rows=xyz.shape[0] * xyz.shape[1],
-        )
+            linear_widths(self.head_hidden, self.head_out),
+            xyz.shape[0] * xyz.shape[1],
+        ))
         return logits
 
 
@@ -580,14 +505,9 @@ class PointNet2Classifier(Module):
         hidden = self.head_hidden(pooled).relu()
         hidden = self.head_dropout(hidden)
         logits = self.head_out(hidden)
-        _record_matmuls(
-            recorder,
+        recorder.record_plan(matmul_plan(
             len(self.sa_modules),
-            (
-                self.head_hidden.in_features,
-                self.head_hidden.out_features,
-                self.num_classes,
-            ),
-            rows=xyz.shape[0],
-        )
+            linear_widths(self.head_hidden, self.head_out),
+            xyz.shape[0],
+        ))
         return logits

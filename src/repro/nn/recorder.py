@@ -12,7 +12,7 @@ regenerated without the Jetson board.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Dict, Iterable, Iterator, List
 
 #: Stage names used across the library (paper Fig. 3's breakdown).
 STAGE_SAMPLE = "sample"
@@ -60,6 +60,12 @@ class StageRecorder:
         self, stage: str, op: str, layer: int, **counts: float
     ) -> None:
         self.events.append(StageEvent(stage, op, layer, dict(counts)))
+
+    def record_plan(self, plan: Iterable[StageEvent]) -> None:
+        """Record every event of a module's op plan
+        (:mod:`repro.nn.plan`), in order."""
+        for event in plan:
+            self.record(event.stage, event.op, event.layer, **event.counts)
 
     def __len__(self) -> int:
         return len(self.events)

@@ -390,7 +390,9 @@ def parse_prometheus(text: str) -> Dict[str, float]:
     :func:`parse_prometheus_series` decodes them.
     """
     samples: Dict[str, float] = {}
-    for line in text.splitlines():
+    # Exposition lines end in "\n" only; ``splitlines`` would also
+    # split inside label values holding U+2028 and similar breaks.
+    for line in text.split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -412,7 +414,7 @@ def parse_prometheus_series(
     newlines in a label round-trip to their original strings.
     """
     series: Dict[Tuple[str, LabelItems], float] = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

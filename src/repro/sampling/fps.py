@@ -161,6 +161,9 @@ class FastFpsStats:
         block_updates_applied: (block, pick) updates that ran.
         block_updates_pruned: (block, pick) updates skipped by the
             geometric bound (provably no-ops).
+        worst_case: distance evaluations the unpruned reference would
+            perform — ``N * n`` summed per cloud, not the product of
+            the totals.
     """
 
     num_points: int = 0
@@ -168,11 +171,7 @@ class FastFpsStats:
     points_scanned: int = 0
     block_updates_applied: int = 0
     block_updates_pruned: int = 0
-
-    @property
-    def worst_case(self) -> int:
-        """Distance evaluations the unpruned reference would perform."""
-        return fps_operation_count(self.num_points, self.num_samples)
+    worst_case: int = 0
 
     @property
     def scan_fraction(self) -> float:
@@ -266,6 +265,7 @@ def farthest_point_sample_fast(
     if stats is not None:
         stats.num_points += n_points
         stats.num_samples += num_samples
+        stats.worst_case += fps_operation_count(n_points, num_samples)
     selected = np.empty(num_samples, dtype=np.int64)
     selected[0] = start
     if num_samples == 1:
@@ -488,26 +488,17 @@ def farthest_point_sample_fast_batch(
     return selected
 
 
-def fps_operation_count(
-    num_points: int,
-    num_samples: int,
-    stats: Optional[FastFpsStats] = None,
-) -> int:
-    """Distance evaluations FPS performs.
+def fps_operation_count(num_points: int, num_samples: int) -> int:
+    """Distance evaluations the reference FPS performs: ``n`` passes
+    over ``N`` points.
 
-    Without ``stats`` this is the reference sampler's unconditional
-    worst case — ``n`` passes over ``N`` points.  The pruned sampler
-    (:func:`farthest_point_sample_fast`) scans a data-dependent subset
-    of that; pass the :class:`FastFpsStats` it filled in to get the
-    count it actually performed (its expected cost), while
-    ``stats.worst_case`` keeps the unpruned bound for comparison.
-
-    Used by the edge-device cost model to price the baseline sampler.
+    The pruned sampler (:func:`farthest_point_sample_fast`) scans a
+    data-dependent subset of that, counted in :class:`FastFpsStats`;
+    this unpruned bound is its ``worst_case`` and what op plans price
+    either sampler at.
     """
     if num_points < 0 or num_samples < 0:
         raise ValueError("counts must be non-negative")
-    if stats is not None:
-        return stats.points_scanned
     return num_points * num_samples
 
 

@@ -6,28 +6,32 @@ full-scale architecture dimensions of the model variant (layer point
 counts, neighbor counts, MLP widths of the *original* PointNet++(s) /
 DGCNN networks).
 
-:func:`trace` statically walks that architecture under an
-:class:`~repro.core.pipeline.EdgePCConfig` and emits the same
-:class:`~repro.nn.recorder.StageEvent` stream a real forward pass
-would, without executing any tensors — which is what lets the latency
-and energy experiments run at the paper's full 8192-point scale
-instantly.  Tests cross-check that the event stream of a *real*
-(small-scale) forward matches the synthesized one op for op.
+:func:`trace` walks that architecture under an
+:class:`~repro.core.pipeline.EdgePCConfig` and concatenates the op
+plans (:mod:`repro.nn.plan`) the models' own modules execute, without
+running any tensors — which is what lets the latency and energy
+experiments run at the paper's full 8192-point scale instantly.  Only
+channel bookkeeping lives here; which kernel each layer runs is decided
+by the plan functions.  Tests check that the event stream of a *real*
+(small-scale) forward equals the synthesized one on every count the
+plan fixes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple, Union
 
 from repro.core.pipeline import EdgePCConfig
-from repro.nn.recorder import (
-    STAGE_FEATURE,
-    STAGE_GROUPING,
-    STAGE_NEIGHBOR,
-    STAGE_SAMPLE,
-    StageRecorder,
+from repro.nn.plan import (
+    Plan,
+    edgeconv_plan,
+    fp_plan,
+    matmul_plan,
+    sa_plan,
+    samples_by_morton,
 )
+from repro.nn.recorder import StageRecorder
 
 
 @dataclass(frozen=True)
@@ -84,11 +88,18 @@ class WorkloadSpec:
     points_per_batch: int
     batch_size: int
     num_classes: int
-    arch: object
+    arch: Union[PointNet2Arch, DGCNNArch]
 
     def __post_init__(self) -> None:
-        if self.model not in ("pointnet2", "dgcnn"):
+        arch_types = {"pointnet2": PointNet2Arch, "dgcnn": DGCNNArch}
+        if self.model not in arch_types:
             raise ValueError(f"unknown model {self.model!r}")
+        if not isinstance(self.arch, arch_types[self.model]):
+            raise ValueError(
+                f"model {self.model!r} needs a "
+                f"{arch_types[self.model].__name__}, got "
+                f"{type(self.arch).__name__}"
+            )
         if self.batch_size < 1 or self.points_per_batch < 1:
             raise ValueError("sizes must be positive")
 
@@ -191,183 +202,67 @@ def scan_batch_sizes(
 # Trace synthesis -------------------------------------------------------------
 
 
-def _record_mlp(
-    recorder: StageRecorder,
-    layer: int,
-    channels: Sequence[int],
-    rows: int,
-) -> None:
-    for c_in, c_out in zip(channels[:-1], channels[1:]):
-        recorder.record(
-            STAGE_FEATURE, "matmul", layer,
-            rows=rows, c_in=c_in, c_out=c_out,
-            flops=2.0 * rows * c_in * c_out,
-        )
-
-
-def _trace_pointnet2(
-    spec: WorkloadSpec, config: EdgePCConfig, recorder: StageRecorder
-) -> None:
+def _pointnet2_plan(spec: WorkloadSpec, config: EdgePCConfig) -> Plan:
     arch: PointNet2Arch = spec.arch
     batch = spec.batch_size
     sizes = (arch.num_points,) + arch.sa_points
-    channels = max(arch.in_channels, 1)
-    skip_channels = [channels]
-    # SA encoder.
-    for layer, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        if config.uses_morton_sampling(layer):
-            recorder.record(
-                STAGE_SAMPLE, "morton_gen", layer,
-                n_points=n_in, batch=batch,
-            )
-            recorder.record(
-                STAGE_SAMPLE, "morton_sort", layer,
-                n_points=n_in, batch=batch,
-            )
-            recorder.record(
-                STAGE_SAMPLE, "uniform_pick", layer,
-                n_samples=n_out, batch=batch,
-            )
-        else:
-            recorder.record(
-                STAGE_SAMPLE, "fps", layer,
-                n_points=n_in, n_samples=n_out, batch=batch,
-            )
-        if config.uses_morton_neighbors(layer):
-            if not config.uses_morton_sampling(layer):
-                recorder.record(
-                    STAGE_NEIGHBOR, "morton_gen", layer,
-                    n_points=n_in, batch=batch,
-                )
-                recorder.record(
-                    STAGE_NEIGHBOR, "morton_sort", layer,
-                    n_points=n_in, batch=batch,
-                )
-            window = min(n_in, config.window_for(arch.k))
-            recorder.record(
-                STAGE_NEIGHBOR, "morton_window", layer,
-                n_queries=n_out, window=window, k=arch.k, batch=batch,
-            )
-        else:
-            recorder.record(
-                STAGE_NEIGHBOR, "ball_query", layer,
-                n_queries=n_out, n_candidates=n_in, k=arch.k,
-                batch=batch,
-            )
-        mlp = (channels + 3,) + arch.sa_mlps[layer]
-        recorder.record(
-            STAGE_GROUPING, "gather", layer,
-            n_groups=n_out, k=arch.k, channels=channels + 3,
-            batch=batch, sorted=float(config.sorted_grouping),
-        )
-        _record_mlp(recorder, layer, mlp, batch * n_out * arch.k)
-        channels = mlp[-1]
-        skip_channels.append(channels)
+    # Output channels per level, input level first (FP skip widths).
+    level_channels = [max(arch.in_channels, 1)]
+    morton_sampled = []
+    plan: Plan = []
+    for layer, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        mlp = (level_channels[-1] + 3,) + arch.sa_mlps[layer]
+        sa = sa_plan(layer, (n_in, n_out, arch.k), mlp, batch, config)
+        plan += sa
+        morton_sampled.append(samples_by_morton(sa))
+        level_channels.append(mlp[-1])
     # FP decoder (module j upsamples level L-j -> L-j-1).
     num_levels = len(arch.sa_points)
-    coarse_channels = skip_channels[num_levels]
+    coarse = level_channels[num_levels]
     for j in range(num_levels):
-        n_fine = sizes[num_levels - j - 1]
-        n_coarse = sizes[num_levels - j]
-        if config.uses_morton_upsampling(j) and config.uses_morton_sampling(
-            num_levels - j - 1
-        ):
-            recorder.record(
-                STAGE_SAMPLE, "interp_morton", j,
-                n_points=n_fine, batch=batch,
-            )
-        else:
-            recorder.record(
-                STAGE_SAMPLE, "interp_exact", j,
-                n_points=n_fine, n_samples=n_coarse, batch=batch,
-            )
-        mlp = (
-            coarse_channels + skip_channels[num_levels - j - 1],
-        ) + arch.fp_mlps[j]
-        _record_mlp(recorder, j, mlp, batch * n_fine)
-        coarse_channels = mlp[-1]
-    _record_mlp(
-        recorder,
-        2 * num_levels,
-        (coarse_channels,) + arch.head,
-        batch * arch.num_points,
+        fine = num_levels - j - 1
+        mlp = (coarse + level_channels[fine],) + arch.fp_mlps[j]
+        plan += fp_plan(
+            j, (sizes[fine], sizes[fine + 1]), mlp, batch, config,
+            morton_sampled[fine],
+        )
+        coarse = mlp[-1]
+    return plan + matmul_plan(
+        2 * num_levels, (coarse,) + arch.head, batch * arch.num_points
     )
 
 
-def _trace_dgcnn(
-    spec: WorkloadSpec, config: EdgePCConfig, recorder: StageRecorder
-) -> None:
+def _dgcnn_plan(spec: WorkloadSpec, config: EdgePCConfig) -> Plan:
     arch: DGCNNArch = spec.arch
     batch = spec.batch_size
     n = arch.num_points
-    policy = config.reuse_policy()
     channels = arch.in_channels
     concat_channels = 0
-    have_cache = False
+    plan: Plan = []
     for layer, mlp_out in enumerate(arch.ec_mlps):
-        if layer > 0 and policy.should_reuse(layer) and have_cache:
-            recorder.record(
-                STAGE_NEIGHBOR, "reuse", layer,
-                n_queries=n, k=arch.k, batch=batch,
-            )
-        elif layer == 0 and config.uses_morton_neighbors(0):
-            recorder.record(
-                STAGE_NEIGHBOR, "morton_gen", 0, n_points=n, batch=batch
-            )
-            recorder.record(
-                STAGE_NEIGHBOR, "morton_sort", 0, n_points=n, batch=batch
-            )
-            window = min(n, config.window_for(arch.k))
-            recorder.record(
-                STAGE_NEIGHBOR, "morton_window", 0,
-                n_queries=n, window=window, k=arch.k, batch=batch,
-            )
-            have_cache = True
-        else:
-            dim = 3 if layer == 0 else channels
-            recorder.record(
-                STAGE_NEIGHBOR, "knn", layer,
-                n_queries=n, n_candidates=n, k=arch.k, dim=dim,
-                batch=batch,
-            )
-            have_cache = True
-        recorder.record(
-            STAGE_GROUPING, "gather", layer,
-            n_groups=n, k=arch.k, channels=2 * channels, batch=batch,
-            sorted=float(config.sorted_grouping),
-        )
         mlp = (2 * channels,) + mlp_out
-        _record_mlp(recorder, layer, mlp, batch * n * arch.k)
+        plan += edgeconv_plan(layer, (n, arch.k), mlp, batch, config)
         channels = mlp[-1]
         concat_channels += channels
     num_modules = len(arch.ec_mlps)
-    _record_mlp(
-        recorder,
-        num_modules,
-        (concat_channels, arch.emb_channels),
-        batch * n,
+    plan += matmul_plan(
+        num_modules, (concat_channels, arch.emb_channels), batch * n
     )
-    head_rows = batch * (
-        n if spec.task != "classification" else 1
-    )
-    head_in = (
-        arch.emb_channels + concat_channels
-        if spec.task != "classification"
-        else arch.emb_channels
-    )
-    _record_mlp(
-        recorder, num_modules + 1, (head_in,) + arch.head, head_rows
+    if spec.task == "classification":
+        head_in, head_rows = arch.emb_channels, batch
+    else:
+        head_in, head_rows = arch.emb_channels + concat_channels, batch * n
+    return plan + matmul_plan(
+        num_modules + 1, (head_in,) + arch.head, head_rows
     )
 
 
 def trace(spec: WorkloadSpec, config: EdgePCConfig) -> StageRecorder:
     """Synthesize the stage-event trace of one batch of ``spec`` under
-    ``config``."""
+    ``config``: the concatenated op plans of its modules."""
+    plan = _pointnet2_plan if spec.model == "pointnet2" else _dgcnn_plan
     recorder = StageRecorder()
-    if spec.model == "pointnet2":
-        _trace_pointnet2(spec, config, recorder)
-    else:
-        _trace_dgcnn(spec, config, recorder)
+    recorder.record_plan(plan(spec, config))
     return recorder
 
 

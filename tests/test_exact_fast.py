@@ -28,7 +28,7 @@ from repro.neighbors.batched import (
 )
 from repro.neighbors.grid import GridQueryStats, suggest_cell_size
 from repro.nn.pointnet2 import PointNet2Classifier, SAConfig
-from repro.nn.recorder import StageEvent
+from repro.nn.recorder import StageEvent, StageRecorder
 from repro.observability.metrics import MetricsRegistry
 from repro.pipeline import EdgePCPipeline
 from repro.robustness.guard import GuardedPipeline, GuardThresholds
@@ -93,6 +93,15 @@ class TestFastFpsIdentity:
         assert stats.num_samples == 3 * 64
         assert 0 < stats.points_scanned <= stats.worst_case
         assert 0.0 < stats.scan_fraction <= 1.0
+
+    def test_batch_worst_case_sums_per_cloud(self, rng):
+        # Sum over clouds of N * n, not (sum N) * (sum n), which would
+        # inflate the bound B-fold on a batch.
+        stats = FastFpsStats()
+        farthest_point_sample_fast_batch(
+            rng.normal(size=(4, 256, 3)), 32, start_index=0, stats=stats
+        )
+        assert stats.worst_case == 4 * 256 * 32
 
 
 class TestGridIdentity:
@@ -205,6 +214,21 @@ class TestModelWiring:
         assert "ball_query_grid" in fast_res.stage_ops
         assert "fps" in brute_res.stage_ops
         assert fast_res.logits.tobytes() == brute_res.logits.tobytes()
+
+    def test_fps_fast_event_bound_per_element_at_batch(self, rng):
+        batch, n_points, ratio = 4, 256, 0.25
+        cfg = replace(EdgePCConfig.baseline(), exact_fast_threshold=64)
+        model = PointNet2Classifier(
+            num_classes=4,
+            sa_configs=(SAConfig(ratio, 8, 0.2, (8,)),),
+            edgepc=cfg,
+        )
+        recorder = StageRecorder()
+        model(rng.normal(size=(batch, n_points, 3)), recorder=recorder)
+        (event,) = [e for e in recorder if e.op == "fps_fast"]
+        worst = n_points * int(n_points * ratio)
+        assert event.counts["worst_case"] == worst
+        assert 0 < event.counts["points_scanned"] <= worst
 
     def test_exact_fast_metrics_emitted(self, rng):
         xyz = rng.normal(size=(1, 512, 3))

@@ -242,6 +242,24 @@ class TestDGCNN:
         assert knn_events[0].counts["dim"] == 3
         assert knn_events[1].counts["dim"] == 8  # EC1 feature space
 
+    @pytest.mark.parametrize("model_cls, rows", [
+        (DGCNNClassifier, 2), (DGCNNSegmentation, 2 * 32),
+    ])
+    def test_head_matmuls_recorded(self, rng, model_cls, rows):
+        model = model_cls(
+            num_classes=4, k=4, ec_channels=((8,), (8,)),
+            emb_channels=16, head_hidden=8,
+            rng=np.random.default_rng(0),
+        )
+        rec = StageRecorder()
+        model(rng.normal(size=(2, 32, 3)), recorder=rec)
+        head = [
+            (e.counts["rows"], e.counts["c_in"], e.counts["c_out"])
+            for e in rec.events_for_layer(3)
+        ]
+        head_in = model.head_hidden.in_features
+        assert head == [(rows, head_in, 8), (rows, 8, 4)]
+
     def test_gradients_flow(self, rng):
         model = tiny_dgcnn_cls(EdgePCConfig.paper_default())
         loss = cross_entropy(

@@ -479,7 +479,7 @@ class TestLabelEscaping:
         check()
 
     def test_property_series_round_trip(self):
-        from hypothesis import given, settings
+        from hypothesis import example, given, settings
         from hypothesis import strategies as st
 
         label_text = st.text(
@@ -493,6 +493,7 @@ class TestLabelEscaping:
 
         @settings(max_examples=100, deadline=None)
         @given(label_text)
+        @example("\u2028")  # a line break ``str.splitlines`` honours
         def check(value):
             registry = MetricsRegistry()
             registry.counter("series_total", label=value).inc()

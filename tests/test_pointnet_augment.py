@@ -52,6 +52,23 @@ class TestPointNetClassifier:
         model(rng.normal(size=(1, 16, 3)), recorder=recorder)
         assert {e.stage for e in recorder} == {"feature_compute"}
 
+    @pytest.mark.parametrize("model_cls, rows", [
+        (PointNetClassifier, 2), (PointNetSegmentation, 2 * 16),
+    ])
+    def test_head_priced_per_linear(self, rng, model_cls, rows):
+        model = model_cls(
+            num_classes=3, mlp_channels=(8,), head_hidden=6,
+            rng=np.random.default_rng(0),
+        )
+        recorder = StageRecorder()
+        model(rng.normal(size=(2, 16, 3)), recorder=recorder)
+        head = [
+            (e.counts["rows"], e.counts["c_in"], e.counts["c_out"])
+            for e in recorder.events_for_layer(1)
+        ]
+        head_in = model.head_hidden.in_features
+        assert head == [(rows, head_in, 6), (rows, 6, 3)]
+
     def test_trains(self, rng):
         model = PointNetClassifier(
             num_classes=2, mlp_channels=(8, 8), dropout=0.0,

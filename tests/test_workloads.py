@@ -1,5 +1,7 @@
 """Tests for the Table-1 workload specs and trace synthesis
-(repro.workloads), including the trace-vs-real-forward cross-check."""
+(repro.workloads), including the trace-vs-real-forward parity."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ import pytest
 from repro.core import EdgePCConfig
 from repro.nn import (
     DGCNNClassifier,
+    DGCNNSegmentation,
     PointNet2Segmentation,
     SAConfig,
     StageRecorder,
 )
+from repro.nn.plan import MEASURED_COUNTS
 from repro.workloads import (
     DGCNNArch,
     PointNet2Arch,
@@ -67,6 +71,13 @@ class TestSpecs:
                 "bad", "transformer", "X", "t", 10, 1, 2, None
             )
 
+    def test_spec_rejects_model_arch_mismatch(self):
+        specs = standard_workloads()
+        with pytest.raises(ValueError, match="DGCNNArch"):
+            replace(specs["W3"], arch=specs["W1"].arch)
+        with pytest.raises(ValueError, match="PointNet2Arch"):
+            replace(specs["W1"], arch=specs["W3"].arch)
+
 
 class TestTraceSynthesis:
     def test_baseline_pointnet2_ops(self):
@@ -92,8 +103,10 @@ class TestTraceSynthesis:
     def test_pointnet2_layer_counts(self):
         spec = standard_workloads()["W2"]
         rec = trace(spec, EdgePCConfig.baseline())
-        fps_events = [e for e in rec if e.op == "fps"]
-        assert len(fps_events) == 4
+        # Level 0 reads all 8192 points, which crosses the default
+        # exact_fast_threshold: pruning FPS there, brute FPS below.
+        assert [e.op for e in rec.events_for_stage("sample")
+                if e.op.startswith("fps")] == ["fps_fast"] + ["fps"] * 3
         interp = [e for e in rec if e.op == "interp_exact"]
         assert len(interp) == 4
 
@@ -144,76 +157,124 @@ class TestTraceSynthesis:
         assert head.counts["rows"] == spec.batch_size
 
 
+#: Configs the real-vs-synthesized parity is checked under; the
+#: lowered thresholds route the exact stages of the tiny clouds through
+#: the fast engines.
+PARITY_CONFIGS = {
+    "baseline": EdgePCConfig.baseline(),
+    "paper_default": EdgePCConfig.paper_default(),
+    "insights": EdgePCConfig.with_architectural_insights(),
+    "fast_exact": replace(EdgePCConfig.baseline(), exact_fast_threshold=16),
+    "paper_fast_exact": replace(
+        EdgePCConfig.paper_default(), exact_fast_threshold=16
+    ),
+}
+
+
+def _static_counts(recorder):
+    """Every event with its measured scan statistics dropped."""
+    return [
+        (e.stage, e.op, e.layer, {
+            key: value for key, value in e.counts.items()
+            if key not in MEASURED_COUNTS
+        })
+        for e in recorder
+    ]
+
+
+def _assert_parity(make_model, spec, rng):
+    xyz = rng.normal(size=(spec.batch_size, spec.points_per_batch, 3))
+    for name, config in PARITY_CONFIGS.items():
+        real = StageRecorder()
+        make_model(config)(xyz, recorder=real)
+        synth = trace(spec, config)
+        assert _static_counts(real) == _static_counts(synth), name
+        # A plan bounds each measured scan from above.
+        for got, bound in zip(real, synth):
+            for key in ("points_scanned", "pairs_scanned"):
+                if key in bound.counts:
+                    assert 0 < got.counts[key] <= bound.counts[key], name
+
+
+def _pointnet2_spec(model, num_points, batch):
+    sizes, n = [], num_points
+    for cfg in model.sa_configs:
+        n = max(1, int(round(n * cfg.ratio)))
+        sizes.append(n)
+    arch = PointNet2Arch(
+        num_points=num_points,
+        sa_points=tuple(sizes),
+        k=model.sa_configs[0].k,
+        sa_mlps=tuple(cfg.mlp for cfg in model.sa_configs),
+        fp_mlps=tuple(m.mlp_channels[1:] for m in model.fp_modules),
+        head=(model.head_hidden.out_features, model.num_classes),
+        in_channels=model.in_channels,
+    )
+    return WorkloadSpec(
+        "toy", "pointnet2", "toy", "semantic_segmentation",
+        num_points, batch, model.num_classes, arch,
+    )
+
+
+def _dgcnn_spec(model, task, num_points, batch):
+    backbone = model.backbone.ec_modules
+    arch = DGCNNArch(
+        num_points=num_points,
+        k=backbone[0].k,
+        ec_mlps=tuple(m.mlp_channels[1:] for m in backbone),
+        emb_channels=model.embedding.out_features,
+        head=(model.head_hidden.out_features, model.num_classes),
+    )
+    return WorkloadSpec(
+        "toy", "dgcnn", "toy", task, num_points, batch,
+        model.num_classes, arch,
+    )
+
+
 class TestTraceMatchesRealForward:
-    """The synthesized traces must agree op-for-op with a real forward
-    pass of the same architecture (small scale)."""
+    """The synthesized traces equal a real forward pass of the same
+    architecture (small scale) on every count the plans fix, under
+    every parity config."""
 
     def test_pointnet2_op_sequence(self, rng):
-        config = EdgePCConfig.paper_default()
-        # Real model: 4 tiny SA levels with the trace generator's
-        # point ratios.
-        sa = tuple(
-            SAConfig(0.5, 4, 2.0, (8, 8)) for _ in range(4)
-        )
-        model = PointNet2Segmentation(
-            num_classes=3, sa_configs=sa, edgepc=config,
-            head_hidden=8, rng=np.random.default_rng(0),
-        )
-        rec_real = StageRecorder()
-        model(rng.normal(size=(2, 64, 3)), recorder=rec_real)
+        sa = tuple(SAConfig(0.5, 4, 2.0, (8, 8)) for _ in range(4))
 
-        arch = PointNet2Arch(
-            num_points=64,
-            sa_points=(32, 16, 8, 4),
-            k=4,
-            sa_mlps=((8, 8),) * 4,
-            fp_mlps=((8, 8),) * 4,
-            head=(8, 3),
+        def make(config):
+            return PointNet2Segmentation(
+                num_classes=3, sa_configs=sa, edgepc=config,
+                head_hidden=8, rng=np.random.default_rng(0),
+            )
+
+        _assert_parity(
+            make, _pointnet2_spec(make(None), 64, 2), rng
         )
-        spec = WorkloadSpec(
-            "toy", "pointnet2", "toy", "semantic_segmentation",
-            64, 2, 3, arch,
-        )
-        rec_synth = trace(spec, config)
-        real_ops = [
-            (e.stage, e.op)
-            for e in rec_real
-            if e.op != "matmul" and e.op != "gather"
-        ]
-        synth_ops = [
-            (e.stage, e.op)
-            for e in rec_synth
-            if e.op != "matmul" and e.op != "gather"
-        ]
-        assert real_ops == synth_ops
 
     def test_dgcnn_op_sequence(self, rng):
-        config = EdgePCConfig.paper_default()
-        model = DGCNNClassifier(
-            num_classes=4, k=4,
-            ec_channels=((8,), (8,), (8,), (8,)),
-            emb_channels=8, head_hidden=8,
-            edgepc=config, rng=np.random.default_rng(0),
-        )
-        rec_real = StageRecorder()
-        model(rng.normal(size=(2, 32, 3)), recorder=rec_real)
+        def make(config):
+            return DGCNNClassifier(
+                num_classes=4, k=4,
+                ec_channels=((8,), (8,), (8,), (8,)),
+                emb_channels=8, head_hidden=8,
+                edgepc=config, rng=np.random.default_rng(0),
+            )
 
-        arch = DGCNNArch(
-            num_points=32, k=4,
-            ec_mlps=((8,), (8,), (8,), (8,)),
-            emb_channels=8, head=(4,),
+        _assert_parity(
+            make, _dgcnn_spec(make(None), "classification", 32, 2), rng
         )
-        spec = WorkloadSpec(
-            "toy", "dgcnn", "toy", "classification", 32, 2, 4, arch,
+
+    def test_dgcnn_segmentation_op_sequence(self, rng):
+        def make(config):
+            return DGCNNSegmentation(
+                num_classes=5, k=4, ec_channels=((8,), (16,), (8,)),
+                emb_channels=16, head_hidden=8,
+                edgepc=config, rng=np.random.default_rng(0),
+            )
+
+        _assert_parity(
+            make,
+            _dgcnn_spec(make(None), "part_segmentation", 32, 2),
+            rng,
         )
-        rec_synth = trace(spec, config)
-        real_ns = [
-            e.op for e in rec_real if e.stage == "neighbor_search"
-        ]
-        synth_ns = [
-            e.op for e in rec_synth if e.stage == "neighbor_search"
-        ]
-        assert real_ns == synth_ns
 
 
 class TestScanBatchSizes:
