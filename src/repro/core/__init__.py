@@ -1,26 +1,26 @@
 """EdgePC's primary contribution: Morton-code structurization and the
 approximate sampler / neighbor searcher built on it."""
 
-from repro.core.batched import (
-    BatchedMortonOrder,
-    BatchedSampleResult,
-    sample_batch,
-    structurize_batch,
-)
 from repro.core.hilbert import hilbert_encode, hilbert_structurize
 from repro.core.morton import DEFAULT_CODE_BITS, decode, encode
 from repro.core.neighbor import MortonNeighborSearch
 from repro.core.pipeline import EdgePCConfig
 from repro.core.reuse import NeighborCache, NeighborReusePolicy
 from repro.core.sampler import (
+    BatchedSampleResult,
     MortonSampleResult,
     MortonSampler,
     MortonUpsampler,
-    exact_interpolate,
 )
 from repro.core.sort import radix_argsort, radix_sort
 from repro.core.streaming import StreamingMortonOrder
-from repro.core.structurize import MortonOrder, structurize, structuredness
+from repro.core.structurize import (
+    BatchedMortonOrder,
+    MortonOrder,
+    structurize,
+    structurize_batch,
+    structuredness,
+)
 from repro.core.workspace import DEFAULT_SCRATCH_BYTES, Workspace
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "decode",
     "structurize",
     "structurize_batch",
-    "sample_batch",
     "BatchedMortonOrder",
     "BatchedSampleResult",
     "structuredness",
@@ -39,7 +38,6 @@ __all__ = [
     "MortonSampler",
     "MortonSampleResult",
     "MortonUpsampler",
-    "exact_interpolate",
     "MortonNeighborSearch",
     "NeighborReusePolicy",
     "NeighborCache",

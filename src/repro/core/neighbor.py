@@ -15,13 +15,13 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.batched import (
+from repro.core import morton
+from repro.core.structurize import (
     BatchedMortonOrder,
+    MortonOrder,
     _per_cloud,
     structurize_batch,
 )
-from repro.core.structurize import MortonOrder, structurize
-from repro.core import morton
 from repro.core.workspace import Workspace
 from repro.robustness.validate import ensure_finite
 
@@ -80,40 +80,19 @@ class MortonNeighborSearch:
         self.code_bits = code_bits
         self.workspace = workspace or Workspace()
 
-    def search_ranks(
-        self,
-        points: np.ndarray,
-        order: MortonOrder,
-        query_ranks: np.ndarray,
-    ) -> np.ndarray:
-        """Neighbors for queries given by *sorted rank*.
-
-        Thin ``B=1`` wrapper around :meth:`search_ranks_batch`, so the
-        per-cloud and batched paths share one kernel.
-
-        Returns ``(Q, k)`` int64 original-point indices.
-        """
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValueError(f"expected (N, 3) points, got {points.shape}")
-        return self.search_ranks_batch(
-            points[None],
-            BatchedMortonOrder.from_single(order),
-            np.asarray(query_ranks, dtype=np.int64),
-        )[0]
-
     def search(
         self,
         points: np.ndarray,
         query_indices: Optional[np.ndarray] = None,
         order: Optional[MortonOrder] = None,
     ) -> np.ndarray:
-        """Neighbors for queries given by *original index*.
+        """Neighbors for queries given by *original index*: the ``B=1``
+        view of :meth:`search_batch`.
 
         Args:
             points: ``(N, 3)`` cloud.
-            query_indices: original indices to query; all points when
-                omitted.
+            query_indices: ``(Q,)`` original indices to query; all
+                points when omitted.
             order: precomputed Morton order to reuse (Sec. 5.2.3 —
                 "simply reuse the Morton code ... without any extra
                 overhead"); structurized from scratch when omitted.
@@ -122,24 +101,14 @@ class MortonNeighborSearch:
             ``(Q, k)`` int64 original-point indices.
         """
         points = np.asarray(points, dtype=np.float64)
-        if order is None:
-            order = structurize(points, self.code_bits)
-        else:
-            # structurize() validates its own input; a precomputed
-            # order bypasses it, so check here.
-            ensure_finite(points, "search")
-        if query_indices is None:
-            query_ranks = np.arange(len(order))
-            # All points queried in rank order: remap output rows back
-            # to original order below.
-            result = self.search_ranks(points, order, query_ranks)
-            out = np.empty_like(result)
-            out[order.permutation] = result
-            return out
-        query_ranks = order.rank_of(np.asarray(query_indices))
-        return self.search_ranks(points, order, query_ranks)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"expected (N, 3) points, got {points.shape}")
+        batched = None
+        if order is not None:
+            batched = BatchedMortonOrder.from_single(order)
+        return self.search_batch(points[None], query_indices, batched)[0]
 
-    # Batched variants (one NumPy dispatch for the whole batch) ---------
+    # Batched kernels (one NumPy dispatch for the whole batch) ----------
 
     def search_ranks_batch(
         self,
@@ -147,13 +116,11 @@ class MortonNeighborSearch:
         order: BatchedMortonOrder,
         query_ranks: np.ndarray,
     ) -> np.ndarray:
-        """Batched :meth:`search_ranks`: queries by *sorted rank* over
-        a ``(B, N, 3)`` batch.
+        """Neighbors for queries given by *sorted rank* over a
+        ``(B, N, 3)`` batch.
 
         ``query_ranks`` may be ``(Q,)`` (shared across the batch, e.g.
-        the uniform stride picks) or ``(B, Q)``.  :meth:`search_ranks`
-        is a ``B=1`` wrapper around this kernel, so the per-cloud and
-        batched paths are identical by construction.
+        the uniform stride picks) or ``(B, Q)``.
 
         Returns ``(B, Q, k)`` int64 original-point indices.
         """
@@ -230,19 +197,19 @@ class MortonNeighborSearch:
         query_indices: Optional[np.ndarray] = None,
         order: Optional[BatchedMortonOrder] = None,
     ) -> np.ndarray:
-        """Batched :meth:`search`: queries by *original index* over a
+        """Neighbors for queries given by *original index* over a
         ``(B, N, 3)`` batch in single NumPy dispatches.
 
         Args:
             points: ``(B, N, 3)`` batch of clouds.
             query_indices: ``(B, Q)`` (or shared ``(Q,)``) original
-                indices to query; all points when omitted.
+                indices to query, each in ``[0, N)``; all points when
+                omitted.
             order: precomputed :class:`BatchedMortonOrder` to reuse;
                 structurized from scratch when omitted.
 
         Returns:
-            ``(B, Q, k)`` int64 original-point indices, bit-identical
-            to looping :meth:`search` per cloud.
+            ``(B, Q, k)`` int64 original-point indices.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 3 or points.shape[2] != 3:
@@ -265,6 +232,12 @@ class MortonNeighborSearch:
                 out, order.permutation[:, :, None], result, axis=1
             )
             return out
+        query_indices = np.asarray(query_indices, dtype=np.int64)
+        n = len(order)
+        if query_indices.size and (
+            query_indices.min() < 0 or query_indices.max() >= n
+        ):
+            raise ValueError(f"query indices must lie in [0, {n})")
         query_ranks = order.rank_of(query_indices)
         return self.search_ranks_batch(points, order, query_ranks)
 

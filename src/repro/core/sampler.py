@@ -17,15 +17,23 @@ from typing import Optional
 import numpy as np
 
 from repro.core import morton
-from repro.core.batched import (
+from repro.core.structurize import (
     BatchedMortonOrder,
-    BatchedSampleResult,
-    sample_batch,
+    MortonOrder,
+    structurize_batch,
 )
-from repro.core.structurize import MortonOrder, structurize
 from repro.geometry.bbox import BoundingBox
 from repro.robustness.validate import ensure_finite
 from repro.sampling.uniform import uniform_stride_indices
+
+#: Stride offsets of the up-sampler's candidate samples around a
+#: point's own stride block (Sec. 5.1.2).
+CANDIDATE_STRIDES = (-2, -1, 1, 2)
+#: Candidate samples per up-sampled point (priced by the cost model).
+NUM_CANDIDATES = len(CANDIDATE_STRIDES)
+#: Inverse-distance anchors per interpolated point, in both the Morton
+#: and the exact (3-NN) interpolation.
+NUM_ANCHORS = 3
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,41 @@ class MortonSampleResult:
 
     def __len__(self) -> int:
         return self.indices.shape[0]
+
+
+@dataclass(frozen=True)
+class BatchedSampleResult:
+    """Output of the batched Morton sampler.
+
+    Attributes:
+        indices: ``(B, n)`` original-point indices of the samples.
+        order: the :class:`BatchedMortonOrder` built (reusable by the
+            batched neighbor search on the same layer, Sec. 5.2.3).
+        sampled_ranks: ``(n,)`` sorted-order ranks that were picked —
+            shared across the batch because the uniform stride depends
+            only on ``N`` and ``n``.
+    """
+
+    indices: np.ndarray
+    order: BatchedMortonOrder
+    sampled_ranks: np.ndarray
+
+    def __len__(self) -> int:
+        """Samples per cloud (matches ``len(MortonSampleResult)``)."""
+        return self.indices.shape[1]
+
+    @property
+    def num_clouds(self) -> int:
+        return self.indices.shape[0]
+
+    def cloud(self, b: int) -> MortonSampleResult:
+        """Per-cloud :class:`MortonSampleResult` view of batch row
+        ``b``."""
+        return MortonSampleResult(
+            indices=self.indices[b],
+            order=self.order.cloud(b),
+            sampled_ranks=self.sampled_ranks,
+        )
 
 
 class MortonSampler:
@@ -73,26 +116,17 @@ class MortonSampler:
     ) -> MortonSampleResult:
         """Sample ``num_samples`` of ``(N, 3)`` points (Algorithm 1).
 
-        Pass a precomputed ``order`` to skip code generation + sort when
-        the cloud was already structurized (e.g. by an earlier layer).
+        The ``B=1`` view of :meth:`sample_batch`.  Pass a precomputed
+        ``order`` to skip code generation + sort when the cloud was
+        already structurized (e.g. by an earlier layer).
         """
         points = np.asarray(points, dtype=np.float64)
-        if order is None:
-            order = structurize(
-                points, self.code_bits, self.bounding_box
-            )
-        elif len(order) != points.shape[0]:
-            raise ValueError("Morton order does not match the point count")
-        else:
-            # structurize() validates its own input; a precomputed
-            # order bypasses it, so check here.
-            ensure_finite(points, "sample")
-        ranks = uniform_stride_indices(len(order), num_samples)
-        return MortonSampleResult(
-            indices=order.original_index_of(ranks),
-            order=order,
-            sampled_ranks=ranks,
-        )
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"expected (N, 3) points, got {points.shape}")
+        batched = None
+        if order is not None:
+            batched = BatchedMortonOrder.from_single(order)
+        return self.sample_batch(points[None], num_samples, batched).cloud(0)
 
     def sample_batch(
         self,
@@ -100,15 +134,31 @@ class MortonSampler:
         num_samples: int,
         order: Optional[BatchedMortonOrder] = None,
     ) -> BatchedSampleResult:
-        """Batched :meth:`sample`: Algorithm 1 over a ``(B, N, 3)``
-        batch in single NumPy dispatches, bit-identical to looping
-        :meth:`sample` per cloud."""
-        return sample_batch(
-            points,
-            num_samples,
-            self.code_bits,
-            self.bounding_box,
-            order,
+        """Algorithm 1 over a whole ``(B, N, 3)`` batch at once: one
+        encode, one sort, one stride pick.
+
+        Pass a precomputed ``order`` to skip code generation + sort.
+        """
+        points = np.asarray(points, dtype=np.float64)
+        if order is None:
+            order = structurize_batch(
+                points, self.code_bits, self.bounding_box
+            )
+        elif (
+            points.ndim != 3
+            or order.num_clouds != points.shape[0]
+            or len(order) != points.shape[1]
+        ):
+            raise ValueError("Morton order does not match the point count")
+        else:
+            # structurize_batch() validates its own input; a
+            # precomputed order bypasses it, so check here.
+            ensure_finite(points.reshape(-1, 3), "sample")
+        ranks = uniform_stride_indices(len(order), num_samples)
+        return BatchedSampleResult(
+            indices=order.permutation[:, ranks],
+            order=order,
+            sampled_ranks=ranks,
         )
 
 
@@ -117,26 +167,19 @@ class MortonUpsampler:
     Up-sampling').
 
     Given a cloud of ``N`` points down-sampled by the Morton sampler to
-    ``n`` points at stride ``step = N / n``, the 3 interpolation anchors
-    of point ``j`` (sorted rank) are chosen among the 4 samples at ranks
-    ``j' - 2*step, j' - step, j' + step, j' + 2*step`` with
-    ``j' = j - j % step``, instead of searched over all ``n`` samples.
+    ``n`` points at stride ``step = N / n``, the :data:`NUM_ANCHORS`
+    interpolation anchors of point ``j`` (sorted rank) are chosen among
+    the :data:`NUM_CANDIDATES` samples at ranks ``j' - 2*step,
+    j' - step, j' + step, j' + 2*step`` with ``j' = j - j % step``,
+    instead of searched over all ``n`` samples.
     """
-
-    def __init__(self, num_candidates: int = 4, num_anchors: int = 3):
-        if num_anchors > num_candidates:
-            raise ValueError("cannot pick more anchors than candidates")
-        if num_anchors < 1:
-            raise ValueError("need at least one anchor")
-        self.num_candidates = num_candidates
-        self.num_anchors = num_anchors
 
     def candidate_sample_slots(
         self,
         num_points: int,
-        sample_result: MortonSampleResult | BatchedSampleResult,
+        sample_result: BatchedSampleResult,
     ) -> np.ndarray:
-        """``(N, num_candidates)`` int64 sample slots per sorted rank.
+        """``(N, NUM_CANDIDATES)`` int64 sample slots per sorted rank.
 
         Slot ``s`` means "the s-th sampled point" (row into the sampled
         feature matrix).  Out-of-range candidates are clamped to the
@@ -150,64 +193,24 @@ class MortonUpsampler:
         step = num_points / num_samples
         ranks = np.arange(num_points, dtype=np.float64)
         block = np.floor(ranks / step)  # j' / step, the owning slot
-        half = self.num_candidates // 2
-        offsets = np.array(
-            [o for o in range(-half, half + 1) if o != 0][
-                : self.num_candidates
-            ],
-            dtype=np.float64,
-        )
+        offsets = np.array(CANDIDATE_STRIDES, dtype=np.float64)
         slots = block[:, None] + offsets[None, :]
         return np.clip(slots, 0, num_samples - 1).astype(np.int64)
-
-    def interpolation_weights(
-        self,
-        points: np.ndarray,
-        sample_result: MortonSampleResult,
-    ) -> tuple:
-        """Anchors and inverse-distance weights for feature propagation.
-
-        Returns:
-            ``(anchor_slots, weights)`` where ``anchor_slots`` is
-            ``(N, num_anchors)`` rows into the sampled set and
-            ``weights`` is the matching ``(N, num_anchors)`` convex
-            weights (inverse-distance, as in PointNet++ FP).
-
-        Rows follow the *sorted* order of ``points``; use
-        ``sample_result.order`` to map back if original order is needed.
-        """
-        points = np.asarray(points, dtype=np.float64)
-        order = sample_result.order
-        n_points = points.shape[0]
-        if len(order) != n_points:
-            raise ValueError("order does not match point count")
-        slots = self.candidate_sample_slots(n_points, sample_result)
-        sorted_points = order.sorted_points(points)
-        sampled_xyz = points[sample_result.indices]  # (n, 3) slot order
-        candidates = sampled_xyz[slots]  # (N, C, 3)
-        d2 = np.sum(
-            (candidates - sorted_points[:, None, :]) ** 2, axis=2
-        )
-        pick = np.argsort(d2, axis=1, kind="stable")[:, : self.num_anchors]
-        rows = np.arange(n_points)[:, None]
-        anchor_slots = slots[rows, pick]
-        anchor_d2 = d2[rows, pick]
-        inv = 1.0 / np.maximum(anchor_d2, 1e-10)
-        weights = inv / inv.sum(axis=1, keepdims=True)
-        return anchor_slots, weights
 
     def interpolation_weights_batch(
         self,
         points: np.ndarray,
         sample_result: BatchedSampleResult,
     ) -> tuple:
-        """Batched :meth:`interpolation_weights` over ``(B, N, 3)``.
+        """Anchors and inverse-distance weights for feature propagation
+        over a ``(B, N, 3)`` batch.
 
         Returns:
             ``(anchor_slots, weights)`` of shape
-            ``(B, N, num_anchors)``, bit-identical to looping
-            :meth:`interpolation_weights` per cloud.  Rows follow each
-            cloud's *sorted* order, as in the per-cloud method.
+            ``(B, N, NUM_ANCHORS)``: rows into each cloud's sampled set
+            and the matching convex weights (inverse-distance, as in
+            PointNet++ FP).  Rows follow each cloud's *sorted* order;
+            use ``sample_result.order.ranks`` to map back.
         """
         points = np.asarray(points, dtype=np.float64)
         order = sample_result.order
@@ -231,7 +234,7 @@ class MortonUpsampler:
             (candidates - sorted_points[:, :, None, :]) ** 2, axis=3
         )
         pick = np.argsort(d2, axis=2, kind="stable")
-        pick = pick[:, :, : self.num_anchors]
+        pick = pick[:, :, :NUM_ANCHORS]
         anchor_slots = np.take_along_axis(
             np.broadcast_to(slots, d2.shape), pick, axis=2
         )
@@ -240,69 +243,38 @@ class MortonUpsampler:
         weights = inv / inv.sum(axis=2, keepdims=True)
         return anchor_slots, weights
 
-    def interpolate(
-        self,
-        points: np.ndarray,
-        sample_result: MortonSampleResult,
-        sampled_features: np.ndarray,
-    ) -> np.ndarray:
-        """Propagate ``(n, C)`` sampled features back to ``(N, C)``.
 
-        Output rows are float64, in the *original* point order.
-        """
-        sampled_features = np.asarray(sampled_features, dtype=np.float64)
-        if sampled_features.shape[0] != len(sample_result):
-            raise ValueError("feature rows must match the sample count")
-        anchor_slots, weights = self.interpolation_weights(
-            points, sample_result
-        )
-        gathered = sampled_features[anchor_slots]  # (N, A, C)
-        sorted_out = np.einsum("nac,na->nc", gathered, weights)
-        out = np.empty_like(sorted_out)
-        out[sample_result.order.permutation] = sorted_out
-        return out
+def exact_interpolation_weights_batch(
+    points: np.ndarray, sampled_indices: np.ndarray
+) -> tuple:
+    """The SOTA interpolation's anchors: 3-NN over the full sampled set.
 
+    Exact counterpart of
+    :meth:`MortonUpsampler.interpolation_weights_batch`, used by the
+    unoptimized FP modules.
 
-def exact_interpolate(
-    points: np.ndarray,
-    sampled_indices: np.ndarray,
-    sampled_features: np.ndarray,
-    num_anchors: int = 3,
-) -> np.ndarray:
-    """The SOTA interpolation: 3-NN over the full sampled set.
+    Args:
+        points: ``(B, N, 3)`` fine-level coordinates.
+        sampled_indices: ``(B, n)`` original indices of the samples.
 
-    Baseline counterpart of :meth:`MortonUpsampler.interpolate`, used by
-    the unoptimized FP modules and by tests as the exactness oracle.
-    Returns an ``(N, C)`` float64 feature array in original point
-    order.
+    Returns:
+        ``(anchors, weights)`` of shape ``(B, N, min(NUM_ANCHORS, n))``:
+        rows into each cloud's sampled set (nearest first) and the
+        matching convex inverse-distance weights, in *original* point
+        order.
     """
     points = np.asarray(points, dtype=np.float64)
-    sampled_indices = np.asarray(sampled_indices)
-    sampled_features = np.asarray(sampled_features, dtype=np.float64)
-    sampled_xyz = points[sampled_indices]
-    k = min(num_anchors, sampled_xyz.shape[0])
-    s_sq = np.sum(sampled_xyz**2, axis=1)[None, :]
-    out = np.empty(
-        (points.shape[0], sampled_features.shape[1]), dtype=np.float64
+    sampled_xyz = np.take_along_axis(
+        points, sampled_indices[:, :, None], axis=1
     )
-    # Tile the query axis so a large-N cloud never materializes the
-    # full (N, n) distance matrix; clouds at or below the chunk size
-    # take a single tile spanning every row, unchanged from the
-    # untiled expression.
-    chunk = 4096
-    for lo in range(0, points.shape[0], chunk):
-        block = points[lo : lo + chunk]
-        d2 = (
-            np.sum(block**2, axis=1)[:, None]
-            - 2.0 * block @ sampled_xyz.T
-            + s_sq
-        )
-        np.maximum(d2, 0.0, out=d2)
-        pick = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        rows = np.arange(block.shape[0])[:, None]
-        inv = 1.0 / np.maximum(d2[rows, pick], 1e-10)
-        weights = inv / inv.sum(axis=1, keepdims=True)
-        out[lo : lo + chunk] = np.einsum(
-            "nac,na->nc", sampled_features[pick], weights
-        )
-    return out
+    d2 = (
+        np.sum(points**2, axis=2)[:, :, None]
+        - 2.0 * points @ sampled_xyz.transpose(0, 2, 1)
+        + np.sum(sampled_xyz**2, axis=2)[:, None, :]
+    )
+    np.maximum(d2, 0.0, out=d2)
+    k = min(NUM_ANCHORS, sampled_xyz.shape[1])
+    pick = np.argsort(d2, axis=2, kind="stable")[:, :, :k]
+    inv = 1.0 / np.maximum(np.take_along_axis(d2, pick, axis=2), 1e-10)
+    weights = inv / inv.sum(axis=2, keepdims=True)
+    return pick, weights

@@ -11,6 +11,13 @@ need from the structurization step:
 
 EdgePC's sampler and neighbor searcher then operate purely on ranks:
 index arithmetic on the sorted order replaces geometric search.
+
+:func:`structurize_batch` is the one implementation: it orders a whole
+``(B, N, 3)`` batch in single NumPy dispatches (one encode, one sort),
+and its :class:`BatchedMortonOrder` stacks the per-cloud arrays.
+:func:`structurize` is its ``B=1`` view, and
+:meth:`BatchedMortonOrder.cloud` / :meth:`BatchedMortonOrder.from_single`
+bridge between the two order types for per-cloud callers.
 """
 
 from __future__ import annotations
@@ -71,14 +78,207 @@ class MortonOrder:
         return morton.code_memory_bytes(len(self), self.code_bits)
 
 
+@dataclass(frozen=True)
+class BatchedMortonOrder:
+    """Morton orders of a whole batch, stored as stacked arrays.
+
+    The batched twin of :class:`~repro.core.structurize.MortonOrder`:
+    row ``b`` of every array is exactly what ``structurize(points[b])``
+    would produce for the same grid.
+
+    Attributes:
+        codes: ``(B, N)`` int64 Morton codes in original point order.
+        permutation: ``(B, N)`` int64 map from sorted rank to original
+            index per cloud.
+        ranks: ``(B, N)`` int64 inverse map (original index to rank).
+        origins: ``(B, 3)`` float64 per-cloud grid origins.
+        cell_sizes: ``(B,)`` float64 per-cloud cubic cell sizes.
+        cells_per_axis: cells along each grid axis (shared).
+        code_bits: Morton code width ``a`` (shared).
+    """
+
+    codes: np.ndarray
+    permutation: np.ndarray
+    ranks: np.ndarray
+    origins: np.ndarray
+    cell_sizes: np.ndarray
+    cells_per_axis: int
+    code_bits: int
+
+    def __post_init__(self) -> None:
+        if (
+            self.codes.ndim != 2
+            or self.codes.shape != self.permutation.shape
+            or self.codes.shape != self.ranks.shape
+        ):
+            raise ValueError("codes/permutation/ranks must align")
+        if self.origins.shape != (self.codes.shape[0], 3):
+            raise ValueError("origins must be (B, 3)")
+        if self.cell_sizes.shape != (self.codes.shape[0],):
+            raise ValueError("cell_sizes must be (B,)")
+
+    @property
+    def num_clouds(self) -> int:
+        return self.codes.shape[0]
+
+    def __len__(self) -> int:
+        """Points per cloud (matches ``len(MortonOrder)``)."""
+        return self.codes.shape[1]
+
+    def cloud(self, b: int) -> MortonOrder:
+        """The per-cloud :class:`MortonOrder` view of batch row ``b``
+        (compatibility bridge for per-cloud call sites)."""
+        grid = VoxelGrid(
+            origin=self.origins[b],
+            cell_size=float(self.cell_sizes[b]),
+            cells_per_axis=self.cells_per_axis,
+        )
+        return MortonOrder(
+            codes=self.codes[b],
+            permutation=self.permutation[b],
+            ranks=self.ranks[b],
+            grid=grid,
+            code_bits=self.code_bits,
+        )
+
+    @classmethod
+    def from_single(cls, order: MortonOrder) -> "BatchedMortonOrder":
+        """Lift one per-cloud :class:`MortonOrder` to a ``B=1`` batch —
+        the bridge per-cloud wrappers use to reach the batched kernels."""
+        return cls(
+            codes=order.codes[None],
+            permutation=order.permutation[None],
+            ranks=order.ranks[None],
+            origins=np.asarray(
+                order.grid.origin, dtype=np.float64
+            )[None],
+            cell_sizes=np.array(
+                [order.grid.cell_size], dtype=np.float64
+            ),
+            cells_per_axis=order.grid.cells_per_axis,
+            code_bits=order.code_bits,
+        )
+
+    def sorted_points(self, points: np.ndarray) -> np.ndarray:
+        """View ``(B, N, C)`` per-cloud data in Morton order; shape and
+        dtype preserved."""
+        points = np.asarray(points)
+        return np.take_along_axis(
+            points, self.permutation[:, :, None], axis=1
+        )
+
+    def rank_of(self, original_indices: np.ndarray) -> np.ndarray:
+        """``(B, Q)`` int64 sorted rank of each original point index
+        (``(Q,)`` input broadcasts across the batch)."""
+        return np.take_along_axis(
+            self.ranks, _per_cloud(original_indices, self.num_clouds), 1
+        )
+
+    def original_index_of(self, sorted_ranks: np.ndarray) -> np.ndarray:
+        """``(B, Q)`` int64 original index of each sorted rank
+        (``(Q,)`` input broadcasts across the batch)."""
+        return np.take_along_axis(
+            self.permutation, _per_cloud(sorted_ranks, self.num_clouds), 1
+        )
+
+
+def _per_cloud(indices: np.ndarray, num_clouds: int) -> np.ndarray:
+    """Lift ``(Q,)`` shared indices to ``(B, Q)``; pass ``(B, Q)``
+    through unchanged."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.ndim == 1:
+        return np.broadcast_to(indices, (num_clouds, indices.shape[0]))
+    if indices.ndim != 2 or indices.shape[0] != num_clouds:
+        raise ValueError(
+            f"expected (Q,) or (B, Q) indices, got {indices.shape}"
+        )
+    return indices
+
+
+def _validate_batch_points(points: np.ndarray) -> np.ndarray:
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 3 or points.shape[2] != 3:
+        raise ValueError(f"expected (B, N, 3) points, got {points.shape}")
+    if points.shape[0] == 0 or points.shape[1] == 0:
+        raise ValueError("cannot structurize an empty point set")
+    finite = np.isfinite(points).all(axis=2)
+    if not finite.all():
+        bad = int((~finite).sum())
+        raise ValueError(
+            f"cannot structurize: {bad} of "
+            f"{points.shape[0] * points.shape[1]} points "
+            "have non-finite coordinates"
+        )
+    return points
+
+
+def structurize_batch(
+    points: np.ndarray,
+    code_bits: int = morton.DEFAULT_CODE_BITS,
+    bounding_box: Optional[BoundingBox] = None,
+) -> BatchedMortonOrder:
+    """Morton-order a ``(B, N, 3)`` batch in single NumPy dispatches.
+
+    Each cloud gets its own tight bounding box and grid (or the shared
+    ``bounding_box`` when given).  The sort is stable, so ties (points
+    in the same voxel) keep their input order and the pipeline stays
+    deterministic.
+
+    Returns:
+        A :class:`BatchedMortonOrder` with ``(B, N)`` codes,
+        permutations, and ranks.
+    """
+    points = _validate_batch_points(points)
+    num_clouds, num_points, _ = points.shape
+    per_axis = morton.bits_per_axis(code_bits)
+    cells = 1 << per_axis
+    if bounding_box is not None:
+        grid = VoxelGrid.for_box(bounding_box, per_axis)
+        origins = np.broadcast_to(grid.origin, (num_clouds, 3)).copy()
+        sizes = np.full(num_clouds, grid.cell_size, dtype=np.float64)
+    else:
+        origins = points.min(axis=1)
+        longest = (points.max(axis=1) - origins).max(axis=1)
+        sizes = longest / cells
+        # Degenerate clouds (all points identical) quantize to cell
+        # (0, 0, 0) under any positive size, as in VoxelGrid.for_box.
+        sizes = np.where(sizes <= 0, 1.0, sizes)
+    quantized = np.floor(
+        (points - origins[:, None, :]) / sizes[:, None, None]
+    )
+    voxels = np.clip(quantized, 0, cells - 1).astype(np.uint32)
+    codes = morton.encode(voxels)
+    permutation = np.argsort(codes, axis=1, kind="stable")
+    ranks = np.empty_like(permutation)
+    np.put_along_axis(
+        ranks,
+        permutation,
+        np.broadcast_to(
+            np.arange(num_points, dtype=permutation.dtype),
+            permutation.shape,
+        ),
+        axis=1,
+    )
+    return BatchedMortonOrder(
+        codes=codes,
+        permutation=permutation,
+        ranks=ranks,
+        origins=origins,
+        cell_sizes=sizes,
+        cells_per_axis=cells,
+        code_bits=code_bits,
+    )
+
+
 def structurize(
     points: np.ndarray,
     code_bits: int = morton.DEFAULT_CODE_BITS,
     bounding_box: Optional[BoundingBox] = None,
-    stable_sort: bool = True,
-    curve: str = "morton",
 ) -> MortonOrder:
-    """Compute the space-filling-curve order of ``(N, 3)`` points.
+    """Compute the Morton order of ``(N, 3)`` points.
+
+    The ``B=1`` view of :func:`structurize_batch`, so the per-cloud and
+    batched paths are identical by construction.
 
     Args:
         points: ``(N, 3)`` coordinates.
@@ -87,49 +287,15 @@ def structurize(
         bounding_box: the quantization domain.  Defaults to the tight box
             of the points; pass an explicit box to share a grid across
             frames (e.g. streaming LiDAR).
-        stable_sort: use a stable sort so ties (points in the same voxel)
-            keep their input order, making the pipeline deterministic.
-        curve: ``"morton"`` (the paper's choice) or ``"hilbert"``
-            (better locality, ~4x costlier encoding — see the
-            curve-choice ablation).
 
     Returns:
         A :class:`MortonOrder` carrying codes, the rank permutation, its
         inverse, and the voxel grid used.
     """
-    if curve == "hilbert":
-        from repro.core.hilbert import hilbert_structurize
-
-        return hilbert_structurize(points, code_bits, bounding_box)
-    if curve != "morton":
-        raise ValueError(f"unknown curve {curve!r}")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"expected (N, 3) points, got {points.shape}")
-    if points.shape[0] == 0:
-        raise ValueError("cannot structurize an empty point set")
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        bad = int((~finite).sum())
-        raise ValueError(
-            f"cannot structurize: {bad} of {points.shape[0]} points "
-            "have non-finite coordinates"
-        )
-    per_axis = morton.bits_per_axis(code_bits)
-    box = bounding_box or BoundingBox.of_points(points)
-    grid = VoxelGrid.for_box(box, per_axis)
-    codes = morton.encode(grid.voxelize(points))
-    kind = "stable" if stable_sort else "quicksort"
-    permutation = np.argsort(codes, kind=kind)
-    ranks = np.empty_like(permutation)
-    ranks[permutation] = np.arange(len(permutation))
-    return MortonOrder(
-        codes=codes,
-        permutation=permutation,
-        ranks=ranks,
-        grid=grid,
-        code_bits=code_bits,
-    )
+    return structurize_batch(points[None], code_bits, bounding_box).cloud(0)
 
 
 def structuredness(order: MortonOrder, points: np.ndarray) -> float:

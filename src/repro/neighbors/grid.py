@@ -3,11 +3,10 @@
 The grid-based strategy the paper's related work discusses ([22, 26, 39,
 50] in Sec. 3.2): hash points into cubic cells of side ``cell_size``,
 then answer fixed-radius queries by scanning only the cells around the
-query.  Exact for ``radius <= cell_size``; used as a second exact
-oracle, as a fast generator of ground-truth neighbor sets on large
-clouds where brute force is slow, and — through
-:meth:`UniformGridIndex.query_knn_batch` — as the large-N exact engine
-behind :func:`repro.neighbors.batched.knn_grid_batch`.
+query.  The index backs the large-N exact engines
+:func:`repro.neighbors.batched.knn_grid_batch` (through
+:meth:`UniformGridIndex.query_knn_batch`) and
+:func:`repro.neighbors.batched.ball_query_grid_batch`.
 
 The index is a sparse CSR cell list built with one stable argsort: no
 dense ``(dx, dy, dz)`` cell array is ever materialized, so degenerate
@@ -204,8 +203,7 @@ class UniformGridIndex:
             ``(starts, ends)`` int64 arrays of shape ``(Q, C)`` (``C``
             = ring cell count) delimiting runs in ``_sorted_ids``;
             empty/out-of-grid cells have ``starts == ends``.  Ring
-            cells enumerate in ``dx, dy, dz`` nesting order, matching
-            the scalar ``_candidates`` scan.
+            cells enumerate in ``dx, dy, dz`` nesting order.
         """
         span = np.arange(-reach, reach + 1, dtype=np.int64)
         ox, oy, oz = np.meshgrid(span, span, span, indexing="ij")
@@ -300,63 +298,6 @@ class UniformGridIndex:
             d2[ids == n_candidates] = np.inf
             yield lo, ids, d2, totals
             lo += chunk
-
-    def _candidates(self, point: np.ndarray, reach: int) -> np.ndarray:
-        base = np.floor((point - self.origin) / self.cell_size).astype(
-            np.int64
-        )
-        starts, ends = self._ring_runs(base[None, :], reach)
-        starts, ends = starts[0], ends[0]
-        lengths = ends - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        run_offsets = np.cumsum(lengths) - lengths
-        flat = np.arange(total, dtype=np.int64)
-        flat += np.repeat(starts - run_offsets, lengths)
-        return self._sorted_ids[flat]
-
-    def query_radius(self, point: np.ndarray, radius: float) -> np.ndarray:
-        """All indices within ``radius`` of ``point``.
-
-        Returns a sorted 1-D int64 index array.
-        """
-        point = np.asarray(point, dtype=np.float64)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        reach = int(np.ceil(radius / self.cell_size))
-        candidates = self._candidates(point, reach)
-        if candidates.size == 0:
-            return candidates
-        d2 = np.sum((self.points[candidates] - point) ** 2, axis=1)
-        return np.sort(candidates[d2 <= radius * radius])
-
-    def query_knn(self, point: np.ndarray, k: int) -> np.ndarray:
-        """k nearest indices (1-D int64), expanding the cell reach
-        until enough candidates are *provably* inside the searched
-        shell."""
-        point = np.asarray(point, dtype=np.float64)
-        if not 1 <= k <= len(self):
-            raise ValueError("k out of range")
-        reach = 1
-        while True:
-            candidates = self._candidates(point, reach)
-            if candidates.size >= k:
-                d2 = np.sum(
-                    (self.points[candidates] - point) ** 2, axis=1
-                )
-                order = np.argsort(d2, kind="stable")[:k]
-                # The shell of `reach` cells is guaranteed to contain the
-                # true k-NN only if the k-th distance fits inside it.
-                safe = (reach * self.cell_size) ** 2
-                if d2[order[-1]] <= safe or candidates.size == len(self):
-                    return candidates[order]
-            if candidates.size == len(self):
-                d2 = np.sum(
-                    (self.points[candidates] - point) ** 2, axis=1
-                )
-                return candidates[np.argsort(d2, kind="stable")[:k]]
-            reach += 1
 
     def query_knn_batch(
         self,

@@ -24,10 +24,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batched import BatchedSampleResult
 from repro.core.neighbor import MortonNeighborSearch
 from repro.core.pipeline import EdgePCConfig
-from repro.core.sampler import MortonSampler, MortonUpsampler
+from repro.core.sampler import (
+    BatchedSampleResult,
+    MortonSampler,
+    MortonUpsampler,
+    exact_interpolation_weights_batch,
+)
 from repro.core.workspace import Workspace
 from repro.neighbors.batched import (
     ball_query_batch,
@@ -303,50 +307,27 @@ class FeaturePropagation(Module):
             self.mlp_channels, batch, self.edgepc,
             morton_sampled=result is not None,
         )
-        if stage_kernels(plan)[STAGE_SAMPLE].op == "interp_morton":
+        morton = stage_kernels(plan)[STAGE_SAMPLE].op == "interp_morton"
+        if morton:
             anchors, weights = (
                 self._upsampler.interpolation_weights_batch(
                     fine_xyz, result
                 )
             )
-            picked = group_points(coarse_features, anchors)
-            mixed = (picked * Tensor(weights[:, :, :, None])).sum(axis=2)
-            # interpolation_weights rows follow sorted order; gather by
-            # rank to restore the original order.
-            upsampled = gather_points(mixed, result.order.ranks)
         else:
-            upsampled = _exact_interpolate_tensor(
-                fine_xyz,
-                sa_state.sampled_indices,
-                coarse_features,
+            anchors, weights = exact_interpolation_weights_batch(
+                fine_xyz, sa_state.sampled_indices
             )
+        picked = group_points(coarse_features, anchors)
+        upsampled = (picked * Tensor(weights[:, :, :, None])).sum(axis=2)
+        if morton:
+            # Morton anchor rows follow sorted order; gather by rank to
+            # restore the original order.
+            upsampled = gather_points(upsampled, result.order.ranks)
         merged = concatenate([upsampled, fine_features], axis=2)
         out = self.mlp(merged)
         recorder.record_plan(plan)
         return out
-
-
-def _exact_interpolate_tensor(
-    fine_xyz: np.ndarray, sampled_indices: np.ndarray, features: Tensor
-) -> Tensor:
-    """Differentiable 3-NN inverse-distance interpolation (SOTA FP),
-    batched: ``(B, N, 3)`` points, ``(B, n)`` sampled indices, and
-    ``(B, n, C)`` features to ``(B, N, C)``."""
-    sampled_xyz = np.take_along_axis(
-        fine_xyz, sampled_indices[:, :, None], axis=1
-    )
-    d2 = (
-        np.sum(fine_xyz**2, axis=2)[:, :, None]
-        - 2.0 * fine_xyz @ sampled_xyz.transpose(0, 2, 1)
-        + np.sum(sampled_xyz**2, axis=2)[:, None, :]
-    )
-    np.maximum(d2, 0.0, out=d2)
-    k = min(3, sampled_xyz.shape[1])
-    pick = np.argsort(d2, axis=2, kind="stable")[:, :, :k]
-    inv = 1.0 / np.maximum(np.take_along_axis(d2, pick, axis=2), 1e-10)
-    weights = inv / inv.sum(axis=2, keepdims=True)
-    picked = group_points(features, pick)  # (B, N, k, C)
-    return (picked * Tensor(weights[:, :, :, None])).sum(axis=2)
 
 
 class PointNet2Segmentation(Module):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -112,6 +112,23 @@ class PartitionPlan:
         """Halo overhead as a fraction of the scene size — the extra
         work the chunked run pays relative to one monolithic pass."""
         return self.halo_points_total / self.num_points
+
+    def stitch(self, chunk_rows: Sequence[np.ndarray]) -> np.ndarray:
+        """Owner-chunk-priority stitch of per-chunk outputs.
+
+        ``chunk_rows[i]`` holds chunk ``i``'s per-point rows (core rows
+        first, as the chunk's ``indices`` order them); every scene
+        point takes the row its owning chunk computed, and halo and
+        padding rows are discarded.  Returns ``(num_points, ...)``
+        rows in scene point order.
+        """
+        first = chunk_rows[0]
+        out = np.empty(
+            (self.num_points,) + first.shape[1:], dtype=first.dtype
+        )
+        for chunk, rows in zip(self.chunks, chunk_rows):
+            out[chunk.core_indices] = rows[: chunk.num_core]
+        return out
 
     def validate_cover(self) -> None:
         """Raise unless the cores partition ``range(num_points)``."""

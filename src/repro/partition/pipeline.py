@@ -16,7 +16,7 @@ the monolithic run on interior points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -150,8 +150,8 @@ class PartitionedPipeline:
         self, points: np.ndarray, plan: PartitionPlan
     ) -> Tuple[np.ndarray, float, float, Set[str]]:
         """Execute the plan's chunks in rectangular batches and
-        scatter their core rows back into scene order."""
-        scene_logits: Optional[np.ndarray] = None
+        stitch their core rows back into scene order."""
+        chunk_logits: List[np.ndarray] = []
         simulated_s = 0.0
         energy_j = 0.0
         degraded: Set[str] = set()
@@ -172,17 +172,8 @@ class PartitionedPipeline:
                 simulated_s += inner.breakdown.total_s
                 energy_j += inner.energy.total_j
             degraded.update(getattr(result, "degraded_stages", ()))
-            if scene_logits is None:
-                scene_logits = np.empty(
-                    (plan.num_points, inner.logits.shape[-1]),
-                    dtype=inner.logits.dtype,
-                )
-            for row, chunk in enumerate(group):
-                scene_logits[chunk.core_indices] = inner.logits[
-                    row, : chunk.num_core
-                ]
-        assert scene_logits is not None  # plans have >= 1 chunk
-        return scene_logits, simulated_s, energy_j, degraded
+            chunk_logits.extend(inner.logits)
+        return plan.stitch(chunk_logits), simulated_s, energy_j, degraded
 
     @staticmethod
     def _unwrap(result, group):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from typing import Dict
 
+from repro.core.sampler import NUM_CANDIDATES
 from repro.nn.recorder import StageEvent
 from repro.runtime.device import DeviceSpec
 
@@ -129,9 +130,13 @@ class CostModel:
         return c.get("batch", 1) * work / self.device.brute_distance_rate
 
     def _price_interp_morton(self, c: Dict[str, float]) -> float:
-        # Four candidate anchors per point (Sec. 5.1.2), each costing a
-        # gather-latency equivalent rather than one distance evaluation.
-        work = c["n_points"] * 4.0 * self.device.interp_candidate_cost
+        # NUM_CANDIDATES candidate anchors per point (Sec. 5.1.2), each
+        # costing a gather-latency equivalent rather than one distance
+        # evaluation.
+        work = (
+            c["n_points"] * NUM_CANDIDATES
+            * self.device.interp_candidate_cost
+        )
         return c.get("batch", 1) * work / self.device.brute_distance_rate
 
     def _price_reuse(self, c: Dict[str, float]) -> float:

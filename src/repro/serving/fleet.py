@@ -629,18 +629,15 @@ class ServerFleet:
         self, scene: SceneRequest, results: List[ServedResult]
     ) -> ServedResult:
         """Owner-chunk-priority stitch of per-chunk logits back into
-        scene point order (context rows are discarded)."""
+        scene point order (context rows are discarded).
+
+        A chunk's ``simulated_batch_s`` is its whole batch's device
+        time, so the scene sums each chunk's share of its batch.
+        """
         plan = scene.plan
-        first = results[0]
-        logits = np.empty(
-            (plan.num_points, first.logits.shape[-1]),
-            dtype=first.logits.dtype,
-        )
+        logits = plan.stitch([r.logits for r in results])
         degraded: Set[str] = set()
-        for chunk, served in zip(plan.chunks, results):
-            logits[chunk.core_indices] = served.logits[
-                : chunk.num_core
-            ]
+        for served in results:
             degraded.update(served.degraded_stages)
         return ServedResult(
             request_id=scene.request_id,
@@ -650,7 +647,7 @@ class ServerFleet:
             trigger="scatter_gather",
             queue_wait_s=max(r.queue_wait_s for r in results),
             simulated_batch_s=sum(
-                r.simulated_batch_s for r in results
+                r.simulated_batch_s / r.batch_size for r in results
             ),
             degraded_stages=tuple(sorted(degraded)),
             trace_id=(
@@ -1474,16 +1471,13 @@ class ServerFleet:
                 batch = replica.server.batcher.poll()
                 if batch is None:
                     break
-                error = ReplicaFaultError(
-                    f"replica {index} is {replica.gate.describe()}"
+                replica.server._fail_batch(
+                    batch,
+                    ReplicaFaultError(
+                        f"replica {index} is {replica.gate.describe()}"
+                    ),
+                    "replica_fault",
                 )
-                now = self.clock()
-                for serving_request in batch.requests:
-                    emit_request_trace(
-                        self.tracer, serving_request, now, "failed",
-                        detail="replica_fault",
-                    )
-                    serving_request.future.set_exception(error)
                 replica.server.record_failed(
                     batch.size, "replica_fault"
                 )

@@ -123,7 +123,9 @@ class ServedResult:
         batch_size: clouds in the dispatch that served this request.
         trigger: what flushed the batch (full/timeout/drain).
         queue_wait_s: admission-to-dispatch wait on the serving clock.
-        simulated_batch_s: the whole batch's simulated device seconds.
+        simulated_batch_s: the whole batch's simulated device seconds
+            (for a stitched scene, the sum of its chunks' shares of
+            their batches).
         degraded_stages: guard fallbacks applied to the batch, if any.
         trace_id: the request's trace id (empty when tracing was off),
             so callers can join a result against the exported trace.
@@ -327,15 +329,17 @@ class InferenceServer:
             return self.pipeline.infer(xyz)  # repro: allow[CONC-505]
 
     def _fail_batch(
-        self, batch: MicroBatch, error: Exception, reason: str
+        self, batch: MicroBatch, error: Exception, detail: str
     ) -> None:
+        """Fail every request of ``batch`` with ``error``: trace each
+        as ``failed`` with ``detail`` and resolve its future.  Callers
+        count the batch with :meth:`record_failed` right after."""
         now = self.clock()
         for request in batch.requests:
             emit_request_trace(
-                self.tracer, request, now, "failed", detail=reason
+                self.tracer, request, now, "failed", detail=detail
             )
             request.future.set_exception(error)
-        self.record_failed(batch.size, reason)
 
     def _count_failed(self, count: int, reason: str) -> None:
         if self.metrics is not None:
@@ -385,17 +389,8 @@ class InferenceServer:
                 # CloudValidationError) on every affected future and
                 # make the failure observable before moving on.
                 ok, error_text = False, f"{type(err).__name__}: {err}"
-                now = self.clock()
-                for request in batch.requests:
-                    emit_request_trace(
-                        self.tracer,
-                        request,
-                        now,
-                        "failed",
-                        detail=type(err).__name__,
-                    )
-                    request.future.set_exception(err)
-                self.record_failed(batch.size, reason="pipeline_error")
+                self._fail_batch(batch, err, type(err).__name__)
+                self.record_failed(batch.size, "pipeline_error")
             else:
                 rejected = bool(getattr(result, "rejected", False))
                 if rejected:
@@ -408,8 +403,9 @@ class InferenceServer:
                         InferenceRejectedError(
                             f"guard rejected the batch: {error_text}"
                         ),
-                        reason="guard_rejected",
+                        "guard_rejected",
                     )
+                    self.record_failed(batch.size, "guard_rejected")
                 else:
                     degraded = tuple(
                         getattr(result, "degraded_stages", ())

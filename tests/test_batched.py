@@ -2,10 +2,9 @@
 
 Three invariants guard the batched layer:
 
-1. **Identity** — every ``*_batch`` kernel is bit-identical to looping
-   its per-cloud counterpart (and, for the kernels whose per-cloud
-   wrappers now *delegate* to the batch path, to the pre-batching
-   reference implementations preserved below).
+1. **Identity** — every ``*_batch`` kernel, and the ``B=1`` per-cloud
+   view of it, is bit-identical to the pre-batching per-cloud reference
+   implementation preserved below.
 2. **Bounded scratch** — the chunked exact kernels never materialize a
    full ``(B, Q, N)`` distance block; peak transient memory tracks the
    workspace budget (measured with ``tracemalloc``).
@@ -22,12 +21,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batched import structurize_batch
+from repro.core import morton
 from repro.core.neighbor import MortonNeighborSearch, window_ranks
 from repro.core.pipeline import EdgePCConfig
-from repro.core.sampler import MortonSampler
-from repro.core.structurize import MortonOrder, structurize
+from repro.core.sampler import (
+    MortonSampleResult,
+    MortonSampler,
+    MortonUpsampler,
+    exact_interpolation_weights_batch,
+)
+from repro.core.structurize import MortonOrder, structurize, structurize_batch
 from repro.core.workspace import Workspace
+from repro.geometry.bbox import BoundingBox
+from repro.geometry.voxel import VoxelGrid
 from repro.neighbors import ball_query, ball_query_batch, knn, knn_batch
 from repro.sampling.fps import (
     farthest_point_sample,
@@ -52,7 +58,85 @@ def make_batch(seed, batch, n, duplicates=False):
 #
 # The per-cloud algorithms the repo shipped before the batched kernel
 # layer, kept verbatim as identity oracles for the batched kernels
-# whose per-cloud wrappers now delegate to the batch path.
+# (the per-cloud entry points are now B=1 views of them).
+
+
+def _reference_structurize(
+    points: np.ndarray,
+    code_bits: int = morton.DEFAULT_CODE_BITS,
+    bounding_box=None,
+) -> MortonOrder:
+    points = np.asarray(points, dtype=np.float64)
+    per_axis = morton.bits_per_axis(code_bits)
+    box = bounding_box or BoundingBox.of_points(points)
+    grid = VoxelGrid.for_box(box, per_axis)
+    codes = morton.encode(grid.voxelize(points))
+    permutation = np.argsort(codes, kind="stable")
+    ranks = np.empty_like(permutation)
+    ranks[permutation] = np.arange(len(permutation))
+    return MortonOrder(
+        codes=codes,
+        permutation=permutation,
+        ranks=ranks,
+        grid=grid,
+        code_bits=code_bits,
+    )
+
+
+def _reference_interpolation_weights(
+    points: np.ndarray, sample_result: MortonSampleResult
+) -> tuple:
+    points = np.asarray(points, dtype=np.float64)
+    order = sample_result.order
+    n_points = points.shape[0]
+    slots = MortonUpsampler().candidate_sample_slots(
+        n_points, sample_result
+    )
+    sorted_points = order.sorted_points(points)
+    sampled_xyz = points[sample_result.indices]  # (n, 3) slot order
+    candidates = sampled_xyz[slots]  # (N, C, 3)
+    d2 = np.sum((candidates - sorted_points[:, None, :]) ** 2, axis=2)
+    pick = np.argsort(d2, axis=1, kind="stable")[:, :3]
+    rows = np.arange(n_points)[:, None]
+    anchor_slots = slots[rows, pick]
+    anchor_d2 = d2[rows, pick]
+    inv = 1.0 / np.maximum(anchor_d2, 1e-10)
+    weights = inv / inv.sum(axis=1, keepdims=True)
+    return anchor_slots, weights
+
+
+def _reference_exact_interpolate(
+    points: np.ndarray,
+    sampled_indices: np.ndarray,
+    sampled_features: np.ndarray,
+    num_anchors: int = 3,
+) -> np.ndarray:
+    points = np.asarray(points, dtype=np.float64)
+    sampled_indices = np.asarray(sampled_indices)
+    sampled_features = np.asarray(sampled_features, dtype=np.float64)
+    sampled_xyz = points[sampled_indices]
+    k = min(num_anchors, sampled_xyz.shape[0])
+    s_sq = np.sum(sampled_xyz**2, axis=1)[None, :]
+    out = np.empty(
+        (points.shape[0], sampled_features.shape[1]), dtype=np.float64
+    )
+    chunk = 4096
+    for lo in range(0, points.shape[0], chunk):
+        block = points[lo : lo + chunk]
+        d2 = (
+            np.sum(block**2, axis=1)[:, None]
+            - 2.0 * block @ sampled_xyz.T
+            + s_sq
+        )
+        np.maximum(d2, 0.0, out=d2)
+        pick = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        rows = np.arange(block.shape[0])[:, None]
+        inv = 1.0 / np.maximum(d2[rows, pick], 1e-10)
+        weights = inv / inv.sum(axis=1, keepdims=True)
+        out[lo : lo + chunk] = np.einsum(
+            "nac,na->nc", sampled_features[pick], weights
+        )
+    return out
 
 
 def _reference_window_search(
@@ -114,18 +198,35 @@ batch_params = {
 
 
 class TestStructurizeIdentity:
-    @given(**batch_params)
-    @settings(max_examples=20, deadline=None)
-    def test_matches_per_cloud(self, seed, batch, n, duplicates):
+    @given(
+        **batch_params,
+        code_bits=st.sampled_from([30, 32, 63]),
+        fixed_box=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_cloud(
+        self, seed, batch, n, duplicates, code_bits, fixed_box
+    ):
         pts = make_batch(seed, batch, n, duplicates)
-        batched = structurize_batch(pts)
+        box = BoundingBox(np.full(3, -8.0), np.full(3, 8.0))
+        box = box if fixed_box else None
+        batched = structurize_batch(pts, code_bits, box)
         for b in range(batch):
-            single = structurize(pts[b])
-            assert np.array_equal(batched.codes[b], single.codes)
-            assert np.array_equal(
-                batched.permutation[b], single.permutation
-            )
-            assert np.array_equal(batched.ranks[b], single.ranks)
+            want = _reference_structurize(pts[b], code_bits, box)
+            single = structurize(pts[b], code_bits, box)
+            for got in (batched.cloud(b), single):
+                assert np.array_equal(got.codes, want.codes)
+                assert np.array_equal(got.permutation, want.permutation)
+                assert np.array_equal(got.ranks, want.ranks)
+                assert np.array_equal(got.grid.origin, want.grid.origin)
+                assert got.grid.cell_size == want.grid.cell_size
+
+    def test_degenerate_cloud_matches_reference(self):
+        pts = np.ones((1, 9, 3))
+        want = _reference_structurize(pts[0])
+        got = structurize_batch(pts).cloud(0)
+        assert np.array_equal(got.permutation, want.permutation)
+        assert got.grid.cell_size == want.grid.cell_size
 
 
 class TestSampleIdentity:
@@ -136,13 +237,54 @@ class TestSampleIdentity:
         sampler = MortonSampler()
         num_samples = max(1, n // frac)
         batched = sampler.sample_batch(pts, num_samples)
+        ranks = uniform_stride_indices(n, num_samples)
+        assert np.array_equal(batched.sampled_ranks, ranks)
         for b in range(batch):
+            order = _reference_structurize(pts[b])
+            want = order.original_index_of(ranks)
+            assert np.array_equal(batched.indices[b], want)
             single = sampler.sample(pts[b], num_samples)
-            assert np.array_equal(batched.indices[b], single.indices)
-            # sampled_ranks depend only on (N, n): shared across clouds.
-            assert np.array_equal(
-                batched.sampled_ranks, single.sampled_ranks
+            assert np.array_equal(single.indices, want)
+
+
+class TestInterpolationIdentity:
+    @given(**batch_params, frac=st.sampled_from([2, 4, 8]))
+    @settings(max_examples=20, deadline=None)
+    def test_morton_weights_match_pre_batching_reference(
+        self, seed, batch, n, duplicates, frac
+    ):
+        pts = make_batch(seed, batch, n, duplicates)
+        result = MortonSampler().sample_batch(pts, max(1, n // frac))
+        anchors, weights = MortonUpsampler().interpolation_weights_batch(
+            pts, result
+        )
+        for b in range(batch):
+            want_anchors, want_weights = _reference_interpolation_weights(
+                pts[b], result.cloud(b)
             )
+            assert np.array_equal(anchors[b], want_anchors)
+            assert np.array_equal(weights[b], want_weights)
+
+    @given(
+        **batch_params,
+        num_samples=st.integers(1, 8),
+        channels=st.integers(1, 4),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_exact_weights_match_pre_batching_reference(
+        self, seed, batch, n, duplicates, num_samples, channels
+    ):
+        pts = make_batch(seed, batch, n, duplicates)
+        rng = np.random.default_rng(seed)
+        sampled = np.stack(
+            [rng.permutation(n)[:num_samples] for _ in range(batch)]
+        )
+        feats = rng.normal(size=(batch, num_samples, channels))
+        anchors, weights = exact_interpolation_weights_batch(pts, sampled)
+        for b in range(batch):
+            got = np.einsum("nac,na->nc", feats[b][anchors[b]], weights[b])
+            want = _reference_exact_interpolate(pts[b], sampled[b], feats[b])
+            assert np.array_equal(got, want)
 
 
 class TestWindowSearchIdentity:
@@ -163,10 +305,9 @@ class TestWindowSearchIdentity:
         got = searcher.search_ranks_batch(pts, order, query_ranks)
         for b in range(batch):
             if window == k:
-                # Pure index mode has no reference beyond the per-cloud
-                # wrapper (no distance math to diverge).
-                want = searcher.search_ranks(
-                    pts[b], order.cloud(b), query_ranks
+                # Pure index mode: the window ranks verbatim.
+                want = order.cloud(b).original_index_of(
+                    window_ranks(query_ranks, k, n)
                 )
             else:
                 want = _reference_window_search(
@@ -180,10 +321,18 @@ class TestWindowSearchIdentity:
         self, seed, batch, n, duplicates, k
     ):
         pts = make_batch(seed, batch, n, duplicates)
-        searcher = MortonNeighborSearch(k, min(n, 2 * k))
+        window = min(n, 2 * k)
+        searcher = MortonNeighborSearch(k, window)
         got = searcher.search_batch(pts)
-        want = np.stack([searcher.search(pts[b]) for b in range(batch)])
-        assert np.array_equal(got, want)
+        for b in range(batch):
+            order = _reference_structurize(pts[b])
+            by_rank = _reference_window_search(
+                pts[b], order, np.arange(n), k, window
+            )
+            want = np.empty_like(by_rank)
+            want[order.permutation] = by_rank
+            assert np.array_equal(got[b], want)
+            assert np.array_equal(searcher.search(pts[b]), want)
 
     def test_per_cloud_ranks_match_shared_ranks(self):
         pts = make_batch(7, 3, 32)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.neighbor import MortonNeighborSearch, window_ranks
 from repro.core.reuse import NeighborCache, NeighborReusePolicy
-from repro.core.structurize import structurize
+from repro.core.structurize import structurize, structurize_batch
 from repro.neighbors import false_neighbor_ratio, knn
 
 
@@ -57,15 +57,23 @@ class TestMortonNeighborSearch:
 
     def test_pure_index_mode_is_window(self, medium_cloud):
         """With W == k the neighbors are exactly the window ranks."""
-        order = structurize(medium_cloud)
+        order = structurize_batch(medium_cloud[None])
         searcher = MortonNeighborSearch(6)
-        out = searcher.search_ranks(
-            medium_cloud, order, np.array([500])
+        out = searcher.search_ranks_batch(
+            medium_cloud[None], order, np.array([500])
         )
         expected_ranks = np.arange(497, 503)
         assert np.array_equal(
-            out[0], order.original_index_of(expected_ranks)
+            out[0, 0], order.original_index_of(expected_ranks)[0]
         )
+
+    @pytest.mark.parametrize("bad", [-1, 1024])
+    def test_rejects_out_of_range_query(self, medium_cloud, bad):
+        searcher = MortonNeighborSearch(4, 8)
+        with pytest.raises(ValueError, match="query indices"):
+            searcher.search(medium_cloud, np.array([0, bad]))
+        with pytest.raises(ValueError, match="query indices"):
+            searcher.search_batch(medium_cloud[None], np.array([[bad]]))
 
     def test_windowed_mode_picks_closest(self, medium_cloud):
         """With W > k the k closest inside the window are kept, so

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.sampler import (
     MortonSampler,
     MortonUpsampler,
-    exact_interpolate,
+    exact_interpolation_weights_batch,
 )
 from repro.core.structurize import structurize
 from repro.sampling import (
@@ -36,7 +36,9 @@ class TestMortonSampler:
     def test_reuses_precomputed_order(self, medium_cloud):
         order = structurize(medium_cloud)
         result = MortonSampler().sample(medium_cloud, 64, order=order)
-        assert result.order is order
+        # The B=1 view wraps the given arrays; nothing is recomputed.
+        assert np.shares_memory(result.order.permutation, order.permutation)
+        assert np.shares_memory(result.order.codes, order.codes)
 
     def test_rejects_mismatched_order(self, medium_cloud, small_cloud):
         order = structurize(small_cloud)
@@ -97,9 +99,27 @@ class TestMortonSampler:
         assert len(set(result.indices.tolist())) == count
 
 
+def _morton_upsample(points, result, feats):
+    """The FP module's Morton gather-and-mix on one cloud: anchor rows
+    follow sorted order, so the mix is gathered back by rank."""
+    anchors, weights = MortonUpsampler().interpolation_weights_batch(
+        points[None], result
+    )
+    mixed = np.einsum("nac,na->nc", feats[anchors[0]], weights[0])
+    return mixed[result.order.ranks[0]]
+
+
+def _exact_upsample(points, sampled_indices, feats):
+    """The FP module's exact gather-and-mix on one cloud."""
+    anchors, weights = exact_interpolation_weights_batch(
+        points[None], np.asarray(sampled_indices)[None]
+    )
+    return np.einsum("nac,na->nc", feats[anchors[0]], weights[0])
+
+
 class TestMortonUpsampler:
     def test_candidate_slots_shape(self, medium_cloud):
-        result = MortonSampler().sample(medium_cloud, 64)
+        result = MortonSampler().sample_batch(medium_cloud[None], 64)
         slots = MortonUpsampler().candidate_sample_slots(
             len(medium_cloud), result
         )
@@ -112,63 +132,58 @@ class TestMortonUpsampler:
         +2 around the owning block (clamped at the edges)."""
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(100, 3))
-        result = MortonSampler().sample(pts, 10)
+        result = MortonSampler().sample_batch(pts[None], 10)
         slots = MortonUpsampler().candidate_sample_slots(100, result)
         # Point at sorted rank 55 owns block 5 -> slots {3, 4, 6, 7}.
         assert slots[55].tolist() == [3, 4, 6, 7]
 
     def test_weights_are_convex(self, medium_cloud):
-        result = MortonSampler().sample(medium_cloud, 64)
-        _, weights = MortonUpsampler().interpolation_weights(
-            medium_cloud, result
+        result = MortonSampler().sample_batch(medium_cloud[None], 64)
+        _, weights = MortonUpsampler().interpolation_weights_batch(
+            medium_cloud[None], result
         )
-        assert weights.shape == (1024, 3)
-        assert np.allclose(weights.sum(axis=1), 1.0)
+        assert weights.shape == (1, 1024, 3)
+        assert np.allclose(weights.sum(axis=2), 1.0)
         assert (weights >= 0).all()
 
     def test_interpolate_shape_and_order(self, medium_cloud, rng):
-        result = MortonSampler().sample(medium_cloud, 64)
+        result = MortonSampler().sample_batch(medium_cloud[None], 64)
         feats = rng.normal(size=(64, 8))
-        out = MortonUpsampler().interpolate(medium_cloud, result, feats)
+        out = _morton_upsample(medium_cloud, result, feats)
         assert out.shape == (1024, 8)
 
     def test_interpolate_constant_features(self, medium_cloud):
         """Interpolating a constant field must return that constant."""
-        result = MortonSampler().sample(medium_cloud, 64)
+        result = MortonSampler().sample_batch(medium_cloud[None], 64)
         feats = np.full((64, 2), 7.5)
-        out = MortonUpsampler().interpolate(medium_cloud, result, feats)
+        out = _morton_upsample(medium_cloud, result, feats)
         assert np.allclose(out, 7.5)
 
     def test_interpolate_approximates_exact(self, medium_cloud, rng):
         """The approximation tracks exact 3-NN interpolation for a
         smooth feature field (coordinates as features)."""
-        result = MortonSampler().sample(medium_cloud, 128)
-        feats = medium_cloud[result.indices]  # smooth: xyz itself
-        approx = MortonUpsampler().interpolate(
-            medium_cloud, result, feats
-        )
-        exact = exact_interpolate(medium_cloud, result.indices, feats)
+        result = MortonSampler().sample_batch(medium_cloud[None], 128)
+        indices = result.indices[0]
+        feats = medium_cloud[indices]  # smooth: xyz itself
+        approx = _morton_upsample(medium_cloud, result, feats)
+        exact = _exact_upsample(medium_cloud, indices, feats)
         err = np.linalg.norm(approx - exact, axis=1)
         scale = np.linalg.norm(exact, axis=1).mean()
         assert err.mean() / scale < 0.25
 
-    def test_rejects_wrong_feature_rows(self, medium_cloud, rng):
-        result = MortonSampler().sample(medium_cloud, 64)
+    def test_rejects_mismatched_points(self, medium_cloud, small_cloud):
+        result = MortonSampler().sample_batch(small_cloud[None], 64)
         with pytest.raises(ValueError):
-            MortonUpsampler().interpolate(
-                medium_cloud, result, rng.normal(size=(63, 4))
+            MortonUpsampler().interpolation_weights_batch(
+                medium_cloud[None], result
             )
-
-    def test_rejects_bad_anchor_config(self):
-        with pytest.raises(ValueError):
-            MortonUpsampler(num_candidates=2, num_anchors=3)
 
 
 class TestExactInterpolate:
     def test_recovers_value_at_sample(self, small_cloud, rng):
         idx = np.arange(0, 256, 4)
         feats = rng.normal(size=(64, 5))
-        out = exact_interpolate(small_cloud, idx, feats)
+        out = _exact_upsample(small_cloud, idx, feats)
         # At a sampled point, the nearest sample is itself (distance 0)
         # and inverse-distance weighting collapses to that value.
         assert np.allclose(out[idx[0]], feats[0])
@@ -176,11 +191,11 @@ class TestExactInterpolate:
     def test_constant_field(self, small_cloud):
         idx = np.arange(0, 256, 8)
         feats = np.full((32, 3), 2.0)
-        out = exact_interpolate(small_cloud, idx, feats)
+        out = _exact_upsample(small_cloud, idx, feats)
         assert np.allclose(out, 2.0)
 
     def test_fewer_samples_than_anchors(self, small_cloud, rng):
         idx = np.array([0, 9])
         feats = rng.normal(size=(2, 4))
-        out = exact_interpolate(small_cloud, idx, feats)
+        out = _exact_upsample(small_cloud, idx, feats)
         assert out.shape == (256, 4)

@@ -120,26 +120,3 @@ class TestHilbertStructurize:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             hilbert_structurize(np.empty((0, 3)))
-
-
-class TestCurveParameter:
-    def test_structurize_curve_dispatch(self, medium_cloud):
-        from repro.core import structurize as s
-
-        hilbert = s(medium_cloud, curve="hilbert")
-        direct = hilbert_structurize(medium_cloud)
-        assert np.array_equal(hilbert.permutation, direct.permutation)
-
-    def test_structurize_default_is_morton(self, medium_cloud):
-        from repro.core import structurize as s
-
-        assert np.array_equal(
-            s(medium_cloud).permutation,
-            s(medium_cloud, curve="morton").permutation,
-        )
-
-    def test_unknown_curve_rejected(self, medium_cloud):
-        from repro.core import structurize as s
-
-        with pytest.raises(ValueError):
-            s(medium_cloud, curve="peano")

@@ -9,6 +9,7 @@ from repro.neighbors import (
     KDTree,
     UniformGridIndex,
     ball_query,
+    ball_query_grid_batch,
     false_neighbor_ratio,
     knn,
     mean_neighbor_distance,
@@ -214,22 +215,22 @@ class TestKDTree:
 
 class TestUniformGrid:
     def test_radius_matches_brute(self, medium_cloud):
-        grid = UniformGridIndex(medium_cloud, 0.3)
         q = medium_cloud[7]
-        ours = grid.query_radius(q, 0.3)
+        out = ball_query_grid_batch(
+            q[None, None], medium_cloud[None], 0.3, len(medium_cloud)
+        )
         d = np.linalg.norm(medium_cloud - q, axis=1)
-        assert np.array_equal(ours, np.flatnonzero(d <= 0.3))
+        # Hits in ascending index order, short rows padded with the
+        # first hit.
+        assert np.array_equal(np.unique(out), np.flatnonzero(d <= 0.3))
 
     def test_knn_matches_brute(self, medium_cloud):
         grid = UniformGridIndex(medium_cloud, 0.2)
-        for i in (0, 100, 555):
-            ours = set(grid.query_knn(medium_cloud[i], 6).tolist())
-            ref = set(
-                _brute_knn_reference(
-                    medium_cloud[i][None], medium_cloud, 6
-                )[0].tolist()
-            )
-            assert ours == ref
+        queries = medium_cloud[[0, 100, 555]]
+        ours = grid.query_knn_batch(queries, 6)
+        ref = _brute_knn_reference(queries, medium_cloud, 6)
+        for got, want in zip(ours, ref):
+            assert set(got.tolist()) == set(want.tolist())
 
     def test_occupied_cells(self, small_cloud):
         grid = UniformGridIndex(small_cloud, 0.5)
@@ -238,7 +239,7 @@ class TestUniformGrid:
     def test_knn_whole_cloud(self, rng):
         pts = rng.normal(size=(20, 3))
         grid = UniformGridIndex(pts, 0.1)
-        out = grid.query_knn(pts[0], 20)
+        out = grid.query_knn_batch(pts[:1], 20)[0]
         assert sorted(out.tolist()) == list(range(20))
 
     def test_rejects_bad_cell_size(self, small_cloud):

@@ -585,12 +585,20 @@ class TestFleetScatterGather:
         assert scene.num_chunks == 4
         _drive_scene(fleet, clock, scene)
         served = scene.future.result()
+        # Same batching as the fleet's max_batch_size=2.
         direct = PartitionedPipeline(
-            _scene_pipeline(seed=0), partitioner=partitioner
+            _scene_pipeline(seed=0),
+            partitioner=partitioner,
+            max_chunks_per_batch=2,
         ).infer(xyz)
         assert np.array_equal(served.logits, direct.logits)
         assert np.array_equal(
             served.prediction, direct.predictions
+        )
+        # Each chunk carries its share of its batch's device time, so
+        # the scene totals match the direct run's batches.
+        assert served.simulated_batch_s == pytest.approx(
+            direct.simulated_s
         )
         assert served.trigger == "scatter_gather"
         assert served.batch_size == 4

@@ -101,10 +101,13 @@ class TestSamplerRobustness:
         assert len(set(idx.tolist())) == 8  # distinct despite ties
 
     def test_upsampler_on_identical_points(self, rng):
-        cloud = np.ones((64, 3))
-        result = MortonSampler().sample(cloud, 8)
+        cloud = np.ones((1, 64, 3))
+        result = MortonSampler().sample_batch(cloud, 8)
         feats = rng.normal(size=(8, 4))
-        out = MortonUpsampler().interpolate(cloud, result, feats)
+        anchors, weights = MortonUpsampler().interpolation_weights_batch(
+            cloud, result
+        )
+        out = np.einsum("nac,na->nc", feats[anchors[0]], weights[0])
         assert out.shape == (64, 4)
         assert np.isfinite(out).all()
 
