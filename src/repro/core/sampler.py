@@ -34,6 +34,10 @@ NUM_CANDIDATES = len(CANDIDATE_STRIDES)
 #: Inverse-distance anchors per interpolated point, in both the Morton
 #: and the exact (3-NN) interpolation.
 NUM_ANCHORS = 3
+#: Size of one block of squared distances in the exact interpolation.
+#: The fine points are scanned ``EXACT_BLOCK_BYTES // (8·B·n)`` rows at
+#: a time so each block stays cache-resident (32 rows at B=1, n=2048).
+EXACT_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -251,7 +255,15 @@ def exact_interpolation_weights_batch(
 
     Exact counterpart of
     :meth:`MortonUpsampler.interpolation_weights_batch`, used by the
-    unoptimized FP modules.
+    unoptimized FP modules.  The fine points are scanned in row blocks
+    of at most :data:`EXACT_BLOCK_BYTES` of distances, and each block
+    keeps its nearest samples by ``k`` first-occurrence ``argmin``
+    rounds instead of a full sort.  The result is bit-identical to a
+    stable ``argsort`` of ``(|p|² − 2·P·Sᵀ) + |s|²`` (clamped at 0)
+    sliced to ``k`` columns: ``argmin`` returns the smallest column
+    among equal distances, so the picks come out in ``(d2, column)``
+    order.  Rows whose distances overflow to inf/NaN fall back to that
+    stable sort.
 
     Args:
         points: ``(B, N, 3)`` fine-level coordinates.
@@ -267,14 +279,54 @@ def exact_interpolation_weights_batch(
     sampled_xyz = np.take_along_axis(
         points, sampled_indices[:, :, None], axis=1
     )
-    d2 = (
-        np.sum(points**2, axis=2)[:, :, None]
-        - 2.0 * points @ sampled_xyz.transpose(0, 2, 1)
-        + np.sum(sampled_xyz**2, axis=2)[:, None, :]
-    )
-    np.maximum(d2, 0.0, out=d2)
-    k = min(NUM_ANCHORS, sampled_xyz.shape[1])
-    pick = np.argsort(d2, axis=2, kind="stable")[:, :, :k]
-    inv = 1.0 / np.maximum(np.take_along_axis(d2, pick, axis=2), 1e-10)
+    batch, n_points = points.shape[:2]
+    n_sampled = sampled_xyz.shape[1]
+    k = min(NUM_ANCHORS, n_sampled)
+    step = max(1, EXACT_BLOCK_BYTES // max(1, 8 * batch * n_sampled))
+    p_sq = np.sum(points**2, axis=2)[:, :, None]
+    s_sq = np.sum(sampled_xyz**2, axis=2)[:, None, :]
+    s_t = sampled_xyz.transpose(0, 2, 1)
+    pick = np.empty((batch, n_points, k), dtype=np.intp)
+    anchor_d2 = np.empty((batch, n_points, k))
+    for lo in range(0, n_points, step):
+        hi = min(lo + step, n_points)
+        # -(2P)·Sᵀ + |p|² + |s|²: the same bits as (|p|² − 2P·Sᵀ) + |s|²
+        # (negating the scale is exact and addition commutes).
+        d2 = (-2.0 * points[:, lo:hi]) @ s_t
+        d2 += p_sq[:, lo:hi]
+        d2 += s_sq
+        np.maximum(d2, 0.0, out=d2)
+        cols, vals = _nearest_columns(d2.reshape(-1, n_sampled), k)
+        pick[:, lo:hi] = cols.reshape(batch, hi - lo, k)
+        anchor_d2[:, lo:hi] = vals.reshape(batch, hi - lo, k)
+    inv = 1.0 / np.maximum(anchor_d2, 1e-10)
     weights = inv / inv.sum(axis=2, keepdims=True)
     return pick, weights
+
+
+def _nearest_columns(d2: np.ndarray, k: int) -> tuple:
+    """``(cols, values)``: each row's ``k`` smallest entries of ``d2``.
+
+    Same result as ``np.argsort(d2, axis=1, kind="stable")[:, :k]``.
+    Each round takes the first-occurrence ``argmin`` and masks it with
+    ``+inf`` (``d2`` is scratch).  A non-finite pick makes the mask
+    ambiguous, so such rows get their values back and are sorted.
+    """
+    rows = np.arange(d2.shape[0])
+    cols = np.empty((d2.shape[0], k), dtype=np.intp)
+    vals = np.empty((d2.shape[0], k))
+    for r in range(k):
+        col = np.argmin(d2, axis=1)
+        cols[:, r] = col
+        vals[:, r] = d2[rows, col]
+        d2[rows, col] = np.inf
+    bad = ~np.isfinite(vals).all(axis=1)
+    if bad.any():
+        # Reverse rounds, so a column picked twice gets its first value.
+        for r in reversed(range(k)):
+            d2[rows[bad], cols[bad, r]] = vals[bad, r]
+        redo = d2[bad]
+        order = np.argsort(redo, axis=1, kind="stable")[:, :k]
+        cols[bad] = order
+        vals[bad] = np.take_along_axis(redo, order, axis=1)
+    return cols, vals

@@ -352,19 +352,21 @@ class Tensor:
     def max(self, axis: int, keepdims: bool = False) -> "Tensor":
         """Max along one axis; gradient flows to the (first) argmax."""
         out_data = self.data.max(axis=axis, keepdims=True)
+        squeezed = out_data if keepdims else out_data.squeeze(axis=axis)
+        out = Tensor(squeezed, self.requires_grad, (self,))
+        if not out.requires_grad:
+            return out
         mask = self.data == out_data
         # Route gradient only to the first maximal element per slice so
         # ties don't double-count (matches PyTorch's max backward).
         first = np.cumsum(mask, axis=axis) == 1
         mask = mask & first
-        squeezed = out_data if keepdims else out_data.squeeze(axis=axis)
-        out = Tensor(squeezed, self.requires_grad, (self,))
 
         def backward(grad: np.ndarray) -> None:
             g = grad if keepdims else np.expand_dims(grad, axis)
             self._accumulate(mask * g)
 
-        out._backward = backward if out.requires_grad else None
+        out._backward = backward
         return out
 
     def min(self, axis: int, keepdims: bool = False) -> "Tensor":

@@ -148,6 +148,20 @@ class TestReductions:
         x.max(axis=1).sum().backward()
         assert x.grad.sum() == 1.0
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_max_under_no_grad_matches_and_builds_no_graph(
+        self, rng, axis, keepdims
+    ):
+        data = rng.integers(0, 3, size=(4, 5, 6)).astype(float)  # ties
+        graph = Tensor(data, requires_grad=True).max(axis, keepdims)
+        with no_grad():
+            value = Tensor(data, requires_grad=True).max(axis, keepdims)
+        assert np.array_equal(value.data, graph.data)
+        assert graph._backward is not None
+        assert value._backward is None
+        assert not value.requires_grad
+
     def test_min_grad(self):
         x = Tensor(np.array([[1.0, 5.0, 2.0]]), requires_grad=True)
         x.min(axis=1).sum().backward()

@@ -15,13 +15,14 @@ Three invariants guard the batched layer:
 
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import morton
+from repro.core import morton, sampler
 from repro.core.neighbor import MortonNeighborSearch, window_ranks
 from repro.core.pipeline import EdgePCConfig
 from repro.core.sampler import (
@@ -137,6 +138,28 @@ def _reference_exact_interpolate(
             "nac,na->nc", sampled_features[pick], weights
         )
     return out
+
+
+def _reference_exact_interpolation_weights_batch(
+    points: np.ndarray, sampled_indices: np.ndarray
+) -> tuple:
+    # The full stable sort over (B, N, n) that the row-blocked argmin
+    # rounds replaced.
+    points = np.asarray(points, dtype=np.float64)
+    sampled_xyz = np.take_along_axis(
+        points, sampled_indices[:, :, None], axis=1
+    )
+    d2 = (
+        np.sum(points**2, axis=2)[:, :, None]
+        - 2.0 * points @ sampled_xyz.transpose(0, 2, 1)
+        + np.sum(sampled_xyz**2, axis=2)[:, None, :]
+    )
+    np.maximum(d2, 0.0, out=d2)
+    k = min(3, sampled_xyz.shape[1])
+    pick = np.argsort(d2, axis=2, kind="stable")[:, :, :k]
+    inv = 1.0 / np.maximum(np.take_along_axis(d2, pick, axis=2), 1e-10)
+    weights = inv / inv.sum(axis=2, keepdims=True)
+    return pick, weights
 
 
 def _reference_window_search(
@@ -285,6 +308,70 @@ class TestInterpolationIdentity:
             got = np.einsum("nac,na->nc", feats[b][anchors[b]], weights[b])
             want = _reference_exact_interpolate(pts[b], sampled[b], feats[b])
             assert np.array_equal(got, want)
+
+
+def _tie_heavy_batch(seed, batch, n_points, num_samples, duplicates):
+    """Integer-lattice clouds (many exact distance ties) and samples."""
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 3, size=(batch, n_points, 3)).astype(np.float64)
+    if duplicates:
+        m = n_points // 3
+        pts[:, n_points - m :] = pts[:, :m]
+    sampled = np.stack(
+        [rng.permutation(n_points)[:num_samples] for _ in range(batch)]
+    )
+    return pts, sampled
+
+
+class TestExactSelectionIdentity:
+    """Row-blocked argmin rounds == the stable full sort, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        batch=st.integers(1, 3),
+        n_points=st.integers(8, 600),
+        num_samples=st.sampled_from([1, 2, 3, 4, 40]),
+        duplicates=st.booleans(),
+        block_rows=st.sampled_from([1, 7, 64, 128, 129]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_stable_sort_across_row_blocks(
+        self, seed, batch, n_points, num_samples, duplicates, block_rows
+    ):
+        pts, sampled = _tie_heavy_batch(
+            seed, batch, n_points, min(num_samples, n_points), duplicates
+        )
+        budget = block_rows * 8 * batch * sampled.shape[1]
+        with mock.patch.object(sampler, "EXACT_BLOCK_BYTES", budget):
+            anchors, weights = exact_interpolation_weights_batch(pts, sampled)
+        want = _reference_exact_interpolation_weights_batch(pts, sampled)
+        assert np.array_equal(anchors, want[0])
+        assert np.array_equal(weights, want[1])
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_matches_stable_sort_at_default_block(self, duplicates):
+        pts, sampled = _tie_heavy_batch(3, 2, 999, 300, duplicates)
+        assert 999 > sampler.EXACT_BLOCK_BYTES // (8 * 2 * 300)
+        anchors, weights = exact_interpolation_weights_batch(pts, sampled)
+        want = _reference_exact_interpolation_weights_batch(pts, sampled)
+        assert np.array_equal(anchors, want[0])
+        assert np.array_equal(weights, want[1])
+
+    @pytest.mark.parametrize("num_samples", [1, 2, 3, 4, 40])
+    def test_non_finite_rows_fall_back_to_stable_sort(self, num_samples):
+        pts, sampled = _tie_heavy_batch(5, 2, 300, num_samples, True)
+        pts[0, ::7] *= 1e160  # |p|² overflows: inf and NaN distances
+        pts[1, sampled[1, 0]] = 1e155
+        budget = 64 * 8 * 2 * num_samples
+        with np.errstate(over="ignore", invalid="ignore"):
+            with mock.patch.object(sampler, "EXACT_BLOCK_BYTES", budget):
+                anchors, weights = exact_interpolation_weights_batch(
+                    pts, sampled
+                )
+            want = _reference_exact_interpolation_weights_batch(pts, sampled)
+        assert not np.isfinite(weights).all()  # the repair path ran
+        assert np.array_equal(anchors, want[0])
+        assert np.array_equal(weights, want[1], equal_nan=True)
 
 
 class TestWindowSearchIdentity:
