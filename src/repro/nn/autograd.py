@@ -195,10 +195,28 @@ class Tensor:
         return out
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-self._lift(other))
+        """``self - other`` in one pass.
+
+        IEEE 754 defines ``x - y`` as ``x + (-y)``, so every non-NaN
+        result equals the two-op form bit for bit; only the sign bit
+        of a NaN may differ.
+        """
+        other = self._lift(other)
+        out_data = self.data - other.data
+        needs = self.requires_grad or other.requires_grad
+        out = Tensor(out_data, needs, (self, other))
+
+        def backward(grad: np.ndarray) -> None:
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(-_unbroadcast(grad, other.data.shape))
+
+        out._backward = backward if out.requires_grad else None
+        return out
 
     def __rsub__(self, other) -> "Tensor":
-        return self._lift(other) + (-self)
+        return self._lift(other) - self
 
     def __mul__(self, other) -> "Tensor":
         other = self._lift(other)

@@ -30,7 +30,12 @@ from repro.core.workspace import Workspace
 from repro.neighbors.batched import knn_batch, knn_grid_batch
 from repro.neighbors.grid import GridQueryStats
 from repro.nn.autograd import Tensor, concatenate
-from repro.nn.functional import edge_features, max_pool_neighbors
+from repro.nn.functional import (
+    edge_features,
+    join_blocks,
+    max_pool_neighbors,
+    query_blocks,
+)
 from repro.nn.layers import Dropout, Linear, Module, shared_mlp
 from repro.nn.plan import (
     edgeconv_plan,
@@ -129,10 +134,15 @@ class EdgeConv(Module):
             # Sec. 5.4.2: order within a neighborhood is irrelevant to
             # the max-pooled edge aggregation.
             neighbor_idx = np.sort(neighbor_idx, axis=-1)
-        edges = edge_features(features, neighbor_idx)
-        out = self.mlp(edges)
+        pooled_blocks = []
+        for rows in query_blocks(self.mlp, *neighbor_idx.shape):
+            edges = edge_features(
+                features, neighbor_idx[:, rows], start=rows.start
+            )
+            out = self.mlp(edges)
+            pooled_blocks.append(max_pool_neighbors(out))
         recorder.record_plan(plan)
-        return max_pool_neighbors(out)
+        return join_blocks(pooled_blocks)
 
 
 class _DGCNNBackbone(Module):

@@ -9,9 +9,16 @@ carry gradients through the gathers themselves.
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 
 from repro.nn.autograd import Tensor, concatenate
+from repro.nn.layers import Sequential
+
+#: Neighborhood rows (``B * n_blk * k``) per block of an inference
+#: group -> shared MLP -> max-pool chain; 2048-8192 measured equal.
+INFERENCE_BLOCK_ROWS = 4096
 
 
 def _check_batched(features: Tensor, indices: np.ndarray) -> np.ndarray:
@@ -74,19 +81,48 @@ def max_pool_neighbors(grouped: Tensor) -> Tensor:
     return grouped.max(axis=2)
 
 
+def query_blocks(mlp: Sequential, batch: int, n: int, k: int) -> List[slice]:
+    """Slices of the query axis to run group -> MLP -> max-pool over.
+
+    While ``mlp`` runs in place (no graph recorded, no layer training)
+    each block holds at most :data:`INFERENCE_BLOCK_ROWS` neighborhood
+    rows, so its activations stay cache-sized; otherwise one block
+    covers all ``n`` rows and a training graph is unchanged.  Blocking
+    cannot change a bit: NumPy runs one gemm per ``(k, C)``
+    neighborhood matrix of a 4-D input, and the max pools per row.
+    """
+    step = n
+    if mlp.runs_in_place():
+        step = max(1, INFERENCE_BLOCK_ROWS // (batch * k))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def join_blocks(pooled: List[Tensor]) -> Tensor:
+    """Concatenate per-block ``(B, n_blk, C)`` outputs along the query
+    axis; a single block is returned as is."""
+    return pooled[0] if len(pooled) == 1 else concatenate(pooled, axis=1)
+
+
 def edge_features(
-    features: Tensor, neighbor_indices: np.ndarray
+    features: Tensor, neighbor_indices: np.ndarray, start: int = 0
 ) -> Tensor:
     """DGCNN edge features: ``[x_i, x_j - x_i]`` per edge.
 
-    Input ``(B, N, C)`` and indices ``(B, N, k)``; output
-    ``(B, N, k, 2C)``.
+    Input ``(B, N, C)`` and indices ``(B, n, k)`` for the centers
+    ``start .. start + n - 1``; output ``(B, n, k, 2C)``.
     """
     if features.ndim != 3:
         raise ValueError(f"features must be (B, N, C), got {features.shape}")
-    grouped = group_points(features, neighbor_indices)  # (B, N, k, C)
-    k = neighbor_indices.shape[2]
-    center = features.expand_dims(2).broadcast_to(
-        (features.shape[0], features.shape[1], k, features.shape[2])
+    grouped = group_points(features, neighbor_indices)  # (B, n, k, C)
+    batch, rows, k = neighbor_indices.shape
+    if start < 0 or start + rows > features.shape[1]:
+        raise ValueError(
+            f"center rows {start}..{start + rows} exceed {features.shape[1]}"
+        )
+    center = features
+    if rows != features.shape[1]:
+        center = features[:, start:start + rows]
+    center = center.expand_dims(2).broadcast_to(
+        (batch, rows, k, features.shape[2])
     )
     return concatenate([center, grouped - center], axis=3)

@@ -6,6 +6,13 @@ activations.  All layers treat the *last* axis as the channel axis, so
 the same ``Linear`` applies to ``(B, C)`` logits, ``(B, N, C)`` point
 features, and ``(B, N, k, C)`` grouped neighborhoods — which is exactly
 the "shared MLP" structure of the original networks.
+
+Inference without the tape: when no graph is recorded and no layer is
+training, :class:`Sequential` runs each layer's :meth:`Module.infer_`
+on bare arrays instead of its ``forward``.  Every layer computes the
+same IEEE results as its ``forward``, but in the array its ``Linear``
+just allocated instead of a temporary per op, so the output is
+byte-identical.  The input and the parameters are never written.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
+from repro.nn.autograd import Tensor, is_grad_enabled
 
 
 class Module:
@@ -106,6 +113,19 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
+    # Inference without the tape -----------------------------------------
+
+    #: Whether :meth:`infer_` reproduces ``forward`` (in this mode).
+    infers_in_place = False
+
+    def infer_(self, y: np.ndarray) -> np.ndarray:
+        """Graph-free ``forward`` on a bare array, overwriting ``y``.
+
+        Returns the output, which is ``y`` itself for elementwise
+        layers; only valid while :attr:`infers_in_place` holds.
+        """
+        raise NotImplementedError
+
 
 class Linear(Module):
     """Affine map on the last axis: ``y = x W + b``.
@@ -139,15 +159,28 @@ class Linear(Module):
                 "bias", Tensor(np.zeros(out_features))
             )
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_features:
+    def _check(self, shape: Tuple[int, ...]) -> None:
+        if shape[-1] != self.in_features:
             raise ValueError(
                 f"expected {self.in_features} input channels, "
-                f"got {x.shape[-1]}"
+                f"got {shape[-1]}"
             )
+
+    def forward(self, x: Tensor) -> Tensor:
+        self._check(x.shape)
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
+        return out
+
+    infers_in_place = True
+
+    def infer_(self, y: np.ndarray) -> np.ndarray:
+        # The matmul allocates the output; ``y`` is left untouched.
+        self._check(y.shape)
+        out = y @ self.weight.data
+        if self.bias is not None:
+            out += self.bias.data
         return out
 
 
@@ -179,11 +212,14 @@ class BatchNorm(Module):
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.num_features:
+    def _check(self, shape: Tuple[int, ...]) -> None:
+        if shape[-1] != self.num_features:
             raise ValueError(
-                f"expected {self.num_features} channels, got {x.shape[-1]}"
+                f"expected {self.num_features} channels, got {shape[-1]}"
             )
+
+    def forward(self, x: Tensor) -> Tensor:
+        self._check(x.shape)
         axes = tuple(range(x.ndim - 1))
         if self.training:
             mean = x.mean(axis=axes, keepdims=True)
@@ -204,10 +240,27 @@ class BatchNorm(Module):
             ) ** -0.5
         return normalized * self.gamma + self.beta
 
+    @property
+    def infers_in_place(self) -> bool:
+        return not self.training
+
+    def infer_(self, y: np.ndarray) -> np.ndarray:
+        self._check(y.shape)
+        y -= self.running_mean
+        y *= (self.running_var + self.eps) ** -0.5
+        y *= self.gamma.data
+        y += self.beta.data
+        return y
+
 
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
+
+    infers_in_place = True
+
+    def infer_(self, y: np.ndarray) -> np.ndarray:
+        return np.multiply(y, y > 0, out=y)
 
 
 class LeakyReLU(Module):
@@ -217,6 +270,18 @@ class LeakyReLU(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x.leaky_relu(self.negative_slope)
+
+    infers_in_place = True
+
+    def infer_(self, y: np.ndarray) -> np.ndarray:
+        # ``forward`` computes y * (1.0 if y > 0 else slope).  For
+        # 0 < slope <= 1 that is max(y, y * slope) bit for bit: rounding
+        # is monotone, so y * slope <= y above zero and >= y below it
+        # (and the max is a vectorised pass, unlike a masked multiply).
+        slope = self.negative_slope
+        if 0 < slope <= 1:
+            return np.maximum(y, y * slope, out=y)
+        return np.multiply(y, slope, out=y, where=~(y > 0))
 
 
 class Dropout(Module):
@@ -237,6 +302,13 @@ class Dropout(Module):
         keep = (self._rng.random(x.shape) >= self.p) / (1.0 - self.p)
         return x * Tensor(keep)
 
+    @property
+    def infers_in_place(self) -> bool:
+        return not self.training
+
+    def infer_(self, y: np.ndarray) -> np.ndarray:
+        return y
+
 
 class Sequential(Module):
     def __init__(self, *layers: Module) -> None:
@@ -246,7 +318,21 @@ class Sequential(Module):
             setattr(self, f"layer{i}", layer)
             self.layers.append(layer)
 
+    def runs_in_place(self) -> bool:
+        """True when :meth:`forward` takes the in-place path: grad mode
+        is off and no ``BatchNorm``/``Dropout`` layer is training."""
+        return not is_grad_enabled() and all(
+            layer.infers_in_place for layer in self.layers
+        )
+
     def forward(self, x: Tensor) -> Tensor:
+        if self.runs_in_place():
+            y = x.data
+            if not (self.layers and isinstance(self.layers[0], Linear)):
+                y = y.copy()  # only a Linear leaves its input as is
+            for layer in self.layers:
+                y = layer.infer_(y)
+            return Tensor(y)
         for layer in self.layers:
             x = layer(x)
         return x

@@ -42,7 +42,9 @@ from repro.nn.autograd import Tensor, concatenate
 from repro.nn.functional import (
     gather_points,
     group_points,
+    join_blocks,
     max_pool_neighbors,
+    query_blocks,
     relative_neighborhoods,
 )
 from repro.nn.layers import Dropout, Linear, Module, shared_mlp
@@ -245,12 +247,16 @@ class SetAbstraction(Module):
             # Sec. 5.4.2: row-sorting is a no-op for the max-pooled
             # aggregation but coalesces the gather's memory accesses.
             neighbor_idx = np.sort(neighbor_idx, axis=-1)
-        rel = relative_neighborhoods(xyz, sampled, neighbor_idx)
-        grouped = group_points(features, neighbor_idx)
-        grouped = concatenate([Tensor(rel), grouped], axis=3)
-        out = self.mlp(grouped)  # (B, n, k, C_out)
+        pooled_blocks = []
+        for rows in query_blocks(self.mlp, *neighbor_idx.shape):
+            block_idx = neighbor_idx[:, rows]
+            rel = relative_neighborhoods(xyz, sampled[:, rows], block_idx)
+            grouped = group_points(features, block_idx)
+            grouped = concatenate([Tensor(rel), grouped], axis=3)
+            out = self.mlp(grouped)  # (B, rows, k, C_out)
+            pooled_blocks.append(max_pool_neighbors(out))
         recorder.record_plan(plan)
-        pooled = max_pool_neighbors(out)
+        pooled = join_blocks(pooled_blocks)
         new_xyz = np.take_along_axis(xyz, sampled[:, :, None], axis=1)
         state = _LevelState(
             xyz=new_xyz,

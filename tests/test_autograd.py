@@ -59,6 +59,32 @@ class TestBasicOps:
     def test_sub_and_neg_grad(self, rng):
         check_op(lambda t: (1.0 - t - t).sum(), rng.normal(size=(5,)))
 
+    def test_sub_is_one_op_with_add_neg_bits(self, rng):
+        specials = np.array([0.0, -0.0, np.inf, -np.inf, 1.5, -2.0])
+        a = np.concatenate([specials, rng.normal(size=6)]).reshape(3, 4)
+        b = np.array([-0.0, 0.0, np.inf, 1.0])
+        pairs = [(a, b), (b, a), (a, a[:1]), (a, 0.0), (a, -0.0)]
+        with np.errstate(invalid="ignore"):  # inf - inf
+            results = [
+                (Tensor(x) - y, Tensor(x) + (-Tensor(y))) for x, y in pairs
+            ]
+            results.append((1.0 - Tensor(a), Tensor(1.0) + (-Tensor(a))))
+        for got, want in results:
+            # Bit-identical except for the sign of a NaN.
+            nan = np.isnan(want.data)
+            assert np.array_equal(np.isnan(got.data), nan)
+            assert got.data[~nan].tobytes() == want.data[~nan].tobytes()
+
+    def test_sub_broadcast_grad(self, rng):
+        row, full = rng.normal(size=4), rng.normal(size=(3, 4))
+        check_op(lambda t: ((t - row) ** 2).sum(), full.copy())
+        check_op(lambda t: ((full - t) ** 2).sum(), row.copy())
+        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        bias = Tensor(rng.normal(size=4), requires_grad=True)
+        (x - bias).sum().backward()
+        assert np.array_equal(x.grad, np.ones((3, 4)))
+        assert np.array_equal(bias.grad, np.full(4, -3.0))
+
     def test_div_grad(self, rng):
         x0 = rng.uniform(1.0, 2.0, size=(4,))
         check_op(lambda t: (3.0 / t).sum(), x0)

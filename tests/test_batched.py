@@ -10,7 +10,8 @@ Three invariants guard the batched layer:
    workspace budget (measured with ``tracemalloc``).
 3. **Goldens** — full model forwards reproduce outputs captured from
    the pre-batching per-cloud implementation
-   (``tests/data/model_forward_golden.npz``).
+   (``tests/data/model_forward_golden.npz``), in grad mode and on the
+   in-place, query-blocked inference path.
 """
 
 import tracemalloc
@@ -36,6 +37,8 @@ from repro.core.workspace import Workspace
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.voxel import VoxelGrid
 from repro.neighbors import ball_query, ball_query_batch, knn, knn_batch
+from repro.nn import functional
+from repro.nn.autograd import no_grad
 from repro.sampling.fps import (
     farthest_point_sample,
     farthest_point_sample_batch,
@@ -577,3 +580,25 @@ class TestModelForwardGoldens:
             assert np.array_equal(out, golden[key]), key
             checked += 1
         assert checked == len(golden.files) == 16
+
+    @pytest.mark.skipif(not GOLDEN.exists(), reason="golden npz missing")
+    @pytest.mark.parametrize("block_rows", [None, 16, 48])
+    def test_inference_path_matches_goldens(self, monkeypatch, block_rows):
+        """Under ``no_grad`` the shared MLPs run in place and SA /
+        EdgeConv run group -> MLP -> max-pool in query blocks.  At
+        B=4, k=4, 16 rows is one query per block and 48 is three, a
+        non-divisor of every level's 16 / 32 / 64 queries (ragged
+        tail).  ``tobytes`` also catches a ``-0.0`` / ``0.0`` flip."""
+        if block_rows is not None:
+            monkeypatch.setattr(
+                functional, "INFERENCE_BLOCK_ROWS", block_rows
+            )
+        golden = np.load(GOLDEN)
+        xyz = np.random.default_rng(42).normal(size=(4, 64, 3))
+        checked = 0
+        for key, model in self._models():
+            with no_grad():
+                out = model.eval()(xyz).data
+            assert out.tobytes() == golden[key].tobytes(), key
+            checked += 1
+        assert checked == 16

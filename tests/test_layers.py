@@ -4,12 +4,14 @@
 import numpy as np
 import pytest
 
-from repro.nn.autograd import Tensor
+from repro.nn import functional
+from repro.nn.autograd import Tensor, no_grad
 from repro.nn.functional import (
     edge_features,
     gather_points,
     group_points,
     max_pool_neighbors,
+    query_blocks,
     relative_neighborhoods,
 )
 from repro.nn.layers import (
@@ -191,6 +193,108 @@ class TestModuleInfrastructure:
             shared_mlp([4, 8], rng=rng, activation="gelu")
 
 
+def _trained_mlp(activation, rng):
+    """A shared MLP whose BN layers hold non-trivial running stats."""
+    mlp = shared_mlp([5, 8, 6], rng=rng, activation=activation)
+    for _ in range(3):
+        mlp(Tensor(rng.normal(1.0, 2.0, size=(4, 16, 5))))
+    for layer in mlp.layers:
+        if isinstance(layer, BatchNorm):
+            layer.gamma.data = rng.normal(size=layer.num_features)
+            layer.beta.data = rng.normal(size=layer.num_features)
+    return mlp.eval()
+
+
+class TestInPlaceInference:
+    """Path selection for ``Sequential``'s graph-free in-place path."""
+
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+    def test_matches_layer_chain_and_writes_nothing(self, rng, activation):
+        mlp = _trained_mlp(activation, rng)
+        x = Tensor(rng.normal(size=(2, 7, 4, 5)))
+        x.data[0, 0, 0] = [0.0, -0.0, 0.0, 1.0, -1.0]  # signed zeros
+        before = x.data.tobytes()
+        params = [p.data.tobytes() for p in mlp.parameters()]
+        stats = [
+            (layer.running_mean.tobytes(), layer.running_var.tobytes())
+            for layer in mlp.layers if isinstance(layer, BatchNorm)
+        ]
+        with no_grad():
+            assert mlp.runs_in_place()
+            got = mlp(x)
+            want = x
+            for layer in mlp.layers:
+                want = layer(want)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert x.data.tobytes() == before
+        assert [p.data.tobytes() for p in mlp.parameters()] == params
+        assert stats == [
+            (layer.running_mean.tobytes(), layer.running_var.tobytes())
+            for layer in mlp.layers if isinstance(layer, BatchNorm)
+        ]
+
+    @pytest.mark.parametrize("slope", [0.2, 1e-3, 1.0, 0.0, 1.5])
+    def test_leaky_relu_bits_on_specials(self, rng, slope):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        specials = [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, -3 * tiny]
+        x = np.concatenate([specials, rng.normal(size=64) * 1e3])
+        layer = LeakyReLU(slope)
+        with np.errstate(invalid="ignore"):  # -inf * 0 at slope 0
+            want = layer(Tensor(x)).data
+            got = layer.infer_(x.copy())
+        assert got.tobytes() == want.tobytes()
+
+    def test_non_linear_first_layer_copies_input(self, rng):
+        seq = Sequential(ReLU(), Linear(3, 2, rng=rng)).eval()
+        x = Tensor(rng.normal(size=(4, 3)))
+        before = x.data.tobytes()
+        with no_grad():
+            assert seq.runs_in_place()
+            got = seq(x)
+        assert x.data.tobytes() == before
+        assert got.data.tobytes() == seq(x).data.tobytes()
+
+    def test_grad_mode_records_the_graph(self, rng):
+        mlp = _trained_mlp("relu", rng)
+        assert not mlp.runs_in_place()
+        out = mlp(Tensor(rng.normal(size=(3, 5)), requires_grad=True))
+        assert out.requires_grad
+        assert len(query_blocks(mlp, 4, 1024, 16)) == 1
+
+    def test_train_mode_under_no_grad_uses_batch_stats(self, rng):
+        x = Tensor(rng.normal(3.0, 2.0, size=(4, 32, 5)))
+        mlps = [
+            shared_mlp([5, 8], rng=np.random.default_rng(1))
+            for _ in range(2)
+        ]
+        with no_grad():
+            assert not mlps[0].runs_in_place()
+            assert len(query_blocks(mlps[0], 4, 1024, 16)) == 1
+            got = mlps[0](x)
+        want = mlps[1](x)  # grad mode, same weights and input
+        assert got.data.tobytes() == want.data.tobytes()
+        bn_got, bn_want = mlps[0].layers[1], mlps[1].layers[1]
+        assert not np.array_equal(bn_got.running_mean, np.zeros(8))
+        assert bn_got.running_mean.tobytes() == bn_want.running_mean.tobytes()
+        assert bn_got.running_var.tobytes() == bn_want.running_var.tobytes()
+
+    def test_training_dropout_disables_the_path(self, rng):
+        seq = Sequential(Linear(3, 3, rng=rng), Dropout(0.5))
+        with no_grad():
+            assert not seq.runs_in_place()
+            seq.eval()
+            assert seq.runs_in_place()
+
+    def test_query_blocks_cover_the_axis(self, monkeypatch, rng):
+        monkeypatch.setattr(functional, "INFERENCE_BLOCK_ROWS", 40)
+        mlp = _trained_mlp("relu", rng)
+        with no_grad():
+            blocks = query_blocks(mlp, 2, 23, 4)  # 5 queries a block
+        assert [(b.start, b.stop) for b in blocks] == [
+            (0, 5), (5, 10), (10, 15), (15, 20), (20, 23)
+        ]
+
+
 class TestLosses:
     def test_log_softmax_normalizes(self, rng):
         logp = log_softmax(Tensor(rng.normal(size=(5, 7))))
@@ -364,6 +468,15 @@ class TestFunctional:
             out.data[0, 3, 0, 2:],
             feats.data[0, 1] - feats.data[0, 3],
         )
+
+    def test_edge_features_block_equals_slice(self, rng):
+        feats = Tensor(rng.normal(size=(2, 9, 3)))
+        idx = rng.integers(0, 9, size=(2, 9, 4))
+        full = edge_features(feats, idx).data
+        block = edge_features(feats, idx[:, 3:7], start=3).data
+        assert block.tobytes() == full[:, 3:7].tobytes()
+        with pytest.raises(ValueError):
+            edge_features(feats, idx[:, 3:7], start=6)
 
     def test_edge_features_self_edge_zero_diff(self, rng):
         feats = Tensor(rng.normal(size=(1, 4, 3)))

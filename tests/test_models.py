@@ -1,6 +1,8 @@
 """Tests for the PointNet++ and DGCNN models (repro.nn.pointnet2 /
 dgcnn) and the stage recorder."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.nn import (
     StageRecorder,
     cross_entropy,
 )
+from repro.nn import functional
 from repro.nn.recorder import (
     STAGE_FEATURE,
     STAGE_NEIGHBOR,
@@ -51,6 +54,50 @@ def tiny_dgcnn_cls(edgepc, num_classes=4, seed=0):
         edgepc=edgepc,
         rng=np.random.default_rng(seed),
     )
+
+
+GRAD_GOLDEN = Path(__file__).parent / "data" / "model_grad_golden.npz"
+
+
+def loss_gradients(build, mode):
+    """Loss and parameter gradients of one grad-mode forward/backward
+    on a fixed pair of 32-point clouds."""
+    model = getattr(build(EdgePCConfig.paper_default()), mode)()
+    rng = np.random.default_rng(7)
+    logits = model(rng.normal(size=(2, 32, 3)))
+    loss = cross_entropy(
+        logits, rng.integers(0, logits.shape[-1], logits.shape[:-1])
+    )
+    loss.backward()
+    grads = {"loss": loss.data}
+    grads.update((name, p.grad) for name, p in model.named_parameters())
+    return grads
+
+
+class TestGradientGoldens:
+    """Backward through SA / EdgeConv (and BN batch statistics) equals
+    the gradients captured before inference blocking existed
+    (``tests/data/model_grad_golden.npz``).  Grad mode runs one query
+    block whatever the block budget, so a tiny budget changes nothing."""
+
+    @pytest.mark.parametrize("block_rows", [None, 16])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "tag, build", [("pn2seg", tiny_pn2), ("dgcnncls", tiny_dgcnn_cls)]
+    )
+    def test_gradients_match_golden(
+        self, monkeypatch, tag, build, mode, block_rows
+    ):
+        if block_rows is not None:
+            monkeypatch.setattr(
+                functional, "INFERENCE_BLOCK_ROWS", block_rows
+            )
+        golden = np.load(GRAD_GOLDEN)
+        grads = loss_gradients(build, mode)
+        prefix = f"{tag}_{mode}/"
+        assert len(grads) == sum(k.startswith(prefix) for k in golden)
+        for name, grad in grads.items():
+            assert grad.tobytes() == golden[prefix + name].tobytes(), name
 
 
 class TestRecorder:
