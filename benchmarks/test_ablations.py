@@ -15,7 +15,11 @@ points with the same machinery:
 import numpy as np
 from conftest import print_header
 
-from repro.core import EdgePCConfig, MortonNeighborSearch, structurize
+from repro.core import (
+    EdgePCConfig,
+    MortonNeighborSearch,
+    structurize_batch,
+)
 from repro.datasets import ScanNetLike
 from repro.neighbors import false_neighbor_ratio, knn
 from repro.nn.recorder import STAGE_SAMPLE, StageEvent
@@ -28,15 +32,16 @@ def test_ablation_window_rerank(benchmark, rng):
     cloud = ScanNetLike(num_clouds=1, points_per_cloud=2048, seed=0)[
         0
     ].xyz
-    order = structurize(cloud)
+    batch = cloud[None]
+    order = structurize_batch(batch)
     queries = rng.choice(2048, 512, replace=False)
     exact = knn(cloud[queries], cloud, 16)
 
     pure = MortonNeighborSearch(16, 16)
     rerank = MortonNeighborSearch(16, 32)
-    approx_pure = pure.search(cloud, queries, order)
+    approx_pure = pure.search_batch(batch, queries, order)[0]
     approx_rerank = benchmark(
-        lambda: rerank.search(cloud, queries, order)
+        lambda: rerank.search_batch(batch, queries, order)[0]
     )
 
     fnr_pure = false_neighbor_ratio(approx_pure, exact)
@@ -193,19 +198,20 @@ def test_ablation_curve_choice(benchmark, rng):
     exact = knn(cloud[queries], cloud, k)
     searcher = MortonNeighborSearch(k, 2 * k)
 
-    morton_order = benchmark(lambda: structurize(cloud))
+    batch = cloud[None]
+    morton_order = benchmark(lambda: structurize_batch(batch))
     start = time.perf_counter()
     hilbert_order = hilbert_structurize(cloud)
     hilbert_s = time.perf_counter() - start
     start = time.perf_counter()
-    structurize(cloud)
+    structurize_batch(batch)
     morton_s = time.perf_counter() - start
 
     fnr_m = false_neighbor_ratio(
-        searcher.search(cloud, queries, morton_order), exact
+        searcher.search_batch(batch, queries, morton_order)[0], exact
     )
     fnr_h = false_neighbor_ratio(
-        searcher.search(cloud, queries, hilbert_order), exact
+        searcher.search_batch(batch, queries, hilbert_order)[0], exact
     )
 
     print_header("Ablation: space-filling curve choice (k=16, W=2k)")

@@ -1,35 +1,19 @@
 """Benchmarks for the extension features beyond the paper's figures.
 
-1. Radix sort kernel vs NumPy's comparison sort on Morton codes;
-2. streaming order maintenance vs from-scratch re-sorts over a frame
+1. streaming order maintenance vs from-scratch re-sorts over a frame
    sequence;
-3. the cost of the (1+eps) guarantee: ranks scanned by the guaranteed
+2. the cost of the (1+eps) guarantee: ranks scanned by the guaranteed
    Z-order search vs EdgePC's fixed window.
 """
 
 import numpy as np
 from conftest import print_header
 
-from repro.core import MortonNeighborSearch, radix_argsort, structurize
+from repro.core import MortonNeighborSearch, structurize_batch
 from repro.core.streaming import StreamingMortonOrder
 from repro.datasets import ScanNetLike
 from repro.geometry import BoundingBox
 from repro.neighbors import ZOrderApproxNN, false_neighbor_ratio, knn
-
-
-def test_radix_sort_on_codes(benchmark, rng):
-    cloud = ScanNetLike(num_clouds=1, points_per_cloud=8192, seed=0)[
-        0
-    ].xyz
-    codes = structurize(cloud).codes
-
-    order = benchmark(lambda: radix_argsort(codes))
-
-    print_header("Extension: radix argsort on 8192 Morton codes")
-    reference = np.argsort(codes, kind="stable")
-    match = np.array_equal(order, reference)
-    print(f"matches numpy stable argsort: {match}")
-    assert match
 
 
 def test_streaming_maintenance(benchmark):
@@ -65,13 +49,13 @@ def test_guarantee_cost(benchmark, rng):
     cloud = ScanNetLike(num_clouds=1, points_per_cloud=2048, seed=0)[
         0
     ].xyz
-    order = structurize(cloud)
+    order = structurize_batch(cloud[None])
     queries_idx = rng.choice(2048, 32, replace=False)
     k = 16
 
     window = MortonNeighborSearch(k, 2 * k)
     approx = benchmark(
-        lambda: window.search(cloud, queries_idx, order)
+        lambda: window.search_batch(cloud[None], queries_idx, order)[0]
     )
 
     guaranteed = ZOrderApproxNN(cloud, eps=0.5, order=order)

@@ -10,7 +10,11 @@ module to approximate.
 import numpy as np
 from conftest import print_header
 
-from repro.core import EdgePCConfig, MortonNeighborSearch, structurize
+from repro.core import (
+    EdgePCConfig,
+    MortonNeighborSearch,
+    structurize_batch,
+)
 from repro.datasets import ScanNetLike
 from repro.neighbors import (
     false_neighbor_ratio,
@@ -41,10 +45,10 @@ def test_fig11_per_module_tradeoff(benchmark, rng):
     for module, points in enumerate(level_points):
         n = len(points)
         queries = np.arange(min(n, 256))
-        order = structurize(points)
+        order = structurize_batch(points[None])
         window = min(n, config.window_for(K))
         searcher = MortonNeighborSearch(K, window)
-        approx = searcher.search(points, queries, order)
+        approx = searcher.search_batch(points[None], queries, order)[0]
         exact = knn(points[queries], points, K)
         fnr = false_neighbor_ratio(approx, exact)
         speedup = pairwise_operation_count(
@@ -52,11 +56,12 @@ def test_fig11_per_module_tradeoff(benchmark, rng):
         ) / searcher.operation_count(len(queries))
         rows.append((module, n, speedup, fnr))
 
-    big_order = structurize(level_points[0])
+    big = level_points[0][None]
+    big_order = structurize_batch(big)
     benchmark(
         lambda: MortonNeighborSearch(
             K, config.window_for(K)
-        ).search(level_points[0], np.arange(256), big_order)
+        ).search_batch(big, np.arange(256), big_order)
     )
 
     print_header(

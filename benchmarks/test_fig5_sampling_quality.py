@@ -38,7 +38,7 @@ def test_fig5_sampling_quality(benchmark):
     raw_idx = uniform_sample(cloud, NUM_SAMPLES)
     sampler = MortonSampler()
     morton_idx = benchmark(
-        lambda: sampler.sample(cloud, NUM_SAMPLES).indices
+        lambda: sampler.sample_batch(cloud[None], NUM_SAMPLES).indices[0]
     )
 
     rows = {

@@ -9,7 +9,7 @@ enlargement.
 import numpy as np
 from conftest import print_header
 
-from repro.core import MortonNeighborSearch, structurize
+from repro.core import MortonNeighborSearch, structurize_batch
 from repro.datasets import (
     KITTILike,
     ModelNetLike,
@@ -50,9 +50,9 @@ def test_fig6_false_neighbor_ratio(benchmark, rng):
 
     results = {}
     for name, cloud in clouds.items():
-        order = structurize(cloud)
+        order = structurize_batch(cloud[None])
         queries = rng.choice(len(cloud), NUM_QUERIES, replace=False)
-        approx = searcher.search(cloud, queries, order)
+        approx = searcher.search_batch(cloud[None], queries, order)[0]
         exact_knn = knn(cloud[queries], cloud, K)
         # Radius sized so the ball holds about k points, which makes
         # the scan-order ball query comparable to kNN ground truth.
@@ -70,8 +70,10 @@ def test_fig6_false_neighbor_ratio(benchmark, rng):
 
     # Benchmark the approximate searcher on the largest cloud.
     big = clouds["ScanNet"]
-    order = structurize(big)
-    benchmark(lambda: searcher.search(big, np.arange(1024), order))
+    order = structurize_batch(big[None])
+    benchmark(
+        lambda: searcher.search_batch(big[None], np.arange(1024), order)
+    )
 
     print_header(
         "Fig. 6: false neighbor ratio at W = k "
@@ -94,14 +96,14 @@ def test_fig6_false_neighbor_ratio(benchmark, rng):
     # Enlarging the window must cut FNR further (leads into Fig. 15a).
     wide = MortonNeighborSearch(K, 8 * K)
     cloud = clouds["ModelNet40"]
-    order = structurize(cloud)
+    order = structurize_batch(cloud[None])
     queries = np.arange(NUM_QUERIES)
     fnr_narrow = false_neighbor_ratio(
-        searcher.search(cloud, queries, order),
+        searcher.search_batch(cloud[None], queries, order)[0],
         knn(cloud[queries], cloud, K),
     )
     fnr_wide = false_neighbor_ratio(
-        wide.search(cloud, queries, order),
+        wide.search_batch(cloud[None], queries, order)[0],
         knn(cloud[queries], cloud, K),
     )
     assert fnr_wide < fnr_narrow

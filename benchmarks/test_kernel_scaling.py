@@ -13,7 +13,11 @@ import time
 import numpy as np
 from conftest import print_header
 
-from repro.core import MortonNeighborSearch, MortonSampler, structurize
+from repro.core import (
+    MortonNeighborSearch,
+    MortonSampler,
+    structurize_batch,
+)
 from repro.neighbors import knn
 from repro.sampling import farthest_point_sample
 
@@ -29,26 +33,29 @@ def _time(fn, repeats=3):
     return best
 
 
-def _clouds():
+def _batches():
+    """One random cloud per size, as a ``B=1`` batch."""
     rng = np.random.default_rng(7)
-    return {n: rng.random((n, 3)) for n in SIZES}
+    return {n: rng.random((n, 3))[None] for n in SIZES}
 
 
 def test_scaling_fps_vs_morton(benchmark):
-    clouds = _clouds()
+    batches = _batches()
     sampler = MortonSampler()
-    benchmark(lambda: sampler.sample(clouds[4000], 500))
+    benchmark(lambda: sampler.sample_batch(batches[4000], 500))
 
     fps_times = {
         n: _time(
-            lambda c=clouds[n], m=n // 8: farthest_point_sample(
+            lambda c=batches[n][0], m=n // 8: farthest_point_sample(
                 c, m, start_index=0
             )
         )
         for n in SIZES
     }
     morton_times = {
-        n: _time(lambda c=clouds[n], m=n // 8: sampler.sample(c, m))
+        n: _time(
+            lambda c=batches[n], m=n // 8: sampler.sample_batch(c, m)
+        )
         for n in SIZES
     }
 
@@ -72,20 +79,20 @@ def test_scaling_fps_vs_morton(benchmark):
 
 
 def test_scaling_knn_vs_window(benchmark):
-    clouds = _clouds()
+    batches = _batches()
     searcher = MortonNeighborSearch(16, 32)
-    orders = {n: structurize(c) for n, c in clouds.items()}
+    orders = {n: structurize_batch(b) for n, b in batches.items()}
     benchmark(
-        lambda: searcher.search(clouds[4000], order=orders[4000])
+        lambda: searcher.search_batch(batches[4000], order=orders[4000])
     )
 
     knn_times = {
-        n: _time(lambda c=clouds[n]: knn(c, c, 16)) for n in SIZES
+        n: _time(lambda c=batches[n][0]: knn(c, c, 16)) for n in SIZES
     }
     window_times = {
         n: _time(
-            lambda c=clouds[n], o=orders[n]: searcher.search(
-                c, order=o
+            lambda b=batches[n], o=orders[n]: searcher.search_batch(
+                b, order=o
             )
         )
         for n in SIZES

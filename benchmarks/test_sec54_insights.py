@@ -20,7 +20,7 @@ from repro.analysis import (
     merge_analysis,
     merge_split_error,
 )
-from repro.core import structurize
+from repro.core import structurize_batch
 from repro.datasets import ScanNetLike
 from repro.runtime import xavier
 
@@ -66,8 +66,8 @@ def test_sec541_tensor_core_merge(benchmark):
     cloud = ScanNetLike(num_clouds=1, points_per_cloud=1024, seed=0)[
         0
     ].xyz
-    order = structurize(cloud)
-    smooth_features = order.sorted_points(cloud)  # xyz as features
+    order = structurize_batch(cloud[None])
+    smooth_features = order.sorted_points(cloud[None])[0]  # xyz features
     weight = np.random.default_rng(0).normal(size=(3, 8))
     sorted_err = merge_split_error(smooth_features, weight, 4)
     shuffled = smooth_features[

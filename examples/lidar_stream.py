@@ -84,11 +84,12 @@ def main() -> None:
     )
 
     for i, frame in enumerate(frames):
-        result = sampler.sample(frame.xyz, SAMPLES_PER_FRAME)
-        neighbors = searcher.search(
-            frame.xyz, result.indices, result.order
-        )
-        spread = frame.xyz[result.indices].std(axis=0)
+        batch = frame.xyz[None]
+        result = sampler.sample_batch(batch, SAMPLES_PER_FRAME)
+        neighbors = searcher.search_batch(
+            batch, result.indices, result.order
+        )[0]
+        spread = frame.xyz[result.indices[0]].std(axis=0)
         print(
             f"frame {i}: sampled {len(result)} pts "
             f"(spread {spread[0]:.2f}/{spread[1]:.2f}/{spread[2]:.2f}),"

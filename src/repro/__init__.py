@@ -11,7 +11,7 @@ from repro.core import (
     MortonNeighborSearch,
     MortonSampler,
     MortonUpsampler,
-    structurize,
+    structurize_batch,
 )
 from repro.nn import (
     DGCNNClassifier,
@@ -42,7 +42,7 @@ from repro.workloads import WorkloadSpec, standard_workloads, trace
 __version__ = "1.0.0"
 
 __all__ = [
-    "structurize",
+    "structurize_batch",
     "MortonSampler",
     "MortonUpsampler",
     "MortonNeighborSearch",

@@ -6,7 +6,6 @@ from repro.baselines.comparison import (
     table2_rows,
     unique_full_marks,
 )
-from repro.baselines.crescent import SplitKDTree, verify_against_full_tree
 from repro.baselines.mesorasi import (
     DelayedAggregationResult,
     apply_delayed_aggregation,
@@ -23,8 +22,6 @@ __all__ = [
     "DelayedAggregationResult",
     "MappingUnitModel",
     "pointnet2_mapping_unit",
-    "SplitKDTree",
-    "verify_against_full_tree",
     "PriorWorkRow",
     "table2_rows",
     "as_table",

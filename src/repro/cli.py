@@ -363,7 +363,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 cloud.xyz, n, start_index=0
             )
         elif args.method == "morton":
-            indices = MortonSampler().sample(cloud.xyz, n).indices
+            indices = MortonSampler().sample_batch(
+                cloud.xyz[None], n
+            ).indices[0]
             if args.guard:
                 from repro.sampling.quality import density_uniformity
 

@@ -8,16 +8,12 @@ from repro.core.pipeline import EdgePCConfig
 from repro.core.reuse import NeighborCache, NeighborReusePolicy
 from repro.core.sampler import (
     BatchedSampleResult,
-    MortonSampleResult,
     MortonSampler,
     MortonUpsampler,
 )
-from repro.core.sort import radix_argsort, radix_sort
 from repro.core.streaming import StreamingMortonOrder
 from repro.core.structurize import (
     BatchedMortonOrder,
-    MortonOrder,
-    structurize,
     structurize_batch,
     structuredness,
 )
@@ -29,21 +25,16 @@ __all__ = [
     "Workspace",
     "encode",
     "decode",
-    "structurize",
     "structurize_batch",
     "BatchedMortonOrder",
     "BatchedSampleResult",
     "structuredness",
-    "MortonOrder",
     "MortonSampler",
-    "MortonSampleResult",
     "MortonUpsampler",
     "MortonNeighborSearch",
     "NeighborReusePolicy",
     "NeighborCache",
     "EdgePCConfig",
-    "radix_argsort",
-    "radix_sort",
     "StreamingMortonOrder",
     "hilbert_encode",
     "hilbert_structurize",

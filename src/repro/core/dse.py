@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core import morton
 from repro.core.neighbor import MortonNeighborSearch
-from repro.core.structurize import structurize
+from repro.core.structurize import structurize_batch
 from repro.neighbors.brute import knn, pairwise_operation_count
 from repro.neighbors.metrics import false_neighbor_ratio
 
@@ -65,7 +65,8 @@ def explore_window_sizes(
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    order = structurize(points, code_bits)
+    batch = points[None]
+    order = structurize_batch(batch, code_bits)
     if query_indices is None:
         query_indices = np.arange(n)
     query_indices = np.asarray(query_indices)
@@ -74,7 +75,7 @@ def explore_window_sizes(
     for multiplier in multipliers:
         window = min(n, max(k, int(round(multiplier * k))))
         searcher = MortonNeighborSearch(k, window, code_bits)
-        approx = searcher.search(points, query_indices, order)
+        approx = searcher.search_batch(batch, query_indices, order)[0]
         fnr = false_neighbor_ratio(approx, exact)
         brute_ops = pairwise_operation_count(query_indices.shape[0], n)
         approx_ops = searcher.operation_count(query_indices.shape[0])
@@ -108,11 +109,12 @@ def explore_code_bits(
     query_indices = np.asarray(query_indices)
     exact = knn(points[query_indices], points, k)
     window = min(n, window_multiplier * k)
+    batch = points[None]
     results = []
     for code_bits in code_bits_options:
-        order = structurize(points, code_bits)
+        order = structurize_batch(batch, code_bits)
         searcher = MortonNeighborSearch(k, window, code_bits)
-        approx = searcher.search(points, query_indices, order)
+        approx = searcher.search_batch(batch, query_indices, order)[0]
         results.append(
             CodeBitsDesignPoint(
                 code_bits=code_bits,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import morton
-from repro.core.structurize import MortonOrder
+from repro.core.structurize import BatchedMortonOrder
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.voxel import VoxelGrid
 
@@ -94,12 +94,12 @@ def hilbert_structurize(
     points: np.ndarray,
     code_bits: int = morton.DEFAULT_CODE_BITS,
     bounding_box=None,
-) -> MortonOrder:
+) -> BatchedMortonOrder:
     """Structurize a cloud along the Hilbert curve.
 
-    Returns a :class:`MortonOrder` (the container is curve-agnostic:
-    codes + permutation + grid), so every downstream consumer —
-    samplers, window searchers — works unchanged.
+    Returns a ``B=1`` :class:`BatchedMortonOrder` (the container is
+    curve-agnostic: codes + permutation + grid), so every downstream
+    consumer — samplers, window searchers — works unchanged.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
@@ -115,10 +115,12 @@ def hilbert_structurize(
     permutation = np.argsort(codes, kind="stable")
     ranks = np.empty_like(permutation)
     ranks[permutation] = np.arange(len(permutation))
-    return MortonOrder(
-        codes=codes,
-        permutation=permutation,
-        ranks=ranks,
-        grid=grid,
+    return BatchedMortonOrder(
+        codes=codes[None],
+        permutation=permutation[None],
+        ranks=ranks[None],
+        origins=grid.origin[None],
+        cell_sizes=np.array([grid.cell_size]),
+        cells_per_axis=grid.cells_per_axis,
         code_bits=code_bits,
     )

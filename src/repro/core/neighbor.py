@@ -18,7 +18,6 @@ import numpy as np
 from repro.core import morton
 from repro.core.structurize import (
     BatchedMortonOrder,
-    MortonOrder,
     _per_cloud,
     structurize_batch,
 )
@@ -79,36 +78,6 @@ class MortonNeighborSearch:
         self.window = window
         self.code_bits = code_bits
         self.workspace = workspace or Workspace()
-
-    def search(
-        self,
-        points: np.ndarray,
-        query_indices: Optional[np.ndarray] = None,
-        order: Optional[MortonOrder] = None,
-    ) -> np.ndarray:
-        """Neighbors for queries given by *original index*: the ``B=1``
-        view of :meth:`search_batch`.
-
-        Args:
-            points: ``(N, 3)`` cloud.
-            query_indices: ``(Q,)`` original indices to query; all
-                points when omitted.
-            order: precomputed Morton order to reuse (Sec. 5.2.3 —
-                "simply reuse the Morton code ... without any extra
-                overhead"); structurized from scratch when omitted.
-
-        Returns:
-            ``(Q, k)`` int64 original-point indices.
-        """
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValueError(f"expected (N, 3) points, got {points.shape}")
-        batched = None
-        if order is not None:
-            batched = BatchedMortonOrder.from_single(order)
-        return self.search_batch(points[None], query_indices, batched)[0]
-
-    # Batched kernels (one NumPy dispatch for the whole batch) ----------
 
     def search_ranks_batch(
         self,
@@ -205,8 +174,10 @@ class MortonNeighborSearch:
             query_indices: ``(B, Q)`` (or shared ``(Q,)``) original
                 indices to query, each in ``[0, N)``; all points when
                 omitted.
-            order: precomputed :class:`BatchedMortonOrder` to reuse;
-                structurized from scratch when omitted.
+            order: precomputed :class:`BatchedMortonOrder` to reuse
+                (Sec. 5.2.3 — "simply reuse the Morton code ... without
+                any extra overhead"); structurized from scratch when
+                omitted.
 
         Returns:
             ``(B, Q, k)`` int64 original-point indices.

@@ -17,11 +17,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core import morton
-from repro.core.structurize import (
-    BatchedMortonOrder,
-    MortonOrder,
-    structurize_batch,
-)
+from repro.core.structurize import BatchedMortonOrder, structurize_batch
 from repro.geometry.bbox import BoundingBox
 from repro.robustness.validate import ensure_finite
 from repro.sampling.uniform import uniform_stride_indices
@@ -38,25 +34,6 @@ NUM_ANCHORS = 3
 #: The fine points are scanned ``EXACT_BLOCK_BYTES // (8·B·n)`` rows at
 #: a time so each block stays cache-resident (32 rows at B=1, n=2048).
 EXACT_BLOCK_BYTES = 1 << 19
-
-
-@dataclass(frozen=True)
-class MortonSampleResult:
-    """Output of the Morton sampler.
-
-    Attributes:
-        indices: ``(n,)`` original-point indices of the samples.
-        order: the :class:`MortonOrder` built (reusable by the neighbor
-            searcher on the same layer at zero extra cost, Sec. 5.2.3).
-        sampled_ranks: ``(n,)`` sorted-order ranks that were picked.
-    """
-
-    indices: np.ndarray
-    order: MortonOrder
-    sampled_ranks: np.ndarray
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
 
 
 @dataclass(frozen=True)
@@ -77,21 +54,12 @@ class BatchedSampleResult:
     sampled_ranks: np.ndarray
 
     def __len__(self) -> int:
-        """Samples per cloud (matches ``len(MortonSampleResult)``)."""
+        """Samples per cloud."""
         return self.indices.shape[1]
 
     @property
     def num_clouds(self) -> int:
         return self.indices.shape[0]
-
-    def cloud(self, b: int) -> MortonSampleResult:
-        """Per-cloud :class:`MortonSampleResult` view of batch row
-        ``b``."""
-        return MortonSampleResult(
-            indices=self.indices[b],
-            order=self.order.cloud(b),
-            sampled_ranks=self.sampled_ranks,
-        )
 
 
 class MortonSampler:
@@ -112,26 +80,6 @@ class MortonSampler:
         self.code_bits = code_bits
         self.bounding_box = bounding_box
 
-    def sample(
-        self,
-        points: np.ndarray,
-        num_samples: int,
-        order: Optional[MortonOrder] = None,
-    ) -> MortonSampleResult:
-        """Sample ``num_samples`` of ``(N, 3)`` points (Algorithm 1).
-
-        The ``B=1`` view of :meth:`sample_batch`.  Pass a precomputed
-        ``order`` to skip code generation + sort when the cloud was
-        already structurized (e.g. by an earlier layer).
-        """
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValueError(f"expected (N, 3) points, got {points.shape}")
-        batched = None
-        if order is not None:
-            batched = BatchedMortonOrder.from_single(order)
-        return self.sample_batch(points[None], num_samples, batched).cloud(0)
-
     def sample_batch(
         self,
         points: np.ndarray,
@@ -141,16 +89,22 @@ class MortonSampler:
         """Algorithm 1 over a whole ``(B, N, 3)`` batch at once: one
         encode, one sort, one stride pick.
 
-        Pass a precomputed ``order`` to skip code generation + sort.
+        Pass a precomputed ``order`` to skip code generation + sort
+        when the clouds were already structurized (e.g. by an earlier
+        layer).  A single ``(N, 3)`` cloud is the batch
+        ``points[None]``.
         """
         points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 3 or points.shape[2] != 3:
+            raise ValueError(
+                f"expected (B, N, 3) points, got {points.shape}"
+            )
         if order is None:
             order = structurize_batch(
                 points, self.code_bits, self.bounding_box
             )
         elif (
-            points.ndim != 3
-            or order.num_clouds != points.shape[0]
+            order.num_clouds != points.shape[0]
             or len(order) != points.shape[1]
         ):
             raise ValueError("Morton order does not match the point count")

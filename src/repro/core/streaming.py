@@ -21,7 +21,6 @@ import numpy as np
 from typing import Optional
 
 from repro.core import morton
-from repro.core.structurize import MortonOrder
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.voxel import VoxelGrid
 from repro.observability.metrics import MetricsRegistry
@@ -52,8 +51,7 @@ class StreamingMortonOrder:
             are kept as ``streaming_*`` counters and gauges.
 
     The object stores points in sorted order internally;
-    :attr:`points` exposes them, and :meth:`as_order` materializes a
-    standard :class:`MortonOrder` view for the samplers/searchers.
+    :attr:`points` and :attr:`codes` expose them.
     """
 
     def __init__(
@@ -192,24 +190,6 @@ class StreamingMortonOrder:
             )
             self._update_gauges()
         return removed
-
-    def as_order(self) -> MortonOrder:
-        """A standard :class:`MortonOrder` over the current points.
-
-        The internal storage *is* sorted, so the permutation is the
-        identity — downstream samplers/searchers work unmodified.
-        """
-        n = len(self)
-        if n == 0:
-            raise ValueError("stream holds no points")
-        identity = np.arange(n, dtype=np.int64)
-        return MortonOrder(
-            codes=self._codes.copy(),
-            permutation=identity,
-            ranks=identity.copy(),
-            grid=self.grid,
-            code_bits=self.code_bits,
-        )
 
     def scratch_resort_ops(self) -> int:
         """Element ops a from-scratch re-sort of the current set would

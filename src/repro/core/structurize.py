@@ -1,23 +1,21 @@
 """Structurizing point clouds: Morton ordering (paper Sec. 4.1).
 
-The :class:`MortonOrder` object captures everything downstream consumers
-need from the structurization step:
+The :class:`BatchedMortonOrder` object captures everything downstream
+consumers need from the structurization step, per cloud of a batch:
 
 - the Morton ``codes`` of the points (in original order),
 - the ``permutation`` ``I' = [i_0, ..., i_{N-1}]`` mapping sorted rank to
   original index (``i_0`` has the minimum code),
 - the inverse ``ranks`` mapping original index to sorted rank,
-- the :class:`~repro.geometry.voxel.VoxelGrid` used for quantization.
+- the voxel grid (``origins``, ``cell_sizes``, ``cells_per_axis``) used
+  for quantization.
 
 EdgePC's sampler and neighbor searcher then operate purely on ranks:
 index arithmetic on the sorted order replaces geometric search.
 
 :func:`structurize_batch` is the one implementation: it orders a whole
-``(B, N, 3)`` batch in single NumPy dispatches (one encode, one sort),
-and its :class:`BatchedMortonOrder` stacks the per-cloud arrays.
-:func:`structurize` is its ``B=1`` view, and
-:meth:`BatchedMortonOrder.cloud` / :meth:`BatchedMortonOrder.from_single`
-bridge between the two order types for per-cloud callers.
+``(B, N, 3)`` batch in single NumPy dispatches (one encode, one sort).
+A single ``(N, 3)`` cloud is the ``B=1`` batch ``points[None]``.
 """
 
 from __future__ import annotations
@@ -33,58 +31,11 @@ from repro.geometry.voxel import VoxelGrid
 
 
 @dataclass(frozen=True)
-class MortonOrder:
-    """The result of structurizing a point cloud with Morton codes."""
-
-    codes: np.ndarray
-    permutation: np.ndarray
-    ranks: np.ndarray
-    grid: VoxelGrid
-    code_bits: int
-
-    def __post_init__(self) -> None:
-        if (
-            self.codes.shape != self.permutation.shape
-            or self.codes.shape != self.ranks.shape
-        ):
-            raise ValueError("codes/permutation/ranks must align")
-
-    def __len__(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def sorted_codes(self) -> np.ndarray:
-        """``(N,)`` int64 codes in ascending order (the 'structured'
-        view)."""
-        return self.codes[self.permutation]
-
-    def sorted_points(self, points: np.ndarray) -> np.ndarray:
-        """View the original ``(N, ...)`` point array in Morton order,
-        dtype preserved."""
-        return np.asarray(points)[self.permutation]
-
-    def rank_of(self, original_indices: np.ndarray) -> np.ndarray:
-        """``(Q,)`` int64 sorted rank of each original point index."""
-        return self.ranks[np.asarray(original_indices)]
-
-    def original_index_of(self, sorted_ranks: np.ndarray) -> np.ndarray:
-        """``(Q,)`` int64 original index of each sorted rank
-        (``I'`` lookup)."""
-        return self.permutation[np.asarray(sorted_ranks)]
-
-    @property
-    def memory_overhead_bytes(self) -> float:
-        """Extra storage for the codes: ``N * a / 8`` B (Sec. 5.1.3)."""
-        return morton.code_memory_bytes(len(self), self.code_bits)
-
-
-@dataclass(frozen=True)
 class BatchedMortonOrder:
     """Morton orders of a whole batch, stored as stacked arrays.
 
-    The batched twin of :class:`~repro.core.structurize.MortonOrder`:
-    row ``b`` of every array is exactly what ``structurize(points[b])``
-    would produce for the same grid.
+    Row ``b`` of every array is exactly what
+    ``structurize_batch(points[b:b + 1])`` produces for the same grid.
 
     Attributes:
         codes: ``(B, N)`` int64 Morton codes in original point order.
@@ -122,42 +73,8 @@ class BatchedMortonOrder:
         return self.codes.shape[0]
 
     def __len__(self) -> int:
-        """Points per cloud (matches ``len(MortonOrder)``)."""
+        """Points per cloud."""
         return self.codes.shape[1]
-
-    def cloud(self, b: int) -> MortonOrder:
-        """The per-cloud :class:`MortonOrder` view of batch row ``b``
-        (compatibility bridge for per-cloud call sites)."""
-        grid = VoxelGrid(
-            origin=self.origins[b],
-            cell_size=float(self.cell_sizes[b]),
-            cells_per_axis=self.cells_per_axis,
-        )
-        return MortonOrder(
-            codes=self.codes[b],
-            permutation=self.permutation[b],
-            ranks=self.ranks[b],
-            grid=grid,
-            code_bits=self.code_bits,
-        )
-
-    @classmethod
-    def from_single(cls, order: MortonOrder) -> "BatchedMortonOrder":
-        """Lift one per-cloud :class:`MortonOrder` to a ``B=1`` batch —
-        the bridge per-cloud wrappers use to reach the batched kernels."""
-        return cls(
-            codes=order.codes[None],
-            permutation=order.permutation[None],
-            ranks=order.ranks[None],
-            origins=np.asarray(
-                order.grid.origin, dtype=np.float64
-            )[None],
-            cell_sizes=np.array(
-                [order.grid.cell_size], dtype=np.float64
-            ),
-            cells_per_axis=order.grid.cells_per_axis,
-            code_bits=order.code_bits,
-        )
 
     def sorted_points(self, points: np.ndarray) -> np.ndarray:
         """View ``(B, N, C)`` per-cloud data in Morton order; shape and
@@ -270,36 +187,11 @@ def structurize_batch(
     )
 
 
-def structurize(
-    points: np.ndarray,
-    code_bits: int = morton.DEFAULT_CODE_BITS,
-    bounding_box: Optional[BoundingBox] = None,
-) -> MortonOrder:
-    """Compute the Morton order of ``(N, 3)`` points.
-
-    The ``B=1`` view of :func:`structurize_batch`, so the per-cloud and
-    batched paths are identical by construction.
-
-    Args:
-        points: ``(N, 3)`` coordinates.
-        code_bits: total Morton code width ``a``; each axis gets
-            ``floor(a / 3)`` bits.  The paper's default is 32.
-        bounding_box: the quantization domain.  Defaults to the tight box
-            of the points; pass an explicit box to share a grid across
-            frames (e.g. streaming LiDAR).
-
-    Returns:
-        A :class:`MortonOrder` carrying codes, the rank permutation, its
-        inverse, and the voxel grid used.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) points, got {points.shape}")
-    return structurize_batch(points[None], code_bits, bounding_box).cloud(0)
-
-
-def structuredness(order: MortonOrder, points: np.ndarray) -> float:
-    """A scalar measure of how 'structured' the ordering left the cloud.
+def structuredness(
+    order: BatchedMortonOrder, points: np.ndarray
+) -> float:
+    """A scalar measure of how 'structured' a ``B=1`` order left the
+    ``(N, 3)`` cloud.
 
     Defined as the mean distance between consecutive points in the given
     order, normalized by the same statistic for a random order.  A value
@@ -308,9 +200,11 @@ def structuredness(order: MortonOrder, points: np.ndarray) -> float:
     (Used by the quantitative analysis mirroring paper Sec. 4.3.)
     """
     points = np.asarray(points, dtype=np.float64)
+    if order.num_clouds != 1:
+        raise ValueError("structuredness takes a B=1 order")
     if len(points) < 3:
         return 1.0
-    ordered = order.sorted_points(points)
+    ordered = points[order.permutation[0]]
     sorted_gap = np.linalg.norm(np.diff(ordered, axis=0), axis=1).mean()
     rng = np.random.default_rng(0)
     shuffled = points[rng.permutation(len(points))]

@@ -13,7 +13,6 @@ from repro.neighbors.grid import (
     canonical_top_k,
     suggest_cell_size,
 )
-from repro.neighbors.kdtree import KDTree
 from repro.neighbors.zorder_ann import ZOrderApproxNN
 from repro.neighbors.metrics import (
     false_neighbor_ratio,
@@ -32,7 +31,6 @@ __all__ = [
     "canonical_top_k",
     "suggest_cell_size",
     "GridQueryStats",
-    "KDTree",
     "UniformGridIndex",
     "ZOrderApproxNN",
     "false_neighbor_ratio",

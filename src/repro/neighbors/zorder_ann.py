@@ -28,7 +28,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core import morton
-from repro.core.structurize import MortonOrder, structurize
+from repro.core.structurize import BatchedMortonOrder, structurize_batch
+from repro.geometry.voxel import VoxelGrid
 
 
 class ZOrderApproxNN:
@@ -39,7 +40,7 @@ class ZOrderApproxNN:
         eps: allowed relative error on the k-th neighbor distance
             (``0`` scans until exactness is proven).
         code_bits: Morton width used for the order.
-        order: optional precomputed order to reuse.
+        order: optional precomputed ``B=1`` order to reuse.
     """
 
     def __init__(
@@ -47,7 +48,7 @@ class ZOrderApproxNN:
         points: np.ndarray,
         eps: float = 0.0,
         code_bits: int = morton.DEFAULT_CODE_BITS,
-        order: Optional[MortonOrder] = None,
+        order: Optional[BatchedMortonOrder] = None,
     ) -> None:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[1] != 3:
@@ -56,12 +57,22 @@ class ZOrderApproxNN:
             raise ValueError("eps must be non-negative")
         self.points = points
         self.eps = eps
-        self.order = order or structurize(points, code_bits)
-        if len(self.order) != points.shape[0]:
+        if order is None:
+            order = structurize_batch(points[None], code_bits)
+        if order.num_clouds != 1:
+            raise ValueError("ZOrderApproxNN takes a B=1 order")
+        if len(order) != points.shape[0]:
             raise ValueError("order does not match the point count")
-        self._bits_per_axis = morton.bits_per_axis(self.order.code_bits)
-        self._sorted_codes = self.order.sorted_codes
-        self._sorted_points = self.order.sorted_points(points)
+        self.order = order
+        self._permutation = order.permutation[0]
+        self._grid = VoxelGrid(
+            origin=order.origins[0],
+            cell_size=float(order.cell_sizes[0]),
+            cells_per_axis=order.cells_per_axis,
+        )
+        self._bits_per_axis = morton.bits_per_axis(order.code_bits)
+        self._sorted_codes = order.codes[0][self._permutation]
+        self._sorted_points = points[self._permutation]
         #: Ranks scanned per query in the last `query` call (for the
         #: cost comparison against the unguaranteed window searcher).
         self.last_scanned = 0
@@ -85,7 +96,7 @@ class ZOrderApproxNN:
             if s_hi < n - 1
             else None  # everything above is scanned
         )
-        grid = self.order.grid
+        grid = self._grid
         best_margin = 0.0
         for level in range(1, self._bits_per_axis + 1):
             shift = 3 * level
@@ -123,7 +134,7 @@ class ZOrderApproxNN:
         if not 1 <= k <= n:
             raise ValueError("k out of range")
         query_code = int(
-            morton.encode(self.order.grid.voxelize(point[None]))[0]
+            morton.encode(self._grid.voxelize(point[None]))[0]
         )
         center = int(
             np.searchsorted(self._sorted_codes, query_code)
@@ -141,7 +152,7 @@ class ZOrderApproxNN:
                 keep = np.argpartition(distances, k - 1)[:k]
                 distances, ranks = distances[keep], ranks[keep]
             best.extend(
-                (float(d), int(self.order.permutation[r]))
+                (float(d), int(self._permutation[r]))
                 for d, r in zip(distances, ranks)
             )
             best.sort()

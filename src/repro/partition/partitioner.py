@@ -1,8 +1,8 @@
 """Scene partitioning: Morton-contiguous chunks with halo regions.
 
 The scatter side of the scene-scale pipeline.  A global Morton sort
-(:func:`repro.core.structurize.structurize`) lays the scene out along
-a space-filling curve; contiguous rank ranges are then spatially
+(:func:`repro.core.structurize.structurize_batch`) lays the scene out
+along a space-filling curve; contiguous rank ranges are then spatially
 compact by construction, so splitting the sorted permutation into
 near-equal ranges yields compact chunks.  Each chunk is augmented
 with a **halo**: the scene is voxelized at ``halo_width`` cell pitch
@@ -31,7 +31,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.core import morton
-from repro.core.structurize import structurize
+from repro.core.structurize import structurize_batch
 
 
 def halo_width_for(sa_configs: Iterable) -> float:
@@ -227,8 +227,8 @@ class ScenePartitioner:
                 chunk_size=n,
                 chunks=(chunk,),
             )
-        order = structurize(points, code_bits=self.code_bits)
-        perm = order.permutation.astype(np.int64)
+        order = structurize_batch(points[None], code_bits=self.code_bits)
+        perm = order.permutation[0].astype(np.int64)
         num_chunks = math.ceil(n / self.chunk_points)
         cores = np.array_split(perm, num_chunks)
         cells = self._cells(points)
@@ -248,7 +248,7 @@ class ScenePartitioner:
                     [
                         halo,
                         self._rank_pad(
-                            order.ranks, perm, core, halo,
+                            order.ranks[0], perm, core, halo,
                             start, start + core.size, pad,
                         ),
                     ]

@@ -269,8 +269,10 @@ def probe_sampling_uniformity(
     code_bits: int,
 ) -> float:
     """Density-uniformity CV of a Morton-stride sample of ``points``."""
-    result = MortonSampler(code_bits).sample(points, num_samples)
-    return density_uniformity(points, result.indices)
+    result = MortonSampler(code_bits).sample_batch(
+        points[None], num_samples
+    )
+    return density_uniformity(points, result.indices[0])
 
 
 def probe_false_neighbor_rate(
@@ -280,7 +282,9 @@ def probe_false_neighbor_rate(
     code_bits: int,
 ) -> float:
     """FNR of the Morton window search vs exact kNN on ``points``."""
-    approx = MortonNeighborSearch(k, window, code_bits).search(points)
+    approx = MortonNeighborSearch(k, window, code_bits).search_batch(
+        points[None]
+    )[0]
     exact = knn(points, points, k)
     return false_neighbor_ratio(approx, exact)
 

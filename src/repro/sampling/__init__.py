@@ -14,10 +14,6 @@ from repro.sampling.quality import (
     density_uniformity,
     mean_coverage_distance,
 )
-from repro.sampling.voxelgrid import (
-    cell_size_for_target_count,
-    voxel_grid_sample,
-)
 from repro.sampling.uniform import (
     random_sample,
     uniform_sample,
@@ -35,8 +31,6 @@ __all__ = [
     "uniform_sample",
     "uniform_stride_indices",
     "random_sample",
-    "voxel_grid_sample",
-    "cell_size_for_target_count",
     "chamfer_distance",
     "density_uniformity",
     "mean_coverage_distance",

@@ -241,7 +241,7 @@ def farthest_point_sample_fast(
         byte-identical to :func:`farthest_point_sample` for the same
         ``start_index``.
     """
-    from repro.core.structurize import structurize
+    from repro.core.structurize import structurize_batch
 
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
@@ -251,12 +251,13 @@ def farthest_point_sample_fast(
         raise ValueError(
             f"num_samples must be in [1, {n_points}], got {num_samples}"
         )
-    order = structurize(points)
+    order = structurize_batch(points[None])
+    perm = order.permutation[0]
     if start_index is None:
         if rng is not None:
             start = int(rng.integers(n_points))
         else:
-            start = int(order.permutation[0])
+            start = int(perm[0])
     elif not 0 <= start_index < n_points:
         raise ValueError("start_index out of range")
     else:
@@ -275,8 +276,7 @@ def farthest_point_sample_fast(
         block_size = _fast_block_size(n_points)
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    perm = order.permutation
-    pos_of = order.ranks  # original index -> sorted position
+    pos_of = order.ranks[0]  # original index -> sorted position
     sp = points[perm]  # Morton-sorted coordinates
     # ||p||^2 with the exact einsum shape the reference uses, gathered
     # into sorted order (gather preserves bits; recomputing may not).

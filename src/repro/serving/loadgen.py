@@ -201,22 +201,19 @@ class LoadReport:
                 )
             )
             lines.append(f"  rejections by reason: {reasons}")
-        if self.replicas > 1:
-            lines.append(
-                f"  fleet: {self.replicas} replicas  "
-                f"retries {self.retries}  hedges {self.hedges} "
-                f"(wins {self.hedge_wins}, cancelled "
-                f"{self.hedge_cancelled})  chaos events "
-                f"{self.chaos_events}"
-            )
-            states = "  ".join(
-                f"{index}:{state}"
-                for index, state in sorted(
-                    self.replica_states.items()
-                )
-            )
-            if states:
-                lines.append(f"  replica states: {states}")
+        lines.append(
+            f"  fleet: {self.replicas} replicas  "
+            f"retries {self.retries}  hedges {self.hedges} "
+            f"(wins {self.hedge_wins}, cancelled "
+            f"{self.hedge_cancelled})  chaos events "
+            f"{self.chaos_events}"
+        )
+        states = "  ".join(
+            f"{index}:{state}"
+            for index, state in sorted(self.replica_states.items())
+        )
+        if states:
+            lines.append(f"  replica states: {states}")
         if self.latency_ms:
             lines.append(
                 "  latency p50 {p50:.2f} ms  p95 {p95:.2f} ms  "

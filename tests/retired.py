@@ -1,0 +1,429 @@
+"""Kernels deleted from ``repro`` because only their own tests reached
+them: no model, CLI command, served path, example or figure benchmark
+uses them.  The bodies are kept here, unchanged, for the tests that
+still exercise them.
+
+- :class:`KDTree`: an exact k-d tree (the paper's footnote 1 ``O(N log
+  N)`` alternative).  Its tests cross-check :func:`repro.neighbors.knn`
+  and :func:`repro.neighbors.ball_query` against an independent exact
+  search.
+- :class:`SplitKDTree` / :func:`verify_against_full_tree`: the
+  Crescent-style top/bottom split of that tree (paper Sec. 6.4, ref
+  [17]).  Table 2's Crescent row is data in
+  :mod:`repro.baselines.comparison`.
+- :func:`voxel_grid_sample` / :func:`cell_size_for_target_count`: the
+  PCL/Open3D voxel-grid down-sampler.
+- :func:`radix_argsort` / :func:`radix_sort` /
+  :func:`sort_operation_count`: an LSD radix argsort over Morton codes,
+  equal to ``np.argsort(kind="stable")``, which
+  :func:`repro.core.structurize.structurize_batch` uses.
+"""
+
+from __future__ import annotations
+
+import heapq
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from repro.core import morton
+from repro.geometry.bbox import BoundingBox
+from repro.geometry.voxel import VoxelGrid
+
+
+class KDTree:
+    """A balanced median-split k-d tree over ``(N, 3)`` points."""
+
+    __slots__ = (
+        "points",
+        "_axis",
+        "_split",
+        "_left",
+        "_right",
+        "_point_index",
+        "depth",
+        "_next_node",
+    )
+
+    def __init__(self, points: np.ndarray, leaf_size: int = 1) -> None:
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"expected (N, 3) points, got {points.shape}")
+        if points.shape[0] == 0:
+            raise ValueError("cannot build a tree over no points")
+        if leaf_size != 1:
+            raise ValueError("only leaf_size=1 trees are supported")
+        self.points = points
+        n = points.shape[0]
+        # One node per point (median point stored at the node).
+        self._axis = np.zeros(n, dtype=np.int8)
+        self._split = np.zeros(n, dtype=np.float64)
+        self._left = np.full(n, -1, dtype=np.int64)
+        self._right = np.full(n, -1, dtype=np.int64)
+        self._point_index = np.zeros(n, dtype=np.int64)
+        self.depth = 0
+        self._next_node = 0
+        self._build(np.arange(n), 0)
+        del self._next_node
+
+    # Building ---------------------------------------------------------
+
+    def _allocate(self) -> int:
+        node = self._next_node
+        self._next_node += 1
+        return node
+
+    def _build(self, indices: np.ndarray, depth: int) -> int:
+        """Recursively build; returns the node id of the subtree root."""
+        self.depth = max(self.depth, depth)
+        axis = depth % 3
+        order = np.argsort(self.points[indices, axis], kind="stable")
+        indices = indices[order]
+        median = indices.shape[0] // 2
+        node = self._allocate()
+        self._axis[node] = axis
+        self._point_index[node] = indices[median]
+        self._split[node] = self.points[indices[median], axis]
+        if median > 0:
+            self._left[node] = self._build(indices[:median], depth + 1)
+        if median + 1 < indices.shape[0]:
+            self._right[node] = self._build(indices[median + 1 :], depth + 1)
+        return node
+
+    # Queries ----------------------------------------------------------
+
+    def query(self, point: np.ndarray, k: int = 1) -> np.ndarray:
+        """Indices of the ``k`` nearest stored points: a ``(k,)``
+        int64 array, ascending distance."""
+        point = np.asarray(point, dtype=np.float64)
+        if point.shape != (3,):
+            raise ValueError("query point must be a 3-vector")
+        if not 1 <= k <= self.points.shape[0]:
+            raise ValueError("k out of range")
+        # Max-heap of (-distance2, point index), kept at size k.
+        heap: List[Tuple[float, int]] = []
+        self._search(0, point, k, heap)
+        ordered = sorted(heap, key=lambda item: -item[0])
+        return np.array([idx for _, idx in ordered], dtype=np.int64)
+
+    def query_batch(self, queries: np.ndarray, k: int = 1) -> np.ndarray:
+        """Vector of :meth:`query` calls; returns ``(Q, k)`` int64
+        indices."""
+        queries = np.asarray(queries, dtype=np.float64)
+        return np.stack([self.query(q, k) for q in queries])
+
+    def query_radius(self, point: np.ndarray, radius: float) -> np.ndarray:
+        """All stored indices within ``radius`` of ``point``: a 1-D
+        int64 array in ascending index order."""
+        point = np.asarray(point, dtype=np.float64)
+        if radius <= 0:
+            raise ValueError("radius must be positive")
+        found: List[int] = []
+        self._search_radius(0, point, radius * radius, found)
+        return np.array(sorted(found), dtype=np.int64)
+
+    def _search(
+        self,
+        node: int,
+        point: np.ndarray,
+        k: int,
+        heap: List[Tuple[float, int]],
+    ) -> None:
+        if node < 0:
+            return
+        idx = self._point_index[node]
+        d2 = float(np.sum((self.points[idx] - point) ** 2))
+        if len(heap) < k:
+            heapq.heappush(heap, (-d2, int(idx)))
+        elif d2 < -heap[0][0]:
+            heapq.heapreplace(heap, (-d2, int(idx)))
+        axis = self._axis[node]
+        delta = float(point[axis] - self._split[node])
+        near, far = (
+            (self._left[node], self._right[node])
+            if delta <= 0
+            else (self._right[node], self._left[node])
+        )
+        self._search(near, point, k, heap)
+        if len(heap) < k or delta * delta < -heap[0][0]:
+            self._search(far, point, k, heap)
+
+    def _search_radius(
+        self, node: int, point: np.ndarray, r2: float, found: List[int]
+    ) -> None:
+        if node < 0:
+            return
+        idx = self._point_index[node]
+        if float(np.sum((self.points[idx] - point) ** 2)) <= r2:
+            found.append(int(idx))
+        axis = self._axis[node]
+        delta = float(point[axis] - self._split[node])
+        near, far = (
+            (self._left[node], self._right[node])
+            if delta <= 0
+            else (self._right[node], self._left[node])
+        )
+        self._search_radius(near, point, r2, found)
+        if delta * delta <= r2:
+            self._search_radius(far, point, r2, found)
+
+
+@dataclass
+class _Region:
+    """One bottom tree: a contiguous leaf region of the split."""
+
+    indices: np.ndarray
+    center: np.ndarray
+    radius: float
+
+
+class SplitKDTree:
+    """A two-level (top/bottom) k-d tree.
+
+    Args:
+        points: ``(N, 3)`` cloud to index.
+        top_depth: depth of the top tree; the cloud is split into
+            ``2**top_depth`` contiguous regions (bottom trees).
+    """
+
+    def __init__(self, points: np.ndarray, top_depth: int = 4) -> None:
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"expected (N, 3) points, got {points.shape}")
+        if top_depth < 1:
+            raise ValueError("top_depth must be >= 1")
+        if points.shape[0] < (1 << top_depth):
+            raise ValueError("not enough points for this top depth")
+        self.points = points
+        self.top_depth = top_depth
+        self.regions: List[_Region] = []
+        self._split(np.arange(points.shape[0]), 0)
+        # Per-query bookkeeping for the locality statistic.
+        self.bottom_visits = 0
+        self.top_visits = 0
+
+    def _split(self, indices: np.ndarray, depth: int) -> None:
+        if depth == self.top_depth:
+            pts = self.points[indices]
+            center = pts.mean(axis=0)
+            radius = float(
+                np.linalg.norm(pts - center, axis=1).max()
+            )
+            self.regions.append(
+                _Region(indices=indices, center=center, radius=radius)
+            )
+            return
+        axis = depth % 3
+        order = np.argsort(self.points[indices, axis], kind="stable")
+        indices = indices[order]
+        half = indices.shape[0] // 2
+        self._split(indices[:half], depth + 1)
+        self._split(indices[half:], depth + 1)
+
+    @property
+    def num_regions(self) -> int:
+        return len(self.regions)
+
+    def query(self, point: np.ndarray, k: int) -> np.ndarray:
+        """Exact k-NN: prune regions by ball-overlap, then scan the
+        survivors (each survivor scan is one contiguous memory block)."""
+        point = np.asarray(point, dtype=np.float64)
+        if not 1 <= k <= self.points.shape[0]:
+            raise ValueError("k out of range")
+        centers = np.stack([r.center for r in self.regions])
+        center_d = np.linalg.norm(centers - point, axis=1)
+        order = np.argsort(center_d, kind="stable")
+        best: List[tuple] = []
+        bound = np.inf
+        for region_rank in order:
+            region = self.regions[region_rank]
+            self.top_visits += 1
+            if len(best) == k and (
+                center_d[region_rank] - region.radius > bound
+            ):
+                continue  # provably no closer point inside
+            self.bottom_visits += region.indices.shape[0]
+            d = np.linalg.norm(
+                self.points[region.indices] - point, axis=1
+            )
+            for dist, idx in zip(d, region.indices):
+                best.append((float(dist), int(idx)))
+            best.sort()
+            best = best[:k]
+            if len(best) == k:
+                bound = best[-1][0]
+        return np.array([idx for _, idx in best], dtype=np.int64)
+
+    def locality_fraction(self) -> float:
+        """Fraction of node visits inside contiguous bottom trees —
+        Crescent's claim is that this fraction is large, so most
+        accesses are streaming rather than pointer-chasing."""
+        total = self.top_visits + self.bottom_visits
+        if total == 0:
+            return 0.0
+        return self.bottom_visits / total
+
+
+def verify_against_full_tree(
+    points: np.ndarray, queries: np.ndarray, k: int, top_depth: int = 3
+) -> bool:
+    """Cross-check SplitKDTree results against the monolithic tree
+    (both must return the exact k-NN sets)."""
+    split = SplitKDTree(points, top_depth)
+    full = KDTree(points)
+    for q in np.asarray(queries, dtype=np.float64):
+        a = set(split.query(q, k).tolist())
+        b = set(full.query(q, k).tolist())
+        if a != b:
+            return False
+    return True
+
+
+def voxel_grid_sample(
+    points: np.ndarray,
+    cell_size: float,
+    rng: Optional[np.random.Generator] = None,
+) -> np.ndarray:
+    """One representative index per occupied voxel.
+
+    The representative is the point closest to its voxel's centroid
+    (the Open3D convention, approximated per-voxel).
+
+    Returns a 1-D int64 index array sorted ascending; the output
+    count equals the number of occupied voxels and cannot be chosen
+    directly.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"expected (N, 3) points, got {points.shape}")
+    if cell_size <= 0:
+        raise ValueError("cell_size must be positive")
+    box = BoundingBox.of_points(points)
+    cells_needed = (
+        int(np.ceil(box.longest_side / cell_size)) if (
+            box.longest_side > 0
+        ) else 1
+    )
+    grid = VoxelGrid(box.minimum, cell_size, max(1, cells_needed))
+    cells = grid.voxelize(points)
+    # Use Morton codes as voxel keys (cheap, collision-free).
+    keys = morton.encode(np.minimum(cells, (1 << 21) - 1))
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    boundaries = np.flatnonzero(
+        np.diff(sorted_keys, prepend=sorted_keys[0] - 1)
+    )
+    representatives = []
+    for start, stop in zip(
+        boundaries, np.append(boundaries[1:], len(points))
+    ):
+        members = order[start:stop]
+        centroid = points[members].mean(axis=0)
+        local = np.argmin(
+            np.sum((points[members] - centroid) ** 2, axis=1)
+        )
+        representatives.append(int(members[local]))
+    return np.array(sorted(representatives), dtype=np.int64)
+
+
+def cell_size_for_target_count(
+    points: np.ndarray,
+    target: int,
+    tolerance: float = 0.1,
+    max_iterations: int = 30,
+) -> float:
+    """Binary-search a cell size yielding ~``target`` occupied voxels.
+
+    Demonstrates the baseline's inherent clumsiness: hitting an exact
+    count requires an iterative search over grid resolutions, whereas
+    FPS and the Morton stride sampler take the count directly.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if not 1 <= target <= points.shape[0]:
+        raise ValueError("target out of range")
+    if not 0 < tolerance < 1:
+        raise ValueError("tolerance must be in (0, 1)")
+    box = BoundingBox.of_points(points)
+    lo = box.longest_side / (4.0 * points.shape[0] ** (1 / 3) * 8)
+    hi = box.longest_side
+    best = hi
+    for _ in range(max_iterations):
+        mid = np.sqrt(lo * hi)  # geometric bisection
+        count = voxel_grid_sample(points, mid).shape[0]
+        if abs(count - target) <= tolerance * target:
+            return float(mid)
+        if count > target:
+            lo = mid  # too many voxels -> coarsen
+        else:
+            hi = mid
+        best = mid
+    return float(best)
+
+
+#: Radix digit width; 8 bits = 256 buckets per pass, 8 passes for the
+#: 63 usable bits of a Morton code.
+DIGIT_BITS = 8
+_NUM_BUCKETS = 1 << DIGIT_BITS
+_MASK = _NUM_BUCKETS - 1
+
+
+def radix_argsort(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of non-negative int64 keys via LSD radix passes.
+
+    Passes over digits the keys do not use are skipped (a cloud whose
+    codes fit 32 bits pays 4 passes, not 8).
+
+    Returns:
+        ``(N,)`` int64 index array; ``keys[result]`` is sorted and
+        equal keys keep their input order.
+    """
+    keys = np.asarray(keys)
+    if keys.ndim != 1:
+        raise ValueError("keys must be a 1-D array")
+    if not np.issubdtype(keys.dtype, np.integer):
+        raise TypeError("keys must be integers")
+    if keys.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if keys.min() < 0:
+        raise ValueError("keys must be non-negative")
+    keys = keys.astype(np.int64)
+    order = np.arange(keys.size, dtype=np.int64)
+    significant_bits = int(keys.max()).bit_length()
+    num_passes = max(
+        1, (significant_bits + DIGIT_BITS - 1) // DIGIT_BITS
+    )
+    current = keys
+    for pass_index in range(num_passes):
+        digits = (current >> (DIGIT_BITS * pass_index)) & _MASK
+        # Counting-sort scatter, vectorized: a stable argsort of the
+        # 256-valued digit array places every key at exactly the slot
+        # the bucket-offset scatter would (equal digits keep input
+        # order, buckets come out in ascending digit order).  One
+        # NumPy dispatch per pass instead of a Python loop over
+        # occupied buckets.
+        perm = np.argsort(digits, kind="stable")
+        order = order[perm]
+        current = current[perm]
+    return order
+
+
+def radix_sort(keys: np.ndarray) -> np.ndarray:
+    """Sorted ``(N,)`` copy of the integer keys, original dtype
+    preserved (via :func:`radix_argsort`)."""
+    keys = np.asarray(keys)
+    return keys[radix_argsort(keys)]
+
+
+def sort_operation_count(num_keys: int, key_bits: int = 63) -> int:
+    """Digit-scatter operations the radix sort performs: one pass per
+    ``DIGIT_BITS`` of key width, each touching every key once.  (The
+    cost model instead prices sorts as ``N log N`` with a latency
+    floor, which matches the *comparison* merge sort the paper names;
+    this count is exposed for the radix alternative.)"""
+    if num_keys < 0:
+        raise ValueError("num_keys must be non-negative")
+    if key_bits < 1:
+        raise ValueError("key_bits must be positive")
+    passes = (key_bits + DIGIT_BITS - 1) // DIGIT_BITS
+    return num_keys * passes

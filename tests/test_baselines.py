@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
+from retired import SplitKDTree, verify_against_full_tree
+
 from repro.baselines import (
     MappingUnitModel,
-    SplitKDTree,
     apply_delayed_aggregation,
     as_table,
     pointnet2_mapping_unit,
     summarize,
     table2_rows,
     unique_full_marks,
-    verify_against_full_tree,
 )
 from repro.core import EdgePCConfig
 from repro.runtime import PipelineProfiler

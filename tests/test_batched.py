@@ -2,8 +2,8 @@
 
 Three invariants guard the batched layer:
 
-1. **Identity** — every ``*_batch`` kernel, and the ``B=1`` per-cloud
-   view of it, is bit-identical to the pre-batching per-cloud reference
+1. **Identity** — every ``*_batch`` kernel, also on a ``B=1`` batch of
+   one cloud, is bit-identical to the pre-batching per-cloud reference
    implementation preserved below.
 2. **Bounded scratch** — the chunked exact kernels never materialize a
    full ``(B, Q, N)`` distance block; peak transient memory tracks the
@@ -15,6 +15,7 @@ Three invariants guard the batched layer:
 """
 
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 from unittest import mock
 
@@ -27,12 +28,11 @@ from repro.core import morton, sampler
 from repro.core.neighbor import MortonNeighborSearch, window_ranks
 from repro.core.pipeline import EdgePCConfig
 from repro.core.sampler import (
-    MortonSampleResult,
     MortonSampler,
     MortonUpsampler,
     exact_interpolation_weights_batch,
 )
-from repro.core.structurize import MortonOrder, structurize, structurize_batch
+from repro.core.structurize import structurize_batch
 from repro.core.workspace import Workspace
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.voxel import VoxelGrid
@@ -61,8 +61,64 @@ def make_batch(seed, batch, n, duplicates=False):
 # Pre-batching reference implementations ------------------------------
 #
 # The per-cloud algorithms the repo shipped before the batched kernel
-# layer, kept verbatim as identity oracles for the batched kernels
-# (the per-cloud entry points are now B=1 views of them).
+# layer, kept verbatim as identity oracles for the batched kernels,
+# with the per-cloud containers they return and read.
+
+
+@dataclass(frozen=True)
+class MortonOrder:
+    """The per-cloud Morton order the oracles build and read."""
+
+    codes: np.ndarray
+    permutation: np.ndarray
+    ranks: np.ndarray
+    grid: VoxelGrid
+    code_bits: int
+
+    def __len__(self) -> int:
+        return self.codes.shape[0]
+
+    def sorted_points(self, points: np.ndarray) -> np.ndarray:
+        return np.asarray(points)[self.permutation]
+
+    def original_index_of(self, sorted_ranks: np.ndarray) -> np.ndarray:
+        return self.permutation[np.asarray(sorted_ranks)]
+
+
+@dataclass(frozen=True)
+class MortonSampleResult:
+    """The per-cloud sample result the oracles read."""
+
+    indices: np.ndarray
+    order: MortonOrder
+    sampled_ranks: np.ndarray
+
+    def __len__(self) -> int:
+        return self.indices.shape[0]
+
+
+def _cloud(order, b: int) -> MortonOrder:
+    """Row ``b`` of a batched order as the oracles' container."""
+    return MortonOrder(
+        codes=order.codes[b],
+        permutation=order.permutation[b],
+        ranks=order.ranks[b],
+        grid=VoxelGrid(
+            origin=order.origins[b],
+            cell_size=float(order.cell_sizes[b]),
+            cells_per_axis=order.cells_per_axis,
+        ),
+        code_bits=order.code_bits,
+    )
+
+
+def _sample_cloud(result, b: int) -> MortonSampleResult:
+    """Row ``b`` of a batched sample result as the oracles' container."""
+    return MortonSampleResult(
+        indices=result.indices[b],
+        order=_cloud(result.order, b),
+        sampled_ranks=result.sampled_ranks,
+    )
 
 
 def _reference_structurize(
@@ -239,8 +295,8 @@ class TestStructurizeIdentity:
         batched = structurize_batch(pts, code_bits, box)
         for b in range(batch):
             want = _reference_structurize(pts[b], code_bits, box)
-            single = structurize(pts[b], code_bits, box)
-            for got in (batched.cloud(b), single):
+            single = structurize_batch(pts[b : b + 1], code_bits, box)
+            for got in (_cloud(batched, b), _cloud(single, 0)):
                 assert np.array_equal(got.codes, want.codes)
                 assert np.array_equal(got.permutation, want.permutation)
                 assert np.array_equal(got.ranks, want.ranks)
@@ -250,7 +306,7 @@ class TestStructurizeIdentity:
     def test_degenerate_cloud_matches_reference(self):
         pts = np.ones((1, 9, 3))
         want = _reference_structurize(pts[0])
-        got = structurize_batch(pts).cloud(0)
+        got = _cloud(structurize_batch(pts), 0)
         assert np.array_equal(got.permutation, want.permutation)
         assert got.grid.cell_size == want.grid.cell_size
 
@@ -269,8 +325,8 @@ class TestSampleIdentity:
             order = _reference_structurize(pts[b])
             want = order.original_index_of(ranks)
             assert np.array_equal(batched.indices[b], want)
-            single = sampler.sample(pts[b], num_samples)
-            assert np.array_equal(single.indices, want)
+            single = sampler.sample_batch(pts[b : b + 1], num_samples)
+            assert np.array_equal(single.indices[0], want)
 
 
 class TestInterpolationIdentity:
@@ -286,7 +342,7 @@ class TestInterpolationIdentity:
         )
         for b in range(batch):
             want_anchors, want_weights = _reference_interpolation_weights(
-                pts[b], result.cloud(b)
+                pts[b], _sample_cloud(result, b)
             )
             assert np.array_equal(anchors[b], want_anchors)
             assert np.array_equal(weights[b], want_weights)
@@ -396,12 +452,12 @@ class TestWindowSearchIdentity:
         for b in range(batch):
             if window == k:
                 # Pure index mode: the window ranks verbatim.
-                want = order.cloud(b).original_index_of(
+                want = _cloud(order, b).original_index_of(
                     window_ranks(query_ranks, k, n)
                 )
             else:
                 want = _reference_window_search(
-                    pts[b], order.cloud(b), query_ranks, k, window
+                    pts[b], _cloud(order, b), query_ranks, k, window
                 )
             assert np.array_equal(got[b], want)
 
@@ -422,7 +478,8 @@ class TestWindowSearchIdentity:
             want = np.empty_like(by_rank)
             want[order.permutation] = by_rank
             assert np.array_equal(got[b], want)
-            assert np.array_equal(searcher.search(pts[b]), want)
+            single = searcher.search_batch(pts[b : b + 1])
+            assert np.array_equal(single[0], want)
 
     def test_per_cloud_ranks_match_shared_ranks(self):
         pts = make_batch(7, 3, 32)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.neighbor import MortonNeighborSearch, window_ranks
 from repro.core.reuse import NeighborCache, NeighborReusePolicy
-from repro.core.structurize import structurize, structurize_batch
+from repro.core.structurize import structurize_batch
 from repro.neighbors import false_neighbor_ratio, knn
 
 
@@ -50,9 +50,14 @@ class TestWindowRanks:
         assert len(set(ranks[0].tolist())) == window
 
 
+def _search(searcher, cloud, query_indices=None, order=None):
+    """``(Q, k)`` neighbors in one ``(N, 3)`` cloud (a ``B=1`` batch)."""
+    return searcher.search_batch(cloud[None], query_indices, order)[0]
+
+
 class TestMortonNeighborSearch:
     def test_shape(self, medium_cloud):
-        out = MortonNeighborSearch(8).search(medium_cloud)
+        out = _search(MortonNeighborSearch(8), medium_cloud)
         assert out.shape == (1024, 8)
 
     def test_pure_index_mode_is_window(self, medium_cloud):
@@ -71,7 +76,7 @@ class TestMortonNeighborSearch:
     def test_rejects_out_of_range_query(self, medium_cloud, bad):
         searcher = MortonNeighborSearch(4, 8)
         with pytest.raises(ValueError, match="query indices"):
-            searcher.search(medium_cloud, np.array([0, bad]))
+            _search(searcher, medium_cloud, np.array([0, bad]))
         with pytest.raises(ValueError, match="query indices"):
             searcher.search_batch(medium_cloud[None], np.array([[bad]]))
 
@@ -79,13 +84,9 @@ class TestMortonNeighborSearch:
         """With W > k the k closest inside the window are kept, so
         every returned neighbor is at least as close as the pure-index
         pick would guarantee."""
-        order = structurize(medium_cloud)
-        narrow = MortonNeighborSearch(8, 8).search(
-            medium_cloud, order=order
-        )
-        wide = MortonNeighborSearch(8, 64).search(
-            medium_cloud, order=order
-        )
+        order = structurize_batch(medium_cloud[None])
+        narrow = _search(MortonNeighborSearch(8, 8), medium_cloud, None, order)
+        wide = _search(MortonNeighborSearch(8, 64), medium_cloud, None, order)
         def mean_dist(nbrs):
             gathered = medium_cloud[nbrs]
             return np.linalg.norm(
@@ -95,12 +96,13 @@ class TestMortonNeighborSearch:
 
     def test_fnr_decreases_with_window(self, medium_cloud):
         """Fig. 15a's monotone trade-off."""
-        order = structurize(medium_cloud)
+        order = structurize_batch(medium_cloud[None])
         exact = knn(medium_cloud, medium_cloud, 16)
         fnrs = []
         for mult in (1, 2, 4, 8):
-            approx = MortonNeighborSearch(16, 16 * mult).search(
-                medium_cloud, order=order
+            approx = _search(
+                MortonNeighborSearch(16, 16 * mult), medium_cloud,
+                None, order,
             )
             fnrs.append(false_neighbor_ratio(approx, exact))
         assert fnrs == sorted(fnrs, reverse=True)
@@ -108,14 +110,14 @@ class TestMortonNeighborSearch:
 
     def test_query_subset(self, medium_cloud):
         queries = np.array([5, 100, 700])
-        out = MortonNeighborSearch(4).search(medium_cloud, queries)
+        out = _search(MortonNeighborSearch(4), medium_cloud, queries)
         assert out.shape == (3, 4)
 
     def test_query_includes_self_region(self, medium_cloud):
         """A windowed (W > k) search must return the query point itself
         among its own neighbors (distance zero)."""
-        out = MortonNeighborSearch(4, 16).search(
-            medium_cloud, np.arange(50)
+        out = _search(
+            MortonNeighborSearch(4, 16), medium_cloud, np.arange(50)
         )
         for i in range(50):
             assert i in out[i]
@@ -123,7 +125,7 @@ class TestMortonNeighborSearch:
     def test_full_window_equals_exact_knn(self, small_cloud):
         """W == N degenerates to exact k-NN (up to distance ties)."""
         searcher = MortonNeighborSearch(8, len(small_cloud))
-        approx = searcher.search(small_cloud)
+        approx = _search(searcher, small_cloud)
         exact = knn(small_cloud, small_cloud, 8)
         assert false_neighbor_ratio(approx, exact) < 0.02
 
@@ -138,18 +140,15 @@ class TestMortonNeighborSearch:
     def test_rejects_oversized_window_at_search(self, small_cloud):
         searcher = MortonNeighborSearch(8, 10_000)
         with pytest.raises(ValueError):
-            searcher.search(small_cloud)
+            _search(searcher, small_cloud)
 
     def test_all_points_output_in_original_order(self, small_cloud):
-        """search() without query_indices returns row i = neighbors of
-        original point i."""
-        order = structurize(small_cloud)
-        all_out = MortonNeighborSearch(4, 16).search(
-            small_cloud, order=order
-        )
-        sub_out = MortonNeighborSearch(4, 16).search(
-            small_cloud, np.array([10, 42]), order=order
-        )
+        """search_batch() without query_indices returns row i =
+        neighbors of original point i."""
+        order = structurize_batch(small_cloud[None])
+        searcher = MortonNeighborSearch(4, 16)
+        all_out = _search(searcher, small_cloud, None, order)
+        sub_out = _search(searcher, small_cloud, np.array([10, 42]), order)
         assert np.array_equal(all_out[10], sub_out[0])
         assert np.array_equal(all_out[42], sub_out[1])
 
@@ -161,7 +160,7 @@ class TestMortonNeighborSearch:
     @settings(max_examples=30, deadline=None)
     def test_valid_indices_property(self, seed, k, mult):
         pts = np.random.default_rng(seed).normal(size=(64, 3))
-        out = MortonNeighborSearch(k, min(64, k * mult)).search(pts)
+        out = _search(MortonNeighborSearch(k, min(64, k * mult)), pts)
         assert out.shape == (64, k)
         assert out.min() >= 0 and out.max() < 64
 

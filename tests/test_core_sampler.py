@@ -10,7 +10,7 @@ from repro.core.sampler import (
     MortonUpsampler,
     exact_interpolation_weights_batch,
 )
-from repro.core.structurize import structurize
+from repro.core.structurize import structurize_batch
 from repro.sampling import (
     coverage_radius,
     farthest_point_sample,
@@ -18,47 +18,65 @@ from repro.sampling import (
 )
 
 
+def _sample(cloud, num_samples):
+    """``(n,)`` Morton sample indices of one ``(N, 3)`` cloud."""
+    return MortonSampler().sample_batch(cloud[None], num_samples).indices[0]
+
+
 class TestMortonSampler:
     def test_returns_requested_count(self, medium_cloud):
-        result = MortonSampler().sample(medium_cloud, 128)
+        result = MortonSampler().sample_batch(medium_cloud[None], 128)
         assert len(result) == 128
-        assert result.indices.shape == (128,)
+        assert result.indices.shape == (1, 128)
 
     def test_indices_are_distinct(self, medium_cloud):
-        result = MortonSampler().sample(medium_cloud, 256)
-        assert len(set(result.indices.tolist())) == 256
+        result = MortonSampler().sample_batch(medium_cloud[None], 256)
+        assert len(set(result.indices[0].tolist())) == 256
 
     def test_sampled_ranks_are_strided(self, medium_cloud):
-        result = MortonSampler().sample(medium_cloud, 64)
+        result = MortonSampler().sample_batch(medium_cloud[None], 64)
         expected = np.arange(64) * 1024 // 64
         assert np.array_equal(result.sampled_ranks, expected)
 
     def test_reuses_precomputed_order(self, medium_cloud):
-        order = structurize(medium_cloud)
-        result = MortonSampler().sample(medium_cloud, 64, order=order)
-        # The B=1 view wraps the given arrays; nothing is recomputed.
-        assert np.shares_memory(result.order.permutation, order.permutation)
-        assert np.shares_memory(result.order.codes, order.codes)
+        order = structurize_batch(medium_cloud[None])
+        result = MortonSampler().sample_batch(
+            medium_cloud[None], 64, order=order
+        )
+        # The given order is reused as is; nothing is recomputed.
+        assert result.order is order
 
     def test_rejects_mismatched_order(self, medium_cloud, small_cloud):
-        order = structurize(small_cloud)
+        order = structurize_batch(small_cloud[None])
         with pytest.raises(ValueError):
-            MortonSampler().sample(medium_cloud, 64, order=order)
+            MortonSampler().sample_batch(
+                medium_cloud[None], 64, order=order
+            )
+
+    @pytest.mark.parametrize("shape", [(1, 6, 2), (1, 6, 4), (6, 3)])
+    def test_rejects_non_xyz_points_with_order(self, shape):
+        """A precomputed order skips structurize_batch's shape check,
+        so sample_batch must reject non-(B, N, 3) points itself."""
+        order = structurize_batch(np.zeros((1, 6, 3)))
+        with pytest.raises(ValueError, match=r"\(B, N, 3\)"):
+            MortonSampler().sample_batch(np.zeros(shape), 3, order=order)
 
     def test_sample_all_points(self, small_cloud):
-        result = MortonSampler().sample(small_cloud, len(small_cloud))
-        assert sorted(result.indices.tolist()) == list(
+        result = MortonSampler().sample_batch(
+            small_cloud[None], len(small_cloud)
+        )
+        assert sorted(result.indices[0].tolist()) == list(
             range(len(small_cloud))
         )
 
     def test_sample_one_point(self, small_cloud):
-        result = MortonSampler().sample(small_cloud, 1)
+        result = MortonSampler().sample_batch(small_cloud[None], 1)
         assert len(result) == 1
 
     def test_coverage_beats_raw_uniform(self, medium_cloud):
         """The Fig. 5 claim, quantified: Morton-uniform sampling covers
         an irregular cloud better than raw-uniform sampling."""
-        morton_idx = MortonSampler().sample(medium_cloud, 64).indices
+        morton_idx = _sample(medium_cloud, 64)
         raw_idx = uniform_sample(medium_cloud, 64)
         assert coverage_radius(
             medium_cloud, morton_idx
@@ -67,7 +85,7 @@ class TestMortonSampler:
     def test_coverage_within_factor_of_fps(self, medium_cloud):
         """Morton sampling approximates FPS coverage within a small
         constant factor (it is the paper's drop-in replacement)."""
-        morton_idx = MortonSampler().sample(medium_cloud, 64).indices
+        morton_idx = _sample(medium_cloud, 64)
         fps_idx = farthest_point_sample(medium_cloud, 64, start_index=0)
         ratio = coverage_radius(medium_cloud, morton_idx) / (
             coverage_radius(medium_cloud, fps_idx)
@@ -75,8 +93,8 @@ class TestMortonSampler:
         assert ratio < 3.5
 
     def test_deterministic(self, medium_cloud):
-        a = MortonSampler().sample(medium_cloud, 100).indices
-        b = MortonSampler().sample(medium_cloud, 100).indices
+        a = _sample(medium_cloud, 100)
+        b = _sample(medium_cloud, 100)
         assert np.array_equal(a, b)
 
     def test_invalid_code_bits_rejected(self):
@@ -92,11 +110,11 @@ class TestMortonSampler:
     def test_indices_always_valid_property(self, seed, n, frac):
         pts = np.random.default_rng(seed).normal(size=(n, 3))
         count = max(1, int(n * frac))
-        result = MortonSampler().sample(pts, count)
+        result = MortonSampler().sample_batch(pts[None], count)
         assert len(result) == count
         assert result.indices.min() >= 0
         assert result.indices.max() < n
-        assert len(set(result.indices.tolist())) == count
+        assert len(set(result.indices[0].tolist())) == count
 
 
 def _morton_upsample(points, result, feats):

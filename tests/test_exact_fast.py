@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline import EdgePCConfig
-from repro.core.structurize import structurize
+from repro.core.structurize import structurize_batch
 from repro.core.workspace import Workspace
 from repro.neighbors.batched import (
     ball_query_batch,
@@ -54,7 +54,7 @@ def _cloud(seed: int, n: int, mode: str) -> np.ndarray:
         return rng.integers(0, 8, size=(n, 3)).astype(np.float64)
     if mode == "morton_sorted":
         pts = rng.normal(size=(n, 3))
-        return pts[structurize(pts).permutation]
+        return pts[structurize_batch(pts[None]).permutation[0]]
     raise AssertionError(mode)
 
 

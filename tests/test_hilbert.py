@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MortonNeighborSearch, structurize, structuredness
+from repro.core import (
+    MortonNeighborSearch,
+    structuredness,
+    structurize_batch,
+)
 from repro.core.hilbert import hilbert_encode, hilbert_structurize
 from repro.neighbors import false_neighbor_ratio, knn
 
@@ -82,14 +86,16 @@ class TestHilbertEncode:
 class TestHilbertStructurize:
     def test_valid_permutation(self, medium_cloud):
         order = hilbert_structurize(medium_cloud)
-        assert sorted(order.permutation.tolist()) == list(range(1024))
-        assert (np.diff(order.sorted_codes) >= 0).all()
+        assert order.num_clouds == 1
+        assert sorted(order.permutation[0].tolist()) == list(range(1024))
+        sorted_codes = order.codes[0][order.permutation[0]]
+        assert (np.diff(sorted_codes) >= 0).all()
 
     def test_better_locality_than_morton(self, medium_cloud):
         """Hilbert has no octant jumps, so its consecutive-rank gaps
         are smaller on average — the ablation's headline."""
         morton_score = structuredness(
-            structurize(medium_cloud), medium_cloud
+            structurize_batch(medium_cloud[None]), medium_cloud
         )
         hilbert_score = structuredness(
             hilbert_structurize(medium_cloud), medium_cloud
@@ -97,22 +103,24 @@ class TestHilbertStructurize:
         assert hilbert_score < morton_score
 
     def test_drop_in_for_window_search(self, medium_cloud):
-        """The MortonOrder container is curve-agnostic: the window
+        """The order container is curve-agnostic: the window
         searcher works unchanged on a Hilbert order, with FNR at least
         as good."""
         k = 16
         exact = knn(medium_cloud, medium_cloud, k)
         searcher = MortonNeighborSearch(k, 2 * k)
         fnr_morton = false_neighbor_ratio(
-            searcher.search(
-                medium_cloud, order=structurize(medium_cloud)
-            ),
+            searcher.search_batch(
+                medium_cloud[None],
+                order=structurize_batch(medium_cloud[None]),
+            )[0],
             exact,
         )
         fnr_hilbert = false_neighbor_ratio(
-            searcher.search(
-                medium_cloud, order=hilbert_structurize(medium_cloud)
-            ),
+            searcher.search_batch(
+                medium_cloud[None],
+                order=hilbert_structurize(medium_cloud),
+            )[0],
             exact,
         )
         assert fnr_hilbert <= fnr_morton + 0.02

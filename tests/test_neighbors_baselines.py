@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retired import KDTree
+
 from repro.neighbors import (
-    KDTree,
     UniformGridIndex,
     ball_query,
     ball_query_grid_batch,
@@ -292,16 +293,15 @@ class TestNeighborMetrics:
     def test_fnr_windowed_beats_pure_index(self, medium_cloud):
         """Integration: the windowed Morton search has lower FNR than
         pure index selection (the Fig. 6 -> Fig. 15a improvement)."""
-        from repro.core import MortonNeighborSearch, structurize
+        from repro.core import MortonNeighborSearch, structurize_batch
 
-        order = structurize(medium_cloud)
+        batch = medium_cloud[None]
+        order = structurize_batch(batch)
         exact = knn(medium_cloud, medium_cloud, 16)
-        pure = MortonNeighborSearch(16).search(
-            medium_cloud, order=order
-        )
-        windowed = MortonNeighborSearch(16, 64).search(
-            medium_cloud, order=order
-        )
+        pure = MortonNeighborSearch(16).search_batch(batch, order=order)[0]
+        windowed = MortonNeighborSearch(16, 64).search_batch(
+            batch, order=order
+        )[0]
         assert false_neighbor_ratio(
             windowed, exact
         ) < false_neighbor_ratio(pure, exact)

@@ -134,23 +134,23 @@ class TestKITTILike:
     def test_morton_locality_strong_on_sweeps(self):
         """Z-ordering works well on the ring-structured geometry too
         (the property EdgePC needs to generalize outdoors)."""
-        from repro.core import structurize, structuredness
+        from repro.core import structuredness, structurize_batch
 
         cloud = KITTILike(num_clouds=1, points_per_cloud=2048)[0]
         assert structuredness(
-            structurize(cloud.xyz), cloud.xyz
+            structurize_batch(cloud.xyz[None]), cloud.xyz
         ) < 0.3
 
     def test_window_search_quality_outdoors(self):
         """The index-window search stays useful on outdoor sweeps."""
-        from repro.core import MortonNeighborSearch, structurize
+        from repro.core import MortonNeighborSearch, structurize_batch
         from repro.neighbors import false_neighbor_ratio, knn
 
         cloud = KITTILike(num_clouds=1, points_per_cloud=2048)[0].xyz
-        order = structurize(cloud)
+        order = structurize_batch(cloud[None])
         queries = np.arange(0, 2048, 8)
-        approx = MortonNeighborSearch(16, 64).search(
-            cloud, queries, order
-        )
+        approx = MortonNeighborSearch(16, 64).search_batch(
+            cloud[None], queries, order
+        )[0]
         exact = knn(cloud[queries], cloud, 16)
         assert false_neighbor_ratio(approx, exact) < 0.5

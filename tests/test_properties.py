@@ -15,7 +15,7 @@ from repro.core import (
     EdgePCConfig,
     MortonNeighborSearch,
     MortonSampler,
-    structurize,
+    structurize_batch,
 )
 from repro.core import morton
 from repro.neighbors import false_neighbor_ratio, knn, recall
@@ -51,16 +51,16 @@ class TestMortonLocalityProperties:
         grid anchors at the cloud minimum)."""
         pts = _cloud(seed, n)
         shifted = pts + np.array([100.0, -50.0, 3.0])
-        a = structurize(pts).permutation
-        b = structurize(shifted).permutation
+        a = structurize_batch(pts[None]).permutation
+        b = structurize_batch(shifted[None]).permutation
         assert np.array_equal(a, b)
 
     @given(seed=st.integers(0, 2**16), n=st.integers(16, 200))
     @settings(max_examples=20, deadline=None)
     def test_uniform_scale_invariance_of_order(self, seed, n):
         pts = _cloud(seed, n)
-        a = structurize(pts).permutation
-        b = structurize(pts * 7.5).permutation
+        a = structurize_batch(pts[None]).permutation
+        b = structurize_batch(pts[None] * 7.5).permutation
         assert np.array_equal(a, b)
 
 
@@ -69,16 +69,17 @@ class TestSamplerProperties:
     @settings(max_examples=15, deadline=None)
     def test_sampling_is_translation_equivariant(self, seed):
         pts = _cloud(seed, 128)
-        a = MortonSampler().sample(pts, 32).indices
-        b = MortonSampler().sample(pts + 42.0, 32).indices
+        a = MortonSampler().sample_batch(pts[None], 32).indices
+        b = MortonSampler().sample_batch(pts[None] + 42.0, 32).indices
         assert np.array_equal(a, b)
 
     @given(seed=st.integers(0, 2**16), frac=st.sampled_from([2, 4, 8]))
     @settings(max_examples=15, deadline=None)
     def test_more_samples_never_worse_coverage(self, seed, frac):
         pts = _cloud(seed, 256)
-        few = MortonSampler().sample(pts, 256 // (2 * frac)).indices
-        many = MortonSampler().sample(pts, 256 // frac).indices
+        sampler = MortonSampler()
+        few = sampler.sample_batch(pts[None], 256 // (2 * frac)).indices[0]
+        many = sampler.sample_batch(pts[None], 256 // frac).indices[0]
         # Stride sampling at 2x density includes every coarse sample's
         # stride block, so coverage cannot regress much; allow slack
         # for stride phase effects.
@@ -97,10 +98,10 @@ class TestSearchProperties:
     def test_fnr_plus_recall_consistency(self, seed, k, mult):
         """For equal-cardinality neighbor sets, FNR = 1 - recall."""
         pts = _cloud(seed, 128)
-        order = structurize(pts)
-        approx = MortonNeighborSearch(k, mult * k).search(
-            pts, order=order
-        )
+        order = structurize_batch(pts[None])
+        approx = MortonNeighborSearch(k, mult * k).search_batch(
+            pts[None], order=order
+        )[0]
         exact = knn(pts, pts, k)
         # Rows may contain duplicate padding in neither searcher here,
         # so both are true k-sets.
@@ -114,12 +115,12 @@ class TestSearchProperties:
         """A wider window only ever brings neighbors closer (mean
         neighbor distance is non-increasing in W)."""
         pts = _cloud(seed, 128)
-        order = structurize(pts)
+        order = structurize_batch(pts[None])
 
         def mean_distance(window):
-            nbrs = MortonNeighborSearch(k, window).search(
-                pts, order=order
-            )
+            nbrs = MortonNeighborSearch(k, window).search_batch(
+                pts[None], order=order
+            )[0]
             return np.linalg.norm(
                 pts[nbrs] - pts[:, None, :], axis=2
             ).mean()

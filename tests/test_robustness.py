@@ -13,7 +13,7 @@ from repro.core import (
     MortonNeighborSearch,
     MortonSampler,
     MortonUpsampler,
-    structurize,
+    structurize_batch,
 )
 from repro.neighbors import ball_query, knn
 from repro.nn import DGCNNClassifier, PointNet2Segmentation, SAConfig
@@ -55,27 +55,28 @@ class TestStructurizeRobustness:
     )
     def test_valid_permutation_on_degenerate_input(self, name, rng):
         cloud = _degenerate_clouds(rng)[name]
-        order = structurize(cloud)
-        assert sorted(order.permutation.tolist()) == list(
+        order = structurize_batch(cloud[None])
+        assert sorted(order.permutation[0].tolist()) == list(
             range(len(cloud))
         )
-        assert (np.diff(order.sorted_codes) >= 0).all()
+        sorted_codes = order.codes[0][order.permutation[0]]
+        assert (np.diff(sorted_codes) >= 0).all()
 
     def test_single_point(self):
-        order = structurize(np.array([[1.0, 2.0, 3.0]]))
+        order = structurize_batch(np.array([[[1.0, 2.0, 3.0]]]))
         assert len(order) == 1
 
     def test_rejects_nan(self):
         cloud = np.zeros((4, 3))
         cloud[2, 1] = np.nan
         with pytest.raises(ValueError):
-            structurize(cloud)
+            structurize_batch(cloud[None])
 
     def test_rejects_inf(self):
         cloud = np.zeros((4, 3))
         cloud[0, 0] = np.inf
         with pytest.raises(ValueError):
-            structurize(cloud)
+            structurize_batch(cloud[None])
 
     def test_hilbert_rejects_nan(self):
         from repro.core.hilbert import hilbert_structurize
@@ -92,8 +93,8 @@ class TestSamplerRobustness:
     )
     def test_sampler_on_degenerate_input(self, name, rng):
         cloud = _degenerate_clouds(rng)[name]
-        result = MortonSampler().sample(cloud, 16)
-        assert len(set(result.indices.tolist())) == 16
+        result = MortonSampler().sample_batch(cloud[None], 16)
+        assert len(set(result.indices[0].tolist())) == 16
 
     def test_fps_on_identical_points(self):
         cloud = np.ones((32, 3))
@@ -113,7 +114,7 @@ class TestSamplerRobustness:
 
     def test_sample_more_than_half(self, rng):
         cloud = rng.random((10, 3))
-        result = MortonSampler().sample(cloud, 9)
+        result = MortonSampler().sample_batch(cloud[None], 9)
         assert len(result) == 9
 
 
@@ -123,8 +124,8 @@ class TestSearchRobustness:
     )
     def test_window_search_on_degenerate_input(self, name, rng):
         cloud = _degenerate_clouds(rng)[name]
-        out = MortonNeighborSearch(4, 8).search(cloud)
-        assert out.shape == (len(cloud), 4)
+        out = MortonNeighborSearch(4, 8).search_batch(cloud[None])
+        assert out.shape == (1, len(cloud), 4)
         assert out.min() >= 0 and out.max() < len(cloud)
 
     def test_knn_with_identical_points(self):
@@ -139,8 +140,8 @@ class TestSearchRobustness:
 
     def test_window_equals_cloud_size(self, rng):
         cloud = rng.random((16, 3))
-        out = MortonNeighborSearch(4, 16).search(cloud)
-        assert out.shape == (16, 4)
+        out = MortonNeighborSearch(4, 16).search_batch(cloud[None])
+        assert out.shape == (1, 16, 4)
 
 
 class TestModelRobustness:

@@ -581,6 +581,16 @@ class TestLoadGenerator:
         )
         assert "loadgen" in report.summary()
 
+    def test_summary_shows_fleet_lines_for_one_replica(self):
+        report = self._run({"duration_s": 0.2})
+        assert report.replicas == 1
+        lines = report.summary().splitlines()
+        assert (
+            "  fleet: 1 replicas  retries 0  hedges 0 (wins 0, "
+            "cancelled 0)  chaos events 0"
+        ) in lines
+        assert "  replica states: 0:healthy" in lines
+
     def test_rejections_are_counted_by_reason(self):
         report = self._run(
             {"rate": 2000.0, "duration_s": 0.2},

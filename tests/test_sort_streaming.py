@@ -1,5 +1,5 @@
-"""Tests for the radix sort kernel (repro.core.sort) and streaming
-Morton-order maintenance (repro.core.streaming)."""
+"""Tests for the retired radix sort kernel (``tests/retired.py``) and
+streaming Morton-order maintenance (repro.core.streaming)."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core import morton, structurize
-from repro.core.sort import radix_argsort, radix_sort, sort_operation_count
+from retired import radix_argsort, radix_sort, sort_operation_count
+
+from repro.core import structurize_batch
 from repro.core.streaming import StreamingMortonOrder
 from repro.geometry import BoundingBox
 
@@ -60,10 +61,9 @@ class TestRadixSort:
             radix_argsort(np.zeros((2, 2), dtype=np.int64))
 
     def test_sorts_real_morton_codes(self, medium_cloud):
-        order = structurize(medium_cloud)
+        order = structurize_batch(medium_cloud[None])
         assert np.array_equal(
-            radix_argsort(order.codes),
-            np.argsort(order.codes, kind="stable"),
+            radix_argsort(order.codes[0]), order.permutation[0]
         )
 
     def test_operation_count(self):
@@ -105,26 +105,29 @@ class TestStreamingOrder:
         chunks = [rng.random((64, 3)) * 10.0 for _ in range(4)]
         for chunk in chunks:
             stream.insert(chunk)
-        batch = structurize(
-            np.concatenate(chunks), bounding_box=_box()
+        batch = structurize_batch(
+            np.concatenate(chunks)[None], bounding_box=_box()
         )
-        assert np.array_equal(stream.codes, batch.sorted_codes)
+        sorted_codes = batch.codes[0][batch.permutation[0]]
+        assert np.array_equal(stream.codes, sorted_codes)
 
-    def test_as_order_identity_permutation(self, rng):
+    def test_points_are_in_morton_order(self, rng):
+        """The stream stores its points sorted on its grid, so
+        structurizing them there gives the identity permutation."""
         stream = StreamingMortonOrder(_box())
         stream.insert(rng.random((50, 3)) * 10.0)
-        order = stream.as_order()
-        assert np.array_equal(order.permutation, np.arange(50))
-        assert (np.diff(order.sorted_codes) >= 0).all()
+        order = structurize_batch(stream.points[None], bounding_box=_box())
+        assert np.array_equal(order.permutation[0], np.arange(50))
+        assert np.array_equal(order.codes[0], stream.codes)
 
     def test_order_feeds_sampler(self, rng):
         from repro.core import MortonSampler
 
         stream = StreamingMortonOrder(_box())
         stream.insert(rng.random((256, 3)) * 10.0)
-        result = MortonSampler().sample(
-            stream.points, 32, order=stream.as_order()
-        )
+        points = stream.points[None]
+        order = structurize_batch(points, bounding_box=_box())
+        result = MortonSampler().sample_batch(points, 32, order=order)
         assert len(result) == 32
 
     def test_remove_outside(self, rng):
@@ -160,10 +163,6 @@ class TestStreamingOrder:
         stream = StreamingMortonOrder(_box())
         stream.insert(np.empty((0, 3)))
         assert len(stream) == 0
-
-    def test_as_order_empty_raises(self):
-        with pytest.raises(ValueError):
-            StreamingMortonOrder(_box()).as_order()
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):

@@ -198,13 +198,13 @@ class TestFiniteHelpers:
 
 class TestCountBearingGeometryErrors:
     def test_structurize_counts_bad_points(self):
-        from repro.core import structurize
+        from repro.core import structurize_batch
 
         cloud = np.zeros((6, 3))
         cloud[0, 0] = np.nan
         cloud[4, 2] = np.inf
         with pytest.raises(ValueError, match="2 of 6"):
-            structurize(cloud)
+            structurize_batch(cloud[None])
 
     def test_bbox_of_points_counts_bad_points(self):
         cloud = np.zeros((4, 3))
@@ -217,22 +217,22 @@ class TestCountBearingGeometryErrors:
             BoundingBox(np.zeros(3), np.array([1.0, np.inf, 1.0]))
 
     def test_sampler_precomputed_order_checks_finite(self, rng):
-        from repro.core import MortonSampler, structurize
+        from repro.core import MortonSampler, structurize_batch
 
-        cloud = rng.random((32, 3))
-        order = structurize(cloud)
-        cloud[0, 0] = np.nan  # corrupted after structurization
+        cloud = rng.random((1, 32, 3))
+        order = structurize_batch(cloud)
+        cloud[0, 0, 0] = np.nan  # corrupted after structurization
         with pytest.raises(ValueError, match="1 of 32"):
-            MortonSampler().sample(cloud, 8, order=order)
+            MortonSampler().sample_batch(cloud, 8, order=order)
 
     def test_search_precomputed_order_checks_finite(self, rng):
-        from repro.core import MortonNeighborSearch, structurize
+        from repro.core import MortonNeighborSearch, structurize_batch
 
-        cloud = rng.random((32, 3))
-        order = structurize(cloud)
-        cloud[5, 2] = np.inf
+        cloud = rng.random((1, 32, 3))
+        order = structurize_batch(cloud)
+        cloud[0, 5, 2] = np.inf
         with pytest.raises(ValueError, match="1 of 32"):
-            MortonNeighborSearch(4).search(cloud, order=order)
+            MortonNeighborSearch(4).search_batch(cloud, order=order)
 
 
 class TestDatasetBoundary:

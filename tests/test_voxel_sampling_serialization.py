@@ -1,7 +1,9 @@
-"""Tests for the voxel-grid sampler baseline and model checkpointing."""
+"""Tests for the retired voxel-grid sampler baseline
+(``tests/retired.py``) and model checkpointing."""
 
 import numpy as np
 import pytest
+from retired import cell_size_for_target_count, voxel_grid_sample
 
 from repro.datasets import bunny_like
 from repro.nn import (
@@ -9,11 +11,7 @@ from repro.nn import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.sampling import (
-    cell_size_for_target_count,
-    coverage_radius,
-    voxel_grid_sample,
-)
+from repro.sampling import coverage_radius
 
 
 class TestVoxelGridSample:
@@ -54,9 +52,9 @@ class TestVoxelGridSample:
 
         cell = cell_size_for_target_count(medium_cloud, 128)
         voxel_idx = voxel_grid_sample(medium_cloud, cell)
-        morton_idx = MortonSampler().sample(
-            medium_cloud, len(voxel_idx)
-        ).indices
+        morton_idx = MortonSampler().sample_batch(
+            medium_cloud[None], len(voxel_idx)
+        ).indices[0]
         ratio = coverage_radius(medium_cloud, morton_idx) / (
             coverage_radius(medium_cloud, voxel_idx)
         )

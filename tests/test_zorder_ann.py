@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.structurize import structurize
+from repro.core.structurize import structurize_batch
 from repro.neighbors import ZOrderApproxNN, knn
 
 
@@ -65,7 +65,7 @@ class TestZOrderApproxNN:
 
     def test_reuses_order(self, rng):
         pts = rng.random((100, 3))
-        order = structurize(pts)
+        order = structurize_batch(pts[None])
         ann = ZOrderApproxNN(pts, order=order)
         assert ann.order is order
 
@@ -81,9 +81,15 @@ class TestZOrderApproxNN:
             ann.query(np.zeros(3), 11)
 
     def test_rejects_mismatched_order(self, rng):
-        order = structurize(rng.random((50, 3)))
+        order = structurize_batch(rng.random((1, 50, 3)))
         with pytest.raises(ValueError):
             ZOrderApproxNN(rng.random((60, 3)), order=order)
+
+    def test_rejects_multi_cloud_order(self, rng):
+        pts = rng.random((50, 3))
+        order = structurize_batch(np.stack([pts, pts]))
+        with pytest.raises(ValueError, match="B=1"):
+            ZOrderApproxNN(pts, order=order)
 
     @given(seed=st.integers(0, 2**16), k=st.integers(1, 6))
     @settings(max_examples=15, deadline=None)
