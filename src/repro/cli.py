@@ -778,21 +778,11 @@ def cmd_partition(args: argparse.Namespace) -> int:
         sreq = fleet.submit_scene(
             scene.xyz, partitioner, tenant="scene"
         )
-        budget = 200 + 50 * plan.num_chunks
-        for _ in range(budget):
-            if sreq.future.done():
-                break
-            for index in range(len(fleet.replicas)):
-                fleet.pump_replica(index)
-            fleet.service()
-            clock.advance(0.01)
-            for replica in fleet.replicas:
-                replica.server.batcher.ingest()
-        fleet.service()
+        fleet.run()
         if not sreq.future.done():
             print(
-                "scene request did not settle within the pump "
-                "budget",
+                "scene request did not settle: the fleet ran out of "
+                "virtual-time events",
                 file=sys.stderr,
             )
             return 1

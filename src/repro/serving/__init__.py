@@ -12,8 +12,9 @@ consistent-hash routing, per-replica health tracking, deadline-aware
 retries, hedging, and brownout shedding; the
 :class:`~repro.serving.chaos.ChaosHarness` breaks replicas on a
 deterministic virtual-time schedule to prove it, and the
-:class:`~repro.serving.loadgen.FleetLoadGenerator` drives a fleet
-deterministically in virtual time.  See
+:class:`~repro.serving.loadgen.FleetLoadGenerator` feeds seeded load
+into the fleet's one virtual-time event loop
+(:meth:`~repro.serving.fleet.ServerFleet.run`).  See
 ``docs/serving.md``.
 """
 
@@ -33,6 +34,7 @@ from repro.serving.chaos import (
 )
 from repro.serving.fleet import (
     BrownoutError,
+    Dispatch,
     FleetConfig,
     FleetRequest,
     NoHealthyReplicaError,
@@ -79,6 +81,7 @@ __all__ = [
     "AdmissionError",
     "BATCH_SIZE_BUCKETS",
     "BrownoutError",
+    "Dispatch",
     "CHAOS_ACTIONS",
     "ChaosEvent",
     "ChaosGate",

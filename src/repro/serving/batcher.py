@@ -23,8 +23,8 @@ All batcher state is guarded by the queue's own
 :attr:`~repro.serving.queue.RequestQueue.condition`, so admission,
 bucketing, flushing, and shutdown are ordered by a single lock; both
 the blocking :meth:`MicroBatcher.next_batch` (worker threads) and the
-non-blocking :meth:`MicroBatcher.poll` (virtual-time load generation)
-sit on the same formation logic.
+non-blocking :meth:`MicroBatcher.poll` (the fleet's virtual-time
+event loop) sit on the same formation logic.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ class MicroBatcher:
         """Seconds until the next batch comes due (``None``: no
         bucket).  Zero when a batch is due right now — a full bucket,
         or any bucket once the queue closed — so event-driven callers
-        (the virtual-time load generator) see it as dispatchable the
+        (the fleet's virtual-time event loop) see it as dispatchable the
         moment a worker frees up."""
         if self._buckets and (
             self.queue.closed
@@ -250,8 +250,8 @@ class MicroBatcher:
         """Move queued requests into buckets now; returns buffered
         count.
 
-        Event-driven callers (the virtual-time load generator) call
-        this after each submission so :attr:`next_flush_at` reflects
+        Event-driven callers (the fleet's virtual-time event loop)
+        call this after each submission so :attr:`next_flush_at` reflects
         the new request even while every modeled worker is busy.
         """
         with self.queue.condition:
@@ -261,8 +261,8 @@ class MicroBatcher:
     def poll(self) -> Optional[MicroBatch]:
         """Non-blocking: return one due batch, or ``None``.
 
-        Used by the virtual-time load generator, which advances the
-        injected clock itself and pumps the server between events.
+        Used by the fleet's virtual-time event loop, which advances
+        the injected clock itself and pumps the server between events.
         """
         with self.queue.condition:
             self._ingest_locked(self.clock())

@@ -8,8 +8,8 @@ one layer up and breaks *replicas* on a virtual-time schedule.  A
 an exact instant on the shared
 :class:`~repro.observability.clock.FixedClock` — and a
 :class:`ChaosHarness` replays it against a
-:class:`~repro.serving.fleet.ServerFleet` as the load generator's
-event loop advances time.  Because both the faults and the load are
+:class:`~repro.serving.fleet.ServerFleet` as an event source of the
+fleet's virtual-time loop.  Because both the faults and the load are
 functions of (seed, schedule), the whole chaos matrix is reproducible
 enough to run in tier-1 CI.
 
@@ -160,24 +160,12 @@ class ChaosGate:
     """Mutable per-replica chaos state consulted by the fleet."""
 
     def __init__(self) -> None:
-        self.killed = False
-        self.stalled = False
-        self.erroring = False
-        self.slow_factor = 1.0
+        self.reset()
 
     @property
     def failing(self) -> bool:
         """Attempts on this replica fail outright."""
         return self.killed or self.erroring
-
-    @property
-    def nominal(self) -> bool:
-        return not (
-            self.killed
-            or self.stalled
-            or self.erroring
-            or self.slow_factor != 1.0
-        )
 
     def reset(self) -> None:
         self.killed = False
@@ -233,10 +221,6 @@ class ChaosHarness:
             return None
         return self._pending[self._cursor].at_s
 
-    @property
-    def exhausted(self) -> bool:
-        return self._cursor >= len(self._pending)
-
     def apply_due(self, now: float) -> List[ChaosEvent]:
         """Apply every event with ``at_s <= now``; returns them."""
         fired: List[ChaosEvent] = []
@@ -249,6 +233,14 @@ class ChaosHarness:
             self._apply(event, now)
             fired.append(event)
         return fired
+
+    def fire(self, now: float) -> None:
+        """Event-source hook for :meth:`ServerFleet.run
+        <repro.serving.fleet.ServerFleet.run>`: apply the due events
+        and, if any fired, service the fleet at once — a kill's shed
+        backlog schedules its retries before the instant's arrivals."""
+        if self.apply_due(now):
+            self.fleet.service(now)
 
     def _apply(self, event: ChaosEvent, now: float) -> None:
         fleet = self.fleet

@@ -29,12 +29,13 @@ the fault-tolerance policy the single-replica server cannot express:
 The fleet runs in the same two modes as the server: **threaded**
 (:meth:`ServerFleet.start` starts every replica's worker pool plus a
 maintenance thread that processes attempt outcomes and due timers) and
-**virtual** (:meth:`ServerFleet.pump_replica` +
-:meth:`ServerFleet.service` under a
-:class:`~repro.observability.clock.FixedClock`, driven by the
-deterministic :class:`~repro.serving.loadgen.FleetLoadGenerator` and
-the chaos harness).  Every decision is recorded in
-:attr:`ServerFleet.trace` as
+**virtual**, under a :class:`~repro.observability.clock.FixedClock`,
+where time advances only in the fleet's one event loop
+(:attr:`~ServerFleet.next_event_at`, :meth:`~ServerFleet.step`,
+:meth:`~ServerFleet.run`, :meth:`~ServerFleet.drain`): each replica's
+``workers`` are lanes next to its chaos gate, and the load generator,
+the chaos harness, and ``repro partition --serve`` all step that loop.
+Every decision is recorded in :attr:`ServerFleet.trace` as
 :class:`~repro.serving.retry.RetryEvent` rows, byte-identical across
 same-seed runs.
 """
@@ -48,11 +49,20 @@ import zlib
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.observability.clock import Clock, wall_clock
+from repro.observability.clock import Clock, FixedClock, wall_clock
 from repro.observability.context import TraceContext
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import NULL_TRACER, Tracer
@@ -65,7 +75,6 @@ from repro.serving.queue import (
     AdmissionError,
     DeadlineExceededError,
     ServingRequest,
-    emit_request_trace,
 )
 from repro.serving.retry import (
     HedgePolicy,
@@ -294,12 +303,32 @@ class _Attempt:
 
 @dataclass
 class Replica:
-    """One fleet member: server + health + chaos gate."""
+    """One fleet member: server + health + chaos gate.
+
+    ``lanes`` models the replica's ``workers`` in virtual time: the
+    instant each lane frees up from the batch it last ran.
+    """
 
     index: int
     server: InferenceServer
     health: ReplicaHealth
     gate: ChaosGate = field(default_factory=ChaosGate)
+    lanes: List[float] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class Dispatch:
+    """One batch a virtual-time step handed to a replica's gate.
+
+    ``busy_s`` is the batch's simulated device time times the gate's
+    slow factor, and ``done_s`` its lane start plus ``busy_s``; a
+    failed batch (``record.ok`` false) takes no lane: ``busy_s`` is
+    zero and ``done_s`` its dispatch instant.
+    """
+
+    record: DispatchRecord
+    done_s: float
+    busy_s: float = 0.0
 
 
 #: Errors worth re-dispatching to another replica.  Guard rejections,
@@ -358,7 +387,12 @@ class ServerFleet:
                 metrics=metrics,
             )
             self.replicas.append(
-                Replica(index=index, server=server, health=health)
+                Replica(
+                    index=index,
+                    server=server,
+                    health=health,
+                    lanes=[0.0] * self.serving_config.workers,
+                )
             )
         self.router = Router(
             len(self.replicas), self.config.ring_points
@@ -746,6 +780,30 @@ class ServerFleet:
             self.rejection_reasons.get(reason, 0) + 1
         )
 
+    def _log(
+        self,
+        request: FleetRequest,
+        now: float,
+        replica: int,
+        event: str,
+        detail: str = "",
+        backoff_s: float = 0.0,
+    ) -> None:
+        """Log one decision about ``request`` at its current attempt
+        count (see :meth:`_note`)."""
+        self._note(
+            RetryEvent(
+                now,
+                request.request_id,
+                request.attempts,
+                replica,
+                event,
+                detail,
+                backoff_s=backoff_s,
+                trace_id=self._trace_of(request),
+            )
+        )
+
     def _note(self, event: RetryEvent) -> None:
         """Append one decision-log row under the fleet lock.
 
@@ -822,17 +880,7 @@ class ServerFleet:
                 )
             except AdmissionError as err:
                 last_refusal = err
-                self._note(
-                    RetryEvent(
-                        now,
-                        request.request_id,
-                        request.attempts,
-                        index,
-                        "refused",
-                        type(err).__name__,
-                        trace_id=self._trace_of(request),
-                    )
-                )
+                self._log(request, now, index, "refused", type(err).__name__)
                 continue
             request.attempts = attempt_number
             request.tried.append(index)
@@ -856,16 +904,7 @@ class ServerFleet:
                     self.metrics.counter(
                         "serving_fleet_hedges_total"
                     ).inc()
-            self._note(
-                RetryEvent(
-                    now,
-                    request.request_id,
-                    attempt_number,
-                    index,
-                    "hedge" if hedge else "dispatch",
-                    trace_id=self._trace_of(request),
-                )
-            )
+            self._log(request, now, index, "hedge" if hedge else "dispatch")
             if not hedge and self.config.hedge is not None:
                 with self._cond:
                     latencies = list(self._attempt_latencies)
@@ -885,7 +924,7 @@ class ServerFleet:
                     aid
                 )
             )
-            # Keep the replica's next_flush_at current for the
+            # Keep the replica's next flush current for the
             # virtual-time event loop; harmless under workers.
             replica.server.batcher.ingest()
             return index, None
@@ -1028,16 +1067,7 @@ class ServerFleet:
                     self.metrics.counter(
                         "serving_fleet_hedge_wins_total"
                     ).inc()
-                self._note(
-                    RetryEvent(
-                        now,
-                        request.request_id,
-                        request.attempts,
-                        attempt.replica,
-                        "hedge_win",
-                        trace_id=self._trace_of(request),
-                    )
-                )
+                self._log(request, now, attempt.replica, "hedge_win")
             self._close_request_trace(request, now, "ok")
             self._cancel_siblings(request, now)
             return
@@ -1071,16 +1101,7 @@ class ServerFleet:
             self._count_reason("deadline")
         if self.metrics is not None:
             self.metrics.counter("serving_fleet_expired_total").inc()
-        self._note(
-            RetryEvent(
-                now,
-                request.request_id,
-                request.attempts,
-                replica,
-                "expired",
-                trace_id=self._trace_of(request),
-            )
-        )
+        self._log(request, now, replica, "expired")
         self._close_request_trace(request, now, "expired")
         request.future.set_exception(error)
 
@@ -1098,17 +1119,7 @@ class ServerFleet:
                 "serving_fleet_failed_total",
                 reason=type(error).__name__,
             ).inc()
-        self._note(
-            RetryEvent(
-                now,
-                request.request_id,
-                request.attempts,
-                replica,
-                "failed",
-                type(error).__name__,
-                trace_id=self._trace_of(request),
-            )
-        )
+        self._log(request, now, replica, "failed", type(error).__name__)
         self._close_request_trace(
             request, now, "failed", detail=type(error).__name__
         )
@@ -1129,17 +1140,7 @@ class ServerFleet:
                 "serving_fleet_failed_total",
                 reason="retry_exhausted",
             ).inc()
-        self._note(
-            RetryEvent(
-                now,
-                request.request_id,
-                request.attempts,
-                replica,
-                "exhausted",
-                type(cause).__name__,
-                trace_id=self._trace_of(request),
-            )
-        )
+        self._log(request, now, replica, "exhausted", type(cause).__name__)
         self._close_request_trace(
             request, now, "exhausted", detail=type(cause).__name__
         )
@@ -1157,7 +1158,11 @@ class ServerFleet:
         now: float,
         replica: int,
         error: Exception,
+        detail: str = "",
     ) -> None:
+        """Back off and re-dispatch ``request`` later, or exhaust it
+        when the policy (attempts or remaining deadline) says no;
+        ``detail`` labels the retry event (default: the error type)."""
         remaining = (
             None
             if request.deadline_s is None
@@ -1173,17 +1178,9 @@ class ServerFleet:
             self.retries += 1
         if self.metrics is not None:
             self.metrics.counter("serving_fleet_retries_total").inc()
-        self._note(
-            RetryEvent(
-                now,
-                request.request_id,
-                request.attempts,
-                replica,
-                "retry",
-                type(error).__name__,
-                backoff_s=backoff,
-                trace_id=self._trace_of(request),
-            )
+        self._log(
+            request, now, replica, "retry",
+            detail or type(error).__name__, backoff_s=backoff,
         )
         with self._cond:
             self._timer_seq += 1
@@ -1208,16 +1205,7 @@ class ServerFleet:
                 self.metrics.counter(
                     "serving_fleet_hedge_cancelled_total"
                 ).inc()
-            self._note(
-                RetryEvent(
-                    now,
-                    request.request_id,
-                    request.attempts,
-                    sibling.replica,
-                    "hedge_cancel",
-                    trace_id=self._trace_of(request),
-                )
-            )
+            self._log(request, now, sibling.replica, "hedge_cancel")
 
     # Timers ----------------------------------------------------------
 
@@ -1255,49 +1243,16 @@ class ServerFleet:
             # attempt, so the loop terminates at max_attempts even
             # while every queue refuses.
             request.attempts += 1
-            remaining = (
-                None
-                if request.deadline_s is None
-                else request.deadline_s - now
+            self._schedule_retry(
+                request,
+                now,
+                -1,
+                NoHealthyReplicaError(
+                    f"request {request.request_id!r}: no replica "
+                    "accepted the retry"
+                ),
+                detail="placement",
             )
-            backoff = self.config.retry.next_backoff(
-                request.attempts, request.request_id, remaining
-            )
-            if backoff is None:
-                self._exhaust_request(
-                    request,
-                    now,
-                    -1,
-                    NoHealthyReplicaError(
-                        f"request {request.request_id!r}: no replica "
-                        "accepted the retry"
-                    ),
-                )
-                continue
-            with self._cond:
-                self.retries += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "serving_fleet_retries_total"
-                ).inc()
-            self._note(
-                RetryEvent(
-                    now,
-                    request.request_id,
-                    request.attempts,
-                    -1,
-                    "retry",
-                    "placement",
-                    backoff_s=backoff,
-                    trace_id=self._trace_of(request),
-                )
-            )
-            with self._cond:
-                self._timer_seq += 1
-                heapq.heappush(
-                    self._retries,
-                    (now + backoff, self._timer_seq, request),
-                )
 
     def _fire_hedges(self, now: float, force: bool) -> None:
         while True:
@@ -1320,18 +1275,15 @@ class ServerFleet:
                 request, now, hedge=True, exclude={attempt.replica}
             )
 
-    @property
-    def next_timer_at(self) -> Optional[float]:
-        """Earliest instant the fleet has scheduled work, if any."""
-        with self._cond:
-            candidates = []
-            if self._retries:
-                candidates.append(self._retries[0][0])
-            if self._hedge_timers:
-                candidates.append(self._hedge_timers[0][0])
-            if self._resolved:
-                candidates.append(self.clock())
-        return min(candidates) if candidates else None
+    def _next_timer_locked(self) -> Optional[float]:
+        """Earliest due retry/hedge timer, if any; callers hold
+        :attr:`_cond`."""
+        due = []
+        if self._retries:
+            due.append(self._retries[0][0])
+        if self._hedge_timers:
+            due.append(self._hedge_timers[0][0])
+        return min(due) if due else None
 
     # Health and brownout ---------------------------------------------
 
@@ -1425,81 +1377,214 @@ class ServerFleet:
         """Fail every queued/buffered attempt on a replica with a
         retryable :class:`~repro.serving.chaos.ReplicaFaultError`;
         returns the count."""
-        if now is None:
-            now = self.clock()
-        replica = self.replicas[index]
-        server = replica.server
-        with server.queue.condition:
-            pending = server.queue.pop_pending()
-            if pending:
-                server.queue.release(len(pending))
-        pending.extend(server.batcher.cancel_buffered())
-        if not pending:
-            return 0
-        for serving_request in pending:
-            emit_request_trace(
-                self.tracer, serving_request, now, "shed",
-                detail=reason,
-            )
-            serving_request.future.set_exception(
-                ReplicaFaultError(
-                    f"attempt {serving_request.request_id!r} shed: "
-                    f"replica {index} {reason}"
-                )
-            )
-        server.record_failed(len(pending), "replica_fault")
-        return len(pending)
+        return self.replicas[index].server.cancel_backlog(
+            "shed",
+            reason,
+            "replica_fault",
+            lambda request: ReplicaFaultError(
+                f"attempt {request.request_id!r} shed: "
+                f"replica {index} {reason}"
+            ),
+            now=now,
+        )
 
     # Virtual mode ----------------------------------------------------
 
-    def pump_replica(
-        self, index: int, limit: Optional[int] = None
-    ) -> List[DispatchRecord]:
-        """Dispatch up to ``limit`` due batches on one replica.
+    @property
+    def next_event_at(self) -> Optional[float]:
+        """Earliest virtual instant the fleet has work, if any.
 
-        Chaos-aware: a stalled replica only expires deadlines; a
-        killed/erroring replica pops due batches and fails them with
-        a retryable fault instead of running inference.
+        Per replica, by chaos gate: a stalled replica wakes only for
+        its next deadline expiry, a failing one at its next flush, and
+        any other at its next flush clamped to its earliest free lane.
+        Then retry/hedge timers, and ``now`` while attempt outcomes
+        wait to be processed.
         """
-        replica = self.replicas[index]
-        if replica.gate.stalled:
-            replica.server.batcher.expire_due()
-            return []
-        if replica.gate.failing:
-            records: List[DispatchRecord] = []
-            while limit is None or len(records) < limit:
-                batch = replica.server.batcher.poll()
-                if batch is None:
-                    break
-                replica.server._fail_batch(
-                    batch,
-                    ReplicaFaultError(
-                        f"replica {index} is {replica.gate.describe()}"
-                    ),
-                    "replica_fault",
+        due: List[float] = []
+        for replica in self.replicas:
+            batcher = replica.server.batcher
+            if replica.gate.stalled:
+                at = batcher.next_expiry_at
+            else:
+                at = batcher.next_flush_at
+                if at is not None and not replica.gate.failing:
+                    at = max(at, min(replica.lanes))
+            if at is not None:
+                due.append(at)
+        with self._cond:
+            timer = self._next_timer_locked()
+            if timer is not None:
+                due.append(timer)
+            if self._resolved:
+                due.append(self.clock())
+        return min(due) if due else None
+
+    def step(
+        self,
+        now: float,
+        on_dispatch: Optional[Callable[[Dispatch], None]] = None,
+    ) -> None:
+        """Act at virtual instant ``now``: process outcomes and due
+        timers, then dispatch, fail, or expire every due batch per its
+        replica's chaos gate.  ``on_dispatch`` sees each
+        :class:`Dispatch` right after its outcome was processed (so a
+        winning attempt is already marked on its request)."""
+        self.service(now)
+        self._dispatch_due(now, on_dispatch)
+
+    def _dispatch_due(
+        self,
+        now: float,
+        on_dispatch: Optional[Callable[[Dispatch], None]],
+    ) -> None:
+        """Sweep the replicas until no gate has a due batch left."""
+        progress = True
+        while progress:
+            progress = False
+            for replica in self.replicas:
+                while True:
+                    dispatch = self._dispatch_one(replica, now)
+                    if dispatch is None:
+                        break
+                    self.service(now)
+                    if on_dispatch is not None:
+                        on_dispatch(dispatch)
+                    progress = True
+        self.service(now)
+
+    def _dispatch_one(
+        self, replica: Replica, now: float
+    ) -> Optional[Dispatch]:
+        """Hand one due batch of ``replica`` to its chaos gate.
+
+        Stalled: expire due deadlines, dispatch nothing.  Failing
+        (killed/erroring): fail the batch with a retryable
+        :class:`~repro.serving.chaos.ReplicaFaultError`; it occupies
+        no lane.  Otherwise: run it on the earliest free lane, if one
+        is free at ``now``.
+        """
+        gate = replica.gate
+        server = replica.server
+        if gate.stalled:
+            server.batcher.expire_due()
+            return None
+        if gate.failing:
+            batch = server.batcher.poll()
+            if batch is None:
+                return None
+            server._fail_batch(
+                batch,
+                ReplicaFaultError(
+                    f"replica {replica.index} is {gate.describe()}"
+                ),
+                "replica_fault",
+            )
+            server.record_failed(batch.size, "replica_fault")
+            record = DispatchRecord.of(
+                batch, ok=False, error="ReplicaFaultError: chaos"
+            )
+            return Dispatch(record, record.dispatched_s)
+        lanes = replica.lanes
+        if min(lanes) > now:
+            return None
+        records = server.pump(limit=1)
+        if not records:
+            return None
+        record = records[0]
+        if not record.ok:
+            return Dispatch(record, record.dispatched_s)
+        busy = record.simulated_s * gate.slow_factor
+        lane = lanes.index(min(lanes))
+        done = max(record.dispatched_s, lanes[lane]) + busy
+        lanes[lane] = done
+        return Dispatch(record, done, busy)
+
+    def _advance_to(self, t: float) -> float:
+        """Move the virtual clock forward to ``t``; returns now."""
+        if not isinstance(self.clock, FixedClock):
+            raise TypeError(
+                "virtual-time stepping needs the fleet on a "
+                "FixedClock; threaded serving uses start()/stop()"
+            )
+        delta = t - self.clock()
+        if delta > 0:
+            self.clock.advance(delta)
+        return self.clock()
+
+    def run(
+        self,
+        sources: Sequence = (),
+        on_dispatch: Optional[Callable[[Dispatch], None]] = None,
+        on_tick: Optional[Callable[[float], None]] = None,
+    ) -> None:
+        """Step virtual time from event to event until none remain.
+
+        ``sources`` are external event sources with a
+        ``next_event_at`` and a ``fire(now)`` (load arrivals, a
+        :class:`~repro.serving.chaos.ChaosHarness`).  At each instant
+        the due sources fire in order, then the fleet takes its
+        :meth:`step`, then ``on_tick(now)`` runs.  Returns rather than
+        spinning when nothing is scheduled, even if a request can
+        never settle (its only replica stalled, no deadline).
+        """
+        while True:
+            fleet_at = self.next_event_at
+            due = [(source, source.next_event_at) for source in sources]
+            times = [fleet_at] + [at for _, at in due]
+            if all(at is None for at in times):
+                return
+            t = min(at for at in times if at is not None)
+            now = self._advance_to(t)
+            for source, at in due:
+                if at is not None and at <= t:
+                    source.fire(now)
+            self.step(now, on_dispatch)
+            if on_tick is not None:
+                on_tick(now)
+
+    def drain(
+        self,
+        on_dispatch: Optional[Callable[[Dispatch], None]] = None,
+        on_tick: Optional[Callable[[float], None]] = None,
+    ) -> None:
+        """Close admission and step until every request settles.
+
+        Live replicas flush through the drain trigger; backlogs on
+        stalled/killed replicas are shed with retryable faults (their
+        retries then resolve against closed queues as typed
+        :class:`~repro.serving.retry.RetryExhaustedError`); remaining
+        timers are honored by advancing the virtual clock to them.
+        Returns once nothing is scheduled, so a stuck request shows up
+        as unsettled instead of hanging the caller.
+        """
+        self.close()
+        while not self._settled():
+            now = self.clock()
+            for replica in self.replicas:
+                unreachable = replica.gate.stalled or replica.gate.killed
+                backlog = (
+                    replica.server.queue.depth
+                    + replica.server.batcher.buffered
                 )
-                replica.server.record_failed(
-                    batch.size, "replica_fault"
-                )
-                records.append(
-                    DispatchRecord(
-                        dispatched_s=batch.formed_s,
-                        trigger=batch.trigger,
-                        size=batch.size,
-                        n_points=batch.n_points,
-                        simulated_s=0.0,
-                        request_ids=tuple(
-                            r.request_id for r in batch.requests
-                        ),
-                        arrivals_s=tuple(
-                            r.arrival_s for r in batch.requests
-                        ),
-                        ok=False,
-                        error="ReplicaFaultError: chaos",
+                if unreachable and backlog:
+                    self.shed_replica_backlog(
+                        replica.index, "unreachable at drain", now=now
                     )
-                )
-            return records
-        return replica.server.pump(limit=limit)
+            self._dispatch_due(now, on_dispatch)
+            t = self.next_event_at
+            if t is not None and t > now:
+                now = self._advance_to(t)
+            self.service(now)
+            if on_tick is not None:
+                on_tick(now)
+            if t is None:
+                return
+
+    def _settled(self) -> bool:
+        """Whether every admitted request reached a terminal state."""
+        with self._cond:
+            requests = list(self._requests.values())
+        return all(request.future.done() for request in requests)
 
     def close(self) -> None:
         """Close every replica's admission queue (drain begins)."""
@@ -1539,14 +1624,10 @@ class ServerFleet:
                     # keeps sub-tick hedge delays honest instead of
                     # quantizing them up to the tick.
                     timeout = 0.005
-                    due = []
-                    if self._retries:
-                        due.append(self._retries[0][0])
-                    if self._hedge_timers:
-                        due.append(self._hedge_timers[0][0])
-                    if due:
+                    due = self._next_timer_locked()
+                    if due is not None:
                         timeout = min(
-                            timeout, max(0.0, min(due) - self.clock())
+                            timeout, max(0.0, due - self.clock())
                         )
                     self._cond.wait(timeout=timeout)
             self.service()

@@ -2,19 +2,19 @@
 
 A :class:`FleetLoadGenerator` drives a
 :class:`~repro.serving.fleet.ServerFleet` — one replica stands in for
-a single server — in **virtual time**: it shares the fleet's
-:class:`~repro.observability.clock.FixedClock`, generates seeded
-clouds and seeded Poisson (or fixed-rate) arrivals, and advances the
-clock from event to event — each arrival, micro-batch flush, retry
-timer, and deadline expiry happens at an exact virtual instant, and
-batches are dispatched inline through
-:meth:`~repro.serving.fleet.ServerFleet.pump_replica`.  Because
-nothing depends on host scheduling, two runs at the same seed produce
-bit-identical reports: same admission decisions, same batch-size
-histogram, same latency percentiles.
+a single server — in **virtual time**: it generates seeded clouds,
+tenants, and seeded Poisson (or fixed-rate) arrivals and feeds them,
+with an optional chaos schedule, into the fleet's event loop
+(:meth:`~repro.serving.fleet.ServerFleet.run`, then
+:meth:`~repro.serving.fleet.ServerFleet.drain`).  The fleet advances
+the shared :class:`~repro.observability.clock.FixedClock` from event
+to event; this module only keeps the books.  Because nothing depends
+on host scheduling, two runs at the same seed produce bit-identical
+reports: same admission decisions, same batch-size histogram, same
+latency percentiles.
 
 Service is modeled on the paper's simulated edge device: a dispatched
-batch occupies one of each replica's ``workers`` virtual servers for
+batch occupies one of each replica's ``workers`` virtual lanes for
 the batch's simulated device seconds
 (:attr:`~repro.runtime.profiler.StageBreakdown.total_s`), so reported
 latencies are queue wait + batching delay + simulated device time —
@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.observability.clock import FixedClock
-from repro.serving.fleet import FleetRequest, ServerFleet
+from repro.serving.fleet import Dispatch, FleetRequest, ServerFleet
 from repro.serving.queue import AdmissionError
 
 ARRIVALS = ("poisson", "fixed")
@@ -136,44 +136,7 @@ class LoadReport:
     replica_states: Dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "mode": self.mode,
-            "arrival": self.arrival,
-            "duration_s": self.duration_s,
-            "offered_rps": self.offered_rps,
-            "seed": self.seed,
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "expired": self.expired,
-            "completed": self.completed,
-            "failed": self.failed,
-            "lost": self.lost,
-            "late": self.late,
-            "batches": self.batches,
-            "mean_batch_size": self.mean_batch_size,
-            "batch_size_hist": dict(
-                sorted(self.batch_size_hist.items())
-            ),
-            "trigger_counts": dict(
-                sorted(self.trigger_counts.items())
-            ),
-            "latency_ms": dict(sorted(self.latency_ms.items())),
-            "goodput_rps": self.goodput_rps,
-            "simulated_busy_s": self.simulated_busy_s,
-            "rejection_reasons": dict(
-                sorted(self.rejection_reasons.items())
-            ),
-            "replicas": self.replicas,
-            "retries": self.retries,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
-            "hedge_cancelled": self.hedge_cancelled,
-            "chaos_events": self.chaos_events,
-            "replica_states": dict(
-                sorted(self.replica_states.items())
-            ),
-        }
+        return asdict(self)
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -234,14 +197,14 @@ class LoadReport:
 class FleetLoadGenerator:
     """Virtual-time load driver for a :class:`ServerFleet`.
 
-    One event loop advances the shared :class:`FixedClock` across
-    arrivals, per-replica micro-batch flushes (clamped by each
-    replica's modeled workers), fleet retry/hedge timers, deadline
-    expiries on stalled replicas, and scheduled chaos events — then
-    drains the tail so every submitted request reaches a terminal
-    future state.  Two runs at the same seed (and the same chaos
-    schedule) produce byte-identical reports and fleet retry traces.
-    A 1-replica fleet is how a single server is load-tested.
+    Feeds arrivals and scheduled chaos events into the fleet's event
+    loop, which steps the shared :class:`FixedClock` across them and
+    across micro-batch flushes (clamped by each replica's modeled
+    lanes), retry/hedge timers, and deadline expiries — then drains
+    the tail so every submitted request reaches a terminal future
+    state.  Two runs at the same seed (and the same chaos schedule)
+    produce byte-identical reports and fleet retry traces.  A
+    1-replica fleet is how a single server is load-tested.
 
     Args:
         fleet: the fleet under test; its ``clock`` must be the
@@ -337,12 +300,6 @@ class FleetLoadGenerator:
         else:
             arrivals = [0.0] * cfg.concurrency
         arrivals.reverse()  # pop() from the tail = earliest first
-
-        workers = fleet.serving_config.workers
-        busy: Dict[int, List[float]] = {
-            replica.index: [0.0] * workers
-            for replica in fleet.replicas
-        }
         deadline_s = (
             None if cfg.deadline_ms is None else cfg.deadline_ms / 1e3
         )
@@ -351,13 +308,10 @@ class FleetLoadGenerator:
         tracked_by_id: Dict[str, FleetRequest] = {}
         recorded: set = set()
 
-        def advance_to(t: float) -> None:
-            delta = t - self.clock()
-            if delta > 0:
-                self.clock.advance(delta)
-
-        def settle(index: int, record) -> None:
-            """Model one dispatched batch occupying a replica lane."""
+        def settle(dispatch: Dispatch) -> None:
+            """Book one dispatched batch; a winning attempt's latency
+            ends at the batch's modeled completion."""
+            record = dispatch.record
             report.batches += 1
             key = str(record.size)
             report.batch_size_hist[key] = (
@@ -368,14 +322,8 @@ class FleetLoadGenerator:
             )
             if not record.ok:
                 return
-            gate = fleet.replicas[index].gate
-            simulated = record.simulated_s * gate.slow_factor
-            lanes = busy[index]
-            worker = lanes.index(min(lanes))
-            start = max(record.dispatched_s, lanes[worker])
-            done = start + simulated
-            lanes[worker] = done
-            report.simulated_busy_s += simulated
+            done = dispatch.done_s
+            report.simulated_busy_s += dispatch.busy_s
             for attempt_id in record.request_ids:
                 rid = attempt_id.rsplit(".a", 1)[0]
                 request = tracked_by_id.get(rid)
@@ -393,38 +341,8 @@ class FleetLoadGenerator:
                 if cfg.mode == "closed" and done < cfg.duration_s:
                     arrivals.insert(0, done)
 
-        def dispatch_free(t: float) -> None:
-            """Hand due batches to replica lanes free at ``t``."""
-            progress = True
-            while progress:
-                progress = False
-                for replica in fleet.replicas:
-                    index = replica.index
-                    if replica.gate.stalled:
-                        fleet.pump_replica(index, limit=1)
-                        continue
-                    if replica.gate.failing:
-                        # Failed dispatches occupy no lane.
-                        while True:
-                            records = fleet.pump_replica(
-                                index, limit=1
-                            )
-                            if not records:
-                                break
-                            fleet.service(t)
-                            settle(index, records[0])
-                            progress = True
-                        continue
-                    while any(until <= t for until in busy[index]):
-                        records = fleet.pump_replica(index, limit=1)
-                        if not records:
-                            break
-                        fleet.service(t)
-                        settle(index, records[0])
-                        progress = True
-            fleet.service(t)
-
         def submit_arrival(now: float) -> None:
+            arrivals.pop()
             report.submitted += 1
             cloud = self._cloud(rng)
             tenant_index = int(rng.integers(cfg.tenants))
@@ -445,58 +363,12 @@ class FleetLoadGenerator:
                 tracked.append(request)
                 tracked_by_id[request.request_id] = request
 
-        while True:
-            t_arrival = arrivals[-1] if arrivals else None
-            flush_candidates: List[float] = []
-            for replica in fleet.replicas:
-                batcher = replica.server.batcher
-                if replica.gate.stalled:
-                    expiry = batcher.next_expiry_at
-                    if expiry is not None:
-                        flush_candidates.append(expiry)
-                    continue
-                flush_at = batcher.next_flush_at
-                if flush_at is None:
-                    continue
-                if replica.gate.failing:
-                    flush_candidates.append(flush_at)
-                else:
-                    flush_candidates.append(
-                        max(flush_at, min(busy[replica.index]))
-                    )
-            t_flush = (
-                min(flush_candidates) if flush_candidates else None
-            )
-            t_timer = fleet.next_timer_at
-            t_chaos = (
-                self.chaos.next_event_at
-                if self.chaos is not None
-                else None
-            )
-            events = [
-                t
-                for t in (t_arrival, t_flush, t_timer, t_chaos)
-                if t is not None
-            ]
-            if not events:
-                break
-            t = min(events)
-            advance_to(t)
-            now = self.clock()
-            if self.chaos is not None and (
-                t_chaos is not None and t_chaos <= now
-            ):
-                if self.chaos.apply_due(now):
-                    fleet.service(now)
-            if t_arrival is not None and t_arrival <= t:
-                arrivals.pop()
-                submit_arrival(now)
-            fleet.service(now)
-            dispatch_free(now)
-            if self.slo is not None:
-                self.slo.tick(now)
-
-        self._drain_tail(tracked, dispatch_free, advance_to)
+        # Chaos fires before the instant's arrival (see ChaosHarness).
+        sources = [] if self.chaos is None else [self.chaos]
+        sources.append(_Arrivals(arrivals, submit_arrival))
+        tick = None if self.slo is None else self.slo.tick
+        fleet.run(sources, on_dispatch=settle, on_tick=tick)
+        fleet.drain(on_dispatch=settle, on_tick=tick)
 
         now = self.clock()
         if self.slo is not None:
@@ -537,39 +409,20 @@ class FleetLoadGenerator:
         report.goodput_rps = max(0.0, on_time) / cfg.duration_s
         return report
 
-    def _drain_tail(self, tracked, dispatch_free, advance_to) -> None:
-        """Close admission and force every future to a terminal state.
 
-        Live replicas flush through the drain trigger; backlogs on
-        stalled/killed replicas are shed with retryable faults (their
-        retries then resolve against closed queues as typed
-        :class:`~repro.serving.retry.RetryExhaustedError`); remaining
-        retry timers are honored by advancing the virtual clock to
-        them.  A generous iteration guard turns any stuck state into
-        visible lost requests instead of a hang.
-        """
-        fleet = self.fleet
-        fleet.close()
-        for _ in range(10_000):
-            if all(request.future.done() for request in tracked):
-                return
-            now = self.clock()
-            for replica in fleet.replicas:
-                unreachable = (
-                    replica.gate.stalled or replica.gate.killed
-                )
-                backlog = (
-                    replica.server.queue.depth
-                    + replica.server.batcher.buffered
-                )
-                if unreachable and backlog:
-                    fleet.shed_replica_backlog(
-                        replica.index, "unreachable at drain", now=now
-                    )
-            dispatch_free(now)
-            next_timer = fleet.next_timer_at
-            if next_timer is not None and next_timer > now:
-                advance_to(next_timer)
-            fleet.service(self.clock())
-            if self.slo is not None:
-                self.slo.tick(self.clock())
+class _Arrivals:
+    """Pending arrival instants as a fleet event source: the earliest
+    sits at the tail, and each firing submits exactly one request."""
+
+    def __init__(
+        self, times: List[float], submit: Callable[[float], None]
+    ) -> None:
+        self.times = times
+        self.submit = submit
+
+    @property
+    def next_event_at(self) -> Optional[float]:
+        return self.times[-1] if self.times else None
+
+    def fire(self, now: float) -> None:
+        self.submit(now)

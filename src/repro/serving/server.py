@@ -20,9 +20,11 @@ Two execution modes share one dispatch routine:
   mutable state — while admission, batching, cancellation, and future
   completion run concurrently.
 - **virtual** — :meth:`~InferenceServer.pump` forms and dispatches
-  every due batch inline on the caller's thread.  Driven by the
-  deterministic load generator under a
-  :class:`~repro.observability.clock.FixedClock`.
+  due batches inline on the caller's thread, under a
+  :class:`~repro.observability.clock.FixedClock`.  The server keeps
+  no notion of time passing: the fleet's event loop
+  (:meth:`~repro.serving.fleet.ServerFleet.run`) advances the clock,
+  models the workers as lanes, and pumps one batch per free lane.
 
 Shutdown is graceful by default: :meth:`~InferenceServer.stop` closes
 the queue (new submissions get a typed
@@ -37,7 +39,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -155,6 +157,27 @@ class DispatchRecord:
     arrivals_s: Tuple[float, ...]
     ok: bool
     error: str = ""
+
+    @classmethod
+    def of(
+        cls,
+        batch: MicroBatch,
+        ok: bool,
+        simulated_s: float = 0.0,
+        error: str = "",
+    ) -> "DispatchRecord":
+        """The record of ``batch``, dispatched when it was formed."""
+        return cls(
+            dispatched_s=batch.formed_s,
+            trigger=batch.trigger,
+            size=batch.size,
+            n_points=batch.n_points,
+            simulated_s=simulated_s,
+            request_ids=tuple(r.request_id for r in batch.requests),
+            arrivals_s=tuple(r.arrival_s for r in batch.requests),
+            ok=ok,
+            error=error,
+        )
 
 
 @contextmanager
@@ -418,20 +441,8 @@ class InferenceServer:
                         dispatch_span_id=span.span_id,
                     )
             span.set("ok", ok)
-            record = DispatchRecord(
-                dispatched_s=batch.formed_s,
-                trigger=batch.trigger,
-                size=batch.size,
-                n_points=batch.n_points,
-                simulated_s=simulated_s,
-                request_ids=tuple(
-                    r.request_id for r in batch.requests
-                ),
-                arrivals_s=tuple(
-                    r.arrival_s for r in batch.requests
-                ),
-                ok=ok,
-                error=error_text,
+            record = DispatchRecord.of(
+                batch, ok, simulated_s=simulated_s, error=error_text
             )
             with self._records_lock:
                 self.records.append(record)
@@ -637,7 +648,15 @@ class InferenceServer:
             span.set("drain", drain)
             self.queue.close()
             if not drain:
-                self._cancel_pending()
+                self.cancel_backlog(
+                    "cancelled",
+                    "stop",
+                    "cancelled",
+                    lambda request: QueueClosedError(
+                        f"request {request.request_id!r} cancelled: "
+                        "server stopped without draining"
+                    ),
+                )
             for thread in self._threads:
                 thread.join(timeout=timeout_s)
             stuck = [
@@ -660,23 +679,37 @@ class InferenceServer:
                     "their in-flight requests may never resolve"
                 )
 
-    def _cancel_pending(self) -> None:
+    def cancel_backlog(
+        self,
+        outcome: str,
+        detail: str,
+        reason: str,
+        error: Callable[[ServingRequest], Exception],
+        now: Optional[float] = None,
+    ) -> int:
+        """Fail every queued and buffered request; returns the count.
+
+        Each request leaves the admission backlog, is traced as
+        ``outcome`` with ``detail``, and resolves with
+        ``error(request)``; the lot counts as failed under ``reason``.
+        Used by a non-draining :meth:`stop` and by the fleet when it
+        sheds a dead replica's backlog.
+        """
+        if now is None:
+            now = self.clock()
         with self.queue.condition:
             pending = self.queue.pop_pending()
+            if pending:
+                self.queue.release(len(pending))
         pending.extend(self.batcher.cancel_buffered())
-        now = self.clock()
         for request in pending:
             emit_request_trace(
-                self.tracer, request, now, "cancelled", detail="stop"
+                self.tracer, request, now, outcome, detail=detail
             )
-            request.future.set_exception(
-                QueueClosedError(
-                    f"request {request.request_id!r} cancelled: "
-                    "server stopped without draining"
-                )
-            )
+            request.future.set_exception(error(request))
         if pending:
-            self.record_failed(len(pending), "cancelled")
+            self.record_failed(len(pending), reason)
+        return len(pending)
 
     def __enter__(self) -> "InferenceServer":
         return self.start()
@@ -692,10 +725,9 @@ class InferenceServer:
         """Dispatch up to ``limit`` due batches inline (all, if
         ``None``); returns their records.
 
-        The virtual-time path: no workers run; the caller advances the
-        injected clock between calls and uses ``limit`` to model how
-        many simulated servers are free (see
-        :meth:`~repro.serving.fleet.ServerFleet.pump_replica`).
+        The virtual-time path: no workers run; the fleet's event loop
+        advances the injected clock between calls and pumps one batch
+        per free lane (see :meth:`~repro.serving.fleet.ServerFleet.step`).
         """
         records: List[DispatchRecord] = []
         while limit is None or len(records) < limit:

@@ -1,0 +1,133 @@
+"""Exact same-seed outputs of the virtual-time fleet event loop.
+
+``tests/data/chaos_golden.json`` pins, for three ``repro chaos``
+runs, everything the loop decides: the ``LoadReport``, the fleet's
+``RetryEvent`` trace, every replica's health transitions, and the
+report of the committed ``SLO_serving.json`` spec ticked through the
+run.  The runs are built with the CLI's own argument parser and fleet
+helpers, so they are the runs the CLI makes:
+
+- ``bench`` — the ``BENCH_serving.json`` run (3 replicas, standard
+  kill-and-recover schedule, 2 s at 40 req/s, seed 0);
+- ``closed`` — a closed-loop run with hedging under the standard
+  schedule;
+- ``stall`` — an open-loop run with a tight deadline, a stalled
+  replica (its backlog only expires), an erroring and a slowed one.
+
+Regenerate (only when a change is meant to move the timeline)::
+
+    PYTHONPATH=src python tests/test_chaos_golden.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.cli import (
+    _build_fleet,
+    _loadgen_config,
+    _slo_engine,
+    build_parser,
+)
+from repro.observability.clock import FixedClock
+from repro.observability.tracing import NULL_TRACER
+from repro.observability.metrics import MetricsRegistry
+from repro.serving import ChaosHarness, ChaosSchedule, FleetLoadGenerator
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "data" / "chaos_golden.json"
+
+COMMON = ["--slo", str(REPO / "SLO_serving.json")]
+
+RUNS = {
+    "bench": [
+        "--duration-s", "2", "--rate", "40", "--deadline-ms", "500",
+        "--retries", "4", "--seed", "0",
+    ],
+    "closed": [
+        "--mode", "closed", "--concurrency", "6", "--duration-s", "1.5",
+        "--deadline-ms", "500", "--retries", "4", "--hedge-ms", "25",
+        "--seed", "3",
+    ],
+    "stall": [
+        "--duration-s", "1.5", "--rate", "40", "--deadline-ms", "150",
+        "--retries", "3", "--seed", "5",
+        "--event", "stall:1:0.3", "--event", "slow:0:0.4:4",
+        "--event", "error:2:0.5", "--event", "recover:1:0.9",
+        "--event", "recover:2:1.0", "--event", "recover:0:1.1",
+    ],
+}
+
+
+def run_chaos(argv):
+    """One ``repro chaos`` run; returns its golden record."""
+    args = build_parser().parse_args(["chaos"] + argv + COMMON)
+    clock = FixedClock(0.0)
+    registry = MetricsRegistry()
+    slo = _slo_engine(args, registry, clock)
+    fleet = _build_fleet(args, NULL_TRACER, registry, clock=clock)
+    if args.event:
+        schedule = ChaosSchedule.from_specs(args.event)
+    else:
+        schedule = ChaosSchedule.standard(args.replicas, args.duration_s)
+    harness = ChaosHarness(fleet, schedule, metrics=registry)
+    report = FleetLoadGenerator(
+        fleet, _loadgen_config(args), clock=clock, chaos=harness,
+        slo=slo,
+    ).run()
+    record = {
+        "report": report.to_dict(),
+        "trace": [event.to_dict() for event in fleet.trace],
+        "transitions": {
+            str(replica.index): replica.health.transitions
+            for replica in fleet.replicas
+        },
+        "slo": slo.report(clock()),
+    }
+    # Round-trip through JSON so tuples compare as the stored lists.
+    return json.loads(json.dumps(record))
+
+
+def _canonical(value) -> str:
+    # SLO reports may carry NaN budgets; compare the serialized form.
+    return json.dumps(value, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_matches_golden(golden, name):
+    got = run_chaos(RUNS[name])
+    want = golden[name]
+    for key in ("report", "trace", "transitions", "slo"):
+        assert _canonical(got[key]) == _canonical(want[key]), key
+
+
+def test_golden_runs_exercise_the_hard_paths(golden):
+    bench, closed, stall = (
+        golden["bench"], golden["closed"], golden["stall"]
+    )
+    assert bench["report"]["chaos_events"] == 2
+    assert bench["report"]["retries"] >= 1
+    assert closed["report"]["mode"] == "closed"
+    assert closed["report"]["hedges"] >= 1
+    assert stall["report"]["expired"] >= 1
+    assert stall["report"]["chaos_events"] == 6
+    for record in (bench, closed, stall):
+        assert record["report"]["lost"] == 0
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps(
+            {name: run_chaos(argv) for name, argv in RUNS.items()},
+            indent=1,
+            sort_keys=True,
+        )
+        + "\n"
+    )
+    print(f"wrote {GOLDEN}")

@@ -72,18 +72,11 @@ def _fleet(replicas=3, clock=None, config=None, serving=None, metrics=None):
     return fleet, clock
 
 
-def _drive(fleet, clock, request, step_s=0.01, max_steps=400):
-    """Advance virtual time in fixed steps, pumping every replica and
-    servicing fleet timers, until the request's future resolves."""
-    for _ in range(max_steps):
-        if request.future.done():
-            return
-        clock.advance(step_s)
-        now = clock()
-        for index in range(len(fleet.replicas)):
-            fleet.pump_replica(index)
-        fleet.service(now)
-    raise AssertionError("request did not resolve in virtual time")
+def _drive(fleet, request):
+    """Step the fleet's virtual-time loop until no event remains; the
+    request must have resolved by then."""
+    fleet.run()
+    assert request.future.done(), "request did not resolve in virtual time"
 
 
 class TestRetryPolicy:
@@ -239,7 +232,7 @@ class TestFleetVirtual:
         request = fleet.submit(
             rng.random((N_POINTS, 3)), tenant="tenant-1"
         )
-        _drive(fleet, clock, request)
+        _drive(fleet, request)
         result = request.future.result()
         assert result.prediction.shape == (N_POINTS,)
         assert fleet.completed == 1
@@ -254,7 +247,7 @@ class TestFleetVirtual:
         primary = fleet.router.preference("tenant-1")[0]
         shed = fleet.kill_replica(primary)
         assert shed == 1
-        _drive(fleet, clock, request)
+        _drive(fleet, request)
         assert request.future.result() is not None
         assert fleet.retries >= 1
         assert fleet.completed == 1
@@ -272,7 +265,7 @@ class TestFleetVirtual:
         request = fleet.submit(
             rng.random((N_POINTS, 3)), tenant="tenant-1"
         )
-        _drive(fleet, clock, request)
+        _drive(fleet, request)
         with pytest.raises(RetryExhaustedError) as err:
             request.future.result()
         assert err.value.reason == "retry_exhausted"
@@ -286,7 +279,7 @@ class TestFleetVirtual:
             tenant="tenant-1",
             deadline_s=0.005,
         )
-        _drive(fleet, clock, request)
+        _drive(fleet, request)
         with pytest.raises(DeadlineExceededError):
             request.future.result()
         assert fleet.expired == 1
@@ -314,7 +307,7 @@ class TestFleetVirtual:
         request = fleet.submit(
             rng.random((N_POINTS, 3)), tenant="tenant-high"
         )
-        _drive(fleet, clock, request)
+        _drive(fleet, request)
         assert request.future.result() is not None
         assert fleet.rejection_reasons["brownout"] == 1
 
@@ -329,7 +322,7 @@ class TestFleetVirtual:
         )
         primary = fleet.router.preference("tenant-1")[0]
         fleet.stall_replica(primary)
-        _drive(fleet, clock, request)
+        _drive(fleet, request)
         assert request.future.result() is not None
         assert fleet.hedges == 1
         assert fleet.hedge_wins == 1
@@ -337,6 +330,46 @@ class TestFleetVirtual:
         assert request.winner.endswith(".a2")
         events = [e.event for e in fleet.trace]
         assert "hedge" in events and "hedge_cancel" in events
+
+
+class TestVirtualLoop:
+    def test_batches_wait_for_a_free_lane_at_the_slowed_rate(self, rng):
+        fleet, clock = _fleet(
+            replicas=1,
+            serving=ServingConfig(
+                max_batch_size=1, max_wait_ms=20.0, workers=1
+            ),
+        )
+        fleet.slow_replica(0, factor=2.0)
+        for _ in range(2):
+            fleet.submit(rng.random((N_POINTS, 3)))
+        dispatches = []
+        fleet.run(on_dispatch=dispatches.append)
+        first, second = dispatches
+        assert first.record.dispatched_s == 0.0
+        assert first.busy_s == first.record.simulated_s * 2.0
+        assert first.done_s == first.busy_s
+        # One lane: the second batch dispatches when the first ends.
+        assert second.record.dispatched_s == first.done_s
+        assert second.done_s == first.done_s + second.busy_s
+        assert fleet.replicas[0].lanes == [second.done_s]
+        assert fleet.next_event_at is None
+
+    def test_failed_batches_occupy_no_lane(self, rng):
+        fleet, clock = _fleet(
+            replicas=1,
+            config=FleetConfig(retry=RetryPolicy(max_attempts=1)),
+        )
+        fleet.error_replica(0)
+        request = fleet.submit(rng.random((N_POINTS, 3)))
+        dispatches = []
+        fleet.run(on_dispatch=dispatches.append)
+        (failed,) = dispatches
+        assert not failed.record.ok
+        assert failed.busy_s == 0.0
+        assert failed.done_s == failed.record.dispatched_s
+        assert fleet.replicas[0].lanes == [0.0]
+        assert isinstance(request.future.exception(), RetryExhaustedError)
 
 
 def _chaos_run(seed=0):
@@ -459,7 +492,7 @@ class TestTracePropagation:
             for i in range(3)
         ]
         for request in requests:
-            _drive(fleet, clock, request)
+            _drive(fleet, request)
             result = request.future.result()
             assert result.trace_id == f"trace-{request.request_id}"
             assert request.ctx is not None

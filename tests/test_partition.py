@@ -410,6 +410,18 @@ class TestPartitionedPipeline:
         assert err.value.chunk_indices == (0, 1, 2, 3)
         assert "nan rows" in str(err.value)
 
+    def test_loop_returns_when_the_scene_cannot_settle(self):
+        fleet, clock, _ = _scene_fleet(replicas=1)
+        fleet.stall_replica(0)  # no deadline: nothing ever expires
+        scene = fleet.submit_scene(
+            make_scene(900, seed=4).xyz,
+            ScenePartitioner(256, halo_width=0.12),
+        )
+        fleet.run()
+        assert not scene.future.done()
+        assert fleet.next_event_at is None
+        assert clock() == 0.0
+
     def test_scene_shape_validation(self, rng):
         partitioned = PartitionedPipeline(
             _NeighborStatsPipeline(0.2),
@@ -562,16 +574,11 @@ def _scene_fleet(replicas=2, tracer=None, metrics=None, config=None):
     return fleet, clock, tracer
 
 
-def _drive_scene(fleet, clock, scene, step_s=0.01, max_steps=800):
-    for _ in range(max_steps):
-        if scene.future.done():
-            return
-        clock.advance(step_s)
-        now = clock()
-        for index in range(len(fleet.replicas)):
-            fleet.pump_replica(index)
-        fleet.service(now)
-    raise AssertionError("scene did not resolve in virtual time")
+def _drive_scene(fleet, scene):
+    """Step the fleet's virtual-time loop until no event remains; the
+    scene must have resolved by then."""
+    fleet.run()
+    assert scene.future.done(), "scene did not resolve in virtual time"
 
 
 class TestFleetScatterGather:
@@ -583,7 +590,7 @@ class TestFleetScatterGather:
             xyz, partitioner, tenant="scene-1"
         )
         assert scene.num_chunks == 4
-        _drive_scene(fleet, clock, scene)
+        _drive_scene(fleet, scene)
         served = scene.future.result()
         # Same batching as the fleet's max_batch_size=2.
         direct = PartitionedPipeline(
@@ -610,7 +617,7 @@ class TestFleetScatterGather:
         partitioner = ScenePartitioner(256, halo_width=0.12)
         xyz = make_scene(900, seed=4).xyz
         scene = fleet.submit_scene(xyz, partitioner, tenant="t")
-        _drive_scene(fleet, clock, scene)
+        _drive_scene(fleet, scene)
         scene.future.result()
         records = [s.to_dict() for s in tracer.finished()]
         assert find_orphans(records) == []
@@ -645,7 +652,7 @@ class TestFleetScatterGather:
             partitioner = ScenePartitioner(256, halo_width=0.12)
             xyz = make_scene(900, seed=4).xyz
             scene = fleet.submit_scene(xyz, partitioner)
-            _drive_scene(fleet, clock, scene)
+            _drive_scene(fleet, scene)
             outputs.append(scene.future.result().logits)
         assert np.array_equal(outputs[0], outputs[1])
 
@@ -660,7 +667,7 @@ class TestFleetScatterGather:
         partitioner = ScenePartitioner(256, halo_width=0.12)
         xyz = make_scene(900, seed=4).xyz
         scene = fleet.submit_scene(xyz, partitioner, tenant="t")
-        _drive_scene(fleet, clock, scene)
+        _drive_scene(fleet, scene)
         with pytest.raises(RetryExhaustedError):
             scene.future.result()
         records = [s.to_dict() for s in tracer.finished()]
@@ -692,7 +699,7 @@ class TestFleetScatterGather:
         partitioner = ScenePartitioner(256, halo_width=0.12)
         xyz = make_scene(900, seed=4).xyz
         scene = fleet.submit_scene(xyz, partitioner)
-        _drive_scene(fleet, clock, scene)
+        _drive_scene(fleet, scene)
         scene.future.result()
         names = {
             m["name"] for m in metrics.snapshot()["metrics"]

@@ -268,6 +268,20 @@ class TestThreadedServer:
                 request.future.result()
         assert server.outstanding == 0
 
+    def test_non_drain_stop_releases_the_queue_backlog(self, rng):
+        registry = MetricsRegistry()
+        server = InferenceServer(
+            _pipeline(registry), ServingConfig(), metrics=registry
+        )
+        # No workers: the requests stay queued, never bucketed.
+        for _ in range(3):
+            server.submit(rng.random((N_POINTS, 3)))
+        assert server.queue.depth == 3
+        server.stop(drain=False)
+        assert server.outstanding == 0
+        assert server.queue.depth == 0
+        assert registry.gauge("serving_queue_depth").value == 0.0
+
     def test_submit_validates_shape(self, rng):
         server = InferenceServer(_pipeline())
         with pytest.raises(ValueError):
