@@ -200,13 +200,12 @@ def run_partition_suite(
     keyed ``"scene/<N>"`` with ``chunked_s`` / ``monolithic_s`` /
     ``speedup`` plus the plan's shape.
     """
-    from dataclasses import replace as _replace
-
-    from repro.core.pipeline import EdgePCConfig
     from repro.datasets import make_scene
-    from repro.nn.pointnet2 import PointNet2Segmentation, SAConfig
-    from repro.partition import ScenePartitioner, price_partition
-    from repro.pipeline import EdgePCPipeline
+    from repro.partition import (
+        ScenePartitioner,
+        price_partition,
+        scene_tuned_pipeline,
+    )
 
     sizes = tuple(int(n) for n in sizes)
     if not sizes or any(n <= chunk_points for n in sizes):
@@ -217,26 +216,7 @@ def run_partition_suite(
         raise ValueError("chunk_points must be at least 64")
     if halo_width <= 0:
         raise ValueError("halo_width must be positive")
-    sa_configs = (
-        SAConfig(
-            ratio=0.25, k=16, radius=halo_width / 3.0,
-            mlp=(16, 16, 32),
-        ),
-        SAConfig(
-            ratio=0.25, k=16, radius=2.0 * halo_width / 3.0,
-            mlp=(32, 32, 64),
-        ),
-    )
-    config = _replace(
-        EdgePCConfig.baseline(), exact_fast_threshold=1024
-    )
-    model = PointNet2Segmentation(
-        num_classes=13,
-        sa_configs=sa_configs,
-        edgepc=config,
-        rng=np.random.default_rng(seed),
-    )
-    pipeline = EdgePCPipeline(model)
+    pipeline = scene_tuned_pipeline(seed, halo_width)
     partitioner = ScenePartitioner(
         chunk_points=chunk_points, halo_width=halo_width
     )

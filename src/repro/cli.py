@@ -143,12 +143,7 @@ def _record_workload_metrics(
     registry.counter(
         "pipeline_batches_total", workload=workload
     ).inc()
-    for stage, seconds in (
-        ("sample", breakdown.sample_s),
-        ("neighbor_search", breakdown.neighbor_s),
-        ("grouping", breakdown.grouping_s),
-        ("feature_compute", breakdown.feature_s),
-    ):
+    for stage, seconds in breakdown.stages():
         registry.histogram(
             "pipeline_stage_latency_seconds", stage=stage
         ).observe(seconds)
@@ -642,37 +637,6 @@ def _build_fleet(args, tracer, registry, clock=None):
     )
 
 
-def _partition_pipeline(seed: int, halo_width: float, tracer, registry):
-    """Scene-tuned demo pipeline: a PointNet++ segmentation stack
-    whose receptive field (summed SA radii) equals ``halo_width``,
-    with the exact-engine threshold dropped below chunk size so chunk
-    batches dispatch the same fast engines a monolithic run would."""
-    from dataclasses import replace
-
-    from repro.nn import PointNet2Segmentation, SAConfig
-    from repro.pipeline import EdgePCPipeline
-
-    config = replace(
-        EdgePCConfig.baseline(), exact_fast_threshold=1024
-    )
-    model = PointNet2Segmentation(
-        num_classes=13,
-        sa_configs=(
-            SAConfig(
-                ratio=0.25, k=16, radius=halo_width / 3.0,
-                mlp=(16, 16, 32),
-            ),
-            SAConfig(
-                ratio=0.25, k=16, radius=2.0 * halo_width / 3.0,
-                mlp=(32, 32, 64),
-            ),
-        ),
-        edgepc=config,
-        rng=np.random.default_rng(seed),
-    )
-    return EdgePCPipeline(model, tracer=tracer, metrics=registry)
-
-
 def cmd_partition(args: argparse.Namespace) -> int:
     """Scene-scale scatter/gather demo on a tiled-room scene.
 
@@ -691,6 +655,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         PartitionedPipeline,
         ScenePartitioner,
         price_partition,
+        scene_tuned_pipeline,
     )
 
     clock = FixedClock(0.0)
@@ -700,7 +665,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
     partitioner = ScenePartitioner(
         chunk_points=args.chunk_points, halo_width=args.halo_width
     )
-    pipeline = _partition_pipeline(
+    pipeline = scene_tuned_pipeline(
         args.seed, args.halo_width, tracer, registry
     )
     partitioned = PartitionedPipeline(
@@ -761,7 +726,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
         fleet = ServerFleet(
             [
-                _partition_pipeline(
+                scene_tuned_pipeline(
                     args.seed, args.halo_width, tracer, registry
                 )
                 for _ in range(args.replicas)
@@ -1046,7 +1011,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     slo = _slo_engine(args, registry, clock)
     fleet = _build_fleet(args, tracer, registry, clock=clock)
     report = FleetLoadGenerator(
-        fleet, _loadgen_config(args), clock=clock, slo=slo
+        fleet, _loadgen_config(args), slo=slo
     ).run()
     print(report.summary())
     if args.out:
@@ -1091,8 +1056,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
     harness = ChaosHarness(fleet, schedule, metrics=registry)
     report = FleetLoadGenerator(
-        fleet, _loadgen_config(args), clock=clock, chaos=harness,
-        slo=slo,
+        fleet, _loadgen_config(args), chaos=harness, slo=slo
     ).run()
     print(report.summary())
     for event in harness.applied:
@@ -1629,7 +1593,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--points", type=int, nargs="+", default=[64],
             metavar="N",
             help="candidate cloud sizes; mixed sizes exercise the "
-            "batcher's N-buckets",
+            "queue's N-buckets",
         )
         cmd.add_argument(
             "--tenants", type=int, default=4,

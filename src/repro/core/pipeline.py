@@ -19,7 +19,6 @@ from typing import FrozenSet, Iterable
 
 from repro.core import morton
 from repro.core.reuse import NeighborReusePolicy
-from repro.core.workspace import DEFAULT_SCRATCH_BYTES
 
 
 def _as_layer_set(layers: Iterable[int]) -> FrozenSet[int]:
@@ -65,11 +64,6 @@ class EdgePCConfig:
             performance dispatch — it matters most when the guard
             degrades a large-N batch to exact kernels.  Small inputs
             keep brute: its fixed overhead is lower.
-        workspace_scratch_bytes: transient-memory budget handed to the
-            model's scratch :class:`~repro.core.workspace.Workspace`.
-            The 4 MiB default keeps the tiled distance blocks
-            cache-resident on paper-scale clouds, but thrashes on
-            100k-point halo gathers — scene partitioning raises it.
     """
 
     code_bits: int = morton.DEFAULT_CODE_BITS
@@ -88,7 +82,6 @@ class EdgePCConfig:
     sorted_grouping: bool = False
     fc_merge_factor: int = 1
     exact_fast_threshold: int = 8192
-    workspace_scratch_bytes: int = DEFAULT_SCRATCH_BYTES
 
     def __post_init__(self) -> None:
         morton.bits_per_axis(self.code_bits)
@@ -100,8 +93,6 @@ class EdgePCConfig:
             raise ValueError("fc_merge_factor must be >= 1")
         if self.exact_fast_threshold < 1:
             raise ValueError("exact_fast_threshold must be >= 1")
-        if self.workspace_scratch_bytes < 1:
-            raise ValueError("workspace_scratch_bytes must be positive")
         object.__setattr__(
             self, "sample_layers", _as_layer_set(self.sample_layers)
         )
@@ -203,11 +194,6 @@ class EdgePCConfig:
 
     def with_code_bits(self, code_bits: int) -> "EdgePCConfig":
         return replace(self, code_bits=code_bits)
-
-    def with_workspace_scratch_bytes(
-        self, scratch_bytes: int
-    ) -> "EdgePCConfig":
-        return replace(self, workspace_scratch_bytes=scratch_bytes)
 
     @property
     def is_baseline(self) -> bool:

@@ -203,7 +203,7 @@ class DGCNNClassifier(Module):
         rng = rng or np.random.default_rng(0)
         self.edgepc = edgepc or EdgePCConfig.baseline()
         self.num_classes = num_classes
-        self.workspace = Workspace(self.edgepc.workspace_scratch_bytes)
+        self.workspace = Workspace()
         self.backbone = _DGCNNBackbone(
             3, ec_channels, k, self.edgepc, rng, self.workspace
         )
@@ -265,7 +265,7 @@ class DGCNNSegmentation(Module):
         rng = rng or np.random.default_rng(0)
         self.edgepc = edgepc or EdgePCConfig.baseline()
         self.num_classes = num_classes
-        self.workspace = Workspace(self.edgepc.workspace_scratch_bytes)
+        self.workspace = Workspace()
         self.backbone = _DGCNNBackbone(
             3, ec_channels, k, self.edgepc, rng, self.workspace
         )

@@ -364,7 +364,7 @@ class PointNet2Segmentation(Module):
         self.in_channels = in_channels
         self.sa_configs = tuple(sa_configs)
         self.sa_modules: List[SetAbstraction] = []
-        self.workspace = Workspace(self.edgepc.workspace_scratch_bytes)
+        self.workspace = Workspace()
         channels = max(in_channels, 1)
         skip_channels = [channels]
         for i, cfg in enumerate(self.sa_configs):
@@ -459,7 +459,7 @@ class PointNet2Classifier(Module):
         self.num_classes = num_classes
         self.in_channels = in_channels
         self.sa_modules: List[SetAbstraction] = []
-        self.workspace = Workspace(self.edgepc.workspace_scratch_bytes)
+        self.workspace = Workspace()
         channels = max(in_channels, 1)
         for i, cfg in enumerate(sa_configs):
             module = SetAbstraction(

@@ -484,14 +484,8 @@ def emit_stage_spans(tracer: Tracer, breakdown) -> None:
     """
     if not tracer.enabled:
         return
-    stages = (
-        ("sample", breakdown.sample_s),
-        ("neighbor_search", breakdown.neighbor_s),
-        ("grouping", breakdown.grouping_s),
-        ("feature_compute", breakdown.feature_s),
-    )
     per_layer = breakdown.per_layer_s
-    for stage, seconds in stages:
+    for stage, seconds in breakdown.stages():
         start = tracer.emit(
             stage, seconds, category="stage",
             attrs={"stage": stage},

@@ -22,6 +22,7 @@ from repro.partition.pipeline import (
     PartitionedPipeline,
     PartitionedResult,
     PartitionRejectedError,
+    scene_tuned_pipeline,
 )
 
 __all__ = [
@@ -34,4 +35,5 @@ __all__ = [
     "PartitionRejectedError",
     "PartitionCostReport",
     "price_partition",
+    "scene_tuned_pipeline",
 ]

@@ -15,15 +15,51 @@ the monolithic run on interior points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.core.pipeline import EdgePCConfig
+from repro.nn.pointnet2 import PointNet2Segmentation, SAConfig
 from repro.observability.context import TraceContext
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import NULL_TRACER, Tracer
 from repro.partition.partitioner import PartitionPlan, ScenePartitioner
+from repro.pipeline import EdgePCPipeline
+
+
+def scene_tuned_pipeline(
+    seed: int,
+    halo_width: float,
+    tracer: Optional[Tracer] = None,
+    metrics: Optional[MetricsRegistry] = None,
+) -> EdgePCPipeline:
+    """The PointNet++ segmentation pipeline scenes are partitioned for.
+
+    Its SA radii (``halo_width / 3`` and ``2 * halo_width / 3``) sum to
+    ``halo_width``, so a plan with that halo covers exactly the model's
+    receptive field.  Its exact-engine threshold sits below chunk size,
+    so chunk batches dispatch the same fast engines a monolithic run
+    would.  ``repro partition`` runs it and ``repro bench --suite
+    partition`` prices it.
+    """
+    model = PointNet2Segmentation(
+        num_classes=13,
+        sa_configs=(
+            SAConfig(
+                ratio=0.25, k=16, radius=halo_width / 3.0,
+                mlp=(16, 16, 32),
+            ),
+            SAConfig(
+                ratio=0.25, k=16, radius=2.0 * halo_width / 3.0,
+                mlp=(32, 32, 64),
+            ),
+        ),
+        edgepc=replace(EdgePCConfig.baseline(), exact_fast_threshold=1024),
+        rng=np.random.default_rng(seed),
+    )
+    return EdgePCPipeline(model, tracer=tracer, metrics=metrics)
 
 
 class PartitionRejectedError(RuntimeError):

@@ -253,12 +253,7 @@ class EdgePCPipeline:
         self._record_exact_fast_metrics(registry, recorder)
         registry.counter("pipeline_batches_total").inc()
         registry.counter("pipeline_clouds_total").inc(batch)
-        for stage, seconds in (
-            ("sample", breakdown.sample_s),
-            ("neighbor_search", breakdown.neighbor_s),
-            ("grouping", breakdown.grouping_s),
-            ("feature_compute", breakdown.feature_s),
-        ):
+        for stage, seconds in breakdown.stages():
             registry.histogram(
                 "pipeline_stage_latency_seconds", stage=stage
             ).observe(seconds)

@@ -14,7 +14,7 @@ evaluation reports (Figs. 3, 9, 11, 13):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.pipeline import EdgePCConfig
 from repro.nn.recorder import (
@@ -48,6 +48,16 @@ class StageBreakdown:
     def sample_and_neighbor_s(self) -> float:
         """The paper's 'SMP + NS' quantity."""
         return self.sample_s + self.neighbor_s
+
+    def stages(self) -> Tuple[Tuple[str, float], ...]:
+        """``(stage name, seconds)`` in pipeline order — the names
+        spans and the ``stage`` metric label use."""
+        return (
+            (STAGE_SAMPLE, self.sample_s),
+            (STAGE_NEIGHBOR, self.neighbor_s),
+            (STAGE_GROUPING, self.grouping_s),
+            (STAGE_FEATURE, self.feature_s),
+        )
 
     @property
     def total_s(self) -> float:

@@ -1,14 +1,13 @@
-"""Serving layer: queue, batcher, server, fleet, chaos, load gen.
+"""Serving layer: queue, server, fleet, chaos, load gen.
 
 Turns the repro library into a runnable service.  Requests for single
 ``(N, 3)`` clouds are admitted by a bounded
-:class:`~repro.serving.queue.RequestQueue`, coalesced by a
-:class:`~repro.serving.batcher.MicroBatcher` into rectangular
-``(B, N, 3)`` micro-batches that ride the batched kernel path, and
-dispatched by an :class:`~repro.serving.server.InferenceServer`
-worker pool.  A :class:`~repro.serving.fleet.ServerFleet` fronts N
-replicas (or one) with
-consistent-hash routing, per-replica health tracking, deadline-aware
+:class:`~repro.serving.queue.RequestQueue`, which buckets them by
+point count and forms rectangular ``(B, N, 3)`` micro-batches that
+ride the batched kernel path, and dispatched by an
+:class:`~repro.serving.server.InferenceServer` worker pool.  A
+:class:`~repro.serving.fleet.ServerFleet` fronts N replicas (or one)
+with consistent-hash routing, per-replica health tracking, deadline-aware
 retries, hedging, and brownout shedding; the
 :class:`~repro.serving.chaos.ChaosHarness` breaks replicas on a
 deterministic virtual-time schedule to prove it, and the
@@ -18,11 +17,6 @@ into the fleet's one virtual-time event loop
 ``docs/serving.md``.
 """
 
-from repro.serving.batcher import (
-    BATCH_SIZE_BUCKETS,
-    MicroBatch,
-    MicroBatcher,
-)
 from repro.serving.chaos import (
     CHAOS_ACTIONS,
     ChaosEvent,
@@ -54,8 +48,10 @@ from repro.serving.loadgen import (
     LoadReport,
 )
 from repro.serving.queue import (
+    BATCH_SIZE_BUCKETS,
     AdmissionError,
     DeadlineExceededError,
+    MicroBatch,
     QueueClosedError,
     QueueFullError,
     RequestQueue,
@@ -101,7 +97,6 @@ __all__ = [
     "LoadGenConfig",
     "LoadReport",
     "MicroBatch",
-    "MicroBatcher",
     "NoHealthyReplicaError",
     "QueueClosedError",
     "QueueFullError",

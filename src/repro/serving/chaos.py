@@ -19,7 +19,7 @@ Actions:
   with a :class:`ReplicaFaultError` and its health is force-ejected;
   new attempts route around it until ``recover``.
 - ``stall`` — the replica stops dispatching but keeps its backlog;
-  deadlines still expire (the batcher cancels them), which is how a
+  deadlines still expire (the queue cancels them), which is how a
   hung worker looks from outside.
 - ``slow`` — dispatches take ``factor`` times their simulated device
   seconds, modeling FlashFPS-style fallback cost asymmetry.

@@ -924,9 +924,6 @@ class ServerFleet:
                     aid
                 )
             )
-            # Keep the replica's next flush current for the
-            # virtual-time event loop; harmless under workers.
-            replica.server.batcher.ingest()
             return index, None
         return None, last_refusal
 
@@ -1402,11 +1399,11 @@ class ServerFleet:
         """
         due: List[float] = []
         for replica in self.replicas:
-            batcher = replica.server.batcher
+            queue = replica.server.queue
             if replica.gate.stalled:
-                at = batcher.next_expiry_at
+                at = queue.next_expiry_at
             else:
-                at = batcher.next_flush_at
+                at = queue.next_flush_at
                 if at is not None and not replica.gate.failing:
                     at = max(at, min(replica.lanes))
             if at is not None:
@@ -1466,10 +1463,10 @@ class ServerFleet:
         gate = replica.gate
         server = replica.server
         if gate.stalled:
-            server.batcher.expire_due()
+            server.queue.expire_due()
             return None
         if gate.failing:
-            batch = server.batcher.poll()
+            batch = server.queue.poll()
             if batch is None:
                 return None
             server._fail_batch(
@@ -1562,11 +1559,7 @@ class ServerFleet:
             now = self.clock()
             for replica in self.replicas:
                 unreachable = replica.gate.stalled or replica.gate.killed
-                backlog = (
-                    replica.server.queue.depth
-                    + replica.server.batcher.buffered
-                )
-                if unreachable and backlog:
+                if unreachable and replica.server.queue.depth:
                     self.shed_replica_backlog(
                         replica.index, "unreachable at drain", now=now
                     )

@@ -59,7 +59,7 @@ class LoadGenConfig:
         mode: ``"open"`` or ``"closed"`` loop.
         concurrency: in-flight clients in closed-loop mode.
         points: candidate cloud sizes; each request draws one
-            uniformly (mixed sizes exercise the batcher's N-buckets).
+            uniformly (mixed sizes exercise the queue's N-buckets).
         deadline_ms: per-request deadline; ``None`` disables.
         seed: seeds both the arrival process and the cloud contents.
         tenants: distinct tenant keys drawn uniformly per request
@@ -207,10 +207,9 @@ class FleetLoadGenerator:
     1-replica fleet is how a single server is load-tested.
 
     Args:
-        fleet: the fleet under test; its ``clock`` must be the
-            :class:`FixedClock` passed here.
+        fleet: the fleet under test; its ``clock`` must be a
+            :class:`FixedClock`, the virtual clock the run steps.
         config: load shape; ``tenants`` draws routing keys.
-        clock: the shared virtual clock (defaults to the fleet's).
         chaos: optional :class:`~repro.serving.chaos.ChaosHarness`
             replayed as virtual time passes.
         slo: optional :class:`~repro.observability.slo.SloEngine`
@@ -223,22 +222,19 @@ class FleetLoadGenerator:
         self,
         fleet: ServerFleet,
         config: Optional[LoadGenConfig] = None,
-        clock: Optional[FixedClock] = None,
         chaos=None,
         slo=None,
     ) -> None:
         self.fleet = fleet
         self.config = config or LoadGenConfig()
         self.slo = slo
-        if clock is None:
-            clock = fleet.clock
-        if not isinstance(clock, FixedClock):
+        if not isinstance(fleet.clock, FixedClock):
             raise TypeError(
-                "FleetLoadGenerator needs a FixedClock shared with "
-                "the fleet; threaded wall-clock serving is exercised "
-                "via ServerFleet.start() instead"
+                "FleetLoadGenerator needs a fleet on a FixedClock; "
+                "threaded wall-clock serving is exercised via "
+                "ServerFleet.start() instead"
             )
-        self.clock = clock
+        self.clock = fleet.clock
         self.chaos = chaos
         self.tracer = fleet.tracer
         self.metrics = fleet.metrics

@@ -1,4 +1,4 @@
-"""Bounded request queue with admission control and deadlines.
+"""Bounded pre-dispatch buffer: admission, deadlines, micro-batching.
 
 The serving layer's front door.  A :class:`RequestQueue` accepts
 :class:`ServingRequest` objects up to a fixed depth and rejects the
@@ -6,16 +6,28 @@ rest with a typed :class:`AdmissionError` — under overload the cheap
 and observable failure mode is an immediate rejection at the door, not
 an unbounded queue whose tail latency silently blows every deadline
 (the paper's per-frame budgets, Sec. 7, leave no room for queueing
-debt).  Each request carries an optional absolute deadline read from
-the injectable :data:`~repro.observability.clock.Clock`; requests that
-expire while queued are cancelled by the batcher with a typed
+debt).
+
+Admitted requests go straight into **buckets keyed by point count**
+``N`` (a batch must be rectangular), and a bucket flushes into a
+:class:`MicroBatch` when any of three triggers fires:
+
+- **full** — the bucket reached ``max_batch_size``;
+- **timeout** — the bucket's oldest request has waited ``max_wait_s``
+  (the latency the queue may spend fishing for co-batchable traffic);
+- **drain** — the queue closed; everything still buffered flushes
+  immediately so shutdown never strands a request.
+
+Each request carries an optional absolute deadline read from the
+injectable :data:`~repro.observability.clock.Clock`; requests that
+expire while buffered are cancelled with a typed
 :class:`DeadlineExceededError` instead of wasting a dispatch slot.
 
-The queue is the synchronization point of the serving stack: producers
-call :meth:`RequestQueue.put` from any thread, and the
-:class:`~repro.serving.batcher.MicroBatcher` drains it under the
-queue's own :attr:`~RequestQueue.condition` so a single lock orders
-admission, batch formation, and shutdown.
+One lock, the queue's :attr:`~RequestQueue.condition`, orders
+admission, batch formation, expiry, and shutdown.  Worker threads
+block in :meth:`RequestQueue.next_batch`; the fleet's virtual-time
+event loop calls the non-blocking :meth:`RequestQueue.poll` and
+:meth:`RequestQueue.expire_due`.
 """
 
 from __future__ import annotations
@@ -23,14 +35,19 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.observability.clock import Clock, wall_clock
 from repro.observability.context import TraceContext
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import Tracer
+from repro.observability.tracing import NULL_TRACER, Tracer
+
+#: Histogram buckets for dispatched batch sizes (clouds per batch).
+BATCH_SIZE_BUCKETS: Tuple[float, ...] = (
+    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
+)
 
 
 class AdmissionError(RuntimeError):
@@ -102,6 +119,31 @@ class ServingRequest:
         return self.deadline_s is not None and now >= self.deadline_s
 
 
+@dataclass(frozen=True)
+class MicroBatch:
+    """One flushed batch, ready for a single batched dispatch.
+
+    Attributes:
+        requests: the coalesced requests, admission order.
+        xyz: the stacked ``(B, N, 3)`` float64 input batch.
+        formed_s: clock reading when the batch was flushed.
+        trigger: ``"full"`` | ``"timeout"`` | ``"drain"``.
+    """
+
+    requests: Tuple[ServingRequest, ...]
+    xyz: np.ndarray
+    formed_s: float
+    trigger: str
+
+    @property
+    def size(self) -> int:
+        return len(self.requests)
+
+    @property
+    def n_points(self) -> int:
+        return int(self.xyz.shape[1])
+
+
 def emit_request_trace(
     tracer: Tracer,
     request: ServingRequest,
@@ -115,7 +157,7 @@ def emit_request_trace(
     the request's :class:`TraceContext`, and — when this context *owns*
     the trace (``ctx.is_root``) — the late-bound root span reserved at
     mint time.  Shared by every path that resolves a request future
-    without a result: batcher expiry, batch failure, shutdown
+    without a result: queue expiry, batch failure, shutdown
     cancellation, and fleet shed/brownout paths, so no future is ever
     settled outside its trace (lint rule OBS-303 keeps it that way).
     """
@@ -151,57 +193,80 @@ def emit_request_trace(
 
 
 class RequestQueue:
-    """Bounded FIFO of :class:`ServingRequest` with admission control.
+    """Bounded buffer of :class:`ServingRequest` that forms the batches.
 
     Args:
-        max_depth: undispatched backlog (queued here plus buffered in
-            the batcher's buckets) before :meth:`put` rejects with
-            :class:`QueueFullError`.  The batcher reports dispatches
-            back through :meth:`release`, so the bound covers the
-            whole pre-dispatch pipeline, not just the hand-off list.
-        clock: injectable clock shared with the batcher and server.
+        max_depth: buffered requests before :meth:`put` rejects with
+            :class:`QueueFullError`.  A request leaves the buffer when
+            it is dispatched in a batch, expires, or is cancelled.
+        max_batch_size: flush a bucket at this many clouds.
+        max_wait_s: flush a bucket once its oldest request has waited
+            this long.
+        clock: injectable clock shared with the server.
         metrics: optional registry; admission decisions become
             ``serving_admitted_total`` / ``serving_rejected_total``
-            counters and a ``serving_queue_depth`` gauge.
+            counters and a ``serving_queue_depth`` gauge; flushed
+            batches ``serving_batches_total`` (by trigger),
+            ``serving_batch_size_clouds`` and
+            ``serving_batch_wait_seconds``; expiries
+            ``serving_expired_total``.
+        tracer: optional tracer; an expiry projects a
+            ``request.expired`` span into the request's trace so a
+            deadline miss shows in the same timeline as the batches
+            that did dispatch.
 
     Attributes:
-        condition: the queue's :class:`threading.Condition`.  The
-            batcher waits on it and :meth:`put` / :meth:`close` notify
-            it, so one lock orders the whole serving hand-off;
-            :meth:`pop_pending` must be called holding it.
+        condition: the queue's :class:`threading.Condition`.  It
+            guards the buckets; :meth:`next_batch` waits on it and
+            :meth:`put` / :meth:`close` notify it, so one lock orders
+            admission, batch formation, and shutdown.
         admitted: requests accepted so far (backpressure counter).
         rejected: requests refused so far (backpressure counter).
         rejected_by_reason: rejection counts keyed by the typed
             :attr:`AdmissionError.reason` (``queue_full``,
             ``closed``, ...), mirrored into the load report.
+        expired: requests cancelled past their deadline so far.
     """
 
     def __init__(
         self,
         max_depth: int = 64,
+        max_batch_size: int = 8,
+        max_wait_s: float = 0.05,
         clock: Clock = wall_clock,
         metrics: Optional[MetricsRegistry] = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         if max_depth < 1:
             raise ValueError("max_depth must be positive")
+        if max_batch_size < 1:
+            raise ValueError("max_batch_size must be positive")
+        if max_wait_s < 0:
+            raise ValueError("max_wait_s must be non-negative")
         self.max_depth = int(max_depth)
+        self.max_batch_size = int(max_batch_size)
+        self.max_wait_s = float(max_wait_s)
         self.clock = clock
         self.metrics = metrics
+        self.tracer = tracer
         self.condition = threading.Condition()
         self.admitted = 0
         self.rejected = 0
         self.rejected_by_reason: Dict[str, int] = {}
-        self._items: List[ServingRequest] = []
-        self._backlog = 0
+        self.expired = 0
+        self._buckets: Dict[int, List[ServingRequest]] = {}
         self._closed = False
 
     # Admission -------------------------------------------------------
 
     def put(self, request: ServingRequest) -> None:
-        """Admit one request or raise a typed :class:`AdmissionError`.
+        """Admit one request into its point-count bucket or raise a
+        typed :class:`AdmissionError`.
 
-        Thread-safe; wakes any batcher blocked on
-        :attr:`condition`.
+        Thread-safe; wakes any worker blocked in :meth:`next_batch`.
+        A request admitted already past its deadline stays buffered
+        until :meth:`expire_on_arrival` (or the next formation pass)
+        cancels it.
         """
         with self.condition:
             if self._closed:
@@ -210,20 +275,19 @@ class RequestQueue:
                     f"request {request.request_id!r} rejected: the "
                     "server is draining"
                 )
-            if self._backlog >= self.max_depth:
+            if self._depth_locked() >= self.max_depth:
                 self._count_rejection(QueueFullError.reason)
                 raise QueueFullError(
                     f"request {request.request_id!r} rejected: "
                     f"backlog is at max depth {self.max_depth}"
                 )
-            self._items.append(request)
+            self._buckets.setdefault(request.n_points, []).append(
+                request
+            )
             self.admitted += 1
-            self._backlog += 1
             if self.metrics is not None:
                 self.metrics.counter("serving_admitted_total").inc()
-                self.metrics.gauge("serving_queue_depth").set(
-                    float(self._backlog)
-                )
+            self._set_depth_gauge_locked()
             self.condition.notify_all()
 
     def _count_rejection(self, reason: str) -> None:
@@ -236,35 +300,238 @@ class RequestQueue:
                 "serving_rejected_total", reason=reason
             ).inc()
 
-    # Consumption (batcher side) --------------------------------------
+    # Bucket maintenance (caller holds condition) ---------------------
 
-    def pop_pending(self) -> List[ServingRequest]:
-        """Remove and return every queued request, FIFO order.
+    def _depth_locked(self) -> int:
+        return sum(len(bucket) for bucket in self._buckets.values())
 
-        Caller must hold :attr:`condition` (the batcher's ingest path
-        does; see :class:`~repro.serving.batcher.MicroBatcher`).
-        Popped requests still count toward the admission backlog
-        until :meth:`release` reports their dispatch/cancellation.
-        """
-        items, self._items = self._items, []
-        if items and self.metrics is not None:
-            self.metrics.gauge("serving_queue_depth").set(
-                float(self._backlog)
-            )
-        return items
-
-    def release(self, count: int) -> None:
-        """Report ``count`` requests as dispatched/expired/cancelled.
-
-        Caller must hold :attr:`condition`.  Shrinks the admission
-        backlog so new traffic can be admitted in their place.
-        """
-        self._backlog = max(0, self._backlog - count)
+    def _set_depth_gauge_locked(self) -> None:
         if self.metrics is not None:
             self.metrics.gauge("serving_queue_depth").set(
-                float(self._backlog)
+                float(self._depth_locked())
             )
-        self.condition.notify_all()
+
+    def _expire_locked(self, request: ServingRequest, now: float) -> None:
+        """Count, trace and fail ``request``, already out of its
+        bucket."""
+        self.expired += 1
+        self._set_depth_gauge_locked()
+        if self.metrics is not None:
+            self.metrics.counter("serving_expired_total").inc()
+        emit_request_trace(
+            self.tracer, request, now, "expired", detail="pre-dispatch"
+        )
+        request.future.set_exception(
+            DeadlineExceededError(
+                f"request {request.request_id!r} expired "
+                f"{now - request.deadline_s:.4f}s past its deadline "
+                "before dispatch"
+            )
+        )
+
+    def _remove_locked(self, request: ServingRequest) -> bool:
+        """Take ``request`` out of its bucket; ``False`` if it was not
+        buffered (already dispatched, expired or cancelled)."""
+        bucket = self._buckets.get(request.n_points, [])
+        kept = [queued for queued in bucket if queued is not request]
+        if len(kept) == len(bucket):
+            return False
+        if kept:
+            self._buckets[request.n_points] = kept
+        else:
+            del self._buckets[request.n_points]
+        return True
+
+    def _drop_expired_locked(self, now: float) -> int:
+        """Expire every buffered request past its deadline, bucket by
+        bucket in admission order; returns how many."""
+        doomed = [
+            request
+            for bucket in self._buckets.values()
+            for request in bucket
+            if request.expired(now)
+        ]
+        for request in doomed:
+            self._remove_locked(request)
+            self._expire_locked(request, now)
+        return len(doomed)
+
+    def _pop_due_locked(self, now: float) -> Optional[MicroBatch]:
+        """Flush and return one due bucket, or ``None``.
+
+        Preference order: a full bucket, then (once the queue closed)
+        any bucket, then a bucket whose oldest request timed out.
+        """
+        self._drop_expired_locked(now)
+        trigger = None
+        chosen = None
+        for n_points, bucket in self._buckets.items():
+            if len(bucket) >= self.max_batch_size:
+                chosen, trigger = n_points, "full"
+                break
+        if chosen is None and self._closed and self._buckets:
+            chosen = next(iter(self._buckets))
+            trigger = "drain"
+        if chosen is None:
+            for n_points, bucket in self._buckets.items():
+                if now >= bucket[0].arrival_s + self.max_wait_s:
+                    chosen, trigger = n_points, "timeout"
+                    break
+        if chosen is None:
+            return None
+        bucket = self._buckets[chosen]
+        taken = bucket[: self.max_batch_size]
+        rest = bucket[self.max_batch_size:]
+        if rest:
+            self._buckets[chosen] = rest
+        else:
+            del self._buckets[chosen]
+        batch = MicroBatch(
+            requests=tuple(taken),
+            xyz=np.stack([r.cloud for r in taken]),
+            formed_s=now,
+            trigger=str(trigger),
+        )
+        self._set_depth_gauge_locked()
+        self._note_batch(batch, now)
+        return batch
+
+    def _note_batch(self, batch: MicroBatch, now: float) -> None:
+        if self.metrics is None:
+            return
+        self.metrics.counter(
+            "serving_batches_total", trigger=batch.trigger
+        ).inc()
+        self.metrics.histogram(
+            "serving_batch_size_clouds", buckets=BATCH_SIZE_BUCKETS
+        ).observe(float(batch.size))
+        oldest = min(r.arrival_s for r in batch.requests)
+        self.metrics.histogram(
+            "serving_batch_wait_seconds"
+        ).observe(max(0.0, now - oldest))
+
+    def _wait_hint_locked(self, now: float) -> Optional[float]:
+        """Seconds until the next batch comes due (``None``: nothing
+        buffered).  Zero when a batch is due right now — a full
+        bucket, or any bucket once the queue closed — so event-driven
+        callers (the fleet's virtual-time event loop) see it as
+        dispatchable the moment a worker frees up."""
+        if self._buckets and (
+            self._closed
+            or any(
+                len(bucket) >= self.max_batch_size
+                for bucket in self._buckets.values()
+            )
+        ):
+            return 0.0
+        deadlines = [
+            bucket[0].arrival_s + self.max_wait_s
+            for bucket in self._buckets.values()
+        ]
+        due = deadlines + self._expiries_locked()
+        if not due:
+            return None
+        return max(0.0, min(due) - now)
+
+    def _expiries_locked(self) -> List[float]:
+        return [
+            request.deadline_s
+            for bucket in self._buckets.values()
+            for request in bucket
+            if request.deadline_s is not None
+        ]
+
+    # Batch formation -------------------------------------------------
+
+    def poll(self) -> Optional[MicroBatch]:
+        """Non-blocking: return one due batch, or ``None``.
+
+        Used by the fleet's virtual-time event loop, which advances
+        the injected clock itself and pumps the server between events.
+        """
+        with self.condition:
+            return self._pop_due_locked(self.clock())
+
+    def expire_due(self) -> int:
+        """Cancel every buffered request past its deadline.
+
+        Returns the number of requests expired by this call.  Used by
+        the fleet for **stalled** replicas: a hung worker dispatches
+        nothing, but its requests must still fail with a typed
+        :class:`DeadlineExceededError` the instant their deadlines
+        pass, so callers can retry elsewhere instead of waiting
+        forever.
+        """
+        with self.condition:
+            return self._drop_expired_locked(self.clock())
+
+    def expire_on_arrival(self, request: ServingRequest) -> None:
+        """Cancel ``request`` now if it is still buffered and already
+        past its deadline.
+
+        The server calls this right after its ``serving.submit`` span
+        closes, so a request admitted too late is traced and failed
+        after its submission, never inside it.
+        """
+        with self.condition:
+            now = self.clock()
+            if request.expired(now) and self._remove_locked(request):
+                self._expire_locked(request, now)
+
+    def next_batch(self) -> Optional[MicroBatch]:
+        """Block until a batch is due; ``None`` means fully drained.
+
+        Worker threads loop on this.  Once the queue is closed and
+        every bucket has flushed (through the ``drain`` trigger),
+        returns ``None`` so workers exit.
+        """
+        with self.condition:
+            while True:
+                now = self.clock()
+                batch = self._pop_due_locked(now)
+                if batch is not None:
+                    return batch
+                if self._closed and not self._buckets:
+                    return None
+                wait = self._wait_hint_locked(now)
+                # Bounded waits keep a worker responsive to close()
+                # even if a notify is missed.
+                wait = 0.05 if wait is None else min(wait, 0.05)
+                self.condition.wait(wait)
+
+    def cancel_buffered(self) -> List[ServingRequest]:
+        """Remove and return every buffered request, admission order
+        within each bucket (a non-draining stop, a shed replica)."""
+        with self.condition:
+            taken = [
+                request
+                for bucket in self._buckets.values()
+                for request in bucket
+            ]
+            self._buckets.clear()
+            self._set_depth_gauge_locked()
+            return taken
+
+    @property
+    def next_flush_at(self) -> Optional[float]:
+        """Earliest clock instant a batch or an expiry comes due."""
+        with self.condition:
+            now = self.clock()
+            hint = self._wait_hint_locked(now)
+            return None if hint is None else now + hint
+
+    @property
+    def next_expiry_at(self) -> Optional[float]:
+        """Earliest clock instant a buffered deadline expires.
+
+        Unlike :attr:`next_flush_at` this ignores timeout/full
+        triggers, so a virtual-time event loop can park a *stalled*
+        replica on its next deadline expiry without spinning on a
+        flush that will never dispatch.
+        """
+        with self.condition:
+            expiries = self._expiries_locked()
+            return min(expiries) if expiries else None
 
     # Lifecycle -------------------------------------------------------
 
@@ -282,13 +549,14 @@ class RequestQueue:
 
     @property
     def depth(self) -> int:
-        """Undispatched backlog (queued here + buffered in buckets)."""
+        """Buffered requests: admitted, not yet dispatched, expired
+        or cancelled."""
         with self.condition:
-            return self._backlog
+            return self._depth_locked()
 
     def __repr__(self) -> str:
         return (
-            f"RequestQueue(backlog={self._backlog}/{self.max_depth}, "
-            f"admitted={self.admitted}, rejected={self.rejected}, "
-            f"closed={self._closed})"
+            f"RequestQueue(depth={self._depth_locked()}/"
+            f"{self.max_depth}, admitted={self.admitted}, "
+            f"rejected={self.rejected}, closed={self._closed})"
         )

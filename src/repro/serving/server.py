@@ -4,15 +4,15 @@
 :class:`~repro.pipeline.EdgePCPipeline` (or a
 :class:`~repro.robustness.guard.GuardedPipeline`) into a request/
 response service: callers :meth:`~InferenceServer.submit` single
-``(N, 3)`` clouds and get back per-request futures, while a
-:class:`~repro.serving.batcher.MicroBatcher` coalesces the traffic
+``(N, 3)`` clouds and get back per-request futures, while the
+:class:`~repro.serving.queue.RequestQueue` coalesces the traffic
 into ``(B, N, 3)`` micro-batches that ride the PR-4 batched kernel
 path in one dispatch.
 
 Two execution modes share one dispatch routine:
 
 - **threaded** — :meth:`~InferenceServer.start` spawns a worker pool;
-  each worker blocks on the batcher and dispatches with its own
+  each worker blocks on the queue and dispatches with its own
   thread-local :class:`~repro.core.workspace.Workspace` (claimed via
   the owning-thread assertion) swapped into the model for the
   duration of the forward pass.  Model forwards are serialized by a
@@ -29,7 +29,7 @@ Two execution modes share one dispatch routine:
 Shutdown is graceful by default: :meth:`~InferenceServer.stop` closes
 the queue (new submissions get a typed
 :class:`~repro.serving.queue.QueueClosedError`), lets the workers
-flush every buffered request through the batcher's drain trigger, and
+flush every buffered request through the queue's drain trigger, and
 joins them — zero admitted requests are ever left without a terminal
 future outcome.
 """
@@ -48,8 +48,8 @@ from repro.observability.context import TraceContext
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import NULL_TRACER, Tracer
 from repro.core.workspace import Workspace
-from repro.serving.batcher import MicroBatch, MicroBatcher
 from repro.serving.queue import (
+    MicroBatch,
     QueueClosedError,
     RequestQueue,
     ServingRequest,
@@ -239,11 +239,6 @@ class InferenceServer:
         self.metrics = metrics
         self.queue = RequestQueue(
             max_depth=self.config.max_queue_depth,
-            clock=clock,
-            metrics=metrics,
-        )
-        self.batcher = MicroBatcher(
-            self.queue,
             max_batch_size=self.config.max_batch_size,
             max_wait_s=self.config.max_wait_ms / 1e3,
             clock=clock,
@@ -314,7 +309,9 @@ class InferenceServer:
             if ctx is not None:
                 span.set("trace_id", ctx.trace_id)
             self.queue.put(request)
-            return request
+        # After the span: a late request's expiry follows its submit.
+        self.queue.expire_on_arrival(request)
+        return request
 
     def _next_id(self) -> str:
         with self._records_lock:
@@ -324,18 +321,11 @@ class InferenceServer:
     # Dispatch (shared by workers and the virtual pump) ---------------
 
     def _workspace(self) -> Workspace:
-        """This thread's owned scratch workspace, created on first use.
-
-        Sized from the pipeline config's ``workspace_scratch_bytes``
-        so serving threads honor the same scratch budget as the
-        model's own pool (a GuardedPipeline is unwrapped first).
-        """
+        """This thread's owned scratch workspace, created on first use
+        with the same default budget as the model's own pool."""
         workspace = getattr(self._local, "workspace", None)
         if workspace is None:
-            config = getattr(self.pipeline, "config", None)
-            if config is None:  # GuardedPipeline wraps the pipeline
-                config = self.pipeline.pipeline.config
-            workspace = Workspace(config.workspace_scratch_bytes)
+            workspace = Workspace()
             workspace.claim_owner()
             self._local.workspace = workspace
         return workspace
@@ -545,12 +535,7 @@ class InferenceServer:
             ),
         )
         offset = dispatch
-        for stage, seconds in (
-            ("sample", breakdown.sample_s),
-            ("neighbor_search", breakdown.neighbor_s),
-            ("grouping", breakdown.grouping_s),
-            ("feature_compute", breakdown.feature_s),
-        ):
+        for stage, seconds in breakdown.stages():
             tracer.emit_span(
                 f"request.{stage}",
                 start_s=offset,
@@ -600,7 +585,7 @@ class InferenceServer:
 
     def _worker_loop(self) -> None:
         while True:
-            batch = self.batcher.next_batch()
+            batch = self.queue.next_batch()
             if batch is None:
                 return
             try:
@@ -636,7 +621,7 @@ class InferenceServer:
         """Close admission and shut the workers down.
 
         With ``drain=True`` every buffered request is still dispatched
-        (the batcher's drain trigger flushes partial buckets); with
+        (the queue's drain trigger flushes partial buckets); with
         ``drain=False`` undispatched requests fail fast with a typed
         :class:`~repro.serving.queue.QueueClosedError`.
 
@@ -687,9 +672,9 @@ class InferenceServer:
         error: Callable[[ServingRequest], Exception],
         now: Optional[float] = None,
     ) -> int:
-        """Fail every queued and buffered request; returns the count.
+        """Fail every buffered request; returns the count.
 
-        Each request leaves the admission backlog, is traced as
+        Each request leaves the queue, is traced as
         ``outcome`` with ``detail``, and resolves with
         ``error(request)``; the lot counts as failed under ``reason``.
         Used by a non-draining :meth:`stop` and by the fleet when it
@@ -697,11 +682,7 @@ class InferenceServer:
         """
         if now is None:
             now = self.clock()
-        with self.queue.condition:
-            pending = self.queue.pop_pending()
-            if pending:
-                self.queue.release(len(pending))
-        pending.extend(self.batcher.cancel_buffered())
+        pending = self.queue.cancel_buffered()
         for request in pending:
             emit_request_trace(
                 self.tracer, request, now, outcome, detail=detail
@@ -731,7 +712,7 @@ class InferenceServer:
         """
         records: List[DispatchRecord] = []
         while limit is None or len(records) < limit:
-            batch = self.batcher.poll()
+            batch = self.queue.poll()
             if batch is None:
                 break
             records.append(self._dispatch(batch))
@@ -746,7 +727,7 @@ class InferenceServer:
             self.queue.admitted
             - self.completed
             - self.failed
-            - self.batcher.requests_expired
+            - self.queue.expired
         )
 
     def stats(self) -> Dict[str, float]:
@@ -762,7 +743,7 @@ class InferenceServer:
         return {
             "admitted": float(self.queue.admitted),
             "rejected": float(self.queue.rejected),
-            "expired": float(self.batcher.requests_expired),
+            "expired": float(self.queue.expired),
             "completed": float(self.completed),
             "failed": float(self.failed),
             "batches": float(len(batch_sizes)),

@@ -73,8 +73,7 @@ def run_chaos(argv):
         schedule = ChaosSchedule.standard(args.replicas, args.duration_s)
     harness = ChaosHarness(fleet, schedule, metrics=registry)
     report = FleetLoadGenerator(
-        fleet, _loadgen_config(args), clock=clock, chaos=harness,
-        slo=slo,
+        fleet, _loadgen_config(args), chaos=harness, slo=slo
     ).run()
     record = {
         "report": report.to_dict(),

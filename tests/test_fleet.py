@@ -392,9 +392,7 @@ def _chaos_run(seed=0):
     config = LoadGenConfig(
         duration_s=2.0, rate=40.0, deadline_ms=500.0, seed=seed
     )
-    generator = FleetLoadGenerator(
-        fleet, config, clock=clock, chaos=harness
-    )
+    generator = FleetLoadGenerator(fleet, config, chaos=harness)
     report = generator.run()
     return report, fleet, harness
 
@@ -467,9 +465,7 @@ def _traced_chaos_run(seed=7):
     )
     harness = ChaosHarness(fleet, schedule, metrics=metrics)
     config = LoadGenConfig(duration_s=0.8, rate=60.0, seed=seed)
-    report = FleetLoadGenerator(
-        fleet, config, clock=clock, chaos=harness
-    ).run()
+    report = FleetLoadGenerator(fleet, config, chaos=harness).run()
     return report, fleet, tracer
 
 

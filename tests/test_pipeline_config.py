@@ -129,8 +129,6 @@ class TestPostInitValidation:
             {"fc_merge_factor": 0},
             {"exact_fast_threshold": 0},
             {"exact_fast_threshold": -8192},
-            {"workspace_scratch_bytes": 0},
-            {"workspace_scratch_bytes": -1},
             {"code_bits": 1},
             {"sample_layers": {-1}},
             {"upsample_layers": {-2}},
@@ -150,21 +148,8 @@ class TestPostInitValidation:
             reuse_distance=0,
             fc_merge_factor=1,
             exact_fast_threshold=1,
-            workspace_scratch_bytes=1,
         )
         assert cfg.exact_engine_for(1) == "fast"
-
-    def test_workspace_budget_default(self):
-        from repro.core.workspace import DEFAULT_SCRATCH_BYTES
-
-        assert (
-            EdgePCConfig().workspace_scratch_bytes
-            == DEFAULT_SCRATCH_BYTES
-        )
-
-    def test_with_workspace_scratch_bytes(self):
-        cfg = EdgePCConfig().with_workspace_scratch_bytes(64 << 20)
-        assert cfg.workspace_scratch_bytes == 64 << 20
 
 
 class TestDSE:

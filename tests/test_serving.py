@@ -1,6 +1,6 @@
 """Tests for the serving subsystem (PR 5).
 
-Covers the admission queue, the micro-batcher's bucket/trigger logic,
+Covers the admission queue and its bucket/trigger logic,
 threaded graceful shutdown (zero lost requests), workspace ownership
 under threads, fault injection through the guarded server, and the
 deterministic virtual-time load generator on a 1-replica fleet (pinned
@@ -8,6 +8,7 @@ to the reports of the single-server generator it replaced).
 """
 
 import json
+import sys
 import threading
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from repro.serving import (
     FleetLoadGenerator,
     InferenceServer,
     LoadGenConfig,
-    MicroBatcher,
     QueueClosedError,
     QueueFullError,
     RequestQueue,
@@ -95,75 +95,68 @@ class TestRequestQueue:
         assert err.value.reason == "closed"
         assert queue.closed
 
-    def test_pop_pending_is_fifo_and_backlog_survives_until_release(
-        self, rng
-    ):
+    def test_batches_are_fifo_within_a_bucket(self, rng):
         registry = MetricsRegistry()
         queue = RequestQueue(max_depth=4, metrics=registry)
         for name in ("a", "b", "c"):
             queue.put(_request(rng, name))
-        with queue.condition:
-            popped = queue.pop_pending()
-        assert [r.request_id for r in popped] == ["a", "b", "c"]
-        # Popped-but-undispatched requests still occupy the admission
-        # backlog; only release() frees their slots.
-        assert queue.depth == 3
-        with queue.condition:
-            queue.release(3)
-        assert queue.depth == 0
-        assert registry.gauge("serving_queue_depth").value == 0.0
+        queue.put(_request(rng, "other", n=16))
+        assert queue.depth == 4
+        queue.close()
+        batch = queue.poll()
+        assert [r.request_id for r in batch.requests] == ["a", "b", "c"]
+        # Dispatched requests leave the buffer; the other bucket stays.
+        assert queue.depth == 1
+        assert registry.gauge("serving_queue_depth").value == 1.0
 
     def test_backlog_bound_covers_bucketed_requests(self, rng):
-        # Requests moved into batcher buckets still count against
+        # Requests sitting in point-count buckets count against
         # max_depth: admission bounds the whole pre-dispatch backlog.
         clock = FixedClock(0.0)
-        queue = RequestQueue(max_depth=2, clock=clock)
-        batcher = MicroBatcher(
-            queue, max_batch_size=8, max_wait_s=1.0, clock=clock
+        queue = RequestQueue(
+            max_depth=2, max_batch_size=8, max_wait_s=1.0, clock=clock
         )
         queue.put(_request(rng, "a"))
-        queue.put(_request(rng, "b"))
-        assert batcher.ingest() == 2  # queue list is empty now...
+        queue.put(_request(rng, "b", n=16))
         with pytest.raises(QueueFullError):
-            queue.put(_request(rng, "c"))  # ...but the bound holds
+            queue.put(_request(rng, "c"))
         clock.advance(1.0)
-        assert batcher.poll() is not None  # dispatch frees the slots
+        assert queue.poll() is not None  # dispatch frees a slot
         queue.put(_request(rng, "d"))
 
 
 class TestMicroBatcher:
-    def _batcher(self, clock, registry=None, **kwargs):
-        queue = RequestQueue(
-            max_depth=64, clock=clock, metrics=registry
-        )
+    """The queue's batch formation: buckets, triggers and expiry."""
+
+    def _queue(self, clock, registry=None, **kwargs):
         defaults = dict(max_batch_size=4, max_wait_s=0.05)
         defaults.update(kwargs)
-        return queue, MicroBatcher(
-            queue, clock=clock, metrics=registry, **defaults
+        return RequestQueue(
+            max_depth=64, clock=clock, metrics=registry, **defaults
         )
 
     def test_full_bucket_flushes_immediately(self, rng):
         clock = FixedClock(0.0)
-        queue, batcher = self._batcher(clock)
+        queue = self._queue(clock)
         for i in range(4):
             queue.put(_request(rng, f"r{i}"))
-        batch = batcher.poll()
+        batch = queue.poll()
         assert batch is not None
         assert batch.trigger == "full"
         assert batch.size == 4
         assert batch.xyz.shape == (4, N_POINTS, 3)
-        assert batcher.poll() is None
+        assert queue.poll() is None
 
     def test_buckets_by_point_count(self, rng):
         clock = FixedClock(0.0)
-        queue, batcher = self._batcher(clock)
+        queue = self._queue(clock)
         queue.put(_request(rng, "small", n=16))
         queue.put(_request(rng, "large", n=64))
-        assert batcher.poll() is None  # neither bucket is due yet
-        assert batcher.buffered == 2
+        assert queue.poll() is None  # neither bucket is due yet
+        assert queue.depth == 2
         clock.advance(0.06)  # past max_wait: both flush, separately
-        first = batcher.poll()
-        second = batcher.poll()
+        first = queue.poll()
+        second = queue.poll()
         assert first.trigger == "timeout"
         assert second.trigger == "timeout"
         assert {first.xyz.shape[1], second.xyz.shape[1]} == {16, 64}
@@ -171,53 +164,178 @@ class TestMicroBatcher:
 
     def test_timeout_trigger_honors_wait_hint(self, rng):
         clock = FixedClock(0.0)
-        queue, batcher = self._batcher(clock)
+        queue = self._queue(clock)
         queue.put(_request(rng, "lone"))
-        assert batcher.poll() is None
-        assert batcher.next_flush_at == pytest.approx(0.05)
+        assert queue.poll() is None
+        assert queue.next_flush_at == pytest.approx(0.05)
         clock.advance(0.05)
-        batch = batcher.poll()
+        batch = queue.poll()
         assert batch is not None and batch.trigger == "timeout"
 
     def test_drain_trigger_flushes_partial_buckets(self, rng):
         clock = FixedClock(0.0)
-        queue, batcher = self._batcher(clock)
+        queue = self._queue(clock)
         queue.put(_request(rng, "a"))
         queue.put(_request(rng, "b"))
-        assert batcher.poll() is None
+        assert queue.poll() is None
         queue.close()
-        batch = batcher.poll()
+        batch = queue.poll()
         assert batch.trigger == "drain"
         assert batch.size == 2
-        assert batcher.drained()
+        assert queue.depth == 0
+        assert queue.next_batch() is None  # fully drained
 
     def test_expired_request_gets_typed_error(self, rng):
         registry = MetricsRegistry()
         clock = FixedClock(0.0)
-        queue, batcher = self._batcher(clock, registry)
+        queue = self._queue(clock, registry)
         doomed = _request(rng, "doomed", deadline=0.02)
         queue.put(doomed)
+        assert queue.next_expiry_at == 0.02
         clock.advance(0.03)  # past the deadline, before max_wait
-        assert batcher.poll() is None
+        assert queue.poll() is None
         assert doomed.future.done()
         with pytest.raises(DeadlineExceededError):
             doomed.future.result()
-        assert batcher.requests_expired == 1
+        assert queue.expired == 1
+        assert queue.depth == 0
         assert registry.counter("serving_expired_total").value == 1
 
     def test_oversize_bucket_splits_into_max_batches(self, rng):
         clock = FixedClock(0.0)
-        queue, batcher = self._batcher(clock, max_batch_size=3)
+        queue = self._queue(clock, max_batch_size=3)
         for i in range(7):
             queue.put(_request(rng, f"r{i}"))
         sizes = []
         queue.close()
         while True:
-            batch = batcher.poll()
+            batch = queue.poll()
             if batch is None:
                 break
             sizes.append(batch.size)
         assert sizes == [3, 3, 1]
+
+
+#: Every way a request leaves the pre-dispatch buffer.
+EXIT_PATHS = (
+    "dispatch",
+    "expiry",
+    "expired_on_arrival",
+    "stalled_expire_due",
+    "stop_without_drain",
+    "shed_replica_backlog",
+)
+
+
+class TestBacklogInvariant:
+    """After every exit path, ``queue.depth`` counts exactly the
+    admitted requests not yet resolved, and the
+    ``serving_queue_depth`` gauge equals it."""
+
+    @pytest.mark.parametrize("exit_path", EXIT_PATHS)
+    def test_depth_counts_unresolved_requests(self, rng, exit_path):
+        registry = MetricsRegistry()
+        clock = FixedClock(0.0)
+        fleet = ServerFleet(
+            [_pipeline()],
+            serving_config=ServingConfig(
+                max_batch_size=2, max_wait_ms=50.0, workers=1
+            ),
+            clock=clock,
+            metrics=registry,
+        )
+        server = fleet.replicas[0].server
+
+        def submit(deadline_s=None, n=N_POINTS):
+            return server.submit(
+                rng.random((n, 3)), deadline_s=deadline_s
+            )
+
+        if exit_path == "dispatch":
+            admitted = [submit() for _ in range(3)]
+            assert len(server.pump(limit=1)) == 1  # the full bucket
+        elif exit_path == "expiry":
+            admitted = [submit(deadline_s=0.01), submit(n=16)]
+            clock.advance(0.02)  # past the deadline, before max_wait
+            assert server.queue.poll() is None
+        elif exit_path == "expired_on_arrival":
+            admitted = [submit(), submit(deadline_s=0.0)]
+        elif exit_path == "stalled_expire_due":
+            fleet.stall_replica(0)
+            admitted = [submit(deadline_s=0.01), submit()]
+            fleet.run()  # wakes only for the deadline expiry
+        elif exit_path == "stop_without_drain":
+            admitted = [submit(), submit(n=16)]
+            server.stop(drain=False)
+        else:
+            admitted = [submit(), submit(n=16)]
+            assert fleet.shed_replica_backlog(0, "test") == 2
+
+        resolved = sum(request.future.done() for request in admitted)
+        assert 0 < resolved
+        unresolved = len(admitted) - resolved
+        assert server.queue.depth == unresolved
+        assert server.outstanding == unresolved
+        assert registry.gauge("serving_queue_depth").value == float(
+            unresolved
+        )
+
+    def test_racing_submitters_and_workers_resolve_each_once(self, rng):
+        # Submitters, on-arrival expiry and four workers contend for the
+        # same buckets; a request taken twice would resolve twice and
+        # show up as a worker error and a miscount.
+        registry = MetricsRegistry()
+        server = InferenceServer(
+            _pipeline(registry),
+            ServingConfig(
+                max_queue_depth=256,
+                max_batch_size=4,
+                max_wait_ms=1.0,
+                workers=4,
+            ),
+            metrics=registry,
+        )
+        clouds = rng.random((8, N_POINTS, 3))
+        requests = []
+        lock = threading.Lock()
+
+        def submitter(offset):
+            for i in range(16):
+                # Every third request arrives already past its deadline.
+                deadline = 0.0 if i % 3 == 0 else None
+                request = server.submit(
+                    clouds[(offset + i) % 8], deadline_s=deadline
+                )
+                with lock:
+                    requests.append(request)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                threads = [
+                    threading.Thread(target=submitter, args=(offset,))
+                    for offset in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(requests) == 64
+        assert all(request.future.done() for request in requests)
+        expired = sum(
+            isinstance(request.future.exception(), DeadlineExceededError)
+            for request in requests
+        )
+        assert expired == server.queue.expired == 24
+        assert server.completed == 40
+        assert server.failed == 0
+        assert server.queue.depth == 0
+        assert server.outstanding == 0
+        assert registry.gauge("serving_queue_depth").value == 0.0
 
 
 class TestThreadedServer:
@@ -273,7 +391,7 @@ class TestThreadedServer:
         server = InferenceServer(
             _pipeline(registry), ServingConfig(), metrics=registry
         )
-        # No workers: the requests stay queued, never bucketed.
+        # No workers: the requests stay buffered in their bucket.
         for _ in range(3):
             server.submit(rng.random((N_POINTS, 3)))
         assert server.queue.depth == 3
