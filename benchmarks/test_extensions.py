@@ -61,11 +61,9 @@ def test_guarantee_cost(benchmark, rng):
     guaranteed = ZOrderApproxNN(cloud, eps=0.5, order=order)
     scanned = []
     exact = knn(cloud[queries_idx], cloud, k)
-    hits = 0
     for qi in queries_idx:
-        result = guaranteed.query(cloud[qi], k)
+        guaranteed.query(cloud[qi], k)
         scanned.append(guaranteed.last_scanned)
-        hits += 1  # counted via FNR below instead
 
     fnr_window = false_neighbor_ratio(approx, exact)
     mean_scanned = float(np.mean(scanned))

@@ -20,21 +20,13 @@ from repro.nn import (
     PointNet2Segmentation,
     StageRecorder,
 )
-from repro.pipeline import (
-    EdgePCPipeline,
-    EmptyTraceError,
-    InferenceResult,
-    ThroughputEstimate,
-)
+from repro.pipeline import EdgePCPipeline, InferenceResult
 from repro.robustness import (
     CloudValidationError,
-    FaultInjector,
-    FaultSpec,
     GuardedPipeline,
     GuardThresholds,
     ValidationPolicy,
     sanitize_cloud,
-    standard_faults,
 )
 from repro.runtime import DeviceSpec, PipelineProfiler, xavier
 from repro.workloads import WorkloadSpec, standard_workloads, trace
@@ -57,16 +49,11 @@ __all__ = [
     "PipelineProfiler",
     "EdgePCPipeline",
     "InferenceResult",
-    "EmptyTraceError",
-    "ThroughputEstimate",
     "ValidationPolicy",
     "CloudValidationError",
     "sanitize_cloud",
     "GuardedPipeline",
     "GuardThresholds",
-    "FaultSpec",
-    "FaultInjector",
-    "standard_faults",
     "WorkloadSpec",
     "standard_workloads",
     "trace",

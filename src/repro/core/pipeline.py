@@ -14,7 +14,7 @@ feature-space modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable
 
 from repro.core import morton
@@ -136,17 +136,6 @@ class EdgePCConfig:
             fc_merge_factor=10,
         )
 
-    @classmethod
-    def all_layers(cls, num_modules: int = 4) -> "EdgePCConfig":
-        """Approximate every layer — the aggressive point Fig. 15b shows
-        trades a lot of accuracy for little extra speed."""
-        layers = frozenset(range(num_modules))
-        return cls(
-            sample_layers=layers,
-            upsample_layers=layers,
-            neighbor_layers=layers,
-        )
-
     # Queries -------------------------------------------------------------
 
     def uses_morton_sampling(self, layer: int) -> bool:
@@ -177,23 +166,6 @@ class EdgePCConfig:
 
     def reuse_policy(self) -> NeighborReusePolicy:
         return NeighborReusePolicy(reuse_distance=self.reuse_distance)
-
-    def morton_memory_bytes(self, num_points: int) -> float:
-        """Per-frame storage for Morton codes (Sec. 5.1.3): 0 when no
-        layer structurizes."""
-        if not (
-            self.sample_layers
-            or self.upsample_layers
-            or self.neighbor_layers
-        ):
-            return 0.0
-        return morton.code_memory_bytes(num_points, self.code_bits)
-
-    def with_window_multiplier(self, multiplier: int) -> "EdgePCConfig":
-        return replace(self, window_multiplier=multiplier)
-
-    def with_code_bits(self, code_bits: int) -> "EdgePCConfig":
-        return replace(self, code_bits=code_bits)
 
     @property
     def is_baseline(self) -> bool:

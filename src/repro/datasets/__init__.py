@@ -6,11 +6,6 @@ from repro.datasets.base import (
     make_batches,
     train_test_split,
 )
-from repro.datasets.augment import (
-    AugmentedDataset,
-    Compose,
-    standard_augmentation,
-)
 from repro.datasets.bunny import BUNNY_POINT_COUNT, bunny_like
 from repro.datasets.indoor import (
     NUM_SEMANTIC_CLASSES,
@@ -24,11 +19,7 @@ from repro.datasets.outdoor import (
     KITTILike,
     lidar_sweep,
 )
-from repro.datasets.scene import (
-    DEFAULT_ROOM_SPACING,
-    SceneSegmentation,
-    make_scene,
-)
+from repro.datasets.scene import DEFAULT_ROOM_SPACING, make_scene
 from repro.datasets.shapenet import (
     NUM_CATEGORIES,
     NUM_PARTS,
@@ -39,15 +30,11 @@ __all__ = [
     "SyntheticDataset",
     "Batch",
     "make_batches",
-    "AugmentedDataset",
-    "Compose",
-    "standard_augmentation",
     "train_test_split",
     "ModelNetLike",
     "ShapeNetPartLike",
     "S3DISLike",
     "ScanNetLike",
-    "SceneSegmentation",
     "make_scene",
     "room_grid_offsets",
     "DEFAULT_ROOM_SPACING",

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.datasets.base import SyntheticDataset
 from repro.datasets.indoor import (
-    NUM_SEMANTIC_CLASSES,
     _assemble,
     _room_surfaces,
     room_grid_offsets,
@@ -78,46 +76,3 @@ def make_scene(
     labels = np.concatenate(label_parts)[:num_points]
     return PointCloud(xyz, labels=labels)
 
-
-class SceneSegmentation(SyntheticDataset):
-    """Floor-scale indoor scenes for partitioned segmentation.
-
-    Unlike the fixed-8192 datasets, ``points_per_cloud`` here is the
-    *scene* size (100k–1M); consumers are expected to run each scene
-    through :class:`~repro.partition.PartitionedPipeline` or the
-    fleet's scatter/gather path rather than a single batch.
-    """
-
-    num_semantic_classes = NUM_SEMANTIC_CLASSES
-
-    def __init__(
-        self,
-        num_clouds: int = 2,
-        points_per_cloud: int = 100_000,
-        seed: int = 0,
-        room_points: int = 8192,
-        spacing: float = DEFAULT_ROOM_SPACING,
-        noise_sigma: float = 0.0,
-    ) -> None:
-        super().__init__(num_clouds, points_per_cloud, seed)
-        if room_points < 64:
-            raise ValueError("room_points must be at least 64")
-        if noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
-        self.room_points = room_points
-        self.spacing = spacing
-        self.noise_sigma = noise_sigma
-
-    def _generate(
-        self, index: int, rng: np.random.Generator
-    ) -> PointCloud:
-        # Scenes derive their own per-room child seeds; fold the cloud
-        # index into the scene seed so each scene differs.
-        del rng  # scene assembly seeds itself per room
-        return make_scene(
-            self.points_per_cloud,
-            seed=(self.seed * 100_003 + index),
-            room_points=self.room_points,
-            spacing=self.spacing,
-            noise_sigma=self.noise_sigma,
-        )

@@ -91,12 +91,6 @@ class PointCloud:
             raise ValueError("not a permutation of the point indices")
         return self.select(permutation)
 
-    def with_features(self, features: np.ndarray) -> "PointCloud":
-        return PointCloud(self.xyz, features, self.labels)
-
-    def with_labels(self, labels: np.ndarray) -> "PointCloud":
-        return PointCloud(self.xyz, self.features, labels)
-
     def concatenated_with(self, other: "PointCloud") -> "PointCloud":
         """Concatenate two clouds; attributes must match in presence."""
         if (self.features is None) != (other.features is None):

@@ -8,8 +8,6 @@ experiments exercise the same data path as the paper's models.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.geometry.points import PointCloud
@@ -100,24 +98,3 @@ def random_dropout(
         labels = cloud.labels.copy()
         labels[drop] = labels[0]
     return PointCloud(xyz, features, labels)
-
-
-def resample_to(
-    cloud: PointCloud, count: int, rng: Optional[np.random.Generator] = None
-) -> PointCloud:
-    """Resample the cloud to exactly ``count`` points.
-
-    Downsampling draws without replacement; upsampling repeats random
-    points.  Used by the dataset loaders to honor Table 1's fixed
-    points-per-batch sizes.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    rng = rng or np.random.default_rng(0)
-    n = len(cloud)
-    if n >= count:
-        indices = rng.choice(n, size=count, replace=False)
-    else:
-        extra = rng.choice(n, size=count - n, replace=True)
-        indices = np.concatenate([np.arange(n), extra])
-    return cloud.select(indices)

@@ -1,12 +1,11 @@
 """DET rules: every randomized or timed path must be reproducible.
 
 Retraining with Morton sampling in the loop (paper Sec. 5.3) and the
-PR-1 fault-injection harness both promise bit-for-bit reproducible
-runs.  That only holds when randomness flows through seeded
-``np.random.default_rng`` generators (or the ``FaultInjector``'s own
-seeded streams) and when wall-clock reads go through the injectable
-clock shim in :mod:`repro.observability.clock` instead of ambient
-``time.time()`` / ``datetime.now()``.
+seeded serving chaos runs both promise bit-for-bit reproducible runs.
+That only holds when randomness flows through seeded
+``np.random.default_rng`` generators and when wall-clock reads go
+through the injectable clock shim in :mod:`repro.observability.clock`
+instead of ambient ``time.time()`` / ``datetime.now()``.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ class UnseededRandomRule(Rule):
     severity = "error"
     title = "unseeded / global-state RNG call"
     rationale = (
-        "Paper Sec. 5.3 retraining and the PR-1 FaultInjector "
+        "Paper Sec. 5.3 retraining and the seeded chaos runs "
         "require bit-for-bit reproducible runs; all randomness must "
         "flow through np.random.default_rng(seed) generators, never "
         "the legacy np.random.* or stdlib random module globals."

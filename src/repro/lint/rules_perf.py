@@ -32,10 +32,8 @@ NON_KERNEL_MODULES = frozenset(
         "repro.nn.layers",
         "repro.nn.losses",
         "repro.nn.optim",
-        "repro.nn.pointnet",
         "repro.nn.pointnet2",
         "repro.nn.recorder",
-        "repro.nn.serialization",
     }
 )
 

@@ -409,9 +409,3 @@ class GridQueryStats:
     pairs_scanned: int = 0
     rounds: int = 0
     cells_probed: int = 0
-
-    def merge(self, other: "GridQueryStats") -> None:
-        self.num_queries += other.num_queries
-        self.pairs_scanned += other.pairs_scanned
-        self.rounds += other.rounds
-        self.cells_probed += other.cells_probed

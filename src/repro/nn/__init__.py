@@ -14,8 +14,7 @@ from repro.nn.layers import (
     shared_mlp,
 )
 from repro.nn.losses import accuracy, cross_entropy, log_softmax, softmax
-from repro.nn.optim import SGD, Adam, StepLR
-from repro.nn.pointnet import PointNetClassifier, PointNetSegmentation
+from repro.nn.optim import Adam, StepLR
 from repro.nn.pointnet2 import (
     DEFAULT_SA_CONFIGS,
     FeaturePropagation,
@@ -24,7 +23,6 @@ from repro.nn.pointnet2 import (
     SAConfig,
     SetAbstraction,
 )
-from repro.nn.serialization import load_checkpoint, save_checkpoint
 from repro.nn.recorder import (
     STAGE_FEATURE,
     STAGE_GROUPING,
@@ -53,7 +51,6 @@ __all__ = [
     "accuracy",
     "log_softmax",
     "softmax",
-    "SGD",
     "Adam",
     "StepLR",
     "SAConfig",
@@ -61,15 +58,11 @@ __all__ = [
     "SetAbstraction",
     "FeaturePropagation",
     "PointNet2Segmentation",
-    "PointNetClassifier",
-    "PointNetSegmentation",
     "PointNet2Classifier",
     "EdgeConv",
     "DGCNNClassifier",
     "DGCNNSegmentation",
     "StageRecorder",
-    "save_checkpoint",
-    "load_checkpoint",
     "NullRecorder",
     "StageEvent",
     "STAGE_SAMPLE",

@@ -17,6 +17,7 @@ byte-identical.  The input and the parameters are never written.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -125,6 +126,29 @@ class Module:
         layers; only valid while :attr:`infers_in_place` holds.
         """
         raise NotImplementedError
+
+
+@contextmanager
+def swapped_attribute(model: Module, name: str, value):
+    """Temporarily set attribute ``name`` to ``value`` on ``model`` and
+    on every submodule that has it.
+
+    Models read ``edgepc`` and ``workspace`` per forward call, so an
+    attribute swap points a built module tree at another config (the
+    guard's exact fallback) or scratch pool (one per serving worker)
+    at zero copy cost, without the rebuild-and-``load_state_dict``
+    move (docs/architecture.md, "Strategy selection").
+    """
+    saved = []
+    try:
+        for module in model.modules():
+            if hasattr(module, name):
+                saved.append((module, getattr(module, name)))
+                setattr(module, name, value)
+        yield
+    finally:
+        for module, previous in saved:
+            setattr(module, name, previous)
 
 
 class Linear(Module):

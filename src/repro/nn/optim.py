@@ -1,5 +1,5 @@
-"""Optimizers: SGD with momentum and Adam (what the originals train
-with), plus a step-decay LR schedule."""
+"""Optimizers: Adam (what the Sec. 5.3 retraining uses), plus a
+step-decay LR schedule."""
 
 from __future__ import annotations
 
@@ -27,37 +27,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """SGD with classical momentum and optional L2 weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Tensor],
-        lr: float = 0.01,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        if not 0 <= momentum < 1:
-            raise ValueError("momentum must be in [0, 1)")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            velocity *= self.momentum
-            velocity += grad
-            param.data = param.data - self.lr * velocity
 
 
 class Adam(Optimizer):

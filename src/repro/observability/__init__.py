@@ -55,11 +55,6 @@ from repro.observability.metrics import (
     Histogram,
     MetricsRegistry,
     escape_label_value,
-    global_registry,
-    parse_prometheus,
-    parse_prometheus_series,
-    reset_global_registry,
-    unescape_label_value,
 )
 from repro.observability.report import (
     RunReport,
@@ -80,7 +75,6 @@ from repro.observability.tracing import (
     Tracer,
     emit_stage_spans,
     find_orphans,
-    spans_by_trace,
 )
 
 __all__ = [
@@ -109,15 +103,9 @@ __all__ = [
     "energy_to_dict",
     "escape_label_value",
     "find_orphans",
-    "global_registry",
     "load_artifacts",
     "mint_trace_id",
-    "parse_prometheus",
-    "parse_prometheus_series",
     "render_dashboard",
-    "reset_global_registry",
     "slowest_traces",
-    "spans_by_trace",
-    "unescape_label_value",
     "wall_clock",
 ]

@@ -10,15 +10,12 @@ exposition (:meth:`MetricsRegistry.to_prometheus`).
 
 The instrumented hot paths (pipeline, guard, streaming) all take an
 ``Optional[MetricsRegistry]`` and skip every metric update when it is
-``None``, so metrics — like tracing — are off-by-default-cheap.  A
-process-wide default registry is available through
-:func:`global_registry` for CLI commands and long-lived services.
+``None``, so metrics — like tracing — are off-by-default-cheap.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import threading
 from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
@@ -45,28 +42,6 @@ def escape_label_value(value: str) -> str:
         .replace('"', '\\"')
         .replace("\n", "\\n")
     )
-
-
-def unescape_label_value(value: str) -> str:
-    """Inverse of :func:`escape_label_value`."""
-    out: List[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt == "n":
-                out.append("\n")
-            elif nxt in ('"', "\\"):
-                out.append(nxt)
-            else:  # unknown escape: keep it verbatim
-                out.append(ch)
-                out.append(nxt)
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
 
 
 def _format_labels(items: LabelItems, extra: str = "") -> str:
@@ -201,33 +176,6 @@ class Histogram:
                 cumulative += c
             return self.buckets[-1]
 
-    def exemplar_for_quantile(
-        self, q: float
-    ) -> Optional[Tuple[str, float]]:
-        """The ``(trace_id, value)`` exemplar nearest the ``q``-th
-        quantile's bucket, preferring higher buckets (the slow tail is
-        what an exemplar is for); ``None`` when no exemplar exists.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        with self._lock:
-            if not self.exemplars:
-                return None
-            if self.count == 0:
-                index = 0
-            else:
-                target = q * self.count
-                cumulative = 0
-                index = len(self.counts) - 1
-                for i, c in enumerate(self.counts):
-                    if cumulative + c >= target:
-                        index = i
-                        break
-                    cumulative += c
-            above = [i for i in self.exemplars if i >= index]
-            chosen = min(above) if above else max(self.exemplars)
-            return self.exemplars[chosen]
-
     @property
     def value(self) -> float:
         return self.sum
@@ -318,38 +266,6 @@ class MetricsRegistry:
             out.append(entry)
         return {"metrics": out}
 
-    @classmethod
-    def from_snapshot(cls, data: Dict[str, object]) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`snapshot` output."""
-        registry = cls()
-        for entry in data["metrics"]:
-            labels = dict(entry["labels"])
-            kind = entry["kind"]
-            if kind == "counter":
-                registry.counter(entry["name"], **labels).inc(
-                    entry["value"]
-                )
-            elif kind == "gauge":
-                registry.gauge(entry["name"], **labels).set(
-                    entry["value"]
-                )
-            elif kind == "histogram":
-                hist = registry.histogram(
-                    entry["name"], tuple(entry["buckets"]), **labels
-                )
-                hist.counts = list(entry["counts"])
-                hist.sum = entry["sum"]
-                hist.count = entry["count"]
-                hist.exemplars = {
-                    int(index): (str(pair[0]), float(pair[1]))
-                    for index, pair in entry.get(
-                        "exemplars", {}
-                    ).items()
-                }
-            else:
-                raise ValueError(f"unknown metric kind {kind!r}")
-        return registry
-
     def export_json(self, path: str) -> None:
         with open(path, "w") as fh:
             json.dump(self.snapshot(), fh, indent=1, sort_keys=True)
@@ -381,69 +297,3 @@ class MetricsRegistry:
                 lines.append(f"{name}{label_str} {metric.value!r}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-
-def parse_prometheus(text: str) -> Dict[str, float]:
-    """Parse :meth:`MetricsRegistry.to_prometheus` output back into a
-    flat ``{"name{labels}": value}`` map (for round-trip tests and
-    quick assertions; not a general Prometheus parser).  Label values
-    keep their exposition escaping (``\\n`` stays two characters);
-    :func:`parse_prometheus_series` decodes them.
-    """
-    samples: Dict[str, float] = {}
-    # Exposition lines end in "\n" only; ``splitlines`` would also
-    # split inside label values holding U+2028 and similar breaks.
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, raw = line.rpartition(" ")
-        samples[key] = float(raw)
-    return samples
-
-
-#: One label assignment inside ``{...}``: key="value with escapes".
-_LABEL_RE = re.compile(r'(\w+)="((?:[^"\\]|\\.)*)"')
-
-
-def parse_prometheus_series(
-    text: str,
-) -> Dict[Tuple[str, LabelItems], float]:
-    """Fully decoded parse of :meth:`MetricsRegistry.to_prometheus`
-    output: ``{(name, ((label, value), ...)): sample}`` with label
-    values unescaped, so series written with ``\\``, ``"``, or
-    newlines in a label round-trip to their original strings.
-    """
-    series: Dict[Tuple[str, LabelItems], float] = {}
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, raw = line.rpartition(" ")
-        name, brace, labels_part = key.partition("{")
-        items: LabelItems = ()
-        if brace:
-            if not labels_part.endswith("}"):
-                raise ValueError(f"malformed sample line: {line!r}")
-            items = tuple(
-                (match.group(1), unescape_label_value(match.group(2)))
-                for match in _LABEL_RE.finditer(labels_part[:-1])
-            )
-        series[(name, items)] = float(raw)
-    return series
-
-
-_GLOBAL = MetricsRegistry()
-_GLOBAL_LOCK = threading.Lock()
-
-
-def global_registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _GLOBAL
-
-
-def reset_global_registry() -> MetricsRegistry:
-    """Swap in a fresh global registry (tests, CLI runs); returns it."""
-    global _GLOBAL
-    with _GLOBAL_LOCK:
-        _GLOBAL = MetricsRegistry()
-        return _GLOBAL

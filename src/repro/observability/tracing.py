@@ -454,25 +454,6 @@ def find_orphans(
     ]
 
 
-def spans_by_trace(
-    records: Iterable[Mapping[str, object]],
-) -> Dict[str, List[Mapping[str, object]]]:
-    """Group span records by ``trace_id`` (untraced spans are
-    omitted), each group sorted by start offset then id — the shape
-    the dashboard's slowest-trace table consumes."""
-    groups: Dict[str, List[Mapping[str, object]]] = {}
-    for row in records:
-        trace_id = row.get("trace_id")
-        if not trace_id:
-            continue
-        groups.setdefault(str(trace_id), []).append(row)
-    for rows in groups.values():
-        rows.sort(
-            key=lambda r: (float(r.get("start_s", 0.0)), int(r.get("id", 0)))
-        )
-    return groups
-
-
 def emit_stage_spans(tracer: Tracer, breakdown) -> None:
     """Lay a priced :class:`StageBreakdown` out on the simulated track.
 

@@ -2,10 +2,10 @@
 
 :class:`EdgePCPipeline` is the convenience entry point a downstream
 application would use: wrap any of the library's models and get
-inference, per-batch device profiling, and baseline comparison in one
-object, without touching recorders or the cost model directly.  Input
-batches pass through the :mod:`repro.robustness.validate` boundary
-before touching the model; wrap the pipeline in a
+inference and per-batch device profiling in one object, without
+touching recorders or the cost model directly.  Input batches pass
+through the :mod:`repro.robustness.validate` boundary before touching
+the model; wrap the pipeline in a
 :class:`~repro.robustness.guard.GuardedPipeline` for quality-triggered
 exact-kernel fallback on top.
 """
@@ -13,7 +13,7 @@ exact-kernel fallback on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -35,42 +35,10 @@ from repro.robustness.validate import (
 )
 from repro.runtime.device import DeviceSpec
 from repro.runtime.profiler import (
-    ComparisonReport,
     EnergyReport,
     PipelineProfiler,
     StageBreakdown,
-    compare,
 )
-
-
-class EmptyTraceError(ValueError):
-    """A pass recorded no priced work, so no rate can be derived.
-
-    Subclasses :class:`ValueError` for backwards compatibility, but is
-    distinct from input-validation failures
-    (:class:`~repro.robustness.validate.CloudValidationError`) so
-    callers can tell "your input was bad" from "the model did
-    nothing".
-    """
-
-
-class ThroughputEstimate(NamedTuple):
-    """Simulated-device throughput of one profiled batch.
-
-    A named tuple, so legacy ``batches, clouds = estimate`` unpacking
-    keeps working.
-    """
-
-    batches_per_second: float
-    clouds_per_second: float
-
-    @property
-    def latency_ms(self) -> float:
-        """Milliseconds per batch; ``inf`` at zero throughput (a rate
-        of 0 means the batch never completes, not a crash)."""
-        if self.batches_per_second == 0:
-            return float("inf")
-        return 1e3 / self.batches_per_second
 
 
 @dataclass(frozen=True)
@@ -340,35 +308,3 @@ class EdgePCPipeline:
             self._forward(xyz, recorder)
             span.set("ops", len(recorder))
         return recorder
-
-    def compare_with(
-        self, baseline: "EdgePCPipeline", xyz: np.ndarray
-    ) -> ComparisonReport:
-        """Fig. 13-style comparison of this pipeline vs a baseline on
-        the same input batch."""
-        with self.tracer.span("pipeline.compare", "pipeline"):
-            return compare(
-                self.profiler,
-                baseline.record(xyz), baseline.config,
-                self.record(xyz), self.config,
-            )
-
-    def throughput_estimate(
-        self, xyz: np.ndarray
-    ) -> ThroughputEstimate:
-        """Batches/second and clouds/second on the simulated device.
-
-        Raises:
-            EmptyTraceError: the model recorded no priced work, so no
-                throughput can be derived.
-        """
-        result = self.infer(xyz)
-        if result.breakdown.total_s == 0:
-            raise EmptyTraceError(
-                "empty trace; model recorded no work"
-            )
-        batches_per_s = 1.0 / result.breakdown.total_s
-        return ThroughputEstimate(
-            batches_per_second=batches_per_s,
-            clouds_per_second=batches_per_s * xyz.shape[0],
-        )

@@ -1,4 +1,4 @@
-"""Guarded inference: sanitization, quality probes, fault injection.
+"""Guarded inference: sanitization, quality probes, lock-order watch.
 
 Three pieces (see docs/architecture.md, "Failure modes & graceful
 degradation"):
@@ -8,25 +8,17 @@ degradation"):
 - :mod:`repro.robustness.guard` — ``GuardedPipeline``, the online
   quality probes and the per-stage exact-kernel fallback with a
   circuit breaker;
-- :mod:`repro.robustness.faults` — the deterministic fault-injection
-  harness driving the robustness test matrix;
 - :mod:`repro.robustness.lockwatch` — the runtime lock-order
   sanitizer cross-validating the serving stack against the static
   CONC-502 lock-order graph (loaded lazily, test infrastructure).
 
-``validate`` and ``faults`` depend only on NumPy and geometry, so
-low-level modules (``core.streaming``, the dataset loaders) may import
-them without inverting the dependency layering.  ``guard`` sits at the
+``validate`` depends only on NumPy and geometry, so low-level modules
+(``core.streaming``, the dataset loaders) may import it without
+inverting the dependency layering.  ``guard`` sits at the
 top of the stack (it imports the samplers and searchers), so it is
 loaded lazily on first attribute access.
 """
 
-from repro.robustness.faults import (
-    FAULT_KINDS,
-    FaultInjector,
-    FaultSpec,
-    standard_faults,
-)
 from repro.robustness.validate import (
     CloudValidationError,
     ValidationIssue,
@@ -56,7 +48,6 @@ _GUARD_EXPORTS = frozenset(
         "degraded_config",
         "probe_false_neighbor_rate",
         "probe_sampling_uniformity",
-        "swapped_config",
     }
 )
 
@@ -69,10 +60,6 @@ __all__ = [
     "sanitize_batch",
     "count_non_finite",
     "ensure_finite",
-    "FaultSpec",
-    "FaultInjector",
-    "standard_faults",
-    "FAULT_KINDS",
     *sorted(_GUARD_EXPORTS),
     *sorted(_LOCKWATCH_EXPORTS),
 ]

@@ -34,7 +34,6 @@ latency SLO than the brute fallback used to.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -45,6 +44,7 @@ from repro.core.pipeline import EdgePCConfig
 from repro.core.sampler import MortonSampler
 from repro.neighbors.brute import knn
 from repro.neighbors.metrics import false_neighbor_ratio
+from repro.nn.layers import swapped_attribute
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import NULL_TRACER, Tracer
 from repro.robustness.validate import (
@@ -239,30 +239,6 @@ def degraded_config(
     return config
 
 
-@contextmanager
-def swapped_config(model, config: EdgePCConfig):
-    """Temporarily point a model (and all submodules) at ``config``.
-
-    Models consult their ``edgepc`` attribute per forward call, so an
-    attribute swap is equivalent to the rebuild-and-``load_state_dict``
-    move (docs/architecture.md, "Strategy selection") at zero copy
-    cost.
-    """
-    targets = (
-        list(model.modules()) if hasattr(model, "modules") else [model]
-    )
-    saved = []
-    try:
-        for module in targets:
-            if hasattr(module, "edgepc"):
-                saved.append((module, module.edgepc))
-                module.edgepc = config
-        yield
-    finally:
-        for module, previous in saved:
-            module.edgepc = previous
-
-
 def probe_sampling_uniformity(
     points: np.ndarray,
     num_samples: int,
@@ -419,7 +395,7 @@ class GuardedPipeline:
         saved = self.pipeline.config
         self.pipeline.config = config
         try:
-            with swapped_config(self.pipeline.model, config):
+            with swapped_attribute(self.pipeline.model, "edgepc", config):
                 return self.pipeline.infer(xyz)
         finally:
             self.pipeline.config = saved

@@ -374,12 +374,6 @@ class LockOrderWatchdog:
 
     # Reporting -------------------------------------------------------
 
-    def observed_edges(self) -> List[Tuple[str, str, int]]:
-        with self._lock:
-            return sorted(
-                (a, b, n) for (a, b), n in self.edges.items()
-            )
-
     def report(self) -> LockWatchReport:
         with self._lock:
             edges = sorted(

@@ -15,7 +15,6 @@ from repro.sampling.quality import (
     mean_coverage_distance,
 )
 from repro.sampling.uniform import (
-    random_sample,
     uniform_sample,
     uniform_stride_indices,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "coverage_radius",
     "uniform_sample",
     "uniform_stride_indices",
-    "random_sample",
     "chamfer_distance",
     "density_uniformity",
     "mean_coverage_distance",

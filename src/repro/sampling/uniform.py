@@ -1,6 +1,6 @@
-"""Index-space samplers: raw uniform stride and random sampling.
+"""Index-space sampler: raw uniform stride.
 
-These are the cheap samplers the paper contrasts with FPS.  Applied to a
+This is the cheap sampler the paper contrasts with FPS.  Applied to a
 *raw* (unordered) cloud, uniform stride sampling gives poor coverage
 (paper Fig. 5b); applied to a Morton-sorted cloud, the same stride rule
 approaches FPS quality (Fig. 5c) — that second use lives in
@@ -8,8 +8,6 @@ approaches FPS quality (Fig. 5c) — that second use lives in
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -41,21 +39,3 @@ def uniform_sample(points: np.ndarray, num_samples: int) -> np.ndarray:
     ``(num_samples,)`` int64 index array."""
     points = np.asarray(points)
     return uniform_stride_indices(points.shape[0], num_samples)
-
-
-def random_sample(
-    points: np.ndarray,
-    num_samples: int,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Sample ``num_samples`` distinct indices uniformly at random;
-    returns an int64 array of shape ``(num_samples,)``, sorted
-    ascending."""
-    points = np.asarray(points)
-    n_points = points.shape[0]
-    if not 1 <= num_samples <= n_points:
-        raise ValueError(
-            f"num_samples must be in [1, {n_points}], got {num_samples}"
-        )
-    rng = rng or np.random.default_rng(0)
-    return np.sort(rng.choice(n_points, size=num_samples, replace=False))

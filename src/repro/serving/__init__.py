@@ -70,7 +70,6 @@ from repro.serving.server import (
     InferenceServer,
     ServedResult,
     ServingConfig,
-    swapped_workspace,
 )
 
 __all__ = [
@@ -113,6 +112,5 @@ __all__ = [
     "ServerFleet",
     "ServingConfig",
     "ServingRequest",
-    "swapped_workspace",
     "parse_chaos_event",
 ]

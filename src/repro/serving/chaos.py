@@ -1,11 +1,10 @@
 """Deterministic chaos harness for the serving fleet.
 
-PR 1's :class:`~repro.robustness.faults.FaultInjector` corrupts
-*inputs* on a seeded schedule; this module applies the same philosophy
-one layer up and breaks *replicas* on a virtual-time schedule.  A
-:class:`ChaosSchedule` is a sorted list of :class:`ChaosEvent` —
-``kill``, ``stall``, ``slow``, ``error``, or ``recover`` a replica at
-an exact instant on the shared
+The robustness tests corrupt *inputs* with seeded faults; this module
+applies the same philosophy one layer up and breaks *replicas* on a
+virtual-time schedule.  A :class:`ChaosSchedule` is a sorted list of
+:class:`ChaosEvent` — ``kill``, ``stall``, ``slow``, ``error``, or
+``recover`` a replica at an exact instant on the shared
 :class:`~repro.observability.clock.FixedClock` — and a
 :class:`ChaosHarness` replays it against a
 :class:`~repro.serving.fleet.ServerFleet` as an event source of the

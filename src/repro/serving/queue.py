@@ -24,10 +24,12 @@ expire while buffered are cancelled with a typed
 :class:`DeadlineExceededError` instead of wasting a dispatch slot.
 
 One lock, the queue's :attr:`~RequestQueue.condition`, orders
-admission, batch formation, expiry, and shutdown.  Worker threads
-block in :meth:`RequestQueue.next_batch`; the fleet's virtual-time
-event loop calls the non-blocking :meth:`RequestQueue.poll` and
-:meth:`RequestQueue.expire_due`.
+admission, batch formation, expiry, and shutdown.  Expiry takes a
+request out and counts it under that lock, but traces and fails it
+only after the lock is released, so done callbacks never run under
+it.  Worker threads block in :meth:`RequestQueue.next_batch`; the
+fleet's virtual-time event loop calls the non-blocking
+:meth:`RequestQueue.poll` and :meth:`RequestQueue.expire_due`.
 """
 
 from __future__ import annotations
@@ -192,6 +194,10 @@ def emit_request_trace(
         )
 
 
+#: An expired request and the error its future resolves to.
+_Expired = Tuple[ServingRequest, DeadlineExceededError]
+
+
 class RequestQueue:
     """Bounded buffer of :class:`ServingRequest` that forms the batches.
 
@@ -311,22 +317,17 @@ class RequestQueue:
                 float(self._depth_locked())
             )
 
-    def _expire_locked(self, request: ServingRequest, now: float) -> None:
-        """Count, trace and fail ``request``, already out of its
-        bucket."""
+    def _expire_locked(self, request: ServingRequest, now: float) -> _Expired:
+        """Count ``request``, already out of its bucket, and return it
+        with its error for :meth:`_fail_expired`."""
         self.expired += 1
         self._set_depth_gauge_locked()
         if self.metrics is not None:
             self.metrics.counter("serving_expired_total").inc()
-        emit_request_trace(
-            self.tracer, request, now, "expired", detail="pre-dispatch"
-        )
-        request.future.set_exception(
-            DeadlineExceededError(
-                f"request {request.request_id!r} expired "
-                f"{now - request.deadline_s:.4f}s past its deadline "
-                "before dispatch"
-            )
+        return request, DeadlineExceededError(
+            f"request {request.request_id!r} expired "
+            f"{now - request.deadline_s:.4f}s past its deadline "
+            "before dispatch"
         )
 
     def _remove_locked(self, request: ServingRequest) -> bool:
@@ -342,27 +343,40 @@ class RequestQueue:
             del self._buckets[request.n_points]
         return True
 
-    def _drop_expired_locked(self, now: float) -> int:
+    def _drop_expired_locked(self, now: float) -> List[_Expired]:
         """Expire every buffered request past its deadline, bucket by
-        bucket in admission order; returns how many."""
+        bucket in admission order; returns them for
+        :meth:`_fail_expired`."""
         doomed = [
             request
             for bucket in self._buckets.values()
             for request in bucket
             if request.expired(now)
         ]
+        expired = []
         for request in doomed:
             self._remove_locked(request)
-            self._expire_locked(request, now)
-        return len(doomed)
+            expired.append(self._expire_locked(request, now))
+        return expired
+
+    def _fail_expired(self, expired: List[_Expired], now: float) -> None:
+        """Trace and fail expired requests in expiry order.  Callers
+        have released :attr:`condition`, so done callbacks (the fleet's
+        ``_attempt_resolved`` takes the fleet lock) never run under the
+        queue lock."""
+        for request, error in expired:
+            emit_request_trace(
+                self.tracer, request, now, "expired", detail="pre-dispatch"
+            )
+            request.future.set_exception(error)
 
     def _pop_due_locked(self, now: float) -> Optional[MicroBatch]:
-        """Flush and return one due bucket, or ``None``.
+        """Flush and return one due bucket, or ``None``; callers drop
+        the expired requests first.
 
         Preference order: a full bucket, then (once the queue closed)
         any bucket, then a bucket whose oldest request timed out.
         """
-        self._drop_expired_locked(now)
         trigger = None
         chosen = None
         for n_points, bucket in self._buckets.items():
@@ -450,7 +464,11 @@ class RequestQueue:
         the injected clock itself and pumps the server between events.
         """
         with self.condition:
-            return self._pop_due_locked(self.clock())
+            now = self.clock()
+            expired = self._drop_expired_locked(now)
+            batch = self._pop_due_locked(now)
+        self._fail_expired(expired, now)
+        return batch
 
     def expire_due(self) -> int:
         """Cancel every buffered request past its deadline.
@@ -463,7 +481,10 @@ class RequestQueue:
         forever.
         """
         with self.condition:
-            return self._drop_expired_locked(self.clock())
+            now = self.clock()
+            expired = self._drop_expired_locked(now)
+        self._fail_expired(expired, now)
+        return len(expired)
 
     def expire_on_arrival(self, request: ServingRequest) -> None:
         """Cancel ``request`` now if it is still buffered and already
@@ -473,10 +494,12 @@ class RequestQueue:
         closes, so a request admitted too late is traced and failed
         after its submission, never inside it.
         """
+        expired = []
         with self.condition:
             now = self.clock()
             if request.expired(now) and self._remove_locked(request):
-                self._expire_locked(request, now)
+                expired.append(self._expire_locked(request, now))
+        self._fail_expired(expired, now)
 
     def next_batch(self) -> Optional[MicroBatch]:
         """Block until a batch is due; ``None`` means fully drained.
@@ -485,19 +508,23 @@ class RequestQueue:
         every bucket has flushed (through the ``drain`` trigger),
         returns ``None`` so workers exit.
         """
-        with self.condition:
-            while True:
+        while True:
+            with self.condition:
                 now = self.clock()
+                expired = self._drop_expired_locked(now)
                 batch = self._pop_due_locked(now)
-                if batch is not None:
-                    return batch
-                if self._closed and not self._buckets:
-                    return None
-                wait = self._wait_hint_locked(now)
-                # Bounded waits keep a worker responsive to close()
-                # even if a notify is missed.
-                wait = 0.05 if wait is None else min(wait, 0.05)
-                self.condition.wait(wait)
+                done = batch is not None or (
+                    self._closed and not self._buckets
+                )
+                if not done and not expired:
+                    wait = self._wait_hint_locked(now)
+                    # Bounded waits keep a worker responsive to
+                    # close() even if a notify is missed.
+                    wait = 0.05 if wait is None else min(wait, 0.05)
+                    self.condition.wait(wait)
+            self._fail_expired(expired, now)
+            if done:
+                return batch
 
     def cancel_buffered(self) -> List[ServingRequest]:
         """Remove and return every buffered request, admission order

@@ -37,7 +37,6 @@ future outcome.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -48,6 +47,7 @@ from repro.observability.context import TraceContext
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import NULL_TRACER, Tracer
 from repro.core.workspace import Workspace
+from repro.nn.layers import swapped_attribute
 from repro.serving.queue import (
     MicroBatch,
     QueueClosedError,
@@ -178,30 +178,6 @@ class DispatchRecord:
             ok=ok,
             error=error,
         )
-
-
-@contextmanager
-def swapped_workspace(model, workspace: Workspace):
-    """Temporarily point a model (and submodules) at ``workspace``.
-
-    Models read ``self.workspace`` per forward call, so an attribute
-    swap gives each serving worker its own scratch pool without
-    rebuilding the module tree (mirrors
-    :func:`~repro.robustness.guard.swapped_config`).
-    """
-    targets = (
-        list(model.modules()) if hasattr(model, "modules") else [model]
-    )
-    saved = []
-    try:
-        for module in targets:
-            if hasattr(module, "workspace"):
-                saved.append((module, module.workspace))
-                module.workspace = workspace
-        yield
-    finally:
-        for module, previous in saved:
-            module.workspace = previous
 
 
 class InferenceServer:
@@ -338,7 +314,7 @@ class InferenceServer:
         # hold _dispatch_lock because the workspace swap mutates shared
         # model state, so concurrent forwards would corrupt each
         # other's scratch.  Worker forwards serialize here by design.
-        with swapped_workspace(model, self._workspace()):
+        with swapped_attribute(model, "workspace", self._workspace()):
             return self.pipeline.infer(xyz)  # repro: allow[CONC-505]
 
     def _fail_batch(

@@ -1,7 +1,6 @@
 """Training, retraining-with-approximation, and evaluation metrics."""
 
 from repro.train.metrics import (
-    accuracy_drop,
     confusion_matrix,
     mean_iou,
     overall_accuracy,
@@ -25,5 +24,4 @@ __all__ = [
     "confusion_matrix",
     "mean_iou",
     "per_class_accuracy",
-    "accuracy_drop",
 ]

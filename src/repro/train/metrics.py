@@ -80,13 +80,3 @@ def per_class_accuracy(
     present = totals > 0
     out[present] = np.diag(matrix)[present] / totals[present]
     return out
-
-
-def accuracy_drop(
-    baseline_accuracy: float, approx_accuracy: float
-) -> float:
-    """The paper's headline metric: percentage-point drop from the
-    baseline model to the retrained approximate model (Fig. 14a)."""
-    if not (0 <= baseline_accuracy <= 1 and 0 <= approx_accuracy <= 1):
-        raise ValueError("accuracies must be in [0, 1]")
-    return baseline_accuracy - approx_accuracy

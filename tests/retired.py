@@ -7,22 +7,13 @@ still exercise them.
   N)`` alternative).  Its tests cross-check :func:`repro.neighbors.knn`
   and :func:`repro.neighbors.ball_query` against an independent exact
   search.
-- :class:`SplitKDTree` / :func:`verify_against_full_tree`: the
-  Crescent-style top/bottom split of that tree (paper Sec. 6.4, ref
-  [17]).  Table 2's Crescent row is data in
-  :mod:`repro.baselines.comparison`.
 - :func:`voxel_grid_sample` / :func:`cell_size_for_target_count`: the
   PCL/Open3D voxel-grid down-sampler.
-- :func:`radix_argsort` / :func:`radix_sort` /
-  :func:`sort_operation_count`: an LSD radix argsort over Morton codes,
-  equal to ``np.argsort(kind="stable")``, which
-  :func:`repro.core.structurize.structurize_batch` uses.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -169,117 +160,6 @@ class KDTree:
             self._search_radius(far, point, r2, found)
 
 
-@dataclass
-class _Region:
-    """One bottom tree: a contiguous leaf region of the split."""
-
-    indices: np.ndarray
-    center: np.ndarray
-    radius: float
-
-
-class SplitKDTree:
-    """A two-level (top/bottom) k-d tree.
-
-    Args:
-        points: ``(N, 3)`` cloud to index.
-        top_depth: depth of the top tree; the cloud is split into
-            ``2**top_depth`` contiguous regions (bottom trees).
-    """
-
-    def __init__(self, points: np.ndarray, top_depth: int = 4) -> None:
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValueError(f"expected (N, 3) points, got {points.shape}")
-        if top_depth < 1:
-            raise ValueError("top_depth must be >= 1")
-        if points.shape[0] < (1 << top_depth):
-            raise ValueError("not enough points for this top depth")
-        self.points = points
-        self.top_depth = top_depth
-        self.regions: List[_Region] = []
-        self._split(np.arange(points.shape[0]), 0)
-        # Per-query bookkeeping for the locality statistic.
-        self.bottom_visits = 0
-        self.top_visits = 0
-
-    def _split(self, indices: np.ndarray, depth: int) -> None:
-        if depth == self.top_depth:
-            pts = self.points[indices]
-            center = pts.mean(axis=0)
-            radius = float(
-                np.linalg.norm(pts - center, axis=1).max()
-            )
-            self.regions.append(
-                _Region(indices=indices, center=center, radius=radius)
-            )
-            return
-        axis = depth % 3
-        order = np.argsort(self.points[indices, axis], kind="stable")
-        indices = indices[order]
-        half = indices.shape[0] // 2
-        self._split(indices[:half], depth + 1)
-        self._split(indices[half:], depth + 1)
-
-    @property
-    def num_regions(self) -> int:
-        return len(self.regions)
-
-    def query(self, point: np.ndarray, k: int) -> np.ndarray:
-        """Exact k-NN: prune regions by ball-overlap, then scan the
-        survivors (each survivor scan is one contiguous memory block)."""
-        point = np.asarray(point, dtype=np.float64)
-        if not 1 <= k <= self.points.shape[0]:
-            raise ValueError("k out of range")
-        centers = np.stack([r.center for r in self.regions])
-        center_d = np.linalg.norm(centers - point, axis=1)
-        order = np.argsort(center_d, kind="stable")
-        best: List[tuple] = []
-        bound = np.inf
-        for region_rank in order:
-            region = self.regions[region_rank]
-            self.top_visits += 1
-            if len(best) == k and (
-                center_d[region_rank] - region.radius > bound
-            ):
-                continue  # provably no closer point inside
-            self.bottom_visits += region.indices.shape[0]
-            d = np.linalg.norm(
-                self.points[region.indices] - point, axis=1
-            )
-            for dist, idx in zip(d, region.indices):
-                best.append((float(dist), int(idx)))
-            best.sort()
-            best = best[:k]
-            if len(best) == k:
-                bound = best[-1][0]
-        return np.array([idx for _, idx in best], dtype=np.int64)
-
-    def locality_fraction(self) -> float:
-        """Fraction of node visits inside contiguous bottom trees —
-        Crescent's claim is that this fraction is large, so most
-        accesses are streaming rather than pointer-chasing."""
-        total = self.top_visits + self.bottom_visits
-        if total == 0:
-            return 0.0
-        return self.bottom_visits / total
-
-
-def verify_against_full_tree(
-    points: np.ndarray, queries: np.ndarray, k: int, top_depth: int = 3
-) -> bool:
-    """Cross-check SplitKDTree results against the monolithic tree
-    (both must return the exact k-NN sets)."""
-    split = SplitKDTree(points, top_depth)
-    full = KDTree(points)
-    for q in np.asarray(queries, dtype=np.float64):
-        a = set(split.query(q, k).tolist())
-        b = set(full.query(q, k).tolist())
-        if a != b:
-            return False
-    return True
-
-
 def voxel_grid_sample(
     points: np.ndarray,
     cell_size: float,
@@ -359,71 +239,3 @@ def cell_size_for_target_count(
             hi = mid
         best = mid
     return float(best)
-
-
-#: Radix digit width; 8 bits = 256 buckets per pass, 8 passes for the
-#: 63 usable bits of a Morton code.
-DIGIT_BITS = 8
-_NUM_BUCKETS = 1 << DIGIT_BITS
-_MASK = _NUM_BUCKETS - 1
-
-
-def radix_argsort(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort of non-negative int64 keys via LSD radix passes.
-
-    Passes over digits the keys do not use are skipped (a cloud whose
-    codes fit 32 bits pays 4 passes, not 8).
-
-    Returns:
-        ``(N,)`` int64 index array; ``keys[result]`` is sorted and
-        equal keys keep their input order.
-    """
-    keys = np.asarray(keys)
-    if keys.ndim != 1:
-        raise ValueError("keys must be a 1-D array")
-    if not np.issubdtype(keys.dtype, np.integer):
-        raise TypeError("keys must be integers")
-    if keys.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if keys.min() < 0:
-        raise ValueError("keys must be non-negative")
-    keys = keys.astype(np.int64)
-    order = np.arange(keys.size, dtype=np.int64)
-    significant_bits = int(keys.max()).bit_length()
-    num_passes = max(
-        1, (significant_bits + DIGIT_BITS - 1) // DIGIT_BITS
-    )
-    current = keys
-    for pass_index in range(num_passes):
-        digits = (current >> (DIGIT_BITS * pass_index)) & _MASK
-        # Counting-sort scatter, vectorized: a stable argsort of the
-        # 256-valued digit array places every key at exactly the slot
-        # the bucket-offset scatter would (equal digits keep input
-        # order, buckets come out in ascending digit order).  One
-        # NumPy dispatch per pass instead of a Python loop over
-        # occupied buckets.
-        perm = np.argsort(digits, kind="stable")
-        order = order[perm]
-        current = current[perm]
-    return order
-
-
-def radix_sort(keys: np.ndarray) -> np.ndarray:
-    """Sorted ``(N,)`` copy of the integer keys, original dtype
-    preserved (via :func:`radix_argsort`)."""
-    keys = np.asarray(keys)
-    return keys[radix_argsort(keys)]
-
-
-def sort_operation_count(num_keys: int, key_bits: int = 63) -> int:
-    """Digit-scatter operations the radix sort performs: one pass per
-    ``DIGIT_BITS`` of key width, each touching every key once.  (The
-    cost model instead prices sorts as ``N log N`` with a latency
-    floor, which matches the *comparison* merge sort the paper names;
-    this count is exposed for the radix alternative.)"""
-    if num_keys < 0:
-        raise ValueError("num_keys must be non-negative")
-    if key_bits < 1:
-        raise ValueError("key_bits must be positive")
-    passes = (key_bits + DIGIT_BITS - 1) // DIGIT_BITS
-    return num_keys * passes

@@ -1,9 +1,6 @@
 """Tests for the prior-work baseline models (repro.baselines)."""
 
-import numpy as np
 import pytest
-
-from retired import SplitKDTree, verify_against_full_tree
 
 from repro.baselines import (
     MappingUnitModel,
@@ -96,47 +93,6 @@ class TestPointAcc:
         model = MappingUnitModel(layer_sizes=((100, 10),), k=4)
         with pytest.raises(ValueError):
             model.morton_ops(window_multiplier=0)
-
-
-class TestCrescent:
-    def test_exactness_vs_full_tree(self, rng):
-        pts = rng.normal(size=(256, 3))
-        queries = rng.normal(size=(10, 3))
-        assert verify_against_full_tree(pts, queries, k=5, top_depth=3)
-
-    def test_region_count(self, rng):
-        tree = SplitKDTree(rng.normal(size=(128, 3)), top_depth=4)
-        assert tree.num_regions == 16
-
-    def test_regions_partition_points(self, rng):
-        tree = SplitKDTree(rng.normal(size=(100, 3)), top_depth=3)
-        all_indices = np.concatenate(
-            [r.indices for r in tree.regions]
-        )
-        assert sorted(all_indices.tolist()) == list(range(100))
-
-    def test_query_returns_k(self, rng):
-        tree = SplitKDTree(rng.normal(size=(64, 3)), top_depth=2)
-        out = tree.query(np.zeros(3), 7)
-        assert out.shape == (7,)
-        assert len(set(out.tolist())) == 7
-
-    def test_locality_fraction_high(self, rng):
-        """Crescent's premise: nearly all visits land in contiguous
-        bottom trees."""
-        tree = SplitKDTree(rng.normal(size=(512, 3)), top_depth=3)
-        for q in rng.normal(size=(20, 3)):
-            tree.query(q, 8)
-        assert tree.locality_fraction() > 0.9
-
-    def test_rejects_too_few_points(self, rng):
-        with pytest.raises(ValueError):
-            SplitKDTree(rng.normal(size=(4, 3)), top_depth=4)
-
-    def test_rejects_bad_k(self, rng):
-        tree = SplitKDTree(rng.normal(size=(32, 3)), top_depth=2)
-        with pytest.raises(ValueError):
-            tree.query(np.zeros(3), 0)
 
 
 class TestTable2:

@@ -602,7 +602,10 @@ class TestModelForwardGoldens:
         configs = {
             "base": EdgePCConfig.baseline(),
             "edgepc": EdgePCConfig.paper_default(),
-            "all": EdgePCConfig.all_layers(2),
+            "all": EdgePCConfig(
+                sample_layers={0, 1}, upsample_layers={0, 1},
+                neighbor_layers={0, 1},
+            ),
             "insights": EdgePCConfig.with_architectural_insights(),
         }
         for tag, cfg in configs.items():

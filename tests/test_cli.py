@@ -284,7 +284,7 @@ class TestMetricsCommand:
         assert "pipeline_batches_total" in out
 
     def test_prometheus_parses_back(self, capsys):
-        from repro.observability import parse_prometheus
+        from telemetry import parse_prometheus
 
         assert main(["metrics", "--workload", "W1"]) == 0
         values = parse_prometheus(capsys.readouterr().out)

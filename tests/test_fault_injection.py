@@ -1,6 +1,6 @@
 """End-to-end fault-injection matrix for the guarded pipeline.
 
-Drives every :func:`~repro.robustness.faults.standard_faults` spec
+Drives every :func:`faults.standard_faults` spec
 through :class:`~repro.robustness.guard.GuardedPipeline` wrapping both
 classifier families, and asserts the contract: the guard never raises
 on bad input, never returns non-finite logits, and falls back to the
@@ -9,17 +9,15 @@ exact kernels exactly when a probe (or the last-ditch retry) says so.
 
 import numpy as np
 import pytest
+from faults import FaultInjector, FaultSpec, standard_faults
 
 from repro.core import EdgePCConfig
 from repro.nn import DGCNNClassifier, PointNet2Classifier, SAConfig
 from repro.pipeline import EdgePCPipeline
 from repro.robustness import (
-    FaultInjector,
-    FaultSpec,
     GuardedPipeline,
     GuardThresholds,
     ValidationPolicy,
-    standard_faults,
 )
 from repro.robustness.guard import CircuitBreaker
 

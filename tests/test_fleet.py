@@ -17,10 +17,11 @@ import json
 
 import numpy as np
 import pytest
+from telemetry import spans_by_trace
 
 from repro.core import EdgePCConfig
 from repro.nn import PointNet2Segmentation, SAConfig
-from repro.observability import Tracer, find_orphans, spans_by_trace
+from repro.observability import Tracer, find_orphans
 from repro.observability.clock import FixedClock
 from repro.observability.metrics import MetricsRegistry
 from repro.pipeline import EdgePCPipeline

@@ -218,18 +218,6 @@ class TestTransforms:
         out = transforms.random_dropout(PointCloud(small_cloud), rng)
         assert len(out) == len(small_cloud)
 
-    def test_resample_down(self, small_cloud, rng):
-        out = transforms.resample_to(PointCloud(small_cloud), 64, rng)
-        assert len(out) == 64
-
-    def test_resample_up_repeats(self, small_cloud, rng):
-        out = transforms.resample_to(PointCloud(small_cloud), 400, rng)
-        assert len(out) == 400
-
-    def test_resample_rejects_zero(self, small_cloud, rng):
-        with pytest.raises(ValueError):
-            transforms.resample_to(PointCloud(small_cloud), 0, rng)
-
 
 class TestShapes:
     @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from repro.nn.layers import (
     shared_mlp,
 )
 from repro.nn.losses import accuracy, cross_entropy, log_softmax, softmax
-from repro.nn.optim import SGD, Adam, StepLR
+from repro.nn.optim import Adam, StepLR
 
 
 class TestLinear:
@@ -362,18 +362,6 @@ class TestOptimizers:
             opt.step()
         return np.abs(x.data).max()
 
-    def test_sgd_converges(self):
-        final = self._quadratic_descent(
-            lambda p: SGD(p, lr=0.1, momentum=0.0)
-        )
-        assert final < 1e-6
-
-    def test_sgd_momentum_converges(self):
-        final = self._quadratic_descent(
-            lambda p: SGD(p, lr=0.05, momentum=0.9), steps=400
-        )
-        assert final < 1e-6
-
     def test_adam_converges(self):
         final = self._quadratic_descent(
             lambda p: Adam(p, lr=0.3), steps=300
@@ -382,7 +370,7 @@ class TestOptimizers:
 
     def test_weight_decay_shrinks(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
-        opt = SGD([x], lr=0.1, momentum=0.0, weight_decay=0.5)
+        opt = Adam([x], lr=0.1, weight_decay=0.5)
         x.grad = np.zeros(1)
         opt.step()
         assert x.data[0] < 1.0
@@ -390,12 +378,12 @@ class TestOptimizers:
     def test_skips_params_without_grad(self, rng):
         x = Tensor(rng.normal(size=(3,)), requires_grad=True)
         before = x.data.copy()
-        SGD([x], lr=0.1).step()
+        Adam([x], lr=0.1).step()
         assert np.array_equal(x.data, before)
 
     def test_step_lr_decays(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
-        opt = SGD([x], lr=1.0)
+        opt = Adam([x], lr=1.0)
         sched = StepLR(opt, step_size=2, gamma=0.5)
         sched.step()
         assert opt.lr == 1.0
@@ -404,7 +392,7 @@ class TestOptimizers:
 
     def test_rejects_empty_params(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_rejects_bad_lr(self, rng):
         x = Tensor(rng.normal(size=(2,)), requires_grad=True)

@@ -8,6 +8,7 @@ findings (path/line/col/rule/severity/message/fingerprint) for the
 whole bad tree.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from repro.lint import (
     lint_source,
     run_lint,
 )
+from repro.lint.rules_det import CLOCK_EXEMPT_MODULES
+from repro.lint.rules_perf import NON_KERNEL_MODULES
 
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "tests" / "data" / "lint"
@@ -79,6 +82,15 @@ class TestRuleRegistry:
     def test_rule_ids_are_unique(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert len(ids) == len(set(ids))
+
+    @pytest.mark.parametrize(
+        "module",
+        sorted(NON_KERNEL_MODULES | CLOCK_EXEMPT_MODULES),
+    )
+    def test_exempt_module_exists(self, module):
+        """An exemption naming a deleted module is stale config: it
+        would silently exempt whatever later takes that name."""
+        assert importlib.util.find_spec(module) is not None
 
 
 class TestPerRuleFixtures:

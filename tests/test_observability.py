@@ -9,6 +9,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from telemetry import (
+    parse_prometheus,
+    parse_prometheus_series,
+    registry_from_snapshot,
+    spans_by_trace,
+    unescape_label_value,
+)
 
 from repro.observability import (
     FixedClock,
@@ -21,13 +28,7 @@ from repro.observability import (
     emit_stage_spans,
     escape_label_value,
     find_orphans,
-    global_registry,
     mint_trace_id,
-    parse_prometheus,
-    parse_prometheus_series,
-    reset_global_registry,
-    spans_by_trace,
-    unescape_label_value,
 )
 from repro.observability import tracing as tracing_module
 from repro.runtime.profiler import StageBreakdown
@@ -365,7 +366,7 @@ class TestSnapshotRoundTrip:
     def test_json_snapshot_round_trips(self):
         registry = self._populated()
         snap = registry.snapshot()
-        rebuilt = MetricsRegistry.from_snapshot(
+        rebuilt = registry_from_snapshot(
             json.loads(json.dumps(snap))
         )
         assert rebuilt.snapshot() == snap
@@ -375,7 +376,7 @@ class TestSnapshotRoundTrip:
         path = str(tmp_path / "metrics.json")
         registry.export_json(path)
         with open(path) as fh:
-            rebuilt = MetricsRegistry.from_snapshot(json.load(fh))
+            rebuilt = registry_from_snapshot(json.load(fh))
         assert rebuilt.snapshot() == registry.snapshot()
 
     def test_prometheus_text_round_trips_values(self):
@@ -404,38 +405,15 @@ class TestExemplars:
         hist.observe(0.05, trace_id="trace-a")
         hist.observe(0.08, trace_id="trace-b")  # max of its bucket
         hist.observe(0.5)  # no trace id: never an exemplar
-        assert hist.exemplar_for_quantile(0.0) == ("trace-b", 0.08)
-
-    def test_exemplar_prefers_the_slow_tail(self):
-        hist = MetricsRegistry().histogram(
-            "latency_seconds", buckets=(0.1, 1.0)
-        )
-        hist.observe(0.05, trace_id="trace-fast")
-        hist.observe(2.0, trace_id="trace-slow")
-        assert hist.exemplar_for_quantile(0.99) == (
-            "trace-slow",
-            2.0,
-        )
-
-    def test_no_exemplars_returns_none(self):
-        hist = MetricsRegistry().histogram(
-            "latency_seconds", buckets=(1.0,)
-        )
-        hist.observe(0.5)
-        assert hist.exemplar_for_quantile(0.5) is None
-        with pytest.raises(ValueError):
-            hist.exemplar_for_quantile(1.5)
+        assert hist.exemplars == {0: ("trace-b", 0.08)}
 
     def test_exemplars_survive_snapshot_round_trip(self):
         registry = MetricsRegistry()
         hist = registry.histogram("latency_seconds", buckets=(1.0,))
         hist.observe(0.5, trace_id="trace-x")
-        clone = MetricsRegistry.from_snapshot(registry.snapshot())
+        clone = registry_from_snapshot(registry.snapshot())
         restored = clone.histogram("latency_seconds", buckets=(1.0,))
-        assert restored.exemplar_for_quantile(0.5) == (
-            "trace-x",
-            0.5,
-        )
+        assert restored.exemplars == {0: ("trace-x", 0.5)}
 
 
 class TestLabelEscaping:
@@ -540,16 +518,6 @@ class TestRegistryConcurrency:
         hist = registry.histogram("h", buckets=(0.5, 1.0))
         assert hist.count == n_threads * n_iter
         assert sum(hist.counts) == hist.count
-
-
-class TestGlobalRegistry:
-    def test_reset_swaps_the_instance(self):
-        first = global_registry()
-        first.counter("stale_total").inc()
-        fresh = reset_global_registry()
-        assert global_registry() is fresh
-        assert fresh is not first
-        assert len(fresh) == 0
 
 
 class TestRunReport:

@@ -25,7 +25,7 @@ from repro.bench import (
     run_partition_suite,
 )
 from repro.core import EdgePCConfig
-from repro.datasets import SceneSegmentation, make_scene
+from repro.datasets import make_scene
 from repro.nn import PointNet2Segmentation, SAConfig
 from repro.observability import Tracer, find_orphans
 from repro.observability.clock import FixedClock
@@ -744,16 +744,3 @@ class TestSceneDataset:
             make_scene(100, room_points=8)
         with pytest.raises(ValueError):
             make_scene(100, noise_sigma=-1.0)
-
-    def test_dataset_boundary(self):
-        dataset = SceneSegmentation(
-            num_clouds=2, points_per_cloud=600, room_points=256
-        )
-        first = dataset[0]
-        assert first.xyz.shape == (600, 3)
-        assert first.labels.min() >= 0
-        assert first.labels.max() < (
-            SceneSegmentation.num_semantic_classes
-        )
-        assert not np.array_equal(first.xyz, dataset[1].xyz)
-        assert np.array_equal(dataset[0].xyz, first.xyz)

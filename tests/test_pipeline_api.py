@@ -83,27 +83,6 @@ class TestEdgePCPipeline:
         pipeline.infer(rng.normal(size=(1, 32, 3)))
         assert model.training
 
-    def test_compare_with_baseline(self, rng):
-        xyz = rng.normal(size=(2, 1024, 3))
-        baseline = EdgePCPipeline(_pn2(EdgePCConfig.baseline()))
-        optimized = EdgePCPipeline(
-            _pn2(
-                EdgePCConfig(
-                    sample_layers={0}, upsample_layers={1},
-                    neighbor_layers={0},
-                )
-            )
-        )
-        report = optimized.compare_with(baseline, xyz)
-        assert report.sample_neighbor_speedup > 1.0
-
-    def test_throughput_estimate(self, rng):
-        pipeline = EdgePCPipeline(_dgcnn(EdgePCConfig.paper_default()))
-        batches_per_s, clouds_per_s = pipeline.throughput_estimate(
-            rng.normal(size=(4, 32, 3))
-        )
-        assert clouds_per_s == pytest.approx(4 * batches_per_s)
-
 
 class TestPipelineRobustness:
     def test_record_restores_training_mode(self, rng):
@@ -120,44 +99,6 @@ class TestPipelineRobustness:
         pipeline = EdgePCPipeline(model)
         pipeline.record(rng.normal(size=(1, 32, 3)))
         assert not model.training
-
-    def test_throughput_estimate_typed(self, rng):
-        from repro.pipeline import ThroughputEstimate
-
-        pipeline = EdgePCPipeline(_dgcnn(EdgePCConfig.paper_default()))
-        estimate = pipeline.throughput_estimate(
-            rng.normal(size=(4, 32, 3))
-        )
-        assert isinstance(estimate, ThroughputEstimate)
-        assert estimate.batches_per_second > 0
-        assert estimate.latency_ms == pytest.approx(
-            1e3 / estimate.batches_per_second
-        )
-
-    def test_zero_throughput_latency_is_inf(self):
-        from repro.pipeline import ThroughputEstimate
-
-        estimate = ThroughputEstimate(
-            batches_per_second=0.0, clouds_per_second=0.0
-        )
-        assert estimate.latency_ms == float("inf")
-
-    def test_empty_trace_error(self, rng):
-        from repro.nn.layers import Module
-        from repro.pipeline import EmptyTraceError
-
-        class Idle(Module):
-            def __init__(self):
-                super().__init__()
-                self.edgepc = EdgePCConfig.baseline()
-
-            def forward(self, xyz, recorder=None):
-                return np.zeros((xyz.shape[0], 2))
-
-        pipeline = EdgePCPipeline(Idle())
-        with pytest.raises(EmptyTraceError):
-            pipeline.throughput_estimate(rng.normal(size=(1, 8, 3)))
-        assert issubclass(EmptyTraceError, ValueError)
 
     def test_infer_rejects_nan_by_default(self, rng):
         from repro.robustness import CloudValidationError

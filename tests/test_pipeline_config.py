@@ -9,6 +9,7 @@ from repro.core.dse import (
     explore_window_sizes,
     pareto_front,
 )
+from repro.core.morton import code_memory_bytes
 from repro.core.pipeline import EdgePCConfig
 
 
@@ -26,7 +27,6 @@ class TestEdgePCConfig:
         cfg = EdgePCConfig.baseline()
         assert cfg.is_baseline
         assert not cfg.uses_morton_sampling(0)
-        assert cfg.morton_memory_bytes(8192) == 0.0
 
     def test_paper_default_not_baseline(self):
         assert not EdgePCConfig.paper_default().is_baseline
@@ -34,11 +34,6 @@ class TestEdgePCConfig:
     def test_tensor_core_variant(self):
         assert EdgePCConfig.paper_with_tensor_cores().use_tensor_cores
         assert not EdgePCConfig.paper_default().use_tensor_cores
-
-    def test_all_layers(self):
-        cfg = EdgePCConfig.all_layers(4)
-        assert all(cfg.uses_morton_sampling(i) for i in range(4))
-        assert all(cfg.uses_morton_neighbors(i) for i in range(4))
 
     def test_window_rule(self):
         cfg = EdgePCConfig(window_multiplier=4)
@@ -48,23 +43,11 @@ class TestEdgePCConfig:
         with pytest.raises(ValueError):
             EdgePCConfig().window_for(0)
 
-    def test_memory_formula(self):
-        cfg = EdgePCConfig(code_bits=32)
-        assert cfg.morton_memory_bytes(8192) == 32 * 1024
-
     def test_paper_memory_budget(self):
         """Sec. 5.2.3: the per-batch Morton codes are 'only up to
         32 KB' — exactly 8192 points x 32 bits."""
         cfg = EdgePCConfig.paper_default()
-        assert cfg.morton_memory_bytes(8192) <= 32 * 1024
-
-    def test_with_window_multiplier(self):
-        cfg = EdgePCConfig().with_window_multiplier(8)
-        assert cfg.window_multiplier == 8
-        assert cfg.sample_layers == frozenset({0})
-
-    def test_with_code_bits(self):
-        assert EdgePCConfig().with_code_bits(48).code_bits == 48
+        assert code_memory_bytes(8192, cfg.code_bits) <= 32 * 1024
 
     def test_reuse_policy(self):
         policy = EdgePCConfig(reuse_distance=2).reuse_policy()

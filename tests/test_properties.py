@@ -210,7 +210,6 @@ class TestConfigProperties:
             reuse_distance=reuse,
         )
         assert config.window_for(8) == 8 * mult
-        assert config.morton_memory_bytes(1000) == 1000 * bits / 8
         schedule = config.reuse_policy().schedule(6)
         assert schedule[0] == "compute"
         if reuse == 0:

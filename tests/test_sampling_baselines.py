@@ -12,7 +12,6 @@ from repro.sampling import (
     farthest_point_sample,
     fps_operation_count,
     mean_coverage_distance,
-    random_sample,
     uniform_sample,
     uniform_stride_indices,
 )
@@ -114,14 +113,6 @@ class TestUniformAndRandom:
             uniform_stride_indices(256, 16),
         )
 
-    def test_random_sample_distinct(self, small_cloud, rng):
-        idx = random_sample(small_cloud, 50, rng)
-        assert len(set(idx.tolist())) == 50
-
-    def test_random_sample_sorted(self, small_cloud, rng):
-        idx = random_sample(small_cloud, 50, rng)
-        assert (np.diff(idx) > 0).all()
-
     @given(n=st.integers(1, 500), m=st.integers(1, 500))
     @settings(max_examples=100, deadline=None)
     def test_stride_property(self, n, m):
@@ -182,7 +173,7 @@ class TestQualityMetrics:
 
     def test_fps_beats_random_on_coverage(self, medium_cloud, rng):
         fps_idx = farthest_point_sample(medium_cloud, 32, start_index=0)
-        rand_idx = random_sample(medium_cloud, 32, rng)
+        rand_idx = rng.choice(len(medium_cloud), 32, replace=False)
         assert coverage_radius(medium_cloud, fps_idx) <= coverage_radius(
             medium_cloud, rand_idx
         )

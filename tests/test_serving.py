@@ -14,18 +14,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from faults import FaultInjector, FaultSpec
+from telemetry import spans_by_trace
 
 from repro.core import EdgePCConfig
 from repro.core.workspace import Workspace, WorkspaceOwnershipError
 from repro.nn import PointNet2Segmentation, SAConfig
-from repro.observability import Tracer, find_orphans, spans_by_trace
+from repro.observability import Tracer, find_orphans
 from repro.observability.clock import FixedClock
 from repro.observability.metrics import MetricsRegistry
 from repro.pipeline import EdgePCPipeline
 from repro.serving.server import REQUEST_LATENCY_BUCKETS
 from repro.robustness import (
-    FaultInjector,
-    FaultSpec,
     GuardedPipeline,
     GuardThresholds,
     ValidationPolicy,
@@ -65,6 +65,23 @@ def _request(rng, request_id="r1", n=N_POINTS, arrival=0.0, deadline=None):
         arrival_s=arrival,
         deadline_s=deadline,
     )
+
+
+def _held_by_another_thread(lock) -> bool:
+    """Whether some thread holds ``lock`` right now, asked from a fresh
+    thread (the holder itself could re-enter an ``RLock``)."""
+    acquired = []
+
+    def probe():
+        got = lock.acquire(blocking=False)
+        if got:
+            lock.release()
+        acquired.append(got)
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join()
+    return not acquired[0]
 
 
 class TestRequestQueue:
@@ -200,6 +217,40 @@ class TestMicroBatcher:
         assert queue.expired == 1
         assert queue.depth == 0
         assert registry.counter("serving_expired_total").value == 1
+
+    @pytest.mark.parametrize(
+        "path", ["poll", "next_batch", "expire_due", "expire_on_arrival"]
+    )
+    def test_expired_futures_resolve_outside_the_lock(self, rng, path):
+        """Done callbacks of expired requests (the fleet's
+        ``_attempt_resolved`` takes its own lock) run after the queue
+        lock is released, in expiry order, on every expiry path."""
+        clock = FixedClock(0.0)
+        queue = self._queue(clock)
+        seen = []
+        requests = [
+            _request(rng, name, deadline=0.01) for name in ("a", "b")
+        ]
+        for request in requests:
+            queue.put(request)
+            request.future.add_done_callback(
+                lambda fut, rid=request.request_id: seen.append(
+                    (rid, _held_by_another_thread(queue.condition))
+                )
+            )
+        clock.advance(0.02)
+        if path == "poll":
+            assert queue.poll() is None
+        elif path == "next_batch":
+            queue.close()
+            assert queue.next_batch() is None
+        elif path == "expire_due":
+            assert queue.expire_due() == 2
+        else:
+            for request in requests:
+                queue.expire_on_arrival(request)
+        assert seen == [("a", False), ("b", False)]
+        assert queue.expired == 2
 
     def test_oversize_bucket_splits_into_max_batches(self, rng):
         clock = FixedClock(0.0)
@@ -883,11 +934,10 @@ class TestServerTracing:
             buckets=REQUEST_LATENCY_BUCKETS,
         )
         assert hist.count == 3
-        exemplar = hist.exemplar_for_quantile(0.95)
-        assert exemplar is not None
-        trace_id, value = exemplar
-        assert trace_id.startswith("trace-r")
-        assert value > 0.0
+        assert hist.exemplars
+        for trace_id, value in hist.exemplars.values():
+            assert trace_id.startswith("trace-r")
+            assert value > 0.0
 
     def test_disabled_tracer_still_sets_no_trace_id(self, rng):
         clock = FixedClock(0.0)

@@ -1,89 +1,12 @@
-"""Tests for the retired radix sort kernel (``tests/retired.py``) and
-streaming Morton-order maintenance (repro.core.streaming)."""
+"""Tests for streaming Morton-order maintenance
+(repro.core.streaming)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
-
-from retired import radix_argsort, radix_sort, sort_operation_count
 
 from repro.core import structurize_batch
 from repro.core.streaming import StreamingMortonOrder
 from repro.geometry import BoundingBox
-
-
-class TestRadixSort:
-    def test_sorts_random_keys(self, rng):
-        keys = rng.integers(0, 1 << 62, size=5000)
-        assert np.array_equal(
-            radix_sort(keys), np.sort(keys)
-        )
-
-    def test_argsort_matches_numpy(self, rng):
-        keys = rng.integers(0, 1 << 40, size=2000)
-        assert np.array_equal(
-            radix_argsort(keys), np.argsort(keys, kind="stable")
-        )
-
-    def test_stability(self):
-        keys = np.array([5, 3, 5, 3, 5], dtype=np.int64)
-        order = radix_argsort(keys)
-        # Equal keys keep input order.
-        assert order.tolist() == [1, 3, 0, 2, 4]
-
-    def test_empty(self):
-        assert radix_argsort(np.array([], dtype=np.int64)).size == 0
-
-    def test_single(self):
-        assert radix_argsort(np.array([42])).tolist() == [0]
-
-    def test_already_sorted(self):
-        keys = np.arange(100)
-        assert np.array_equal(radix_argsort(keys), keys)
-
-    def test_skips_unused_passes(self, rng):
-        """Small keys sort correctly (pass count derived from max)."""
-        keys = rng.integers(0, 200, size=500)
-        assert np.array_equal(radix_sort(keys), np.sort(keys))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            radix_argsort(np.array([-1, 3]))
-
-    def test_rejects_floats(self):
-        with pytest.raises(TypeError):
-            radix_argsort(np.array([1.5]))
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            radix_argsort(np.zeros((2, 2), dtype=np.int64))
-
-    def test_sorts_real_morton_codes(self, medium_cloud):
-        order = structurize_batch(medium_cloud[None])
-        assert np.array_equal(
-            radix_argsort(order.codes[0]), order.permutation[0]
-        )
-
-    def test_operation_count(self):
-        assert sort_operation_count(1000, 32) == 1000 * 4
-        assert sort_operation_count(1000, 63) == 1000 * 8
-        with pytest.raises(ValueError):
-            sort_operation_count(-1)
-
-    @given(
-        keys=arrays(
-            np.int64,
-            st.integers(0, 300),
-            elements=st.integers(0, (1 << 62) - 1),
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_matches_numpy_property(self, keys):
-        assert np.array_equal(
-            radix_argsort(keys), np.argsort(keys, kind="stable")
-        )
 
 
 def _box() -> BoundingBox:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.train import (
     Trainer,
-    accuracy_drop,
     confusion_matrix,
     mean_iou,
     overall_accuracy,
@@ -76,13 +75,6 @@ class TestMetrics:
         assert out[0] == 1.0
         assert out[1] == pytest.approx(2 / 3)
         assert np.isnan(out[2])
-
-    def test_accuracy_drop(self):
-        assert accuracy_drop(0.9, 0.88) == pytest.approx(0.02)
-
-    def test_accuracy_drop_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            accuracy_drop(1.5, 0.5)
 
 
 class _ToyModel:

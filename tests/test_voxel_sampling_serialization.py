@@ -1,16 +1,11 @@
 """Tests for the retired voxel-grid sampler baseline
-(``tests/retired.py``) and model checkpointing."""
+(``tests/retired.py``)."""
 
 import numpy as np
 import pytest
 from retired import cell_size_for_target_count, voxel_grid_sample
 
 from repro.datasets import bunny_like
-from repro.nn import (
-    DGCNNClassifier,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.sampling import coverage_radius
 
 
@@ -79,71 +74,3 @@ class TestVoxelGridSample:
         idx = voxel_grid_sample(pts, 0.5)
         assert len(idx) == 1
 
-
-def _tiny_model(seed=0):
-    return DGCNNClassifier(
-        num_classes=3, k=4, ec_channels=((8,), (8,)),
-        emb_channels=8, head_hidden=8,
-        rng=np.random.default_rng(seed),
-    )
-
-
-class TestCheckpointing:
-    def test_roundtrip_preserves_outputs(self, tmp_path, rng):
-        path = str(tmp_path / "model.npz")
-        source = _tiny_model(seed=1)
-        # Push some data through so BatchNorm stats are non-trivial.
-        source(rng.normal(size=(2, 16, 3)))
-        save_checkpoint(source, path)
-        target = _tiny_model(seed=9)
-        meta = load_checkpoint(target, path)
-        source.eval()
-        target.eval()
-        x = rng.normal(size=(1, 16, 3))
-        assert np.allclose(source(x).numpy(), target(x).numpy())
-        assert meta["num_parameters"] == source.num_parameters()
-
-    def test_restores_running_stats(self, tmp_path, rng):
-        path = str(tmp_path / "model.npz")
-        source = _tiny_model()
-        for _ in range(3):
-            source(rng.normal(2.0, 1.0, size=(2, 16, 3)))
-        save_checkpoint(source, path)
-        target = _tiny_model(seed=5)
-        load_checkpoint(target, path)
-        from repro.nn.layers import BatchNorm
-
-        source_bns = [
-            m for m in source.modules() if isinstance(m, BatchNorm)
-        ]
-        target_bns = [
-            m for m in target.modules() if isinstance(m, BatchNorm)
-        ]
-        for a, b in zip(source_bns, target_bns):
-            assert np.allclose(a.running_mean, b.running_mean)
-            assert np.allclose(a.running_var, b.running_var)
-
-    def test_rejects_architecture_mismatch(self, tmp_path):
-        path = str(tmp_path / "model.npz")
-        save_checkpoint(_tiny_model(), path)
-        other = DGCNNClassifier(
-            num_classes=3, k=4, ec_channels=((8,),),
-            emb_channels=8, head_hidden=8,
-            rng=np.random.default_rng(0),
-        )
-        with pytest.raises(KeyError):
-            load_checkpoint(other, path)
-
-    def test_rejects_non_checkpoint(self, tmp_path):
-        path = str(tmp_path / "random.npz")
-        np.savez(path, junk=np.zeros(3))
-        with pytest.raises(ValueError):
-            load_checkpoint(_tiny_model(), path)
-
-    def test_meta_records_version(self, tmp_path):
-        import repro
-
-        path = str(tmp_path / "model.npz")
-        save_checkpoint(_tiny_model(), path)
-        meta = load_checkpoint(_tiny_model(seed=3), path)
-        assert meta["library_version"] == repro.__version__
