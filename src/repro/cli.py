@@ -1165,7 +1165,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         out=args.out,
         write_baseline=args.write_baseline,
         rules=rules,
-        jobs=args.jobs,
         prune_baseline=args.prune_baseline,
     )
 
@@ -1720,12 +1719,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency", action="store_true",
         help="run only the whole-program concurrency rules "
         "(CONC-5xx)",
-    )
-    lint_cmd.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan per-file rule visits out over N threads (the "
-        "whole-program pass stays single-threaded; output is "
-        "byte-identical regardless)",
     )
     lint_cmd.add_argument(
         "--prune-baseline", action="store_true",

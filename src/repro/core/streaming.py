@@ -155,20 +155,6 @@ class StreamingMortonOrder:
         self._count("streaming_maintenance_ops_total", merge_ops)
         self._update_gauges()
 
-    def remove_outside(self, box: BoundingBox) -> int:
-        """Drop points outside ``box`` (scene scrolling); returns the
-        number removed.  Order is preserved (mask keeps sortedness)."""
-        keep = box.contains(self._points)
-        removed = int((~keep).sum())
-        if removed:
-            self._points = self._points[keep]
-            self._codes = self._codes[keep]
-            self.maintenance_ops += len(keep)
-            self._count("streaming_evictions_total", removed)
-            self._count("streaming_maintenance_ops_total", len(keep))
-            self._update_gauges()
-        return removed
-
     def remove_oldest_duplicates(self) -> int:
         """Keep only the most recent point per occupied voxel — a
         simple stream-compaction policy bounding memory on long scans.

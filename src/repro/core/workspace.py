@@ -14,24 +14,17 @@ building full ``(N, N)`` distance matrices.
 A workspace is *not* thread-safe — and deliberately not locked: the
 views :meth:`Workspace.buffer` hands out alias the pool, so a lock
 around ``buffer()`` could not stop two threads from scribbling on the
-same scratch array anyway.  The supported concurrency model is
-**per-worker ownership**: each serving thread creates (or is handed)
-its own instance and may opt in to enforcement with
-:meth:`Workspace.claim_owner`, after which use from any other thread
-raises :class:`WorkspaceOwnershipError` instead of silently corrupting
-a neighbor's scratch space.
+same scratch array anyway.  Whoever shares a model across threads
+serializes its forwards instead; the serving stack does so under
+``InferenceServer._dispatch_lock``.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-
-class WorkspaceOwnershipError(RuntimeError):
-    """A claimed workspace was used from a thread that never owned it."""
 
 #: Default transient-memory budget for chunked kernels.  Deliberately
 #: small: besides bounding worst-case scratch far below an ``(N, N)``
@@ -61,48 +54,6 @@ class Workspace:
         self.hits = 0
         self.misses = 0
         self._pool: Dict[str, np.ndarray] = {}
-        self._owner: Optional[int] = None
-        self._owner_name = ""
-
-    # Ownership (opt-in; see the module docstring) --------------------
-
-    def claim_owner(self) -> "Workspace":
-        """Bind this workspace to the calling thread; returns ``self``.
-
-        After claiming, :meth:`buffer` and :meth:`clear` raise
-        :class:`WorkspaceOwnershipError` from any other thread.
-        Re-claiming from the owning thread is a no-op; stealing a
-        claim from another thread is refused.
-        """
-        thread = threading.current_thread()
-        if self._owner is not None and self._owner != thread.ident:
-            raise WorkspaceOwnershipError(
-                f"workspace already owned by thread "
-                f"{self._owner_name!r}; cannot be re-claimed by "
-                f"{thread.name!r}"
-            )
-        self._owner = thread.ident
-        self._owner_name = thread.name
-        return self
-
-    def release_owner(self) -> None:
-        """Drop the ownership claim (only the owner may release)."""
-        if self._owner is not None:
-            self._assert_owner("release")
-        self._owner = None
-        self._owner_name = ""
-
-    def _assert_owner(self, action: str) -> None:
-        if (
-            self._owner is not None
-            and self._owner != threading.get_ident()
-        ):
-            raise WorkspaceOwnershipError(
-                f"cannot {action}: workspace is owned by thread "
-                f"{self._owner_name!r} but was used from "
-                f"{threading.current_thread().name!r}; serving "
-                "threads must each use their own workspace"
-            )
 
     def buffer(
         self,
@@ -117,7 +68,6 @@ class Workspace:
         fully overwrite it).  The pool only grows: asking for a
         smaller size later reuses the same allocation.
         """
-        self._assert_owner("hand out a buffer")
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         existing = self._pool.get(name)
         if (
@@ -152,11 +102,6 @@ class Workspace:
     @property
     def num_buffers(self) -> int:
         return len(self._pool)
-
-    def clear(self) -> None:
-        """Drop every pooled buffer (hit/miss counters are kept)."""
-        self._assert_owner("clear the pool")
-        self._pool.clear()
 
     def __repr__(self) -> str:
         return (

@@ -92,14 +92,3 @@ class BoundingBox:
             raise ValueError("margin must be non-negative")
         pad = np.full(3, margin, dtype=np.float64)
         return BoundingBox(self.minimum - pad, self.maximum + pad)
-
-    def grid_size_for_bits(self, bits_per_axis: int) -> float:
-        """Grid size ``r = D / 2**bits_per_axis`` (paper Sec. 5.1.3).
-
-        ``bits_per_axis`` is ``floor(a / 3)`` for an ``a``-bit Morton code,
-        so a 32-bit code gives 10 bits per axis and 1024 cells along the
-        longest side of the box.
-        """
-        if bits_per_axis < 1:
-            raise ValueError("need at least one bit per axis")
-        return self.longest_side / float(1 << bits_per_axis)

@@ -84,31 +84,6 @@ class PointCloud:
             None if self.labels is None else self.labels[indices],
         )
 
-    def permuted(self, permutation: np.ndarray) -> "PointCloud":
-        """Reorder the cloud by a full permutation of its indices."""
-        permutation = np.asarray(permutation)
-        if sorted(permutation.tolist()) != list(range(len(self))):
-            raise ValueError("not a permutation of the point indices")
-        return self.select(permutation)
-
-    def concatenated_with(self, other: "PointCloud") -> "PointCloud":
-        """Concatenate two clouds; attributes must match in presence."""
-        if (self.features is None) != (other.features is None):
-            raise ValueError("cannot concatenate: feature presence differs")
-        if (self.labels is None) != (other.labels is None):
-            raise ValueError("cannot concatenate: label presence differs")
-        features = None
-        if self.features is not None:
-            if self.features.shape[1] != other.features.shape[1]:
-                raise ValueError("feature channel counts differ")
-            features = np.concatenate([self.features, other.features])
-        labels = None
-        if self.labels is not None:
-            labels = np.concatenate([self.labels, other.labels])
-        return PointCloud(
-            np.concatenate([self.xyz, other.xyz]), features, labels
-        )
-
     def copy(self) -> "PointCloud":
         return PointCloud(
             self.xyz.copy(),

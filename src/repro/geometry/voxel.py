@@ -65,21 +65,3 @@ class VoxelGrid:
             raise ValueError(f"expected (N, 3) points, got {points.shape}")
         cells = np.floor((points - self.origin) / self.cell_size)
         return np.clip(cells, 0, self.cells_per_axis - 1).astype(np.uint32)
-
-    def cell_center(self, cells: np.ndarray) -> np.ndarray:
-        """Continuous float64 coordinates of the centers of
-        ``(N, 3)`` cells."""
-        cells = np.asarray(cells, dtype=np.float64)
-        return self.origin + (cells + 0.5) * self.cell_size
-
-    def quantization_error_bound(self) -> float:
-        """Maximum distance between a point and its cell center
-        (half the cell diagonal)."""
-        return float(self.cell_size * np.sqrt(3.0) / 2.0)
-
-    @property
-    def memory_bytes_per_point(self) -> float:
-        """Bytes needed to store one point's cell index at this resolution
-        (3 axes x bits each, rounded up to whole bits of a packed code)."""
-        bits = 3 * max(1, int(np.ceil(np.log2(self.cells_per_axis))))
-        return bits / 8.0

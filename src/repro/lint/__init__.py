@@ -15,12 +15,12 @@ only sample:
 - **ROBUST** (ROBUST-401/402) — no silently swallowed broad excepts,
   and array-returning kernels document their shape/dtype contract
   (PR 1);
-- **CONC** (CONC-501..505) — whole-program lock discipline for the
-  threaded serving stack: guarded attribute writes, acyclic lock
-  acquisition order, predicate-looped condition waits, workspace
-  ownership, and no blocking calls under a lock (PR 8).  Backed by
-  the cross-module :class:`~repro.lint.concurrency.ProjectContext`
-  pass and cross-validated at runtime by
+- **CONC** (CONC-501..503, CONC-505) — whole-program lock discipline
+  for the threaded serving stack: guarded attribute writes, acyclic
+  lock acquisition order, predicate-looped condition waits, and no
+  blocking calls under a lock.  Backed by the cross-module
+  :class:`~repro.lint.concurrency.ProjectContext` pass and
+  cross-validated at runtime by
   :class:`repro.robustness.lockwatch.LockOrderWatchdog`.
 
 See ``docs/static_analysis.md`` for the rule catalog, the inline

@@ -18,7 +18,7 @@ layer:
   guarded by L, and methods documenting ``Caller must hold
   :attr:`x``` (or named ``*_locked``) are treated as externally
   guarded.
-* Five rules over the resolved project:
+* Four rules over the resolved project:
 
   ========  =======================================================
   CONC-501  shared attribute written both inside and outside its
@@ -27,8 +27,6 @@ layer:
             whole-program lock-order graph) or a plain ``Lock``
             re-acquired while held
   CONC-503  ``Condition.wait()`` outside a predicate re-check loop
-  CONC-504  ``Workspace`` created in threaded code without
-            ``claim_owner()``
   CONC-505  blocking call (sleep, I/O, ``.result()``, ``.infer()``,
             queue get, …) while holding a lock
   ========  =======================================================
@@ -91,7 +89,6 @@ BLOCKING_ATTRS = {
     "result",
     "join",
     "infer",
-    "_infer",
     "next_batch",
     "read",
     "recv",
@@ -233,8 +230,6 @@ class FunctionInfo:
     waits: List[_Wait] = field(default_factory=list)
     calls: List[_Call] = field(default_factory=list)
     blocks: List[_Block] = field(default_factory=list)
-    workspace_sites: List[Tuple[int, int]] = field(default_factory=list)
-    has_claim: bool = False
     direct_locks: Set[str] = field(default_factory=set)
 
 
@@ -251,8 +246,7 @@ class PreFinding:
 class ProjectContext:
     """Cross-module view of classes, locks, and guard regions.
 
-    Built single-threaded once per lint run (the per-file rule visits
-    may then fan out across a thread pool); every
+    Built once per lint run, before the per-file rule visits; every
     :class:`ModuleContext` gets this object attached as
     ``ctx.project`` so rules can correlate files.
     """
@@ -265,7 +259,6 @@ class ProjectContext:
         #: (held, acquired) -> earliest site establishing the edge.
         self.edges: Dict[Tuple[str, str], _Site] = {}
         self.self_acquires: List[Tuple[str, _Site]] = []
-        self.threaded_modules: Set[str] = set()
         self.findings: Dict[str, List[PreFinding]] = {}
         self._module_locks: Dict[str, Dict[str, str]] = {}
         self._module_funcs: Dict[str, Dict[str, str]] = {}
@@ -323,10 +316,6 @@ class ProjectContext:
                 self._scan_class(ctx, node)
         self._module_locks[ctx.module] = module_locks
         self._module_funcs[ctx.module] = module_funcs
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call) and _last_name(node.func) == "Thread":
-                self.threaded_modules.add(ctx.module)
-                break
 
     def _scan_class(self, ctx: ModuleContext, node: ast.ClassDef) -> None:
         info = self.classes.get(node.name)
@@ -678,25 +667,6 @@ class ProjectContext:
         """Sorted (held, acquired) pairs of the static order graph."""
         return sorted(self.edges)
 
-    def has_path(self, start: str, goal: str) -> bool:
-        """True when the order graph admits ``start`` ⇝ ``goal``."""
-        if start == goal:
-            return True
-        adjacency: Dict[str, List[str]] = {}
-        for held, acquired in self.edges:
-            adjacency.setdefault(held, []).append(acquired)
-        frontier = [start]
-        seen = {start}
-        while frontier:
-            node = frontier.pop()
-            for nxt in adjacency.get(node, ()):
-                if nxt == goal:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
-
     def _order_cycles(self) -> List[List[str]]:
         adjacency: Dict[str, Set[str]] = {}
         for held, acquired in self.edges:
@@ -743,7 +713,6 @@ class ProjectContext:
             "CONC-501": self._find_mixed_guards(),
             "CONC-502": self._find_order_hazards(),
             "CONC-503": self._find_bare_waits(),
-            "CONC-504": self._find_unclaimed_workspaces(),
             "CONC-505": self._find_blocking_under_lock(),
         }
 
@@ -863,33 +832,6 @@ class ProjectContext:
                         ),
                     )
                 )
-        return out
-
-    def _find_unclaimed_workspaces(self) -> List[PreFinding]:
-        out: List[PreFinding] = []
-        for key in sorted(self.functions):
-            func = self.functions[key]
-            if not func.workspace_sites or func.has_claim:
-                continue
-            if not (
-                func.module.startswith("repro.serving")
-                or func.module in self.threaded_modules
-            ):
-                continue
-            line, col = min(func.workspace_sites)
-            out.append(
-                PreFinding(
-                    path=func.path,
-                    lineno=line,
-                    col_offset=col,
-                    message=(
-                        f"Workspace created in {func.name}() without "
-                        f"claim_owner(); an unowned scratch buffer can "
-                        f"escape to another thread unchecked — claim it "
-                        f"so foreign access raises WorkspaceOwnershipError"
-                    ),
-                )
-            )
         return out
 
     def _find_blocking_under_lock(self) -> List[PreFinding]:
@@ -1117,8 +1059,6 @@ class _FunctionWalker:
         func = call.func
         if isinstance(func, ast.Attribute):
             self.expr(func.value)
-            if func.attr == "claim_owner":
-                self.info.has_claim = True
             if func.attr in {"wait", "wait_for"}:
                 lock = self.project.resolve_lock(
                     func.value, self.env, self.ctx.module
@@ -1134,10 +1074,6 @@ class _FunctionWalker:
                             in_loop=self.loops > 0,
                         )
                     )
-        elif isinstance(func, ast.Name) and func.id == "Workspace":
-            self.info.workspace_sites.append(
-                (getattr(call, "lineno", 1), getattr(call, "col_offset", 0))
-            )
         self._record_mutator(call)
         self._record_heapq(call)
         desc = self._blocking_desc(call)
@@ -1203,19 +1139,6 @@ class BareWaitRule(_ConcRule):
     rationale = (
         "Condition waits wake spuriously and notifies can be consumed by "
         "other waiters; only 'while not predicate: wait()' is correct."
-    )
-
-
-@register
-class UnclaimedWorkspaceRule(_ConcRule):
-    rule_id = "CONC-504"
-    severity = SEVERITY_ERROR
-    title = "Workspace created in threaded code without claim_owner()"
-    rationale = (
-        "Workspace is deliberately unlocked; ownership claims are its "
-        "only defense.  An unclaimed buffer handed to another thread "
-        "corrupts in-flight batches silently instead of raising "
-        "WorkspaceOwnershipError."
     )
 
 

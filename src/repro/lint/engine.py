@@ -20,7 +20,6 @@ import hashlib
 import os
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
@@ -288,15 +287,13 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[str]:
 def lint_paths(
     paths: Iterable[str],
     rules: Sequence[Rule] = (),
-    jobs: int = 1,
 ) -> List[Finding]:
     """Lint every ``*.py`` file under ``paths``; sorted findings.
 
-    Files are parsed (through the content-hash AST cache) and the
-    whole-program :class:`ProjectContext` is built single-threaded;
-    with ``jobs > 1`` the per-file rule visits then fan out across a
-    thread pool.  The final global sort keeps the output — and every
-    fingerprint — byte-identical regardless of ``jobs``.
+    Files are parsed (through the content-hash AST cache), the
+    whole-program :class:`ProjectContext` is built over all of them,
+    and then every rule visits each file.  The final global sort keeps
+    the output — and every fingerprint — in a stable order.
     """
     from repro.lint.concurrency import ProjectContext
 
@@ -313,14 +310,7 @@ def lint_paths(
     project = ProjectContext.build(contexts)
     for ctx in contexts:
         ctx.project = project
-    if jobs > 1 and len(contexts) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(
-                lambda ctx: _check_context(ctx, rules), contexts
-            ):
-                findings.extend(batch)
-    else:
-        for ctx in contexts:
-            findings.extend(_check_context(ctx, rules))
+    for ctx in contexts:
+        findings.extend(_check_context(ctx, rules))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

@@ -73,10 +73,9 @@ def collect(
     paths: Sequence[str],
     baseline_path: Optional[str] = None,
     rules: Sequence[Rule] = (),
-    jobs: int = 1,
 ) -> LintReport:
     """Lint ``paths`` and subtract the baseline, if given."""
-    findings = lint_paths(paths, rules=rules, jobs=jobs)
+    findings = lint_paths(paths, rules=rules)
     report = LintReport(
         paths=list(paths),
         baseline_path=baseline_path,
@@ -136,7 +135,6 @@ def run_lint(
     write_baseline: Optional[str] = None,
     stream: Optional[TextIO] = None,
     rules: Sequence[Rule] = (),
-    jobs: int = 1,
     prune_baseline: bool = False,
 ) -> int:
     """Full lint run; returns the process exit code.
@@ -152,14 +150,13 @@ def run_lint(
             to this path (the run then always exits 0).
         stream: output stream (defaults to ``sys.stdout``).
         rules: optional rule subset (default: the full registry).
-        jobs: per-file rule-visit parallelism (see ``lint_paths``).
         prune_baseline: rewrite ``baseline`` in place keeping only
             the fingerprints that still fire.
     """
     import sys
 
     stream = stream if stream is not None else sys.stdout
-    report = collect(paths, baseline, rules=rules, jobs=jobs)
+    report = collect(paths, baseline, rules=rules)
     if output_format == "json":
         stream.write(render_json(report) + "\n")
     else:

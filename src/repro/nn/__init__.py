@@ -14,7 +14,7 @@ from repro.nn.layers import (
     shared_mlp,
 )
 from repro.nn.losses import accuracy, cross_entropy, log_softmax, softmax
-from repro.nn.optim import Adam, StepLR
+from repro.nn.optim import Adam
 from repro.nn.pointnet2 import (
     DEFAULT_SA_CONFIGS,
     FeaturePropagation,
@@ -52,7 +52,6 @@ __all__ = [
     "log_softmax",
     "softmax",
     "Adam",
-    "StepLR",
     "SAConfig",
     "DEFAULT_SA_CONFIGS",
     "SetAbstraction",

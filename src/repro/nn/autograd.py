@@ -332,16 +332,6 @@ class Tensor:
         out._backward = backward if out.requires_grad else None
         return out
 
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-        out = Tensor(out_data, self.requires_grad, (self,))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
-
-        out._backward = backward if out.requires_grad else None
-        return out
-
     # Reductions ------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":

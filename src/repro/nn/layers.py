@@ -133,11 +133,11 @@ def swapped_attribute(model: Module, name: str, value):
     """Temporarily set attribute ``name`` to ``value`` on ``model`` and
     on every submodule that has it.
 
-    Models read ``edgepc`` and ``workspace`` per forward call, so an
-    attribute swap points a built module tree at another config (the
-    guard's exact fallback) or scratch pool (one per serving worker)
-    at zero copy cost, without the rebuild-and-``load_state_dict``
-    move (docs/architecture.md, "Strategy selection").
+    Models read ``edgepc`` per forward call, so an attribute swap
+    points a built module tree at another config (the guard's exact
+    fallback) at zero copy cost, without the
+    rebuild-and-``load_state_dict`` move (docs/architecture.md,
+    "Strategy selection").
     """
     saved = []
     try:

@@ -1,5 +1,4 @@
-"""Optimizers: Adam (what the Sec. 5.3 retraining uses), plus a
-step-decay LR schedule."""
+"""Optimizers: Adam, what the Sec. 5.3 retraining uses."""
 
 from __future__ import annotations
 
@@ -73,25 +72,3 @@ class Adam(Optimizer):
             param.data = param.data - self.lr * m_hat / (
                 np.sqrt(v_hat) + self.eps
             )
-
-
-class StepLR:
-    """Multiply the optimizer's LR by ``gamma`` every ``step_size``
-    epochs (the schedule PointNet++ training uses)."""
-
-    def __init__(
-        self, optimizer: Optimizer, step_size: int, gamma: float = 0.7
-    ) -> None:
-        if step_size < 1:
-            raise ValueError("step_size must be positive")
-        if not 0 < gamma <= 1:
-            raise ValueError("gamma must be in (0, 1]")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma

@@ -18,7 +18,7 @@ All throughput parameters are *effective* (achieved) rates, not peaks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,6 @@ class DeviceSpec:
             if utilization > 0:
                 return flops / (self.tensor_core_flops * utilization)
         return flops / self.cuda_flops
-
-    def with_overrides(self, **kwargs) -> "DeviceSpec":
-        """A copy with some parameters replaced (sensitivity studies)."""
-        return replace(self, **kwargs)
 
 
 def xavier() -> DeviceSpec:

@@ -341,7 +341,8 @@ class ServerFleet:
 
     Args:
         pipelines: one pipeline per replica (each replica needs its
-            own model instance — workers swap workspaces into it).
+            own model instance — its workers take turns on it under
+            the replica's dispatch lock).
         config: fleet-level policy knobs.
         serving_config: per-replica serving knobs.
         clock: injectable clock shared by every replica; pass a
@@ -1272,9 +1273,12 @@ class ServerFleet:
                 request, now, hedge=True, exclude={attempt.replica}
             )
 
-    def _next_timer_locked(self) -> Optional[float]:
-        """Earliest due retry/hedge timer, if any; callers hold
-        :attr:`_cond`."""
+    def _next_due_locked(self, now: float) -> Optional[float]:
+        """When the fleet's own work is next due: ``now`` while attempt
+        outcomes wait to be processed, else the earliest retry/hedge
+        timer, else ``None`` (settled).  Callers hold :attr:`_cond`."""
+        if self._resolved:
+            return now
         due = []
         if self._retries:
             due.append(self._retries[0][0])
@@ -1409,11 +1413,9 @@ class ServerFleet:
             if at is not None:
                 due.append(at)
         with self._cond:
-            timer = self._next_timer_locked()
-            if timer is not None:
-                due.append(timer)
-            if self._resolved:
-                due.append(self.clock())
+            own = self._next_due_locked(self.clock())
+        if own is not None:
+            due.append(own)
         return min(due) if due else None
 
     def step(
@@ -1608,21 +1610,18 @@ class ServerFleet:
     def _maintenance_loop(self) -> None:
         while True:
             with self._cond:
-                if self._stopping and not self._resolved:
+                now = self.clock()
+                due = self._next_due_locked(now)
+                if self._stopping and due is None:
                     return
-                if not self._resolved:
+                if due is None or due > now:
                     # Sleep until the next due retry/hedge timer, but
                     # never longer than the bounded tick — that keeps
                     # timers serviced even if a notify is missed, and
                     # keeps sub-tick hedge delays honest instead of
                     # quantizing them up to the tick.
-                    timeout = 0.005
-                    due = self._next_timer_locked()
-                    if due is not None:
-                        timeout = min(
-                            timeout, max(0.0, due - self.clock())
-                        )
-                    self._cond.wait(timeout=timeout)
+                    timeout = 0.005 if due is None else due - now
+                    self._cond.wait(timeout=min(0.005, timeout))
             self.service()
 
     def stop(
@@ -1650,13 +1649,8 @@ class ServerFleet:
             while True:
                 self.service(force=True)
                 with self._cond:
-                    settled = not (
-                        self._resolved
-                        or self._retries
-                        or self._hedge_timers
-                    )
-                if settled:
-                    break
+                    if self._next_due_locked(self.clock()) is None:
+                        break
             with self._cond:
                 self._stopping = True
                 self._cond.notify_all()

@@ -12,13 +12,11 @@ path in one dispatch.
 Two execution modes share one dispatch routine:
 
 - **threaded** — :meth:`~InferenceServer.start` spawns a worker pool;
-  each worker blocks on the queue and dispatches with its own
-  thread-local :class:`~repro.core.workspace.Workspace` (claimed via
-  the owning-thread assertion) swapped into the model for the
-  duration of the forward pass.  Model forwards are serialized by a
-  dispatch lock — the model and the guard's breakers are shared
-  mutable state — while admission, batching, cancellation, and future
-  completion run concurrently.
+  each worker blocks on the queue and dispatches.  Model forwards are
+  serialized by a dispatch lock — the model, its scratch
+  :class:`~repro.core.workspace.Workspace` and the guard's breakers
+  are shared mutable state — while admission, batching, cancellation,
+  and future completion run concurrently.
 - **virtual** — :meth:`~InferenceServer.pump` forms and dispatches
   due batches inline on the caller's thread, under a
   :class:`~repro.observability.clock.FixedClock`.  The server keeps
@@ -46,8 +44,6 @@ from repro.observability.clock import Clock, wall_clock
 from repro.observability.context import TraceContext
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import NULL_TRACER, Tracer
-from repro.core.workspace import Workspace
-from repro.nn.layers import swapped_attribute
 from repro.serving.queue import (
     MicroBatch,
     QueueClosedError,
@@ -228,7 +224,6 @@ class InferenceServer:
         self._threads: List[threading.Thread] = []
         self._dispatch_lock = threading.Lock()
         self._records_lock = threading.Lock()
-        self._local = threading.local()
 
     # Submission ------------------------------------------------------
 
@@ -296,27 +291,6 @@ class InferenceServer:
 
     # Dispatch (shared by workers and the virtual pump) ---------------
 
-    def _workspace(self) -> Workspace:
-        """This thread's owned scratch workspace, created on first use
-        with the same default budget as the model's own pool."""
-        workspace = getattr(self._local, "workspace", None)
-        if workspace is None:
-            workspace = Workspace()
-            workspace.claim_owner()
-            self._local.workspace = workspace
-        return workspace
-
-    def _infer(self, xyz: np.ndarray):
-        model = getattr(self.pipeline, "model", None)
-        if model is None:  # GuardedPipeline wraps the real pipeline
-            model = self.pipeline.pipeline.model
-        # The one blocking call deliberately made under a lock: callers
-        # hold _dispatch_lock because the workspace swap mutates shared
-        # model state, so concurrent forwards would corrupt each
-        # other's scratch.  Worker forwards serialize here by design.
-        with swapped_attribute(model, "workspace", self._workspace()):
-            return self.pipeline.infer(xyz)  # repro: allow[CONC-505]
-
     def _fail_batch(
         self, batch: MicroBatch, error: Exception, detail: str
     ) -> None:
@@ -369,10 +343,12 @@ class InferenceServer:
             simulated_s = 0.0
             degraded: Tuple[str, ...] = ()
             try:
+                # The one blocking call deliberately made under a
+                # lock: the model, its workspace and the guard's
+                # breakers are shared state, so forwards serialize
+                # here by design.
                 with self._dispatch_lock:
-                    # Serialized forward by design; see _infer for the
-                    # workspace-swap rationale behind the lock.
-                    result = self._infer(batch.xyz)  # repro: allow[CONC-505]
+                    result = self.pipeline.infer(batch.xyz)  # repro: allow[CONC-505]
             except Exception as err:
                 # Surface the original typed error (e.g. a
                 # CloudValidationError) on every affected future and

@@ -34,12 +34,6 @@ class TrainResult:
     losses: List[float] = field(default_factory=list)
     train_accuracies: List[float] = field(default_factory=list)
 
-    @property
-    def final_loss(self) -> float:
-        if not self.losses:
-            raise ValueError("no epochs were run")
-        return self.losses[-1]
-
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -119,27 +113,19 @@ class Trainer:
         batches: Sequence[Batch],
         epochs: int,
         shuffle_seed: Optional[int] = 0,
-        scheduler=None,
     ) -> TrainResult:
-        """Train for ``epochs`` passes, shuffling batch order.
-
-        Args:
-            scheduler: optional LR schedule (e.g.
-                :class:`repro.nn.optim.StepLR`); stepped once per
-                epoch, the PointNet++ training convention.
-        """
+        """Train for ``epochs`` passes, shuffling batch order."""
         if epochs < 1:
             raise ValueError("epochs must be positive")
         with self.tracer.span("train.fit", "train") as span:
             span.set("epochs", epochs)
-            return self._fit(batches, epochs, shuffle_seed, scheduler)
+            return self._fit(batches, epochs, shuffle_seed)
 
     def _fit(
         self,
         batches: Sequence[Batch],
         epochs: int,
         shuffle_seed: Optional[int],
-        scheduler,
     ) -> TrainResult:
         result = TrainResult()
         order = list(range(len(batches)))
@@ -156,8 +142,6 @@ class Trainer:
             result.train_accuracies.append(
                 self.evaluate(batches).accuracy
             )
-            if scheduler is not None:
-                scheduler.step()
         return result
 
     def evaluate(

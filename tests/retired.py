@@ -7,20 +7,14 @@ still exercise them.
   N)`` alternative).  Its tests cross-check :func:`repro.neighbors.knn`
   and :func:`repro.neighbors.ball_query` against an independent exact
   search.
-- :func:`voxel_grid_sample` / :func:`cell_size_for_target_count`: the
-  PCL/Open3D voxel-grid down-sampler.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
-
-from repro.core import morton
-from repro.geometry.bbox import BoundingBox
-from repro.geometry.voxel import VoxelGrid
 
 
 class KDTree:
@@ -159,83 +153,3 @@ class KDTree:
         if delta * delta <= r2:
             self._search_radius(far, point, r2, found)
 
-
-def voxel_grid_sample(
-    points: np.ndarray,
-    cell_size: float,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """One representative index per occupied voxel.
-
-    The representative is the point closest to its voxel's centroid
-    (the Open3D convention, approximated per-voxel).
-
-    Returns a 1-D int64 index array sorted ascending; the output
-    count equals the number of occupied voxels and cannot be chosen
-    directly.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"expected (N, 3) points, got {points.shape}")
-    if cell_size <= 0:
-        raise ValueError("cell_size must be positive")
-    box = BoundingBox.of_points(points)
-    cells_needed = (
-        int(np.ceil(box.longest_side / cell_size)) if (
-            box.longest_side > 0
-        ) else 1
-    )
-    grid = VoxelGrid(box.minimum, cell_size, max(1, cells_needed))
-    cells = grid.voxelize(points)
-    # Use Morton codes as voxel keys (cheap, collision-free).
-    keys = morton.encode(np.minimum(cells, (1 << 21) - 1))
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundaries = np.flatnonzero(
-        np.diff(sorted_keys, prepend=sorted_keys[0] - 1)
-    )
-    representatives = []
-    for start, stop in zip(
-        boundaries, np.append(boundaries[1:], len(points))
-    ):
-        members = order[start:stop]
-        centroid = points[members].mean(axis=0)
-        local = np.argmin(
-            np.sum((points[members] - centroid) ** 2, axis=1)
-        )
-        representatives.append(int(members[local]))
-    return np.array(sorted(representatives), dtype=np.int64)
-
-
-def cell_size_for_target_count(
-    points: np.ndarray,
-    target: int,
-    tolerance: float = 0.1,
-    max_iterations: int = 30,
-) -> float:
-    """Binary-search a cell size yielding ~``target`` occupied voxels.
-
-    Demonstrates the baseline's inherent clumsiness: hitting an exact
-    count requires an iterative search over grid resolutions, whereas
-    FPS and the Morton stride sampler take the count directly.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    if not 1 <= target <= points.shape[0]:
-        raise ValueError("target out of range")
-    if not 0 < tolerance < 1:
-        raise ValueError("tolerance must be in (0, 1)")
-    box = BoundingBox.of_points(points)
-    lo = box.longest_side / (4.0 * points.shape[0] ** (1 / 3) * 8)
-    hi = box.longest_side
-    best = hi
-    for _ in range(max_iterations):
-        mid = np.sqrt(lo * hi)  # geometric bisection
-        count = voxel_grid_sample(points, mid).shape[0]
-        if abs(count - target) <= tolerance * target:
-            return float(mid)
-        if count > target:
-            lo = mid  # too many voxels -> coarsen
-        else:
-            hi = mid
-        best = mid
-    return float(best)

@@ -49,10 +49,6 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             BoundingBox(np.zeros(3), np.ones(3)).expanded(-1)
 
-    def test_grid_size_for_bits(self):
-        box = BoundingBox(np.zeros(3), np.array([8.0, 1.0, 1.0]))
-        assert box.grid_size_for_bits(3) == 1.0
-
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):
             BoundingBox(np.ones(3), np.zeros(3))
@@ -89,29 +85,6 @@ class TestPointCloud:
         assert len(sub) == 3
         assert np.array_equal(sub.xyz[0], cloud.xyz[5])
         assert sub.labels[1] == cloud.labels[1]
-
-    def test_permuted_roundtrip(self, small_cloud, rng):
-        cloud = PointCloud(small_cloud)
-        perm = rng.permutation(256)
-        inverse = np.argsort(perm)
-        back = cloud.permuted(perm).permuted(inverse)
-        assert np.array_equal(back.xyz, cloud.xyz)
-
-    def test_permuted_rejects_non_permutation(self, small_cloud):
-        with pytest.raises(ValueError):
-            PointCloud(small_cloud).permuted(np.zeros(256, dtype=int))
-
-    def test_concatenate(self, small_cloud):
-        a = PointCloud(small_cloud[:100])
-        b = PointCloud(small_cloud[100:])
-        merged = a.concatenated_with(b)
-        assert len(merged) == 256
-
-    def test_concatenate_rejects_mismatched_attrs(self, small_cloud):
-        a = PointCloud(small_cloud[:10], labels=np.zeros(10, dtype=int))
-        b = PointCloud(small_cloud[10:20])
-        with pytest.raises(ValueError):
-            a.concatenated_with(b)
 
     def test_rejects_nan(self):
         pts = np.zeros((4, 3))
@@ -158,23 +131,6 @@ class TestVoxelGrid:
         grid = VoxelGrid.for_box(BoundingBox.of_points(pts), 10)
         assert np.array_equal(grid.voxelize(pts), np.zeros((5, 3)))
 
-    def test_cell_center(self):
-        grid = VoxelGrid(np.zeros(3), 2.0, 4)
-        center = grid.cell_center(np.array([[1, 0, 3]]))
-        assert np.array_equal(center, [[3.0, 1.0, 7.0]])
-
-    def test_quantization_error_bound(self, small_cloud):
-        box = BoundingBox.of_points(small_cloud)
-        grid = VoxelGrid.for_box(box, 6)
-        cells = grid.voxelize(small_cloud)
-        centers = grid.cell_center(cells)
-        errors = np.linalg.norm(centers - small_cloud, axis=1)
-        assert errors.max() <= grid.quantization_error_bound() + 1e-12
-
-    def test_memory_per_point(self):
-        grid = VoxelGrid(np.zeros(3), 1.0, 1024)  # 10 bits/axis
-        assert grid.memory_bytes_per_point == 30 / 8
-
     def test_rejects_bad_cell_size(self):
         with pytest.raises(ValueError):
             VoxelGrid(np.zeros(3), 0.0, 4)
@@ -189,34 +145,6 @@ class TestTransforms:
         assert norms.max() == pytest.approx(1.0)
         assert np.allclose(cloud.xyz.mean(axis=0), 0, atol=1e-9)
 
-    def test_rotate_z_preserves_norms(self, small_cloud):
-        cloud = PointCloud(small_cloud)
-        rotated = transforms.rotate_z(cloud, 1.3)
-        assert np.allclose(
-            np.linalg.norm(rotated.xyz, axis=1),
-            np.linalg.norm(cloud.xyz, axis=1),
-        )
-
-    def test_rotate_z_keeps_z(self, small_cloud):
-        rotated = transforms.rotate_z(PointCloud(small_cloud), 0.7)
-        assert np.allclose(rotated.xyz[:, 2], small_cloud[:, 2])
-
-    def test_jitter_is_bounded(self, small_cloud, rng):
-        jittered = transforms.jitter(
-            PointCloud(small_cloud), rng, sigma=0.5, clip=0.05
-        )
-        assert np.abs(jittered.xyz - small_cloud).max() <= 0.05 + 1e-12
-
-    def test_random_scale_bounds(self, small_cloud, rng):
-        scaled = transforms.random_scale(
-            PointCloud(small_cloud), rng, 0.5, 0.6
-        )
-        ratio = np.linalg.norm(scaled.xyz) / np.linalg.norm(small_cloud)
-        assert 0.5 <= ratio <= 0.6
-
-    def test_random_dropout_keeps_size(self, small_cloud, rng):
-        out = transforms.random_dropout(PointCloud(small_cloud), rng)
-        assert len(out) == len(small_cloud)
 
 
 class TestShapes:

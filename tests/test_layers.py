@@ -25,7 +25,7 @@ from repro.nn.layers import (
     shared_mlp,
 )
 from repro.nn.losses import accuracy, cross_entropy, log_softmax, softmax
-from repro.nn.optim import Adam, StepLR
+from repro.nn.optim import Adam
 
 
 class TestLinear:
@@ -380,15 +380,6 @@ class TestOptimizers:
         before = x.data.copy()
         Adam([x], lr=0.1).step()
         assert np.array_equal(x.data, before)
-
-    def test_step_lr_decays(self):
-        x = Tensor(np.array([1.0]), requires_grad=True)
-        opt = Adam([x], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        assert opt.lr == 0.5
 
     def test_rejects_empty_params(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,7 @@
 
 Covers the per-rule bad/good fixtures, the ProjectContext lock
 inventory and order graph over the real ``src/repro`` tree (which must
-self-host clean), parallel ``--jobs`` equivalence, byte-identical
-``--out`` reports, stale-baseline warnings with ``--prune-baseline``,
+self-host clean), byte-identical repeat ``--out`` reports, stale-baseline warnings with ``--prune-baseline``,
 and the docs/serving.md threading-model table staying in sync with
 the analyzer's lock-order graph.
 """
@@ -23,7 +22,6 @@ from repro.lint import (
     collect,
     lint_file,
     lint_paths,
-    lint_source,
     run_lint,
 )
 
@@ -40,7 +38,6 @@ CONC_FIXTURES = {
     # (the holder and the re-acquirer).
     "CONC-502": ("repro/serving/lock_cycles.py", 3),
     "CONC-503": ("repro/serving/cond_waits.py", 1),
-    "CONC-504": ("repro/serving/workspace_escape.py", 1),
     "CONC-505": ("repro/serving/blocking_calls.py", 2),
 }
 
@@ -54,7 +51,7 @@ def _conc_rules():
 
 
 class TestConcFixtures:
-    def test_all_five_rules_registered(self):
+    def test_all_four_rules_registered(self):
         assert {rule.rule_id for rule in _conc_rules()} == set(
             CONC_FIXTURES
         )
@@ -70,16 +67,6 @@ class TestConcFixtures:
     def test_silent_on_good_fixture(self, rule_id):
         relpath, _ = CONC_FIXTURES[rule_id]
         assert lint_file(str(GOOD / relpath)) == []
-
-    def test_workspace_rule_scoped_to_threaded_code(self):
-        # The same unclaimed Workspace outside repro.serving (and
-        # outside any module that spawns threads) is not flagged:
-        # single-threaded scratch cannot escape to another thread.
-        source = (
-            BAD / "repro/serving/workspace_escape.py"
-        ).read_text()
-        findings = lint_source("repro/sim/workspace_escape.py", source)
-        assert findings == []
 
     def test_messages_are_line_independent(self):
         # Fingerprints hash path::rule::message; a message embedding
@@ -129,22 +116,13 @@ class TestProjectContextOnSrc:
         assert findings == []
 
 
-class TestJobsAndDeterminism:
-    def test_jobs_output_is_identical(self):
-        serial = lint_paths([str(BAD)], jobs=1)
-        threaded = lint_paths([str(BAD)], jobs=4)
-        assert serial == threaded
-
+class TestDeterminism:
     def test_out_report_is_byte_identical(self, tmp_path):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
         stream = io.StringIO()
-        run_lint(
-            [str(BAD)], out=str(out_a), stream=stream, jobs=1
-        )
-        run_lint(
-            [str(BAD)], out=str(out_b), stream=stream, jobs=4
-        )
+        run_lint([str(BAD)], out=str(out_a), stream=stream)
+        run_lint([str(BAD)], out=str(out_b), stream=stream)
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_cli_concurrency_flag_filters_rules(
@@ -155,8 +133,6 @@ class TestJobsAndDeterminism:
             [
                 "lint",
                 "--concurrency",
-                "--jobs",
-                "2",
                 "--format",
                 "json",
                 "--out",

@@ -244,8 +244,9 @@ class TestStreamingTelemetry:
         registry = MetricsRegistry()
         box = BoundingBox(np.zeros(3), np.ones(3))
         stream = StreamingMortonOrder(box, metrics=registry)
-        stream.insert(rng.random((100, 3)))
-        stream.insert(rng.random((50, 3)))
+        first = rng.random((100, 3))
+        stream.insert(first)
+        stream.insert(first[:50])  # same voxels: evictable duplicates
         assert (
             _counter_value(registry, "streaming_inserts_total") == 2
         )
@@ -256,9 +257,8 @@ class TestStreamingTelemetry:
             == 150
         )
         assert registry.gauge("streaming_points").value == 150
-        removed = stream.remove_outside(
-            BoundingBox(np.zeros(3), np.full(3, 0.5))
-        )
+        removed = stream.remove_oldest_duplicates()
+        assert removed == 50
         assert (
             _counter_value(registry, "streaming_evictions_total")
             == removed

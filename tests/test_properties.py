@@ -245,7 +245,7 @@ class TestAutogradFuzzing:
                 elif op == 3:
                     out = out.tanh() + k
                 elif op == 4:
-                    out = (out + k).sigmoid() * 2.0
+                    out = (out + k).tanh() * 2.0
                 else:
                     out = (out.exp() + 1.0).log()
             return (out * out).mean()

@@ -62,10 +62,6 @@ class TestDeviceSpec:
             1e9 / spec.cuda_flops
         )
 
-    def test_overrides(self):
-        spec = xavier().with_overrides(cuda_flops=1.0)
-        assert spec.cuda_flops == 1.0
-
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             DeviceSpec(cuda_flops=0.0)

@@ -18,7 +18,6 @@ from faults import FaultInjector, FaultSpec
 from telemetry import spans_by_trace
 
 from repro.core import EdgePCConfig
-from repro.core.workspace import Workspace, WorkspaceOwnershipError
 from repro.nn import PointNet2Segmentation, SAConfig
 from repro.observability import Tracer, find_orphans
 from repro.observability.clock import FixedClock
@@ -464,92 +463,71 @@ class TestThreadedServer:
             server.submit(rng.random((N_POINTS, 3)))
 
 
-class TestWorkspaceOwnership:
-    def test_claimed_workspace_rejects_foreign_thread(self):
-        workspace = Workspace()
-        workspace.claim_owner()
-        workspace.buffer("ok", (8,))  # owner may use it
-        caught = []
+class _InFlightProbe:
+    """Pipeline stand-in that counts concurrent ``infer`` calls."""
 
-        def misuse():
-            try:
-                workspace.buffer("nope", (8,))
-            except WorkspaceOwnershipError as err:
-                caught.append(err)
+    def __init__(self, inner):
+        self.inner = inner
+        self.active = 0
+        self.peak = 0
+        self._lock = threading.Lock()
 
-        thread = threading.Thread(target=misuse)
-        thread.start()
-        thread.join()
-        assert len(caught) == 1
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
-    def test_claim_cannot_be_stolen_but_release_frees_it(self):
-        workspace = Workspace()
-        workspace.claim_owner()
-        errors = []
+    def infer(self, xyz):
+        with self._lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            return self.inner.infer(xyz)
+        finally:
+            with self._lock:
+                self.active -= 1
 
-        def steal():
-            try:
-                workspace.claim_owner()
-            except WorkspaceOwnershipError as err:
-                errors.append(err)
 
-        thread = threading.Thread(target=steal)
-        thread.start()
-        thread.join()
-        assert len(errors) == 1
-        workspace.release_owner()
-        # Unclaimed again: another thread may now claim it.
-        done = []
-        thread = threading.Thread(
-            target=lambda: done.append(workspace.claim_owner())
-        )
-        thread.start()
-        thread.join()
-        assert done
+class TestSharedWorkspace:
+    """Threaded workers take turns on the model's own scratch pool."""
 
-    def test_per_thread_workspaces_survive_hammering(self):
-        # The supported serving pattern: one claimed workspace per
-        # thread, hammered concurrently, never cross-contaminates.
-        errors = []
+    CONFIG = ServingConfig(max_batch_size=2, max_wait_ms=5.0, workers=3)
 
-        def worker(seed):
-            try:
-                workspace = Workspace().claim_owner()
-                rng = np.random.default_rng(seed)
-                for i in range(200):
-                    shape = (int(rng.integers(1, 64)), 3)
-                    buf = workspace.buffer("scratch", shape)
-                    buf.fill(seed)
-                    assert (buf == seed).all()
-                workspace.clear()
-            except Exception as err:  # pragma: no cover
-                errors.append(err)
-
-        threads = [
-            threading.Thread(target=worker, args=(seed,))
-            for seed in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert errors == []
-
-    def test_server_workers_use_distinct_workspaces(self, rng):
-        server = InferenceServer(
-            _pipeline(),
-            ServingConfig(
-                max_batch_size=2, max_wait_ms=5.0, workers=3
-            ),
-        )
+    def _serve(self, server, rng, count):
         with server:
             requests = [
                 server.submit(rng.random((N_POINTS, 3)))
-                for _ in range(12)
+                for _ in range(count)
             ]
         for request in requests:
             request.future.result(timeout=10.0)
+
+    def test_threaded_workers_complete_every_request(self, rng):
+        server = InferenceServer(_pipeline(), self.CONFIG)
+        self._serve(server, rng, 12)
         assert server.completed == 12
+
+    def test_workspace_counters_match_the_model_pool(self, rng):
+        registry = MetricsRegistry()
+        pipeline = _pipeline(registry)
+        server = InferenceServer(pipeline, self.CONFIG, metrics=registry)
+        self._serve(server, rng, 40)
+        workspace = pipeline.model.workspace
+        assert workspace.hits > 0 and workspace.misses > 0
+        hits = registry.counter("workspace_buffer_hits_total")
+        misses = registry.counter("workspace_buffer_misses_total")
+        assert hits.value == workspace.hits
+        assert misses.value == workspace.misses
+
+    def test_one_forward_at_a_time(self, rng):
+        probe = _InFlightProbe(_pipeline())
+        server = InferenceServer(probe, self.CONFIG)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the workers densely
+        try:
+            self._serve(server, rng, 24)
+        finally:
+            sys.setswitchinterval(interval)
+        assert server.completed == 24
+        assert probe.peak == 1
 
 
 class TestServingUnderFaults:

@@ -53,15 +53,6 @@ class TestStreamingOrder:
         result = MortonSampler().sample_batch(points, 32, order=order)
         assert len(result) == 32
 
-    def test_remove_outside(self, rng):
-        stream = StreamingMortonOrder(_box())
-        stream.insert(rng.random((200, 3)) * 10.0)
-        half = BoundingBox(np.zeros(3), np.array([5.0, 10.0, 10.0]))
-        removed = stream.remove_outside(half)
-        assert removed > 0
-        assert half.contains(stream.points).all()
-        assert (np.diff(stream.codes) >= 0).all()
-
     def test_remove_duplicates_keeps_newest(self):
         stream = StreamingMortonOrder(_box())
         first = np.array([[1.0, 1.0, 1.0]])
@@ -164,7 +155,6 @@ class TestStreamingValidation:
 
     def test_empty_stream_removals_are_noops(self):
         stream = StreamingMortonOrder(_box())
-        assert stream.remove_outside(_box()) == 0
         assert stream.remove_oldest_duplicates() == 0
         assert len(stream) == 0
         assert stream.maintenance_ops == 0
@@ -176,7 +166,4 @@ class TestStreamingValidation:
         stream.insert(rng.random((5, 3)) * 10.0)
         stream.insert(np.empty((0, 3)))
         assert len(stream) == 5
-        removed = stream.remove_outside(
-            BoundingBox(np.zeros(3) - 1.0, np.ones(3) * 11.0)
-        )
-        assert removed == 0
+        assert stream.remove_oldest_duplicates() == 0

@@ -131,7 +131,6 @@ class TestTrainer:
         batches = _separable_batches()
         result = trainer.fit(batches, epochs=20)
         assert result.losses[-1] < result.losses[0]
-        assert result.final_loss == result.losses[-1]
 
     def test_learns_separable_problem(self):
         model = _ToyModel()
@@ -178,14 +177,3 @@ class TestTrainer:
             results.append(trainer.evaluate(batches).accuracy)
         assert results[0] == results[1]
 
-
-class TestScheduler:
-    def test_fit_steps_scheduler_per_epoch(self):
-        from repro.nn.optim import Adam, StepLR
-
-        model = _ToyModel()
-        opt = Adam(model.inner.parameters(), lr=1.0)
-        trainer = Trainer(model.inner, opt)
-        sched = StepLR(opt, step_size=2, gamma=0.5)
-        trainer.fit(_separable_batches(), epochs=4, scheduler=sched)
-        assert opt.lr == pytest.approx(0.25)
