@@ -36,7 +36,14 @@ from repro.nn.functional import (
     max_pool_neighbors,
     query_blocks,
 )
-from repro.nn.layers import Dropout, Linear, Module, shared_mlp
+from repro.nn.layers import (
+    Dropout,
+    LeakyReLU,
+    Linear,
+    Module,
+    run_chain,
+    shared_mlp,
+)
 from repro.nn.plan import (
     edgeconv_plan,
     linear_widths,
@@ -210,7 +217,9 @@ class DGCNNClassifier(Module):
         self.embedding = Linear(
             self.backbone.concat_channels, emb_channels, rng=rng
         )
+        self.embedding_act = LeakyReLU(0.2)
         self.head_hidden = Linear(emb_channels, head_hidden, rng=rng)
+        self.head_act = LeakyReLU(0.2)
         self.head_dropout = Dropout(dropout, rng=rng)
         self.head_out = Linear(head_hidden, num_classes, rng=rng)
 
@@ -226,16 +235,17 @@ class DGCNNClassifier(Module):
         recorder = NullRecorder() if recorder is None else recorder
         features = Tensor(xyz)
         per_point = self.backbone(xyz, features, recorder)
-        embedded = self.embedding(per_point).leaky_relu(0.2)
+        embedded = run_chain((self.embedding, self.embedding_act), per_point)
         layer = len(self.backbone.ec_modules)
         recorder.record_plan(matmul_plan(
             layer, linear_widths(self.embedding),
             xyz.shape[0] * xyz.shape[1],
         ))
         pooled = embedded.max(axis=1)
-        hidden = self.head_hidden(pooled).leaky_relu(0.2)
-        hidden = self.head_dropout(hidden)
-        logits = self.head_out(hidden)
+        logits = run_chain((
+            self.head_hidden, self.head_act, self.head_dropout,
+            self.head_out,
+        ), pooled)
         recorder.record_plan(matmul_plan(
             layer + 1, linear_widths(self.head_hidden, self.head_out),
             xyz.shape[0],
@@ -272,8 +282,10 @@ class DGCNNSegmentation(Module):
         self.embedding = Linear(
             self.backbone.concat_channels, emb_channels, rng=rng
         )
+        self.embedding_act = LeakyReLU(0.2)
         head_in = self.backbone.concat_channels + emb_channels
         self.head_hidden = Linear(head_in, head_hidden, rng=rng)
+        self.head_act = LeakyReLU(0.2)
         self.head_dropout = Dropout(dropout, rng=rng)
         self.head_out = Linear(head_hidden, num_classes, rng=rng)
 
@@ -290,7 +302,7 @@ class DGCNNSegmentation(Module):
         n_points = xyz.shape[1]
         features = Tensor(xyz)
         per_point = self.backbone(xyz, features, recorder)
-        embedded = self.embedding(per_point).leaky_relu(0.2)
+        embedded = run_chain((self.embedding, self.embedding_act), per_point)
         layer = len(self.backbone.ec_modules)
         rows = xyz.shape[0] * n_points
         recorder.record_plan(
@@ -301,9 +313,10 @@ class DGCNNSegmentation(Module):
             (xyz.shape[0], n_points, global_context.shape[2])
         )
         merged = concatenate([per_point, tiled], axis=2)
-        hidden = self.head_hidden(merged).leaky_relu(0.2)
-        hidden = self.head_dropout(hidden)
-        logits = self.head_out(hidden)
+        logits = run_chain((
+            self.head_hidden, self.head_act, self.head_dropout,
+            self.head_out,
+        ), merged)
         recorder.record_plan(matmul_plan(
             layer + 1, linear_widths(self.head_hidden, self.head_out), rows
         ))

@@ -97,6 +97,40 @@ def query_blocks(mlp: Sequential, batch: int, n: int, k: int) -> List[slice]:
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
+def cloud_blocks(batch: int, n: int) -> List[slice]:
+    """Slices of the batch axis to run an inference pass over
+    ``(B, n, C)`` point features in: whole clouds, at most
+    :data:`INFERENCE_BLOCK_ROWS` rows (``B_blk * n``) but never fewer
+    than one cloud per block.  A 3-D matmul is one gemm per cloud, so
+    blocks of whole clouds never change a gemm."""
+    step = max(1, INFERENCE_BLOCK_ROWS // n)
+    return [slice(lo, min(lo + step, batch)) for lo in range(0, batch, step)]
+
+
+def interpolate_into(
+    out: np.ndarray,
+    coarse: np.ndarray,
+    anchors: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """Write ``sum_j weights[b, i, j] * coarse[b, anchors[b, i, j]]``
+    into the ``(B, n, C)`` array ``out``, one anchor at a time.
+
+    Bit for bit the tape's ``(group_points(coarse, anchors) *
+    weights[..., None]).sum(axis=2)`` without its ``(B, n, k, C)``
+    temporaries: NumPy's sum over the anchor axis starts from ``+0.0``
+    and adds the anchors in order, so ``out`` starts at ``+0.0`` too
+    (three ``-0.0`` terms sum to ``+0.0``, not to the first term).
+    """
+    out.fill(0.0)
+    clouds = np.arange(anchors.shape[0])[:, None]
+    for j in range(anchors.shape[2]):
+        term = coarse[clouds, anchors[:, :, j]]
+        term *= weights[:, :, j, None]
+        out += term
+    return out
+
+
 def join_blocks(pooled: List[Tensor]) -> Tensor:
     """Concatenate per-block ``(B, n_blk, C)`` outputs along the query
     axis; a single block is returned as is."""

@@ -8,11 +8,12 @@ features, and ``(B, N, k, C)`` grouped neighborhoods — which is exactly
 the "shared MLP" structure of the original networks.
 
 Inference without the tape: when no graph is recorded and no layer is
-training, :class:`Sequential` runs each layer's :meth:`Module.infer_`
-on bare arrays instead of its ``forward``.  Every layer computes the
-same IEEE results as its ``forward``, but in the array its ``Linear``
-just allocated instead of a temporary per op, so the output is
-byte-identical.  The input and the parameters are never written.
+training, :func:`run_chain` (the body of :class:`Sequential` and of the
+model heads) runs each layer's :meth:`Module.infer_` on bare arrays
+instead of its ``forward``.  Every layer computes the same IEEE results
+as its ``forward``, but in the array its ``Linear`` just allocated
+instead of a temporary per op, so the output is byte-identical.  The
+input and the parameters are never written.
 """
 
 from __future__ import annotations
@@ -334,6 +335,31 @@ class Dropout(Module):
         return y
 
 
+def chain_runs_in_place(layers: Sequence[Module]) -> bool:
+    """True when :func:`run_chain` takes the in-place path: grad mode
+    is off and no ``BatchNorm``/``Dropout`` layer is training."""
+    return not is_grad_enabled() and all(
+        layer.infers_in_place for layer in layers
+    )
+
+
+def run_chain(layers: Sequence[Module], x: Tensor) -> Tensor:
+    """Apply ``layers`` in order: each layer's :meth:`Module.infer_` on
+    one array while :func:`chain_runs_in_place` holds, else each
+    ``forward`` on the tape.  The body of :class:`Sequential` and of
+    every model head."""
+    if chain_runs_in_place(layers):
+        y = x.data
+        if not (layers and isinstance(layers[0], Linear)):
+            y = y.copy()  # only a Linear leaves its input as is
+        for layer in layers:
+            y = layer.infer_(y)
+        return Tensor(y)
+    for layer in layers:
+        x = layer(x)
+    return x
+
+
 class Sequential(Module):
     def __init__(self, *layers: Module) -> None:
         super().__init__()
@@ -343,23 +369,11 @@ class Sequential(Module):
             self.layers.append(layer)
 
     def runs_in_place(self) -> bool:
-        """True when :meth:`forward` takes the in-place path: grad mode
-        is off and no ``BatchNorm``/``Dropout`` layer is training."""
-        return not is_grad_enabled() and all(
-            layer.infers_in_place for layer in self.layers
-        )
+        """True when :meth:`forward` takes the in-place path."""
+        return chain_runs_in_place(self.layers)
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.runs_in_place():
-            y = x.data
-            if not (self.layers and isinstance(self.layers[0], Linear)):
-                y = y.copy()  # only a Linear leaves its input as is
-            for layer in self.layers:
-                y = layer.infer_(y)
-            return Tensor(y)
-        for layer in self.layers:
-            x = layer(x)
-        return x
+        return run_chain(self.layers, x)
 
     def __len__(self) -> int:
         return len(self.layers)

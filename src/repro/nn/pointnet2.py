@@ -40,14 +40,23 @@ from repro.neighbors.batched import (
 from repro.neighbors.grid import GridQueryStats
 from repro.nn.autograd import Tensor, concatenate
 from repro.nn.functional import (
+    cloud_blocks,
     gather_points,
     group_points,
+    interpolate_into,
     join_blocks,
     max_pool_neighbors,
     query_blocks,
     relative_neighborhoods,
 )
-from repro.nn.layers import Dropout, Linear, Module, shared_mlp
+from repro.nn.layers import (
+    Dropout,
+    Linear,
+    Module,
+    ReLU,
+    run_chain,
+    shared_mlp,
+)
 from repro.nn.plan import (
     fp_plan,
     linear_widths,
@@ -324,16 +333,55 @@ class FeaturePropagation(Module):
             anchors, weights = exact_interpolation_weights_batch(
                 fine_xyz, sa_state.sampled_indices
             )
-        picked = group_points(coarse_features, anchors)
-        upsampled = (picked * Tensor(weights[:, :, :, None])).sum(axis=2)
-        if morton:
-            # Morton anchor rows follow sorted order; gather by rank to
-            # restore the original order.
-            upsampled = gather_points(upsampled, result.order.ranks)
-        merged = concatenate([upsampled, fine_features], axis=2)
-        out = self.mlp(merged)
+        if self.mlp.runs_in_place():
+            if morton:
+                # Morton anchor rows follow sorted order; gather them by
+                # rank to produce the rows in the original order.
+                ranks = result.order.ranks[:, :, None]
+                anchors = np.take_along_axis(anchors, ranks, axis=1)
+                weights = np.take_along_axis(weights, ranks, axis=1)
+            out = self._propagate_in_place(
+                coarse_features.data, fine_features.data, anchors, weights
+            )
+        else:
+            picked = group_points(coarse_features, anchors)
+            upsampled = (picked * Tensor(weights[:, :, :, None])).sum(
+                axis=2
+            )
+            if morton:
+                # Morton anchor rows follow sorted order; gather by rank
+                # to restore the original order.
+                upsampled = gather_points(upsampled, result.order.ranks)
+            merged = concatenate([upsampled, fine_features], axis=2)
+            out = self.mlp(merged)
         recorder.record_plan(plan)
         return out
+
+    def _propagate_in_place(
+        self,
+        coarse: np.ndarray,
+        skip: np.ndarray,
+        anchors: np.ndarray,
+        weights: np.ndarray,
+    ) -> Tensor:
+        """Interpolate -> skip concat -> MLP over blocks of whole clouds
+        (:func:`~repro.nn.functional.cloud_blocks`), each built in one
+        ``merged`` array; byte-identical to the tape expression."""
+        batch, n_fine, _ = anchors.shape
+        c_coarse = coarse.shape[2]
+        out = np.empty((batch, n_fine, self.out_channels))
+        for clouds in cloud_blocks(batch, n_fine):
+            merged = np.empty(
+                (clouds.stop - clouds.start, n_fine,
+                 c_coarse + skip.shape[2])
+            )
+            interpolate_into(
+                merged[:, :, :c_coarse], coarse[clouds],
+                anchors[clouds], weights[clouds],
+            )
+            merged[:, :, c_coarse:] = skip[clouds]
+            out[clouds] = self.mlp(Tensor(merged)).data
+        return Tensor(out)
 
 
 class PointNet2Segmentation(Module):
@@ -389,6 +437,7 @@ class PointNet2Segmentation(Module):
             skip_channels[num_levels - j - 1] = module.out_channels
         head_in = self.fp_modules[-1].out_channels
         self.head_hidden = Linear(head_in, head_hidden, rng=rng)
+        self.head_act = ReLU()
         self.head_dropout = Dropout(dropout, rng=rng)
         self.head_out = Linear(head_hidden, num_classes, rng=rng)
 
@@ -429,9 +478,10 @@ class PointNet2Segmentation(Module):
                 sa_state,
                 recorder,
             )
-        hidden = self.head_hidden(coarse).relu()
-        hidden = self.head_dropout(hidden)
-        logits = self.head_out(hidden)
+        logits = run_chain((
+            self.head_hidden, self.head_act, self.head_dropout,
+            self.head_out,
+        ), coarse)
         recorder.record_plan(matmul_plan(
             len(self.sa_modules) + len(self.fp_modules),
             linear_widths(self.head_hidden, self.head_out),
@@ -469,6 +519,7 @@ class PointNet2Classifier(Module):
             self.sa_modules.append(module)
             channels = module.out_channels
         self.head_hidden = Linear(channels, head_hidden, rng=rng)
+        self.head_act = ReLU()
         self.head_dropout = Dropout(dropout, rng=rng)
         self.head_out = Linear(head_hidden, num_classes, rng=rng)
 
@@ -489,9 +540,10 @@ class PointNet2Classifier(Module):
                 current_xyz, current, recorder
             )
         pooled = current.max(axis=1)  # (B, C)
-        hidden = self.head_hidden(pooled).relu()
-        hidden = self.head_dropout(hidden)
-        logits = self.head_out(hidden)
+        logits = run_chain((
+            self.head_hidden, self.head_act, self.head_dropout,
+            self.head_out,
+        ), pooled)
         recorder.record_plan(matmul_plan(
             len(self.sa_modules),
             linear_widths(self.head_hidden, self.head_out),

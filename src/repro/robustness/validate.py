@@ -154,6 +154,15 @@ def count_non_finite(points: np.ndarray) -> int:
     return int((~np.isfinite(points).all(axis=-1)).sum())
 
 
+def count_distinct_rows(points: np.ndarray) -> int:
+    """Number of distinct rows of a non-empty ``(N, D)`` array, counted
+    as ``np.unique(points, axis=0)`` counts them (``-0.0 == 0.0``, a
+    row holding NaN differs from every row): lexsort the columns, then
+    count the adjacent rows that differ."""
+    ranked = points[np.lexsort(points.T)]
+    return 1 + int((ranked[1:] != ranked[:-1]).any(axis=1).sum())
+
+
 def ensure_finite(points: np.ndarray, name: str = "points") -> None:
     """Raise a count-bearing ``ValueError`` on non-finite coordinates."""
     bad = count_non_finite(points)
@@ -287,7 +296,7 @@ def sanitize_cloud(
 
     # Duplicate collapse ----------------------------------------------
     if arr.shape[0] >= 2:
-        unique = np.unique(arr, axis=0).shape[0]
+        unique = count_distinct_rows(arr)
         collapsed_to_one = unique == 1
         below_floor = (
             policy.min_unique_fraction > 0

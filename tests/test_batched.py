@@ -642,23 +642,131 @@ class TestModelForwardGoldens:
         assert checked == len(golden.files) == 16
 
     @pytest.mark.skipif(not GOLDEN.exists(), reason="golden npz missing")
-    @pytest.mark.parametrize("block_rows", [None, 16, 48])
+    @pytest.mark.parametrize("block_rows", [None, 16, 48, 192])
     def test_inference_path_matches_goldens(self, monkeypatch, block_rows):
-        """Under ``no_grad`` the shared MLPs run in place and SA /
-        EdgeConv run group -> MLP -> max-pool in query blocks.  At
-        B=4, k=4, 16 rows is one query per block and 48 is three, a
+        """Under ``no_grad`` the shared MLPs and heads run in place, SA /
+        EdgeConv run group -> MLP -> max-pool in query blocks and FP
+        runs interpolate -> concat -> MLP in blocks of whole clouds.
+        At B=4, k=4, 16 rows is one query per block and 48 is three, a
         non-divisor of every level's 16 / 32 / 64 queries (ragged
-        tail).  ``tobytes`` also catches a ``-0.0`` / ``0.0`` flip."""
+        tail); both put one cloud in an FP block.  192 puts three of
+        the four 64-point clouds in an FP block (ragged 3 + 1).
+        ``tobytes`` also catches a ``-0.0`` / ``0.0`` flip.  The input
+        and the parameters stay byte-unchanged."""
         if block_rows is not None:
             monkeypatch.setattr(
                 functional, "INFERENCE_BLOCK_ROWS", block_rows
             )
         golden = np.load(GOLDEN)
         xyz = np.random.default_rng(42).normal(size=(4, 64, 3))
+        xyz_bytes = xyz.tobytes()
         checked = 0
         for key, model in self._models():
+            params = [p.data.tobytes() for p in model.parameters()]
             with no_grad():
                 out = model.eval()(xyz).data
             assert out.tobytes() == golden[key].tobytes(), key
+            assert xyz.tobytes() == xyz_bytes, key
+            assert [p.data.tobytes() for p in model.parameters()] == params
             checked += 1
         assert checked == 16
+
+    def test_paper_config_forward_peak_memory(self):
+        """A warm ``no_grad`` PointNet++(s) forward on the paper config
+        (B=4 x 4096 points) stays within 16 MiB of transient memory:
+        FP streams its interpolation into one block-sized array and the
+        head runs in place.  The whole-array FP path peaked at 32.5 MiB
+        here, in its ``(B, N, 3, C)`` level-3 gather."""
+        from repro.nn.pointnet2 import PointNet2Segmentation
+
+        model = PointNet2Segmentation(
+            13, edgepc=EdgePCConfig.paper_default()
+        ).eval()
+        xyz = np.random.default_rng(0).normal(size=(4, 4096, 3))
+        with no_grad():
+            model(xyz)  # fill the workspace's scratch pool
+            tracemalloc.start()
+            try:
+                baseline, _ = tracemalloc.get_traced_memory()
+                model(xyz)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak - baseline <= 16 * 2**20
+
+
+def _relu_features(rng, shape):
+    """ReLU'd normals (``-0.0`` where negative) with channel 0 ``-0.0``
+    throughout, so every anchor triple of that channel is ``-0.0``."""
+    x = rng.normal(size=shape)
+    x = x * (x > 0)
+    x[..., 0] = -0.0
+    return x
+
+
+class TestStreamedInterpolation:
+    """The tape-free FP interpolation vs the tape expression, in bytes."""
+
+    def test_interpolate_into_matches_tape_sum(self):
+        from repro.nn.autograd import Tensor
+
+        rng = np.random.default_rng(3)
+        coarse = _relu_features(rng, (3, 16, 5))
+        anchors = rng.integers(0, 16, size=(3, 40, 3))
+        weights = rng.random((3, 40, 3))
+        want = (
+            functional.group_points(Tensor(coarse), anchors).data
+            * weights[:, :, :, None]
+        ).sum(axis=2)
+        got = functional.interpolate_into(
+            np.full((3, 40, 5), np.nan), coarse, anchors, weights
+        )
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[..., 0]).any()  # +0.0, as np.sum
+
+    @pytest.mark.parametrize("morton", [False, True])
+    def test_fp_in_place_matches_tape(self, monkeypatch, morton):
+        """The FP module's whole-cloud blocks (one cloud per block at
+        B=3) reproduce ``(group_points(coarse, anchors) * w).sum(2)``,
+        the rank gather (Morton) and the skip concat.  An identity MLP
+        exposes the merged array itself."""
+        from repro.nn.autograd import Tensor
+        from repro.nn.layers import Dropout, Sequential
+        from repro.nn.pointnet2 import FeaturePropagation, _LevelState
+        from repro.nn.recorder import StageRecorder
+
+        n_fine, n_coarse = 64, 16
+        monkeypatch.setattr(functional, "INFERENCE_BLOCK_ROWS", n_fine)
+        rng = np.random.default_rng(5)
+        xyz = make_batch(5, 3, n_fine, duplicates=True)
+        if morton:
+            cfg = EdgePCConfig(upsample_layers={0})
+            result = sampler.MortonSampler(cfg.code_bits).sample_batch(
+                xyz, n_coarse
+            )
+            state = _LevelState(
+                xyz=xyz, features=None, sample_result=result,
+                sampled_indices=result.indices,
+            )
+        else:
+            cfg = EdgePCConfig.baseline()
+            state = _LevelState(
+                xyz=xyz, features=None,
+                sampled_indices=np.stack([
+                    rng.choice(n_fine, n_coarse, replace=False)
+                    for _ in range(3)
+                ]),
+            )
+        fp = FeaturePropagation(0, 6, 2, (8,), cfg)
+        fp.mlp = Sequential(Dropout(0.0)).eval()
+        coarse = Tensor(_relu_features(rng, (3, n_coarse, 6)))
+        skip = Tensor(rng.normal(size=(3, n_fine, 2)))
+        recorder = StageRecorder()
+        want = fp(xyz, skip, coarse, state, recorder).data
+        with no_grad():
+            got = fp(xyz, skip, coarse, state).data
+        assert recorder.events[0].op == (
+            "interp_morton" if morton else "interp_exact"
+        )
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[..., 0]).any()

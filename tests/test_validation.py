@@ -4,6 +4,8 @@ installed at the geometry level."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import BoundingBox
 from repro.robustness import (
@@ -12,6 +14,7 @@ from repro.robustness import (
     sanitize_cloud,
 )
 from repro.robustness.validate import (
+    count_distinct_rows,
     count_non_finite,
     ensure_finite,
     sanitize_batch,
@@ -188,6 +191,25 @@ class TestFiniteHelpers:
         cloud[3, 2] = -np.inf
         assert count_non_finite(cloud) == 2
         assert count_non_finite(np.empty((0, 3))) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.sampled_from([0.0, -0.0, 1.0, -2.5, np.nan])] * 3),
+            min_size=1, max_size=24,
+        ),
+        repeats=st.lists(st.integers(0, 23), max_size=8),
+    )
+    def test_count_distinct_rows_matches_unique(self, rows, repeats):
+        """Duplicates, signed zeros (``-0.0 == 0.0``) and NaN rows
+        (each distinct) count as ``np.unique(axis=0)`` counts them."""
+        cloud = np.array(rows, dtype=np.float64)
+        cloud = np.concatenate([cloud, cloud[
+            [i % len(cloud) for i in repeats]
+        ]])
+        assert count_distinct_rows(cloud) == (
+            np.unique(cloud, axis=0).shape[0]
+        )
 
     def test_ensure_finite_message(self):
         cloud = np.zeros((5, 3))
