@@ -23,7 +23,7 @@ from repro.nn import (
 from repro.pipeline import EdgePCPipeline, InferenceResult
 from repro.robustness import (
     CloudValidationError,
-    GuardedPipeline,
+    Guard,
     GuardThresholds,
     ValidationPolicy,
     sanitize_cloud,
@@ -52,7 +52,7 @@ __all__ = [
     "ValidationPolicy",
     "CloudValidationError",
     "sanitize_cloud",
-    "GuardedPipeline",
+    "Guard",
     "GuardThresholds",
     "WorkloadSpec",
     "standard_workloads",

@@ -253,9 +253,7 @@ def _guarded_demo(
     sample/neighbor/grouping/feature stage timeline."""
     from repro.core.streaming import StreamingMortonOrder
     from repro.geometry.bbox import BoundingBox
-    from repro.nn import PointNet2Segmentation, SAConfig
-    from repro.pipeline import EdgePCPipeline
-    from repro.robustness.guard import GuardedPipeline
+    from repro.robustness.guard import InferenceRejectedError
 
     # Touch the headline counters so the snapshot always carries the
     # guard/validation/streaming series, even when they stayed at 0.
@@ -276,38 +274,29 @@ def _guarded_demo(
         stream.remove_oldest_duplicates()
         span.set("points", len(stream))
 
-    model = PointNet2Segmentation(
-        num_classes=4,
-        sa_configs=(
-            SAConfig(0.5, 4, 1.5, (8, 8)),
-            SAConfig(0.5, 4, 3.0, (16, 16)),
-        ),
-        edgepc=EdgePCConfig.paper_default(),
-        head_hidden=8,
-        rng=np.random.default_rng(seed),
-    )
-    pipeline = EdgePCPipeline(model, tracer=tracer, metrics=registry)
+    pipeline = _serving_pipeline(seed, guard, tracer, registry)
     batch = stream.points[: min(128, len(stream))][None, :, :]
     if not guard:
         pipeline.infer(batch)
         return
-    guarded = GuardedPipeline(pipeline, seed=seed)
-    result = guarded.infer(batch)
+    rejection = None
+    try:
+        pipeline.infer(batch)
+    except InferenceRejectedError as err:
+        rejection = err
     states = " ".join(
         f"{stage}={state}"
-        for stage, state in guarded.breaker_states.items()
+        for stage, state in pipeline.guard.breaker_states.items()
     )
     print(f"guard: breaker states: {states}")
-    if guarded.degradation_log:
+    if pipeline.guard.degradation_log:
         print("guard: degradation log:")
-        for entry in guarded.degradation_log:
+        for entry in pipeline.guard.degradation_log:
             print(f"guard:   {entry}")
     else:
         print("guard: degradation log: empty (no fallbacks)")
-    if result.rejected:
-        print(
-            f"guard: demo batch rejected: {result.rejection_reason}"
-        )
+    if rejection is not None:
+        print(f"guard: demo batch rejected: {rejection.reason}")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -575,10 +564,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _serving_pipeline(seed: int, guard: bool, tracer, registry):
-    """Demo pipeline for ``serve``/``loadgen``: a small PointNet++
-    segmentation model, optionally wrapped in the guard."""
+    """Demo pipeline for ``serve``/``loadgen`` and the ``sample``
+    telemetry demo: a small PointNet++ segmentation model, optionally
+    guarded."""
     from repro.nn import PointNet2Segmentation, SAConfig
     from repro.pipeline import EdgePCPipeline
+    from repro.robustness.guard import Guard
 
     model = PointNet2Segmentation(
         num_classes=4,
@@ -590,12 +581,12 @@ def _serving_pipeline(seed: int, guard: bool, tracer, registry):
         head_hidden=8,
         rng=np.random.default_rng(seed),
     )
-    pipeline = EdgePCPipeline(model, tracer=tracer, metrics=registry)
-    if guard:
-        from repro.robustness.guard import GuardedPipeline
-
-        return GuardedPipeline(pipeline, seed=seed)
-    return pipeline
+    return EdgePCPipeline(
+        model,
+        guard=Guard(seed=seed) if guard else None,
+        tracer=tracer,
+        metrics=registry,
+    )
 
 
 def _fleet_config(args):
@@ -1530,7 +1521,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--guard", action="store_true",
-            help="wrap the pipeline in the GuardedPipeline",
+            help="guard the pipeline: quality probes with per-stage "
+            "exact-kernel fallback and circuit breakers",
         )
         cmd.add_argument(
             "--replicas", type=int, default=1,

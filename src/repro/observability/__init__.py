@@ -31,7 +31,7 @@ deterministic :class:`FixedClock`; everything that stamps wall time
 takes a ``clock=`` parameter (enforced by the DET-202 lint rule).
 
 Instrumented call sites (:class:`~repro.pipeline.EdgePCPipeline`,
-:class:`~repro.robustness.guard.GuardedPipeline`,
+whose guard stage reports through it,
 :class:`~repro.core.streaming.StreamingMortonOrder`,
 :class:`~repro.train.trainer.Trainer`) accept optional
 ``tracer``/``metrics`` arguments and default to the no-op

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.nn.recorder import StageRecorder
 from repro.partition.partitioner import PartitionPlan
+from repro.pipeline import EdgePCPipeline
 
 #: Count fields that grow linearly with the number of points a stage
 #: touches.  Everything else (``batch``, ``k``, ``window``, channel
@@ -82,7 +83,7 @@ class PartitionCostReport:
 
 
 def price_partition(
-    pipeline,
+    pipeline: EdgePCPipeline,
     points: np.ndarray,
     plan: PartitionPlan,
 ) -> PartitionCostReport:
@@ -90,22 +91,19 @@ def price_partition(
     scene monolithically.
 
     Args:
-        pipeline: an :class:`~repro.pipeline.EdgePCPipeline` (or a
-            guarded wrapper around one); its recorder path runs once
-            on the representative chunk.
+        pipeline: an :class:`~repro.pipeline.EdgePCPipeline`; its
+            recorder path (unguarded) runs once on the representative
+            chunk.
         points: the ``(N, 3)`` scene the plan was built for.
         plan: the partition plan to price.
     """
-    inner = pipeline if hasattr(pipeline, "record") else (
-        pipeline.pipeline
-    )
     chunk = plan.chunks[0]
     chunk_xyz = np.asarray(points, dtype=np.float64)[
         chunk.indices
     ][np.newaxis]
-    recorder = inner.record(chunk_xyz)
-    per_chunk_s = inner.profiler.breakdown(
-        recorder, inner.config
+    recorder = pipeline.record(chunk_xyz)
+    per_chunk_s = pipeline.profiler.breakdown(
+        recorder, pipeline.config
     ).total_s
     factor = plan.num_points / chunk.size
     scaled = StageRecorder()
@@ -117,8 +115,8 @@ def price_partition(
             for key, value in event.counts.items()
         }
         scaled.record(event.stage, event.op, event.layer, **counts)
-    monolithic_s = inner.profiler.breakdown(
-        scaled, inner.config
+    monolithic_s = pipeline.profiler.breakdown(
+        scaled, pipeline.config
     ).total_s
     return PartitionCostReport(
         scene_points=plan.num_points,

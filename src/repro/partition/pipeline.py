@@ -1,11 +1,10 @@
 """Chunked scene inference: scatter, batch, stitch.
 
 :class:`PartitionedPipeline` drives a :class:`ScenePartitioner` plan
-through an existing :class:`~repro.pipeline.EdgePCPipeline` (or a
-:class:`~repro.robustness.guard.GuardedPipeline` wrapping one): chunks
-of one uniform size stack into rectangular ``(B, S, 3)`` batches, ride
-the ordinary batch path, and the per-point outputs are stitched back
-into scene order.  Stitch semantics are **owner-chunk priority**:
+through an existing :class:`~repro.pipeline.EdgePCPipeline` (guarded
+or not): chunks of one uniform size stack into rectangular
+``(B, S, 3)`` batches, ride the ordinary batch path, and the
+per-point outputs are stitched back into scene order.  Stitch semantics are **owner-chunk priority**:
 every scene point takes the logits its owning chunk computed for it;
 halo and padding rows are context only and are discarded.  This makes
 multi-chunk output deterministic regardless of chunk count, and — for
@@ -27,6 +26,7 @@ from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import NULL_TRACER, Tracer
 from repro.partition.partitioner import PartitionPlan, ScenePartitioner
 from repro.pipeline import EdgePCPipeline
+from repro.robustness.guard import InferenceRejectedError
 
 
 def scene_tuned_pipeline(
@@ -63,7 +63,7 @@ def scene_tuned_pipeline(
 
 
 class PartitionRejectedError(RuntimeError):
-    """A chunk batch was rejected at the guarded validation boundary.
+    """A guarded pipeline rejected a chunk batch.
 
     Carries the scene indices of the rejected chunks' core points so
     callers can attribute the failure to a region of the scene.
@@ -102,9 +102,9 @@ class PartitionedPipeline:
     """Executes partition plans through the batch inference path.
 
     Args:
-        pipeline: an :class:`~repro.pipeline.EdgePCPipeline` or a
-            :class:`~repro.robustness.guard.GuardedPipeline`; chunk
-            batches go through its ``infer``.
+        pipeline: an :class:`~repro.pipeline.EdgePCPipeline`; chunk
+            batches go through its ``infer``, and a guard rejection
+            there raises :class:`PartitionRejectedError`.
         partitioner: the scatter policy; defaults to one sized from
             the model's receptive field when the model exposes
             ``sa_configs``, else a halo-less default.
@@ -126,9 +126,8 @@ class PartitionedPipeline:
     ) -> None:
         if max_chunks_per_batch < 1:
             raise ValueError("max_chunks_per_batch must be positive")
-        inner = getattr(pipeline, "pipeline", pipeline)
         if partitioner is None:
-            model = inner.model
+            model = pipeline.model
             if getattr(model, "sa_configs", None) is not None:
                 partitioner = ScenePartitioner.for_model(model)
             else:
@@ -137,10 +136,11 @@ class PartitionedPipeline:
         self.partitioner = partitioner
         self.max_chunks_per_batch = int(max_chunks_per_batch)
         self.tracer = tracer if tracer is not None else (
-            inner.tracer if inner.tracer is not None else NULL_TRACER
+            pipeline.tracer if pipeline.tracer is not None
+            else NULL_TRACER
         )
         self.metrics = (
-            metrics if metrics is not None else inner.metrics
+            metrics if metrics is not None else pipeline.metrics
         )
 
     def infer(
@@ -202,25 +202,19 @@ class PartitionedPipeline:
             ) as span:
                 span.set("chunks", len(group))
                 span.set("chunk_size", plan.chunk_size)
-                result = self.pipeline.infer(batch)
-            inner = self._unwrap(result, group)
-            if inner.breakdown is not None:
-                simulated_s += inner.breakdown.total_s
-                energy_j += inner.energy.total_j
-            degraded.update(getattr(result, "degraded_stages", ()))
-            chunk_logits.extend(inner.logits)
+                try:
+                    result = self.pipeline.infer(batch)
+                except InferenceRejectedError as err:
+                    raise PartitionRejectedError(
+                        err.reason,
+                        tuple(chunk.index for chunk in group),
+                    ) from err
+            if result.breakdown is not None:
+                simulated_s += result.breakdown.total_s
+                energy_j += result.energy.total_j
+            degraded.update(result.degraded_stages)
+            chunk_logits.extend(result.logits)
         return plan.stitch(chunk_logits), simulated_s, energy_j, degraded
-
-    @staticmethod
-    def _unwrap(result, group):
-        """The inner :class:`InferenceResult` of a (possibly guarded)
-        batch, raising :class:`PartitionRejectedError` on rejection."""
-        if getattr(result, "rejected", False):
-            raise PartitionRejectedError(
-                result.rejection_reason or "rejected",
-                tuple(chunk.index for chunk in group),
-            )
-        return getattr(result, "result", result)
 
     def _record_metrics(
         self, plan: PartitionPlan, simulated_s: float

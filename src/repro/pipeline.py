@@ -5,13 +5,13 @@ application would use: wrap any of the library's models and get
 inference and per-batch device profiling in one object, without
 touching recorders or the cost model directly.  Input batches pass
 through the :mod:`repro.robustness.validate` boundary before touching
-the model; wrap the pipeline in a
-:class:`~repro.robustness.guard.GuardedPipeline` for quality-triggered
-exact-kernel fallback on top.
+the model; attach a :class:`~repro.robustness.guard.Guard` for
+quality-triggered exact-kernel fallback as a stage of ``infer``.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.pipeline import EdgePCConfig
 from repro.nn.autograd import Tensor, no_grad
-from repro.nn.layers import Module
+from repro.nn.layers import Module, swapped_attribute
 from repro.nn.recorder import StageRecorder
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import (
@@ -27,6 +27,7 @@ from repro.observability.tracing import (
     Tracer,
     emit_stage_spans,
 )
+from repro.robustness.guard import Guard, StageDegradation
 from repro.robustness.validate import (
     CloudValidationError,
     ValidationPolicy,
@@ -43,7 +44,12 @@ from repro.runtime.profiler import (
 
 @dataclass(frozen=True)
 class InferenceResult:
-    """Predictions plus the simulated device profile of the pass."""
+    """Predictions plus the simulated device profile of the pass.
+
+    Under a :class:`~repro.robustness.guard.Guard`, ``config`` is the
+    degraded config the batch actually ran under and ``degradations``
+    lists the stage fallbacks applied to it.
+    """
 
     logits: np.ndarray
     predictions: np.ndarray
@@ -54,6 +60,16 @@ class InferenceResult:
     stage_ops: Tuple[str, ...] = ()
     #: Per-cloud sanitization reports from the validation boundary.
     validation: Tuple[ValidationReport, ...] = ()
+    #: Guard fallbacks applied to this batch (empty when unguarded).
+    degradations: Tuple[StageDegradation, ...] = ()
+    #: The config the returned pass ran (and was priced) under.
+    config: Optional[EdgePCConfig] = None
+
+    @property
+    def degraded_stages(self) -> Tuple[str, ...]:
+        return tuple(
+            dict.fromkeys(d.stage for d in self.degradations)
+        )
 
     @property
     def latency_ms(self) -> float:
@@ -70,18 +86,26 @@ class EdgePCPipeline:
     Args:
         model: any library model whose ``forward(xyz, recorder=...)``
             returns logits (class axis last) — both PointNet++ and
-            DGCNN variants qualify.
-        config: the model's :class:`EdgePCConfig`; defaults to the
-            model's own ``edgepc`` attribute.
+            DGCNN variants qualify.  Its ``edgepc`` attribute is the
+            active :class:`EdgePCConfig` (read through :attr:`config`).
         device: simulated device; defaults to the Xavier-like spec.
         validation: sanitization policy applied to every batch
             entering :meth:`infer` / :meth:`record`; defaults to the
             strict ``reject`` policy (raise
             :class:`~repro.robustness.validate.CloudValidationError`
             on NaN/Inf, undersized, or malformed input).
+        guard: optional :class:`~repro.robustness.guard.Guard`; when
+            given, :meth:`infer` probes every sanitized batch, runs it
+            with the tripped stages on exact kernels, retries
+            non-finite logits once on all-exact kernels, and raises
+            :class:`~repro.robustness.guard.InferenceRejectedError`
+            (instead of ``CloudValidationError``) for a batch it
+            cannot serve.
         tracer: optional :class:`~repro.observability.tracing.Tracer`;
             every inference becomes a ``pipeline.infer`` span with
-            validate/forward children plus simulated per-stage spans.
+            validate/forward children (and ``guard.probe`` /
+            ``guard.retry_exact`` under a guard) plus simulated
+            per-stage spans.
             Defaults to the no-op tracer (zero per-batch allocation).
         metrics: optional
             :class:`~repro.observability.metrics.MetricsRegistry`;
@@ -92,28 +116,28 @@ class EdgePCPipeline:
     def __init__(
         self,
         model: Module,
-        config: Optional[EdgePCConfig] = None,
         device: Optional[DeviceSpec] = None,
         validation: Optional[ValidationPolicy] = None,
+        guard: Optional[Guard] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        config = config if config is not None else getattr(
-            model, "edgepc", None
-        )
-        if config is None:
-            raise ValueError(
-                "pass a config or use a model with an .edgepc attribute"
-            )
+        if getattr(model, "edgepc", None) is None:
+            raise ValueError("use a model with an .edgepc attribute")
         self.model = model
-        self.config = config
         self.profiler = PipelineProfiler(device)
         self.validation = validation or ValidationPolicy()
+        self.guard = guard
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         # Last-seen (hits, misses) of the model's scratch workspace, so
         # per-batch counter increments report deltas, not totals.
         self._workspace_seen = (0, 0)
+
+    @property
+    def config(self) -> EdgePCConfig:
+        """The active config: a read-only view of ``model.edgepc``."""
+        return self.model.edgepc
 
     def _count_validation(
         self, reports: List[ValidationReport]
@@ -156,36 +180,90 @@ class EdgePCPipeline:
         self._count_validation(reports)
         return xyz, reports
 
-    def _forward(self, xyz: np.ndarray, recorder: StageRecorder):
-        """One eval-mode forward pass, training mode restored after."""
+    def _forward(
+        self, xyz: np.ndarray, config: EdgePCConfig
+    ) -> Tuple[StageRecorder, np.ndarray]:
+        """One eval-mode forward pass under ``config``, training mode
+        and the model's own config restored after; returns the stage
+        trace and the logits."""
+        recorder = StageRecorder()
         was_training = self.model.training
         self.model.eval()
+        swap = (
+            nullcontext()
+            if config is self.config
+            else swapped_attribute(self.model, "edgepc", config)
+        )
         try:
             with self.tracer.span("pipeline.forward", "pipeline"):
-                with no_grad():
-                    return self.model(xyz, recorder=recorder)
+                with no_grad(), swap:
+                    logits = self.model(xyz, recorder=recorder)
         finally:
             if was_training:
                 self.model.train()
+        if isinstance(logits, Tensor):
+            logits = logits.numpy()
+        return recorder, logits
+
+    def _guarded_forward(
+        self,
+        xyz: np.ndarray,
+        reports: List[ValidationReport],
+    ) -> Tuple[
+        EdgePCConfig, List[StageDegradation], StageRecorder, np.ndarray
+    ]:
+        """Probe, run under the selected config, and retry non-finite
+        logits once on exact kernels; returns the config, degradations,
+        stage trace and logits of the pass that is served."""
+        guard, tracer, metrics = self.guard, self.tracer, self.metrics
+        config, degradations = guard.select(
+            xyz, self.model, tracer, metrics
+        )
+        recorder, logits = self._forward(xyz, config)
+        if not np.isfinite(logits).all():
+            exact = guard.retry_config(config, degradations, metrics)
+            if exact is not None:
+                config = exact
+                with tracer.span("guard.retry_exact", "guard"):
+                    recorder, logits = self._forward(xyz, config)
+            if not np.isfinite(logits).all():
+                raise guard.rejected(
+                    "model produced non-finite logits even on exact "
+                    "kernels",
+                    reports, degradations, metrics,
+                )
+        guard.served(degradations, metrics)
+        return config, degradations, recorder, logits
 
     def infer(self, xyz: np.ndarray) -> InferenceResult:
         """Sanitize and run one batch in eval mode, and profile it.
 
         Accepts a ``(B, N, 3)`` batch or a single ``(N, 3)`` cloud —
         the latter is routed through the same batch path at ``B=1``
-        (outputs keep the leading batch axis).
+        (outputs keep the leading batch axis).  Under a guard, a batch
+        that fails validation or keeps non-finite logits raises
+        :class:`~repro.robustness.guard.InferenceRejectedError`.
         """
-        tracer = self.tracer
+        tracer, guard = self.tracer, self.guard
         with tracer.span("pipeline.infer", "pipeline") as span:
             with tracer.span("pipeline.validate", "pipeline"):
-                xyz, reports = self._sanitize(xyz)
-            recorder = StageRecorder()
-            logits = self._forward(xyz, recorder)
-            data = (
-                logits.numpy() if isinstance(logits, Tensor) else logits
-            )
-            breakdown = self.profiler.breakdown(recorder, self.config)
-            energy = self.profiler.energy(recorder, self.config)
+                try:
+                    xyz, reports = self._sanitize(xyz)
+                except CloudValidationError as err:
+                    if guard is None:
+                        raise
+                    raise guard.rejected(
+                        str(err), [err.report], [], self.metrics
+                    ) from err
+            if guard is None:
+                config, degradations = self.config, []
+                recorder, logits = self._forward(xyz, config)
+            else:
+                config, degradations, recorder, logits = (
+                    self._guarded_forward(xyz, reports)
+                )
+            breakdown = self.profiler.breakdown(recorder, config)
+            energy = self.profiler.energy(recorder, config)
             span.set("batch", int(xyz.shape[0]))
             span.set("points", int(xyz.shape[1]))
             span.set("ops", len(recorder))
@@ -194,14 +272,19 @@ class EdgePCPipeline:
             self._record_batch_metrics(
                 xyz.shape[0], breakdown, energy, recorder
             )
-            return InferenceResult(
-                logits=data,
-                predictions=data.argmax(axis=-1),
+            result = InferenceResult(
+                logits=logits,
+                predictions=logits.argmax(axis=-1),
                 breakdown=breakdown,
                 energy=energy,
                 stage_ops=tuple(recorder.op_names()),
                 validation=tuple(reports),
+                degradations=tuple(degradations),
+                config=config,
             )
+            if guard is not None:
+                span.set("degraded_stages", list(result.degraded_stages))
+            return result
 
     def _record_batch_metrics(
         self,
@@ -304,7 +387,6 @@ class EdgePCPipeline:
         """Run one batch and return the raw stage trace."""
         with self.tracer.span("pipeline.record", "pipeline") as span:
             xyz, _ = self._sanitize(xyz)
-            recorder = StageRecorder()
-            self._forward(xyz, recorder)
+            recorder, _ = self._forward(xyz, self.config)
             span.set("ops", len(recorder))
         return recorder

@@ -5,9 +5,10 @@ degradation"):
 
 - :mod:`repro.robustness.validate` — the single input-sanitization
   boundary (``sanitize_cloud`` / ``ValidationPolicy``);
-- :mod:`repro.robustness.guard` — ``GuardedPipeline``, the online
-  quality probes and the per-stage exact-kernel fallback with a
-  circuit breaker;
+- :mod:`repro.robustness.guard` — ``Guard``, the online quality
+  probes and per-stage circuit breakers that
+  ``EdgePCPipeline(model, guard=Guard())`` runs as a stage of
+  ``infer`` (exact-kernel fallback, ``InferenceRejectedError``);
 - :mod:`repro.robustness.lockwatch` — the runtime lock-order
   sanitizer cross-validating the serving stack against the static
   CONC-502 lock-order graph (loaded lazily, test infrastructure).
@@ -41,9 +42,9 @@ _LOCKWATCH_EXPORTS = frozenset(
 _GUARD_EXPORTS = frozenset(
     {
         "CircuitBreaker",
+        "Guard",
         "GuardThresholds",
-        "GuardedInferenceResult",
-        "GuardedPipeline",
+        "InferenceRejectedError",
         "StageDegradation",
         "degraded_config",
         "probe_false_neighbor_rate",

@@ -3,9 +3,10 @@
 EdgePC's speedups come from replacing FPS and brute kNN with
 Morton-order approximations whose quality depends on the input's
 geometry (FlashFPS, arXiv 2604.17720, makes the same point for
-approximate samplers generally).  :class:`GuardedPipeline` wraps an
-:class:`~repro.pipeline.EdgePCPipeline` and, before each batch, runs
-two cheap probes on a seeded subsample:
+approximate samplers generally).  A :class:`Guard` attached to an
+:class:`~repro.pipeline.EdgePCPipeline` makes that quality check a
+stage of ``infer``: after sanitization, it runs two cheap probes on a
+seeded subsample of the batch:
 
 - **sampling probe** — Morton-stride sample the probe set and measure
   :func:`~repro.sampling.quality.density_uniformity`; a high
@@ -15,12 +16,15 @@ two cheap probes on a seeded subsample:
   :func:`~repro.neighbors.metrics.false_neighbor_ratio`.
 
 A probe exceeding its threshold degrades *only the affected stage* to
-its exact kernel (FPS / brute kNN) for that batch, by swapping an
-:class:`~repro.core.pipeline.EdgePCConfig` with that stage's layers
-cleared into the model.  A per-stage circuit breaker pins the stage to
-exact mode after ``trip_limit`` consecutive trips and re-probes after
-a ``cooldown``-batch quarantine.  Every degradation is recorded in the
-returned :class:`GuardedInferenceResult`.
+its exact kernel (FPS / brute kNN) for that batch: the pipeline runs
+the forward under an :class:`~repro.core.pipeline.EdgePCConfig` with
+that stage's layers cleared.  A per-stage circuit breaker pins the
+stage to exact mode after ``trip_limit`` consecutive trips and
+re-probes after a ``cooldown``-batch quarantine.  Every degradation is
+recorded in the returned
+:class:`~repro.pipeline.InferenceResult` and the guard's
+``degradation_log``; a batch that cannot be served raises
+:class:`InferenceRejectedError`.
 
 Degrading to exact kernels is no longer a large-N latency cliff: at or
 above :attr:`~repro.core.pipeline.EdgePCConfig.exact_fast_threshold`
@@ -34,8 +38,8 @@ latency SLO than the brute fallback used to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,15 +48,9 @@ from repro.core.pipeline import EdgePCConfig
 from repro.core.sampler import MortonSampler
 from repro.neighbors.brute import knn
 from repro.neighbors.metrics import false_neighbor_ratio
-from repro.nn.layers import swapped_attribute
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import NULL_TRACER, Tracer
-from repro.robustness.validate import (
-    CloudValidationError,
-    ValidationPolicy,
-    ValidationReport,
-    sanitize_batch,
-)
+from repro.observability.tracing import Tracer
+from repro.robustness.validate import ValidationReport
 from repro.sampling.quality import density_uniformity
 
 #: Stage names the guard manages.
@@ -169,53 +167,6 @@ class StageDegradation:
         )
 
 
-@dataclass
-class GuardedInferenceResult:
-    """Outcome of one guarded batch: a profiled result or a rejection.
-
-    Attributes:
-        result: the wrapped pipeline's result; ``None`` on rejection.
-        rejected: True when the batch could not be served.
-        rejection_reason: human-readable cause of the rejection.
-        degradations: stage fallbacks applied to this batch.
-        validation: per-cloud sanitization reports.
-        effective_config: the config the batch actually ran under.
-    """
-
-    result: Optional[object]
-    rejected: bool = False
-    rejection_reason: str = ""
-    degradations: List[StageDegradation] = field(default_factory=list)
-    validation: List[ValidationReport] = field(default_factory=list)
-    effective_config: Optional[EdgePCConfig] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.rejected
-
-    @property
-    def logits(self) -> np.ndarray:
-        if self.result is None:
-            raise ValueError(
-                f"batch was rejected: {self.rejection_reason}"
-            )
-        return self.result.logits
-
-    @property
-    def predictions(self) -> np.ndarray:
-        if self.result is None:
-            raise ValueError(
-                f"batch was rejected: {self.rejection_reason}"
-            )
-        return self.result.predictions
-
-    @property
-    def degraded_stages(self) -> Tuple[str, ...]:
-        return tuple(
-            dict.fromkeys(d.stage for d in self.degradations)
-        )
-
-
 def degraded_config(
     config: EdgePCConfig, exact_stages: Tuple[str, ...]
 ) -> EdgePCConfig:
@@ -265,47 +216,60 @@ def probe_false_neighbor_rate(
     return false_neighbor_ratio(approx, exact)
 
 
-class GuardedPipeline:
-    """Wraps a pipeline with sanitization, probes, and fallback.
 
-    Args:
-        pipeline: the :class:`~repro.pipeline.EdgePCPipeline` to guard.
-        policy: sanitization policy applied to every incoming batch.
-        thresholds: probe configuration and trip thresholds.
-        seed: seeds the probe subsampling.
-        tracer: optional tracer; every probe, fallback, and cooldown
-            re-probe becomes a ``guard.*`` span.  Defaults to the
-            wrapped pipeline's tracer so guard spans nest into the
-            same timeline.
-        metrics: optional registry for guard counters (probes, trips,
-            fallbacks, rejections, breaker transitions) and probe-score
-            gauges.  Defaults to the wrapped pipeline's registry.
 
-    The guard never raises on bad input: sanitization failures and
-    irrecoverably non-finite outputs come back as structured
-    rejections (``result.rejected``), and everything else comes back
-    with finite logits plus a log of any stage degradations.
+class InferenceRejectedError(RuntimeError):
+    """A guarded pipeline refused the batch.
+
+    Raised by :meth:`~repro.pipeline.EdgePCPipeline.infer` when a
+    :class:`Guard` is attached and the batch fails validation, or its
+    logits stay non-finite after the exact-kernel retry.
+
+    Attributes:
+        reason: human-readable cause of the rejection.
+        validation: per-cloud sanitization reports (on a validation
+            failure, the failing cloud's partial report).
     """
 
     def __init__(
         self,
-        pipeline,
-        policy: Optional[ValidationPolicy] = None,
+        reason: str,
+        validation: Sequence[ValidationReport] = (),
+    ) -> None:
+        super().__init__(f"guard rejected the batch: {reason}")
+        self.reason = reason
+        self.validation = tuple(validation)
+
+
+def _count(
+    metrics: Optional[MetricsRegistry], name: str, **labels: str
+) -> None:
+    if metrics is not None:
+        metrics.counter(name, **labels).inc()
+
+
+class Guard:
+    """Probe state of a guarded :class:`~repro.pipeline.EdgePCPipeline`.
+
+    Attach one with ``EdgePCPipeline(model, guard=Guard())``; the
+    pipeline's ``infer`` then probes every sanitized batch, runs it
+    under the config :meth:`select` returns, and retries non-finite
+    logits once on exact kernels.  The guard holds only its own state
+    (breakers, probe RNG, degradation log, batch counts); spans and
+    counters go to the pipeline's tracer and registry, passed per call.
+
+    Args:
+        thresholds: probe configuration and trip thresholds.
+        seed: seeds the probe subsampling.
+    """
+
+    def __init__(
+        self,
         thresholds: Optional[GuardThresholds] = None,
         seed: int = 0,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.pipeline = pipeline
-        self.policy = policy or ValidationPolicy()
         self.thresholds = thresholds or GuardThresholds()
         self._rng = np.random.default_rng(seed)
-        if tracer is None:
-            tracer = getattr(pipeline, "tracer", None) or NULL_TRACER
-        self.tracer = tracer
-        if metrics is None:
-            metrics = getattr(pipeline, "metrics", None)
-        self.metrics = metrics
         self.breakers: Dict[str, CircuitBreaker] = {
             stage: CircuitBreaker(
                 self.thresholds.trip_limit, self.thresholds.cooldown
@@ -316,45 +280,39 @@ class GuardedPipeline:
         self.batches_served = 0
         self.batches_rejected = 0
 
+    @property
+    def breaker_states(self) -> Dict[str, str]:
+        return {
+            stage: breaker.state
+            for stage, breaker in self.breakers.items()
+        }
+
+    @property
+    def _batch_index(self) -> int:
+        return self.batches_served + self.batches_rejected
+
     # Telemetry helpers -------------------------------------------------
 
     _BREAKER_LEVELS = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 
-    def _note_breaker(self, stage: str, before: str) -> None:
+    def _note_breaker(
+        self,
+        metrics: Optional[MetricsRegistry],
+        stage: str,
+        before: str,
+    ) -> None:
         """Count a breaker state transition and refresh its gauge."""
-        registry = self.metrics
-        if registry is None:
+        if metrics is None:
             return
         after = self.breakers[stage].state
         if after != before:
-            registry.counter(
+            metrics.counter(
                 "guard_breaker_transitions_total",
                 stage=stage, from_state=before, to_state=after,
             ).inc()
-        registry.gauge("guard_breaker_state", stage=stage).set(
+        metrics.gauge("guard_breaker_state", stage=stage).set(
             self._BREAKER_LEVELS[after]
         )
-
-    def _count(self, name: str, **labels: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name, **labels).inc()
-
-    # Stage discovery ---------------------------------------------------
-
-    def _guarded_stages(self) -> Tuple[str, ...]:
-        """Stages whose approximation is both configured and reachable
-        by the wrapped model."""
-        config = self.pipeline.config
-        stages = []
-        samples = bool(config.sample_layers or config.upsample_layers)
-        if samples and hasattr(self.pipeline.model, "sa_modules"):
-            stages.append(STAGE_SAMPLING)
-        neighbors = bool(
-            config.neighbor_layers or config.reuse_distance
-        )
-        if neighbors:
-            stages.append(STAGE_NEIGHBOR)
-        return tuple(stages)
 
     # Probes ------------------------------------------------------------
 
@@ -367,10 +325,9 @@ class GuardedPipeline:
         return cloud[picked]
 
     def _run_probe(
-        self, stage: str, probe: np.ndarray
+        self, stage: str, probe: np.ndarray, config: EdgePCConfig
     ) -> Tuple[float, float]:
         """Returns ``(metric, threshold)`` for one stage probe."""
-        config = self.pipeline.config
         if stage == STAGE_SAMPLING:
             num_samples = min(
                 self.thresholds.probe_samples, probe.shape[0]
@@ -386,63 +343,25 @@ class GuardedPipeline:
         )
         return metric, self.thresholds.max_false_neighbor_rate
 
-    # Inference ---------------------------------------------------------
-
-    def _run(self, xyz: np.ndarray, config: EdgePCConfig):
-        """One pass of the wrapped pipeline under ``config``."""
-        if config == self.pipeline.config:
-            return self.pipeline.infer(xyz)
-        saved = self.pipeline.config
-        self.pipeline.config = config
-        try:
-            with swapped_attribute(self.pipeline.model, "edgepc", config):
-                return self.pipeline.infer(xyz)
-        finally:
-            self.pipeline.config = saved
-
-    def _reject(
-        self,
-        reason: str,
-        degradations: List[StageDegradation],
-        validation: List[ValidationReport],
-    ) -> GuardedInferenceResult:
-        self.batches_rejected += 1
-        self._count("guard_rejections_total")
-        return GuardedInferenceResult(
-            result=None,
-            rejected=True,
-            rejection_reason=reason,
-            degradations=degradations,
-            validation=validation,
-        )
-
-    def infer(self, xyz: np.ndarray) -> GuardedInferenceResult:
-        """Sanitize, probe, and run one batch — never raises on bad
-        input; returns a structured rejection instead."""
-        with self.tracer.span("guard.infer", "guard") as span:
-            result = self._guarded_infer(xyz)
-            span.set("rejected", result.rejected)
-            span.set(
-                "degraded_stages", list(result.degraded_stages)
-            )
-            return result
-
     def _probe_stage(
         self,
         stage: str,
         probe: np.ndarray,
-        batch_index: int,
+        config: EdgePCConfig,
         degradations: List[StageDegradation],
+        tracer: Tracer,
+        metrics: Optional[MetricsRegistry],
     ) -> bool:
         """Probe one stage; returns True when it must run exact."""
+        batch_index = self._batch_index
         breaker = self.breakers[stage]
         reprobe = breaker.state == "open"
         before = breaker.state
         decision = breaker.before_batch()
-        self._note_breaker(stage, before)
+        self._note_breaker(metrics, stage, before)
         if decision == "forced":
-            self._count(
-                "guard_fallbacks_total", stage=stage,
+            _count(
+                metrics, "guard_fallbacks_total", stage=stage,
                 reason="circuit_open",
             )
             degradations.append(
@@ -456,18 +375,18 @@ class GuardedPipeline:
         # re-probe that decides whether the stage rejoins the
         # approximate path.
         reprobe = reprobe or before == "half_open"
-        self._count("guard_probes_total", stage=stage)
+        _count(metrics, "guard_probes_total", stage=stage)
         if reprobe:
-            self._count("guard_reprobes_total", stage=stage)
+            _count(metrics, "guard_reprobes_total", stage=stage)
         min_probe = max(2, self.thresholds.probe_k)
         if probe.shape[0] < min_probe:
             # Too few points for a meaningful probe; the exact
             # kernels are cheap at this size anyway.
             before = breaker.state
             breaker.record_trip()
-            self._note_breaker(stage, before)
-            self._count(
-                "guard_fallbacks_total", stage=stage,
+            self._note_breaker(metrics, stage, before)
+            _count(
+                metrics, "guard_fallbacks_total", stage=stage,
                 reason="probe_underpopulated",
             )
             degradations.append(
@@ -477,23 +396,21 @@ class GuardedPipeline:
                 )
             )
             return True
-        with self.tracer.span("guard.probe", "guard") as probe_span:
+        with tracer.span("guard.probe", "guard") as probe_span:
             probe_span.set("stage", stage)
             probe_span.set("reprobe", reprobe)
-            metric, threshold = self._run_probe(stage, probe)
+            metric, threshold = self._run_probe(stage, probe, config)
             probe_span.set("metric", metric)
             probe_span.set("threshold", threshold)
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "guard_probe_score", stage=stage
-            ).set(metric)
+        if metrics is not None:
+            metrics.gauge("guard_probe_score", stage=stage).set(metric)
         before = breaker.state
         if metric > threshold:
             breaker.record_trip()
-            self._note_breaker(stage, before)
-            self._count("guard_probe_trips_total", stage=stage)
-            self._count(
-                "guard_fallbacks_total", stage=stage,
+            self._note_breaker(metrics, stage, before)
+            _count(metrics, "guard_probe_trips_total", stage=stage)
+            _count(
+                metrics, "guard_fallbacks_total", stage=stage,
                 reason="probe_tripped",
             )
             degradations.append(
@@ -504,68 +421,86 @@ class GuardedPipeline:
             )
             return True
         breaker.record_pass()
-        self._note_breaker(stage, before)
+        self._note_breaker(metrics, stage, before)
         return False
 
-    def _guarded_infer(self, xyz: np.ndarray) -> GuardedInferenceResult:
-        batch_index = self.batches_served + self.batches_rejected
-        try:
-            xyz, validation = sanitize_batch(xyz, self.policy)
-        except CloudValidationError as err:
-            return self._reject(str(err), [], [err.report])
+    # Pipeline hooks ----------------------------------------------------
 
+    def select(
+        self,
+        xyz: np.ndarray,
+        model,
+        tracer: Tracer,
+        metrics: Optional[MetricsRegistry],
+    ) -> Tuple[EdgePCConfig, List[StageDegradation]]:
+        """Probe a sanitized batch; returns the config to run it under
+        (``model.edgepc`` with each tripped stage cleared) and the
+        degradations applied."""
+        config = model.edgepc
         degradations: List[StageDegradation] = []
         exact: List[str] = []
         probe = self._probe_set(xyz[0])
-        for stage in self._guarded_stages():
+        # Guard only the stages the config approximates and the
+        # model can reach.
+        stages = []
+        if (config.sample_layers or config.upsample_layers) and (
+            hasattr(model, "sa_modules")
+        ):
+            stages.append(STAGE_SAMPLING)
+        if config.neighbor_layers or config.reuse_distance:
+            stages.append(STAGE_NEIGHBOR)
+        for stage in stages:
             if self._probe_stage(
-                stage, probe, batch_index, degradations
+                stage, probe, config, degradations, tracer, metrics
             ):
                 exact.append(stage)
+        return degraded_config(config, tuple(exact)), degradations
 
-        config = degraded_config(self.pipeline.config, tuple(exact))
-        result = self._run(xyz, config)
-        if not np.isfinite(result.logits).all():
-            # Last-ditch: retry the whole batch on exact kernels.
-            full_exact = degraded_config(
-                self.pipeline.config,
-                (STAGE_SAMPLING, STAGE_NEIGHBOR),
+    def retry_config(
+        self,
+        config: EdgePCConfig,
+        degradations: List[StageDegradation],
+        metrics: Optional[MetricsRegistry],
+    ) -> Optional[EdgePCConfig]:
+        """The all-exact config for retrying a batch whose logits were
+        non-finite under ``config``, or ``None`` when ``config`` already
+        is all-exact.  Records the fallback in ``degradations``."""
+        full_exact = degraded_config(
+            config, (STAGE_SAMPLING, STAGE_NEIGHBOR)
+        )
+        if config == full_exact:
+            return None
+        _count(
+            metrics, "guard_fallbacks_total", stage="all",
+            reason="non_finite_logits",
+        )
+        degradations.append(
+            StageDegradation(
+                "all", "non_finite_logits", float("nan"),
+                float("nan"), self._batch_index,
             )
-            if config != full_exact:
-                self._count(
-                    "guard_fallbacks_total", stage="all",
-                    reason="non_finite_logits",
-                )
-                degradations.append(
-                    StageDegradation(
-                        "all", "non_finite_logits", float("nan"),
-                        float("nan"), batch_index,
-                    )
-                )
-                config = full_exact
-                with self.tracer.span("guard.retry_exact", "guard"):
-                    result = self._run(xyz, config)
-            if not np.isfinite(result.logits).all():
-                self.degradation_log.extend(degradations)
-                return self._reject(
-                    "model produced non-finite logits even on exact "
-                    "kernels",
-                    degradations,
-                    validation,
-                )
+        )
+        return full_exact
+
+    def served(
+        self,
+        degradations: List[StageDegradation],
+        metrics: Optional[MetricsRegistry],
+    ) -> None:
+        """Account one served batch."""
         self.degradation_log.extend(degradations)
         self.batches_served += 1
-        self._count("guard_batches_served_total")
-        return GuardedInferenceResult(
-            result=result,
-            degradations=degradations,
-            validation=validation,
-            effective_config=config,
-        )
+        _count(metrics, "guard_batches_served_total")
 
-    @property
-    def breaker_states(self) -> Dict[str, str]:
-        return {
-            stage: breaker.state
-            for stage, breaker in self.breakers.items()
-        }
+    def rejected(
+        self,
+        reason: str,
+        validation: Sequence[ValidationReport],
+        degradations: List[StageDegradation],
+        metrics: Optional[MetricsRegistry],
+    ) -> InferenceRejectedError:
+        """Account one rejected batch; returns the error to raise."""
+        self.degradation_log.extend(degradations)
+        self.batches_rejected += 1
+        _count(metrics, "guard_rejections_total")
+        return InferenceRejectedError(reason, validation)

@@ -17,6 +17,7 @@ into the fleet's one virtual-time event loop
 ``docs/serving.md``.
 """
 
+from repro.robustness.guard import InferenceRejectedError
 from repro.serving.chaos import (
     CHAOS_ACTIONS,
     ChaosEvent,
@@ -66,7 +67,6 @@ from repro.serving.retry import (
 from repro.serving.server import (
     DispatchRecord,
     DrainTimeoutError,
-    InferenceRejectedError,
     InferenceServer,
     ServedResult,
     ServingConfig,

@@ -65,7 +65,7 @@ import numpy as np
 from repro.observability.clock import Clock, FixedClock, wall_clock
 from repro.observability.context import TraceContext
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import NULL_TRACER, Tracer
+from repro.observability.tracing import Tracer
 from repro.serving.chaos import ChaosGate, ReplicaFaultError
 from repro.serving.health import (
     HealthPolicy,
@@ -83,6 +83,7 @@ from repro.serving.retry import (
     RetryPolicy,
 )
 from repro.partition.partitioner import PartitionPlan, ScenePartitioner
+from repro.pipeline import EdgePCPipeline
 from repro.serving.server import (
     DispatchRecord,
     DrainTimeoutError,
@@ -354,7 +355,7 @@ class ServerFleet:
 
     def __init__(
         self,
-        pipelines: Sequence,
+        pipelines: Sequence[EdgePCPipeline],
         config: Optional[FleetConfig] = None,
         serving_config: Optional[ServingConfig] = None,
         clock: Clock = wall_clock,
@@ -367,12 +368,8 @@ class ServerFleet:
         self.serving_config = serving_config or ServingConfig()
         self.clock = clock
         first = pipelines[0]
-        if tracer is None:
-            tracer = getattr(first, "tracer", None) or NULL_TRACER
-        self.tracer = tracer
-        if metrics is None:
-            metrics = getattr(first, "metrics", None)
-        self.metrics = metrics
+        self.tracer = tracer if tracer is not None else first.tracer
+        self.metrics = metrics if metrics is not None else first.metrics
         self.replicas: List[Replica] = []
         for index, pipeline in enumerate(pipelines):
             server = InferenceServer(
@@ -1304,12 +1301,9 @@ class ServerFleet:
 
     def _observe_health(self, now: float) -> None:
         for replica in self.replicas:
-            breakers = getattr(
-                replica.server.pipeline, "breakers", None
-            )
-            breaker_open = bool(breakers) and any(
-                breaker.state == "open"
-                for breaker in breakers.values()
+            guard = replica.server.pipeline.guard
+            breaker_open = guard is not None and (
+                "open" in guard.breaker_states.values()
             )
             replica.health.observe(
                 now,

@@ -1,9 +1,8 @@
 """Thread-pool inference server over the batched pipeline kernels.
 
 :class:`InferenceServer` turns an
-:class:`~repro.pipeline.EdgePCPipeline` (or a
-:class:`~repro.robustness.guard.GuardedPipeline`) into a request/
-response service: callers :meth:`~InferenceServer.submit` single
+:class:`~repro.pipeline.EdgePCPipeline` (guarded or not) into a
+request/response service: callers :meth:`~InferenceServer.submit` single
 ``(N, 3)`` clouds and get back per-request futures, while the
 :class:`~repro.serving.queue.RequestQueue` coalesces the traffic
 into ``(B, N, 3)`` micro-batches that ride the PR-4 batched kernel
@@ -43,7 +42,9 @@ import numpy as np
 from repro.observability.clock import Clock, wall_clock
 from repro.observability.context import TraceContext
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import NULL_TRACER, Tracer
+from repro.observability.tracing import Tracer
+from repro.pipeline import EdgePCPipeline, InferenceResult
+from repro.robustness.guard import InferenceRejectedError
 from repro.serving.queue import (
     MicroBatch,
     QueueClosedError,
@@ -57,10 +58,6 @@ REQUEST_LATENCY_BUCKETS: Tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
-
-
-class InferenceRejectedError(RuntimeError):
-    """The pipeline refused the batch (guard rejection, bad input)."""
 
 
 class DrainTimeoutError(RuntimeError):
@@ -84,15 +81,12 @@ class ServingConfig:
             queued request may wait for co-batchable traffic.
         workers: dispatch worker threads (threaded mode) or modeled
             parallel servers (virtual mode).
-        default_deadline_ms: deadline applied to requests submitted
-            without one; ``None`` disables the default.
     """
 
     max_queue_depth: int = 64
     max_batch_size: int = 8
     max_wait_ms: float = 50.0
     workers: int = 2
-    default_deadline_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
@@ -103,11 +97,6 @@ class ServingConfig:
             raise ValueError("max_wait_ms must be non-negative")
         if self.workers < 1:
             raise ValueError("workers must be positive")
-        if (
-            self.default_deadline_ms is not None
-            and self.default_deadline_ms <= 0
-        ):
-            raise ValueError("default_deadline_ms must be positive")
 
 
 @dataclass(frozen=True)
@@ -180,10 +169,9 @@ class InferenceServer:
     """Micro-batching worker-pool server around one pipeline.
 
     Args:
-        pipeline: an :class:`~repro.pipeline.EdgePCPipeline` or
-            :class:`~repro.robustness.guard.GuardedPipeline`; batches
-            go through its ``infer`` so validation, telemetry, and
-            guard fallbacks all apply to served traffic.
+        pipeline: an :class:`~repro.pipeline.EdgePCPipeline`;
+            batches go through its ``infer`` so validation, telemetry,
+            and guard fallbacks all apply to served traffic.
         config: serving knobs; defaults are tuned for the demo models.
         clock: injectable clock; pass a
             :class:`~repro.observability.clock.FixedClock` for
@@ -194,7 +182,7 @@ class InferenceServer:
 
     def __init__(
         self,
-        pipeline,
+        pipeline: EdgePCPipeline,
         config: Optional[ServingConfig] = None,
         clock: Clock = wall_clock,
         tracer: Optional[Tracer] = None,
@@ -203,12 +191,8 @@ class InferenceServer:
         self.pipeline = pipeline
         self.config = config or ServingConfig()
         self.clock = clock
-        if tracer is None:
-            tracer = getattr(pipeline, "tracer", None) or NULL_TRACER
-        self.tracer = tracer
-        if metrics is None:
-            metrics = getattr(pipeline, "metrics", None)
-        self.metrics = metrics
+        self.tracer = tracer if tracer is not None else pipeline.tracer
+        self.metrics = metrics if metrics is not None else pipeline.metrics
         self.queue = RequestQueue(
             max_depth=self.config.max_queue_depth,
             max_batch_size=self.config.max_batch_size,
@@ -236,8 +220,8 @@ class InferenceServer:
     ) -> ServingRequest:
         """Admit one ``(N, 3)`` cloud; returns the queued request.
 
-        ``deadline_s`` is relative to now on the serving clock (the
-        config's ``default_deadline_ms`` applies when omitted).
+        ``deadline_s`` is relative to now on the serving clock
+        (``None``: no deadline).
         ``ctx`` carries an upstream trace context (the fleet passes
         one per attempt); when omitted and tracing is on, the server
         mints a root context here so even standalone submissions get a
@@ -255,10 +239,6 @@ class InferenceServer:
                     f"{cloud.shape}"
                 )
             now = self.clock()
-            if deadline_s is None and (
-                self.config.default_deadline_ms is not None
-            ):
-                deadline_s = self.config.default_deadline_ms / 1e3
             rid = (
                 request_id
                 if request_id is not None
@@ -341,7 +321,6 @@ class InferenceServer:
             started = self.clock()
             ok, error_text = True, ""
             simulated_s = 0.0
-            degraded: Tuple[str, ...] = ()
             try:
                 # The one blocking call deliberately made under a
                 # lock: the model, its workspace and the guard's
@@ -349,6 +328,10 @@ class InferenceServer:
                 # here by design.
                 with self._dispatch_lock:
                     result = self.pipeline.infer(batch.xyz)  # repro: allow[CONC-505]
+            except InferenceRejectedError as err:
+                ok, error_text = False, err.reason
+                self._fail_batch(batch, err, "guard_rejected")
+                self.record_failed(batch.size, "guard_rejected")
             except Exception as err:
                 # Surface the original typed error (e.g. a
                 # CloudValidationError) on every affected future and
@@ -357,31 +340,11 @@ class InferenceServer:
                 self._fail_batch(batch, err, type(err).__name__)
                 self.record_failed(batch.size, "pipeline_error")
             else:
-                rejected = bool(getattr(result, "rejected", False))
-                if rejected:
-                    error_text = getattr(
-                        result, "rejection_reason", "rejected"
-                    )
-                    ok = False
-                    self._fail_batch(
-                        batch,
-                        InferenceRejectedError(
-                            f"guard rejected the batch: {error_text}"
-                        ),
-                        "guard_rejected",
-                    )
-                    self.record_failed(batch.size, "guard_rejected")
-                else:
-                    degraded = tuple(
-                        getattr(result, "degraded_stages", ())
-                    )
-                    inner = getattr(result, "result", None)
-                    profiled = inner if inner is not None else result
-                    simulated_s = profiled.breakdown.total_s
-                    self._complete(
-                        batch, profiled, degraded, started,
-                        dispatch_span_id=span.span_id,
-                    )
+                simulated_s = result.breakdown.total_s
+                self._complete(
+                    batch, result, started,
+                    dispatch_span_id=span.span_id,
+                )
             span.set("ok", ok)
             record = DispatchRecord.of(
                 batch, ok, simulated_s=simulated_s, error=error_text
@@ -393,8 +356,7 @@ class InferenceServer:
     def _complete(
         self,
         batch: MicroBatch,
-        profiled,
-        degraded: Tuple[str, ...],
+        profiled: InferenceResult,
         started: float,
         dispatch_span_id: int = 0,
     ) -> None:
@@ -414,10 +376,14 @@ class InferenceServer:
                     trigger=batch.trigger,
                     queue_wait_s=wait_s,
                     simulated_batch_s=total_s,
-                    degraded_stages=degraded,
+                    degraded_stages=profiled.degraded_stages,
                     trace_id=trace_id,
                 )
             )
+            # Counted per resolved request, so a batch that fails part
+            # way through still balances completed + failed.
+            with self._records_lock:
+                self.completed += 1
             if registry is not None:
                 registry.counter("serving_completed_total").inc()
                 registry.histogram(
@@ -434,14 +400,12 @@ class InferenceServer:
             self._emit_request_spans(
                 request, batch, profiled, started, dispatch_span_id
             )
-        with self._records_lock:
-            self.completed += batch.size
 
     def _emit_request_spans(
         self,
         request: ServingRequest,
         batch: MicroBatch,
-        profiled,
+        profiled: InferenceResult,
         started: float,
         dispatch_span_id: int,
     ) -> None:
@@ -545,29 +509,31 @@ class InferenceServer:
             except Exception:
                 # _dispatch already resolves futures for pipeline
                 # errors; anything escaping here is a serving bug —
-                # count it and keep the worker alive so the queue
-                # never deadlocks behind a dead consumer.
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "serving_failed_total",
-                        reason="worker_error",
-                    ).inc(batch.size)
+                # fail the futures it left unresolved, count only
+                # those, and keep the worker alive so the queue never
+                # deadlocks behind a dead consumer.
                 now = self.clock()
-                for request in batch.requests:
-                    if not request.future.done():
-                        emit_request_trace(
-                            self.tracer,
-                            request,
-                            now,
-                            "failed",
-                            detail="worker_error",
+                unresolved = [
+                    request
+                    for request in batch.requests
+                    if not request.future.done()
+                ]
+                for request in unresolved:
+                    emit_request_trace(
+                        self.tracer,
+                        request,
+                        now,
+                        "failed",
+                        detail="worker_error",
+                    )
+                    request.future.set_exception(
+                        RuntimeError(
+                            "serving worker failed while "
+                            f"dispatching {request.request_id!r}"
                         )
-                        request.future.set_exception(
-                            InferenceRejectedError(
-                                "serving worker failed while "
-                                f"dispatching {request.request_id!r}"
-                            )
-                        )
+                    )
+                if unresolved:
+                    self.record_failed(len(unresolved), "worker_error")
 
     def stop(self, drain: bool = True, timeout_s: float = 30.0) -> None:
         """Close admission and shut the workers down.

@@ -177,7 +177,7 @@ class TestSampleTelemetry:
         span_names = {e["name"] for e in doc["traceEvents"]}
         for required in (
             "sample", "neighbor_search", "grouping",
-            "feature_compute", "pipeline.infer", "guard.infer",
+            "feature_compute", "pipeline.infer", "guard.probe",
             "demo.stream", "cli.sample",
         ):
             assert required in span_names, required

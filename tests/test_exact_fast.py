@@ -31,7 +31,7 @@ from repro.nn.pointnet2 import PointNet2Classifier, SAConfig
 from repro.nn.recorder import StageEvent, StageRecorder
 from repro.observability.metrics import MetricsRegistry
 from repro.pipeline import EdgePCPipeline
-from repro.robustness.guard import GuardedPipeline, GuardThresholds
+from repro.robustness.guard import Guard, GuardThresholds
 from repro.runtime.cost import EXACT_OPS, CostModel
 from repro.runtime.device import xavier
 from repro.sampling.fps import (
@@ -262,25 +262,26 @@ class TestGuardRoutesThroughFastEngine:
             edgepc=EdgePCConfig.paper_default(),
         )
         registry = MetricsRegistry()
-        pipeline = EdgePCPipeline(model, metrics=registry)
-        guard = GuardedPipeline(
-            pipeline,
-            thresholds=GuardThresholds(
-                max_density_cv=1e-9,
-                max_false_neighbor_rate=1e-9,
-                trip_limit=1,
+        pipeline = EdgePCPipeline(
+            model,
+            guard=Guard(
+                GuardThresholds(
+                    max_density_cv=1e-9,
+                    max_false_neighbor_rate=1e-9,
+                    trip_limit=1,
+                )
             ),
+            metrics=registry,
         )
-        first = guard.infer(xyz)
-        assert not first.rejected
+        # A rejection would raise InferenceRejectedError here.
+        first = pipeline.infer(xyz)
         assert first.degradations
-        ops = first.result.stage_ops
+        ops = first.stage_ops
         assert "fps_fast" in ops and "fps" not in ops
         assert "ball_query_grid" in ops and "ball_query" not in ops
-        second = guard.infer(xyz)
-        assert not second.rejected
-        assert "fps_fast" in second.result.stage_ops
-        assert "open" in guard.breaker_states.values()
+        second = pipeline.infer(xyz)
+        assert "fps_fast" in second.stage_ops
+        assert "open" in pipeline.guard.breaker_states.values()
         rendered = registry.to_prometheus()
         assert "exact_fast_blocks_pruned_total" in rendered
         assert "exact_fast_scan_ratio" in rendered

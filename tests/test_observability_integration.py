@@ -11,7 +11,11 @@ from repro.geometry.bbox import BoundingBox
 from repro.nn import DGCNNClassifier, PointNet2Segmentation, SAConfig
 from repro.observability import MetricsRegistry, Tracer
 from repro.pipeline import EdgePCPipeline
-from repro.robustness.guard import GuardedPipeline, GuardThresholds
+from repro.robustness.guard import (
+    Guard,
+    GuardThresholds,
+    InferenceRejectedError,
+)
 from repro.robustness.validate import ValidationPolicy
 from repro.runtime import PipelineProfiler
 from repro.workloads import standard_workloads, trace
@@ -115,19 +119,12 @@ class TestPipelineTelemetry:
 
 class TestGuardTelemetry:
     def _guarded(self, registry, tracer=None, **thresholds):
-        pipeline = EdgePCPipeline(
-            _pn2(), tracer=tracer, metrics=registry
+        return EdgePCPipeline(
+            _pn2(),
+            guard=Guard(GuardThresholds(**thresholds)),
+            tracer=tracer,
+            metrics=registry,
         )
-        return GuardedPipeline(
-            pipeline,
-            thresholds=GuardThresholds(**thresholds),
-        )
-
-    def test_guard_inherits_pipeline_telemetry(self):
-        tracer, registry = Tracer(), MetricsRegistry()
-        guard = self._guarded(registry, tracer=tracer)
-        assert guard.tracer is tracer
-        assert guard.metrics is registry
 
     def test_probes_and_served_batches_counted(self, rng):
         registry = MetricsRegistry()
@@ -210,29 +207,34 @@ class TestGuardTelemetry:
 
     def test_rejection_counted_and_probe_spans_traced(self):
         tracer, registry = Tracer(), MetricsRegistry()
-        guard = GuardedPipeline(
-            EdgePCPipeline(_pn2(), tracer=tracer, metrics=registry)
-        )
+        guard = self._guarded(registry, tracer=tracer)
         bad = np.full((1, 64, 3), np.nan)
-        result = guard.infer(bad)
-        assert result.rejected
+        with pytest.raises(InferenceRejectedError):
+            guard.infer(bad)
         assert (
             _counter_value(registry, "guard_rejections_total") == 1
         )
-        names = [s.name for s in tracer.finished()]
-        assert "guard.infer" in names
+        assert (
+            _counter_value(registry, "validation_rejects_total") == 1
+        )
+        infer = next(
+            s for s in tracer.finished() if s.name == "pipeline.infer"
+        )
+        assert infer.attrs["error"] == "InferenceRejectedError"
 
     def test_probe_span_carries_metric_and_threshold(self, rng):
         tracer = Tracer()
-        guard = GuardedPipeline(
-            EdgePCPipeline(_pn2(), tracer=tracer)
-        )
+        guard = self._guarded(None, tracer=tracer)
         guard.infer(rng.normal(size=(1, 64, 3)))
         probes = [
             s for s in tracer.finished() if s.name == "guard.probe"
         ]
         assert probes
+        infer = next(
+            s for s in tracer.finished() if s.name == "pipeline.infer"
+        )
         for span in probes:
+            assert span.parent_id == infer.span_id
             assert span.attrs["stage"] in ("sampling", "neighbor")
             assert "metric" in span.attrs
             assert "threshold" in span.attrs

@@ -40,6 +40,7 @@ from repro.partition import (
 from repro.pipeline import EdgePCPipeline
 from repro.serving import (
     FleetConfig,
+    InferenceRejectedError,
     NoHealthyReplicaError,
     RetryExhaustedError,
     RetryPolicy,
@@ -395,11 +396,7 @@ class TestPartitionedPipeline:
             metrics = None
 
             def infer(self, batch):
-                class _Result:
-                    rejected = True
-                    rejection_reason = "validation: nan rows"
-
-                return _Result()
+                raise InferenceRejectedError("validation: nan rows")
 
         partitioned = PartitionedPipeline(
             _Rejecting(),

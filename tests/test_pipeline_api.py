@@ -65,11 +65,6 @@ class TestEdgePCPipeline:
         pipeline = EdgePCPipeline(_pn2(config))
         assert pipeline.config is config
 
-    def test_explicit_config_overrides(self):
-        config = EdgePCConfig.paper_with_tensor_cores()
-        pipeline = EdgePCPipeline(_pn2(EdgePCConfig.baseline()), config)
-        assert pipeline.config.use_tensor_cores
-
     def test_rejects_model_without_config(self):
         class Bare:
             pass

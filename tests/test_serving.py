@@ -7,6 +7,7 @@ deterministic virtual-time load generator on a 1-replica fleet (pinned
 to the reports of the single-server generator it replaced).
 """
 
+import dataclasses
 import json
 import sys
 import threading
@@ -25,8 +26,9 @@ from repro.observability.metrics import MetricsRegistry
 from repro.pipeline import EdgePCPipeline
 from repro.serving.server import REQUEST_LATENCY_BUCKETS
 from repro.robustness import (
-    GuardedPipeline,
+    Guard,
     GuardThresholds,
+    InferenceRejectedError,
     ValidationPolicy,
 )
 from repro.serving import (
@@ -46,7 +48,7 @@ from repro.serving import (
 N_POINTS = 32
 
 
-def _pipeline(metrics=None, seed=0):
+def _pipeline(metrics=None, seed=0, **kwargs):
     model = PointNet2Segmentation(
         num_classes=3,
         sa_configs=(SAConfig(0.5, 4, 1.5, (8, 8)),),
@@ -54,7 +56,7 @@ def _pipeline(metrics=None, seed=0):
         head_hidden=8,
         rng=np.random.default_rng(seed),
     )
-    return EdgePCPipeline(model, metrics=metrics)
+    return EdgePCPipeline(model, metrics=metrics, **kwargs)
 
 
 def _request(rng, request_id="r1", n=N_POINTS, arrival=0.0, deadline=None):
@@ -536,16 +538,13 @@ class TestServingUnderFaults:
     def _guarded_server(self, registry, **threshold_overrides):
         params = dict(self.TINY_PROBE)
         params.update(threshold_overrides)
-        pipeline = _pipeline(registry)
-        guard = GuardedPipeline(
-            pipeline,
-            policy=ValidationPolicy.repair(),
-            thresholds=GuardThresholds(**params),
-            seed=0,
-            metrics=registry,
+        pipeline = _pipeline(
+            registry,
+            validation=ValidationPolicy.repair(),
+            guard=Guard(GuardThresholds(**params), seed=0),
         )
         return InferenceServer(
-            guard,
+            pipeline,
             ServingConfig(
                 max_batch_size=4, max_wait_ms=5.0, workers=2
             ),
@@ -575,7 +574,7 @@ class TestServingUnderFaults:
         results = [r.future.result(timeout=10.0) for r in requests]
         assert len(results) == 12  # nothing lost, no deadlock
         assert server.outstanding == 0
-        guard = server.pipeline
+        guard = server.pipeline.guard
         assert "open" in set(guard.breaker_states.values())
         transitions = sum(
             entry["value"]
@@ -588,20 +587,17 @@ class TestServingUnderFaults:
         assert any(result.degraded_stages for result in results)
 
     def test_unrepairable_batch_fails_typed_others_survive(self, rng):
-        # A reject-policy guard turns an all-NaN cloud into a
-        # structured rejection; the server surfaces it as a typed
+        # A reject-policy guarded pipeline turns an all-NaN cloud into
+        # a structured rejection; the server surfaces it as a typed
         # failure on that batch only.
         registry = MetricsRegistry()
-        pipeline = _pipeline(registry)
-        guard = GuardedPipeline(
-            pipeline,
-            policy=ValidationPolicy(),  # strict: reject
-            thresholds=GuardThresholds(**self.TINY_PROBE),
-            seed=0,
-            metrics=registry,
+        pipeline = _pipeline(
+            registry,
+            validation=ValidationPolicy(),  # strict: reject
+            guard=Guard(GuardThresholds(**self.TINY_PROBE), seed=0),
         )
         server = InferenceServer(
-            guard,
+            pipeline,
             ServingConfig(
                 max_batch_size=1, max_wait_ms=1.0, workers=1
             ),
@@ -612,9 +608,65 @@ class TestServingUnderFaults:
             poisoned = server.submit(bad)
             healthy = server.submit(rng.random((N_POINTS, 3)))
         assert healthy.future.result(timeout=10.0).prediction.shape
-        with pytest.raises(Exception):
+        with pytest.raises(
+            InferenceRejectedError, match="^guard rejected the batch: "
+        ):
             poisoned.future.result(timeout=10.0)
         assert server.outstanding == 0
+        assert registry.counter("serving_completed_total").value == 1
+        assert registry.counter(
+            "serving_failed_total", reason="guard_rejected"
+        ).value == 1
+        (failed,) = [r for r in server.records if not r.ok]
+        assert "non-finite" in failed.error
+        assert pipeline.guard.batches_rejected == 1
+
+
+class _ShortLogits:
+    """Pipeline stand-in whose results hold one logits row fewer than
+    the batch: the server resolves the first request, then fails."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def infer(self, xyz):
+        result = self.inner.infer(xyz)
+        return dataclasses.replace(
+            result,
+            logits=result.logits[:-1],
+            predictions=result.predictions[:-1],
+        )
+
+
+class TestWorkerErrorAccounting:
+    def test_partly_resolved_batch_balances_the_tally(self, rng):
+        registry = MetricsRegistry()
+        server = InferenceServer(
+            _ShortLogits(_pipeline(registry)),
+            ServingConfig(
+                max_batch_size=2, max_wait_ms=10_000.0, workers=1
+            ),
+            metrics=registry,
+        )
+        requests = [
+            server.submit(rng.random((N_POINTS, 3))) for _ in range(2)
+        ]
+        with server:
+            pass
+        served, lost = requests
+        assert served.future.result(timeout=10.0).logits.shape
+        with pytest.raises(RuntimeError, match="serving worker failed"):
+            lost.future.result(timeout=10.0)
+        stats = server.stats()
+        assert server.outstanding == 0
+        assert stats["completed"] + stats["failed"] == stats["admitted"]
+        assert (stats["completed"], stats["failed"]) == (1.0, 1.0)
+        assert registry.counter(
+            "serving_failed_total", reason="worker_error"
+        ).value == 1
         assert registry.counter("serving_completed_total").value == 1
 
 
