@@ -354,19 +354,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 from repro.sampling.quality import density_uniformity
 
                 cv = density_uniformity(cloud.xyz, indices)
-                registry.gauge(
-                    "guard_probe_score", stage="sampling"
-                ).set(cv)
                 if cv > args.guard_threshold:
                     print(
                         f"guard: Morton sample density CV {cv:.2f} "
                         f"exceeds {args.guard_threshold:.2f}; "
                         "falling back to exact FPS"
                     )
-                    registry.counter(
-                        "guard_fallbacks_total",
-                        stage="sampling", reason="probe_tripped",
-                    ).inc()
                     indices = farthest_point_sample(
                         cloud.xyz, n, start_index=0
                     )
@@ -623,8 +616,6 @@ def _build_fleet(args, tracer, registry, clock=None):
             workers=args.workers,
         ),
         clock=clock if clock is not None else wall_clock,
-        tracer=tracer,
-        metrics=registry,
     )
 
 
@@ -728,8 +719,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
                 max_queue_depth=max(64, 2 * plan.num_chunks),
             ),
             clock=clock,
-            tracer=tracer,
-            metrics=registry,
         )
         sreq = fleet.submit_scene(
             scene.xyz, partitioner, tenant="scene"
@@ -978,10 +967,7 @@ def _finish_serving_run(
 
         print(
             render_dashboard(
-                collect_live(
-                    fleet, slo=slo, tracer=tracer, report=report,
-                    now=now,
-                )
+                collect_live(fleet, slo=slo, report=report, now=now)
             )
         )
     return status
@@ -1045,7 +1031,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         schedule = ChaosSchedule.standard(
             args.replicas, args.duration_s
         )
-    harness = ChaosHarness(fleet, schedule, metrics=registry)
+    harness = ChaosHarness(fleet, schedule)
     report = FleetLoadGenerator(
         fleet, _loadgen_config(args), chaos=harness, slo=slo
     ).run()

@@ -49,13 +49,12 @@ class DashboardData:
 def collect_live(
     fleet,
     slo=None,
-    tracer=None,
     report=None,
     now: Optional[float] = None,
 ) -> DashboardData:
-    """Snapshot a live :class:`~repro.serving.fleet.ServerFleet`
-    (plus optional SLO engine / tracer / load report) into renderable
-    data."""
+    """Snapshot a live :class:`~repro.serving.fleet.ServerFleet` (its
+    trace too, when its tracer is on, plus optional SLO engine / load
+    report) into renderable data."""
     if now is None:
         now = fleet.clock()
     data = DashboardData(title="fleet")
@@ -67,9 +66,9 @@ def collect_live(
     }
     if slo is not None:
         data.slo_report = slo.report(now)
-    if tracer is not None and tracer.enabled:
+    if fleet.tracer.enabled:
         data.trace_records = [
-            span.to_dict() for span in tracer.finished()
+            span.to_dict() for span in fleet.tracer.finished()
         ]
     if report is not None:
         data.latency_ms = dict(report.latency_ms)

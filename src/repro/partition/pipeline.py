@@ -23,7 +23,7 @@ from repro.core.pipeline import EdgePCConfig
 from repro.nn.pointnet2 import PointNet2Segmentation, SAConfig
 from repro.observability.context import TraceContext
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import NULL_TRACER, Tracer
+from repro.observability.tracing import Tracer
 from repro.partition.partitioner import PartitionPlan, ScenePartitioner
 from repro.pipeline import EdgePCPipeline
 from repro.robustness.guard import InferenceRejectedError
@@ -111,18 +111,16 @@ class PartitionedPipeline:
         max_chunks_per_batch: ceiling on ``B`` per inner batch —
             bounds peak memory of the grouped ``(B, S, k, C)``
             tensors.
-        tracer / metrics: observability sinks; default to the wrapped
-            pipeline's own, so partition spans and the pipeline's
-            per-stage spans land in one trace.
+
+    Partition spans and metrics go to the wrapped pipeline's tracer
+    and registry, so they land in one trace with its per-stage spans.
     """
 
     def __init__(
         self,
-        pipeline,
+        pipeline: EdgePCPipeline,
         partitioner: Optional[ScenePartitioner] = None,
         max_chunks_per_batch: int = 4,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_chunks_per_batch < 1:
             raise ValueError("max_chunks_per_batch must be positive")
@@ -135,13 +133,8 @@ class PartitionedPipeline:
         self.pipeline = pipeline
         self.partitioner = partitioner
         self.max_chunks_per_batch = int(max_chunks_per_batch)
-        self.tracer = tracer if tracer is not None else (
-            pipeline.tracer if pipeline.tracer is not None
-            else NULL_TRACER
-        )
-        self.metrics = (
-            metrics if metrics is not None else pipeline.metrics
-        )
+        self.tracer = pipeline.tracer
+        self.metrics = pipeline.metrics
 
     def infer(
         self,
@@ -209,9 +202,8 @@ class PartitionedPipeline:
                         err.reason,
                         tuple(chunk.index for chunk in group),
                     ) from err
-            if result.breakdown is not None:
-                simulated_s += result.breakdown.total_s
-                energy_j += result.energy.total_j
+            simulated_s += result.breakdown.total_s
+            energy_j += result.energy.total_j
             degraded.update(result.degraded_stages)
             chunk_logits.extend(result.logits)
         return plan.stitch(chunk_logits), simulated_s, energy_j, degraded

@@ -13,8 +13,9 @@ retries, hedging, and brownout shedding; the
 deterministic virtual-time schedule to prove it, and the
 :class:`~repro.serving.loadgen.FleetLoadGenerator` feeds seeded load
 into the fleet's one virtual-time event loop
-(:meth:`~repro.serving.fleet.ServerFleet.run`).  See
-``docs/serving.md``.
+(:meth:`~repro.serving.fleet.ServerFleet.run`).  Every layer reports
+through the tracer and metrics registry of the pipelines it wraps;
+none takes sinks of its own.  See ``docs/serving.md``.
 """
 
 from repro.robustness.guard import InferenceRejectedError
@@ -38,11 +39,7 @@ from repro.serving.fleet import (
     SceneRequest,
     ServerFleet,
 )
-from repro.serving.health import (
-    HEALTH_STATES,
-    HealthPolicy,
-    ReplicaHealth,
-)
+from repro.serving.health import HEALTH_STATES, ReplicaHealth
 from repro.serving.loadgen import (
     FleetLoadGenerator,
     LoadGenConfig,
@@ -89,7 +86,6 @@ __all__ = [
     "FleetLoadGenerator",
     "FleetRequest",
     "HEALTH_STATES",
-    "HealthPolicy",
     "HedgePolicy",
     "InferenceRejectedError",
     "InferenceServer",

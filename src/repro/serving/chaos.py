@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.observability.metrics import MetricsRegistry
 
 #: Supported chaos actions, in documentation order.
 CHAOS_ACTIONS: Tuple[str, ...] = (
@@ -189,26 +188,17 @@ class ChaosHarness:
     """Replays a :class:`ChaosSchedule` against a fleet.
 
     Args:
-        fleet: the target; must expose ``kill_replica`` /
-            ``stall_replica`` / ``slow_replica`` / ``error_replica`` /
-            ``recover_replica`` (duck-typed to avoid an import cycle
-            with :mod:`repro.serving.fleet`).
+        fleet: the target :class:`~repro.serving.fleet.ServerFleet`
+            (not imported here, to avoid an import cycle).
         schedule: the fault schedule; replayed once, in time order.
-        metrics: optional registry (defaults to the fleet's); applied
-            events count into ``serving_chaos_events_total``.
+
+    Applied events count into ``serving_chaos_events_total`` on the
+    fleet's metrics registry.
     """
 
-    def __init__(
-        self,
-        fleet,
-        schedule: ChaosSchedule,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, fleet, schedule: ChaosSchedule) -> None:
         self.fleet = fleet
         self.schedule = schedule
-        if metrics is None:
-            metrics = getattr(fleet, "metrics", None)
-        self.metrics = metrics
         self._pending: List[ChaosEvent] = list(schedule.ordered())
         self._cursor = 0
         self.applied: List[ChaosEvent] = []
@@ -256,7 +246,7 @@ class ChaosHarness:
         else:
             fleet.recover_replica(event.replica, now=now)
         self.applied.append(event)
-        if self.metrics is not None:
-            self.metrics.counter(
+        if fleet.metrics is not None:
+            fleet.metrics.counter(
                 "serving_chaos_events_total", action=event.action
             ).inc()

@@ -21,10 +21,13 @@ the fault-tolerance policy the single-replica server cannot express:
   primary attempt still pending past the observed latency quantile
   earns one duplicate dispatch on another replica; first result wins
   and the loser is cancelled.
-- **Brownout** — when the routable fraction drops below
-  ``brownout_healthy_fraction``, requests below
-  ``brownout_min_priority`` are shed at the door with a typed
+- **Brownout** — when fewer than half the replicas are routable
+  (:data:`BROWNOUT_HEALTHY_FRACTION`), priority-0 requests (below
+  :data:`BROWNOUT_MIN_PRIORITY`) are shed at the door with a typed
   :class:`BrownoutError` instead of queueing forever.
+
+The fleet reads its tracer and metrics registry from its pipelines,
+which must all share one of each.
 
 The fleet runs in the same two modes as the server: **threaded**
 (:meth:`ServerFleet.start` starts every replica's worker pool plus a
@@ -64,13 +67,8 @@ import numpy as np
 
 from repro.observability.clock import Clock, FixedClock, wall_clock
 from repro.observability.context import TraceContext
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import Tracer
 from repro.serving.chaos import ChaosGate, ReplicaFaultError
-from repro.serving.health import (
-    HealthPolicy,
-    ReplicaHealth,
-)
+from repro.serving.health import ReplicaHealth
 from repro.serving.queue import (
     AdmissionError,
     DeadlineExceededError,
@@ -105,52 +103,44 @@ class BrownoutError(AdmissionError):
     reason = "brownout"
 
 
+#: Virtual nodes per replica on the hash ring.
+RING_POINTS = 32
+#: Brownout starts when the routable replica fraction drops below this.
+BROWNOUT_HEALTHY_FRACTION = 0.5
+#: Minimum priority admitted during brownout (higher numbers are more
+#: important).
+BROWNOUT_MIN_PRIORITY = 1
+
+
 @dataclass(frozen=True)
 class FleetConfig:
     """Fleet-level knobs (per-replica knobs live in
     :class:`~repro.serving.server.ServingConfig`).
 
     Attributes:
-        ring_points: virtual nodes per replica on the hash ring.
         default_deadline_ms: deadline applied to requests submitted
             without one; ``None`` disables the default.
-        brownout_healthy_fraction: when the routable replica fraction
-            drops below this, brownout mode sheds low-priority
-            traffic.
-        brownout_min_priority: minimum priority admitted during
-            brownout (higher numbers are more important).
         retry: the deadline-aware retry policy.
         hedge: optional hedged-dispatch policy; ``None`` disables
             hedging.
-        health: per-replica health thresholds.
     """
 
-    ring_points: int = 32
     default_deadline_ms: Optional[float] = None
-    brownout_healthy_fraction: float = 0.5
-    brownout_min_priority: int = 1
     retry: RetryPolicy = RetryPolicy()
     hedge: Optional[HedgePolicy] = None
-    health: HealthPolicy = HealthPolicy()
 
     def __post_init__(self) -> None:
-        if self.ring_points < 1:
-            raise ValueError("ring_points must be positive")
         if (
             self.default_deadline_ms is not None
             and self.default_deadline_ms <= 0
         ):
             raise ValueError("default_deadline_ms must be positive")
-        if not 0.0 <= self.brownout_healthy_fraction <= 1.0:
-            raise ValueError(
-                "brownout_healthy_fraction must be within [0, 1]"
-            )
 
 
 class Router:
     """Consistent-hash ring mapping tenant keys to replica indices.
 
-    Each replica owns ``ring_points`` virtual nodes hashed with
+    Each replica owns :data:`RING_POINTS` virtual nodes hashed with
     :func:`zlib.crc32` (deterministic across processes, unlike
     ``hash()``).  :meth:`preference` walks the ring clockwise from the
     key's position and returns every replica once, in encounter
@@ -158,16 +148,13 @@ class Router:
     its primary replica while spreading its retries.
     """
 
-    def __init__(self, replicas: int, ring_points: int = 32) -> None:
+    def __init__(self, replicas: int) -> None:
         if replicas < 1:
             raise ValueError("replicas must be positive")
-        if ring_points < 1:
-            raise ValueError("ring_points must be positive")
         self.replicas = int(replicas)
-        self.ring_points = int(ring_points)
         ring: List[Tuple[int, int]] = []
         for replica in range(self.replicas):
-            for vnode in range(self.ring_points):
+            for vnode in range(RING_POINTS):
                 token = f"replica-{replica}-vnode-{vnode}"
                 ring.append(
                     (zlib.crc32(token.encode("utf-8")), replica)
@@ -343,14 +330,14 @@ class ServerFleet:
     Args:
         pipelines: one pipeline per replica (each replica needs its
             own model instance — its workers take turns on it under
-            the replica's dispatch lock).
+            the replica's dispatch lock).  They must share one tracer
+            and one metrics registry, which the fleet reports through
+            too.
         config: fleet-level policy knobs.
         serving_config: per-replica serving knobs.
         clock: injectable clock shared by every replica; pass a
             :class:`~repro.observability.clock.FixedClock` for
             deterministic virtual-time operation.
-        tracer: optional tracer (defaults to the first pipeline's).
-        metrics: optional registry (defaults to the first pipeline's).
     """
 
     def __init__(
@@ -359,31 +346,30 @@ class ServerFleet:
         config: Optional[FleetConfig] = None,
         serving_config: Optional[ServingConfig] = None,
         clock: Clock = wall_clock,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not pipelines:
             raise ValueError("a fleet needs at least one pipeline")
+        first = pipelines[0]
+        if any(
+            pipeline.tracer is not first.tracer
+            or pipeline.metrics is not first.metrics
+            for pipeline in pipelines
+        ):
+            raise ValueError(
+                "a fleet's pipelines must share one tracer and one "
+                "metrics registry"
+            )
         self.config = config or FleetConfig()
         self.serving_config = serving_config or ServingConfig()
         self.clock = clock
-        first = pipelines[0]
-        self.tracer = tracer if tracer is not None else first.tracer
-        self.metrics = metrics if metrics is not None else first.metrics
+        self.tracer = first.tracer
+        self.metrics = first.metrics
         self.replicas: List[Replica] = []
         for index, pipeline in enumerate(pipelines):
             server = InferenceServer(
-                pipeline,
-                config=self.serving_config,
-                clock=clock,
-                tracer=tracer,
-                metrics=metrics,
+                pipeline, config=self.serving_config, clock=clock
             )
-            health = ReplicaHealth(
-                str(index),
-                policy=self.config.health,
-                metrics=metrics,
-            )
+            health = ReplicaHealth(str(index), self.metrics)
             self.replicas.append(
                 Replica(
                     index=index,
@@ -392,9 +378,7 @@ class ServerFleet:
                     lanes=[0.0] * self.serving_config.workers,
                 )
             )
-        self.router = Router(
-            len(self.replicas), self.config.ring_points
-        )
+        self.router = Router(len(self.replicas))
         self._cond = threading.Condition()
         self._attempts: Dict[str, _Attempt] = {}
         self._resolved: Deque[str] = deque()
@@ -478,7 +462,7 @@ class ServerFleet:
                 ctx = self.tracer.mint_context(rid, tenant=str(tenant))
             if ctx is not None:
                 span.set("trace_id", ctx.trace_id)
-            if priority < self.config.brownout_min_priority and (
+            if priority < BROWNOUT_MIN_PRIORITY and (
                 self.brownout_active(now)
             ):
                 self._reject(
@@ -490,7 +474,7 @@ class ServerFleet:
                     f"({self.healthy_count(now)}/"
                     f"{len(self.replicas)} replicas routable) and "
                     f"priority {priority} < "
-                    f"{self.config.brownout_min_priority}"
+                    f"{BROWNOUT_MIN_PRIORITY}"
                 )
             request = FleetRequest(
                 request_id=rid,
@@ -1040,7 +1024,7 @@ class ServerFleet:
         self._emit_attempt_span(attempt, now, error)
         if error is None:
             latency = max(0.0, now - attempt.submitted_s)
-            replica.health.record_success(now, latency)
+            replica.health.record_success(now)
             with self._cond:
                 self._attempt_latencies.append(latency)
             if request.future.done():
@@ -1297,7 +1281,7 @@ class ServerFleet:
     def brownout_active(self, now: float) -> bool:
         """Whether low-priority traffic is being shed."""
         fraction = self.healthy_count(now) / len(self.replicas)
-        return fraction < self.config.brownout_healthy_fraction
+        return fraction < BROWNOUT_HEALTHY_FRACTION
 
     def _observe_health(self, now: float) -> None:
         for replica in self.replicas:

@@ -2,26 +2,25 @@
 
 :class:`ReplicaHealth` is a deterministic state machine over the
 signals the serving stack already exports — windowed failure rate,
-consecutive failures, queue depth, windowed p95 attempt latency, and
-the guard's breaker state — that decides whether a replica keeps
-receiving traffic:
+consecutive failures, queue depth, and the guard's breaker state —
+that decides whether a replica keeps receiving traffic:
 
 ``HEALTHY -> DEGRADED -> EJECTED -> PROBATION -> HEALTHY``
 
 - **HEALTHY -> DEGRADED** — the windowed failure rate crosses
-  ``degrade_failure_rate``, queue depth or windowed p95 latency
-  crosses its threshold, or a guard breaker opens.  Degraded replicas
-  keep serving; the router only deprioritizes them behind healthy
-  peers, mirroring HgPCN's pick-the-right-engine argument at the
-  replica level.
-- **-> EJECTED** — ``eject_consecutive_failures`` failures in a row,
-  a windowed failure rate past ``eject_failure_rate``, or an explicit
-  :meth:`ReplicaHealth.force_eject` (chaos kill).  Ejected replicas
-  receive no traffic at all; shedding beats serving through a replica
-  whose breaker already fell back to the O(nN) exact path.
-- **EJECTED -> PROBATION** — after ``eject_s`` on the injected clock
-  the replica is re-admitted on probation.
-- **PROBATION -> HEALTHY** — ``probation_successes`` consecutive
+  :data:`DEGRADE_FAILURE_RATE`, queue depth reaches
+  :data:`DEGRADE_QUEUE_DEPTH`, or a guard breaker opens.  Degraded
+  replicas keep serving; the router only deprioritizes them behind
+  healthy peers, mirroring HgPCN's pick-the-right-engine argument at
+  the replica level.
+- **-> EJECTED** — :data:`EJECT_CONSECUTIVE_FAILURES` failures in a
+  row, a windowed failure rate past :data:`EJECT_FAILURE_RATE`, or an
+  explicit :meth:`ReplicaHealth.force_eject` (chaos kill).  Ejected
+  replicas receive no traffic at all; shedding beats serving through
+  a replica whose breaker already fell back to the O(nN) exact path.
+- **EJECTED -> PROBATION** — after :data:`EJECT_S` on the injected
+  clock the replica is re-admitted on probation.
+- **PROBATION -> HEALTHY** — :data:`PROBATION_SUCCESSES` consecutive
   successes; any failure during probation re-ejects immediately.
 
 All timestamps come from caller-provided clock readings (no wall-clock
@@ -34,7 +33,6 @@ reads), every transition is appended to
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.observability.metrics import MetricsRegistry
@@ -58,75 +56,28 @@ STATE_CODES: Dict[str, float] = {
 }
 
 
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Thresholds of the replica health state machine.
+# Thresholds of the state machine.
 
-    Attributes:
-        window_s: sliding window over outcomes and latencies.
-        min_samples: outcomes needed before rate thresholds apply.
-        degrade_failure_rate: windowed failure rate that marks a
-            healthy replica degraded.
-        eject_failure_rate: windowed failure rate that ejects.
-        eject_consecutive_failures: failures in a row that eject
-            regardless of the windowed rate.
-        degrade_queue_depth: queue depth that marks a healthy replica
-            degraded; ``None`` disables the signal.
-        degrade_p95_s: windowed p95 attempt latency that degrades;
-            ``None`` disables the signal.
-        eject_s: seconds an ejected replica sits out before probation.
-        probation_successes: consecutive successes that promote a
-            probation replica back to healthy.
-        recover_successes: consecutive successes that promote a
-            degraded replica back to healthy (the windowed failure
-            rate must also sit below ``degrade_failure_rate``).
-    """
-
-    window_s: float = 2.0
-    min_samples: int = 4
-    degrade_failure_rate: float = 0.2
-    eject_failure_rate: float = 0.65
-    eject_consecutive_failures: int = 4
-    degrade_queue_depth: Optional[int] = 48
-    degrade_p95_s: Optional[float] = None
-    eject_s: float = 1.0
-    probation_successes: int = 3
-    recover_successes: int = 2
-
-    def __post_init__(self) -> None:
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be positive")
-        if not 0.0 < self.degrade_failure_rate <= 1.0:
-            raise ValueError(
-                "degrade_failure_rate must be within (0, 1]"
-            )
-        if not 0.0 < self.eject_failure_rate <= 1.0:
-            raise ValueError(
-                "eject_failure_rate must be within (0, 1]"
-            )
-        if self.eject_failure_rate < self.degrade_failure_rate:
-            raise ValueError(
-                "eject_failure_rate must be >= degrade_failure_rate"
-            )
-        if self.eject_consecutive_failures < 1:
-            raise ValueError(
-                "eject_consecutive_failures must be positive"
-            )
-        if (
-            self.degrade_queue_depth is not None
-            and self.degrade_queue_depth < 1
-        ):
-            raise ValueError("degrade_queue_depth must be positive")
-        if self.degrade_p95_s is not None and self.degrade_p95_s <= 0:
-            raise ValueError("degrade_p95_s must be positive")
-        if self.eject_s <= 0:
-            raise ValueError("eject_s must be positive")
-        if self.probation_successes < 1:
-            raise ValueError("probation_successes must be positive")
-        if self.recover_successes < 1:
-            raise ValueError("recover_successes must be positive")
+#: Sliding window over attempt outcomes (seconds).
+WINDOW_S = 2.0
+#: Outcomes needed in the window before the rate thresholds apply.
+MIN_SAMPLES = 4
+#: Windowed failure rate that marks a healthy replica degraded.
+DEGRADE_FAILURE_RATE = 0.2
+#: Windowed failure rate that ejects.
+EJECT_FAILURE_RATE = 0.65
+#: Failures in a row that eject regardless of the windowed rate.
+EJECT_CONSECUTIVE_FAILURES = 4
+#: Queue depth that marks a healthy replica degraded.
+DEGRADE_QUEUE_DEPTH = 48
+#: Seconds an ejected replica sits out before probation.
+EJECT_S = 1.0
+#: Consecutive successes that promote a probation replica to healthy.
+PROBATION_SUCCESSES = 3
+#: Consecutive successes that promote a degraded replica to healthy
+#: (the windowed failure rate must also sit below
+#: :data:`DEGRADE_FAILURE_RATE`).
+RECOVER_SUCCESSES = 2
 
 
 class ReplicaHealth:
@@ -134,25 +85,19 @@ class ReplicaHealth:
 
     Args:
         replica: label used in metrics and transition records.
-        policy: thresholds; defaults are tuned for the chaos tests.
-        metrics: optional registry for the state gauge and the
-            transition counter.
+        metrics: the owner's registry (``None`` when it has none) for
+            the state gauge and the transition counter.
     """
 
     def __init__(
-        self,
-        replica: str,
-        policy: Optional[HealthPolicy] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        self, replica: str, metrics: Optional[MetricsRegistry]
     ) -> None:
         self.replica = str(replica)
-        self.policy = policy or HealthPolicy()
         self.metrics = metrics
         self.state = HEALTHY
         #: ``(t_s, from_state, to_state, reason)`` per transition.
         self.transitions: List[Tuple[float, str, str, str]] = []
         self._outcomes: Deque[Tuple[float, bool]] = deque()
-        self._latencies: Deque[Tuple[float, float]] = deque()
         self._consecutive_failures = 0
         self._consecutive_successes = 0
         self._ejected_at: Optional[float] = None
@@ -160,28 +105,22 @@ class ReplicaHealth:
 
     # Signal intake ---------------------------------------------------
 
-    def record_success(
-        self, now: float, latency_s: Optional[float] = None
-    ) -> None:
+    def record_success(self, now: float) -> None:
         """Record one successful attempt finishing at ``now``."""
         self.tick(now)
         self._outcomes.append((now, True))
-        if latency_s is not None:
-            self._latencies.append((now, float(latency_s)))
         self._trim(now)
         self._consecutive_successes += 1
         self._consecutive_failures = 0
-        policy = self.policy
         if (
             self.state == PROBATION
-            and self._consecutive_successes
-            >= policy.probation_successes
+            and self._consecutive_successes >= PROBATION_SUCCESSES
         ):
             self._set_state(now, HEALTHY, "probation_passed")
         elif (
             self.state == DEGRADED
-            and self._consecutive_successes >= policy.recover_successes
-            and self.failure_rate(now) < policy.degrade_failure_rate
+            and self._consecutive_successes >= RECOVER_SUCCESSES
+            and self.failure_rate(now) < DEGRADE_FAILURE_RATE
         ):
             self._set_state(now, HEALTHY, "recovered")
 
@@ -199,20 +138,16 @@ class ReplicaHealth:
             return
         if self.state == EJECTED:
             return
-        policy = self.policy
         total, failed = self._window_counts()
         rate = failed / total if total else 0.0
-        if self._consecutive_failures >= (
-            policy.eject_consecutive_failures
-        ) or (
-            total >= policy.min_samples
-            and rate >= policy.eject_failure_rate
+        if self._consecutive_failures >= EJECT_CONSECUTIVE_FAILURES or (
+            total >= MIN_SAMPLES and rate >= EJECT_FAILURE_RATE
         ):
             self._eject(now, reason)
         elif (
             self.state == HEALTHY
-            and total >= policy.min_samples
-            and rate >= policy.degrade_failure_rate
+            and total >= MIN_SAMPLES
+            and rate >= DEGRADE_FAILURE_RATE
         ):
             self._set_state(now, DEGRADED, f"failure_rate:{reason}")
 
@@ -226,19 +161,13 @@ class ReplicaHealth:
         self.tick(now)
         if self.state != HEALTHY:
             return
-        policy = self.policy
         if breaker_open:
             self._set_state(now, DEGRADED, "breaker_open")
         elif (
             queue_depth is not None
-            and policy.degrade_queue_depth is not None
-            and queue_depth >= policy.degrade_queue_depth
+            and queue_depth >= DEGRADE_QUEUE_DEPTH
         ):
             self._set_state(now, DEGRADED, "queue_depth")
-        elif policy.degrade_p95_s is not None:
-            p95 = self.p95_latency_s(now)
-            if p95 is not None and p95 > policy.degrade_p95_s:
-                self._set_state(now, DEGRADED, "p95_latency")
 
     def force_eject(self, now: float, reason: str) -> None:
         """Eject immediately (chaos kill, operator action)."""
@@ -253,7 +182,7 @@ class ReplicaHealth:
         if (
             self.state == EJECTED
             and self._ejected_at is not None
-            and now >= self._ejected_at + self.policy.eject_s
+            and now >= self._ejected_at + EJECT_S
         ):
             self._consecutive_failures = 0
             self._consecutive_successes = 0
@@ -271,15 +200,6 @@ class ReplicaHealth:
         self._trim(now)
         total, failed = self._window_counts()
         return failed / total if total else 0.0
-
-    def p95_latency_s(self, now: float) -> Optional[float]:
-        """Windowed p95 attempt latency, or ``None`` with no samples."""
-        self._trim(now)
-        if not self._latencies:
-            return None
-        ordered = sorted(latency for _, latency in self._latencies)
-        index = int(0.95 * (len(ordered) - 1))
-        return ordered[index]
 
     def snapshot(self, now: float) -> Dict[str, object]:
         """Plain-data view used by reports and the CLI."""
@@ -299,11 +219,9 @@ class ReplicaHealth:
         return total, failed
 
     def _trim(self, now: float) -> None:
-        horizon = now - self.policy.window_s
+        horizon = now - WINDOW_S
         while self._outcomes and self._outcomes[0][0] < horizon:
             self._outcomes.popleft()
-        while self._latencies and self._latencies[0][0] < horizon:
-            self._latencies.popleft()
 
     def _eject(self, now: float, reason: str) -> None:
         self._ejected_at = now
@@ -311,7 +229,6 @@ class ReplicaHealth:
         # re-eject a probation replica on its first post-sit-out error
         # path evaluation.
         self._outcomes.clear()
-        self._latencies.clear()
         self._consecutive_failures = 0
         self._consecutive_successes = 0
         self._set_state(now, EJECTED, reason)

@@ -45,6 +45,9 @@ from repro.serving.queue import AdmissionError
 
 ARRIVALS = ("poisson", "fixed")
 MODES = ("open", "closed")
+#: Tenant indices below this carry priority 0 and are shed first under
+#: brownout; the rest carry priority 1.
+LOW_PRIORITY_TENANTS = 1
 
 
 @dataclass(frozen=True)
@@ -63,9 +66,8 @@ class LoadGenConfig:
         deadline_ms: per-request deadline; ``None`` disables.
         seed: seeds both the arrival process and the cloud contents.
         tenants: distinct tenant keys drawn uniformly per request
-            (tenants are the fleet's routing keys).
-        low_priority_tenants: how many of the tenant indices carry
-            priority 0 and are shed first under brownout.
+            (tenants are the fleet's routing keys); ``tenant-0`` is
+            low priority (:data:`LOW_PRIORITY_TENANTS`).
     """
 
     duration_s: float = 5.0
@@ -77,7 +79,6 @@ class LoadGenConfig:
     deadline_ms: Optional[float] = None
     seed: int = 0
     tenants: int = 4
-    low_priority_tenants: int = 1
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
@@ -96,10 +97,6 @@ class LoadGenConfig:
             raise ValueError("deadline_ms must be positive")
         if self.tenants < 1:
             raise ValueError("tenants must be positive")
-        if not 0 <= self.low_priority_tenants <= self.tenants:
-            raise ValueError(
-                "low_priority_tenants must be within [0, tenants]"
-            )
 
 
 @dataclass
@@ -344,7 +341,7 @@ class FleetLoadGenerator:
             tenant_index = int(rng.integers(cfg.tenants))
             tenant = f"tenant-{tenant_index}"
             priority = (
-                0 if tenant_index < cfg.low_priority_tenants else 1
+                0 if tenant_index < LOW_PRIORITY_TENANTS else 1
             )
             try:
                 request = fleet.submit(

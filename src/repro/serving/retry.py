@@ -12,7 +12,7 @@ alone would consume the remaining ``deadline_s`` budget.
 :class:`HedgePolicy` covers the complementary tail-latency case: a
 replica that is *slow* rather than failed.  Once enough attempt
 latencies have been observed, a request still pending past the
-configured quantile gets a second, hedged dispatch on another replica;
+latency quantile gets a second, hedged dispatch on another replica;
 first result wins and the loser is cancelled
 (:class:`~repro.serving.fleet.ServerFleet` does the bookkeeping).
 
@@ -38,6 +38,25 @@ class RetryExhaustedError(RuntimeError):
     reason = "retry_exhausted"
 
 
+#: Backoff before the first retry (seconds).
+BASE_BACKOFF_S = 0.02
+#: Backoff growth factor per further retry.
+BACKOFF_MULTIPLIER = 2.0
+#: Ceiling on the un-jittered backoff (seconds).
+MAX_BACKOFF_S = 2.0
+#: Jitter fraction: the backoff is scaled by a deterministic factor in
+#: ``[1 - JITTER, 1 + JITTER]`` derived from the request id and attempt
+#: number, so synchronized failures don't retry in lockstep yet two
+#: runs at the same seed stay byte-identical.
+JITTER = 0.5
+#: Attempt-latency quantile past which a still-pending primary attempt
+#: earns a hedge.
+HEDGE_QUANTILE = 0.95
+#: Observed attempt latencies required before the quantile estimate is
+#: trusted (until then the hedge waits its floor).
+HEDGE_MIN_SAMPLES = 16
+
+
 def _unit_hash(token: str) -> float:
     """Deterministic uniform-ish draw in ``[0, 1)`` from a token."""
     return zlib.crc32(token.encode("utf-8")) / 2.0**32
@@ -47,38 +66,20 @@ def _unit_hash(token: str) -> float:
 class RetryPolicy:
     """Exponential backoff with deterministic jitter and a deadline cap.
 
+    The schedule is :data:`BASE_BACKOFF_S` growing by
+    :data:`BACKOFF_MULTIPLIER` per retry up to :data:`MAX_BACKOFF_S`,
+    jittered by :data:`JITTER`.
+
     Attributes:
         max_attempts: total dispatch attempts per request (the first
             attempt counts; ``1`` disables retries).
-        base_backoff_s: backoff before the first retry.
-        multiplier: backoff growth factor per further retry.
-        max_backoff_s: ceiling on the un-jittered backoff.
-        jitter: jitter fraction in ``[0, 1]``; the backoff is scaled
-            by a deterministic factor in ``[1 - jitter, 1 + jitter]``
-            derived from the request id and attempt number, so
-            synchronized failures don't retry in lockstep yet two
-            runs at the same seed stay byte-identical.
     """
 
     max_attempts: int = 3
-    base_backoff_s: float = 0.02
-    multiplier: float = 2.0
-    max_backoff_s: float = 2.0
-    jitter: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be positive")
-        if self.base_backoff_s < 0:
-            raise ValueError("base_backoff_s must be non-negative")
-        if self.multiplier < 1:
-            raise ValueError("multiplier must be >= 1")
-        if self.max_backoff_s < self.base_backoff_s:
-            raise ValueError(
-                "max_backoff_s must be >= base_backoff_s"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
 
     def backoff_s(self, attempt: int, token: str = "") -> float:
         """Jittered backoff before retry number ``attempt``.
@@ -89,12 +90,10 @@ class RetryPolicy:
         """
         if attempt < 1:
             raise ValueError("attempt must be >= 1")
-        raw = self.base_backoff_s * self.multiplier ** (attempt - 1)
-        raw = min(raw, self.max_backoff_s)
-        if self.jitter == 0.0:
-            return raw
+        raw = BASE_BACKOFF_S * BACKOFF_MULTIPLIER ** (attempt - 1)
+        raw = min(raw, MAX_BACKOFF_S)
         unit = _unit_hash(f"{token}:{attempt}")
-        return raw * (1.0 - self.jitter + 2.0 * self.jitter * unit)
+        return raw * (1.0 - JITTER + 2.0 * JITTER * unit)
 
     def next_backoff(
         self,
@@ -121,33 +120,27 @@ class RetryPolicy:
 class HedgePolicy:
     """When to issue a duplicate (hedged) dispatch for a slow attempt.
 
+    A primary attempt still pending past the :data:`HEDGE_QUANTILE`
+    of the observed attempt latencies earns a hedge, once
+    :data:`HEDGE_MIN_SAMPLES` latencies exist.
+
     Attributes:
-        quantile: attempt-latency quantile past which a still-pending
-            primary attempt earns a hedge.
         min_delay_s: floor on the hedge delay — also the delay used
             before enough latency samples exist.
-        min_samples: observed attempt latencies required before the
-            quantile estimate is trusted.
     """
 
-    quantile: float = 0.95
     min_delay_s: float = 0.05
-    min_samples: int = 16
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.quantile < 1.0:
-            raise ValueError("quantile must be within (0, 1)")
         if self.min_delay_s <= 0:
             raise ValueError("min_delay_s must be positive")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be positive")
 
     def delay_s(self, latencies: Sequence[float]) -> float:
         """Hedge delay given the observed attempt latencies."""
-        if len(latencies) < self.min_samples:
+        if len(latencies) < HEDGE_MIN_SAMPLES:
             return self.min_delay_s
         ordered = sorted(latencies)
-        position = self.quantile * (len(ordered) - 1)
+        position = HEDGE_QUANTILE * (len(ordered) - 1)
         low = int(position)
         high = min(low + 1, len(ordered) - 1)
         frac = position - low

@@ -41,8 +41,6 @@ import numpy as np
 
 from repro.observability.clock import Clock, wall_clock
 from repro.observability.context import TraceContext
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import Tracer
 from repro.pipeline import EdgePCPipeline, InferenceResult
 from repro.robustness.guard import InferenceRejectedError
 from repro.serving.queue import (
@@ -171,13 +169,13 @@ class InferenceServer:
     Args:
         pipeline: an :class:`~repro.pipeline.EdgePCPipeline`;
             batches go through its ``infer`` so validation, telemetry,
-            and guard fallbacks all apply to served traffic.
+            and guard fallbacks all apply to served traffic, and the
+            server and its queue report through the pipeline's tracer
+            and metrics registry.
         config: serving knobs; defaults are tuned for the demo models.
         clock: injectable clock; pass a
             :class:`~repro.observability.clock.FixedClock` for
             deterministic virtual-time serving.
-        tracer: optional tracer (defaults to the pipeline's).
-        metrics: optional registry (defaults to the pipeline's).
     """
 
     def __init__(
@@ -185,20 +183,18 @@ class InferenceServer:
         pipeline: EdgePCPipeline,
         config: Optional[ServingConfig] = None,
         clock: Clock = wall_clock,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.pipeline = pipeline
         self.config = config or ServingConfig()
         self.clock = clock
-        self.tracer = tracer if tracer is not None else pipeline.tracer
-        self.metrics = metrics if metrics is not None else pipeline.metrics
+        self.tracer = pipeline.tracer
+        self.metrics = pipeline.metrics
         self.queue = RequestQueue(
             max_depth=self.config.max_queue_depth,
             max_batch_size=self.config.max_batch_size,
             max_wait_s=self.config.max_wait_ms / 1e3,
             clock=clock,
-            metrics=metrics,
+            metrics=self.metrics,
             tracer=self.tracer,
         )
         self.records: List[DispatchRecord] = []

@@ -71,7 +71,7 @@ def run_chaos(argv):
         schedule = ChaosSchedule.from_specs(args.event)
     else:
         schedule = ChaosSchedule.standard(args.replicas, args.duration_s)
-    harness = ChaosHarness(fleet, schedule, metrics=registry)
+    harness = ChaosHarness(fleet, schedule)
     report = FleetLoadGenerator(
         fleet, _loadgen_config(args), chaos=harness, slo=slo
     ).run()

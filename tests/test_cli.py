@@ -135,6 +135,38 @@ class TestSampleCommand:
             pc_io.load(out_path).xyz, pc_io.load(fps_path).xyz
         )
 
+    def test_sample_probe_leaves_the_guard_series_to_the_guard(
+        self, tmp_path, capsys
+    ):
+        """The CLI's own Morton probe prints its decision but writes no
+        ``guard_*`` series: the snapshot's sampling fallbacks are the
+        ones the demo guard logged."""
+        metrics_path = str(tmp_path / "m.json")
+        assert main(
+            ["sample", "--guard", "--guard-threshold", "0.0",
+             "-n", "64", "--points", "512", "--seed", "0",
+             "--metrics-out", metrics_path]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "falling back to exact FPS" in out
+        logged = sum(
+            1
+            for line in out.splitlines()
+            if line.startswith("guard:   ")
+            and ": sampling -> exact (probe_tripped," in line
+        )
+        with open(metrics_path) as fh:
+            snapshot = json.load(fh)
+        counted = sum(
+            m["value"]
+            for m in snapshot["metrics"]
+            if m["name"] == "guard_fallbacks_total"
+            and m["labels"] == {
+                "stage": "sampling", "reason": "probe_tripped"
+            }
+        )
+        assert counted == logged
+
 
 def _load_chrome_trace(path):
     with open(path) as fh:

@@ -32,7 +32,6 @@ from repro.serving import (
     DeadlineExceededError,
     FleetConfig,
     FleetLoadGenerator,
-    HealthPolicy,
     HedgePolicy,
     LoadGenConfig,
     NoHealthyReplicaError,
@@ -45,11 +44,12 @@ from repro.serving import (
     ServingConfig,
     parse_chaos_event,
 )
+from repro.serving.retry import JITTER, _unit_hash
 
 N_POINTS = 32
 
 
-def _pipeline(metrics=None, seed=0):
+def _pipeline(metrics=None, seed=0, tracer=None):
     model = PointNet2Segmentation(
         num_classes=3,
         sa_configs=(SAConfig(0.5, 4, 1.5, (8, 8)),),
@@ -57,18 +57,17 @@ def _pipeline(metrics=None, seed=0):
         head_hidden=8,
         rng=np.random.default_rng(seed),
     )
-    return EdgePCPipeline(model, metrics=metrics)
+    return EdgePCPipeline(model, tracer=tracer, metrics=metrics)
 
 
 def _fleet(replicas=3, clock=None, config=None, serving=None, metrics=None):
     clock = clock if clock is not None else FixedClock(0.0)
     fleet = ServerFleet(
-        [_pipeline(metrics=None, seed=0) for _ in range(replicas)],
+        [_pipeline(metrics=metrics, seed=0) for _ in range(replicas)],
         config=config or FleetConfig(),
         serving_config=serving
         or ServingConfig(max_batch_size=4, max_wait_ms=20.0, workers=1),
         clock=clock,
-        metrics=metrics,
     )
     return fleet, clock
 
@@ -80,23 +79,29 @@ def _drive(fleet, request):
     assert request.future.done(), "request did not resolve in virtual time"
 
 
+def _jitter_factor(token, attempt):
+    """The deterministic jitter factor ``backoff_s`` scales by."""
+    unit = _unit_hash(f"{token}:{attempt}")
+    return 1.0 - JITTER + 2.0 * JITTER * unit
+
+
 class TestRetryPolicy:
-    def test_backoff_grows_and_caps_without_jitter(self):
-        policy = RetryPolicy(
-            max_attempts=6,
-            base_backoff_s=0.1,
-            multiplier=2.0,
-            max_backoff_s=0.5,
-            jitter=0.0,
-        )
-        values = [policy.backoff_s(a) for a in (1, 2, 3, 4, 5)]
-        assert values == [0.1, 0.2, 0.4, 0.5, 0.5]
+    def test_backoff_grows_and_caps(self):
+        policy = RetryPolicy(max_attempts=10)
+        attempts = range(1, 10)
+        values = [policy.backoff_s(a, token="r1") for a in attempts]
+        # 0.02 s doubling per retry, capped at 2 s (2.56 -> 2.0).
+        raw = [0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.28, 2.0, 2.0]
+        assert values == [
+            base * _jitter_factor("r1", a)
+            for base, a in zip(raw, attempts)
+        ]
 
     def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_backoff_s=0.1, jitter=0.5)
+        policy = RetryPolicy()
         first = policy.backoff_s(1, token="r1")
         assert first == policy.backoff_s(1, token="r1")
-        assert 0.05 <= first <= 0.15
+        assert 0.01 <= first <= 0.03
         assert policy.backoff_s(1, token="r2") != first
 
     def test_next_backoff_stops_at_max_attempts(self):
@@ -105,60 +110,60 @@ class TestRetryPolicy:
         assert policy.next_backoff(2, "r1") is None
 
     def test_next_backoff_honors_remaining_deadline(self):
-        policy = RetryPolicy(
-            max_attempts=5, base_backoff_s=0.1, jitter=0.0
-        )
-        assert policy.next_backoff(1, "r1", remaining_s=1.0) == 0.1
-        assert policy.next_backoff(1, "r1", remaining_s=0.05) is None
+        policy = RetryPolicy(max_attempts=5)
+        backoff = policy.backoff_s(1, "r1")
+        assert policy.next_backoff(1, "r1", remaining_s=1.0) == backoff
+        assert policy.next_backoff(1, "r1", remaining_s=backoff) is None
 
 
 class TestHedgePolicy:
     def test_floor_until_enough_samples(self):
-        policy = HedgePolicy(min_delay_s=0.05, min_samples=4)
+        policy = HedgePolicy(min_delay_s=0.05)
         assert policy.delay_s([]) == 0.05
-        assert policy.delay_s([0.2, 0.2, 0.2]) == 0.05
+        assert policy.delay_s([0.2] * 15) == 0.05
+        assert policy.delay_s([0.2] * 16) == 0.2
 
     def test_quantile_with_floor(self):
-        policy = HedgePolicy(
-            quantile=0.5, min_delay_s=0.05, min_samples=2
-        )
-        assert policy.delay_s([0.2, 0.2, 0.2, 0.2]) == 0.2
-        assert policy.delay_s([0.001, 0.001, 0.001, 0.001]) == 0.05
+        policy = HedgePolicy(min_delay_s=0.05)
+        assert policy.delay_s([0.2] * 16) == 0.2
+        assert policy.delay_s([0.001] * 16) == 0.05
+        # The p95 of 0, 1, ..., 20 ms is the 19 ms sample.
+        latencies = [i / 1e3 for i in range(21)]
+        assert policy.delay_s(latencies) == 0.05
+        assert HedgePolicy(min_delay_s=0.001).delay_s(latencies) == 0.019
 
 
 class TestReplicaHealth:
-    def _health(self, **overrides):
-        policy = HealthPolicy(
-            window_s=2.0,
-            min_samples=2,
-            degrade_failure_rate=0.2,
-            eject_failure_rate=0.6,
-            eject_consecutive_failures=2,
-            eject_s=0.5,
-            probation_successes=2,
-            recover_successes=2,
-            **overrides,
-        )
-        return ReplicaHealth(0, policy=policy)
+    """Transitions under the fixed thresholds: 4 consecutive failures
+    eject, a 1 s sit-out precedes probation, 3 probation successes
+    readmit, a windowed failure rate of 20% or more (over at least 4
+    outcomes) or a queue depth of 48 degrades."""
+
+    def _health(self):
+        return ReplicaHealth(0, None)
 
     def test_starts_healthy(self):
         assert self._health().state == "healthy"
 
     def test_consecutive_failures_eject(self):
         health = self._health()
-        health.record_failure(0.1, "fault")
-        health.record_failure(0.2, "fault")
+        for t in (0.1, 0.2, 0.3):
+            health.record_failure(t, "fault")
+        assert health.state == "healthy"
+        health.record_failure(0.4, "fault")
         assert health.state == "ejected"
         assert [t[2] for t in health.transitions] == ["ejected"]
 
     def test_eject_probation_readmit_cycle(self):
         health = self._health()
         health.force_eject(0.0, "killed")
-        assert not health.routable(0.4)
-        assert health.routable(0.6)
+        assert not health.routable(0.9)
+        assert health.routable(1.1)
         assert health.state == "probation"
-        health.record_success(0.7, 0.01)
-        health.record_success(0.8, 0.01)
+        health.record_success(1.2)
+        health.record_success(1.3)
+        assert health.state == "probation"
+        health.record_success(1.4)
         assert health.state == "healthy"
         states = [t[2] for t in health.transitions]
         assert states == ["ejected", "probation", "healthy"]
@@ -166,27 +171,70 @@ class TestReplicaHealth:
     def test_probation_failure_re_ejects(self):
         health = self._health()
         health.force_eject(0.0, "killed")
-        health.tick(0.6)
+        health.tick(1.1)
         assert health.state == "probation"
-        health.record_failure(0.7, "fault")
+        health.record_failure(1.2, "fault")
         assert health.state == "ejected"
 
     def test_failure_rate_degrades_then_window_recovers(self):
         health = self._health()
-        health.record_success(0.1, 0.01)
-        health.record_failure(0.2, "fault")
+        for t in (0.1, 0.2, 0.3):
+            health.record_success(t)
+        health.record_failure(0.4, "fault")
         assert health.state == "degraded"
-        health.record_success(3.0, 0.01)
-        health.record_success(3.1, 0.01)
+        health.record_success(3.0)
+        health.record_success(3.1)
         assert health.state == "healthy"
 
     def test_observe_degrades_on_queue_depth_and_breaker(self):
-        health = self._health(degrade_queue_depth=4)
-        health.observe(0.1, queue_depth=8)
+        health = self._health()
+        health.observe(0.1, queue_depth=47)
+        assert health.state == "healthy"
+        health.observe(0.2, queue_depth=48)
         assert health.state == "degraded"
         other = self._health()
         other.observe(0.1, breaker_open=True)
         assert other.state == "degraded"
+
+
+class TestTelemetryWiring:
+    """The fleet and everything it builds report through the one
+    tracer and registry its pipelines share."""
+
+    def test_fleet_exports_every_replica_state(self):
+        registry = MetricsRegistry()
+        fleet, _ = _fleet(metrics=registry)
+        assert fleet.metrics is registry
+        for replica in fleet.replicas:
+            assert replica.server.metrics is registry
+            assert replica.server.queue.metrics is registry
+            assert registry.gauge(
+                "serving_replica_state", replica=str(replica.index)
+            ).value == 0.0
+        names = {m["name"] for m in registry.snapshot()["metrics"]}
+        assert "serving_replica_state" in names
+
+    def test_chaos_harness_counts_into_the_fleet_registry(self):
+        registry = MetricsRegistry()
+        fleet, _ = _fleet(metrics=registry)
+        harness = ChaosHarness(
+            fleet, ChaosSchedule.from_specs(["kill:1:0.0"])
+        )
+        harness.fire(0.0)
+        assert registry.counter(
+            "serving_chaos_events_total", action="kill"
+        ).value == 1
+        assert registry.gauge(
+            "serving_replica_state", replica="1"
+        ).value == 2.0  # ejected
+
+    @pytest.mark.parametrize(
+        "name, make", [("metrics", MetricsRegistry), ("tracer", Tracer)]
+    )
+    def test_pipelines_must_share_each_sink(self, name, make):
+        pipelines = [_pipeline(**{name: make()}) for _ in range(2)]
+        with pytest.raises(ValueError, match="share one tracer"):
+            ServerFleet(pipelines, clock=FixedClock(0.0))
 
 
 class TestRouter:
@@ -315,7 +363,7 @@ class TestFleetVirtual:
     def test_hedge_fires_and_cancels_loser(self, rng):
         fleet, clock = _fleet(
             config=FleetConfig(
-                hedge=HedgePolicy(min_delay_s=0.03, min_samples=4)
+                hedge=HedgePolicy(min_delay_s=0.03)
             )
         )
         request = fleet.submit(
@@ -377,7 +425,7 @@ def _chaos_run(seed=0):
     metrics = MetricsRegistry()
     clock = FixedClock(0.0)
     fleet = ServerFleet(
-        [_pipeline(seed=0) for _ in range(3)],
+        [_pipeline(metrics, seed=0) for _ in range(3)],
         config=FleetConfig(
             default_deadline_ms=500.0,
             retry=RetryPolicy(max_attempts=4),
@@ -386,10 +434,9 @@ def _chaos_run(seed=0):
             max_batch_size=4, max_wait_ms=20.0, workers=1
         ),
         clock=clock,
-        metrics=metrics,
     )
     schedule = ChaosSchedule.standard(3, 2.0)
-    harness = ChaosHarness(fleet, schedule, metrics=metrics)
+    harness = ChaosHarness(fleet, schedule)
     config = LoadGenConfig(
         duration_s=2.0, rate=40.0, deadline_ms=500.0, seed=seed
     )
@@ -448,23 +495,21 @@ def _traced_chaos_run(seed=7):
     clock = FixedClock(0.0)
     tracer = Tracer(clock=clock)
     fleet = ServerFleet(
-        [_pipeline(seed=0) for _ in range(3)],
+        [_pipeline(metrics, seed=0, tracer=tracer) for _ in range(3)],
         config=FleetConfig(
             default_deadline_ms=500.0,
             retry=RetryPolicy(max_attempts=4),
-            hedge=HedgePolicy(min_delay_s=0.015, min_samples=4),
+            hedge=HedgePolicy(min_delay_s=0.015),
         ),
         serving_config=ServingConfig(
             max_batch_size=4, max_wait_ms=20.0, workers=1
         ),
         clock=clock,
-        tracer=tracer,
-        metrics=metrics,
     )
     schedule = ChaosSchedule.from_specs(
         ["error:1:0.05", "slow:2:0.1:8", "recover:1:0.4", "recover:2:0.6"]
     )
-    harness = ChaosHarness(fleet, schedule, metrics=metrics)
+    harness = ChaosHarness(fleet, schedule)
     config = LoadGenConfig(duration_s=0.8, rate=60.0, seed=seed)
     report = FleetLoadGenerator(fleet, config, chaos=harness).run()
     return report, fleet, tracer
@@ -475,12 +520,11 @@ class TestTracePropagation:
         clock = FixedClock(0.0)
         tracer = Tracer(clock=clock)
         fleet = ServerFleet(
-            [_pipeline(seed=0) for _ in range(3)],
+            [_pipeline(seed=0, tracer=tracer) for _ in range(3)],
             serving_config=ServingConfig(
                 max_batch_size=4, max_wait_ms=20.0, workers=1
             ),
             clock=clock,
-            tracer=tracer,
         )
         requests = [
             fleet.submit(
@@ -588,11 +632,9 @@ class TestFleetThreaded:
     def test_threaded_traces_stitch_under_faults(self, rng):
         tracer = Tracer()
         fleet = ServerFleet(
-            [_pipeline(seed=0) for _ in range(3)],
+            [_pipeline(seed=0, tracer=tracer) for _ in range(3)],
             config=FleetConfig(
-                retry=RetryPolicy(
-                    max_attempts=4, base_backoff_s=0.005
-                ),
+                retry=RetryPolicy(max_attempts=4),
                 # 1 ms hedge floor against a 5 ms batch window: every
                 # request earns a hedge from the maintenance thread.
                 hedge=HedgePolicy(min_delay_s=0.001),
@@ -600,7 +642,6 @@ class TestFleetThreaded:
             serving_config=ServingConfig(
                 max_batch_size=4, max_wait_ms=5.0, workers=1
             ),
-            tracer=tracer,
         )
 
         def tenants_with_primary(replica_index, count):

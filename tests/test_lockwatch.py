@@ -177,9 +177,7 @@ class TestThreadedHammer:
         fleet = ServerFleet(
             [_pipeline(seed=0) for _ in range(3)],
             config=FleetConfig(
-                retry=RetryPolicy(
-                    max_attempts=4, base_backoff_s=0.005
-                ),
+                retry=RetryPolicy(max_attempts=4),
                 hedge=HedgePolicy(min_delay_s=0.001),
             ),
             serving_config=ServingConfig(

@@ -27,7 +27,7 @@ from repro.bench import (
 from repro.core import EdgePCConfig
 from repro.datasets import make_scene
 from repro.nn import PointNet2Segmentation, SAConfig
-from repro.observability import Tracer, find_orphans
+from repro.observability import NULL_TRACER, Tracer, find_orphans
 from repro.observability.clock import FixedClock
 from repro.observability.metrics import MetricsRegistry
 from repro.partition import (
@@ -38,6 +38,7 @@ from repro.partition import (
     price_partition,
 )
 from repro.pipeline import EdgePCPipeline
+from repro.runtime import EnergyReport, StageBreakdown
 from repro.serving import (
     FleetConfig,
     InferenceRejectedError,
@@ -69,11 +70,17 @@ def _scene_model(halo_width=0.12, num_classes=5, seed=0):
     )
 
 
-def _scene_pipeline(halo_width=0.12, seed=0, metrics=None):
+def _scene_pipeline(halo_width=0.12, seed=0, metrics=None, tracer=None):
     return EdgePCPipeline(
         _scene_model(halo_width=halo_width, seed=seed),
+        tracer=tracer,
         metrics=metrics,
     )
+
+
+#: What a fake pipeline prices a batch at: nothing.
+_ZERO_BREAKDOWN = StageBreakdown(0.0, 0.0, 0.0, 0.0)
+_ZERO_ENERGY = EnergyReport(0.0, 0.0)
 
 
 class _NeighborStatsPipeline:
@@ -87,7 +94,7 @@ class _NeighborStatsPipeline:
     it — the receptive-field model the halo contract is stated for.
     """
 
-    tracer = None
+    tracer = NULL_TRACER
     metrics = None
 
     def __init__(self, radius):
@@ -122,8 +129,8 @@ class _NeighborStatsPipeline:
         result = _Result()
         result.logits = logits
         result.predictions = logits.argmax(axis=-1)
-        result.breakdown = None
-        result.energy = None
+        result.breakdown = _ZERO_BREAKDOWN
+        result.energy = _ZERO_ENERGY
         result.degraded_stages = ()
         return result
 
@@ -364,7 +371,6 @@ class TestPartitionedPipeline:
             pipeline,
             partitioner=ScenePartitioner(256, halo_width=0.12),
             max_chunks_per_batch=2,
-            metrics=metrics,
         )
         scene = make_scene(900, seed=1)
         result = partitioned.infer(scene.xyz)
@@ -392,7 +398,7 @@ class TestPartitionedPipeline:
 
     def test_rejected_batch_raises_typed_error(self, rng):
         class _Rejecting:
-            tracer = None
+            tracer = NULL_TRACER
             metrics = None
 
             def infer(self, batch):
@@ -558,15 +564,16 @@ def _scene_fleet(replicas=2, tracer=None, metrics=None, config=None):
     if tracer is None:
         tracer = Tracer(clock=clock)
     fleet = ServerFleet(
-        [_scene_pipeline(seed=0) for _ in range(replicas)],
+        [
+            _scene_pipeline(seed=0, metrics=metrics, tracer=tracer)
+            for _ in range(replicas)
+        ],
         config=config or FleetConfig(),
         serving_config=ServingConfig(
             max_batch_size=2, max_wait_ms=5.0, workers=1,
             max_queue_depth=64,
         ),
         clock=clock,
-        tracer=tracer,
-        metrics=metrics,
     )
     return fleet, clock, tracer
 

@@ -289,12 +289,11 @@ class TestBacklogInvariant:
         registry = MetricsRegistry()
         clock = FixedClock(0.0)
         fleet = ServerFleet(
-            [_pipeline()],
+            [_pipeline(registry)],
             serving_config=ServingConfig(
                 max_batch_size=2, max_wait_ms=50.0, workers=1
             ),
             clock=clock,
-            metrics=registry,
         )
         server = fleet.replicas[0].server
 
@@ -345,7 +344,6 @@ class TestBacklogInvariant:
                 max_wait_ms=1.0,
                 workers=4,
             ),
-            metrics=registry,
         )
         clouds = rng.random((8, N_POINTS, 3))
         requests = []
@@ -398,7 +396,6 @@ class TestThreadedServer:
             ServingConfig(
                 max_batch_size=4, max_wait_ms=5.0, workers=2
             ),
-            metrics=registry,
         )
         with server:
             requests = [
@@ -441,7 +438,7 @@ class TestThreadedServer:
     def test_non_drain_stop_releases_the_queue_backlog(self, rng):
         registry = MetricsRegistry()
         server = InferenceServer(
-            _pipeline(registry), ServingConfig(), metrics=registry
+            _pipeline(registry), ServingConfig()
         )
         # No workers: the requests stay buffered in their bucket.
         for _ in range(3):
@@ -510,7 +507,7 @@ class TestSharedWorkspace:
     def test_workspace_counters_match_the_model_pool(self, rng):
         registry = MetricsRegistry()
         pipeline = _pipeline(registry)
-        server = InferenceServer(pipeline, self.CONFIG, metrics=registry)
+        server = InferenceServer(pipeline, self.CONFIG)
         self._serve(server, rng, 40)
         workspace = pipeline.model.workspace
         assert workspace.hits > 0 and workspace.misses > 0
@@ -548,7 +545,6 @@ class TestServingUnderFaults:
             ServingConfig(
                 max_batch_size=4, max_wait_ms=5.0, workers=2
             ),
-            metrics=registry,
         )
 
     def test_faults_trip_breaker_without_losing_requests(self, rng):
@@ -601,7 +597,6 @@ class TestServingUnderFaults:
             ServingConfig(
                 max_batch_size=1, max_wait_ms=1.0, workers=1
             ),
-            metrics=registry,
         )
         bad = np.full((N_POINTS, 3), np.nan)
         with server:
@@ -649,7 +644,6 @@ class TestWorkerErrorAccounting:
             ServingConfig(
                 max_batch_size=2, max_wait_ms=10_000.0, workers=1
             ),
-            metrics=registry,
         )
         requests = [
             server.submit(rng.random((N_POINTS, 3))) for _ in range(2)
@@ -690,7 +684,6 @@ def _virtual_fleet(registry=None, seed=0, **config_kwargs):
         [_pipeline(registry, seed=seed)],
         serving_config=ServingConfig(**defaults),
         clock=FixedClock(0.0),
-        metrics=registry,
     )
 
 
@@ -845,13 +838,39 @@ class TestQueueRejectionReasons:
         }
 
 
+class TestTelemetryWiring:
+    def test_server_and_queue_report_to_the_pipeline_registry(self, rng):
+        registry = MetricsRegistry()
+        clock = FixedClock(0.0)
+        server = InferenceServer(
+            _pipeline(registry),
+            ServingConfig(max_batch_size=4, max_wait_ms=10.0, workers=1),
+            clock=clock,
+        )
+        assert server.metrics is registry
+        assert server.queue.metrics is registry
+        for _ in range(2):
+            server.submit(rng.random((N_POINTS, 3)))
+        clock.advance(0.05)
+        assert len(server.pump()) == 1
+        assert registry.counter("serving_admitted_total").value == 2
+        assert registry.gauge("serving_queue_depth").value == 0.0
+        assert registry.counter(
+            "serving_batches_total", trigger="timeout"
+        ).value == 1
+        assert registry.histogram(
+            "serving_batch_size_clouds"
+        ).count == 1
+        assert registry.counter("serving_completed_total").value == 2
+        assert registry.counter("pipeline_batches_total").value == 1
+
+
 class TestDrainTimeout:
     def test_stuck_worker_raises_typed_drain_error(self, rng):
         registry = MetricsRegistry()
         server = InferenceServer(
-            _pipeline(),
+            _pipeline(registry),
             ServingConfig(workers=1, max_wait_ms=1.0),
-            metrics=registry,
         )
         server.start()
         release = threading.Event()
@@ -890,11 +909,9 @@ class TestServerTracing:
         tracer = Tracer(clock=clock)
         registry = MetricsRegistry()
         server = InferenceServer(
-            _pipeline(),
+            _pipeline(registry, tracer=tracer),
             ServingConfig(max_batch_size=4, max_wait_ms=10.0, workers=1),
             clock=clock,
-            tracer=tracer,
-            metrics=registry,
         )
         return server, clock, tracer, registry
 
