@@ -1574,8 +1574,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--tenants", type=int, default=4,
-            help="distinct tenant keys driving the fleet router "
-            "(the lowest-indexed tenant is low priority)",
+            help="distinct tenant keys driving the fleet router",
         )
         cmd.add_argument(
             "--out", default=None, metavar="FILE",

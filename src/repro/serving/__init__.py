@@ -7,8 +7,9 @@ point count and forms rectangular ``(B, N, 3)`` micro-batches that
 ride the batched kernel path, and dispatched by an
 :class:`~repro.serving.server.InferenceServer` worker pool.  A
 :class:`~repro.serving.fleet.ServerFleet` fronts N replicas (or one)
-with consistent-hash routing, per-replica health tracking, deadline-aware
-retries, hedging, and brownout shedding; the
+with consistent-hash routing, per-replica health tracking (eject,
+probation, re-admit), deadline-aware retries, hedging, and
+scatter/gather of scene-scale clouds; the
 :class:`~repro.serving.chaos.ChaosHarness` breaks replicas on a
 deterministic virtual-time schedule to prove it, and the
 :class:`~repro.serving.loadgen.FleetLoadGenerator` feeds seeded load
@@ -29,7 +30,6 @@ from repro.serving.chaos import (
     parse_chaos_event,
 )
 from repro.serving.fleet import (
-    BrownoutError,
     Dispatch,
     FleetConfig,
     FleetRequest,
@@ -72,7 +72,6 @@ from repro.serving.server import (
 __all__ = [
     "AdmissionError",
     "BATCH_SIZE_BUCKETS",
-    "BrownoutError",
     "Dispatch",
     "CHAOS_ACTIONS",
     "ChaosEvent",

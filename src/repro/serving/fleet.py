@@ -7,10 +7,9 @@ the fault-tolerance policy the single-replica server cannot express:
 
 - **Health-aware routing** — each replica carries a
   :class:`~repro.serving.health.ReplicaHealth` state machine fed by
-  attempt outcomes, queue depth, and the guard's breaker state.
-  Ejected replicas receive no traffic; degraded ones fall behind
-  healthy peers in the ring-walk preference order; probation replicas
-  stay routable so re-admission happens through real traffic.
+  attempt outcomes.  Ejected replicas receive no traffic; probation
+  replicas keep their ring position so re-admission happens through
+  real traffic.
 - **Deadline-aware retries** — a failed retryable attempt
   (:class:`~repro.serving.chaos.ReplicaFaultError`, admission
   refusals) is re-dispatched to the next replica in preference order
@@ -21,10 +20,14 @@ the fault-tolerance policy the single-replica server cannot express:
   primary attempt still pending past the observed latency quantile
   earns one duplicate dispatch on another replica; first result wins
   and the loser is cancelled.
-- **Brownout** — when fewer than half the replicas are routable
-  (:data:`BROWNOUT_HEALTHY_FRACTION`), priority-0 requests (below
-  :data:`BROWNOUT_MIN_PRIORITY`) are shed at the door with a typed
-  :class:`BrownoutError` instead of queueing forever.
+- **Scatter/gather** — :meth:`ServerFleet.submit_scene` splits a
+  scene into chunks that each ride the paths above, then stitches
+  their results back into scene order.
+
+A request with no routable replica is shed at the door with a typed
+:class:`NoHealthyReplicaError`.  Which kernel a stage runs is the
+guard's decision inside each replica's pipeline; the fleet never
+reads it.
 
 The fleet reads its tracer and metrics registry from its pipelines,
 which must all share one of each.
@@ -97,19 +100,8 @@ class NoHealthyReplicaError(AdmissionError):
     reason = "no_healthy_replica"
 
 
-class BrownoutError(AdmissionError):
-    """Shed at the door: fleet in brownout, priority too low."""
-
-    reason = "brownout"
-
-
 #: Virtual nodes per replica on the hash ring.
 RING_POINTS = 32
-#: Brownout starts when the routable replica fraction drops below this.
-BROWNOUT_HEALTHY_FRACTION = 0.5
-#: Minimum priority admitted during brownout (higher numbers are more
-#: important).
-BROWNOUT_MIN_PRIORITY = 1
 
 
 @dataclass(frozen=True)
@@ -180,10 +172,6 @@ class Router:
                     break
         return tuple(order)
 
-    def replica_for(self, key: str) -> int:
-        """The primary replica for ``key``."""
-        return self.preference(key)[0]
-
 
 @dataclass
 class FleetRequest:
@@ -193,7 +181,6 @@ class FleetRequest:
         request_id: fleet-level id (``f000001``); attempt ids append
             ``.aK``.
         tenant: routing key (stream/tenant id).
-        priority: brownout priority (higher is more important).
         cloud: the ``(N, 3)`` cloud.
         arrival_s: fleet admission instant.
         deadline_s: absolute deadline shared by every attempt.
@@ -218,7 +205,6 @@ class FleetRequest:
 
     request_id: str
     tenant: str
-    priority: int
     cloud: np.ndarray
     arrival_s: float
     deadline_s: Optional[float] = None
@@ -246,7 +232,6 @@ class SceneRequest:
     Attributes:
         request_id: scene-level id; chunk sub-requests append ``.cJ``.
         tenant: routing key shared by every chunk.
-        priority: brownout priority shared by every chunk.
         arrival_s: scene admission instant.
         plan: the partition plan the scene was scattered with.
         future: resolves once — to the stitched result or the first
@@ -260,7 +245,6 @@ class SceneRequest:
 
     request_id: str
     tenant: str
-    priority: int
     arrival_s: float
     plan: PartitionPlan
     future: Future = field(default_factory=Future)
@@ -410,7 +394,6 @@ class ServerFleet:
         self,
         cloud: np.ndarray,
         tenant: str = "default",
-        priority: int = 1,
         deadline_s: Optional[float] = None,
         request_id: Optional[str] = None,
         parent_ctx: Optional[TraceContext] = None,
@@ -424,8 +407,8 @@ class ServerFleet:
         instead of minting a new trace, the request's terminal span is
         emitted as ``request.chunk`` under the parent span.  Raises a
         typed :class:`~repro.serving.queue.AdmissionError` subclass
-        when the fleet sheds the request at the door (brownout, no
-        routable replica, every candidate queue full/closed).
+        when the fleet sheds the request at the door (no routable
+        replica, every candidate queue full/closed).
         """
         with self.tracer.span("serving.fleet.submit", "serving") as span:
             cloud = np.asarray(cloud, dtype=np.float64)
@@ -462,24 +445,9 @@ class ServerFleet:
                 ctx = self.tracer.mint_context(rid, tenant=str(tenant))
             if ctx is not None:
                 span.set("trace_id", ctx.trace_id)
-            if priority < BROWNOUT_MIN_PRIORITY and (
-                self.brownout_active(now)
-            ):
-                self._reject(
-                    now, rid, "brownout", ctx=ctx,
-                    parent_span_id=parent_span_id,
-                )
-                raise BrownoutError(
-                    f"request {rid!r} shed: fleet in brownout "
-                    f"({self.healthy_count(now)}/"
-                    f"{len(self.replicas)} replicas routable) and "
-                    f"priority {priority} < "
-                    f"{BROWNOUT_MIN_PRIORITY}"
-                )
             request = FleetRequest(
                 request_id=rid,
                 tenant=str(tenant),
-                priority=int(priority),
                 cloud=cloud,
                 arrival_s=now,
                 deadline_s=(
@@ -516,7 +484,6 @@ class ServerFleet:
         cloud: np.ndarray,
         partitioner: ScenePartitioner,
         tenant: str = "default",
-        priority: int = 1,
         deadline_s: Optional[float] = None,
         request_id: Optional[str] = None,
     ) -> SceneRequest:
@@ -525,7 +492,7 @@ class ServerFleet:
         The scene is split by ``partitioner`` into uniform chunks;
         each chunk is submitted as an ordinary fleet sub-request
         (``{rid}.cJ``) sharing the scene's trace, so routing, retries,
-        hedging, and brownout all apply per chunk.  When the last
+        and hedging all apply per chunk.  When the last
         chunk settles, the per-chunk results are stitched back into
         scene order with owner-chunk priority and the scene future
         resolves to one :class:`~repro.serving.server.ServedResult`
@@ -565,7 +532,6 @@ class ServerFleet:
             scene = SceneRequest(
                 request_id=rid,
                 tenant=str(tenant),
-                priority=int(priority),
                 arrival_s=now,
                 plan=plan,
                 ctx=ctx,
@@ -576,7 +542,6 @@ class ServerFleet:
                     request = self.submit(
                         cloud[chunk.indices],
                         tenant=tenant,
-                        priority=priority,
                         deadline_s=deadline_s,
                         request_id=f"{rid}.c{chunk.index}",
                         parent_ctx=ctx,
@@ -810,16 +775,6 @@ class ServerFleet:
             if not self.replicas[index].gate.killed
             and self.replicas[index].health.routable(now)
         ]
-        # Degraded replicas stay routable but fall behind healthy
-        # peers; probation replicas keep their ring position so
-        # re-admission happens through real traffic.
-        routable.sort(
-            key=lambda index: (
-                1
-                if self.replicas[index].health.state == "degraded"
-                else 0
-            )
-        )
         fresh = [index for index in routable if index not in exclude]
         return fresh or routable
 
@@ -932,7 +887,7 @@ class ServerFleet:
         self._fire_hedges(now, force)
         self._fire_retries(now, force)
         self._process_resolved(now)
-        self._observe_health(now)
+        self._tick_health(now)
 
     def _process_resolved(self, now: float) -> None:
         while True:
@@ -1267,7 +1222,7 @@ class ServerFleet:
             due.append(self._hedge_timers[0][0])
         return min(due) if due else None
 
-    # Health and brownout ---------------------------------------------
+    # Health ----------------------------------------------------------
 
     def healthy_count(self, now: float) -> int:
         """Replicas the router may currently send traffic to."""
@@ -1278,28 +1233,15 @@ class ServerFleet:
             and replica.health.routable(now)
         )
 
-    def brownout_active(self, now: float) -> bool:
-        """Whether low-priority traffic is being shed."""
-        fraction = self.healthy_count(now) / len(self.replicas)
-        return fraction < BROWNOUT_HEALTHY_FRACTION
-
-    def _observe_health(self, now: float) -> None:
+    def _tick_health(self, now: float) -> None:
+        """Advance every replica's sit-out clock (killed ones too) and
+        export the routable count, the one writer of
+        ``serving_fleet_healthy_replicas``."""
         for replica in self.replicas:
-            guard = replica.server.pipeline.guard
-            breaker_open = guard is not None and (
-                "open" in guard.breaker_states.values()
-            )
-            replica.health.observe(
-                now,
-                queue_depth=replica.server.queue.depth,
-                breaker_open=breaker_open,
-            )
+            replica.health.tick(now)
         if self.metrics is not None:
             self.metrics.gauge("serving_fleet_healthy_replicas").set(
                 float(self.healthy_count(now))
-            )
-            self.metrics.gauge("serving_fleet_brownout").set(
-                1.0 if self.brownout_active(now) else 0.0
             )
 
     # Chaos controls (driven by the harness; also CLI-accessible) -----
@@ -1663,10 +1605,6 @@ class ServerFleet:
         """Snapshot of the fleet counters (also exported as
         ``serving_fleet_*`` metrics when a registry is attached)."""
         now = self.clock()
-        if self.metrics is not None:
-            self.metrics.gauge("serving_fleet_healthy_replicas").set(
-                float(self.healthy_count(now))
-            )
         return {
             "replicas": float(len(self.replicas)),
             "submitted": float(self.submitted),

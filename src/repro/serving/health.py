@@ -1,32 +1,25 @@
 """Per-replica health tracking for the serving fleet.
 
-:class:`ReplicaHealth` is a deterministic state machine over the
-signals the serving stack already exports — windowed failure rate,
-consecutive failures, queue depth, and the guard's breaker state —
-that decides whether a replica keeps receiving traffic:
+:class:`ReplicaHealth` is a deterministic state machine over attempt
+outcomes that decides whether a replica keeps receiving traffic:
 
-``HEALTHY -> DEGRADED -> EJECTED -> PROBATION -> HEALTHY``
+``HEALTHY -> EJECTED -> PROBATION -> HEALTHY``
 
-- **HEALTHY -> DEGRADED** — the windowed failure rate crosses
-  :data:`DEGRADE_FAILURE_RATE`, queue depth reaches
-  :data:`DEGRADE_QUEUE_DEPTH`, or a guard breaker opens.  Degraded
-  replicas keep serving; the router only deprioritizes them behind
-  healthy peers, mirroring HgPCN's pick-the-right-engine argument at
-  the replica level.
 - **-> EJECTED** — :data:`EJECT_CONSECUTIVE_FAILURES` failures in a
-  row, a windowed failure rate past :data:`EJECT_FAILURE_RATE`, or an
-  explicit :meth:`ReplicaHealth.force_eject` (chaos kill).  Ejected
-  replicas receive no traffic at all; shedding beats serving through
-  a replica whose breaker already fell back to the O(nN) exact path.
+  row, a windowed failure rate of at least :data:`EJECT_FAILURE_RATE`
+  over :data:`MIN_SAMPLES` or more outcomes, or an explicit
+  :meth:`ReplicaHealth.force_eject` (chaos kill).  Ejected replicas
+  receive no traffic at all.
 - **EJECTED -> PROBATION** — after :data:`EJECT_S` on the injected
   clock the replica is re-admitted on probation.
 - **PROBATION -> HEALTHY** — :data:`PROBATION_SUCCESSES` consecutive
   successes; any failure during probation re-ejects immediately.
 
-All timestamps come from caller-provided clock readings (no wall-clock
-reads), every transition is appended to
-:attr:`ReplicaHealth.transitions`, and state is exported as the
-``serving_replica_state`` gauge plus a
+Health is fault detection only: which kernel a stage runs is the
+pipeline's guard's decision, not the fleet's.  All timestamps come
+from caller-provided clock readings (no wall-clock reads), every
+transition is appended to :attr:`ReplicaHealth.transitions`, and state
+is exported as the ``serving_replica_state`` gauge plus a
 ``serving_replica_transitions_total`` counter.
 """
 
@@ -38,19 +31,17 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.observability.metrics import MetricsRegistry
 
 HEALTHY = "healthy"
-DEGRADED = "degraded"
 EJECTED = "ejected"
 PROBATION = "probation"
 
 #: All health states, in escalation order.
-HEALTH_STATES: Tuple[str, ...] = (
-    HEALTHY, DEGRADED, EJECTED, PROBATION,
-)
+HEALTH_STATES: Tuple[str, ...] = (HEALTHY, EJECTED, PROBATION)
 
-#: Gauge encoding of each state (``serving_replica_state``).
+#: Gauge encoding of each state (``serving_replica_state``).  Code 1
+#: belonged to the retired ``degraded`` state and stays unused, so a
+#: stored series keeps its meaning.
 STATE_CODES: Dict[str, float] = {
     HEALTHY: 0.0,
-    DEGRADED: 1.0,
     EJECTED: 2.0,
     PROBATION: 3.0,
 }
@@ -60,24 +51,16 @@ STATE_CODES: Dict[str, float] = {
 
 #: Sliding window over attempt outcomes (seconds).
 WINDOW_S = 2.0
-#: Outcomes needed in the window before the rate thresholds apply.
+#: Outcomes needed in the window before the rate threshold applies.
 MIN_SAMPLES = 4
-#: Windowed failure rate that marks a healthy replica degraded.
-DEGRADE_FAILURE_RATE = 0.2
 #: Windowed failure rate that ejects.
 EJECT_FAILURE_RATE = 0.65
 #: Failures in a row that eject regardless of the windowed rate.
 EJECT_CONSECUTIVE_FAILURES = 4
-#: Queue depth that marks a healthy replica degraded.
-DEGRADE_QUEUE_DEPTH = 48
 #: Seconds an ejected replica sits out before probation.
 EJECT_S = 1.0
 #: Consecutive successes that promote a probation replica to healthy.
 PROBATION_SUCCESSES = 3
-#: Consecutive successes that promote a degraded replica to healthy
-#: (the windowed failure rate must also sit below
-#: :data:`DEGRADE_FAILURE_RATE`).
-RECOVER_SUCCESSES = 2
 
 
 class ReplicaHealth:
@@ -117,12 +100,6 @@ class ReplicaHealth:
             and self._consecutive_successes >= PROBATION_SUCCESSES
         ):
             self._set_state(now, HEALTHY, "probation_passed")
-        elif (
-            self.state == DEGRADED
-            and self._consecutive_successes >= RECOVER_SUCCESSES
-            and self.failure_rate(now) < DEGRADE_FAILURE_RATE
-        ):
-            self._set_state(now, HEALTHY, "recovered")
 
     def record_failure(
         self, now: float, reason: str = "failure"
@@ -138,36 +115,12 @@ class ReplicaHealth:
             return
         if self.state == EJECTED:
             return
-        total, failed = self._window_counts()
-        rate = failed / total if total else 0.0
+        total = len(self._outcomes)
+        failed = sum(1 for _, ok in self._outcomes if not ok)
         if self._consecutive_failures >= EJECT_CONSECUTIVE_FAILURES or (
-            total >= MIN_SAMPLES and rate >= EJECT_FAILURE_RATE
+            total >= MIN_SAMPLES and failed / total >= EJECT_FAILURE_RATE
         ):
             self._eject(now, reason)
-        elif (
-            self.state == HEALTHY
-            and total >= MIN_SAMPLES
-            and rate >= DEGRADE_FAILURE_RATE
-        ):
-            self._set_state(now, DEGRADED, f"failure_rate:{reason}")
-
-    def observe(
-        self,
-        now: float,
-        queue_depth: Optional[int] = None,
-        breaker_open: bool = False,
-    ) -> None:
-        """Fold in ambient signals (queue depth, breaker state)."""
-        self.tick(now)
-        if self.state != HEALTHY:
-            return
-        if breaker_open:
-            self._set_state(now, DEGRADED, "breaker_open")
-        elif (
-            queue_depth is not None
-            and queue_depth >= DEGRADE_QUEUE_DEPTH
-        ):
-            self._set_state(now, DEGRADED, "queue_depth")
 
     def force_eject(self, now: float, reason: str) -> None:
         """Eject immediately (chaos kill, operator action)."""
@@ -193,30 +146,7 @@ class ReplicaHealth:
         self.tick(now)
         return self.state != EJECTED
 
-    # Derived signals -------------------------------------------------
-
-    def failure_rate(self, now: float) -> float:
-        """Windowed failure rate at ``now`` (0 with no samples)."""
-        self._trim(now)
-        total, failed = self._window_counts()
-        return failed / total if total else 0.0
-
-    def snapshot(self, now: float) -> Dict[str, object]:
-        """Plain-data view used by reports and the CLI."""
-        return {
-            "replica": self.replica,
-            "state": self.state,
-            "failure_rate": self.failure_rate(now),
-            "consecutive_failures": self._consecutive_failures,
-            "transitions": len(self.transitions),
-        }
-
     # Internals -------------------------------------------------------
-
-    def _window_counts(self) -> Tuple[int, int]:
-        total = len(self._outcomes)
-        failed = sum(1 for _, ok in self._outcomes if not ok)
-        return total, failed
 
     def _trim(self, now: float) -> None:
         horizon = now - WINDOW_S

@@ -45,9 +45,6 @@ from repro.serving.queue import AdmissionError
 
 ARRIVALS = ("poisson", "fixed")
 MODES = ("open", "closed")
-#: Tenant indices below this carry priority 0 and are shed first under
-#: brownout; the rest carry priority 1.
-LOW_PRIORITY_TENANTS = 1
 
 
 @dataclass(frozen=True)
@@ -66,8 +63,7 @@ class LoadGenConfig:
         deadline_ms: per-request deadline; ``None`` disables.
         seed: seeds both the arrival process and the cloud contents.
         tenants: distinct tenant keys drawn uniformly per request
-            (tenants are the fleet's routing keys); ``tenant-0`` is
-            low priority (:data:`LOW_PRIORITY_TENANTS`).
+            (tenants are the fleet's routing keys).
     """
 
     duration_s: float = 5.0
@@ -338,17 +334,10 @@ class FleetLoadGenerator:
             arrivals.pop()
             report.submitted += 1
             cloud = self._cloud(rng)
-            tenant_index = int(rng.integers(cfg.tenants))
-            tenant = f"tenant-{tenant_index}"
-            priority = (
-                0 if tenant_index < LOW_PRIORITY_TENANTS else 1
-            )
+            tenant = f"tenant-{int(rng.integers(cfg.tenants))}"
             try:
                 request = fleet.submit(
-                    cloud,
-                    tenant=tenant,
-                    priority=priority,
-                    deadline_s=deadline_s,
+                    cloud, tenant=tenant, deadline_s=deadline_s
                 )
             except AdmissionError:
                 pass  # counted by the fleet's typed reason counters

@@ -160,7 +160,7 @@ def emit_request_trace(
     the trace (``ctx.is_root``) — the late-bound root span reserved at
     mint time.  Shared by every path that resolves a request future
     without a result: queue expiry, batch failure, shutdown
-    cancellation, and fleet shed/brownout paths, so no future is ever
+    cancellation, and fleet backlog sheds, so no future is ever
     settled outside its trace (lint rule OBS-303 keeps it that way).
     """
     ctx = request.ctx

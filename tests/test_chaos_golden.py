@@ -1,6 +1,6 @@
 """Exact same-seed outputs of the virtual-time fleet event loop.
 
-``tests/data/chaos_golden.json`` pins, for three ``repro chaos``
+``tests/data/chaos_golden.json`` pins, for four ``repro chaos``
 runs, everything the loop decides: the ``LoadReport``, the fleet's
 ``RetryEvent`` trace, every replica's health transitions, and the
 report of the committed ``SLO_serving.json`` spec ticked through the
@@ -12,7 +12,10 @@ helpers, so they are the runs the CLI makes:
 - ``closed`` — a closed-loop run with hedging under the standard
   schedule;
 - ``stall`` — an open-loop run with a tight deadline, a stalled
-  replica (its backlog only expires), an erroring and a slowed one.
+  replica (its backlog only expires), an erroring and a slowed one;
+- ``stall-hedge`` — the ``stall`` run with 25 ms hedging, where hedges
+  win: duplicates on healthy replicas rescue the requests the stalled
+  replica would let expire.
 
 Regenerate (only when a change is meant to move the timeline)::
 
@@ -58,6 +61,7 @@ RUNS = {
         "--event", "recover:2:1.0", "--event", "recover:0:1.1",
     ],
 }
+RUNS["stall-hedge"] = RUNS["stall"] + ["--hedge-ms", "25"]
 
 
 def run_chaos(argv):
@@ -107,8 +111,9 @@ def test_run_matches_golden(golden, name):
 
 
 def test_golden_runs_exercise_the_hard_paths(golden):
-    bench, closed, stall = (
-        golden["bench"], golden["closed"], golden["stall"]
+    bench, closed, stall, stall_hedge = (
+        golden["bench"], golden["closed"], golden["stall"],
+        golden["stall-hedge"],
     )
     assert bench["report"]["chaos_events"] == 2
     assert bench["report"]["retries"] >= 1
@@ -116,7 +121,9 @@ def test_golden_runs_exercise_the_hard_paths(golden):
     assert closed["report"]["hedges"] >= 1
     assert stall["report"]["expired"] >= 1
     assert stall["report"]["chaos_events"] == 6
-    for record in (bench, closed, stall):
+    assert stall_hedge["report"]["hedge_wins"] >= 1
+    assert stall_hedge["report"]["expired"] == 0
+    for record in (bench, closed, stall, stall_hedge):
         assert record["report"]["lost"] == 0
 
 

@@ -4,7 +4,7 @@ Covers the retry/hedge policies, the replica health state machine
 (including eject -> probation -> re-admit), consistent-hash routing,
 deterministic chaos injection, and the fleet itself: zero lost
 requests when a replica dies mid-load, deadline-aware retries, hedged
-dispatch, brownout shedding, and byte-identical reports and retry
+dispatch, door rejection, and byte-identical reports and retry
 traces across same-seed runs — all in virtual time.
 
 PR 7 adds the trace-propagation contract: one trace id per request,
@@ -26,7 +26,6 @@ from repro.observability.clock import FixedClock
 from repro.observability.metrics import MetricsRegistry
 from repro.pipeline import EdgePCPipeline
 from repro.serving import (
-    BrownoutError,
     ChaosHarness,
     ChaosSchedule,
     DeadlineExceededError,
@@ -134,10 +133,11 @@ class TestHedgePolicy:
 
 
 class TestReplicaHealth:
-    """Transitions under the fixed thresholds: 4 consecutive failures
-    eject, a 1 s sit-out precedes probation, 3 probation successes
-    readmit, a windowed failure rate of 20% or more (over at least 4
-    outcomes) or a queue depth of 48 degrades."""
+    """Transitions of ``healthy -> ejected -> probation -> healthy``
+    under the fixed thresholds: 4 consecutive failures or a windowed
+    failure rate of 65% or more (over at least 4 outcomes) eject, a
+    1 s sit-out precedes probation, 3 probation successes readmit, and
+    nothing short of an ejection takes a replica out of ``healthy``."""
 
     def _health(self):
         return ReplicaHealth(0, None)
@@ -176,25 +176,27 @@ class TestReplicaHealth:
         health.record_failure(1.2, "fault")
         assert health.state == "ejected"
 
-    def test_failure_rate_degrades_then_window_recovers(self):
+    def test_windowed_failure_rate_ejects(self):
+        # 3 failures of 4 outcomes (75%) eject with only 3 in a row.
         health = self._health()
-        for t in (0.1, 0.2, 0.3):
-            health.record_success(t)
+        health.record_success(0.1)
+        health.record_failure(0.2, "fault")
+        health.record_failure(0.3, "fault")
+        assert health.state == "healthy"  # 2 of 3: below MIN_SAMPLES
         health.record_failure(0.4, "fault")
-        assert health.state == "degraded"
-        health.record_success(3.0)
-        health.record_success(3.1)
-        assert health.state == "healthy"
+        assert health.state == "ejected"
+        assert health.transitions == [
+            (0.4, "healthy", "ejected", "fault")
+        ]
 
-    def test_observe_degrades_on_queue_depth_and_breaker(self):
+    def test_failure_rate_below_eject_threshold_stays_healthy(self):
         health = self._health()
-        health.observe(0.1, queue_depth=47)
+        health.record_success(0.1)
+        health.record_success(0.2)
+        health.record_failure(0.3, "fault")
+        health.record_failure(0.4, "fault")  # 50% of 4 outcomes
         assert health.state == "healthy"
-        health.observe(0.2, queue_depth=48)
-        assert health.state == "degraded"
-        other = self._health()
-        other.observe(0.1, breaker_open=True)
-        assert other.state == "degraded"
+        assert health.transitions == []
 
 
 class TestTelemetryWiring:
@@ -239,9 +241,9 @@ class TestTelemetryWiring:
 
 class TestRouter:
     def test_same_key_same_route(self):
-        assert Router(3).replica_for("tenant-1") == Router(
+        assert Router(3).preference("tenant-1")[0] == Router(
             3
-        ).replica_for("tenant-1")
+        ).preference("tenant-1")[0]
 
     def test_preference_covers_all_replicas_once(self):
         order = Router(4).preference("tenant-9")
@@ -250,7 +252,7 @@ class TestRouter:
     def test_keys_spread_across_replicas(self):
         router = Router(3)
         first = {
-            router.replica_for(f"tenant-{i}") for i in range(32)
+            router.preference(f"tenant-{i}")[0] for i in range(32)
         }
         assert len(first) > 1
 
@@ -341,24 +343,6 @@ class TestFleetVirtual:
             fleet.submit(rng.random((N_POINTS, 3)))
         assert err.value.reason == "no_healthy_replica"
         assert fleet.rejection_reasons["no_healthy_replica"] == 1
-
-    def test_brownout_sheds_low_priority_only(self, rng):
-        fleet, clock = _fleet()
-        fleet.kill_replica(0)
-        fleet.kill_replica(1)
-        assert fleet.brownout_active(clock())
-        with pytest.raises(BrownoutError):
-            fleet.submit(
-                rng.random((N_POINTS, 3)),
-                tenant="tenant-low",
-                priority=0,
-            )
-        request = fleet.submit(
-            rng.random((N_POINTS, 3)), tenant="tenant-high"
-        )
-        _drive(fleet, request)
-        assert request.future.result() is not None
-        assert fleet.rejection_reasons["brownout"] == 1
 
     def test_hedge_fires_and_cancels_loser(self, rng):
         fleet, clock = _fleet(
