@@ -23,7 +23,7 @@ from typing import Optional
 from repro.core import morton
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.voxel import VoxelGrid
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.robustness.validate import (
     CloudValidationError,
     ValidationPolicy,
@@ -45,10 +45,11 @@ class StreamingMortonOrder:
             policy with ``bounding_box`` set (usually the scene box)
             to drop (``repair``) or clip (``clamp``) strays instead.
         metrics: optional
-            :class:`~repro.observability.metrics.MetricsRegistry`;
-            when given, inserts, insert/evict point counts,
-            maintenance ops, and the current size/scratch-resort cost
-            are kept as ``streaming_*`` counters and gauges.
+            :class:`~repro.observability.metrics.MetricsRegistry`
+            keeping inserts, insert/evict point counts, maintenance
+            ops, and the current size/scratch-resort cost as
+            ``streaming_*`` counters and gauges.  Defaults to
+            :data:`~repro.observability.metrics.NULL_METRICS`.
 
     The object stores points in sorted order internally;
     :attr:`points` and :attr:`codes` expose them.
@@ -64,7 +65,7 @@ class StreamingMortonOrder:
         per_axis = morton.bits_per_axis(code_bits)
         self.code_bits = code_bits
         self.validation = validation or ValidationPolicy()
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else NULL_METRICS
         self.grid = VoxelGrid.for_box(bounding_box, per_axis)
         self._points = np.empty((0, 3), dtype=np.float64)
         self._codes = np.empty(0, dtype=np.int64)
@@ -77,15 +78,13 @@ class StreamingMortonOrder:
 
     def _update_gauges(self) -> None:
         registry = self.metrics
-        if registry is None:
-            return
         registry.gauge("streaming_points").set(len(self))
         registry.gauge("streaming_scratch_resort_ops").set(
             self.scratch_resort_ops()
         )
 
     def _count(self, name: str, amount: float = 1.0) -> None:
-        if self.metrics is not None and amount:
+        if amount:
             self.metrics.counter(name).inc(amount)
 
     def __len__(self) -> int:

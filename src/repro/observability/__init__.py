@@ -34,9 +34,10 @@ Instrumented call sites (:class:`~repro.pipeline.EdgePCPipeline`,
 whose guard stage reports through it,
 :class:`~repro.core.streaming.StreamingMortonOrder`,
 :class:`~repro.train.trainer.Trainer`) accept optional
-``tracer``/``metrics`` arguments and default to the no-op
-:data:`NULL_TRACER` / ``None``, so the hot paths stay allocation-free
-when telemetry is off.
+``tracer``/``metrics`` arguments and resolve ``None`` once to the
+no-op :data:`NULL_TRACER` / :data:`NULL_METRICS`; every layer below
+them writes to whatever it was handed, so no call site checks
+whether telemetry is on.
 """
 
 from repro.observability.clock import Clock, FixedClock, wall_clock
@@ -50,6 +51,7 @@ from repro.observability.dashboard import (
 )
 from repro.observability.metrics import (
     DEFAULT_BUCKETS,
+    NULL_METRICS,
     Counter,
     Gauge,
     Histogram,
@@ -86,6 +88,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "NULL_METRICS",
     "NULL_SPAN",
     "NULL_TRACER",
     "RunReport",

@@ -8,9 +8,12 @@ identified by name plus a sorted label set, and exported either as a
 JSON snapshot (:meth:`MetricsRegistry.snapshot`) or as Prometheus text
 exposition (:meth:`MetricsRegistry.to_prometheus`).
 
-The instrumented hot paths (pipeline, guard, streaming) all take an
-``Optional[MetricsRegistry]`` and skip every metric update when it is
-``None``, so metrics — like tracing — are off-by-default-cheap.
+Metrics are **off by default**, like tracing: every instrumented
+constructor resolves ``metrics=None`` once to the module-level
+:data:`NULL_METRICS`, whose ``counter`` / ``gauge`` / ``histogram``
+hand back one shared no-op instrument and register nothing, so its
+snapshot and Prometheus text stay empty and no call site checks
+whether metrics are on.
 """
 
 from __future__ import annotations
@@ -297,3 +300,35 @@ class MetricsRegistry:
                 lines.append(f"{name}{label_str} {metric.value!r}")
         return "\n".join(lines) + ("\n" if lines else "")
 
+
+class _NullInstrument:
+    """Shared do-nothing instrument handed out by :data:`NULL_METRICS`."""
+
+    __slots__ = ()
+
+    value = 0.0
+
+    def inc(self, amount: float = 1.0) -> None:
+        pass
+
+    def set(self, value: float) -> None:
+        pass
+
+    def observe(
+        self, value: float, trace_id: Optional[str] = None
+    ) -> None:
+        pass
+
+
+_NULL_INSTRUMENT = _NullInstrument()
+
+
+class _NullRegistry(MetricsRegistry):
+    """A registry that drops every update and registers nothing."""
+
+    def _get(self, name: str, labels: Dict[str, str], factory, kind):
+        return _NULL_INSTRUMENT
+
+
+#: Shared metrics-off registry: the default on every instrumented path.
+NULL_METRICS: MetricsRegistry = _NullRegistry()

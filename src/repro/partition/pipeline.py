@@ -212,8 +212,6 @@ class PartitionedPipeline:
         self, plan: PartitionPlan, simulated_s: float
     ) -> None:
         registry = self.metrics
-        if registry is None:
-            return
         registry.counter("partition_scenes_total").inc()
         registry.counter("partition_chunks_total").inc(
             plan.num_chunks

@@ -21,7 +21,7 @@ from repro.core.pipeline import EdgePCConfig
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.layers import Module, swapped_attribute
 from repro.nn.recorder import StageRecorder
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.observability.tracing import (
     NULL_TRACER,
     Tracer,
@@ -108,9 +108,11 @@ class EdgePCPipeline:
             per-stage spans.
             Defaults to the no-op tracer (zero per-batch allocation).
         metrics: optional
-            :class:`~repro.observability.metrics.MetricsRegistry`;
-            when given, batch counts, per-stage latency histograms,
-            and validation repair/reject counters are recorded.
+            :class:`~repro.observability.metrics.MetricsRegistry`
+            for batch counts, per-stage latency histograms, and
+            validation repair/reject counters.  Defaults to
+            :data:`~repro.observability.metrics.NULL_METRICS`, which
+            records nothing.
     """
 
     def __init__(
@@ -129,7 +131,7 @@ class EdgePCPipeline:
         self.validation = validation or ValidationPolicy()
         self.guard = guard
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else NULL_METRICS
         # Last-seen (hits, misses) of the model's scratch workspace, so
         # per-batch counter increments report deltas, not totals.
         self._workspace_seen = (0, 0)
@@ -144,8 +146,6 @@ class EdgePCPipeline:
     ) -> None:
         """Fold sanitization outcomes into the metrics registry."""
         registry = self.metrics
-        if registry is None:
-            return
         for report in reports:
             for issue in report.issues:
                 registry.counter(
@@ -174,8 +174,7 @@ class EdgePCPipeline:
         try:
             xyz, reports = sanitize_batch(xyz, self.validation)
         except CloudValidationError:
-            if self.metrics is not None:
-                self.metrics.counter("validation_rejects_total").inc()
+            self.metrics.counter("validation_rejects_total").inc()
             raise
         self._count_validation(reports)
         return xyz, reports
@@ -294,8 +293,6 @@ class EdgePCPipeline:
         recorder: StageRecorder,
     ) -> None:
         registry = self.metrics
-        if registry is None:
-            return
         reuse_hits = sum(1 for e in recorder if e.op == "reuse")
         if reuse_hits:
             registry.counter("neighbor_reuse_hits_total").inc(

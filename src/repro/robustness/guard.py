@@ -241,13 +241,6 @@ class InferenceRejectedError(RuntimeError):
         self.validation = tuple(validation)
 
 
-def _count(
-    metrics: Optional[MetricsRegistry], name: str, **labels: str
-) -> None:
-    if metrics is not None:
-        metrics.counter(name, **labels).inc()
-
-
 class Guard:
     """Probe state of a guarded :class:`~repro.pipeline.EdgePCPipeline`.
 
@@ -297,13 +290,11 @@ class Guard:
 
     def _note_breaker(
         self,
-        metrics: Optional[MetricsRegistry],
+        metrics: MetricsRegistry,
         stage: str,
         before: str,
     ) -> None:
         """Count a breaker state transition and refresh its gauge."""
-        if metrics is None:
-            return
         after = self.breakers[stage].state
         if after != before:
             metrics.counter(
@@ -350,7 +341,7 @@ class Guard:
         config: EdgePCConfig,
         degradations: List[StageDegradation],
         tracer: Tracer,
-        metrics: Optional[MetricsRegistry],
+        metrics: MetricsRegistry,
     ) -> bool:
         """Probe one stage; returns True when it must run exact."""
         batch_index = self._batch_index
@@ -360,10 +351,10 @@ class Guard:
         decision = breaker.before_batch()
         self._note_breaker(metrics, stage, before)
         if decision == "forced":
-            _count(
-                metrics, "guard_fallbacks_total", stage=stage,
+            metrics.counter(
+                "guard_fallbacks_total", stage=stage,
                 reason="circuit_open",
-            )
+            ).inc()
             degradations.append(
                 StageDegradation(
                     stage, "circuit_open", float("nan"),
@@ -375,9 +366,9 @@ class Guard:
         # re-probe that decides whether the stage rejoins the
         # approximate path.
         reprobe = reprobe or before == "half_open"
-        _count(metrics, "guard_probes_total", stage=stage)
+        metrics.counter("guard_probes_total", stage=stage).inc()
         if reprobe:
-            _count(metrics, "guard_reprobes_total", stage=stage)
+            metrics.counter("guard_reprobes_total", stage=stage).inc()
         min_probe = max(2, self.thresholds.probe_k)
         if probe.shape[0] < min_probe:
             # Too few points for a meaningful probe; the exact
@@ -385,10 +376,10 @@ class Guard:
             before = breaker.state
             breaker.record_trip()
             self._note_breaker(metrics, stage, before)
-            _count(
-                metrics, "guard_fallbacks_total", stage=stage,
+            metrics.counter(
+                "guard_fallbacks_total", stage=stage,
                 reason="probe_underpopulated",
-            )
+            ).inc()
             degradations.append(
                 StageDegradation(
                     stage, "probe_tripped", float("nan"),
@@ -402,17 +393,16 @@ class Guard:
             metric, threshold = self._run_probe(stage, probe, config)
             probe_span.set("metric", metric)
             probe_span.set("threshold", threshold)
-        if metrics is not None:
-            metrics.gauge("guard_probe_score", stage=stage).set(metric)
+        metrics.gauge("guard_probe_score", stage=stage).set(metric)
         before = breaker.state
         if metric > threshold:
             breaker.record_trip()
             self._note_breaker(metrics, stage, before)
-            _count(metrics, "guard_probe_trips_total", stage=stage)
-            _count(
-                metrics, "guard_fallbacks_total", stage=stage,
+            metrics.counter("guard_probe_trips_total", stage=stage).inc()
+            metrics.counter(
+                "guard_fallbacks_total", stage=stage,
                 reason="probe_tripped",
-            )
+            ).inc()
             degradations.append(
                 StageDegradation(
                     stage, "probe_tripped", metric, threshold,
@@ -431,7 +421,7 @@ class Guard:
         xyz: np.ndarray,
         model,
         tracer: Tracer,
-        metrics: Optional[MetricsRegistry],
+        metrics: MetricsRegistry,
     ) -> Tuple[EdgePCConfig, List[StageDegradation]]:
         """Probe a sanitized batch; returns the config to run it under
         (``model.edgepc`` with each tripped stage cleared) and the
@@ -460,7 +450,7 @@ class Guard:
         self,
         config: EdgePCConfig,
         degradations: List[StageDegradation],
-        metrics: Optional[MetricsRegistry],
+        metrics: MetricsRegistry,
     ) -> Optional[EdgePCConfig]:
         """The all-exact config for retrying a batch whose logits were
         non-finite under ``config``, or ``None`` when ``config`` already
@@ -470,10 +460,10 @@ class Guard:
         )
         if config == full_exact:
             return None
-        _count(
-            metrics, "guard_fallbacks_total", stage="all",
+        metrics.counter(
+            "guard_fallbacks_total", stage="all",
             reason="non_finite_logits",
-        )
+        ).inc()
         degradations.append(
             StageDegradation(
                 "all", "non_finite_logits", float("nan"),
@@ -485,22 +475,22 @@ class Guard:
     def served(
         self,
         degradations: List[StageDegradation],
-        metrics: Optional[MetricsRegistry],
+        metrics: MetricsRegistry,
     ) -> None:
         """Account one served batch."""
         self.degradation_log.extend(degradations)
         self.batches_served += 1
-        _count(metrics, "guard_batches_served_total")
+        metrics.counter("guard_batches_served_total").inc()
 
     def rejected(
         self,
         reason: str,
         validation: Sequence[ValidationReport],
         degradations: List[StageDegradation],
-        metrics: Optional[MetricsRegistry],
+        metrics: MetricsRegistry,
     ) -> InferenceRejectedError:
         """Account one rejected batch; returns the error to raise."""
         self.degradation_log.extend(degradations)
         self.batches_rejected += 1
-        _count(metrics, "guard_rejections_total")
+        metrics.counter("guard_rejections_total").inc()
         return InferenceRejectedError(reason, validation)

@@ -49,7 +49,7 @@ from typing import (
     Tuple,
 )
 
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 
 __all__ = [
     "LockOrderViolation",
@@ -217,7 +217,8 @@ class LockOrderWatchdog:
         (or :func:`static_lock_order`).  Observed edges whose reverse
         is reachable in this graph are reported as contradictions.
     metrics:
-        Optional registry receiving ``lockwatch_*`` series.
+        Optional registry receiving ``lockwatch_*`` series; defaults
+        to the no-op :data:`~repro.observability.metrics.NULL_METRICS`.
     """
 
     def __init__(
@@ -225,7 +226,7 @@ class LockOrderWatchdog:
         static_edges: Iterable[Tuple[str, str]] = (),
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else NULL_METRICS
         self.static_edges: List[Tuple[str, str]] = sorted(
             set(static_edges)
         )
@@ -330,8 +331,7 @@ class LockOrderWatchdog:
     def _record_violation(self, message: str) -> None:
         with self._lock:
             self.violations.append(message)
-        if self.metrics is not None:
-            self.metrics.counter("lockwatch_violations_total").inc()
+        self.metrics.counter("lockwatch_violations_total").inc()
 
     def _acquired(self, name: str) -> None:
         self._state.stack.append(
@@ -341,10 +341,9 @@ class LockOrderWatchdog:
             self.acquisitions[name] = (
                 self.acquisitions.get(name, 0) + 1
             )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "lockwatch_acquisitions_total", lock=name
-            ).inc()
+        self.metrics.counter(
+            "lockwatch_acquisitions_total", lock=name
+        ).inc()
 
     def _released(self, name: str) -> None:
         stack = self._state.stack
@@ -365,12 +364,11 @@ class LockOrderWatchdog:
         )
 
     def _observe_hold(self, name: str, since: float) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram(
-                "lockwatch_hold_seconds",
-                buckets=HOLD_BUCKETS,
-                lock=name,
-            ).observe(max(0.0, time.perf_counter() - since))
+        self.metrics.histogram(
+            "lockwatch_hold_seconds",
+            buckets=HOLD_BUCKETS,
+            lock=name,
+        ).observe(max(0.0, time.perf_counter() - since))
 
     # Reporting -------------------------------------------------------
 

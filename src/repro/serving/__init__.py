@@ -39,7 +39,7 @@ from repro.serving.fleet import (
     SceneRequest,
     ServerFleet,
 )
-from repro.serving.health import HEALTH_STATES, ReplicaHealth
+from repro.serving.health import ReplicaHealth
 from repro.serving.loadgen import (
     FleetLoadGenerator,
     LoadGenConfig,
@@ -84,7 +84,6 @@ __all__ = [
     "FleetConfig",
     "FleetLoadGenerator",
     "FleetRequest",
-    "HEALTH_STATES",
     "HedgePolicy",
     "InferenceRejectedError",
     "InferenceServer",

@@ -246,7 +246,6 @@ class ChaosHarness:
         else:
             fleet.recover_replica(event.replica, now=now)
         self.applied.append(event)
-        if fleet.metrics is not None:
-            fleet.metrics.counter(
-                "serving_chaos_events_total", action=event.action
-            ).inc()
+        fleet.metrics.counter(
+            "serving_chaos_events_total", action=event.action
+        ).inc()

@@ -420,10 +420,7 @@ class ServerFleet:
             now = self.clock()
             with self._cond:
                 self.submitted += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "serving_fleet_submitted_total"
-                ).inc()
+            self.metrics.counter("serving_fleet_submitted_total").inc()
             if deadline_s is None and (
                 self.config.default_deadline_ms is not None
             ):
@@ -522,13 +519,10 @@ class ServerFleet:
             span.set("chunks", plan.num_chunks)
             if ctx is not None:
                 span.set("trace_id", ctx.trace_id)
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "serving_fleet_scenes_total"
-                ).inc()
-                self.metrics.counter(
-                    "serving_fleet_scene_chunks_total"
-                ).inc(plan.num_chunks)
+            self.metrics.counter("serving_fleet_scenes_total").inc()
+            self.metrics.counter(
+                "serving_fleet_scene_chunks_total"
+            ).inc(plan.num_chunks)
             scene = SceneRequest(
                 request_id=rid,
                 tenant=str(tenant),
@@ -588,21 +582,19 @@ class ServerFleet:
         if error is None and scene.submit_error is not None:
             error = scene.submit_error
         if error is not None:
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "serving_fleet_scene_failed_total",
-                    reason=type(error).__name__,
-                ).inc()
+            self.metrics.counter(
+                "serving_fleet_scene_failed_total",
+                reason=type(error).__name__,
+            ).inc()
             self._close_scene_trace(
                 scene, now, "failed", detail=type(error).__name__
             )
             scene.future.set_exception(error)
             return
         stitched = self._stitch_scene(scene, results)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "serving_fleet_scene_completed_total"
-            ).inc()
+        self.metrics.counter(
+            "serving_fleet_scene_completed_total"
+        ).inc()
         self._close_scene_trace(scene, now, "ok")
         scene.future.set_result(stitched)
 
@@ -684,10 +676,9 @@ class ServerFleet:
         with self._cond:
             self.submit_rejected += 1
             self._count_reason(reason)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "serving_fleet_rejected_total", reason=reason
-            ).inc()
+        self.metrics.counter(
+            "serving_fleet_rejected_total", reason=reason
+        ).inc()
         self._note(
             RetryEvent(
                 now,
@@ -837,10 +828,7 @@ class ServerFleet:
                 request.hedges += 1
                 with self._cond:
                     self.hedges += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "serving_fleet_hedges_total"
-                    ).inc()
+                self.metrics.counter("serving_fleet_hedges_total").inc()
             self._log(request, now, index, "hedge" if hedge else "dispatch")
             if not hedge and self.config.hedge is not None:
                 with self._cond:
@@ -990,17 +978,13 @@ class ServerFleet:
             )
             with self._cond:
                 self.completed += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "serving_fleet_completed_total"
-                ).inc()
+            self.metrics.counter("serving_fleet_completed_total").inc()
             if attempt.hedge:
                 with self._cond:
                     self.hedge_wins += 1
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "serving_fleet_hedge_wins_total"
-                    ).inc()
+                self.metrics.counter(
+                    "serving_fleet_hedge_wins_total"
+                ).inc()
                 self._log(request, now, attempt.replica, "hedge_win")
             self._close_request_trace(request, now, "ok")
             self._cancel_siblings(request, now)
@@ -1033,8 +1017,7 @@ class ServerFleet:
         with self._cond:
             self.expired += 1
             self._count_reason("deadline")
-        if self.metrics is not None:
-            self.metrics.counter("serving_fleet_expired_total").inc()
+        self.metrics.counter("serving_fleet_expired_total").inc()
         self._log(request, now, replica, "expired")
         self._close_request_trace(request, now, "expired")
         request.future.set_exception(error)
@@ -1048,11 +1031,10 @@ class ServerFleet:
     ) -> None:
         with self._cond:
             self.failed += 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "serving_fleet_failed_total",
-                reason=type(error).__name__,
-            ).inc()
+        self.metrics.counter(
+            "serving_fleet_failed_total",
+            reason=type(error).__name__,
+        ).inc()
         self._log(request, now, replica, "failed", type(error).__name__)
         self._close_request_trace(
             request, now, "failed", detail=type(error).__name__
@@ -1069,11 +1051,10 @@ class ServerFleet:
         with self._cond:
             self.failed += 1
             self._count_reason("retry_exhausted")
-        if self.metrics is not None:
-            self.metrics.counter(
-                "serving_fleet_failed_total",
-                reason="retry_exhausted",
-            ).inc()
+        self.metrics.counter(
+            "serving_fleet_failed_total",
+            reason="retry_exhausted",
+        ).inc()
         self._log(request, now, replica, "exhausted", type(cause).__name__)
         self._close_request_trace(
             request, now, "exhausted", detail=type(cause).__name__
@@ -1110,8 +1091,7 @@ class ServerFleet:
             return
         with self._cond:
             self.retries += 1
-        if self.metrics is not None:
-            self.metrics.counter("serving_fleet_retries_total").inc()
+        self.metrics.counter("serving_fleet_retries_total").inc()
         self._log(
             request, now, replica, "retry",
             detail or type(error).__name__, backoff_s=backoff,
@@ -1135,10 +1115,9 @@ class ServerFleet:
             sibling.cancelled = True
             with self._cond:
                 self.hedge_cancelled += 1
-            if self.metrics is not None:
-                self.metrics.counter(
-                    "serving_fleet_hedge_cancelled_total"
-                ).inc()
+            self.metrics.counter(
+                "serving_fleet_hedge_cancelled_total"
+            ).inc()
             self._log(request, now, sibling.replica, "hedge_cancel")
 
     # Timers ----------------------------------------------------------
@@ -1239,10 +1218,9 @@ class ServerFleet:
         ``serving_fleet_healthy_replicas``."""
         for replica in self.replicas:
             replica.health.tick(now)
-        if self.metrics is not None:
-            self.metrics.gauge("serving_fleet_healthy_replicas").set(
-                float(self.healthy_count(now))
-            )
+        self.metrics.gauge("serving_fleet_healthy_replicas").set(
+            float(self.healthy_count(now))
+        )
 
     # Chaos controls (driven by the harness; also CLI-accessible) -----
 
@@ -1603,7 +1581,7 @@ class ServerFleet:
 
     def stats(self) -> Dict[str, float]:
         """Snapshot of the fleet counters (also exported as
-        ``serving_fleet_*`` metrics when a registry is attached)."""
+        ``serving_fleet_*`` metrics)."""
         now = self.clock()
         return {
             "replicas": float(len(self.replicas)),

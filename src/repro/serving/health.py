@@ -34,9 +34,6 @@ HEALTHY = "healthy"
 EJECTED = "ejected"
 PROBATION = "probation"
 
-#: All health states, in escalation order.
-HEALTH_STATES: Tuple[str, ...] = (HEALTHY, EJECTED, PROBATION)
-
 #: Gauge encoding of each state (``serving_replica_state``).  Code 1
 #: belonged to the retired ``degraded`` state and stays unused, so a
 #: stored series keeps its meaning.
@@ -68,12 +65,12 @@ class ReplicaHealth:
 
     Args:
         replica: label used in metrics and transition records.
-        metrics: the owner's registry (``None`` when it has none) for
-            the state gauge and the transition counter.
+        metrics: the owner's registry for the state gauge and the
+            transition counter.
     """
 
     def __init__(
-        self, replica: str, metrics: Optional[MetricsRegistry]
+        self, replica: str, metrics: MetricsRegistry
     ) -> None:
         self.replica = str(replica)
         self.metrics = metrics
@@ -169,20 +166,18 @@ class ReplicaHealth:
         previous = self.state
         self.state = state
         self.transitions.append((now, previous, state, reason))
-        if self.metrics is not None:
-            self.metrics.counter(
-                "serving_replica_transitions_total",
-                replica=self.replica,
-                from_state=previous,
-                to_state=state,
-            ).inc()
+        self.metrics.counter(
+            "serving_replica_transitions_total",
+            replica=self.replica,
+            from_state=previous,
+            to_state=state,
+        ).inc()
         self._export_state()
 
     def _export_state(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "serving_replica_state", replica=self.replica
-            ).set(STATE_CODES[self.state])
+        self.metrics.gauge(
+            "serving_replica_state", replica=self.replica
+        ).set(STATE_CODES[self.state])
 
     def __repr__(self) -> str:
         return (

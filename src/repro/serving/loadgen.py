@@ -266,10 +266,9 @@ class FleetLoadGenerator:
             report = self._run_events()
             span.set("submitted", report.submitted)
             span.set("lost", report.lost)
-            if self.metrics is not None:
-                self.metrics.gauge("serving_mean_batch_size").set(
-                    report.mean_batch_size
-                )
+            self.metrics.gauge("serving_mean_batch_size").set(
+                report.mean_batch_size
+            )
             return report
 
     def _run_events(self) -> LoadReport:

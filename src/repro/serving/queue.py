@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.observability.clock import Clock, wall_clock
 from repro.observability.context import TraceContext
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.observability.tracing import NULL_TRACER, Tracer
 
 #: Histogram buckets for dispatched batch sizes (clouds per batch).
@@ -209,7 +209,7 @@ class RequestQueue:
         max_wait_s: flush a bucket once its oldest request has waited
             this long.
         clock: injectable clock shared with the server.
-        metrics: optional registry; admission decisions become
+        metrics: the owner's registry; admission decisions become
             ``serving_admitted_total`` / ``serving_rejected_total``
             counters and a ``serving_queue_depth`` gauge; flushed
             batches ``serving_batches_total`` (by trigger),
@@ -240,7 +240,7 @@ class RequestQueue:
         max_batch_size: int = 8,
         max_wait_s: float = 0.05,
         clock: Clock = wall_clock,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: MetricsRegistry = NULL_METRICS,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
         if max_depth < 1:
@@ -291,8 +291,7 @@ class RequestQueue:
                 request
             )
             self.admitted += 1
-            if self.metrics is not None:
-                self.metrics.counter("serving_admitted_total").inc()
+            self.metrics.counter("serving_admitted_total").inc()
             self._set_depth_gauge_locked()
             self.condition.notify_all()
 
@@ -301,10 +300,9 @@ class RequestQueue:
         self.rejected_by_reason[reason] = (
             self.rejected_by_reason.get(reason, 0) + 1
         )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "serving_rejected_total", reason=reason
-            ).inc()
+        self.metrics.counter(
+            "serving_rejected_total", reason=reason
+        ).inc()
 
     # Bucket maintenance (caller holds condition) ---------------------
 
@@ -312,18 +310,16 @@ class RequestQueue:
         return sum(len(bucket) for bucket in self._buckets.values())
 
     def _set_depth_gauge_locked(self) -> None:
-        if self.metrics is not None:
-            self.metrics.gauge("serving_queue_depth").set(
-                float(self._depth_locked())
-            )
+        self.metrics.gauge("serving_queue_depth").set(
+            float(self._depth_locked())
+        )
 
     def _expire_locked(self, request: ServingRequest, now: float) -> _Expired:
         """Count ``request``, already out of its bucket, and return it
         with its error for :meth:`_fail_expired`."""
         self.expired += 1
         self._set_depth_gauge_locked()
-        if self.metrics is not None:
-            self.metrics.counter("serving_expired_total").inc()
+        self.metrics.counter("serving_expired_total").inc()
         return request, DeadlineExceededError(
             f"request {request.request_id!r} expired "
             f"{now - request.deadline_s:.4f}s past its deadline "
@@ -411,8 +407,6 @@ class RequestQueue:
         return batch
 
     def _note_batch(self, batch: MicroBatch, now: float) -> None:
-        if self.metrics is None:
-            return
         self.metrics.counter(
             "serving_batches_total", trigger=batch.trigger
         ).inc()
@@ -566,8 +560,7 @@ class RequestQueue:
         """Stop admitting; wakes every waiter so drains can finish."""
         with self.condition:
             self._closed = True
-            if self.metrics is not None:
-                self.metrics.gauge("serving_queue_open").set(0.0)
+            self.metrics.gauge("serving_queue_open").set(0.0)
             self.condition.notify_all()
 
     @property

@@ -280,12 +280,6 @@ class InferenceServer:
             )
             request.future.set_exception(error)
 
-    def _count_failed(self, count: int, reason: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(
-                "serving_failed_total", reason=reason
-            ).inc(count)
-
     def record_failed(self, count: int, reason: str) -> None:
         """Fold ``count`` terminal failures into the guarded tally.
 
@@ -297,7 +291,9 @@ class InferenceServer:
         """
         with self._records_lock:
             self.failed += count
-        self._count_failed(count, reason)
+        self.metrics.counter(
+            "serving_failed_total", reason=reason
+        ).inc(count)
 
     def _dispatch(self, batch: MicroBatch) -> DispatchRecord:
         """Run one micro-batch and resolve its futures."""
@@ -380,19 +376,18 @@ class InferenceServer:
             # way through still balances completed + failed.
             with self._records_lock:
                 self.completed += 1
-            if registry is not None:
-                registry.counter("serving_completed_total").inc()
-                registry.histogram(
-                    "serving_queue_wait_seconds"
-                ).observe(wait_s)
-                # Device time is priced from the cost model; lane
-                # queueing behind busy workers is not included here.
-                registry.histogram(
-                    "serving_request_latency_seconds",
-                    buckets=REQUEST_LATENCY_BUCKETS,
-                ).observe(
-                    wait_s + total_s, trace_id=trace_id or None
-                )
+            registry.counter("serving_completed_total").inc()
+            registry.histogram(
+                "serving_queue_wait_seconds"
+            ).observe(wait_s)
+            # Device time is priced from the cost model; lane
+            # queueing behind busy workers is not included here.
+            registry.histogram(
+                "serving_request_latency_seconds",
+                buckets=REQUEST_LATENCY_BUCKETS,
+            ).observe(
+                wait_s + total_s, trace_id=trace_id or None
+            )
             self._emit_request_spans(
                 request, batch, profiled, started, dispatch_span_id
             )
@@ -489,10 +484,9 @@ class InferenceServer:
                 )
                 thread.start()
                 self._threads.append(thread)
-            if self.metrics is not None:
-                self.metrics.gauge("serving_workers").set(
-                    float(len(self._threads))
-                )
+            self.metrics.gauge("serving_workers").set(
+                float(len(self._threads))
+            )
             return self
 
     def _worker_loop(self) -> None:
@@ -565,13 +559,11 @@ class InferenceServer:
             ]
             self._threads = []
             span.set("stuck", len(stuck))
-            if self.metrics is not None:
-                self.metrics.gauge("serving_workers").set(0.0)
+            self.metrics.gauge("serving_workers").set(0.0)
             if stuck:
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "serving_drain_timeouts_total"
-                    ).inc(len(stuck))
+                self.metrics.counter(
+                    "serving_drain_timeouts_total"
+                ).inc(len(stuck))
                 raise DrainTimeoutError(
                     f"{len(stuck)} worker thread(s) failed to join "
                     f"within {timeout_s:.1f}s: {', '.join(stuck)}; "
@@ -644,16 +636,16 @@ class InferenceServer:
             - self.queue.expired
         )
 
+    # A getter, not a stage: reading state must not write a series.
+    # repro: allow[OBS-301]
     def stats(self) -> Dict[str, float]:
-        """Snapshot of the serving counters (also exported as
-        ``serving_*`` metrics when a registry is attached)."""
+        """Snapshot of the serving counters; read-only (the same
+        tallies go out as ``serving_*`` metrics where they change)."""
         with self._records_lock:
             batch_sizes = [r.size for r in self.records]
         mean = (
             sum(batch_sizes) / len(batch_sizes) if batch_sizes else 0.0
         )
-        if self.metrics is not None:
-            self.metrics.gauge("serving_mean_batch_size").set(mean)
         return {
             "admitted": float(self.queue.admitted),
             "rejected": float(self.queue.rejected),

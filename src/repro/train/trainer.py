@@ -22,7 +22,7 @@ from repro.nn.autograd import Tensor, no_grad
 from repro.nn.layers import Module
 from repro.nn.losses import cross_entropy
 from repro.nn.optim import Adam, Optimizer
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.observability.tracing import NULL_TRACER, Tracer
 from repro.train.metrics import mean_iou, overall_accuracy
 
@@ -61,8 +61,9 @@ class Trainer:
         label_smoothing: passed through to the loss.
         tracer: optional tracer; epochs and evaluations become
             ``train.*`` spans.  Defaults to the no-op tracer.
-        metrics: optional registry; batch/epoch counters and the last
-            loss/accuracy gauges are recorded when given.
+        metrics: optional registry for batch/epoch counters and the
+            last loss/accuracy gauges.  Defaults to the no-op
+            :data:`~repro.observability.metrics.NULL_METRICS`.
     """
 
     def __init__(
@@ -79,7 +80,7 @@ class Trainer:
         self.forward = forward
         self.label_smoothing = label_smoothing
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else NULL_METRICS
 
     def train_epoch(self, batches: Sequence[Batch]) -> float:
         """One pass over the batches; returns the mean loss."""
@@ -100,12 +101,9 @@ class Trainer:
             mean_loss = total / len(batches)
             span.set("batches", len(batches))
             span.set("mean_loss", mean_loss)
-        if self.metrics is not None:
-            self.metrics.counter("train_epochs_total").inc()
-            self.metrics.counter("train_batches_total").inc(
-                len(batches)
-            )
-            self.metrics.gauge("train_last_loss").set(mean_loss)
+        self.metrics.counter("train_epochs_total").inc()
+        self.metrics.counter("train_batches_total").inc(len(batches))
+        self.metrics.gauge("train_last_loss").set(mean_loss)
         return mean_loss
 
     def fit(
@@ -167,8 +165,7 @@ class Trainer:
         miou = None
         if num_classes is not None:
             miou = mean_iou(predictions, targets, num_classes)
-        if self.metrics is not None:
-            self.metrics.gauge("train_last_accuracy").set(accuracy)
+        self.metrics.gauge("train_last_accuracy").set(accuracy)
         return EvalResult(accuracy=accuracy, miou=miou)
 
 

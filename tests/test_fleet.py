@@ -23,7 +23,7 @@ from repro.core import EdgePCConfig
 from repro.nn import PointNet2Segmentation, SAConfig
 from repro.observability import Tracer, find_orphans
 from repro.observability.clock import FixedClock
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.pipeline import EdgePCPipeline
 from repro.serving import (
     ChaosHarness,
@@ -140,7 +140,7 @@ class TestReplicaHealth:
     nothing short of an ejection takes a replica out of ``healthy``."""
 
     def _health(self):
-        return ReplicaHealth(0, None)
+        return ReplicaHealth(0, NULL_METRICS)
 
     def test_starts_healthy(self):
         assert self._health().state == "healthy"

@@ -20,6 +20,7 @@ from telemetry import (
 from repro.observability import (
     FixedClock,
     MetricsRegistry,
+    NULL_METRICS,
     NULL_SPAN,
     NULL_TRACER,
     RunReport,
@@ -580,7 +581,7 @@ class TestDisabledTracingOverhead:
     """The acceptance criterion: a pipeline without a tracer must not
     allocate tracer-side objects per batch."""
 
-    def _pipeline(self):
+    def _pipeline(self, metrics=None):
         from repro.core import EdgePCConfig
         from repro.nn import PointNet2Segmentation, SAConfig
         from repro.pipeline import EdgePCPipeline
@@ -595,13 +596,50 @@ class TestDisabledTracingOverhead:
             head_hidden=8,
             rng=np.random.default_rng(0),
         )
-        return EdgePCPipeline(model)
+        return EdgePCPipeline(model, metrics=metrics)
 
-    def test_default_pipeline_uses_the_null_tracer(self):
+    def test_default_pipeline_uses_the_null_tracer(self, rng):
+        from repro.core.streaming import StreamingMortonOrder
+        from repro.geometry.bbox import BoundingBox
+        from repro.robustness.lockwatch import LockOrderWatchdog
+        from repro.serving import InferenceServer, ServingConfig
+        from repro.train.trainer import Trainer
+
         pipeline = self._pipeline()
         assert pipeline.tracer is NULL_TRACER
-        assert pipeline.metrics is None
         assert pipeline.tracer.span("pipeline.infer") is NULL_SPAN
+        # Without a registry every holder shares the one NULL_METRICS;
+        # a passed-in one is kept even when empty (and so falsy).
+        for registry in (None, MetricsRegistry()):
+            pipeline = self._pipeline(registry)
+            server = InferenceServer(
+                pipeline,
+                ServingConfig(max_batch_size=2, workers=1),
+                clock=FixedClock(0.0),
+            )
+            stream = StreamingMortonOrder(
+                BoundingBox(np.zeros(3), np.ones(3)), metrics=registry
+            )
+            holders = (
+                pipeline,
+                server,
+                server.queue,
+                stream,
+                Trainer(pipeline.model, metrics=registry),
+                LockOrderWatchdog(metrics=registry),
+            )
+            expected = NULL_METRICS if registry is None else registry
+            for holder in holders:
+                assert holder.metrics is expected
+            pipeline.infer(rng.normal(size=(1, 64, 3)))
+            for _ in range(2):
+                server.submit(rng.normal(size=(64, 3)))
+            assert len(server.pump()) == 1
+            stream.insert(rng.random((10, 3)))
+        # Writing to the null registry registered nothing.
+        assert len(NULL_METRICS) == 0
+        assert NULL_METRICS.snapshot() == MetricsRegistry().snapshot()
+        assert NULL_METRICS.to_prometheus() == ""
 
     def test_disabled_infer_allocates_nothing_in_the_tracer(self, rng):
         pipeline = self._pipeline()

@@ -9,7 +9,7 @@ from repro.core.reuse import NeighborCache
 from repro.core.streaming import StreamingMortonOrder
 from repro.geometry.bbox import BoundingBox
 from repro.nn import DGCNNClassifier, PointNet2Segmentation, SAConfig
-from repro.observability import MetricsRegistry, Tracer
+from repro.observability import NULL_METRICS, MetricsRegistry, Tracer
 from repro.pipeline import EdgePCPipeline
 from repro.robustness.guard import (
     Guard,
@@ -311,7 +311,7 @@ class TestStreamingTelemetry:
             BoundingBox(np.zeros(3), np.ones(3))
         )
         stream.insert(rng.random((10, 3)))
-        assert stream.metrics is None
+        assert stream.metrics is NULL_METRICS
 
 
 class TestTrainerTelemetry:

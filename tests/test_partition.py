@@ -29,7 +29,7 @@ from repro.datasets import make_scene
 from repro.nn import PointNet2Segmentation, SAConfig
 from repro.observability import NULL_TRACER, Tracer, find_orphans
 from repro.observability.clock import FixedClock
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.partition import (
     PartitionedPipeline,
     PartitionRejectedError,
@@ -95,7 +95,7 @@ class _NeighborStatsPipeline:
     """
 
     tracer = NULL_TRACER
-    metrics = None
+    metrics = NULL_METRICS
 
     def __init__(self, radius):
         self.radius = float(radius)
@@ -399,7 +399,7 @@ class TestPartitionedPipeline:
     def test_rejected_batch_raises_typed_error(self, rng):
         class _Rejecting:
             tracer = NULL_TRACER
-            metrics = None
+            metrics = NULL_METRICS
 
             def infer(self, batch):
                 raise InferenceRejectedError("validation: nan rows")

@@ -22,7 +22,7 @@ from repro.core import EdgePCConfig
 from repro.nn import PointNet2Segmentation, SAConfig
 from repro.observability import Tracer, find_orphans
 from repro.observability.clock import FixedClock
-from repro.observability.metrics import MetricsRegistry
+from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.pipeline import EdgePCPipeline
 from repro.serving.server import REQUEST_LATENCY_BUCKETS
 from repro.robustness import (
@@ -146,7 +146,7 @@ class TestRequestQueue:
 class TestMicroBatcher:
     """The queue's batch formation: buckets, triggers and expiry."""
 
-    def _queue(self, clock, registry=None, **kwargs):
+    def _queue(self, clock, registry=NULL_METRICS, **kwargs):
         defaults = dict(max_batch_size=4, max_wait_s=0.05)
         defaults.update(kwargs)
         return RequestQueue(
