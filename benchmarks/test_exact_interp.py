@@ -8,6 +8,12 @@ is kept below as the oracle.  At FP level 0 of the exact PointNet++
 pipeline (B=1, N=8192, n=2048) this test asserts both return the same
 bytes and that the kernel is at least 5× faster, timed in one process
 on one input, so the gate holds on any runner.
+
+At and above ``exact_fast_threshold`` the pipeline runs the grid engine
+``exact_interpolation_weights_grid_batch`` instead.  On the same shape,
+over a ScanNet-like scan with FPS samples (what FP level 0 of the exact
+pipeline interpolates from), the second test asserts its tolerance
+contract with the dense kernel and that it is at least 2.5x faster.
 """
 
 import time
@@ -15,11 +21,17 @@ import time
 import numpy as np
 from conftest import print_header
 
-from repro.core.sampler import exact_interpolation_weights_batch
+from repro.core.sampler import (
+    exact_interpolation_weights_batch,
+    exact_interpolation_weights_grid_batch,
+)
+from repro.datasets import ScanNetLike
+from repro.sampling.fps import farthest_point_sample_fast_batch
 
 NUM_POINTS = 8192
 NUM_SAMPLES = 2048
 MIN_RATIO = 5.0
+MIN_GRID_RATIO = 2.5
 
 
 def _stable_sort_weights(points, sampled_indices):
@@ -76,3 +88,45 @@ def test_exact_interp_vs_stable_sort(benchmark):
     print(f"{'stable argsort':<16}{min(slow) * 1e3:>10.1f} ms")
     print(f"{'ratio':<16}{ratio:>10.1f}x")
     assert ratio >= MIN_RATIO, f"only {ratio:.1f}x over the stable sort"
+
+
+def test_grid_interp_vs_dense():
+    points = ScanNetLike(1, points_per_cloud=NUM_POINTS, seed=2023)[0].xyz
+    points = points[None]
+    sampled = farthest_point_sample_fast_batch(
+        points, NUM_SAMPLES, start_index=0
+    )
+
+    anchors, weights = exact_interpolation_weights_grid_batch(
+        points, sampled
+    )
+    dense_anchors, dense_weights = exact_interpolation_weights_batch(
+        points, sampled
+    )
+    assert np.array_equal(anchors, dense_anchors)
+    assert np.abs(weights - dense_weights).max() <= 1e-10
+
+    grid, dense = [], []
+    for _ in range(5):
+        grid.append(
+            _seconds(
+                lambda: exact_interpolation_weights_grid_batch(
+                    points, sampled
+                )
+            )
+        )
+        dense.append(
+            _seconds(
+                lambda: exact_interpolation_weights_batch(points, sampled)
+            )
+        )
+    ratio = min(dense) / min(grid)
+
+    print_header(
+        f"Exact FP interpolation engines, ScanNet-like B=1 "
+        f"N={NUM_POINTS} n={NUM_SAMPLES} (FPS)"
+    )
+    print(f"{'grid (27-cell)':<16}{min(grid) * 1e3:>10.1f} ms")
+    print(f"{'dense':<16}{min(dense) * 1e3:>10.1f} ms")
+    print(f"{'ratio':<16}{ratio:>10.1f}x")
+    assert ratio >= MIN_GRID_RATIO, f"only {ratio:.1f}x over the dense kernel"

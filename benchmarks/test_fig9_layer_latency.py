@@ -15,7 +15,7 @@ from repro.workloads import standard_workloads, trace
 SAMPLE_OPS_DOWN = (
     "fps", "fps_fast", "morton_gen", "morton_sort", "uniform_pick",
 )
-SAMPLE_OPS_UP = ("interp_exact", "interp_morton")
+SAMPLE_OPS_UP = ("interp_exact", "interp_grid", "interp_morton")
 
 
 def _layer_times(recorder, ops, cost):

@@ -58,12 +58,17 @@ class EdgePCConfig:
             (Sec. 5.4.1); raises tensor-core utilization at equal
             FLOPs, at a small approximation cost.
         exact_fast_threshold: point count at and above which the exact
-            stages (FPS / kNN / ball query) run the pruning/grid fast
-            engines instead of the brute kernels.  The fast engines
-            return bit-identical results, so this is purely a
-            performance dispatch — it matters most when the guard
-            degrades a large-N batch to exact kernels.  Small inputs
-            keep brute: its fixed overhead is lower.
+            stages (FPS / kNN / ball query, and FP interpolation onto
+            that many fine points) run the pruning/grid fast engines
+            instead of the brute kernels.  The FPS / kNN / ball-query
+            engines return bit-identical results; the interpolation
+            engine keeps the same anchors and its weights within
+            ``1e-10`` (see
+            :func:`~repro.core.sampler.exact_interpolation_weights_grid_batch`),
+            because the dense kernel's BLAS distances round with the
+            block shape.  It matters most when the guard degrades a
+            large-N batch to exact kernels.  Small inputs keep brute:
+            its fixed overhead is lower.
     """
 
     code_bits: int = morton.DEFAULT_CODE_BITS
@@ -155,9 +160,10 @@ class EdgePCConfig:
 
     def exact_engine_for(self, num_points: int) -> str:
         """Which exact engine a stage should run at ``num_points``:
-        ``"fast"`` (pruning FPS / grid neighbor search) at or above
+        ``"fast"`` (pruning FPS / grid search and interpolation) at or above
         :attr:`exact_fast_threshold`, else ``"brute"``.  Both engines
-        are bit-identical; the choice is purely about speed."""
+        return the same results (bit-identical, except FP
+        interpolation's stated tolerance); the choice is about speed."""
         if num_points < 0:
             raise ValueError("num_points must be non-negative")
         if num_points >= self.exact_fast_threshold:

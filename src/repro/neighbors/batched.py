@@ -325,23 +325,20 @@ def ball_query_grid_batch(
         ):
             inside = d2 <= r2  # pad lanes are +inf -> excluded
             counts = inside.sum(axis=1)
-            # Hits first, each group in ascending candidate index —
-            # the candidate-scan order of the reference kernel.
-            order = np.lexsort((ids, ~inside), axis=-1)[:, :k]
-            first = np.take_along_axis(ids, order, axis=-1)
-            if first.shape[1] < k:
-                # Ring narrower than k slots: the missing columns are
+            # The k smallest hit ids, ascending — the candidate-scan
+            # order of the reference kernel.  Misses become the pad
+            # sentinel, so they sort after every hit.
+            hits = np.where(inside, ids, len(index))
+            if hits.shape[1] > k:
+                hits = np.partition(hits, k - 1, axis=1)[:, :k]
+            elif hits.shape[1] < k:
+                # Ring narrower than k slots: the added columns are
                 # beyond every row's hit count and pad like the rest.
-                first = np.concatenate(
-                    [
-                        first,
-                        np.broadcast_to(
-                            first[:, :1],
-                            (first.shape[0], k - first.shape[1]),
-                        ),
-                    ],
-                    axis=1,
+                hits = np.pad(
+                    hits, ((0, 0), (0, k - hits.shape[1])),
+                    constant_values=len(index),
                 )
+            first = np.sort(hits, axis=1)
             padded = np.where(
                 pad_width < counts[:, None], first, first[:, :1]
             )

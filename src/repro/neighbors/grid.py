@@ -5,8 +5,9 @@ The grid-based strategy the paper's related work discusses ([22, 26, 39,
 then answer fixed-radius queries by scanning only the cells around the
 query.  The index backs the large-N exact engines
 :func:`repro.neighbors.batched.knn_grid_batch` (through
-:meth:`UniformGridIndex.query_knn_batch`) and
-:func:`repro.neighbors.batched.ball_query_grid_batch`.
+:meth:`UniformGridIndex.query_knn_batch`),
+:func:`repro.neighbors.batched.ball_query_grid_batch` and
+:func:`repro.core.sampler.exact_interpolation_weights_grid_batch`.
 
 The index is a sparse CSR cell list built with one stable argsort: no
 dense ``(dx, dy, dz)`` cell array is ever materialized, so degenerate
@@ -220,6 +221,40 @@ class UniformGridIndex:
         ends = np.where(occupied, self._cell_ends[pos], 0)
         return starts, ends
 
+    def _gather_runs(
+        self,
+        starts: np.ndarray,
+        run_len: np.ndarray,
+        totals: np.ndarray,
+        ids: np.ndarray,
+    ) -> None:
+        """Fill padded candidate rows from :meth:`_ring_runs` output.
+
+        Args:
+            starts: ``(m, C)`` run starts in ``_sorted_ids``.
+            run_len: ``(m, C)`` run lengths (``ends - starts``).
+            totals: ``(m,)`` row sums of ``run_len``.
+            ids: ``(m, width)`` int64 output, ``width >= totals.max()``;
+                row ``i`` gets its runs' point indices in ring order,
+                then the pad sentinel ``len(self)``.
+        """
+        ids[:] = len(self)
+        total = int(totals.sum())
+        if not total:
+            return
+        # Column of each gathered candidate inside its padded row:
+        # running position of its run plus offset in run.
+        run_pos = np.cumsum(run_len, axis=1) - run_len
+        flat_len = run_len.ravel()
+        flat_cum = np.cumsum(flat_len) - flat_len
+        within = np.arange(total, dtype=np.int64) - np.repeat(
+            flat_cum, flat_len
+        )
+        cols = np.repeat(run_pos.ravel(), flat_len) + within
+        src = np.repeat(starts.ravel(), flat_len) + within
+        rows_of = np.repeat(np.arange(ids.shape[0], dtype=np.int64), totals)
+        ids[rows_of, cols] = self._sorted_ids[src]
+
     def _score_rows(
         self,
         query_rows: np.ndarray,
@@ -267,24 +302,9 @@ class UniformGridIndex:
             width = int(totals.max(initial=1))
             ids = workspace.buffer("grid.ids", (m, width), dtype=np.int64)
             d2 = workspace.buffer("grid.d2", (m, width))
-            ids[:] = n_candidates  # pad sentinel
-            total = int(totals.sum())
-            if total:
-                # Column of each gathered candidate inside its padded
-                # row: running position of its run plus offset in run.
-                run_pos = np.cumsum(run_len, axis=1) - run_len
-                flat_len = run_len.ravel()
-                flat_cum = np.cumsum(flat_len) - flat_len
-                seq = np.arange(total, dtype=np.int64)
-                within = seq - np.repeat(flat_cum, flat_len)
-                cols = np.repeat(run_pos.ravel(), flat_len) + within
-                src = np.repeat(starts[sl].ravel(), flat_len) + within
-                rows_of = np.repeat(
-                    np.arange(m, dtype=np.int64), totals
-                )
-                ids[rows_of, cols] = self._sorted_ids[src]
+            self._gather_runs(starts[sl], run_len, totals, ids)
             if stats is not None:
-                stats.pairs_scanned += total
+                stats.pairs_scanned += int(totals.sum())
             cand_ids = np.minimum(ids, n_candidates - 1)
             coords = self.points[cand_ids]  # (m, width, 3)
             qblock = query_rows[sl]

@@ -8,10 +8,10 @@ swaps ``edgepc`` between calls), runs the kernels it names and records
 it; :func:`repro.workloads.trace` concatenates the same plans to price
 full-scale workloads without running them.
 
-Data-dependent kernels (``fps_fast``, ``ball_query_grid``,
-``knn_grid``) carry their worst case — ``points_scanned = N·n``,
-``pairs_scanned = Q·N`` — which a real forward overwrites with the
-scan counts it measured (:func:`with_measured`).
+Data-dependent kernels (``fps_fast`` and the :data:`GRID_OPS`) carry
+their worst case — ``points_scanned = N·n``, ``pairs_scanned = Q·N`` —
+which a real forward overwrites with the scan counts it measured
+(:func:`with_measured`).
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ from repro.sampling.fps import fps_operation_count
 
 #: The op every shared-MLP / head Linear stage is priced as.
 OP_MATMUL = "matmul"
+#: The cell-list engines of the exact stages at or above
+#: ``exact_fast_threshold``.  Each event carries ``n_queries``,
+#: ``n_candidates`` and ``pairs_scanned`` (bound ``Q·N``).
+GRID_OPS = frozenset({"knn_grid", "ball_query_grid", "interp_grid"})
 
 #: Count fields a real forward measures; a plan holds only their
 #: static worst-case bound (or omits them).
@@ -169,6 +173,12 @@ def fp_plan(
         interp = _event(
             STAGE_SAMPLE, "interp_morton", layer,
             n_points=n_fine, batch=batch,
+        )
+    elif edgepc.exact_engine_for(n_fine) == "fast":
+        interp = _event(
+            STAGE_SAMPLE, "interp_grid", layer,
+            n_queries=n_fine, n_candidates=n_coarse, batch=batch,
+            pairs_scanned=float(n_fine * n_coarse),
         )
     else:
         interp = _event(

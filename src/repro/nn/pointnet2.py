@@ -31,6 +31,7 @@ from repro.core.sampler import (
     MortonSampler,
     MortonUpsampler,
     exact_interpolation_weights_batch,
+    exact_interpolation_weights_grid_batch,
 )
 from repro.core.workspace import Workspace
 from repro.neighbors.batched import (
@@ -322,12 +323,22 @@ class FeaturePropagation(Module):
             self.mlp_channels, batch, self.edgepc,
             morton_sampled=result is not None,
         )
-        morton = stage_kernels(plan)[STAGE_SAMPLE].op == "interp_morton"
+        op = stage_kernels(plan)[STAGE_SAMPLE].op
+        morton = op == "interp_morton"
         if morton:
             anchors, weights = (
                 self._upsampler.interpolation_weights_batch(
                     fine_xyz, result
                 )
+            )
+        elif op == "interp_grid":
+            # Large-N exact path: 3-NN over each point's 27-cell ring.
+            stats = GridQueryStats()
+            anchors, weights = exact_interpolation_weights_grid_batch(
+                fine_xyz, sa_state.sampled_indices, stats=stats
+            )
+            plan = with_measured(
+                plan, op, pairs_scanned=stats.pairs_scanned / batch
             )
         else:
             anchors, weights = exact_interpolation_weights_batch(

@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.pipeline import EdgePCConfig
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.layers import Module, swapped_attribute
+from repro.nn.plan import GRID_OPS
 from repro.nn.recorder import StageRecorder
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.observability.tracing import (
@@ -341,7 +342,7 @@ class EdgePCPipeline:
                 worst = c.get("worst_case", 0.0)
                 scanned = c.get("points_scanned", 0.0)
                 ratio = scanned / worst if worst else 1.0
-            elif event.op in ("knn_grid", "ball_query_grid"):
+            elif event.op in GRID_OPS:
                 worst = c["n_queries"] * c["n_candidates"]
                 scanned = c.get("pairs_scanned", 0.0)
                 ratio = scanned / worst if worst else 1.0

@@ -28,12 +28,14 @@ recorded in the returned
 
 Degrading to exact kernels is no longer a large-N latency cliff: at or
 above :attr:`~repro.core.pipeline.EdgePCConfig.exact_fast_threshold`
-points the exact stages dispatch to the pruning-FPS / grid
-neighbor-search fast engines (``fps_fast`` / ``knn_grid`` /
-``ball_query_grid`` in the stage trace), which return bit-identical
-results at a fraction of the brute kernels' all-pairs cost.  A breaker
-pinned open on a 40k-point stream therefore burns far less of the
-latency SLO than the brute fallback used to.
+points the exact stages dispatch to the pruning-FPS / grid fast
+engines (``fps_fast`` and the :data:`~repro.nn.plan.GRID_OPS` in the
+stage trace) at a fraction of the brute kernels' all-pairs cost.  All
+but one return bit-identical results; ``interp_grid`` (FP
+interpolation) holds a tolerance contract instead, documented on
+:func:`~repro.core.sampler.exact_interpolation_weights_grid_batch`.  A
+breaker pinned open on a 40k-point stream therefore burns far less of
+the latency SLO than the brute fallback used to.
 """
 
 from __future__ import annotations

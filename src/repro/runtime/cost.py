@@ -16,7 +16,9 @@ The ops fall into two families, mirroring the paper's Sec. 5:
 - **exact ops** — ``fps`` (serial pick chain with per-step overhead),
   ``ball_query`` / ``knn`` (all-pairs distance scans, priced
   proportionally to the distance dimensionality), ``interp_exact``
-  (full search over the sampled set);
+  (full search over the sampled set), and their large-N engines
+  ``fps_fast`` and the :data:`~repro.nn.plan.GRID_OPS` (only the scans
+  they performed, plus the cell-list build);
 - **approximate ops** — ``morton_gen`` (linear), ``morton_sort``
   (``N log N``, latency-bound on small arrays), ``uniform_pick`` /
   ``reuse`` (pure gathers), ``morton_window`` (``Q x W`` distance
@@ -30,23 +32,16 @@ import math
 from typing import Dict
 
 from repro.core.sampler import NUM_CANDIDATES
+from repro.nn.plan import GRID_OPS
 from repro.nn.recorder import StageEvent
 from repro.runtime.device import DeviceSpec
 
-#: The SOTA kernels EdgePC replaces.  The ``*_fast`` / ``*_grid``
-#: variants are the same exact math behind pruning / cell-list
-#: dispatch, so they belong to the exact family too.
+#: The SOTA kernels EdgePC replaces.  ``fps_fast`` and the grid ops
+#: are the same exact search behind pruning / cell-list dispatch, so
+#: they belong to the exact family too.
 EXACT_OPS = frozenset(
-    {
-        "fps",
-        "fps_fast",
-        "ball_query",
-        "ball_query_grid",
-        "knn",
-        "knn_grid",
-        "interp_exact",
-    }
-)
+    {"fps", "fps_fast", "ball_query", "knn", "interp_exact"}
+) | GRID_OPS
 
 #: EdgePC's approximate kernels.
 APPROX_OPS = frozenset(
@@ -181,7 +176,7 @@ class CostModel:
             return self._price_fps_fast(c)
         if op in ("ball_query", "knn"):
             return self._price_pairwise(c)
-        if op in ("ball_query_grid", "knn_grid"):
+        if op in GRID_OPS:
             return self._price_grid_query(c)
         if op == "interp_exact":
             return self._price_interp_exact(c)

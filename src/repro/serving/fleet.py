@@ -1204,12 +1204,13 @@ class ServerFleet:
     # Health ----------------------------------------------------------
 
     def healthy_count(self, now: float) -> int:
-        """Replicas the router may currently send traffic to."""
+        """Replicas the router may send traffic to at ``now``; changes
+        no replica's health (an elapsed sit-out counts as routable)."""
         return sum(
             1
             for replica in self.replicas
             if not replica.gate.killed
-            and replica.health.routable(now)
+            and replica.health.routable_at(now)
         )
 
     def _tick_health(self, now: float) -> None:

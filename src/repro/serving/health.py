@@ -129,11 +129,7 @@ class ReplicaHealth:
 
     def tick(self, now: float) -> None:
         """Advance time-driven transitions (ejection sit-out)."""
-        if (
-            self.state == EJECTED
-            and self._ejected_at is not None
-            and now >= self._ejected_at + EJECT_S
-        ):
+        if self._sit_out_over(now):
             self._consecutive_failures = 0
             self._consecutive_successes = 0
             self._set_state(now, PROBATION, "eject_elapsed")
@@ -142,6 +138,18 @@ class ReplicaHealth:
         """Whether the router may send this replica traffic at ``now``."""
         self.tick(now)
         return self.state != EJECTED
+
+    def routable_at(self, now: float) -> bool:
+        """What :meth:`routable` would return at ``now``, without
+        making the transition (for read-only views)."""
+        return self.state != EJECTED or self._sit_out_over(now)
+
+    def _sit_out_over(self, now: float) -> bool:
+        return (
+            self.state == EJECTED
+            and self._ejected_at is not None
+            and now >= self._ejected_at + EJECT_S
+        )
 
     # Internals -------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Large-N exact fast engines (PR 9): identity, dispatch, pricing.
+"""Large-N exact fast engines: identity, dispatch, pricing.
 
 The pruning FPS and grid neighbor engines promise *bit-identical*
 results to the brute kernels they displace above
@@ -7,6 +7,10 @@ property-style (duplicated points, integer lattices, Morton-sorted
 clouds, block-width boundaries), check the dispatch wiring end to end
 (models, guard breaker, metrics, cost model), and bound the grid
 path's memory to a workspace-sized footprint at 40k points.
+
+The grid interpolation engine is the one exception: it is byte-identical
+to a dense *direct-form* oracle (:func:`_direct_interp_oracle`), and
+holds a tolerance contract against the BLAS-form dense kernel.
 """
 
 import tracemalloc
@@ -17,7 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import sampler
 from repro.core.pipeline import EdgePCConfig
+from repro.core.sampler import (
+    exact_interpolation_weights_batch,
+    exact_interpolation_weights_grid_batch,
+)
 from repro.core.structurize import structurize_batch
 from repro.core.workspace import Workspace
 from repro.neighbors.batched import (
@@ -27,7 +36,11 @@ from repro.neighbors.batched import (
     knn_grid_batch,
 )
 from repro.neighbors.grid import GridQueryStats, suggest_cell_size
-from repro.nn.pointnet2 import PointNet2Classifier, SAConfig
+from repro.nn.pointnet2 import (
+    PointNet2Classifier,
+    PointNet2Segmentation,
+    SAConfig,
+)
 from repro.nn.recorder import StageEvent, StageRecorder
 from repro.observability.metrics import MetricsRegistry
 from repro.pipeline import EdgePCPipeline
@@ -55,10 +68,56 @@ def _cloud(seed: int, n: int, mode: str) -> np.ndarray:
     if mode == "morton_sorted":
         pts = rng.normal(size=(n, 3))
         return pts[structurize_batch(pts[None]).permutation[0]]
+    if mode == "planar":
+        pts = rng.normal(size=(n, 3))
+        pts[:, 2] = 0.5
+        return pts
+    if mode == "outlier":
+        pts = rng.normal(size=(n, 3))
+        pts[rng.integers(n)] = 1e6
+        return pts
     raise AssertionError(mode)
 
 
 CLOUD_MODES = ("random", "duplicated", "lattice", "morton_sorted")
+#: Clouds the grid interpolation engine is checked on.
+INTERP_MODES = CLOUD_MODES + ("planar", "outlier")
+#: Clouds on which no two distances of a row lie within rounding of
+#: each other, so the BLAS-form and direct-form kernels pick the same
+#: anchors.
+TIE_FREE_MODES = ("random", "morton_sorted", "planar")
+
+
+def _direct_interp_oracle(points, sampled_indices):
+    """Dense exact interpolation with the direct-form distance
+    ``((px−sx)² + (py−sy)²) + (pz−sz)²`` over every (point, sample)
+    pair, kept by a stable argsort."""
+    samples = np.take_along_axis(
+        points, sampled_indices[:, :, None], axis=1
+    )
+    sq = (points[:, :, None, :] - samples[:, None, :, :]) ** 2
+    d2 = (sq[..., 0] + sq[..., 1]) + sq[..., 2]
+    k = min(3, samples.shape[1])
+    pick = np.argsort(d2, axis=2, kind="stable")[:, :, :k]
+    inv = 1.0 / np.maximum(np.take_along_axis(d2, pick, axis=2), 1e-10)
+    return pick, inv / inv.sum(axis=2, keepdims=True)
+
+
+def _interp_case(seed, n, n_samples, batch, mode):
+    """``(points, sampled_indices)``: ``batch`` clouds of ``n`` points,
+    ``n_samples`` random samples each."""
+    rng = np.random.default_rng(seed)
+    points = np.stack([_cloud(seed + b, n, mode) for b in range(batch)])
+    sampled = np.stack(
+        [rng.permutation(n)[:n_samples] for _ in range(batch)]
+    )
+    return points, sampled
+
+
+def _assert_same_bytes(got, want):
+    assert got[0].dtype == want[0].dtype
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestFastFpsIdentity:
@@ -142,6 +201,15 @@ class TestGridIdentity:
         grid = ball_query_grid_batch(queries, pts, radius, k)
         assert grid.tobytes() == brute.tobytes()
 
+    @pytest.mark.parametrize("k", [16, 40])
+    def test_ball_grid_ring_narrower_than_k(self, k):
+        # A sparse lattice: every 27-cell ring holds fewer than k
+        # candidates, so the padded rows are narrower than k.
+        pts = _cloud(11, 60, "lattice")[None] * 3.0
+        brute = ball_query_batch(pts, pts, 3.0, k)
+        grid = ball_query_grid_batch(pts, pts, 3.0, k)
+        assert grid.tobytes() == brute.tobytes()
+
     def test_stats_accounting(self, rng):
         pts = rng.normal(size=(1, 512, 3))
         stats = GridQueryStats()
@@ -157,6 +225,91 @@ class TestGridIdentity:
         flat = np.zeros((64, 3))
         flat[:, 0] = np.linspace(0.0, 4.0, 64)
         assert suggest_cell_size(flat, 8) > 0.0
+
+
+class TestGridInterpolation:
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(8, 300),
+        n_samples=st.sampled_from((1, 2, 3, 0)),
+        batch=st.sampled_from((1, 3)),
+        mode=st.sampled_from(INTERP_MODES),
+        cell_scale=st.sampled_from((None, 0.5, 2.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_byte_identical_to_direct_oracle(
+        self, seed, n, n_samples, batch, mode, cell_scale
+    ):
+        # n_samples 0 stands for "large": a quarter of the cloud.
+        n_samples = n_samples or max(4, n // 4)
+        points, sampled = _interp_case(seed, n, n_samples, batch, mode)
+        cell_size = None
+        if cell_scale is not None:
+            samples = points[0, sampled[0]]
+            cell_size = cell_scale * suggest_cell_size(samples, 3)
+        got = exact_interpolation_weights_grid_batch(
+            points, sampled, cell_size=cell_size
+        )
+        _assert_same_bytes(got, _direct_interp_oracle(points, sampled))
+
+    @pytest.mark.parametrize("tile_rows", [1, 3, 8])
+    @pytest.mark.parametrize("cell_size", [0.5, 1.0, 2.0])
+    def test_queries_on_ring_boundaries(
+        self, monkeypatch, tile_rows, cell_size
+    ):
+        # Integer lattices put every point on a cell face, so ring
+        # membership and the ring bound are decided at equality.
+        monkeypatch.setattr(sampler, "GRID_TILE_ROWS", tile_rows)
+        points, sampled = _interp_case(3, 400, 60, 3, "lattice")
+        got = exact_interpolation_weights_grid_batch(
+            points, sampled, cell_size=cell_size
+        )
+        _assert_same_bytes(got, _direct_interp_oracle(points, sampled))
+
+    def test_overflowing_cloud_scans_every_sample(self):
+        # Two clusters 1e155 apart: distances across them overflow to
+        # +inf, so the ring bound proves nothing and every row is
+        # scored against every sample, even inside a cluster.
+        points, sampled = _interp_case(5, 200, 40, 1, "random")
+        points[:, 100:] += 1e155
+        stats = GridQueryStats()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = exact_interpolation_weights_grid_batch(
+                points, sampled, stats=stats
+            )
+            want = _direct_interp_oracle(points, sampled)
+        _assert_same_bytes(got, want)
+        assert stats.pairs_scanned == 200 * 40
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(16, 300),
+        batch=st.sampled_from((1, 3)),
+        mode=st.sampled_from(INTERP_MODES),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_contract_with_dense_kernel(self, seed, n, batch, mode):
+        points, sampled = _interp_case(seed, n, max(4, n // 4), batch, mode)
+        anchors, weights = exact_interpolation_weights_grid_batch(
+            points, sampled
+        )
+        dense_anchors, dense_weights = exact_interpolation_weights_batch(
+            points, sampled
+        )
+        assert np.abs(weights - dense_weights).max() <= 1e-10
+        if mode in TIE_FREE_MODES:
+            assert np.array_equal(anchors, dense_anchors)
+
+    def test_stats_count_distinct_pairs(self, rng):
+        points = rng.normal(size=(2, 2048, 3))
+        sampled = np.stack([rng.permutation(2048)[:512] for _ in range(2)])
+        stats = GridQueryStats()
+        exact_interpolation_weights_grid_batch(points, sampled, stats=stats)
+        assert stats.num_queries == 2 * 2048
+        assert stats.rounds == 2
+        # Each row scores its ring, or every sample once when it falls
+        # back: never more than the dense N·n per cloud.
+        assert 0 < stats.pairs_scanned < 2 * 2048 * 512
 
 
 class TestGridMemoryBudget:
@@ -214,6 +367,33 @@ class TestModelWiring:
         assert "ball_query_grid" in fast_res.stage_ops
         assert "fps" in brute_res.stage_ops
         assert fast_res.logits.tobytes() == brute_res.logits.tobytes()
+
+    def test_grid_interpolation_logits_within_contract(self, rng):
+        xyz = rng.normal(size=(2, 512, 3))
+        sa = (SAConfig(0.25, 8, 0.3, (8, 8)), SAConfig(0.25, 8, 0.6, (8,)))
+        fast_cfg = replace(
+            EdgePCConfig.baseline(), exact_fast_threshold=64
+        )
+        fast_model = PointNet2Segmentation(
+            num_classes=4, sa_configs=sa, edgepc=fast_cfg, head_hidden=8
+        )
+        brute_model = PointNet2Segmentation(
+            num_classes=4, sa_configs=sa, edgepc=EdgePCConfig.baseline(),
+            head_hidden=8,
+        )
+        brute_model.load_state_dict(fast_model.state_dict())
+        fast_res = EdgePCPipeline(fast_model).infer(xyz)
+        brute_res = EdgePCPipeline(brute_model).infer(xyz)
+        assert "interp_grid" in fast_res.stage_ops
+        assert "interp_exact" in brute_res.stage_ops
+        assert "interp_grid" not in brute_res.stage_ops
+        brute = brute_res.logits
+        assert np.array_equal(
+            fast_res.logits.argmax(axis=-1), brute.argmax(axis=-1)
+        )
+        assert np.all(
+            np.abs(fast_res.logits - brute) <= 1e-9 * (1 + np.abs(brute))
+        )
 
     def test_fps_fast_event_bound_per_element_at_batch(self, rng):
         batch, n_points, ratio = 4, 256, 0.25
@@ -292,7 +472,9 @@ class TestCostModelPricing:
         return CostModel(xavier())
 
     def test_new_ops_are_exact_family(self):
-        assert {"fps_fast", "knn_grid", "ball_query_grid"} <= EXACT_OPS
+        assert {
+            "fps_fast", "knn_grid", "ball_query_grid", "interp_grid",
+        } <= EXACT_OPS
 
     def test_fps_fast_cheaper_when_pruned(self):
         model = self._model()

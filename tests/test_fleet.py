@@ -199,6 +199,31 @@ class TestReplicaHealth:
         assert health.transitions == []
 
 
+class TestStatsIsReadOnly:
+    def test_stats_counts_an_elapsed_sit_out_without_ticking(self):
+        registry = MetricsRegistry()
+        fleet, clock = _fleet(replicas=2, metrics=registry)
+        health = fleet.replicas[1].health
+        health.force_eject(0.0, "killed")
+        clock.advance(1.5)
+        before = registry.to_prometheus()
+        for _ in range(2):
+            assert fleet.stats()["healthy"] == 2.0
+        assert health.state == "ejected"
+        assert registry.to_prometheus() == before
+        assert 'to_state="probation"' not in before
+        # The fleet's heartbeat still makes the transition.
+        fleet.service()
+        assert health.state == "probation"
+        assert [t[2] for t in health.transitions] == [
+            "ejected", "probation",
+        ]
+        assert registry.counter(
+            "serving_replica_transitions_total", replica="1",
+            from_state="ejected", to_state="probation",
+        ).value == 1
+
+
 class TestTelemetryWiring:
     """The fleet and everything it builds report through the one
     tracer and registry its pipelines share."""

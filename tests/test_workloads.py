@@ -104,11 +104,13 @@ class TestTraceSynthesis:
         spec = standard_workloads()["W2"]
         rec = trace(spec, EdgePCConfig.baseline())
         # Level 0 reads all 8192 points, which crosses the default
-        # exact_fast_threshold: pruning FPS there, brute FPS below.
+        # exact_fast_threshold: pruning FPS there, brute FPS below; and
+        # the FP layer that interpolates onto those 8192 points runs
+        # the grid engine.
         assert [e.op for e in rec.events_for_stage("sample")
                 if e.op.startswith("fps")] == ["fps_fast"] + ["fps"] * 3
-        interp = [e for e in rec if e.op == "interp_exact"]
-        assert len(interp) == 4
+        interp = [e.op for e in rec if e.op.startswith("interp")]
+        assert interp == ["interp_exact"] * 3 + ["interp_grid"]
 
     def test_dgcnn_reuse_schedule(self):
         spec = standard_workloads()["W3"]
@@ -245,9 +247,19 @@ class TestTraceMatchesRealForward:
                 head_hidden=8, rng=np.random.default_rng(0),
             )
 
-        _assert_parity(
-            make, _pointnet2_spec(make(None), 64, 2), rng
+        spec = _pointnet2_spec(make(None), 64, 2)
+        _assert_parity(make, spec, rng)
+        # At threshold 16 the FP layers onto 64, 32 and 16 fine points
+        # run the grid engine; the one onto 8 points stays dense.
+        interp = sorted(
+            (e.counts.get("n_queries", e.counts.get("n_points")), e.op)
+            for e in trace(spec, PARITY_CONFIGS["fast_exact"])
+            if e.op.startswith("interp")
         )
+        assert interp == [
+            (8, "interp_exact"), (16, "interp_grid"),
+            (32, "interp_grid"), (64, "interp_grid"),
+        ]
 
     def test_dgcnn_op_sequence(self, rng):
         def make(config):
