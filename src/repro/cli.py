@@ -18,10 +18,6 @@ Commands:
   report, and a BENCH per-stage-medians file;
 - ``metrics``  — print the metrics snapshot of a workload smoke in
   Prometheus text or JSON form;
-- ``bench``    — time the large-N exact engines against brute force
-  (or price scene partitioning) and optionally gate against a
-  committed ``BENCH_kernels.json`` / ``BENCH_partition.json``
-  baseline;
 - ``serve``    — threaded micro-batching serving demo: submit a burst
   of seeded clouds to an in-process :class:`ServerFleet` (one replica
   unless ``--replicas``), drain gracefully, and print the fleet
@@ -32,13 +28,19 @@ Commands:
   ``docs/serving.md``);
 - ``chaos``    — deterministic fault injection: drive load against a
   replica fleet while killing/stalling/slowing replicas on a virtual
-  schedule, gate p95/goodput against ``BENCH_serving.json``, and
-  optionally evaluate an SLO spec (``--slo``) and write the dashboard
-  artifact bundle (``--artifacts-dir``);
+  schedule, and optionally evaluate an SLO spec (``--slo``) and write
+  the dashboard artifact bundle (``--artifacts-dir``);
+- ``partition`` — scene-scale scatter/gather: Morton-chunk one
+  tiled-room scene with a receptive-field halo, run it through the
+  partitioned pipeline or (``--serve``) a virtual fleet, verify the
+  stitch, and write a deterministic report;
 - ``dashboard`` — render the deterministic text dashboard (fleet
   health, queue depths, SLO budgets, slowest traces) from the
   artifacts a chaos/loadgen run saved;
-- ``lint``     — project-aware static analysis.
+- ``lint``     — project-aware static analysis;
+- ``lockwatch-report`` — runtime lock-order sanitizer smoke: a
+  threaded fleet under the lock-order watchdog, checked against the
+  static lock-order graph.
 
 ``profile``, ``compare``, and ``sample`` additionally accept
 ``--trace-out`` / ``--metrics-out`` to export the telemetry of that
@@ -502,60 +504,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Large-N exact-engine and scene-partition benchmarks with a CI
-    gate."""
-    from repro.bench import (
-        LARGE_N_SIZES,
-        PARTITION_SIZES,
-        SCHEMA_VERSION,
-        compare_with_baseline,
-        format_results,
-        run_large_n_suite,
-        run_partition_suite,
-    )
-
-    results: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "bench": "batched_kernels",
-    }
-    if args.suite in ("large-n", "all"):
-        results["large_n"] = run_large_n_suite(
-            sizes=tuple(args.sizes or LARGE_N_SIZES),
-            k=args.k,
-            repeats=args.repeats,
-            seed=args.seed,
-        )
-    if args.suite in ("partition", "all"):
-        # --sizes applies to whichever size-parameterized suite runs
-        # alone; under ``all`` it belongs to large-n.
-        sizes = args.sizes if args.suite == "partition" else None
-        results["partition"] = run_partition_suite(
-            sizes=tuple(sizes or PARTITION_SIZES), seed=args.seed
-        )
-    print(format_results(results))
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(results, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote bench results -> {args.out}")
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        problems = compare_with_baseline(
-            results, baseline, args.tolerance
-        )
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION {problem}", file=sys.stderr)
-            return 1
-        print(
-            f"bench gate passed vs {args.baseline} "
-            f"(tolerance {args.tolerance:.0%})"
-        )
-    return 0
-
-
 def _serving_pipeline(seed: int, guard: bool, tracer, registry):
     """Demo pipeline for ``serve``/``loadgen`` and the ``sample``
     telemetry demo: a small PointNet++ segmentation model, optionally
@@ -1007,9 +955,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     Drives a virtual-time load generator against a replica fleet while
     a :class:`~repro.serving.chaos.ChaosHarness` kills/stalls/slows
     replicas on schedule.  The run is fully deterministic (FixedClock +
-    seeded RNG), so the resulting :class:`LoadReport` doubles as a
-    regression artifact: ``--baseline`` gates p95 latency and goodput
-    against a committed ``BENCH_serving.json``.
+    seeded RNG), so same-seed ``--out`` reports are byte-identical;
+    ``tests/test_chaos_golden.py`` pins them and bounds the standard
+    run's p95 latency and goodput.
     """
     from repro.observability.clock import FixedClock
     from repro.serving import (
@@ -1042,58 +990,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         report.save(args.out)
         print(f"wrote load report -> {args.out}")
     _export_telemetry(args, tracer, registry)
-    if (args.bench_out or args.baseline) and not report.latency_ms:
-        # An empty latency distribution means *nothing completed* —
-        # gating p95=0 against a baseline would pass vacuously.
-        print(
-            "chaos gate failed: no completed requests, latency "
-            "percentiles unavailable (refusing to bench/gate p95=0)",
-            file=sys.stderr,
-        )
-        return 1
-    bench = {
-        "bench": "serving_chaos",
-        "replicas": args.replicas,
-        "duration_s": args.duration_s,
-        "rate": args.rate,
-        "seed": args.seed,
-        "chaos_events": len(harness.applied),
-        "completed": report.completed,
-        "goodput_rps": round(report.goodput_rps, 6),
-        "p95_ms": round(report.latency_ms.get("p95", 0.0), 6),
-    }
-    if args.bench_out:
-        with open(args.bench_out, "w") as fh:
-            json.dump(bench, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote serving bench -> {args.bench_out}")
     status = _loadgen_gate(args, report)
-    if args.baseline:
-        with open(args.baseline) as fh:
-            base = json.load(fh)
-        tol = args.tolerance
-        p95_limit = base["p95_ms"] * (1.0 + tol)
-        goodput_floor = base["goodput_rps"] * (1.0 - tol)
-        print(
-            f"baseline gate: p95 {bench['p95_ms']:.3f} ms "
-            f"(limit {p95_limit:.3f}), goodput "
-            f"{bench['goodput_rps']:.3f} rps "
-            f"(floor {goodput_floor:.3f})"
-        )
-        if bench["p95_ms"] > p95_limit:
-            print(
-                "chaos gate failed: p95 latency regressed past "
-                f"baseline * (1 + {tol})",
-                file=sys.stderr,
-            )
-            status = 1
-        if bench["goodput_rps"] < goodput_floor:
-            print(
-                "chaos gate failed: goodput fell below "
-                f"baseline * (1 - {tol})",
-                file=sys.stderr,
-            )
-            status = 1
     return (
         _finish_serving_run(
             args, report, tracer, registry, slo, fleet=fleet,
@@ -1137,12 +1034,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return run_lint(
         paths=args.paths or ["src"],
         output_format=args.format,
-        baseline=args.baseline,
         fail_on=args.fail_on,
         out=args.out,
-        write_baseline=args.write_baseline,
         rules=rules,
-        prune_baseline=args.prune_baseline,
     )
 
 
@@ -1430,53 +1324,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics_cmd.set_defaults(func=cmd_metrics)
 
-    bench_cmd = sub.add_parser(
-        "bench",
-        help="time the large-N exact engines against brute force, or "
-        "price scene partitioning; optionally gate against a "
-        "committed baseline",
-    )
-    bench_cmd.add_argument(
-        "--suite",
-        choices=("large-n", "partition", "all"),
-        default="large-n",
-        help="which suite to run: the large-N exact fast engines, the "
-        "scene partition chunked-vs-monolithic pricing, or both "
-        "(default large-n)",
-    )
-    bench_cmd.add_argument(
-        "--sizes", type=int, nargs="+", metavar="N", default=None,
-        help="cloud sizes for the suite run alone (under all: "
-        "large-n); default: the suite's own sizes",
-    )
-    bench_cmd.add_argument(
-        "--k", type=int, default=16,
-        help="neighbors per query (default 16)",
-    )
-    bench_cmd.add_argument(
-        "--repeats", type=int, default=5,
-        help="timing repeats per kernel; best is kept (default 5)",
-    )
-    bench_cmd.add_argument(
-        "--seed", type=int, default=0,
-        help="input-generation seed (default 0)",
-    )
-    bench_cmd.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the JSON result document to FILE",
-    )
-    bench_cmd.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="committed BENCH_*.json to gate against; exit 1 when a "
-        "kernel's speedup regresses past the tolerance",
-    )
-    bench_cmd.add_argument(
-        "--tolerance", type=float, default=0.5,
-        help="allowed fractional drop below the baseline speedup "
-        "(default 0.5)",
-    )
-    bench_cmd.set_defaults(func=cmd_bench)
-
     def _add_serving_flags(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
             "--max-batch-size", type=int, default=8,
@@ -1626,19 +1473,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos event spec, repeatable (kill/stall/slow/error/"
         "recover); default: the standard kill-and-recover schedule",
     )
-    chaos_cmd.add_argument(
-        "--bench-out", default=None, metavar="FILE",
-        help="write the BENCH_serving.json summary (p95 + goodput)",
-    )
-    chaos_cmd.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="gate p95 latency and goodput against this "
-        "BENCH_serving.json",
-    )
-    chaos_cmd.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="relative slack for the --baseline gate",
-    )
     _add_loadgen_flags(chaos_cmd)
     chaos_cmd.set_defaults(func=cmd_chaos)
     chaos_cmd.set_defaults(replicas=3)
@@ -1674,13 +1508,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="stdout rendering",
     )
     lint_cmd.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="JSON baseline of grandfathered findings to subtract",
-    )
-    lint_cmd.add_argument(
         "--fail-on", default="error",
         choices=("warning", "error"),
-        help="exit 1 when a new finding reaches this severity",
+        help="exit 1 when a finding reaches this severity",
     )
     lint_cmd.add_argument(
         "--out", default=None, metavar="FILE",
@@ -1688,19 +1518,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(the CI artifact) to FILE",
     )
     lint_cmd.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="write the current findings as a new baseline and "
-        "exit 0",
-    )
-    lint_cmd.add_argument(
         "--concurrency", action="store_true",
         help="run only the whole-program concurrency rules "
         "(CONC-5xx)",
-    )
-    lint_cmd.add_argument(
-        "--prune-baseline", action="store_true",
-        help="rewrite --baseline in place, dropping fingerprints "
-        "that no longer fire",
     )
     lint_cmd.set_defaults(func=cmd_lint)
 

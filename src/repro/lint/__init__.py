@@ -24,11 +24,10 @@ only sample:
   :class:`repro.robustness.lockwatch.LockOrderWatchdog`.
 
 See ``docs/static_analysis.md`` for the rule catalog, the inline
-``# repro: allow[RULE-ID]`` suppression syntax, and the baseline
-workflow.
+``# repro: allow[RULE-ID]`` suppression syntax (the one way to
+silence a finding).
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.concurrency import ProjectContext
 from repro.lint.engine import (
     ModuleContext,
@@ -56,7 +55,6 @@ from repro.lint.runner import (
 )
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintReport",
     "ModuleContext",

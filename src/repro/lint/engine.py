@@ -9,8 +9,7 @@ engine then drops any finding covered by an inline suppression comment
     # repro: allow[RULE-ID,OTHER-ID]
     # repro: allow[ALL]
 
-before returning the sorted remainder.  Baseline subtraction happens a
-layer up, in :mod:`repro.lint.runner`.
+before returning the sorted remainder.
 """
 
 from __future__ import annotations
@@ -293,7 +292,7 @@ def lint_paths(
     Files are parsed (through the content-hash AST cache), the
     whole-program :class:`ProjectContext` is built over all of them,
     and then every rule visits each file.  The final global sort keeps
-    the output — and every fingerprint — in a stable order.
+    the output in a stable order.
     """
     from repro.lint.concurrency import ProjectContext
 

@@ -1,15 +1,10 @@
 """Finding model shared by every lint rule and exporter.
 
 A :class:`Finding` is one rule violation pinned to a file/line/column.
-Findings carry a *fingerprint* — a stable hash of the file path, rule
-id, and message that deliberately excludes the line number — so a
-checked-in baseline keeps matching after unrelated edits shift code
-up or down.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict
 
@@ -48,12 +43,6 @@ class Finding:
     severity: str
     message: str
 
-    @property
-    def fingerprint(self) -> str:
-        """Line-independent identity used for baseline matching."""
-        payload = f"{self.path}::{self.rule}::{self.message}"
-        return hashlib.sha1(payload.encode("utf-8")).hexdigest()[:16]
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "path": self.path,
@@ -62,7 +51,6 @@ class Finding:
             "rule": self.rule,
             "severity": self.severity,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
 
     def render(self) -> str:

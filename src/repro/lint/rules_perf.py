@@ -235,7 +235,12 @@ def _is_batch_extent(node: ast.AST) -> bool:
 
 @register
 class PerBatchLoopRule(Rule):
-    """PERF-104: a per-cloud Python loop over the batch dimension."""
+    """PERF-104: a per-cloud Python loop over the batch dimension.
+
+    Polices the hot packages and the exact sampler / neighbor packages
+    (``PAIRWISE_PACKAGES``), whose ``*_batch`` kernels are what the
+    pipeline dispatches above the exact-engine threshold.
+    """
 
     rule_id = "PERF-104"
     severity = "warning"
@@ -249,7 +254,7 @@ class PerBatchLoopRule(Rule):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not in_hot_kernel(ctx.module):
+        if not (in_hot_kernel(ctx.module) or in_pairwise_kernel(ctx.module)):
             return
         for node in ast.walk(ctx.tree):
             if not (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)):

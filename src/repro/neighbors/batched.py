@@ -238,6 +238,8 @@ def knn_grid_batch(
     workspace = workspace or Workspace()
     num_clouds, num_queries, _ = queries.shape
     out = np.empty((num_clouds, num_queries, k), dtype=np.int64)
+    # Each cloud bins its own candidates into its own cell list.
+    # repro: allow[PERF-104]
     for b in range(num_clouds):
         cell = (
             cell_size
@@ -294,6 +296,8 @@ def ball_query_grid_batch(
     num_clouds, num_queries, _ = queries.shape
     out = np.empty((num_clouds, num_queries, k), dtype=np.int64)
     pad_width = np.arange(k)
+    # Each cloud bins its own candidates into its own cell list.
+    # repro: allow[PERF-104]
     for b in range(num_clouds):
         cloud_q = queries[b]
         cloud_c = candidates[b]

@@ -71,16 +71,6 @@ class PartitionCostReport:
             return float("inf")
         return self.monolithic_s / self.chunked_s
 
-    @property
-    def halo_overhead_s(self) -> float:
-        """Chunked seconds attributable to halo/padding context rows
-        (pro-rated by the halo fraction of each chunk batch)."""
-        total = self.scene_points * (1.0 + self.halo_ratio)
-        if total == 0:
-            return 0.0
-        halo_points = self.scene_points * self.halo_ratio
-        return self.chunked_s * halo_points / total
-
 
 def price_partition(
     pipeline: EdgePCPipeline,

@@ -41,8 +41,8 @@ def scene_tuned_pipeline(
     ``halo_width``, so a plan with that halo covers exactly the model's
     receptive field.  Its exact-engine threshold sits below chunk size,
     so chunk batches dispatch the same fast engines a monolithic run
-    would.  ``repro partition`` runs it and ``repro bench --suite
-    partition`` prices it.
+    would.  ``repro partition`` runs it, and ``tests/test_partition.py``
+    prices it against a monolithic run and holds the speedup floors.
     """
     model = PointNet2Segmentation(
         num_classes=13,

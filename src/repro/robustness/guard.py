@@ -121,10 +121,6 @@ class CircuitBreaker:
         self.remaining_cooldown = 0
         self.total_trips = 0
 
-    @property
-    def forces_exact(self) -> bool:
-        return self.state == "open"
-
     def before_batch(self) -> str:
         """Advance the breaker one batch; returns ``"probe"`` when the
         stage should be probed or ``"forced"`` when it stays exact."""

@@ -475,6 +475,8 @@ def farthest_point_sample_fast_batch(
     if start_index is None and rng is not None:
         starts = rng.integers(n_points, size=num_clouds)
     selected = np.empty((num_clouds, num_samples), dtype=np.int64)
+    # Each cloud keeps its own block partition and pruning bounds.
+    # repro: allow[PERF-104]
     for row in range(num_clouds):
         selected[row] = farthest_point_sample_fast(
             points[row],

@@ -7,8 +7,9 @@ report of the committed ``SLO_serving.json`` spec ticked through the
 run.  The runs are built with the CLI's own argument parser and fleet
 helpers, so they are the runs the CLI makes:
 
-- ``bench`` — the ``BENCH_serving.json`` run (3 replicas, standard
-  kill-and-recover schedule, 2 s at 40 req/s, seed 0);
+- ``bench`` — the CI chaos-smoke run (3 replicas, standard
+  kill-and-recover schedule, 2 s at 40 req/s, seed 0), whose p95
+  latency and goodput are held to bounds below;
 - ``closed`` — a closed-loop run with hedging under the standard
   schedule;
 - ``stall`` — an open-loop run with a tight deadline, a stalled
@@ -117,6 +118,11 @@ def test_golden_runs_exercise_the_hard_paths(golden):
     )
     assert bench["report"]["chaos_events"] == 2
     assert bench["report"]["retries"] >= 1
+    # Bounded regression across a golden regen: the standard run's
+    # p95 may grow by at most 25% and its goodput shrink by at most
+    # 25% from 69.837 ms / 37.0 rps (floors rounded toward strict).
+    assert bench["report"]["latency_ms"]["p95"] <= 87.29
+    assert bench["report"]["goodput_rps"] >= 27.75
     assert closed["report"]["mode"] == "closed"
     assert closed["report"]["hedges"] >= 1
     assert stall["report"]["expired"] >= 1

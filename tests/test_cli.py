@@ -402,62 +402,42 @@ class TestServingCommands:
 
 
 class TestBenchCommand:
-    @pytest.fixture
-    def recorded_sizes(self, monkeypatch):
-        """Stub both suites; record the sizes each was asked for."""
-        import repro.bench as bench
-
-        calls = {}
-
-        def fake(name):
-            def run(sizes, **kwargs):
-                calls[name] = tuple(sizes)
-                return {
-                    "params": {
-                        "sizes": list(sizes), "k": 16, "repeats": 1,
-                        "chunk_points": 4096, "halo_width": 0.12,
-                        "seed": 0,
-                    },
-                    "kernels": {},
-                }
-
-            return run
-
-        monkeypatch.setattr(bench, "run_large_n_suite", fake("large_n"))
-        monkeypatch.setattr(
-            bench, "run_partition_suite", fake("partition")
-        )
-        return calls
-
-    def test_partition_suite_defaults_to_its_own_sizes(
-        self, recorded_sizes
-    ):
-        from repro.bench import PARTITION_SIZES
-
-        assert main(["bench", "--suite", "partition"]) == 0
-        assert recorded_sizes == {"partition": PARTITION_SIZES}
-
-    def test_default_suite_is_large_n_at_its_own_sizes(
-        self, recorded_sizes
-    ):
-        from repro.bench import LARGE_N_SIZES
-
-        assert main(["bench"]) == 0
-        assert recorded_sizes == {"large_n": LARGE_N_SIZES}
-
-    def test_sizes_go_to_the_suite_run_alone(self, recorded_sizes):
-        from repro.bench import PARTITION_SIZES
-
-        assert main(
-            ["bench", "--suite", "partition", "--sizes", "5000"]
-        ) == 0
-        assert recorded_sizes == {"partition": (5000,)}
-        assert main(["bench", "--suite", "all", "--sizes", "4096"]) == 0
-        assert recorded_sizes == {
-            "large_n": (4096,), "partition": PARTITION_SIZES,
-        }
+    """``repro bench`` is gone: its bounds live in the test suite."""
 
     @pytest.mark.parametrize("flag", ["--batch", "--points"])
-    def test_kernel_suite_flags_are_gone(self, flag):
-        with pytest.raises(SystemExit):
+    def test_kernel_suite_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["bench", flag, "8"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag", ["--bench-out", "--baseline", "--tolerance"]
+    )
+    def test_chaos_gate_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", flag, "x"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestModuleDocstring:
+    def test_every_subcommand_is_documented(self):
+        """``python -m repro --help`` readers start from the module
+        docstring; each registered subcommand must be listed there."""
+        import argparse
+
+        import repro.cli
+
+        parser = repro.cli.build_parser()
+        (sub,) = [
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        missing = [
+            name
+            for name in sorted(sub.choices)
+            if f"``{name}``" not in repro.cli.__doc__
+        ]
+        assert missing == []

@@ -190,7 +190,6 @@ class TestCircuitBreaker:
         breaker.before_batch()
         breaker.record_trip()
         assert breaker.state == "open"
-        assert breaker.forces_exact
 
     def test_pass_resets_consecutive_count(self):
         breaker = CircuitBreaker(trip_limit=2, cooldown=2)

@@ -2,9 +2,9 @@
 
 Covers the per-rule bad/good fixtures, the ProjectContext lock
 inventory and order graph over the real ``src/repro`` tree (which must
-self-host clean), byte-identical repeat ``--out`` reports, stale-baseline warnings with ``--prune-baseline``,
-and the docs/serving.md threading-model table staying in sync with
-the analyzer's lock-order graph.
+self-host clean), byte-identical repeat ``--out`` reports, and the
+docs/serving.md threading-model table staying in sync with the
+analyzer's lock-order graph.
 """
 
 import io
@@ -16,10 +16,8 @@ import pytest
 
 from repro.cli import main
 from repro.lint import (
-    Baseline,
     ProjectContext,
     all_rules,
-    collect,
     lint_file,
     lint_paths,
     run_lint,
@@ -155,84 +153,6 @@ class TestDeterminism:
         out = capsys.readouterr().out
         assert code == 0
         assert "0 finding(s)" in out
-
-
-class TestStaleBaseline:
-    def _baseline_with_dead_entry(self, path, findings):
-        baseline = Baseline.from_findings(
-            findings, note="test baseline"
-        )
-        baseline.counts["deadbeefdeadbeef"] = 1
-        baseline.entries.append(
-            {
-                "fingerprint": "deadbeefdeadbeef",
-                "count": 1,
-                "rule": "PERF-101",
-                "path": "src/repro/gone.py",
-                "message": "a finding that was fixed long ago",
-            }
-        )
-        baseline.save(str(path))
-        return baseline
-
-    def test_runner_warns_on_dead_entries(self, tmp_path):
-        target = BAD / "repro" / "serving" / "guarded_state.py"
-        findings = lint_file(str(target))
-        baseline_path = tmp_path / "baseline.json"
-        self._baseline_with_dead_entry(baseline_path, findings)
-        report = collect([str(target)], str(baseline_path))
-        assert report.findings == []
-        assert len(report.stale_baseline) == 1
-        assert report.stale_baseline[0]["fingerprint"] == (
-            "deadbeefdeadbeef"
-        )
-        stream = io.StringIO()
-        code = run_lint(
-            [str(target)],
-            baseline=str(baseline_path),
-            stream=stream,
-        )
-        assert code == 0
-        assert "no longer fires" in stream.getvalue()
-
-    def test_prune_baseline_drops_dead_entries(self, tmp_path):
-        target = BAD / "repro" / "serving" / "guarded_state.py"
-        findings = lint_file(str(target))
-        baseline_path = tmp_path / "baseline.json"
-        self._baseline_with_dead_entry(baseline_path, findings)
-        stream = io.StringIO()
-        run_lint(
-            [str(target)],
-            baseline=str(baseline_path),
-            prune_baseline=True,
-            stream=stream,
-        )
-        pruned = Baseline.load(str(baseline_path))
-        assert "deadbeefdeadbeef" not in pruned.counts
-        # The live fingerprints survive the prune untouched.
-        assert sorted(pruned.counts) == sorted(
-            {f.fingerprint for f in findings}
-        )
-        report = collect([str(target)], str(baseline_path))
-        assert report.findings == []
-        assert report.stale_baseline == []
-
-    def test_stale_entries_appear_in_json_report(self, tmp_path):
-        target = BAD / "repro" / "serving" / "guarded_state.py"
-        findings = lint_file(str(target))
-        baseline_path = tmp_path / "baseline.json"
-        self._baseline_with_dead_entry(baseline_path, findings)
-        out = tmp_path / "report.json"
-        stream = io.StringIO()
-        run_lint(
-            [str(target)],
-            baseline=str(baseline_path),
-            out=str(out),
-            stream=stream,
-        )
-        report = json.loads(out.read_text())
-        assert len(report["stale_baseline"]) == 1
-        assert report["stale_baseline"][0]["dead"] == 1
 
 
 class TestThreadingModelDocs:
