@@ -32,8 +32,8 @@ Commands:
   the dashboard artifact bundle (``--artifacts-dir``);
 - ``partition`` — scene-scale scatter/gather: Morton-chunk one
   tiled-room scene with a receptive-field halo, run it through the
-  partitioned pipeline or (``--serve``) a virtual fleet, verify the
-  stitch, and write a deterministic report;
+  partitioned pipeline, verify the stitch, and write a deterministic
+  report;
 - ``dashboard`` — render the deterministic text dashboard (fleet
   health, queue depths, SLO budgets, slowest traces) from the
   artifacts a chaos/loadgen run saved;
@@ -571,12 +571,10 @@ def cmd_partition(args: argparse.Namespace) -> int:
     """Scene-scale scatter/gather demo on a tiled-room scene.
 
     Partitions one ``--points``-sized scene into Morton chunks with a
-    receptive-field halo and runs it end-to-end — directly through
-    :class:`~repro.partition.PartitionedPipeline`, or (``--serve``)
-    scattered over a virtual-time :class:`~repro.serving.ServerFleet`
-    as one scene request.  Every run re-verifies the stitch identity
-    on a single-chunk control scene, checks the exported trace for
-    orphan spans, and writes a deterministic JSON report (FixedClock
+    receptive-field halo and runs it end-to-end through
+    :class:`~repro.partition.PartitionedPipeline`.  Every run
+    re-verifies the stitch identity on a single-chunk control scene,
+    checks the exported trace for orphan spans, and writes a deterministic JSON report (FixedClock
     timeline + seeded scene, so same-seed reports are byte-identical).
     """
     from repro.observability.clock import FixedClock
@@ -630,8 +628,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
             "chunk_points": args.chunk_points,
             "halo_width": args.halo_width,
             "seed": args.seed,
-            "serve": bool(args.serve),
-            "replicas": args.replicas if args.serve else 0,
         },
         "plan": {
             "num_chunks": plan.num_chunks,
@@ -651,67 +647,20 @@ def cmd_partition(args: argparse.Namespace) -> int:
         },
     }
 
-    if args.serve:
-        from repro.serving import ServerFleet, ServingConfig
-
-        fleet = ServerFleet(
-            [
-                scene_tuned_pipeline(
-                    args.seed, args.halo_width, tracer, registry
-                )
-                for _ in range(args.replicas)
-            ],
-            serving_config=ServingConfig(
-                max_batch_size=args.max_chunks_per_batch,
-                max_wait_ms=5.0,
-                max_queue_depth=max(64, 2 * plan.num_chunks),
-            ),
-            clock=clock,
-        )
-        sreq = fleet.submit_scene(
-            scene.xyz, partitioner, tenant="scene"
-        )
-        fleet.run()
-        if not sreq.future.done():
-            print(
-                "scene request did not settle: the fleet ran out of "
-                "virtual-time events",
-                file=sys.stderr,
-            )
-            return 1
-        served = sreq.future.result()
-        predictions = served.prediction
-        report["result"] = {
-            "simulated_s": served.simulated_batch_s,
-            "trigger": served.trigger,
-            "degraded": list(served.degraded_stages),
-            "trace_id": served.trace_id,
-        }
-        report["fleet"] = {
-            key: value
-            for key, value in sorted(fleet.stats().items())
-        }
-        print(
-            f"served scene {served.request_id}: "
-            f"{plan.num_chunks} chunks, "
-            f"{served.simulated_batch_s:.3f} simulated s"
-        )
-    else:
-        result = partitioned.infer(scene.xyz)
-        predictions = result.predictions
-        report["result"] = {
-            "simulated_s": result.simulated_s,
-            "energy_j": result.energy_j,
-            "degraded": list(result.degraded_stages),
-        }
-        print(
-            f"partitioned inference: {result.num_points} points, "
-            f"{result.simulated_s:.3f} simulated s"
-        )
+    result = partitioned.infer(scene.xyz)
+    report["result"] = {
+        "simulated_s": result.simulated_s,
+        "energy_j": result.energy_j,
+        "degraded": list(result.degraded_stages),
+    }
+    print(
+        f"partitioned inference: {result.num_points} points, "
+        f"{result.simulated_s:.3f} simulated s"
+    )
 
     report["predictions"] = {
         "histogram": np.bincount(
-            predictions, minlength=13
+            result.predictions, minlength=13
         ).tolist(),
     }
 
@@ -720,16 +669,25 @@ def cmd_partition(args: argparse.Namespace) -> int:
     roots = [
         row
         for row in rows
-        if row.get("name") == "request" and row.get("parent") is None
+        if row.get("name") == "partition.infer"
+        and row.get("parent") is None
     ]
+    # The scene's root is the last one (the control's comes first).
+    batch_chunks = sum(
+        row["attrs"]["chunks"]
+        for row in rows
+        if row.get("name") == "partition.batch"
+        and row.get("parent") == roots[-1]["id"]
+    )
     report["trace"] = {
         "spans": len(rows),
         "orphan_spans": len(orphans),
-        "request_roots": len(roots),
+        "partition_roots": len(roots),
+        "batch_chunks": batch_chunks,
     }
     print(
         f"trace: {len(rows)} spans, {len(orphans)} orphans, "
-        f"{len(roots)} request root(s)"
+        f"{len(roots)} partition root(s), {batch_chunks} chunks batched"
     )
 
     if args.report:
@@ -1221,8 +1179,8 @@ def build_parser() -> argparse.ArgumentParser:
     partition_cmd = sub.add_parser(
         "partition",
         help="scene-scale scatter/gather demo: Morton-chunk one "
-        "tiled-room scene, run it through the partitioned pipeline "
-        "or a virtual fleet, verify the stitch, report",
+        "tiled-room scene, run it through the partitioned pipeline, "
+        "verify the stitch, report",
     )
     partition_cmd.add_argument(
         "--points", type=int, default=100_000,
@@ -1245,15 +1203,6 @@ def build_parser() -> argparse.ArgumentParser:
     partition_cmd.add_argument(
         "--seed", type=int, default=0,
         help="seeds the scene and the model weights (default 0)",
-    )
-    partition_cmd.add_argument(
-        "--serve", action="store_true",
-        help="scatter the scene over a virtual-time ServerFleet "
-        "instead of the in-process partitioned pipeline",
-    )
-    partition_cmd.add_argument(
-        "--replicas", type=int, default=2,
-        help="fleet size for --serve (default 2)",
     )
     partition_cmd.add_argument(
         "--report", default=None, metavar="FILE",

@@ -26,12 +26,11 @@ The tracer is thread-safe: the open-span stack is thread-local and the
 finished-span list is lock-protected.
 
 **Trace stitching.**  Spans optionally carry a ``trace_id`` plus
-cross-trace ``links``.  A span opened with an explicit
-:class:`~repro.observability.context.TraceContext` parents under the
-context's span id instead of the thread-local stack, which is how one
-serving request's spans stay stitched across worker threads and
-replicas; :meth:`Tracer.emit_span` writes a span with explicit
-timing/parentage (the serving layer uses it to project per-request
+cross-trace ``links``.  :meth:`Tracer.emit_span` writes a span with
+explicit timing/parentage under a
+:class:`~repro.observability.context.TraceContext`'s span id, which is
+how one serving request's spans stay stitched across worker threads
+and replicas (the serving layer projects per-request
 ``queue -> batch -> kernel-stage`` trees at completion time).  A
 :class:`Tracer` built with an injected ``clock`` stamps spans from
 that clock, so virtual-time runs export byte-identical traces per
@@ -269,28 +268,17 @@ class Tracer:
             self._next_id += 1
         return span_id
 
-    def span(
-        self,
-        name: str,
-        category: str = "run",
-        context: Optional[TraceContext] = None,
-    ):
+    def span(self, name: str, category: str = "run"):
         """Open a wall-clock span (use as a context manager).
 
-        With an explicit ``context`` the span parents under the
-        context's span id and joins its trace instead of nesting under
-        the thread-local stack — this is how a request's spans stay
-        stitched across worker threads.  Without one, a span nested
-        inside a traced parent inherits that parent's ``trace_id``.
+        A span nested inside a traced parent inherits that parent's
+        ``trace_id``.
         """
         if not self.enabled:
             return NULL_SPAN
         stack = self._stack()
-        if context is not None:
-            parent: Optional[int] = context.span_id
-            trace_id = context.trace_id
-        elif stack:
-            parent = stack[-1].span_id
+        if stack:
+            parent: Optional[int] = stack[-1].span_id
             trace_id = stack[-1].trace_id
         else:
             parent, trace_id = None, ""

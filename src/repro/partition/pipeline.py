@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.core.pipeline import EdgePCConfig
 from repro.nn.pointnet2 import PointNet2Segmentation, SAConfig
-from repro.observability.context import TraceContext
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Tracer
 from repro.partition.partitioner import PartitionPlan, ScenePartitioner
@@ -136,19 +135,9 @@ class PartitionedPipeline:
         self.tracer = pipeline.tracer
         self.metrics = pipeline.metrics
 
-    def infer(
-        self,
-        xyz: np.ndarray,
-        ctx: Optional[TraceContext] = None,
-    ) -> PartitionedResult:
-        """Partition, batch, and stitch one ``(N, 3)`` scene.
-
-        Pass ``ctx`` to parent the ``partition.infer`` span (and all
-        chunk-batch spans beneath it) under an existing request trace.
-        """
-        with self.tracer.span(
-            "partition.infer", "partition", context=ctx
-        ) as span:
+    def infer(self, xyz: np.ndarray) -> PartitionedResult:
+        """Partition, batch, and stitch one ``(N, 3)`` scene."""
+        with self.tracer.span("partition.infer", "partition") as span:
             points = np.asarray(xyz, dtype=np.float64)
             if points.ndim != 2 or points.shape[1] != 3:
                 raise ValueError(

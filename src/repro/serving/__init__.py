@@ -8,8 +8,7 @@ ride the batched kernel path, and dispatched by an
 :class:`~repro.serving.server.InferenceServer` worker pool.  A
 :class:`~repro.serving.fleet.ServerFleet` fronts N replicas (or one)
 with consistent-hash routing, per-replica health tracking (eject,
-probation, re-admit), deadline-aware retries, hedging, and
-scatter/gather of scene-scale clouds; the
+probation, re-admit), deadline-aware retries, and hedging; the
 :class:`~repro.serving.chaos.ChaosHarness` breaks replicas on a
 deterministic virtual-time schedule to prove it, and the
 :class:`~repro.serving.loadgen.FleetLoadGenerator` feeds seeded load
@@ -36,7 +35,6 @@ from repro.serving.fleet import (
     NoHealthyReplicaError,
     Replica,
     Router,
-    SceneRequest,
     ServerFleet,
 )
 from repro.serving.health import ReplicaHealth
@@ -101,7 +99,6 @@ __all__ = [
     "RetryExhaustedError",
     "RetryPolicy",
     "Router",
-    "SceneRequest",
     "ServedResult",
     "ServerFleet",
     "ServingConfig",

@@ -20,9 +20,6 @@ the fault-tolerance policy the single-replica server cannot express:
   primary attempt still pending past the observed latency quantile
   earns one duplicate dispatch on another replica; first result wins
   and the loser is cancelled.
-- **Scatter/gather** — :meth:`ServerFleet.submit_scene` splits a
-  scene into chunks that each ride the paths above, then stitches
-  their results back into scene order.
 
 A request with no routable replica is shed at the door with a typed
 :class:`NoHealthyReplicaError`.  Which kernel a stage runs is the
@@ -39,8 +36,8 @@ maintenance thread that processes attempt outcomes and due timers) and
 where time advances only in the fleet's one event loop
 (:attr:`~ServerFleet.next_event_at`, :meth:`~ServerFleet.step`,
 :meth:`~ServerFleet.run`, :meth:`~ServerFleet.drain`): each replica's
-``workers`` are lanes next to its chaos gate, and the load generator,
-the chaos harness, and ``repro partition --serve`` all step that loop.
+``workers`` are lanes next to its chaos gate, and the load generator
+and the chaos harness both step that loop.
 Every decision is recorded in :attr:`ServerFleet.trace` as
 :class:`~repro.serving.retry.RetryEvent` rows, byte-identical across
 same-seed runs.
@@ -83,13 +80,11 @@ from repro.serving.retry import (
     RetryExhaustedError,
     RetryPolicy,
 )
-from repro.partition.partitioner import PartitionPlan, ScenePartitioner
 from repro.pipeline import EdgePCPipeline
 from repro.serving.server import (
     DispatchRecord,
     DrainTimeoutError,
     InferenceServer,
-    ServedResult,
     ServingConfig,
 )
 
@@ -196,11 +191,6 @@ class FleetRequest:
             attempt's spans — on whichever replica they land — join
             ``ctx.trace_id``, and the fleet emits the root span when
             the request reaches its terminal state.
-        parent_span_id: set on scatter/gather sub-requests (see
-            :meth:`ServerFleet.submit_scene`): the scene root span to
-            parent this request's terminal span under.  Sub-request
-            terminal spans are named ``request.chunk`` so each scene
-            trace keeps exactly one ``request`` root.
     """
 
     request_id: str
@@ -215,48 +205,6 @@ class FleetRequest:
     inflight: Set[str] = field(default_factory=set)
     winner: Optional[str] = None
     ctx: Optional[TraceContext] = None
-    parent_span_id: Optional[int] = None
-
-
-@dataclass
-class SceneRequest:
-    """One scene-scale request scattered over many fleet requests.
-
-    Minted by :meth:`ServerFleet.submit_scene`: the scene owns the
-    trace root; each chunk rides the ordinary fleet path (routing,
-    retries, hedging) as a sub-request joined to the scene's trace,
-    and the gather step stitches the chunk results into one
-    :class:`~repro.serving.server.ServedResult` resolved on
-    :attr:`future`.
-
-    Attributes:
-        request_id: scene-level id; chunk sub-requests append ``.cJ``.
-        tenant: routing key shared by every chunk.
-        arrival_s: scene admission instant.
-        plan: the partition plan the scene was scattered with.
-        future: resolves once — to the stitched result or the first
-            chunk error.
-        chunks: the chunk sub-requests, aligned with ``plan.chunks``.
-        ctx: scene root trace context (``None`` with tracing off).
-        pending: chunk outcomes not yet gathered.
-        finalized: whether the gather step already ran.
-        submit_error: admission error hit while scattering, if any.
-    """
-
-    request_id: str
-    tenant: str
-    arrival_s: float
-    plan: PartitionPlan
-    future: Future = field(default_factory=Future)
-    chunks: List[FleetRequest] = field(default_factory=list)
-    ctx: Optional[TraceContext] = None
-    pending: int = 0
-    finalized: bool = False
-    submit_error: Optional[Exception] = None
-
-    @property
-    def num_chunks(self) -> int:
-        return self.plan.num_chunks
 
 
 @dataclass
@@ -395,17 +343,12 @@ class ServerFleet:
         cloud: np.ndarray,
         tenant: str = "default",
         deadline_s: Optional[float] = None,
-        request_id: Optional[str] = None,
-        parent_ctx: Optional[TraceContext] = None,
     ) -> FleetRequest:
         """Admit one cloud under a tenant key; returns the request.
 
         ``deadline_s`` is relative to now on the fleet clock and
         bounds the *whole* request including retries and hedges.
-        ``parent_ctx`` joins the request to an existing trace as a
-        sub-request (:meth:`submit_scene` passes the scene root):
-        instead of minting a new trace, the request's terminal span is
-        emitted as ``request.chunk`` under the parent span.  Raises a
+        Raises a
         typed :class:`~repro.serving.queue.AdmissionError` subclass
         when the fleet sheds the request at the door (no routable
         replica, every candidate queue full/closed).
@@ -425,21 +368,10 @@ class ServerFleet:
                 self.config.default_deadline_ms is not None
             ):
                 deadline_s = self.config.default_deadline_ms / 1e3
-            rid = (
-                request_id
-                if request_id is not None
-                else self._next_id()
-            )
+            rid = self._next_id()
             span.set("request_id", rid)
             span.set("tenant", str(tenant))
-            parent_span_id: Optional[int] = None
-            if parent_ctx is not None:
-                ctx = parent_ctx.child(
-                    self.tracer.next_span_id()
-                ).with_baggage(request_id=rid)
-                parent_span_id = parent_ctx.span_id
-            else:
-                ctx = self.tracer.mint_context(rid, tenant=str(tenant))
+            ctx = self.tracer.mint_context(rid, tenant=str(tenant))
             if ctx is not None:
                 span.set("trace_id", ctx.trace_id)
             request = FleetRequest(
@@ -451,214 +383,23 @@ class ServerFleet:
                     None if deadline_s is None else now + deadline_s
                 ),
                 ctx=ctx,
-                parent_span_id=parent_span_id,
             )
             index, refusal = self._dispatch_attempt(
                 request, now, hedge=False, exclude=set()
             )
             if index is None:
                 if refusal is None:
-                    self._reject(
-                        now, rid, "no_healthy_replica", ctx=ctx,
-                        parent_span_id=parent_span_id,
-                    )
+                    self._reject(now, rid, "no_healthy_replica", ctx=ctx)
                     raise NoHealthyReplicaError(
                         f"request {rid!r} rejected: no routable "
                         "replica in the fleet"
                     )
-                self._reject(
-                    now, rid, refusal.reason, ctx=ctx,
-                    parent_span_id=parent_span_id,
-                )
+                self._reject(now, rid, refusal.reason, ctx=ctx)
                 raise refusal
             with self._cond:
                 self.accepted += 1
                 self._requests[rid] = request
             return request
-
-    def submit_scene(
-        self,
-        cloud: np.ndarray,
-        partitioner: ScenePartitioner,
-        tenant: str = "default",
-        deadline_s: Optional[float] = None,
-        request_id: Optional[str] = None,
-    ) -> SceneRequest:
-        """Scatter one ``(N, 3)`` scene over the fleet and gather.
-
-        The scene is split by ``partitioner`` into uniform chunks;
-        each chunk is submitted as an ordinary fleet sub-request
-        (``{rid}.cJ``) sharing the scene's trace, so routing, retries,
-        and hedging all apply per chunk.  When the last
-        chunk settles, the per-chunk results are stitched back into
-        scene order with owner-chunk priority and the scene future
-        resolves to one :class:`~repro.serving.server.ServedResult`
-        with ``trigger="scatter_gather"``.  A chunk's terminal error
-        (or a scatter-time admission refusal) fails the whole scene
-        with that error once every in-flight chunk settles.
-        """
-        with self.tracer.span(
-            "serving.fleet.submit_scene", "serving"
-        ) as span:
-            cloud = np.asarray(cloud, dtype=np.float64)
-            if cloud.ndim != 2 or cloud.shape[-1] != 3:
-                raise ValueError(
-                    f"submit_scene() takes one (N, 3) scene, got "
-                    f"shape {cloud.shape}"
-                )
-            now = self.clock()
-            rid = (
-                request_id
-                if request_id is not None
-                else self._next_id()
-            )
-            ctx = self.tracer.mint_context(rid, tenant=str(tenant))
-            plan = partitioner.plan(cloud)
-            span.set("request_id", rid)
-            span.set("points", plan.num_points)
-            span.set("chunks", plan.num_chunks)
-            if ctx is not None:
-                span.set("trace_id", ctx.trace_id)
-            self.metrics.counter("serving_fleet_scenes_total").inc()
-            self.metrics.counter(
-                "serving_fleet_scene_chunks_total"
-            ).inc(plan.num_chunks)
-            scene = SceneRequest(
-                request_id=rid,
-                tenant=str(tenant),
-                arrival_s=now,
-                plan=plan,
-                ctx=ctx,
-                pending=plan.num_chunks,
-            )
-            for chunk in plan.chunks:
-                try:
-                    request = self.submit(
-                        cloud[chunk.indices],
-                        tenant=tenant,
-                        deadline_s=deadline_s,
-                        request_id=f"{rid}.c{chunk.index}",
-                        parent_ctx=ctx,
-                    )
-                except AdmissionError as err:
-                    scene.submit_error = err
-                    break
-                scene.chunks.append(request)
-                request.future.add_done_callback(
-                    lambda fut, s=scene: self._settle_scene_chunks(
-                        s, 1
-                    )
-                )
-            unscattered = plan.num_chunks - len(scene.chunks)
-            if unscattered:
-                self._settle_scene_chunks(scene, unscattered)
-            return scene
-
-    def _settle_scene_chunks(
-        self, scene: SceneRequest, count: int
-    ) -> None:
-        """Count ``count`` chunk outcomes toward the scene's gather;
-        the caller that retires the last one runs the gather (outside
-        the fleet lock — it emits spans and resolves the future)."""
-        with self._cond:
-            scene.pending -= count
-            if scene.pending > 0 or scene.finalized:
-                return
-            scene.finalized = True
-        self._gather_scene(scene)
-
-    def _gather_scene(self, scene: SceneRequest) -> None:
-        """Stitch chunk results (or fail with the first chunk error)
-        and close the scene trace; runs exactly once per scene."""
-        now = self.clock()
-        error: Optional[BaseException] = None
-        results: List[ServedResult] = []
-        for request in scene.chunks:
-            chunk_error = request.future.exception()
-            if chunk_error is not None:
-                error = error or chunk_error
-            else:
-                results.append(request.future.result())
-        if error is None and scene.submit_error is not None:
-            error = scene.submit_error
-        if error is not None:
-            self.metrics.counter(
-                "serving_fleet_scene_failed_total",
-                reason=type(error).__name__,
-            ).inc()
-            self._close_scene_trace(
-                scene, now, "failed", detail=type(error).__name__
-            )
-            scene.future.set_exception(error)
-            return
-        stitched = self._stitch_scene(scene, results)
-        self.metrics.counter(
-            "serving_fleet_scene_completed_total"
-        ).inc()
-        self._close_scene_trace(scene, now, "ok")
-        scene.future.set_result(stitched)
-
-    def _stitch_scene(
-        self, scene: SceneRequest, results: List[ServedResult]
-    ) -> ServedResult:
-        """Owner-chunk-priority stitch of per-chunk logits back into
-        scene point order (context rows are discarded).
-
-        A chunk's ``simulated_batch_s`` is its whole batch's device
-        time, so the scene sums each chunk's share of its batch.
-        """
-        plan = scene.plan
-        logits = plan.stitch([r.logits for r in results])
-        degraded: Set[str] = set()
-        for served in results:
-            degraded.update(served.degraded_stages)
-        return ServedResult(
-            request_id=scene.request_id,
-            logits=logits,
-            prediction=logits.argmax(axis=-1),
-            batch_size=plan.num_chunks,
-            trigger="scatter_gather",
-            queue_wait_s=max(r.queue_wait_s for r in results),
-            simulated_batch_s=sum(
-                r.simulated_batch_s / r.batch_size for r in results
-            ),
-            degraded_stages=tuple(sorted(degraded)),
-            trace_id=(
-                scene.ctx.trace_id if scene.ctx is not None else ""
-            ),
-        )
-
-    def _close_scene_trace(
-        self,
-        scene: SceneRequest,
-        now: float,
-        outcome: str,
-        detail: str = "",
-    ) -> None:
-        """Emit the scene's root span: the single ``request`` root the
-        per-chunk ``request.chunk`` spans parent under."""
-        ctx = scene.ctx
-        if ctx is None:
-            return
-        attrs: Dict[str, object] = {
-            "request_id": scene.request_id,
-            "tenant": scene.tenant,
-            "outcome": outcome,
-            "chunks": scene.num_chunks,
-            "points": scene.plan.num_points,
-            "scatter_gather": True,
-        }
-        if detail:
-            attrs["detail"] = detail
-        self.tracer.emit_span(
-            "request",
-            start_s=self.tracer.rel(scene.arrival_s),
-            duration_s=max(0.0, now - scene.arrival_s),
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-            thread="requests",
-            attrs=attrs,
-        )
 
     def _next_id(self) -> str:
         with self._cond:
@@ -671,7 +412,6 @@ class ServerFleet:
         rid: str,
         reason: str,
         ctx: Optional[TraceContext] = None,
-        parent_span_id: Optional[int] = None,
     ) -> None:
         with self._cond:
             self.submit_rejected += 1
@@ -692,18 +432,13 @@ class ServerFleet:
         )
         if ctx is not None:
             # Shed-at-the-door requests still close their trace: a
-            # zero-length root span records the rejection.  Scene
-            # sub-requests close as request.chunk under the scene
-            # root instead, keeping one root per trace.
+            # zero-length root span records the rejection.
             self.tracer.emit_span(
-                "request"
-                if parent_span_id is None
-                else "request.chunk",
+                "request",
                 start_s=self.tracer.rel(now),
                 duration_s=0.0,
                 trace_id=ctx.trace_id,
                 span_id=ctx.span_id,
-                parent_id=parent_span_id,
                 thread="requests",
                 attrs={
                     "request_id": rid,
@@ -931,9 +666,8 @@ class ServerFleet:
         outcome: str,
         detail: str = "",
     ) -> None:
-        """Emit the span reserved at fleet admission: the trace root
-        for ordinary requests, a ``request.chunk`` child of the scene
-        root for scatter/gather sub-requests."""
+        """Emit the span reserved at fleet admission: the trace
+        root."""
         ctx = request.ctx
         if ctx is None:
             return
@@ -947,14 +681,11 @@ class ServerFleet:
         if detail:
             attrs["detail"] = detail
         self.tracer.emit_span(
-            "request"
-            if request.parent_span_id is None
-            else "request.chunk",
+            "request",
             start_s=self.tracer.rel(request.arrival_s),
             duration_s=max(0.0, now - request.arrival_s),
             trace_id=ctx.trace_id,
             span_id=ctx.span_id,
-            parent_id=request.parent_span_id,
             thread="requests",
             attrs=attrs,
         )
@@ -1571,14 +1302,15 @@ class ServerFleet:
     def replica_states(self, now: Optional[float] = None) -> Dict[
         str, str
     ]:
-        """Current health state per replica index."""
+        """Health state per replica index at ``now``; read-only, like
+        :meth:`healthy_count` (an elapsed sit-out reads ``probation``
+        before the fleet's heartbeat makes the transition)."""
         if now is None:
             now = self.clock()
-        states = {}
-        for replica in self.replicas:
-            replica.health.tick(now)
-            states[str(replica.index)] = replica.health.state
-        return states
+        return {
+            str(replica.index): replica.health.state_at(now)
+            for replica in self.replicas
+        }
 
     def stats(self) -> Dict[str, float]:
         """Snapshot of the fleet counters (also exported as

@@ -142,7 +142,12 @@ class ReplicaHealth:
     def routable_at(self, now: float) -> bool:
         """What :meth:`routable` would return at ``now``, without
         making the transition (for read-only views)."""
-        return self.state != EJECTED or self._sit_out_over(now)
+        return self.state_at(now) != EJECTED
+
+    def state_at(self, now: float) -> str:
+        """The state :meth:`tick` would leave at ``now``, without
+        making the transition (for read-only views)."""
+        return PROBATION if self._sit_out_over(now) else self.state
 
     def _sit_out_over(self, now: float) -> bool:
         return (

@@ -108,9 +108,8 @@ class ServedResult:
         batch_size: clouds in the dispatch that served this request.
         trigger: what flushed the batch (full/timeout/drain).
         queue_wait_s: admission-to-dispatch wait on the serving clock.
-        simulated_batch_s: the whole batch's simulated device seconds
-            (for a stitched scene, the sum of its chunks' shares of
-            their batches).
+        simulated_batch_s: the whole batch's simulated device
+            seconds.
         degraded_stages: guard fallbacks applied to the batch, if any.
         trace_id: the request's trace id (empty when tracing was off),
             so callers can join a result against the exported trace.
@@ -197,7 +196,10 @@ class InferenceServer:
             metrics=self.metrics,
             tracer=self.tracer,
         )
-        self.records: List[DispatchRecord] = []
+        #: Batches dispatched and the requests they carried (the
+        #: mean batch size :meth:`stats` reports).
+        self.batches = 0
+        self.batched_requests = 0
         self.completed = 0
         self.failed = 0
         self._sequence = 0
@@ -342,7 +344,8 @@ class InferenceServer:
                 batch, ok, simulated_s=simulated_s, error=error_text
             )
             with self._records_lock:
-                self.records.append(record)
+                self.batches += 1
+                self.batched_requests += batch.size
             return record
 
     def _complete(
@@ -642,17 +645,15 @@ class InferenceServer:
         """Snapshot of the serving counters; read-only (the same
         tallies go out as ``serving_*`` metrics where they change)."""
         with self._records_lock:
-            batch_sizes = [r.size for r in self.records]
-        mean = (
-            sum(batch_sizes) / len(batch_sizes) if batch_sizes else 0.0
-        )
+            batches, batched = self.batches, self.batched_requests
+        mean = batched / batches if batches else 0.0
         return {
             "admitted": float(self.queue.admitted),
             "rejected": float(self.queue.rejected),
             "expired": float(self.queue.expired),
             "completed": float(self.completed),
             "failed": float(self.failed),
-            "batches": float(len(batch_sizes)),
+            "batches": float(batches),
             "mean_batch_size": mean,
             "outstanding": float(self.outstanding),
         }

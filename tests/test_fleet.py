@@ -224,6 +224,35 @@ class TestStatsIsReadOnly:
         ).value == 1
 
 
+class TestReplicaStatesIsReadOnly:
+    def test_replica_states_reads_an_elapsed_sit_out_without_ticking(
+        self,
+    ):
+        registry = MetricsRegistry()
+        fleet, clock = _fleet(replicas=2, metrics=registry)
+        health = fleet.replicas[1].health
+        health.force_eject(0.0, "killed")
+        clock.advance(1.5)
+        before = registry.to_prometheus()
+        for _ in range(2):
+            assert fleet.replica_states() == {
+                "0": "healthy", "1": "probation",
+            }
+        assert health.state == "ejected"
+        assert registry.to_prometheus() == before
+        assert 'to_state="probation"' not in before
+        # The fleet's heartbeat still makes the transition.
+        fleet.service()
+        assert health.state == "probation"
+        assert fleet.replica_states() == {
+            "0": "healthy", "1": "probation",
+        }
+        assert registry.counter(
+            "serving_replica_transitions_total", replica="1",
+            from_state="ejected", to_state="probation",
+        ).value == 1
+
+
 class TestTelemetryWiring:
     """The fleet and everything it builds report through the one
     tracer and registry its pipelines share."""
@@ -412,6 +441,15 @@ class TestVirtualLoop:
         assert second.done_s == first.done_s + second.busy_s
         assert fleet.replicas[0].lanes == [second.done_s]
         assert fleet.next_event_at is None
+
+    def test_loop_returns_when_a_request_cannot_settle(self, rng):
+        fleet, clock = _fleet(replicas=1)
+        fleet.stall_replica(0)  # no deadline: nothing ever expires
+        request = fleet.submit(rng.random((N_POINTS, 3)))
+        fleet.run()
+        assert not request.future.done()
+        assert fleet.next_event_at is None
+        assert clock() == 0.0
 
     def test_failed_batches_occupy_no_lane(self, rng):
         fleet, clock = _fleet(

@@ -6,10 +6,10 @@ uniform chunk sizes, voxel-dilation halo coverage), stitch identity
 bit-exact equality against a monolithic run for an order-independent
 local model once the halo covers its receptive field — property-tested
 across chunk boundaries, duplicated points, and adversarial halo
-widths), the partition cost projection and its speedup floors, and
-the fleet scatter/gather path: one stitched trace per scene with zero
-orphan spans, chunk failures failing the scene, and admission
-refusals surfacing mid-scatter.
+widths), and the partition cost projection and its speedup floors.
+``tests/test_cli.py::TestPartitionCommand`` drives the same pipeline
+end to end through ``repro partition`` (one trace per scene with zero
+orphan spans, byte-identical same-seed reports and traces).
 """
 
 import numpy as np
@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from repro.core import EdgePCConfig
 from repro.datasets import make_scene
 from repro.nn import PointNet2Segmentation, SAConfig
-from repro.observability import NULL_TRACER, Tracer, find_orphans
-from repro.observability.clock import FixedClock
+from repro.observability import NULL_TRACER
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.partition import (
     PartitionedPipeline,
@@ -33,15 +32,7 @@ from repro.partition import (
 )
 from repro.pipeline import EdgePCPipeline
 from repro.runtime import EnergyReport, StageBreakdown
-from repro.serving import (
-    FleetConfig,
-    InferenceRejectedError,
-    NoHealthyReplicaError,
-    RetryExhaustedError,
-    RetryPolicy,
-    ServerFleet,
-    ServingConfig,
-)
+from repro.robustness.guard import InferenceRejectedError
 
 
 def _scene_model(halo_width=0.12, num_classes=5, seed=0):
@@ -407,18 +398,6 @@ class TestPartitionedPipeline:
         assert err.value.chunk_indices == (0, 1, 2, 3)
         assert "nan rows" in str(err.value)
 
-    def test_loop_returns_when_the_scene_cannot_settle(self):
-        fleet, clock, _ = _scene_fleet(replicas=1)
-        fleet.stall_replica(0)  # no deadline: nothing ever expires
-        scene = fleet.submit_scene(
-            make_scene(900, seed=4).xyz,
-            ScenePartitioner(256, halo_width=0.12),
-        )
-        fleet.run()
-        assert not scene.future.done()
-        assert fleet.next_event_at is None
-        assert clock() == 0.0
-
     def test_scene_shape_validation(self, rng):
         partitioned = PartitionedPipeline(
             _NeighborStatsPipeline(0.2),
@@ -482,168 +461,6 @@ class TestPartitionBench:
         xyz = make_scene(points, seed=0).xyz
         report = price_partition(pipeline, xyz, partitioner.plan(xyz))
         assert report.speedup >= floor, report
-
-
-def _scene_fleet(replicas=2, tracer=None, metrics=None, config=None):
-    clock = FixedClock(0.0)
-    if tracer is None:
-        tracer = Tracer(clock=clock)
-    fleet = ServerFleet(
-        [
-            _scene_pipeline(seed=0, metrics=metrics, tracer=tracer)
-            for _ in range(replicas)
-        ],
-        config=config or FleetConfig(),
-        serving_config=ServingConfig(
-            max_batch_size=2, max_wait_ms=5.0, workers=1,
-            max_queue_depth=64,
-        ),
-        clock=clock,
-    )
-    return fleet, clock, tracer
-
-
-def _drive_scene(fleet, scene):
-    """Step the fleet's virtual-time loop until no event remains; the
-    scene must have resolved by then."""
-    fleet.run()
-    assert scene.future.done(), "scene did not resolve in virtual time"
-
-
-class TestFleetScatterGather:
-    def test_scene_stitches_to_the_direct_result(self):
-        fleet, clock, tracer = _scene_fleet()
-        partitioner = ScenePartitioner(256, halo_width=0.12)
-        xyz = make_scene(900, seed=4).xyz
-        scene = fleet.submit_scene(
-            xyz, partitioner, tenant="scene-1"
-        )
-        assert scene.num_chunks == 4
-        _drive_scene(fleet, scene)
-        served = scene.future.result()
-        # Same batching as the fleet's max_batch_size=2.
-        direct = PartitionedPipeline(
-            _scene_pipeline(seed=0),
-            partitioner=partitioner,
-            max_chunks_per_batch=2,
-        ).infer(xyz)
-        assert np.array_equal(served.logits, direct.logits)
-        assert np.array_equal(
-            served.prediction, direct.predictions
-        )
-        # Each chunk carries its share of its batch's device time, so
-        # the scene totals match the direct run's batches.
-        assert served.simulated_batch_s == pytest.approx(
-            direct.simulated_s
-        )
-        assert served.trigger == "scatter_gather"
-        assert served.batch_size == 4
-        assert served.request_id == scene.request_id
-        assert fleet.completed == 4  # the chunk sub-requests
-
-    def test_one_stitched_trace_per_scene_no_orphans(self):
-        fleet, clock, tracer = _scene_fleet()
-        partitioner = ScenePartitioner(256, halo_width=0.12)
-        xyz = make_scene(900, seed=4).xyz
-        scene = fleet.submit_scene(xyz, partitioner, tenant="t")
-        _drive_scene(fleet, scene)
-        scene.future.result()
-        records = [s.to_dict() for s in tracer.finished()]
-        assert find_orphans(records) == []
-        trace_id = scene.ctx.trace_id
-        spans = [
-            r for r in records if r.get("trace_id") == trace_id
-        ]
-        roots = [
-            r
-            for r in spans
-            if r["name"] == "request" and r.get("parent") is None
-        ]
-        assert len(roots) == 1
-        root = roots[0]
-        assert root["attrs"]["scatter_gather"] is True
-        assert root["attrs"]["outcome"] == "ok"
-        assert root["attrs"]["chunks"] == scene.num_chunks
-        chunk_spans = [
-            r for r in spans if r["name"] == "request.chunk"
-        ]
-        assert len(chunk_spans) == scene.num_chunks
-        for span in chunk_spans:
-            assert span["parent"] == root["id"]
-        names = {r["name"] for r in spans}
-        assert "request.attempt" in names
-        assert "request.batch" in names
-
-    def test_scene_results_are_deterministic_across_runs(self):
-        outputs = []
-        for _ in range(2):
-            fleet, clock, _ = _scene_fleet()
-            partitioner = ScenePartitioner(256, halo_width=0.12)
-            xyz = make_scene(900, seed=4).xyz
-            scene = fleet.submit_scene(xyz, partitioner)
-            _drive_scene(fleet, scene)
-            outputs.append(scene.future.result().logits)
-        assert np.array_equal(outputs[0], outputs[1])
-
-    def test_chunk_failure_fails_the_scene(self):
-        fleet, clock, tracer = _scene_fleet(
-            config=FleetConfig(
-                retry=RetryPolicy(max_attempts=2)
-            )
-        )
-        for index in range(len(fleet.replicas)):
-            fleet.error_replica(index)
-        partitioner = ScenePartitioner(256, halo_width=0.12)
-        xyz = make_scene(900, seed=4).xyz
-        scene = fleet.submit_scene(xyz, partitioner, tenant="t")
-        _drive_scene(fleet, scene)
-        with pytest.raises(RetryExhaustedError):
-            scene.future.result()
-        records = [s.to_dict() for s in tracer.finished()]
-        assert find_orphans(records) == []
-        roots = [
-            r
-            for r in records
-            if r["name"] == "request"
-            and r.get("trace_id") == scene.ctx.trace_id
-        ]
-        assert len(roots) == 1
-        assert roots[0]["attrs"]["outcome"] == "failed"
-
-    def test_admission_refusal_fails_the_scene_at_the_door(self):
-        fleet, clock, tracer = _scene_fleet()
-        for index in range(len(fleet.replicas)):
-            fleet.kill_replica(index)
-        partitioner = ScenePartitioner(256, halo_width=0.12)
-        xyz = make_scene(900, seed=4).xyz
-        scene = fleet.submit_scene(xyz, partitioner)
-        assert scene.future.done()
-        with pytest.raises(NoHealthyReplicaError):
-            scene.future.result()
-        assert scene.submit_error is not None
-
-    def test_scene_metrics_are_recorded(self):
-        metrics = MetricsRegistry()
-        fleet, clock, _ = _scene_fleet(metrics=metrics)
-        partitioner = ScenePartitioner(256, halo_width=0.12)
-        xyz = make_scene(900, seed=4).xyz
-        scene = fleet.submit_scene(xyz, partitioner)
-        _drive_scene(fleet, scene)
-        scene.future.result()
-        names = {
-            m["name"] for m in metrics.snapshot()["metrics"]
-        }
-        assert "serving_fleet_scenes_total" in names
-        assert "serving_fleet_scene_chunks_total" in names
-        assert "serving_fleet_scene_completed_total" in names
-
-    def test_scene_shape_validation(self, rng):
-        fleet, clock, _ = _scene_fleet()
-        with pytest.raises(ValueError):
-            fleet.submit_scene(
-                rng.random((2, 10, 3)),
-                ScenePartitioner(256, halo_width=0.12),
-            )
 
 
 class TestSceneDataset:
