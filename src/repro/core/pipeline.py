@@ -56,7 +56,11 @@ class EdgePCConfig:
         fc_merge_factor: merge this many Morton-adjacent positions
             into the channel dimension of the feature-compute convs
             (Sec. 5.4.1); raises tensor-core utilization at equal
-            FLOPs, at a small approximation cost.
+            FLOPs, at a small approximation cost.  Priced only, not
+            executed: the cost model charges the merged matmuls, while
+            the host forward runs the unmerged shared MLPs (the
+            merge/split itself is
+            :func:`repro.analysis.tensorcore.merge_split_features`).
         exact_fast_threshold: point count at and above which the exact
             stages (FPS / kNN / ball query, and FP interpolation onto
             that many fine points) run the pruning/grid fast engines

@@ -49,21 +49,23 @@ def canonical_top_k(d2: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if k == n:
         return np.argsort(d2, axis=-1, kind="stable")
-    # Hot path: argpartition narrows each row to *some* k smallest,
-    # then a (value, column) lexsort orders the selection canonically.
-    part = np.argpartition(d2, k - 1, axis=-1)[..., :k]
+    # Hot path: argpartition at k puts *some* k smallest in the first
+    # k columns and the (k+1)-th smallest in column k; a (value,
+    # column) lexsort orders the selection canonically.
+    full = np.argpartition(d2, k, axis=-1)
+    part = full[..., :k]
     pvals = np.take_along_axis(d2, part, axis=-1)
     order = np.lexsort((part, pvals), axis=-1)
     sel = np.take_along_axis(part, order, axis=-1)
     svals = np.take_along_axis(pvals, order, axis=-1)
-    # Boundary ties: if more columns share the k-th value than the
-    # selection holds, argpartition chose an arbitrary subset of them;
-    # re-derive those rare rows from a full stable argsort (stable ==
-    # ascending column among equal values == the canonical order).
-    kth = svals[..., -1:]
-    ambiguous = np.count_nonzero(d2 == kth, axis=-1) > np.count_nonzero(
-        svals == kth, axis=-1
-    )
+    # Boundary ties: every unselected value is >= the (k+1)-th, so a
+    # column outside the selection shares the k-th value iff the
+    # (k+1)-th equals it.  argpartition then chose an arbitrary subset
+    # of the tied columns; re-derive those rare rows from a full stable
+    # argsort (stable == ascending column among equal values == the
+    # canonical order).
+    after = np.take_along_axis(d2, full[..., k:k + 1], axis=-1)
+    ambiguous = svals[..., -1] == after[..., 0]
     if np.any(ambiguous):
         for idx in zip(*np.nonzero(ambiguous)):
             sel[idx] = np.argsort(d2[idx], kind="stable")[:k]
@@ -91,19 +93,19 @@ def _canonical_top_k_ids(
         sids = np.take_along_axis(ids, order, axis=-1)
         kth = np.take_along_axis(d2, order[:, -1:], axis=-1)[:, 0]
         return sids, kth
-    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    full = np.argpartition(d2, k, axis=1)
+    part = full[:, :k]
     pvals = np.take_along_axis(d2, part, axis=1)
     pids = np.take_along_axis(ids, part, axis=1)
     order = np.lexsort((pids, pvals), axis=-1)
     svals = np.take_along_axis(pvals, order, axis=1)
     sids = np.take_along_axis(pids, order, axis=1)
-    # Boundary ties: argpartition may have chosen an arbitrary subset
-    # of the candidates sharing the k-th distance; repair those rare
-    # rows with a full-row canonical sort.
-    kth = svals[:, -1:]
-    ambiguous = np.count_nonzero(d2 == kth, axis=1) > np.count_nonzero(
-        svals == kth, axis=1
-    )
+    # Boundary ties (as in canonical_top_k): argpartition may have
+    # chosen an arbitrary subset of the candidates sharing the k-th
+    # distance, which happens iff the (k+1)-th equals it; repair those
+    # rare rows with a full-row canonical sort.
+    after = np.take_along_axis(d2, full[:, k:k + 1], axis=1)
+    ambiguous = svals[:, -1] == after[:, 0]
     for row in np.flatnonzero(ambiguous):
         full = np.lexsort((ids[row], d2[row]))[:k]
         sids[row] = ids[row][full]

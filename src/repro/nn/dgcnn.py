@@ -31,8 +31,9 @@ from repro.neighbors.batched import knn_batch, knn_grid_batch
 from repro.neighbors.grid import GridQueryStats
 from repro.nn.autograd import Tensor, concatenate
 from repro.nn.functional import (
+    cloud_blocks,
     edge_features,
-    join_blocks,
+    edge_features_into,
     max_pool_neighbors,
     query_blocks,
 )
@@ -41,6 +42,7 @@ from repro.nn.layers import (
     LeakyReLU,
     Linear,
     Module,
+    chain_runs_in_place,
     run_chain,
     shared_mlp,
 )
@@ -141,15 +143,32 @@ class EdgeConv(Module):
             # Sec. 5.4.2: order within a neighborhood is irrelevant to
             # the max-pooled edge aggregation.
             neighbor_idx = np.sort(neighbor_idx, axis=-1)
-        pooled_blocks = []
-        for rows in query_blocks(self.mlp, *neighbor_idx.shape):
-            edges = edge_features(
-                features, neighbor_idx[:, rows], start=rows.start
-            )
-            out = self.mlp(edges)
-            pooled_blocks.append(max_pool_neighbors(out))
+        if self.mlp.runs_in_place():
+            pooled = self._pool_in_place(features.data, neighbor_idx)
+        else:
+            edges = edge_features(features, neighbor_idx)
+            pooled = max_pool_neighbors(self.mlp(edges))
         recorder.record_plan(plan)
-        return join_blocks(pooled_blocks)
+        return pooled
+
+    def _pool_in_place(
+        self, features: np.ndarray, neighbor_idx: np.ndarray
+    ) -> Tensor:
+        """Edges -> MLP -> max-pool per query block, tape-free: each
+        block's edges go into one workspace buffer and its pooled rows
+        into the ``(B, N, C_out)`` output."""
+        batch, n_points, k = neighbor_idx.shape
+        width = 2 * features.shape[2]
+        out = np.empty((batch, n_points, self.out_channels))
+        for rows in query_blocks(batch, n_points, k):
+            edges = self.workspace.buffer(
+                "edgeconv.edges", (batch, rows.stop - rows.start, k, width)
+            )
+            edge_features_into(
+                edges, features, neighbor_idx[:, rows], start=rows.start
+            )
+            out[:, rows] = self.mlp(Tensor(edges), pool_axis=2).data
+        return Tensor(out)
 
 
 class _DGCNNBackbone(Module):
@@ -235,13 +254,14 @@ class DGCNNClassifier(Module):
         recorder = NullRecorder() if recorder is None else recorder
         features = Tensor(xyz)
         per_point = self.backbone(xyz, features, recorder)
-        embedded = run_chain((self.embedding, self.embedding_act), per_point)
+        pooled = run_chain(
+            (self.embedding, self.embedding_act), per_point, pool_axis=1
+        )
         layer = len(self.backbone.ec_modules)
         recorder.record_plan(matmul_plan(
             layer, linear_widths(self.embedding),
             xyz.shape[0] * xyz.shape[1],
         ))
-        pooled = embedded.max(axis=1)
         logits = run_chain((
             self.head_hidden, self.head_act, self.head_dropout,
             self.head_out,
@@ -302,22 +322,51 @@ class DGCNNSegmentation(Module):
         n_points = xyz.shape[1]
         features = Tensor(xyz)
         per_point = self.backbone(xyz, features, recorder)
-        embedded = run_chain((self.embedding, self.embedding_act), per_point)
+        global_context = run_chain(
+            (self.embedding, self.embedding_act), per_point, pool_axis=1
+        )
         layer = len(self.backbone.ec_modules)
         rows = xyz.shape[0] * n_points
         recorder.record_plan(
             matmul_plan(layer, linear_widths(self.embedding), rows)
         )
-        global_context = embedded.max(axis=1, keepdims=True)
-        tiled = global_context.broadcast_to(
-            (xyz.shape[0], n_points, global_context.shape[2])
-        )
-        merged = concatenate([per_point, tiled], axis=2)
-        logits = run_chain((
+        head = (
             self.head_hidden, self.head_act, self.head_dropout,
             self.head_out,
-        ), merged)
+        )
+        if chain_runs_in_place(head):
+            logits = self._head_in_place(
+                head, per_point.data, global_context.data
+            )
+        else:
+            tiled = global_context.expand_dims(1).broadcast_to(
+                (xyz.shape[0], n_points, global_context.shape[1])
+            )
+            merged = concatenate([per_point, tiled], axis=2)
+            logits = run_chain(head, merged)
         recorder.record_plan(matmul_plan(
             layer + 1, linear_widths(self.head_hidden, self.head_out), rows
         ))
         return logits
+
+    def _head_in_place(
+        self,
+        head: Tuple[Module, ...],
+        per_point: np.ndarray,
+        global_context: np.ndarray,
+    ) -> Tensor:
+        """The per-point head over blocks of whole clouds
+        (:func:`~repro.nn.functional.cloud_blocks`), each
+        ``per_point ‖ global_context`` block built in one array;
+        byte-identical to the whole-batch tape expression."""
+        batch, n_points, c_point = per_point.shape
+        out = np.empty((batch, n_points, self.num_classes))
+        for clouds in cloud_blocks(batch, n_points):
+            merged = np.empty((
+                clouds.stop - clouds.start, n_points,
+                c_point + global_context.shape[1],
+            ))
+            merged[:, :, :c_point] = per_point[clouds]
+            merged[:, :, c_point:] = global_context[clouds, None, :]
+            out[clouds] = run_chain(head, Tensor(merged)).data
+        return Tensor(out)

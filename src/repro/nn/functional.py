@@ -14,7 +14,6 @@ from typing import List
 import numpy as np
 
 from repro.nn.autograd import Tensor, concatenate
-from repro.nn.layers import Sequential
 
 #: Neighborhood rows (``B * n_blk * k``) per block of an inference
 #: group -> shared MLP -> max-pool chain; 2048-8192 measured equal.
@@ -81,19 +80,16 @@ def max_pool_neighbors(grouped: Tensor) -> Tensor:
     return grouped.max(axis=2)
 
 
-def query_blocks(mlp: Sequential, batch: int, n: int, k: int) -> List[slice]:
-    """Slices of the query axis to run group -> MLP -> max-pool over.
-
-    While ``mlp`` runs in place (no graph recorded, no layer training)
-    each block holds at most :data:`INFERENCE_BLOCK_ROWS` neighborhood
-    rows, so its activations stay cache-sized; otherwise one block
-    covers all ``n`` rows and a training graph is unchanged.  Blocking
-    cannot change a bit: NumPy runs one gemm per ``(k, C)``
-    neighborhood matrix of a 4-D input, and the max pools per row.
+def query_blocks(batch: int, n: int, k: int) -> List[slice]:
+    """Slices of the query axis to run group -> MLP -> max-pool over on
+    the in-place path: each block holds at most
+    :data:`INFERENCE_BLOCK_ROWS` neighborhood rows, so its activations
+    stay cache-sized.  Blocking cannot change a bit: NumPy runs one
+    gemm per ``(k, C)`` neighborhood matrix of a 4-D input, and the max
+    pools per row.  The tape path runs all ``n`` rows at once, so a
+    training graph is unchanged.
     """
-    step = n
-    if mlp.runs_in_place():
-        step = max(1, INFERENCE_BLOCK_ROWS // (batch * k))
+    step = max(1, INFERENCE_BLOCK_ROWS // (batch * k))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
@@ -131,10 +127,48 @@ def interpolate_into(
     return out
 
 
-def join_blocks(pooled: List[Tensor]) -> Tensor:
-    """Concatenate per-block ``(B, n_blk, C)`` outputs along the query
-    axis; a single block is returned as is."""
-    return pooled[0] if len(pooled) == 1 else concatenate(pooled, axis=1)
+def edge_features_into(
+    out: np.ndarray,
+    features: np.ndarray,
+    neighbor_indices: np.ndarray,
+    start: int = 0,
+) -> np.ndarray:
+    """:func:`edge_features` without the tape: writes ``[x_i, x_j -
+    x_i]`` for the ``(B, n, k)`` indices into the C-contiguous ``(B, n,
+    k, 2C)`` array ``out`` and returns it, bit for bit the tape's
+    concatenation (the same subtraction, written in place)."""
+    channels = features.shape[2]
+    rows = neighbor_indices.shape[1]
+    center = features[:, start:start + rows, None, :]
+    out[..., :channels] = center
+    clouds = np.arange(features.shape[0])[:, None, None]
+    np.subtract(
+        features[clouds, neighbor_indices], center,
+        out=out[..., channels:],
+    )
+    return out
+
+
+def relative_group_into(
+    out: np.ndarray,
+    xyz: np.ndarray,
+    features: np.ndarray,
+    center_indices: np.ndarray,
+    neighbor_indices: np.ndarray,
+) -> np.ndarray:
+    """The SA grouping without the tape: writes
+    :func:`relative_neighborhoods` ``‖`` :func:`group_points` for the
+    ``(B, n, k)`` indices into the C-contiguous ``(B, n, k, 3 + C)``
+    array ``out`` and returns it, bit for bit the tape's
+    concatenation."""
+    clouds = np.arange(xyz.shape[0])[:, None, None]
+    centers = xyz[clouds[:, :, 0], center_indices]
+    np.subtract(
+        xyz[clouds, neighbor_indices], centers[:, :, None, :],
+        out=out[..., :3],
+    )
+    out[..., 3:] = features[clouds, neighbor_indices]
+    return out
 
 
 def edge_features(

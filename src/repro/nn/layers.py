@@ -14,6 +14,16 @@ instead of its ``forward``.  Every layer computes the same IEEE results
 as its ``forward``, but in the array its ``Linear`` just allocated
 instead of a temporary per op, so the output is byte-identical.  The
 input and the parameters are never written.
+
+Pooling before the monotone tail: a chain run with ``pool_axis`` ends
+in a max over that axis.  In place, the layers after the last
+``Linear`` (``BatchNorm`` -> ``ReLU`` / ``LeakyReLU``, eval ``Dropout``)
+are per-channel compositions of monotone, correctly rounded ops, so
+``max_j f(y_j) == f(max_j y_j)`` (``f(min_j y_j)`` where the BN's
+``gamma < 0``), and :func:`run_chain` runs that tail on the pooled
+rows only.  Equal floats differ in bits only as ``+0.0`` / ``-0.0``,
+so a chain whose activation input is exactly zero at any pooled
+position pools after the tail instead, as the tape does.
 """
 
 from __future__ import annotations
@@ -343,21 +353,87 @@ def chain_runs_in_place(layers: Sequence[Module]) -> bool:
     )
 
 
-def run_chain(layers: Sequence[Module], x: Tensor) -> Tensor:
-    """Apply ``layers`` in order: each layer's :meth:`Module.infer_` on
-    one array while :func:`chain_runs_in_place` holds, else each
-    ``forward`` on the tape.  The body of :class:`Sequential` and of
-    every model head."""
+def _monotone_tail(
+    layers: Sequence[Module],
+) -> Tuple[int, Optional[BatchNorm], Optional[Module]]:
+    """Split ``layers`` for :func:`run_chain`'s pool-first path.
+
+    Returns ``(cut, bn, act)``: ``layers[cut:]``, the layers after the
+    last ``Linear``, are ``bn`` then ``act`` (each possibly None) plus
+    eval-mode ``Dropout`` (the identity) anywhere, with ``act`` a
+    ``ReLU`` or a ``LeakyReLU`` with ``0 < slope <= 1``.  Any other
+    tail gives ``(len(layers), None, None)``: pool after the chain.
+    """
+    cut = 0
+    for i, layer in enumerate(layers):
+        if isinstance(layer, Linear):
+            cut = i + 1
+    tail = [
+        layer for layer in layers[cut:] if not isinstance(layer, Dropout)
+    ]
+    bn = tail.pop(0) if tail and isinstance(tail[0], BatchNorm) else None
+    act = tail.pop(0) if tail else None
+    if tail or not (
+        act is None
+        or isinstance(act, ReLU)
+        or (isinstance(act, LeakyReLU) and 0 < act.negative_slope <= 1)
+    ):
+        return len(layers), None, None
+    return cut, bn, act
+
+
+def _pool_tail(
+    y: np.ndarray,
+    bn: Optional[BatchNorm],
+    act: Optional[Module],
+    axis: int,
+) -> np.ndarray:
+    """``max(act(bn(y)), axis)`` bit for bit, with ``bn`` and ``act``
+    run on the pooled rows (see the module docstring)."""
+    pooled = y.max(axis=axis)
+    if bn is None and act is None:
+        return pooled
+    if bn is not None:
+        negative = bn.gamma.data < 0
+        if negative.any():
+            # BN reverses the order of a channel whose gamma is negative.
+            pooled = np.where(negative, y.min(axis=axis), pooled)
+        pooled = bn.infer_(pooled)
+    if not np.any(pooled == 0):
+        return pooled if act is None else act.infer_(pooled)
+    # A +-0 activation input: the pooled bits may depend on which
+    # neighbor's zero the max keeps, so run the tail on every row.
+    if bn is not None:
+        y = bn.infer_(y)
+    if act is not None:
+        y = act.infer_(y)
+    return y.max(axis=axis)
+
+
+def run_chain(
+    layers: Sequence[Module], x: Tensor, pool_axis: Optional[int] = None
+) -> Tensor:
+    """Apply ``layers`` in order, then, with ``pool_axis``, the max over
+    that axis: each layer's :meth:`Module.infer_` on one array while
+    :func:`chain_runs_in_place` holds (pooling before the monotone
+    tail where :func:`_monotone_tail` allows), else each ``forward``
+    on the tape.  The body of :class:`Sequential` and of every model
+    head."""
     if chain_runs_in_place(layers):
         y = x.data
         if not (layers and isinstance(layers[0], Linear)):
             y = y.copy()  # only a Linear leaves its input as is
-        for layer in layers:
+        if pool_axis is None:
+            for layer in layers:
+                y = layer.infer_(y)
+            return Tensor(y)
+        cut, bn, act = _monotone_tail(layers)
+        for layer in layers[:cut]:
             y = layer.infer_(y)
-        return Tensor(y)
+        return Tensor(_pool_tail(y, bn, act, pool_axis))
     for layer in layers:
         x = layer(x)
-    return x
+    return x if pool_axis is None else x.max(axis=pool_axis)
 
 
 class Sequential(Module):
@@ -372,8 +448,10 @@ class Sequential(Module):
         """True when :meth:`forward` takes the in-place path."""
         return chain_runs_in_place(self.layers)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return run_chain(self.layers, x)
+    def forward(self, x: Tensor, pool_axis: Optional[int] = None) -> Tensor:
+        """The chain on ``x``; with ``pool_axis``, max-pooled over that
+        axis (see :func:`run_chain`)."""
+        return run_chain(self.layers, x, pool_axis)
 
     def __len__(self) -> int:
         return len(self.layers)

@@ -45,9 +45,9 @@ from repro.nn.functional import (
     gather_points,
     group_points,
     interpolate_into,
-    join_blocks,
     max_pool_neighbors,
     query_blocks,
+    relative_group_into,
     relative_neighborhoods,
 )
 from repro.nn.layers import (
@@ -257,16 +257,17 @@ class SetAbstraction(Module):
             # Sec. 5.4.2: row-sorting is a no-op for the max-pooled
             # aggregation but coalesces the gather's memory accesses.
             neighbor_idx = np.sort(neighbor_idx, axis=-1)
-        pooled_blocks = []
-        for rows in query_blocks(self.mlp, *neighbor_idx.shape):
-            block_idx = neighbor_idx[:, rows]
-            rel = relative_neighborhoods(xyz, sampled[:, rows], block_idx)
-            grouped = group_points(features, block_idx)
+        if self.mlp.runs_in_place():
+            pooled = self._pool_in_place(
+                xyz, features.data, sampled, neighbor_idx
+            )
+        else:
+            rel = relative_neighborhoods(xyz, sampled, neighbor_idx)
+            grouped = group_points(features, neighbor_idx)
             grouped = concatenate([Tensor(rel), grouped], axis=3)
-            out = self.mlp(grouped)  # (B, rows, k, C_out)
-            pooled_blocks.append(max_pool_neighbors(out))
+            out = self.mlp(grouped)  # (B, n, k, C_out)
+            pooled = max_pool_neighbors(out)
         recorder.record_plan(plan)
-        pooled = join_blocks(pooled_blocks)
         new_xyz = np.take_along_axis(xyz, sampled[:, :, None], axis=1)
         state = _LevelState(
             xyz=new_xyz,
@@ -275,6 +276,30 @@ class SetAbstraction(Module):
             sampled_indices=sampled,
         )
         return new_xyz, pooled, state
+
+    def _pool_in_place(
+        self,
+        xyz: np.ndarray,
+        features: np.ndarray,
+        sampled: np.ndarray,
+        neighbor_idx: np.ndarray,
+    ) -> Tensor:
+        """Group -> MLP -> max-pool per query block, tape-free: each
+        block's ``rel ‖ grouped`` rows go into one workspace buffer and
+        its pooled rows into the ``(B, n, C_out)`` output."""
+        batch, n_out, k = neighbor_idx.shape
+        width = 3 + features.shape[2]
+        out = np.empty((batch, n_out, self.out_channels))
+        for rows in query_blocks(batch, n_out, k):
+            grouped = self.workspace.buffer(
+                "sa.grouped", (batch, rows.stop - rows.start, k, width)
+            )
+            relative_group_into(
+                grouped, xyz, features, sampled[:, rows],
+                neighbor_idx[:, rows],
+            )
+            out[:, rows] = self.mlp(Tensor(grouped), pool_axis=2).data
+        return Tensor(out)
 
 
 class FeaturePropagation(Module):

@@ -112,7 +112,7 @@ class PipelineProfiler:
             seconds = self._cost.price(
                 event,
                 use_tensor_cores=config.use_tensor_cores,
-                merge_factor=getattr(config, "fc_merge_factor", 1),
+                merge_factor=config.fc_merge_factor,
             )
             stage_times[event.stage] += seconds
             key = f"{event.stage}[{event.layer}]"
@@ -141,7 +141,7 @@ class PipelineProfiler:
             seconds = self._cost.price(
                 event,
                 use_tensor_cores=config.use_tensor_cores,
-                merge_factor=getattr(config, "fc_merge_factor", 1),
+                merge_factor=config.fc_merge_factor,
             )
             total_s += seconds
             if event.stage == STAGE_FEATURE:

@@ -259,7 +259,6 @@ class TestInPlaceInference:
         assert not mlp.runs_in_place()
         out = mlp(Tensor(rng.normal(size=(3, 5)), requires_grad=True))
         assert out.requires_grad
-        assert len(query_blocks(mlp, 4, 1024, 16)) == 1
 
     def test_train_mode_under_no_grad_uses_batch_stats(self, rng):
         x = Tensor(rng.normal(3.0, 2.0, size=(4, 32, 5)))
@@ -269,7 +268,6 @@ class TestInPlaceInference:
         ]
         with no_grad():
             assert not mlps[0].runs_in_place()
-            assert len(query_blocks(mlps[0], 4, 1024, 16)) == 1
             got = mlps[0](x)
         want = mlps[1](x)  # grad mode, same weights and input
         assert got.data.tobytes() == want.data.tobytes()
@@ -285,14 +283,160 @@ class TestInPlaceInference:
             seq.eval()
             assert seq.runs_in_place()
 
-    def test_query_blocks_cover_the_axis(self, monkeypatch, rng):
+    def test_query_blocks_cover_the_axis(self, monkeypatch):
         monkeypatch.setattr(functional, "INFERENCE_BLOCK_ROWS", 40)
-        mlp = _trained_mlp("relu", rng)
-        with no_grad():
-            blocks = query_blocks(mlp, 2, 23, 4)  # 5 queries a block
+        blocks = query_blocks(2, 23, 4)  # 5 queries a block
         assert [(b.start, b.stop) for b in blocks] == [
             (0, 5), (5, 10), (10, 15), (15, 20), (20, 23)
         ]
+
+
+def _spy_shapes(monkeypatch, layer):
+    """Record the shape of every array ``layer.infer_`` runs on."""
+    shapes = []
+    original = layer.infer_
+
+    def spy(y):
+        shapes.append(y.shape)
+        return original(y)
+
+    monkeypatch.setattr(layer, "infer_", spy)
+    return shapes
+
+
+def _pooled_oracle(layers, x, axis):
+    """The layer-by-layer chain, then the max: today's order."""
+    with no_grad():
+        for layer in layers:
+            x = layer(x)
+    return x.data.max(axis=axis)
+
+
+def _signed_mlp(activation, rng, slope=0.2):
+    """A 3-stage MLP whose last BN has channels with gamma < 0,
+    gamma = +0.0 / -0.0 (beta nonzero) and beta = -0.0."""
+    mlp = _trained_mlp(activation, rng)
+    if activation == "leaky_relu":
+        mlp.layers[-1].negative_slope = slope
+    bn = mlp.layers[-2]
+    gamma = rng.normal(size=bn.num_features)
+    gamma[:3] = -np.abs(gamma[:3])
+    gamma[3], gamma[4] = 0.0, -0.0
+    beta = rng.normal(size=bn.num_features)
+    beta[0] = beta[5] = -0.0
+    bn.gamma.data, bn.beta.data = gamma, beta
+    return mlp
+
+
+class TestPoolFirst:
+    """``run_chain(..., pool_axis)`` runs BN + activation on pooled rows
+    and returns the bytes of the layer-by-layer chain then the max."""
+
+    @pytest.mark.parametrize("activation,slope", [
+        ("relu", None), ("leaky_relu", 0.2), ("leaky_relu", 1.0),
+    ])
+    @pytest.mark.parametrize("shape,axis", [
+        ((2, 7, 5, 5), 2), ((3, 9, 5), 1),
+    ])
+    def test_matches_layer_chain_on_pooled_rows(
+        self, monkeypatch, rng, activation, slope, shape, axis
+    ):
+        mlp = _signed_mlp(activation, rng, slope)
+        x = Tensor(rng.normal(size=shape))
+        x.data[0, 0] = -0.0
+        before = x.data.tobytes()
+        params = [p.data.tobytes() for p in mlp.parameters()]
+        want = _pooled_oracle(mlp.layers, x, axis)
+        shapes = _spy_shapes(monkeypatch, mlp.layers[-1])
+        with no_grad():
+            got = mlp(x, pool_axis=axis).data
+        assert got.tobytes() == want.tobytes()
+        assert shapes == [want.shape]  # the tail ran on pooled rows
+        assert x.data.tobytes() == before
+        assert [p.data.tobytes() for p in mlp.parameters()] == params
+
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
+    def test_zero_activation_input_falls_back(
+        self, monkeypatch, rng, activation
+    ):
+        """A zeroed ``Linear`` column (zero bias) under a BN channel with
+        zero mean and ``beta = -0.0`` (and one with ``gamma = +-0.0``)
+        feeds the activation exact +-0: the tail runs on every row."""
+        mlp = _signed_mlp(activation, rng)
+        linear, bn = mlp.layers[-3], mlp.layers[-2]
+        linear.weight.data[:, 1] = 0.0
+        linear.bias.data[1] = 0.0
+        bn.running_mean[1] = 0.0
+        bn.beta.data[1] = bn.beta.data[3] = -0.0
+        x = Tensor(rng.normal(size=(2, 6, 4, 5)))
+        want = _pooled_oracle(mlp.layers, x, 2)
+        shapes = _spy_shapes(monkeypatch, mlp.layers[-1])
+        with no_grad():
+            got = mlp(x, pool_axis=2).data
+        assert got.tobytes() == want.tobytes()
+        assert shapes == [(2, 6, 4, bn.num_features)]
+
+    def test_fallback_decides_the_zero_sign(self, monkeypatch):
+        """ReLU maps +0.0 to +0.0 and -1 to -0.0; the max keeps the
+        later of equal values here, so the chain's answer is -0.0 while
+        pooling first would give ReLU(+0.0) = +0.0.  The fallback keeps
+        -0.0."""
+        seq = Sequential(Linear(1, 1), ReLU()).eval()
+        seq.layers[0].weight.data[:] = 1.0
+        x = Tensor(np.array([0.0, -1.0]).reshape(1, 2, 1))
+        want = _pooled_oracle(seq.layers, x, 1)
+        assert np.signbit(want).all()
+        assert not np.signbit(np.maximum(x.data.max(axis=1), 0.0)).any()
+        with no_grad():
+            got = seq(x, pool_axis=1).data
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("slope", [0.0, -0.1, 1.5])
+    def test_slope_outside_unit_interval_keeps_the_order(
+        self, monkeypatch, rng, slope
+    ):
+        mlp = _signed_mlp("leaky_relu", rng, slope)
+        x = Tensor(rng.normal(size=(2, 5, 4, 5)))
+        want = _pooled_oracle(mlp.layers, x, 2)
+        shapes = _spy_shapes(monkeypatch, mlp.layers[-1])
+        with no_grad():
+            got = mlp(x, pool_axis=2).data
+        assert got.tobytes() == want.tobytes()
+        assert shapes == [(2, 5, 4, 6)]
+
+    def test_head_without_tail_pools_the_linear(self, rng):
+        seq = Sequential(Linear(5, 3, rng=rng), Dropout(0.5)).eval()
+        x = Tensor(rng.normal(size=(2, 6, 5)))
+        with no_grad():
+            got = seq(x, pool_axis=1).data
+        assert got.tobytes() == _pooled_oracle(seq.layers, x, 1).tobytes()
+
+    def test_grad_mode_keeps_the_tape(self, rng):
+        mlp = _signed_mlp("relu", rng)
+        x = Tensor(rng.normal(size=(2, 6, 4, 5)), requires_grad=True)
+        got = mlp(x, pool_axis=2)
+        want = mlp(x).max(axis=2)
+        assert got.requires_grad
+        assert got.data.tobytes() == want.data.tobytes()
+        got.sum().backward()
+        grad = x.grad.copy()
+        x.zero_grad()
+        want.sum().backward()
+        assert grad.tobytes() == x.grad.tobytes()
+
+    def test_train_mode_keeps_batch_statistics(self, rng):
+        x = Tensor(rng.normal(3.0, 2.0, size=(2, 8, 4, 5)))
+        mlps = [
+            shared_mlp([5, 8], rng=np.random.default_rng(1))
+            for _ in range(2)
+        ]
+        with no_grad():
+            assert not mlps[0].runs_in_place()
+            got = mlps[0](x, pool_axis=2)
+        want = _pooled_oracle(mlps[1].layers, x, 2)
+        assert got.data.tobytes() == want.tobytes()
+        assert (mlps[0].layers[1].running_mean.tobytes()
+                == mlps[1].layers[1].running_mean.tobytes())
 
 
 class TestLosses:

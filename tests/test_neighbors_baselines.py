@@ -11,6 +11,7 @@ from repro.neighbors import (
     UniformGridIndex,
     ball_query,
     ball_query_grid_batch,
+    canonical_top_k,
     false_neighbor_ratio,
     knn,
     mean_neighbor_distance,
@@ -212,6 +213,39 @@ class TestKDTree:
         ours = set(tree.query(q, k).tolist())
         ref = set(_brute_knn_reference(q[None], pts, k)[0].tolist())
         assert ours == ref
+
+
+class TestCanonicalTopK:
+    """``canonical_top_k`` == the full stable argsort, byte for byte."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        rows=st.integers(1, 6),
+        n=st.integers(2, 40),
+        levels=st.integers(1, 4),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stable_argsort_on_boundary_ties(
+        self, seed, rows, n, levels, data
+    ):
+        # A few distinct values per row make ties across the k-th /
+        # (k+1)-th boundary the common case; k = n - 1 leaves a single
+        # column outside the selection.
+        k = data.draw(st.sampled_from(sorted({1, n // 2, n - 1, n})))
+        rng = np.random.default_rng(seed)
+        d2 = rng.integers(0, levels, size=(rows, n)).astype(np.float64)
+        want = np.argsort(d2, axis=-1, kind="stable")[:, :k]
+        got = canonical_top_k(d2, k)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_tie_at_the_boundary_of_k_minus_one(self):
+        d2 = np.array([[3.0, 1.0, 2.0, 2.0, 0.0], [2.0, 2.0, 2.0, 2.0, 2.0]])
+        assert canonical_top_k(d2, 4).tolist() == [
+            [4, 1, 2, 3], [0, 1, 2, 3]
+        ]
+        assert canonical_top_k(d2, 3).tolist() == [[4, 1, 2], [0, 1, 2]]
 
 
 class TestUniformGrid:
