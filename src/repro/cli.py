@@ -3,8 +3,6 @@
 Commands:
 
 - ``workloads`` — print the Table 1 workload definitions;
-- ``profile``  — per-stage latency breakdown of a workload under a
-  configuration (Fig. 3 view);
 - ``compare``  — baseline-vs-EdgePC speedups and energy for one or all
   workloads (Fig. 13 view);
 - ``sample``   — run a real sampler (fps / morton / uniform) on a
@@ -13,11 +11,10 @@ Commands:
   or a synthetic cloud;
 - ``report``   — the one-shot headline summary: Fig. 3 breakdown,
   Fig. 13 speedups/energy for all configs, and Table 2;
-- ``trace``    — run a traced workload smoke and export Chrome
-  ``trace_event`` / JSONL spans, a metrics snapshot, a merged run
-  report, and a BENCH per-stage-medians file;
-- ``metrics``  — print the metrics snapshot of a workload smoke in
-  Prometheus text or JSON form;
+- ``trace``    — per-stage latency breakdown of the Table 1 workloads
+  under a configuration (``--config baseline`` is the Fig. 3 view),
+  exporting Chrome ``trace_event`` / JSONL spans, a metrics snapshot,
+  and a merged run report with per-stage medians;
 - ``serve``    — threaded micro-batching serving demo: submit a burst
   of seeded clouds to an in-process :class:`ServerFleet` (one replica
   unless ``--replicas``), drain gracefully, and print the fleet
@@ -35,18 +32,18 @@ Commands:
   partitioned pipeline, verify the stitch, and write a deterministic
   report;
 - ``dashboard`` — render the deterministic text dashboard (fleet
-  health, queue depths, SLO budgets, slowest traces) from the
+  counters, replica health, SLO budgets, slowest traces) from the
   artifacts a chaos/loadgen run saved;
 - ``lint``     — project-aware static analysis;
 - ``lockwatch-report`` — runtime lock-order sanitizer smoke: a
   threaded fleet under the lock-order watchdog, checked against the
   static lock-order graph.
 
-``profile``, ``compare``, and ``sample`` additionally accept
-``--trace-out`` / ``--metrics-out`` to export the telemetry of that
-invocation; ``sample`` runs without positional arguments on a seeded
-synthetic cloud, and with ``--guard`` it runs a guarded demo inference
-and prints the degradation log and per-stage breaker states.
+``compare`` and ``sample`` additionally accept ``--trace-out`` /
+``--metrics-out`` to export the telemetry of that invocation;
+``sample`` runs without positional arguments on a seeded synthetic
+cloud, and with ``--guard`` it runs a guarded demo inference and
+prints the degradation log and per-stage breaker states.
 """
 
 from __future__ import annotations
@@ -70,6 +67,7 @@ from repro.observability import (
     Tracer,
     emit_stage_spans,
 )
+from repro.pipeline import record_priced_batch
 from repro.runtime import PipelineProfiler, compare
 from repro.sampling import farthest_point_sample, uniform_sample
 from repro.workloads import standard_workloads, trace
@@ -137,29 +135,6 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _record_workload_metrics(
-    registry, workload: str, breakdown, energy, recorder
-) -> None:
-    """Fold one priced workload trace into the registry (mirrors the
-    metric names :class:`~repro.pipeline.EdgePCPipeline` emits)."""
-    registry.counter(
-        "pipeline_batches_total", workload=workload
-    ).inc()
-    for stage, seconds in breakdown.stages():
-        registry.histogram(
-            "pipeline_stage_latency_seconds", stage=stage
-        ).observe(seconds)
-    registry.histogram("pipeline_batch_latency_seconds").observe(
-        breakdown.total_s
-    )
-    registry.counter("pipeline_energy_joules_total").inc(
-        energy.total_j
-    )
-    reuse_hits = sum(1 for e in recorder if e.op == "reuse")
-    if reuse_hits:
-        registry.counter("neighbor_reuse_hits_total").inc(reuse_hits)
-
-
 def _smoke_workloads(
     workload: str, config_label: str, tracer: Tracer, registry
 ):
@@ -177,8 +152,8 @@ def _smoke_workloads(
             span.set("ops", len(recorder))
             span.add_cost(breakdown.total_s)
         emit_stage_spans(tracer, breakdown)
-        _record_workload_metrics(
-            registry, name, breakdown, energy, recorder
+        record_priced_batch(
+            registry, spec.batch_size, breakdown, energy, recorder
         )
         results.append((name, breakdown, energy))
     return results
@@ -195,21 +170,6 @@ def cmd_workloads(args: argparse.Namespace) -> int:
             f"{spec.points_per_batch:>8}{spec.batch_size:>7}  "
             f"{spec.task.replace('_', ' ')}"
         )
-    return 0
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    tracer, registry = _telemetry(args)
-    results = _smoke_workloads(
-        args.workload, args.config, tracer, registry
-    )
-    for name, breakdown, _ in results:
-        print(
-            format_breakdown_row(
-                f"{name} ({args.config})", breakdown
-            )
-        )
-    _export_telemetry(args, tracer, registry)
     return 0
 
 
@@ -456,12 +416,16 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Traced workload smoke with every exporter behind one command."""
+    """Price the selected workloads under one config, print their
+    per-stage breakdown rows (``--config baseline`` is the Fig. 3
+    view), and export the run's telemetry."""
     tracer = Tracer()
     registry = MetricsRegistry()
     results = _smoke_workloads(
         args.workload, args.config, tracer, registry
     )
+    for name, breakdown, _ in results:
+        print(format_breakdown_row(f"{name} ({args.config})", breakdown))
     spans = tracer.finished()
     print(
         f"traced {len(results)} workload(s) under {args.config}: "
@@ -488,17 +452,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.report_out:
         report.save(args.report_out)
         print(f"wrote run report -> {args.report_out}")
-    if args.bench_out:
-        bench = {
-            "bench": "observability_smoke",
-            "config": args.config,
-            "workloads": [name for name, _, _ in results],
-            "stage_medians_s": report.stage_medians_s(),
-        }
-        with open(args.bench_out, "w") as fh:
-            json.dump(bench, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote BENCH medians -> {args.bench_out}")
     for stage, seconds in report.stage_medians_s().items():
         print(f"  median {stage:<12} {seconds * 1e3:9.2f} ms")
     return 0
@@ -822,11 +775,12 @@ def _slo_engine(args, registry, clock):
 
 
 def _finish_serving_run(
-    args, report, tracer, registry, slo, fleet=None, clock=None
+    args, report, tracer, registry, slo, clock=None
 ) -> int:
     """Shared epilogue for ``loadgen`` / ``chaos``: write the
     ``--artifacts-dir`` bundle (the files ``repro dashboard --from``
-    reads), print the SLO verdict, and gate on budget exhaustion."""
+    reads), print the SLO verdict, gate on budget exhaustion, and
+    render ``--dashboard`` from the bundle's in-memory contents."""
     from repro.observability.dashboard import (
         ARTIFACT_LOADGEN,
         ARTIFACT_METRICS,
@@ -868,14 +822,21 @@ def _finish_serving_run(
                 file=sys.stderr,
             )
             status = 1
-    if getattr(args, "dashboard", False) and fleet is not None:
-        from repro.observability import collect_live, render_dashboard
-
-        print(
-            render_dashboard(
-                collect_live(fleet, slo=slo, report=report, now=now)
-            )
+    if getattr(args, "dashboard", False):
+        from repro.observability import (
+            bundle_title,
+            dashboard_data,
+            render_dashboard,
         )
+
+        data = dashboard_data(
+            bundle_title(getattr(args, "artifacts_dir", None)),
+            snapshot=registry.snapshot(),
+            trace_records=[span.to_dict() for span in tracer.finished()],
+            slo_report=None if slo is None else slo.report(now),
+            loadgen=report.to_dict(),
+        )
+        print(render_dashboard(data))
     return status
 
 
@@ -902,7 +863,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         print(f"wrote load report -> {args.out}")
     _export_telemetry(args, tracer, registry)
     status = _finish_serving_run(
-        args, report, tracer, registry, slo, fleet=fleet, clock=clock
+        args, report, tracer, registry, slo, clock=clock
     )
     return status or _loadgen_gate(args, report)
 
@@ -951,8 +912,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     status = _loadgen_gate(args, report)
     return (
         _finish_serving_run(
-            args, report, tracer, registry, slo, fleet=fleet,
-            clock=clock,
+            args, report, tracer, registry, slo, clock=clock
         )
         or status
     )
@@ -1080,27 +1040,6 @@ def cmd_lockwatch(args: argparse.Namespace) -> int:
     return 1 if problems else 0
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    """Print the metrics snapshot of a workload smoke run."""
-    registry = MetricsRegistry()
-    _smoke_workloads(args.workload, args.config, NULL_TRACER, registry)
-    if args.format == "prometheus":
-        text = registry.to_prometheus()
-    else:
-        text = json.dumps(
-            registry.snapshot(), indent=1, sort_keys=True
-        )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-        print(f"wrote metrics -> {args.out}")
-    else:
-        print(text)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1111,16 +1050,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "workloads", help="print the Table 1 workloads"
     ).set_defaults(func=cmd_workloads)
-
-    profile = sub.add_parser(
-        "profile", help="per-stage latency breakdown (Fig. 3 view)"
-    )
-    profile.add_argument("--workload", default="all")
-    profile.add_argument(
-        "--config", default="baseline", choices=sorted(CONFIGS)
-    )
-    _add_telemetry_flags(profile)
-    profile.set_defaults(func=cmd_profile)
 
     comp = sub.add_parser(
         "compare", help="baseline vs EdgePC (Fig. 13 view)"
@@ -1231,8 +1160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace_cmd = sub.add_parser(
         "trace",
-        help="traced workload smoke: Chrome trace, metrics snapshot, "
-        "run report, BENCH medians",
+        help="per-stage latency breakdown (Fig. 3 view with --config "
+        "baseline): Chrome trace, metrics snapshot, run report",
     )
     trace_cmd.add_argument("--workload", default="all")
     trace_cmd.add_argument(
@@ -1247,31 +1176,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--report-out", default=None, metavar="FILE",
         help="write the merged RunReport (spans+metrics+breakdowns)",
     )
-    trace_cmd.add_argument(
-        "--bench-out", default=None, metavar="FILE",
-        help="write per-stage latency medians "
-        "(BENCH_observability.json)",
-    )
     trace_cmd.set_defaults(func=cmd_trace)
-
-    metrics_cmd = sub.add_parser(
-        "metrics",
-        help="metrics snapshot of a workload smoke "
-        "(Prometheus text or JSON)",
-    )
-    metrics_cmd.add_argument("--workload", default="all")
-    metrics_cmd.add_argument(
-        "--config", default="edgepc", choices=sorted(CONFIGS)
-    )
-    metrics_cmd.add_argument(
-        "--format", default="prometheus",
-        choices=("prometheus", "json"),
-    )
-    metrics_cmd.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write to a file instead of stdout",
-    )
-    metrics_cmd.set_defaults(func=cmd_metrics)
 
     def _add_serving_flags(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
@@ -1507,7 +1412,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         # stdout was piped into a consumer that exited early
-        # (`repro metrics | head`); mute the late flush and exit clean.
+        # (`repro trace | head`); mute the late flush and exit clean.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0

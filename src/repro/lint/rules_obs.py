@@ -82,12 +82,41 @@ def _self_calls(fn: ast.FunctionDef) -> Set[str]:
     return out
 
 
+#: Builtins a read-only method may call (they write no state).
+_PURE_BUILTINS = frozenset(
+    {
+        "abs", "all", "any", "bool", "dict", "enumerate", "float",
+        "frozenset", "int", "isinstance", "len", "list", "max", "min",
+        "range", "round", "set", "sorted", "str", "sum", "tuple", "zip",
+    }
+)
+
+
+def _writes_state(fn: ast.FunctionDef) -> bool:
+    """Could ``fn`` write state?  Conservatively yes when it stores to
+    or deletes an attribute or item, or calls anything but a pure
+    builtin (a method call may mutate its receiver)."""
+    for node in ast.walk(fn):
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and (
+            isinstance(node.ctx, (ast.Store, ast.Del))
+        ):
+            return True
+        if isinstance(node, ast.Call) and not (
+            isinstance(node.func, ast.Name)
+            and node.func.id in _PURE_BUILTINS
+        ):
+            return True
+    return False
+
+
 def _is_exempt(fn: ast.FunctionDef) -> bool:
+    """Decorated accessors and read-only getters owe no telemetry:
+    instrumenting a read would reward side effects in getters."""
     for decorator in fn.decorator_list:
         rendered = ast.unparse(decorator)
         if any(name in rendered for name in _EXEMPT_DECORATORS):
             return True
-    return False
+    return not _writes_state(fn)
 
 
 @register
@@ -102,7 +131,8 @@ class PipelineInstrumentationRule(Rule):
         "class (and, in repro.serving, on *Server/*Batcher/*Queue/"
         "*Generator classes) opens a span or records metrics "
         "(directly or via a sibling method) so production traces "
-        "cover every entry point."
+        "cover every entry point.  Read-only methods (no attribute "
+        "or item store, no call but a pure builtin) are exempt."
     )
 
     @staticmethod

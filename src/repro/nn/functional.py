@@ -171,26 +171,14 @@ def relative_group_into(
     return out
 
 
-def edge_features(
-    features: Tensor, neighbor_indices: np.ndarray, start: int = 0
-) -> Tensor:
+def edge_features(features: Tensor, neighbor_indices: np.ndarray) -> Tensor:
     """DGCNN edge features: ``[x_i, x_j - x_i]`` per edge.
 
-    Input ``(B, N, C)`` and indices ``(B, n, k)`` for the centers
-    ``start .. start + n - 1``; output ``(B, n, k, 2C)``.
+    Input ``(B, N, C)`` and indices ``(B, N, k)``; output
+    ``(B, N, k, 2C)``.
     """
     if features.ndim != 3:
         raise ValueError(f"features must be (B, N, C), got {features.shape}")
-    grouped = group_points(features, neighbor_indices)  # (B, n, k, C)
-    batch, rows, k = neighbor_indices.shape
-    if start < 0 or start + rows > features.shape[1]:
-        raise ValueError(
-            f"center rows {start}..{start + rows} exceed {features.shape[1]}"
-        )
-    center = features
-    if rows != features.shape[1]:
-        center = features[:, start:start + rows]
-    center = center.expand_dims(2).broadcast_to(
-        (batch, rows, k, features.shape[2])
-    )
+    grouped = group_points(features, neighbor_indices)  # (B, N, k, C)
+    center = features.expand_dims(2).broadcast_to(grouped.shape)
     return concatenate([center, grouped - center], axis=3)

@@ -22,7 +22,7 @@ PR 7 adds end-to-end request observability on top:
   evaluated over sliding metric windows with multi-window error-budget
   burn-rate alerts (:mod:`repro.observability.slo`);
 - :func:`render_dashboard` — deterministic text snapshot of fleet
-  health, queues, SLO budgets, and slowest traces, also exposed as
+  health, SLO budgets, and slowest traces, also exposed as
   ``repro dashboard`` (:mod:`repro.observability.dashboard`).
 
 The wall clock is injectable: :mod:`repro.observability.clock` holds
@@ -44,7 +44,8 @@ from repro.observability.clock import Clock, FixedClock, wall_clock
 from repro.observability.context import TraceContext, mint_trace_id
 from repro.observability.dashboard import (
     DashboardData,
-    collect_live,
+    bundle_title,
+    dashboard_data,
     load_artifacts,
     render_dashboard,
     slowest_traces,
@@ -101,7 +102,8 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "breakdown_to_dict",
-    "collect_live",
+    "bundle_title",
+    "dashboard_data",
     "emit_stage_spans",
     "energy_to_dict",
     "escape_label_value",

@@ -1,13 +1,16 @@
 """Deterministic text dashboard for the serving fleet.
 
 ``repro dashboard`` renders one plain-text snapshot — replica health,
-queue depths, SLO error budgets, and the top-K slowest request
-traces — either from a **live** fleet/engine (at the end of a load
-run) or from **saved artifacts** (the files a CI chaos run uploads:
-``metrics.json``, ``trace.jsonl``, ``slo_report.json``,
-``loadgen.json``).  Output is a pure function of its inputs: two runs
-at the same seed render byte-identical dashboards, so the snapshot
-can be asserted in tests and diffed across CI runs.
+SLO error budgets, and the top-K slowest request traces — of a run's
+artifact bundle (``metrics.json``, ``trace.jsonl``,
+``slo_report.json``, ``loadgen.json``).  :func:`dashboard_data` builds
+the renderable data from the bundle's contents, whether
+:func:`load_artifacts` read them back from disk or a live load run
+(``--dashboard``) passes the in-memory objects it saves, so the two
+render byte-identical text for one run.  Output is a pure function of
+its inputs: two runs at the same seed render byte-identical
+dashboards, so the snapshot can be asserted in tests and diffed across
+CI runs.
 
 This is deliberately *not* a terminal UI — a deterministic string is
 greppable, diffable, and renders the same in a CI log as in a shell.
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 #: Conventional artifact file names (written by ``repro chaos`` /
-#: ``repro loadgen`` with ``--out-dir`` and read by ``--from``).
+#: ``repro loadgen`` with ``--artifacts-dir`` and read by ``--from``).
 ARTIFACT_METRICS = "metrics.json"
 ARTIFACT_TRACE = "trace.jsonl"
 ARTIFACT_SLO = "slo_report.json"
@@ -38,41 +41,51 @@ class DashboardData:
     title: str = "serving"
     fleet_stats: Dict[str, float] = field(default_factory=dict)
     replica_states: Dict[str, str] = field(default_factory=dict)
-    queue_depths: Dict[str, float] = field(default_factory=dict)
-    slo_report: Dict[str, object] = field(default_factory=dict)
+    slo_report: Mapping[str, object] = field(default_factory=dict)
     latency_ms: Dict[str, float] = field(default_factory=dict)
     trace_records: List[Mapping[str, object]] = field(
         default_factory=list
     )
 
 
-def collect_live(
-    fleet,
-    slo=None,
-    report=None,
-    now: Optional[float] = None,
+def bundle_title(directory: Optional[str]) -> str:
+    """The dashboard title: the name of the run's artifact bundle
+    directory, or ``serving`` for a run that saves none."""
+    if directory is None:
+        return DashboardData.title
+    return os.path.basename(os.path.normpath(directory)) or "artifacts"
+
+
+def dashboard_data(
+    title: str,
+    snapshot: Optional[Mapping[str, object]] = None,
+    trace_records: Sequence[Mapping[str, object]] = (),
+    slo_report: Optional[Mapping[str, object]] = None,
+    loadgen: Optional[Mapping[str, object]] = None,
 ) -> DashboardData:
-    """Snapshot a live :class:`~repro.serving.fleet.ServerFleet` (its
-    trace too, when its tracer is on, plus optional SLO engine / load
-    report) into renderable data."""
-    if now is None:
-        now = fleet.clock()
-    data = DashboardData(title="fleet")
-    data.fleet_stats = fleet.stats()
-    data.replica_states = fleet.replica_states(now)
-    data.queue_depths = {
-        str(replica.index): float(replica.server.queue.depth)
-        for replica in fleet.replicas
-    }
-    if slo is not None:
-        data.slo_report = slo.report(now)
-    if fleet.tracer.enabled:
-        data.trace_records = [
-            span.to_dict() for span in fleet.tracer.finished()
-        ]
-    if report is not None:
-        data.latency_ms = dict(report.latency_ms)
+    """Renderable data from a bundle's contents: the registry
+    snapshot, span records, SLO report and load report (each
+    optional)."""
+    data = DashboardData(title=title)
+    if snapshot is not None:
+        data.fleet_stats = _stats_from_snapshot(snapshot)
+    if slo_report is not None:
+        data.slo_report = slo_report
+    if loadgen is not None:
+        data.latency_ms = dict(loadgen.get("latency_ms", {}))
+        data.replica_states = {
+            str(k): str(v)
+            for k, v in loadgen.get("replica_states", {}).items()
+        }
+    data.trace_records = list(trace_records)
     return data
+
+
+def _read_json(path: str):
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def load_artifacts(directory: str) -> DashboardData:
@@ -82,50 +95,29 @@ def load_artifacts(directory: str) -> DashboardData:
     available — but an entirely empty directory is an error (a silent
     blank dashboard would mask a broken upload).
     """
-    data = DashboardData(title=os.path.basename(
-        os.path.normpath(directory)
-    ) or "artifacts")
-    found = False
-    metrics_path = os.path.join(directory, ARTIFACT_METRICS)
-    if os.path.exists(metrics_path):
-        found = True
-        with open(metrics_path) as fh:
-            snapshot = json.load(fh)
-        data.fleet_stats = _stats_from_snapshot(snapshot)
-        data.queue_depths = _queues_from_snapshot(snapshot)
-    slo_path = os.path.join(directory, ARTIFACT_SLO)
-    if os.path.exists(slo_path):
-        found = True
-        with open(slo_path) as fh:
-            data.slo_report = json.load(fh)
-    loadgen_path = os.path.join(directory, ARTIFACT_LOADGEN)
-    if os.path.exists(loadgen_path):
-        found = True
-        with open(loadgen_path) as fh:
-            loadgen = json.load(fh)
-        data.latency_ms = dict(loadgen.get("latency_ms", {}))
-        states = loadgen.get("replica_states", {})
-        if states and not data.replica_states:
-            data.replica_states = {
-                str(k): str(v) for k, v in states.items()
-            }
+    snapshot = _read_json(os.path.join(directory, ARTIFACT_METRICS))
+    slo_report = _read_json(os.path.join(directory, ARTIFACT_SLO))
+    loadgen = _read_json(os.path.join(directory, ARTIFACT_LOADGEN))
     trace_path = os.path.join(directory, ARTIFACT_TRACE)
+    records: Optional[List[Mapping[str, object]]] = None
     if os.path.exists(trace_path):
-        found = True
-        records: List[Mapping[str, object]] = []
         with open(trace_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
-        data.trace_records = records
-    if not found:
+            records = [json.loads(line) for line in fh if line.strip()]
+    if all(
+        part is None for part in (snapshot, slo_report, loadgen, records)
+    ):
         raise FileNotFoundError(
             f"no dashboard artifacts in {directory!r} (expected any "
             f"of {ARTIFACT_METRICS}, {ARTIFACT_TRACE}, "
             f"{ARTIFACT_SLO}, {ARTIFACT_LOADGEN})"
         )
-    return data
+    return dashboard_data(
+        bundle_title(directory),
+        snapshot=snapshot,
+        trace_records=records or (),
+        slo_report=slo_report,
+        loadgen=loadgen,
+    )
 
 
 def _stats_from_snapshot(
@@ -152,21 +144,6 @@ def _stats_from_snapshot(
         if isinstance(value, (int, float)):
             stats[label] = stats.get(label, 0.0) + float(value)
     return stats
-
-
-def _queues_from_snapshot(
-    snapshot: Mapping[str, object]
-) -> Dict[str, float]:
-    depths: Dict[str, float] = {}
-    for entry in snapshot.get("metrics", []):  # type: ignore[union-attr]
-        if str(entry.get("name", "")) != "serving_queue_depth":
-            continue
-        labels = entry.get("labels", {}) or {}
-        key = str(labels.get("replica", len(depths)))
-        value = entry.get("value")
-        if isinstance(value, (int, float)):
-            depths[key] = float(value)
-    return depths
 
 
 def slowest_traces(
@@ -226,20 +203,13 @@ def render_dashboard(
                 f"  {key:<22} {_fmt(data.fleet_stats[key]):>12}"
             )
 
-    if data.replica_states or data.queue_depths:
+    if data.replica_states:
         lines += _section("replicas")
-        indices = sorted(
-            set(data.replica_states) | set(data.queue_depths),
-            key=lambda key: (len(key), key),
-        )
-        for index in indices:
-            state = data.replica_states.get(index, "?")
-            depth = data.queue_depths.get(index)
-            depth_text = (
-                "queue=?" if depth is None else f"queue={_fmt(depth)}"
-            )
+        for index in sorted(
+            data.replica_states, key=lambda key: (len(key), key)
+        ):
             lines.append(
-                f"  replica {index:<4} {state:<10} {depth_text}"
+                f"  replica {index:<4} {data.replica_states[index]}"
             )
 
     if data.slo_report:

@@ -90,7 +90,7 @@ class RunReport:
 
     def stage_medians_s(self) -> Dict[str, float]:
         """Per-stage median simulated latency across the collected
-        breakdowns — the ``BENCH_observability.json`` payload."""
+        breakdowns (the report's ``stage_medians_s``)."""
         out: Dict[str, float] = {}
         if not self.breakdowns:
             return out

@@ -81,6 +81,38 @@ class InferenceResult:
         return self.energy.total_j
 
 
+def record_priced_batch(
+    registry: MetricsRegistry,
+    batch: int,
+    breakdown: StageBreakdown,
+    energy: EnergyReport,
+    recorder: StageRecorder,
+) -> None:
+    """Fold one priced batch of ``batch`` clouds into ``registry``.
+
+    The one writer of the priced series: batches, clouds, the stage
+    and batch latency histograms, simulated seconds, energy and reuse
+    hits.  :meth:`EdgePCPipeline.infer` calls it for executed batches
+    and ``repro trace`` for synthesized workload plans.
+    """
+    reuse_hits = sum(1 for e in recorder if e.op == "reuse")
+    if reuse_hits:
+        registry.counter("neighbor_reuse_hits_total").inc(reuse_hits)
+    registry.counter("pipeline_batches_total").inc()
+    registry.counter("pipeline_clouds_total").inc(batch)
+    for stage, seconds in breakdown.stages():
+        registry.histogram(
+            "pipeline_stage_latency_seconds", stage=stage
+        ).observe(seconds)
+    registry.histogram("pipeline_batch_latency_seconds").observe(
+        breakdown.total_s
+    )
+    registry.counter("pipeline_simulated_seconds_total").inc(
+        breakdown.total_s
+    )
+    registry.counter("pipeline_energy_joules_total").inc(energy.total_j)
+
+
 class EdgePCPipeline:
     """Wraps a model and profiles every inference on the edge device.
 
@@ -269,9 +301,13 @@ class EdgePCPipeline:
             span.set("ops", len(recorder))
             span.add_cost(breakdown.total_s)
             emit_stage_spans(tracer, breakdown)
-            self._record_batch_metrics(
-                xyz.shape[0], breakdown, energy, recorder
+            record_priced_batch(
+                self.metrics, xyz.shape[0], breakdown, energy, recorder
             )
+            # Measured-only series: a synthesized plan carries just
+            # worst-case counts and holds no workspace.
+            self._record_exact_fast_metrics(self.metrics, recorder)
+            self._record_workspace_metrics(self.metrics)
             result = InferenceResult(
                 logits=logits,
                 predictions=logits.argmax(axis=-1),
@@ -285,37 +321,6 @@ class EdgePCPipeline:
             if guard is not None:
                 span.set("degraded_stages", list(result.degraded_stages))
             return result
-
-    def _record_batch_metrics(
-        self,
-        batch: int,
-        breakdown: StageBreakdown,
-        energy: EnergyReport,
-        recorder: StageRecorder,
-    ) -> None:
-        registry = self.metrics
-        reuse_hits = sum(1 for e in recorder if e.op == "reuse")
-        if reuse_hits:
-            registry.counter("neighbor_reuse_hits_total").inc(
-                reuse_hits
-            )
-        self._record_exact_fast_metrics(registry, recorder)
-        registry.counter("pipeline_batches_total").inc()
-        registry.counter("pipeline_clouds_total").inc(batch)
-        for stage, seconds in breakdown.stages():
-            registry.histogram(
-                "pipeline_stage_latency_seconds", stage=stage
-            ).observe(seconds)
-        registry.histogram(
-            "pipeline_batch_latency_seconds"
-        ).observe(breakdown.total_s)
-        registry.counter("pipeline_simulated_seconds_total").inc(
-            breakdown.total_s
-        )
-        registry.counter("pipeline_energy_joules_total").inc(
-            energy.total_j
-        )
-        self._record_workspace_metrics(registry)
 
     def _record_exact_fast_metrics(
         self,

@@ -639,8 +639,6 @@ class InferenceServer:
             - self.queue.expired
         )
 
-    # A getter, not a stage: reading state must not write a series.
-    # repro: allow[OBS-301]
     def stats(self) -> Dict[str, float]:
         """Snapshot of the serving counters; read-only (the same
         tallies go out as ``serving_*`` metrics where they change)."""

@@ -11,6 +11,7 @@ from repro.cli import main
 from repro.datasets import bunny_like
 from repro.geometry import io as pc_io
 from repro.observability import find_orphans
+from repro.workloads import standard_workloads
 
 
 class TestWorkloadsCommand:
@@ -22,24 +23,27 @@ class TestWorkloadsCommand:
 
 
 class TestProfileCommand:
+    """``repro trace`` prints one per-stage breakdown row per workload
+    (the Fig. 3 view under ``--config baseline``)."""
+
     def test_single_workload(self, capsys):
-        assert main(["profile", "--workload", "W3"]) == 0
+        assert main(["trace", "--workload", "W3"]) == 0
         out = capsys.readouterr().out
         assert "W3" in out
         assert "sample+NS" in out
 
     def test_all_workloads(self, capsys):
-        assert main(["profile"]) == 0
+        assert main(["trace", "--config", "baseline"]) == 0
         assert capsys.readouterr().out.count("sample+NS") == 6
 
     def test_config_choices(self, capsys):
         assert main(
-            ["profile", "--workload", "W1", "--config", "insights"]
+            ["trace", "--workload", "W1", "--config", "insights"]
         ) == 0
 
     def test_unknown_workload_fails(self):
         with pytest.raises(SystemExit):
-            main(["profile", "--workload", "W9"])
+            main(["trace", "--workload", "W9"])
 
 
 class TestCompareCommand:
@@ -265,12 +269,11 @@ class TestTraceCommand:
         jsonl_path = str(tmp_path / "spans.jsonl")
         metrics_path = str(tmp_path / "metrics.json")
         report_path = str(tmp_path / "report.json")
-        bench_path = str(tmp_path / "BENCH_observability.json")
         assert main(
             ["trace", "--workload", "all", "--config", "edgepc",
              "--trace-out", trace_path, "--jsonl-out", jsonl_path,
              "--metrics-out", metrics_path,
-             "--report-out", report_path, "--bench-out", bench_path]
+             "--report-out", report_path]
         ) == 0
         doc = _load_chrome_trace(trace_path)
         span_names = {e["name"] for e in doc["traceEvents"]}
@@ -287,13 +290,11 @@ class TestTraceCommand:
         assert report["meta"]["schema_version"] == 1
         assert report["meta"]["workload"] == "all"
         assert len(report["breakdowns"]) == 6
-        with open(bench_path) as fh:
-            bench = json.load(fh)
-        assert bench["bench"] == "observability_smoke"
-        assert bench["workloads"] == [
-            "W1", "W2", "W3", "W4", "W5", "W6"
-        ]
-        assert bench["stage_medians_s"]["total_s"] > 0
+        assert set(report["stage_medians_s"]) == {
+            "sample_s", "neighbor_s", "grouping_s", "feature_s",
+            "total_s",
+        }
+        assert report["stage_medians_s"]["total_s"] > 0
         out = capsys.readouterr().out
         assert "median" in out
 
@@ -308,30 +309,42 @@ class TestTraceCommand:
         )
 
 
-class TestMetricsCommand:
-    def test_prometheus_stdout(self, capsys):
-        assert main(["metrics", "--workload", "W1"]) == 0
-        out = capsys.readouterr().out
-        assert "# TYPE pipeline_stage_latency_seconds histogram" in out
-        assert 'stage="sample"' in out
-        assert "pipeline_batches_total" in out
+class TestRetiredTelemetryCommands:
+    """``repro profile`` and ``repro metrics`` folded into ``repro
+    trace``; ``trace --bench-out`` went with the BENCH files (its
+    medians are the run report's ``stage_medians_s``)."""
 
-    def test_prometheus_parses_back(self, capsys):
-        from telemetry import parse_prometheus
+    @pytest.mark.parametrize("command", ["profile", "metrics"])
+    def test_commands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
-        assert main(["metrics", "--workload", "W1"]) == 0
-        values = parse_prometheus(capsys.readouterr().out)
-        assert values  # at least one sample line parsed
-
-    def test_json_to_file(self, tmp_path):
-        out_path = str(tmp_path / "m.json")
-        assert main(
-            ["metrics", "--workload", "W1", "--format", "json",
-             "--out", out_path]
-        ) == 0
-        assert "pipeline_energy_joules_total" in _metric_names(
-            out_path
+    def test_bench_out_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--bench-out", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bench-out" in (
+            capsys.readouterr().err
         )
+
+    def test_priced_series_have_one_writer(self, tmp_path):
+        """``trace --metrics-out`` carries the series an executed
+        ``EdgePCPipeline.infer`` writes, unlabeled by workload."""
+        metrics_path = str(tmp_path / "m.json")
+        assert main(
+            ["trace", "--workload", "W1", "--metrics-out", metrics_path]
+        ) == 0
+        with open(metrics_path) as fh:
+            metrics = json.load(fh)["metrics"]
+        by_name = {m["name"]: m for m in metrics}
+        assert by_name["pipeline_batches_total"]["labels"] == {}
+        assert by_name["pipeline_batches_total"]["value"] == 1
+        assert by_name["pipeline_clouds_total"]["value"] == (
+            standard_workloads()["W1"].batch_size
+        )
+        assert by_name["pipeline_simulated_seconds_total"]["value"] > 0
 
 
 class TestProfileCompareTelemetry:
@@ -339,7 +352,7 @@ class TestProfileCompareTelemetry:
         trace_path = str(tmp_path / "t.json")
         metrics_path = str(tmp_path / "m.json")
         assert main(
-            ["profile", "--workload", "W1",
+            ["trace", "--workload", "W1",
              "--trace-out", trace_path,
              "--metrics-out", metrics_path]
         ) == 0

@@ -592,15 +592,6 @@ class TestFunctional:
             feats.data[0, 1] - feats.data[0, 3],
         )
 
-    def test_edge_features_block_equals_slice(self, rng):
-        feats = Tensor(rng.normal(size=(2, 9, 3)))
-        idx = rng.integers(0, 9, size=(2, 9, 4))
-        full = edge_features(feats, idx).data
-        block = edge_features(feats, idx[:, 3:7], start=3).data
-        assert block.tobytes() == full[:, 3:7].tobytes()
-        with pytest.raises(ValueError):
-            edge_features(feats, idx[:, 3:7], start=6)
-
     def test_edge_features_self_edge_zero_diff(self, rng):
         feats = Tensor(rng.normal(size=(1, 4, 3)))
         idx = np.arange(4).reshape(1, 4, 1)

@@ -143,6 +143,18 @@ class TestServingFixtures:
         relpath, _ = SERVING_FIXTURES[rule_id]
         assert lint_file(str(GOOD / relpath)) == []
 
+    def test_read_only_getters_owe_no_telemetry(self):
+        # A getter that writes no state passes OBS-301; a public
+        # method that writes state with no span or metric still fails.
+        relpath = "repro/serving/getters.py"
+        hits = [
+            f for f in lint_file(str(BAD / relpath)) if f.rule == "OBS-301"
+        ]
+        assert [h.message.split("(")[0] for h in hits] == [
+            "CountingQueue.reset"
+        ]
+        assert lint_file(str(GOOD / relpath)) == []
+
     def test_serving_suffixes_only_apply_inside_serving(self):
         # The same silent Server class outside repro.serving is not
         # held to OBS-301 (only *Pipeline is, repo-wide).

@@ -8,6 +8,7 @@ tests assert the render is a pure function of its inputs.
 
 import json
 import math
+import os
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.observability.dashboard import (
     ARTIFACT_METRICS,
     ARTIFACT_SLO,
     ARTIFACT_TRACE,
+    WIDTH,
 )
 
 
@@ -84,8 +86,6 @@ class TestSpec:
 
     def test_committed_spec_parses(self):
         # The spec the CI slo-report job runs under must stay loadable.
-        import os
-
         spec = SloSpec.load(
             os.path.join(
                 os.path.dirname(__file__), "..", "SLO_serving.json"
@@ -253,7 +253,6 @@ class TestDashboard:
             title="t",
             fleet_stats={"completed": 5.0, "submitted": 6.0},
             replica_states={"0": "healthy", "1": "ejected"},
-            queue_depths={"0": 2.0},
             slo_report={
                 "spec": "serving",
                 "objectives": [
@@ -377,7 +376,6 @@ class TestArtifacts:
         )
         data = load_artifacts(str(tmp_path))
         assert data.fleet_stats == {"completed": 7.0}
-        assert data.queue_depths == {"0": 3.0}
         assert data.latency_ms == {"p95": 12.5}
         assert data.replica_states == {"0": "healthy"}
         text = render_dashboard(data)
@@ -401,6 +399,31 @@ class TestArtifacts:
         out = capsys.readouterr().out
         assert "repro dashboard ::" in out
         assert "slo budgets :: spec=serving" in out
+
+    def test_live_dashboard_equals_the_saved_bundle_render(
+        self, tmp_path, capsys
+    ):
+        """``--dashboard`` renders the data its ``--artifacts-dir``
+        bundle saves: byte-identical to ``repro dashboard --from``."""
+        from repro.cli import main
+
+        bundle = tmp_path / "bundle"
+        spec = os.path.join(
+            os.path.dirname(__file__), "..", "SLO_serving.json"
+        )
+        assert main(
+            ["chaos", "--duration-s", "2", "--rate", "40",
+             "--deadline-ms", "500", "--retries", "4",
+             "--hedge-ms", "25", "--seed", "0", "--slo", spec,
+             "--artifacts-dir", str(bundle), "--dashboard"]
+        ) == 0
+        out = capsys.readouterr().out
+        live = out[out.index("=" * WIDTH):]  # the render's opening rule
+        assert live == render_dashboard(load_artifacts(str(bundle))) + "\n"
+        assert "repro dashboard :: bundle" in live
+        assert "queue=" not in live
+        assert main(["dashboard", "--from", str(bundle)]) == 0
+        assert capsys.readouterr().out == live
 
     def test_dashboard_cli_fails_on_empty_directory(
         self, tmp_path, capsys
