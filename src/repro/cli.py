@@ -15,10 +15,12 @@ Commands:
   under a configuration (``--config baseline`` is the Fig. 3 view),
   exporting Chrome ``trace_event`` / JSONL spans, a metrics snapshot,
   and a merged run report with per-stage medians;
-- ``serve``    — threaded micro-batching serving demo: submit a burst
-  of seeded clouds to an in-process :class:`ServerFleet` (one replica
-  unless ``--replicas``), drain gracefully, and print the fleet
-  counters;
+- ``serve``    — threaded micro-batching serving demo under the
+  runtime lock-order sanitizer: submit a burst of seeded clouds to one
+  in-process :class:`InferenceServer`, drain gracefully, print the
+  server counters and the watchdog summary, and exit 1 on any
+  lock-order violation or contradiction with the static CONC-502
+  graph;
 - ``loadgen``  — deterministic virtual-time load generation against an
   in-process replica fleet; reports admission decisions,
   batch-size histogram, latency percentiles, and goodput (see
@@ -34,10 +36,7 @@ Commands:
 - ``dashboard`` — render the deterministic text dashboard (fleet
   counters, replica health, SLO budgets, slowest traces) from the
   artifacts a chaos/loadgen run saved;
-- ``lint``     — project-aware static analysis;
-- ``lockwatch-report`` — runtime lock-order sanitizer smoke: a
-  threaded fleet under the lock-order watchdog, checked against the
-  static lock-order graph.
+- ``lint``     — project-aware static analysis.
 
 ``compare`` and ``sample`` additionally accept ``--trace-out`` /
 ``--metrics-out`` to export the telemetry of that invocation;
@@ -483,40 +482,45 @@ def _serving_pipeline(seed: int, guard: bool, tracer, registry):
     )
 
 
-def _fleet_config(args):
-    from repro.serving import FleetConfig, HedgePolicy, RetryPolicy
+def _serving_config(args):
+    from repro.serving import ServingConfig
 
-    hedge_ms = getattr(args, "hedge_ms", None)
-    return FleetConfig(
-        default_deadline_ms=args.deadline_ms,
-        retry=RetryPolicy(max_attempts=args.retries),
-        hedge=(
-            None
-            if hedge_ms is None
-            else HedgePolicy(min_delay_s=hedge_ms / 1e3)
-        ),
+    return ServingConfig(
+        max_queue_depth=args.queue_depth,
+        max_batch_size=args.max_batch_size,
+        max_wait_ms=args.max_wait_ms,
+        workers=args.workers,
     )
 
 
-def _build_fleet(args, tracer, registry, clock=None):
-    """N identical replicas (same seed) behind the fleet router."""
-    from repro.observability.clock import wall_clock
-    from repro.serving import ServerFleet, ServingConfig
+def _build_fleet(args, tracer, registry, clock):
+    """N identical replicas (same seed) behind the fleet router, on
+    the virtual ``clock``."""
+    from repro.serving import (
+        FleetConfig,
+        HedgePolicy,
+        RetryPolicy,
+        ServerFleet,
+    )
 
     pipelines = [
         _serving_pipeline(args.seed, args.guard, tracer, registry)
         for _ in range(args.replicas)
     ]
+    config = FleetConfig(
+        default_deadline_ms=args.deadline_ms,
+        retry=RetryPolicy(max_attempts=args.retries),
+        hedge=(
+            None
+            if args.hedge_ms is None
+            else HedgePolicy(min_delay_s=args.hedge_ms / 1e3)
+        ),
+    )
     return ServerFleet(
         pipelines,
-        config=_fleet_config(args),
-        serving_config=ServingConfig(
-            max_queue_depth=args.queue_depth,
-            max_batch_size=args.max_batch_size,
-            max_wait_ms=args.max_wait_ms,
-            workers=args.workers,
-        ),
-        clock=clock if clock is not None else wall_clock,
+        config=config,
+        serving_config=_serving_config(args),
+        clock=clock,
     )
 
 
@@ -680,60 +684,70 @@ def _load_scene(args):
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Threaded serving demo: burst-submit seeded clouds, drain, report.
+    """Threaded serving demo under the runtime lock-order sanitizer.
 
-    The burst goes through a :class:`~repro.serving.fleet.ServerFleet`
-    of ``--replicas`` replicas (one by default), exercising routing,
-    health tracking, and retries under real threads.
+    Burst-submits seeded clouds to one threaded
+    :class:`~repro.serving.server.InferenceServer` whose locks are
+    :class:`~repro.robustness.lockwatch.LockOrderWatchdog` proxies,
+    drains it gracefully, then prints the server counters and the
+    observed lock-order edges.  Exits 1 on any runtime order violation
+    or contradiction with the static CONC-502 lock-order graph.
     """
+    from repro.robustness.lockwatch import (
+        LockOrderWatchdog,
+        static_lock_order,
+    )
+    from repro.serving import AdmissionError, InferenceServer
+
     tracer, registry = _telemetry(args)
+    server = InferenceServer(
+        _serving_pipeline(args.seed, args.guard, tracer, registry),
+        _serving_config(args),
+    )
+    watchdog = LockOrderWatchdog(
+        static_edges=static_lock_order(), metrics=registry
+    )
+    watchdog.instrument_server(server)
     rng = np.random.default_rng(args.seed)
-    outcomes: dict = {}
-    requests = []
-
-    def _count_error(err: Exception) -> str:
-        kind = type(err).__name__
-        outcomes[kind] = outcomes.get(kind, 0) + 1
-        return kind
-
-    fleet = _build_fleet(args, tracer, registry)
-    with fleet:
-        for index in range(args.requests):
+    deadline_s = (
+        None if args.deadline_ms is None else args.deadline_ms / 1e3
+    )
+    with server:
+        for _ in range(args.requests):
             try:
-                requests.append(
-                    fleet.submit(
-                        rng.random((args.points, 3)),
-                        tenant=f"tenant-{index % 4}",
-                    )
+                server.submit(
+                    rng.random((args.points, 3)), deadline_s=deadline_s
                 )
-            except Exception as err:
-                registry.counter(
-                    "cli_request_errors_total", kind=_count_error(err)
-                ).inc()
-    stats = fleet.stats()
-    for request in requests:
-        try:
-            request.future.result(timeout=30.0)
-        except Exception as err:
-            registry.counter(
-                "cli_request_errors_total", kind=_count_error(err)
-            ).inc()
-        else:
-            outcomes["ok"] = outcomes.get("ok", 0) + 1
+            except AdmissionError:
+                pass  # counted in the server's ``rejected``
     print(
-        f"served {args.requests} requests with {args.replicas} "
-        f"replica(s) x {args.workers} worker(s), max batch "
-        f"{args.max_batch_size}, window {args.max_wait_ms:.0f} ms"
+        f"served {args.requests} requests with {args.workers} "
+        f"worker(s), max batch {args.max_batch_size}, window "
+        f"{args.max_wait_ms:.0f} ms"
     )
-    for kind in sorted(outcomes):
-        print(f"  {kind}: {outcomes[kind]}")
     print(
-        "  completed {completed:.0f}  failed {failed:.0f}  "
-        "retries {retries:.0f}  healthy replicas "
-        "{healthy:.0f}".format(**stats)
+        "  "
+        + "  ".join(
+            f"{key} {value:.4g}" for key, value in server.stats().items()
+        )
     )
+    report = watchdog.report()
+    print(
+        f"lockwatch: {sum(report.acquisitions.values())} "
+        f"acquisition(s) across {len(report.acquisitions)} lock(s), "
+        f"{len(report.edges)} observed order edge(s), "
+        f"{len(report.static_edges)} static edge(s), "
+        f"{len(report.violations)} violation(s), "
+        f"{len(report.contradictions)} contradiction(s)"
+    )
+    for a, b, n in report.edges:
+        print(f"  observed: {a} -> {b} (x{n})")
+    for line in report.violations:
+        print(f"  VIOLATION: {line}", file=sys.stderr)
+    for line in report.contradictions:
+        print(f"  CONTRADICTION: {line}", file=sys.stderr)
     _export_telemetry(args, tracer, registry)
-    return 0
+    return 1 if report.violations or report.contradictions else 0
 
 
 def _loadgen_config(args) -> "object":
@@ -958,88 +972,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     )
 
 
-def cmd_lockwatch(args: argparse.Namespace) -> int:
-    """Runtime lock-order sanitizer report over a threaded fleet smoke.
-
-    Builds a real-threaded replica fleet, swaps its serving locks for
-    :class:`~repro.robustness.lockwatch.LockOrderWatchdog` proxies,
-    burst-submits seeded clouds while a chaos kill/recover cycle sheds
-    one replica's backlog, then reports the observed acquisition-order
-    edges against the static CONC-502 lock-order graph.  Exits 1 on
-    any runtime order violation or static/dynamic contradiction, so
-    CI can gate on the two layers agreeing.
-    """
-    from repro.robustness.lockwatch import (
-        LockOrderWatchdog,
-        static_lock_order,
-    )
-
-    if args.replicas < 2:
-        print(
-            "lockwatch-report needs --replicas >= 2",
-            file=sys.stderr,
-        )
-        return 2
-    tracer, registry = _telemetry(args)
-    fleet = _build_fleet(args, tracer, registry)
-    watchdog = LockOrderWatchdog(
-        static_edges=static_lock_order(), metrics=registry
-    )
-    watchdog.instrument_fleet(fleet)
-    rng = np.random.default_rng(args.seed)
-    kill_at = max(1, args.requests // 2)
-    requests = []
-    with fleet:
-        for index in range(args.requests):
-            if args.chaos and index == kill_at:
-                fleet.kill_replica(0)
-            try:
-                requests.append(
-                    fleet.submit(
-                        rng.random((args.points, 3)),
-                        tenant=f"tenant-{index % 4}",
-                    )
-                )
-            except Exception as err:
-                registry.counter(
-                    "cli_request_errors_total",
-                    kind=type(err).__name__,
-                ).inc()
-        if args.chaos:
-            fleet.recover_replica(0)
-        for request in requests:
-            try:
-                request.future.result(timeout=30.0)
-            except Exception as err:
-                registry.counter(
-                    "cli_request_errors_total",
-                    kind=type(err).__name__,
-                ).inc()
-    report = watchdog.report()
-    problems = len(report.violations) + len(report.contradictions)
-    print(
-        f"lockwatch: {sum(report.acquisitions.values())} "
-        f"acquisition(s) across {len(report.acquisitions)} lock(s), "
-        f"{len(report.edges)} observed order edge(s), "
-        f"{len(report.static_edges)} static edge(s), "
-        f"{len(report.violations)} violation(s), "
-        f"{len(report.contradictions)} contradiction(s)"
-    )
-    for a, b, n in report.edges:
-        print(f"  observed: {a} -> {b} (x{n})")
-    for line in report.violations:
-        print(f"  VIOLATION: {line}", file=sys.stderr)
-    for line in report.contradictions:
-        print(f"  CONTRADICTION: {line}", file=sys.stderr)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote lockwatch report -> {args.out}")
-    _export_telemetry(args, tracer, registry)
-    return 1 if problems else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1190,8 +1122,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--workers", type=int, default=2,
-            help="dispatch workers (threads, or modeled servers for "
-            "loadgen)",
+            help="dispatch workers (threads for serve, modeled lanes "
+            "per replica for loadgen/chaos)",
         )
         cmd.add_argument(
             "--queue-depth", type=int, default=64,
@@ -1211,27 +1143,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="guard the pipeline: quality probes with per-stage "
             "exact-kernel fallback and circuit breakers",
         )
-        cmd.add_argument(
-            "--replicas", type=int, default=1,
-            help="replicas behind the ServerFleet router (health "
-            "tracking, retries, hedging); default 1",
-        )
-        cmd.add_argument(
-            "--retries", type=int, default=3,
-            help="fleet retry budget (max attempts per request, "
-            "including the first)",
-        )
-        cmd.add_argument(
-            "--hedge-ms", type=float, default=None,
-            help="enable hedged dispatch with this minimum delay; "
-            "unset disables hedging",
-        )
         _add_telemetry_flags(cmd)
 
     serve_cmd = sub.add_parser(
         "serve",
         help="threaded micro-batching serving demo with graceful "
-        "drain (see docs/serving.md)",
+        "drain, under the runtime lock-order sanitizer (see "
+        "docs/serving.md)",
     )
     serve_cmd.add_argument(
         "--requests", type=int, default=32,
@@ -1306,6 +1224,22 @@ def build_parser() -> argparse.ArgumentParser:
             "--dashboard", action="store_true",
             help="print the live text dashboard after the run",
         )
+        group = cmd.add_argument_group("fleet")
+        group.add_argument(
+            "--replicas", type=int, default=1,
+            help="replicas behind the ServerFleet router (health "
+            "tracking, retries, hedging); default 1",
+        )
+        group.add_argument(
+            "--retries", type=int, default=3,
+            help="fleet retry budget (max attempts per request, "
+            "including the first)",
+        )
+        group.add_argument(
+            "--hedge-ms", type=float, default=None,
+            help="enable hedged dispatch with this minimum delay; "
+            "unset disables hedging",
+        )
         _add_serving_flags(cmd)
 
     loadgen_cmd = sub.add_parser(
@@ -1378,31 +1312,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_cmd.set_defaults(func=cmd_lint)
 
-    lockwatch_cmd = sub.add_parser(
-        "lockwatch-report",
-        help="runtime lock-order sanitizer smoke: threaded fleet "
-        "under the LockOrderWatchdog, checked against the static "
-        "CONC-502 lock-order graph",
-    )
-    lockwatch_cmd.add_argument(
-        "--requests", type=int, default=24,
-        help="seeded clouds to burst-submit",
-    )
-    lockwatch_cmd.add_argument(
-        "--points", type=int, default=64,
-        help="points per submitted cloud",
-    )
-    lockwatch_cmd.add_argument(
-        "--chaos", action="store_true",
-        help="kill replica 0 mid-burst and recover it, shedding its "
-        "backlog through the retry path",
-    )
-    lockwatch_cmd.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="write the JSON watchdog report (the CI artifact)",
-    )
-    _add_serving_flags(lockwatch_cmd)
-    lockwatch_cmd.set_defaults(func=cmd_lockwatch, replicas=3)
     return parser
 
 

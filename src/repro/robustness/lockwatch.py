@@ -2,12 +2,11 @@
 
 :class:`LockOrderWatchdog` wraps the serving locks
 (``RequestQueue.condition``, ``InferenceServer._dispatch_lock``,
-``InferenceServer._records_lock``, ``ServerFleet._cond``) in thin
-proxies that record, per thread, which locks are held when another is
-acquired.  The observed acquisition-order edges are the runtime twin
-of the static lock-order graph computed by
-:class:`repro.lint.concurrency.ProjectContext` (rule CONC-502); the
-two cross-validate:
+``InferenceServer._records_lock``) in thin proxies that record, per
+thread, which locks are held when another is acquired.  The observed
+acquisition-order edges are the runtime twin of the static lock-order
+graph computed by :class:`repro.lint.concurrency.ProjectContext`
+(rule CONC-502); the two cross-validate:
 
 - an **order violation** is a pair of locks observed in both orders at
   runtime (the dynamic analogue of a CONC-502 cycle), or a plain
@@ -22,14 +21,15 @@ Hold-times and acquisition counts are folded into a
 :class:`~repro.observability.metrics.MetricsRegistry` under
 ``lockwatch_acquisitions_total{lock=}``,
 ``lockwatch_hold_seconds{lock=}`` and ``lockwatch_violations_total``
-so the chaos harness can export them alongside the serving metrics.
+so ``repro serve --metrics-out`` exports them alongside the serving
+metrics.
 
 The watchdog is test-infrastructure, not a production wrapper: proxies
 add two dict operations per acquire, which is fine under pytest and
-the chaos smoke but is deliberately kept out of the serving hot path
-by default.  Enable it for the whole test suite with
-``REPRO_LOCKWATCH=1`` (see ``tests/conftest.py``) or per-run via
-``repro lockwatch-report``.
+the ``repro serve`` smoke but is deliberately kept out of the serving
+hot path by default.  Enable it for the whole test suite with
+``REPRO_LOCKWATCH=1`` (see ``tests/conftest.py``); ``repro serve``
+always runs under it.
 """
 
 from __future__ import annotations
@@ -190,20 +190,6 @@ class LockWatchReport:
     contradictions: List[str] = field(default_factory=list)
     static_edges: List[Tuple[str, str]] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "edges": [
-                {"held": a, "acquired": b, "count": n}
-                for a, b, n in self.edges
-            ],
-            "acquisitions": dict(sorted(self.acquisitions.items())),
-            "violations": list(self.violations),
-            "contradictions": list(self.contradictions),
-            "static_edges": [
-                {"before": a, "after": b} for a, b in self.static_edges
-            ],
-        }
-
 
 class LockOrderWatchdog:
     """Records runtime lock-acquisition order and checks it against
@@ -242,13 +228,18 @@ class LockOrderWatchdog:
 
     # Wrapping --------------------------------------------------------
 
+    # Wrapping is idempotent per watchdog.  A lock another watchdog
+    # already wraps gets a proxy around that proxy, so both observe it
+    # (a watched ``repro serve`` run inside the ``REPRO_LOCKWATCH=1``
+    # session sanitizer).
+
     def wrap_lock(self, lock: Any, name: str) -> _LockProxy:
-        if isinstance(lock, (_LockProxy, _ConditionProxy)):
+        if isinstance(lock, _LockProxy) and lock._watchdog is self:
             return lock
         return _LockProxy(lock, name, self)
 
     def wrap_condition(self, cond: Any, name: str) -> _ConditionProxy:
-        if isinstance(cond, _ConditionProxy):
+        if isinstance(cond, _ConditionProxy) and cond._watchdog is self:
             return cond
         return _ConditionProxy(cond, name, self)
 
@@ -267,14 +258,6 @@ class LockOrderWatchdog:
         server.queue.condition = self.wrap_condition(
             server.queue.condition, "RequestQueue.condition"
         )
-
-    def instrument_fleet(self, fleet: Any) -> None:
-        """Swap a :class:`ServerFleet`'s lock plus every replica's."""
-        fleet._cond = self.wrap_condition(
-            fleet._cond, "ServerFleet._cond"
-        )
-        for replica in fleet.replicas:
-            self.instrument_server(replica.server)
 
     # Recording -------------------------------------------------------
 

@@ -13,7 +13,9 @@ probation, re-admit), deadline-aware retries, and hedging; the
 deterministic virtual-time schedule to prove it, and the
 :class:`~repro.serving.loadgen.FleetLoadGenerator` feeds seeded load
 into the fleet's one virtual-time event loop
-(:meth:`~repro.serving.fleet.ServerFleet.run`).  Every layer reports
+(:meth:`~repro.serving.fleet.ServerFleet.run`).  The fleet runs only
+in virtual time, on one thread; threaded serving is one
+:class:`~repro.serving.server.InferenceServer` and its worker pool.  Every layer reports
 through the tracer and metrics registry of the pipelines it wraps;
 none takes sinks of its own.  See ``docs/serving.md``.
 """

@@ -29,15 +29,14 @@ reads it.
 The fleet reads its tracer and metrics registry from its pipelines,
 which must all share one of each.
 
-The fleet runs in the same two modes as the server: **threaded**
-(:meth:`ServerFleet.start` starts every replica's worker pool plus a
-maintenance thread that processes attempt outcomes and due timers) and
-**virtual**, under a :class:`~repro.observability.clock.FixedClock`,
-where time advances only in the fleet's one event loop
-(:attr:`~ServerFleet.next_event_at`, :meth:`~ServerFleet.step`,
-:meth:`~ServerFleet.run`, :meth:`~ServerFleet.drain`): each replica's
-``workers`` are lanes next to its chaos gate, and the load generator
-and the chaos harness both step that loop.
+The fleet runs only in virtual time, on one thread, under a
+:class:`~repro.observability.clock.FixedClock`: time advances only in
+its one event loop (:attr:`~ServerFleet.next_event_at`,
+:meth:`~ServerFleet.step`, :meth:`~ServerFleet.run`,
+:meth:`~ServerFleet.drain`), each replica's ``workers`` are lanes next
+to its chaos gate, and the load generator and the chaos harness both
+step that loop.  Threaded serving is one
+:class:`~repro.serving.server.InferenceServer` (``repro serve``).
 Every decision is recorded in :attr:`ServerFleet.trace` as
 :class:`~repro.serving.retry.RetryEvent` rows, byte-identical across
 same-seed runs.
@@ -47,7 +46,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import threading
 import zlib
 from collections import deque
 from concurrent.futures import Future
@@ -65,7 +63,7 @@ from typing import (
 
 import numpy as np
 
-from repro.observability.clock import Clock, FixedClock, wall_clock
+from repro.observability.clock import FixedClock
 from repro.observability.context import TraceContext
 from repro.serving.chaos import ChaosGate, ReplicaFaultError
 from repro.serving.health import ReplicaHealth
@@ -83,7 +81,6 @@ from repro.serving.retry import (
 from repro.pipeline import EdgePCPipeline
 from repro.serving.server import (
     DispatchRecord,
-    DrainTimeoutError,
     InferenceServer,
     ServingConfig,
 )
@@ -261,24 +258,43 @@ class ServerFleet:
 
     Args:
         pipelines: one pipeline per replica (each replica needs its
-            own model instance — its workers take turns on it under
-            the replica's dispatch lock).  They must share one tracer
-            and one metrics registry, which the fleet reports through
-            too.
+            own model instance).  They must share one tracer and one
+            metrics registry, which the fleet reports through too.
         config: fleet-level policy knobs.
         serving_config: per-replica serving knobs.
-        clock: injectable clock shared by every replica; pass a
-            :class:`~repro.observability.clock.FixedClock` for
-            deterministic virtual-time operation.
+        clock: the virtual clock shared by every replica, which only
+            the fleet's event loop advances; a fresh ``FixedClock(0.0)``
+            by default.  Any other clock is a ``TypeError``.
     """
+
+    #: Unlabeled counters created at construction, so a snapshot of a
+    #: clean run reads 0 for them instead of leaving them out.
+    COUNTERS = (
+        "serving_fleet_submitted_total",
+        "serving_fleet_completed_total",
+        "serving_fleet_failed_total",
+        "serving_fleet_expired_total",
+        "serving_fleet_retries_total",
+        "serving_fleet_hedges_total",
+        "serving_fleet_hedge_wins_total",
+        "serving_fleet_hedge_cancelled_total",
+    )
 
     def __init__(
         self,
         pipelines: Sequence[EdgePCPipeline],
         config: Optional[FleetConfig] = None,
         serving_config: Optional[ServingConfig] = None,
-        clock: Clock = wall_clock,
+        clock: Optional[FixedClock] = None,
     ) -> None:
+        if clock is None:
+            clock = FixedClock(0.0)
+        if not isinstance(clock, FixedClock):
+            raise TypeError(
+                "a ServerFleet runs only in virtual time and needs a "
+                f"FixedClock, got {type(clock).__name__}; threaded "
+                "serving is one InferenceServer"
+            )
         if not pipelines:
             raise ValueError("a fleet needs at least one pipeline")
         first = pipelines[0]
@@ -311,7 +327,8 @@ class ServerFleet:
                 )
             )
         self.router = Router(len(self.replicas))
-        self._cond = threading.Condition()
+        for name in self.COUNTERS:
+            self.metrics.counter(name)
         self._attempts: Dict[str, _Attempt] = {}
         self._resolved: Deque[str] = deque()
         self._retries: List[Tuple[float, int, FleetRequest]] = []
@@ -333,8 +350,6 @@ class ServerFleet:
         self.hedge_cancelled = 0
         self.submit_rejected = 0
         self.rejection_reasons: Dict[str, int] = {}
-        self._maintenance: Optional[threading.Thread] = None
-        self._stopping = False
 
     # Submission ------------------------------------------------------
 
@@ -361,8 +376,7 @@ class ServerFleet:
                     f"{cloud.shape}"
                 )
             now = self.clock()
-            with self._cond:
-                self.submitted += 1
+            self.submitted += 1
             self.metrics.counter("serving_fleet_submitted_total").inc()
             if deadline_s is None and (
                 self.config.default_deadline_ms is not None
@@ -396,15 +410,13 @@ class ServerFleet:
                     )
                 self._reject(now, rid, refusal.reason, ctx=ctx)
                 raise refusal
-            with self._cond:
-                self.accepted += 1
-                self._requests[rid] = request
+            self.accepted += 1
+            self._requests[rid] = request
             return request
 
     def _next_id(self) -> str:
-        with self._cond:
-            self._sequence += 1
-            return f"f{self._sequence:06d}"
+        self._sequence += 1
+        return f"f{self._sequence:06d}"
 
     def _reject(
         self,
@@ -413,13 +425,12 @@ class ServerFleet:
         reason: str,
         ctx: Optional[TraceContext] = None,
     ) -> None:
-        with self._cond:
-            self.submit_rejected += 1
-            self._count_reason(reason)
+        self.submit_rejected += 1
+        self._count_reason(reason)
         self.metrics.counter(
             "serving_fleet_rejected_total", reason=reason
         ).inc()
-        self._note(
+        self.trace.append(
             RetryEvent(
                 now,
                 rid,
@@ -448,7 +459,7 @@ class ServerFleet:
             )
 
     def _count_reason(self, reason: str) -> None:
-        """Tally one rejection reason; callers hold :attr:`_cond`."""
+        """Tally one rejection reason."""
         self.rejection_reasons[reason] = (
             self.rejection_reasons.get(reason, 0) + 1
         )
@@ -463,8 +474,8 @@ class ServerFleet:
         backoff_s: float = 0.0,
     ) -> None:
         """Log one decision about ``request`` at its current attempt
-        count (see :meth:`_note`)."""
-        self._note(
+        count to :attr:`trace`."""
+        self.trace.append(
             RetryEvent(
                 now,
                 request.request_id,
@@ -476,16 +487,6 @@ class ServerFleet:
                 trace_id=self._trace_of(request),
             )
         )
-
-    def _note(self, event: RetryEvent) -> None:
-        """Append one decision-log row under the fleet lock.
-
-        Submitter threads (rejections) and the maintenance thread
-        (outcomes, timers) both write the trace; readers snapshot it
-        via ``list(self.trace)``.
-        """
-        with self._cond:
-            self.trace.append(event)
 
     # Routing and dispatch --------------------------------------------
 
@@ -557,28 +558,21 @@ class ServerFleet:
                 hedge=hedge,
                 ctx=attempt_ctx,
             )
-            with self._cond:
-                self._attempts[attempt_id] = attempt
+            self._attempts[attempt_id] = attempt
             if hedge:
                 request.hedges += 1
-                with self._cond:
-                    self.hedges += 1
+                self.hedges += 1
                 self.metrics.counter("serving_fleet_hedges_total").inc()
             self._log(request, now, index, "hedge" if hedge else "dispatch")
             if not hedge and self.config.hedge is not None:
-                with self._cond:
-                    latencies = list(self._attempt_latencies)
-                delay = self.config.hedge.delay_s(latencies)
-                with self._cond:
-                    self._timer_seq += 1
-                    heapq.heappush(
-                        self._hedge_timers,
-                        (now + delay, self._timer_seq, attempt_id),
-                    )
-                    # Submitter threads schedule hedges while the
-                    # maintenance thread may be parked on a longer
-                    # wait; wake it so it re-derives its deadline.
-                    self._cond.notify_all()
+                delay = self.config.hedge.delay_s(
+                    list(self._attempt_latencies)
+                )
+                self._timer_seq += 1
+                heapq.heappush(
+                    self._hedge_timers,
+                    (now + delay, self._timer_seq, attempt_id),
+                )
             serving_request.future.add_done_callback(
                 lambda fut, aid=attempt_id: self._attempt_resolved(
                     aid
@@ -588,37 +582,30 @@ class ServerFleet:
         return None, last_refusal
 
     def _attempt_resolved(self, attempt_id: str) -> None:
-        with self._cond:
-            self._resolved.append(attempt_id)
-            self._cond.notify_all()
+        self._resolved.append(attempt_id)
 
     # Outcome processing ----------------------------------------------
 
-    def service(
-        self, now: Optional[float] = None, force: bool = False
-    ) -> None:
+    def service(self, now: Optional[float] = None) -> None:
         """Process resolved attempts and due timers at ``now``.
 
-        The fleet's heartbeat: called by the maintenance thread
-        (threaded mode) and by the virtual-time event loop after every
-        clock advance.  With ``force=True`` (shutdown) due times are
-        ignored: pending retries dispatch immediately or fail typed.
+        The fleet's heartbeat, called by the event loop after every
+        clock advance.
         """
         if now is None:
             now = self.clock()
         self._process_resolved(now)
-        self._fire_hedges(now, force)
-        self._fire_retries(now, force)
+        self._fire_hedges(now)
+        self._fire_retries(now)
         self._process_resolved(now)
         self._tick_health(now)
 
     def _process_resolved(self, now: float) -> None:
         while True:
-            with self._cond:
-                if not self._resolved:
-                    return
-                attempt_id = self._resolved.popleft()
-                attempt = self._attempts.pop(attempt_id, None)
+            if not self._resolved:
+                return
+            attempt_id = self._resolved.popleft()
+            attempt = self._attempts.pop(attempt_id, None)
             if attempt is not None:
                 self._handle_outcome(attempt, now)
 
@@ -699,20 +686,17 @@ class ServerFleet:
         if error is None:
             latency = max(0.0, now - attempt.submitted_s)
             replica.health.record_success(now)
-            with self._cond:
-                self._attempt_latencies.append(latency)
+            self._attempt_latencies.append(latency)
             if request.future.done():
                 return  # a sibling already won
             request.winner = attempt.attempt_id
             request.future.set_result(
                 attempt.serving_request.future.result()
             )
-            with self._cond:
-                self.completed += 1
+            self.completed += 1
             self.metrics.counter("serving_fleet_completed_total").inc()
             if attempt.hedge:
-                with self._cond:
-                    self.hedge_wins += 1
+                self.hedge_wins += 1
                 self.metrics.counter(
                     "serving_fleet_hedge_wins_total"
                 ).inc()
@@ -745,9 +729,8 @@ class ServerFleet:
         replica: int,
         error: Exception,
     ) -> None:
-        with self._cond:
-            self.expired += 1
-            self._count_reason("deadline")
+        self.expired += 1
+        self._count_reason("deadline")
         self.metrics.counter("serving_fleet_expired_total").inc()
         self._log(request, now, replica, "expired")
         self._close_request_trace(request, now, "expired")
@@ -760,8 +743,7 @@ class ServerFleet:
         replica: int,
         error: Exception,
     ) -> None:
-        with self._cond:
-            self.failed += 1
+        self.failed += 1
         self.metrics.counter(
             "serving_fleet_failed_total",
             reason=type(error).__name__,
@@ -779,9 +761,8 @@ class ServerFleet:
         replica: int,
         cause: Exception,
     ) -> None:
-        with self._cond:
-            self.failed += 1
-            self._count_reason("retry_exhausted")
+        self.failed += 1
+        self._count_reason("retry_exhausted")
         self.metrics.counter(
             "serving_fleet_failed_total",
             reason="retry_exhausted",
@@ -820,32 +801,27 @@ class ServerFleet:
         if backoff is None:
             self._exhaust_request(request, now, replica, error)
             return
-        with self._cond:
-            self.retries += 1
+        self.retries += 1
         self.metrics.counter("serving_fleet_retries_total").inc()
         self._log(
             request, now, replica, "retry",
             detail or type(error).__name__, backoff_s=backoff,
         )
-        with self._cond:
-            self._timer_seq += 1
-            heapq.heappush(
-                self._retries,
-                (now + backoff, self._timer_seq, request),
-            )
-            self._cond.notify_all()
+        self._timer_seq += 1
+        heapq.heappush(
+            self._retries,
+            (now + backoff, self._timer_seq, request),
+        )
 
     def _cancel_siblings(
         self, request: FleetRequest, now: float
     ) -> None:
         for attempt_id in sorted(request.inflight):
-            with self._cond:
-                sibling = self._attempts.get(attempt_id)
+            sibling = self._attempts.get(attempt_id)
             if sibling is None or sibling.cancelled:
                 continue
             sibling.cancelled = True
-            with self._cond:
-                self.hedge_cancelled += 1
+            self.hedge_cancelled += 1
             self.metrics.counter(
                 "serving_fleet_hedge_cancelled_total"
             ).inc()
@@ -853,15 +829,14 @@ class ServerFleet:
 
     # Timers ----------------------------------------------------------
 
-    def _fire_retries(self, now: float, force: bool) -> None:
+    def _fire_retries(self, now: float) -> None:
         while True:
-            with self._cond:
-                if not self._retries:
-                    return
-                due, _, request = self._retries[0]
-                if not force and due > now:
-                    return
-                heapq.heappop(self._retries)
+            if not self._retries:
+                return
+            due, _, request = self._retries[0]
+            if due > now:
+                return
+            heapq.heappop(self._retries)
             if request.future.done():
                 continue
             if (
@@ -898,18 +873,15 @@ class ServerFleet:
                 detail="placement",
             )
 
-    def _fire_hedges(self, now: float, force: bool) -> None:
+    def _fire_hedges(self, now: float) -> None:
         while True:
-            with self._cond:
-                if not self._hedge_timers:
-                    return
-                due, _, attempt_id = self._hedge_timers[0]
-                if not force and due > now:
-                    return
-                heapq.heappop(self._hedge_timers)
-                attempt = self._attempts.get(attempt_id)
-            if force:
-                continue  # shutting down: no new hedges
+            if not self._hedge_timers:
+                return
+            due, _, attempt_id = self._hedge_timers[0]
+            if due > now:
+                return
+            heapq.heappop(self._hedge_timers)
+            attempt = self._attempts.get(attempt_id)
             if attempt is None or attempt.cancelled:
                 continue
             request = attempt.request
@@ -919,10 +891,10 @@ class ServerFleet:
                 request, now, hedge=True, exclude={attempt.replica}
             )
 
-    def _next_due_locked(self, now: float) -> Optional[float]:
+    def _next_due(self, now: float) -> Optional[float]:
         """When the fleet's own work is next due: ``now`` while attempt
         outcomes wait to be processed, else the earliest retry/hedge
-        timer, else ``None`` (settled).  Callers hold :attr:`_cond`."""
+        timer, else ``None`` (settled)."""
         if self._resolved:
             return now
         due = []
@@ -954,7 +926,7 @@ class ServerFleet:
             float(self.healthy_count(now))
         )
 
-    # Chaos controls (driven by the harness; also CLI-accessible) -----
+    # Chaos controls (driven by the chaos harness) -------------------
 
     def kill_replica(
         self, index: int, now: Optional[float] = None
@@ -1019,7 +991,7 @@ class ServerFleet:
             now=now,
         )
 
-    # Virtual mode ----------------------------------------------------
+    # Event loop ------------------------------------------------------
 
     @property
     def next_event_at(self) -> Optional[float]:
@@ -1042,8 +1014,7 @@ class ServerFleet:
                     at = max(at, min(replica.lanes))
             if at is not None:
                 due.append(at)
-        with self._cond:
-            own = self._next_due_locked(self.clock())
+        own = self._next_due(self.clock())
         if own is not None:
             due.append(own)
         return min(due) if due else None
@@ -1130,11 +1101,6 @@ class ServerFleet:
 
     def _advance_to(self, t: float) -> float:
         """Move the virtual clock forward to ``t``; returns now."""
-        if not isinstance(self.clock, FixedClock):
-            raise TypeError(
-                "virtual-time stepping needs the fleet on a "
-                "FixedClock; threaded serving uses start()/stop()"
-            )
         delta = t - self.clock()
         if delta > 0:
             self.clock.advance(delta)
@@ -1207,95 +1173,14 @@ class ServerFleet:
 
     def _settled(self) -> bool:
         """Whether every admitted request reached a terminal state."""
-        with self._cond:
-            requests = list(self._requests.values())
-        return all(request.future.done() for request in requests)
+        return all(
+            request.future.done() for request in self._requests.values()
+        )
 
     def close(self) -> None:
         """Close every replica's admission queue (drain begins)."""
         for replica in self.replicas:
             replica.server.queue.close()
-
-    # Threaded mode ---------------------------------------------------
-
-    def start(self) -> "ServerFleet":
-        """Start every replica's worker pool plus the maintenance
-        thread (idempotent); returns ``self``."""
-        with self.tracer.span("serving.fleet.start", "serving") as span:
-            span.set("replicas", len(self.replicas))
-            for replica in self.replicas:
-                replica.server.start()
-            if self._maintenance is None:
-                with self._cond:
-                    self._stopping = False
-                thread = threading.Thread(
-                    target=self._maintenance_loop,
-                    name="fleet-maintenance",
-                    daemon=True,
-                )
-                thread.start()
-                self._maintenance = thread
-            return self
-
-    def _maintenance_loop(self) -> None:
-        while True:
-            with self._cond:
-                now = self.clock()
-                due = self._next_due_locked(now)
-                if self._stopping and due is None:
-                    return
-                if due is None or due > now:
-                    # Sleep until the next due retry/hedge timer, but
-                    # never longer than the bounded tick — that keeps
-                    # timers serviced even if a notify is missed, and
-                    # keeps sub-tick hedge delays honest instead of
-                    # quantizing them up to the tick.
-                    timeout = 0.005 if due is None else due - now
-                    self._cond.wait(timeout=min(0.005, timeout))
-            self.service()
-
-    def stop(
-        self, drain: bool = True, timeout_s: float = 30.0
-    ) -> None:
-        """Stop every replica and settle every fleet future.
-
-        After the replicas drain, remaining retries are forced
-        against closed queues, so they resolve to typed
-        :class:`~repro.serving.retry.RetryExhaustedError` instead of
-        hanging.  Re-raises the first
-        :class:`~repro.serving.server.DrainTimeoutError` once the
-        fleet is otherwise settled.
-        """
-        with self.tracer.span("serving.fleet.stop", "serving") as span:
-            span.set("drain", drain)
-            drain_errors: List[DrainTimeoutError] = []
-            for replica in self.replicas:
-                try:
-                    replica.server.stop(
-                        drain=drain, timeout_s=timeout_s
-                    )
-                except DrainTimeoutError as err:
-                    drain_errors.append(err)
-            while True:
-                self.service(force=True)
-                with self._cond:
-                    if self._next_due_locked(self.clock()) is None:
-                        break
-            with self._cond:
-                self._stopping = True
-                self._cond.notify_all()
-            thread = self._maintenance
-            if thread is not None:
-                thread.join(timeout=timeout_s)
-                self._maintenance = None
-            if drain_errors:
-                raise drain_errors[0]
-
-    def __enter__(self) -> "ServerFleet":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop(drain=exc_type is None)
 
     # Introspection ---------------------------------------------------
 

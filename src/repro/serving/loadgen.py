@@ -39,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.observability.clock import FixedClock
 from repro.serving.fleet import Dispatch, FleetRequest, ServerFleet
 from repro.serving.queue import AdmissionError
 
@@ -191,7 +190,8 @@ class FleetLoadGenerator:
     """Virtual-time load driver for a :class:`ServerFleet`.
 
     Feeds arrivals and scheduled chaos events into the fleet's event
-    loop, which steps the shared :class:`FixedClock` across them and
+    loop, which steps the shared
+    :class:`~repro.observability.clock.FixedClock` across them and
     across micro-batch flushes (clamped by each replica's modeled
     lanes), retry/hedge timers, and deadline expiries — then drains
     the tail so every submitted request reaches a terminal future
@@ -200,8 +200,8 @@ class FleetLoadGenerator:
     1-replica fleet is how a single server is load-tested.
 
     Args:
-        fleet: the fleet under test; its ``clock`` must be a
-            :class:`FixedClock`, the virtual clock the run steps.
+        fleet: the fleet under test; the run steps its virtual
+            clock.
         config: load shape; ``tenants`` draws routing keys.
         chaos: optional :class:`~repro.serving.chaos.ChaosHarness`
             replayed as virtual time passes.
@@ -221,12 +221,6 @@ class FleetLoadGenerator:
         self.fleet = fleet
         self.config = config or LoadGenConfig()
         self.slo = slo
-        if not isinstance(fleet.clock, FixedClock):
-            raise TypeError(
-                "FleetLoadGenerator needs a fleet on a FixedClock; "
-                "threaded wall-clock serving is exercised via "
-                "ServerFleet.start() instead"
-            )
         self.clock = fleet.clock
         self.chaos = chaos
         self.tracer = fleet.tracer

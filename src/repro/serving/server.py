@@ -285,8 +285,9 @@ class InferenceServer:
     def record_failed(self, count: int, reason: str) -> None:
         """Fold ``count`` terminal failures into the guarded tally.
 
-        Thread-safe by design: worker threads and the fleet's
-        maintenance thread (shedding a dead replica's backlog) all
+        Thread-safe by design: worker threads and a caller's
+        :meth:`cancel_backlog` (a non-draining :meth:`stop`, or the
+        fleet's event loop shedding a dead replica's backlog) all
         account failures here, so the counter write stays under
         ``_records_lock`` like every other ``failed``/``completed``
         mutation.

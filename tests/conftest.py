@@ -12,10 +12,11 @@ from repro.geometry import shapes
 def lockwatch_sanitizer():
     """Opt-in runtime lock-order sanitizer (``REPRO_LOCKWATCH=1``).
 
-    When enabled, every :class:`InferenceServer` and
-    :class:`ServerFleet` constructed anywhere in the suite gets its
-    serving locks swapped for :class:`LockOrderWatchdog` proxies, so
-    each threaded test doubles as a sanitizer run.  The session fails
+    When enabled, every :class:`InferenceServer` constructed anywhere
+    in the suite (a fleet's replicas included) gets its serving locks
+    swapped for :class:`LockOrderWatchdog` proxies, so each threaded
+    test doubles as a sanitizer run.  The fleet itself holds no lock:
+    it runs only in virtual time, on one thread.  The session fails
     at teardown if any acquisition order contradicted the static
     CONC-502 lock-order graph (or inverted at runtime).
     """
@@ -26,29 +27,21 @@ def lockwatch_sanitizer():
         LockOrderWatchdog,
         static_lock_order,
     )
-    from repro.serving.fleet import ServerFleet
     from repro.serving.server import InferenceServer
 
     watchdog = LockOrderWatchdog(static_edges=static_lock_order())
     orig_server_init = InferenceServer.__init__
-    orig_fleet_init = ServerFleet.__init__
 
     def server_init(self, *args, **kwargs):
         orig_server_init(self, *args, **kwargs)
         watchdog.instrument_server(self)
 
-    def fleet_init(self, *args, **kwargs):
-        orig_fleet_init(self, *args, **kwargs)
-        watchdog.instrument_fleet(self)
-
     InferenceServer.__init__ = server_init
-    ServerFleet.__init__ = fleet_init
     try:
         yield watchdog
     finally:
         InferenceServer.__init__ = orig_server_init
-        ServerFleet.__init__ = orig_fleet_init
-    # After restoring the constructors: fail the session loudly if
+    # After restoring the constructor: fail the session loudly if
     # anything was observed out of order.
     watchdog.check()
 

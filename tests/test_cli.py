@@ -403,15 +403,73 @@ class TestServingCommands:
         assert status == (1 if report["exhausted"] else 0)
         assert "wrote SLO report" in capsys.readouterr().out
 
-    def test_serve_prints_fleet_summary_at_one_replica(self, capsys):
-        assert main(
-            ["serve", "--requests", "8", "--replicas", "1"]
-        ) == 0
+    def test_serve_prints_server_summary(self, capsys):
+        assert main(["serve", "--requests", "8"]) == 0
         out = capsys.readouterr().out
-        assert "with 1 replica(s)" in out
-        assert "ok: 8" in out
+        assert "with 2 worker(s)" in out
+        assert re.search(r"admitted 8 .*completed 8 .*failed 0", out)
         assert re.search(
-            r"completed 8 .*retries \d+ .*healthy replicas 1", out
+            r"lockwatch: [1-9]\d* acquisition\(s\) .*"
+            r" 0 violation\(s\), 0 contradiction\(s\)",
+            out,
+        )
+
+
+class TestWatchedServe:
+    """``repro serve`` runs one threaded server under the runtime
+    lock-order sanitizer (it absorbed ``repro lockwatch-report``)."""
+
+    def test_metrics_carry_the_watchdog_series(self, tmp_path):
+        metrics_path = tmp_path / "serve_metrics.json"
+        assert main(
+            ["serve", "--requests", "8", "--metrics-out", str(metrics_path)]
+        ) == 0
+        names = {
+            m["name"]
+            for m in json.loads(metrics_path.read_text())["metrics"]
+        }
+        assert "lockwatch_acquisitions_total" in names
+        assert "serving_admitted_total" in names
+
+    def test_a_violation_fails_the_run(self, monkeypatch, capsys):
+        from repro.robustness.lockwatch import (
+            LockOrderWatchdog,
+            LockWatchReport,
+        )
+
+        monkeypatch.setattr(
+            LockOrderWatchdog,
+            "report",
+            lambda self: LockWatchReport(violations=["injected"]),
+        )
+        assert main(["serve", "--requests", "4"]) == 1
+        captured = capsys.readouterr()
+        assert "1 violation(s)" in captured.out
+        assert "VIOLATION: injected" in captured.err
+
+
+class TestRetiredThreadedFleet:
+    """The fleet runs only in virtual time: ``repro lockwatch-report``
+    (its threaded sanitizer smoke) is gone, and ``serve`` lost the
+    fleet-only flags."""
+
+    def test_lockwatch_report_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lockwatch-report"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'lockwatch-report'" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "flag", ["--replicas", "--retries", "--hedge-ms"]
+    )
+    def test_serve_fleet_flags_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in (
+            capsys.readouterr().err
         )
 
 

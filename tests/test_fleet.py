@@ -9,8 +9,8 @@ traces across same-seed runs — all in virtual time.
 
 PR 7 adds the trace-propagation contract: one trace id per request,
 stitched across queue/batch/attempt/kernel-stage spans on every
-replica it touched, with zero orphan spans — under retries, hedges,
-and real threads alike.
+replica it touched, with zero orphan spans — under retries and
+hedges alike.
 """
 
 import json
@@ -655,80 +655,3 @@ class TestTracePropagation:
             sort_keys=True,
         )
         assert dump_a == dump_b
-
-
-class TestFleetThreaded:
-    def test_threaded_smoke_completes_all(self, rng):
-        fleet = ServerFleet(
-            [_pipeline(seed=0) for _ in range(3)],
-            serving_config=ServingConfig(
-                max_batch_size=4, max_wait_ms=5.0, workers=1
-            ),
-        )
-        with fleet:
-            requests = [
-                fleet.submit(
-                    rng.random((N_POINTS, 3)), tenant=f"tenant-{i}"
-                )
-                for i in range(6)
-            ]
-        for request in requests:
-            assert request.future.result(timeout=10.0) is not None
-        assert fleet.completed == 6
-
-    def test_threaded_traces_stitch_under_faults(self, rng):
-        tracer = Tracer()
-        fleet = ServerFleet(
-            [_pipeline(seed=0, tracer=tracer) for _ in range(3)],
-            config=FleetConfig(
-                retry=RetryPolicy(max_attempts=4),
-                # 1 ms hedge floor against a 5 ms batch window: every
-                # request earns a hedge from the maintenance thread.
-                hedge=HedgePolicy(min_delay_s=0.001),
-            ),
-            serving_config=ServingConfig(
-                max_batch_size=4, max_wait_ms=5.0, workers=1
-            ),
-        )
-
-        def tenants_with_primary(replica_index, count):
-            chosen = []
-            for i in range(256):
-                tenant = f"tenant-{i}"
-                if fleet.router.preference(tenant)[0] == (
-                    replica_index
-                ):
-                    chosen.append(tenant)
-                    if len(chosen) == count:
-                        return chosen
-            raise AssertionError("no tenants route there")
-
-        with fleet:
-            # Burst at one replica's queue, then kill it: the shed
-            # backlog retries on the survivors across real threads.
-            requests = [
-                fleet.submit(rng.random((N_POINTS, 3)), tenant=t)
-                for t in tenants_with_primary(0, 8)
-            ]
-            fleet.kill_replica(0)
-            results = [
-                r.future.result(timeout=10.0) for r in requests
-            ]
-        assert fleet.stats()["retries"] >= 1
-        assert fleet.hedges >= 1
-        for request, result in zip(requests, results):
-            assert result.trace_id == f"trace-{request.request_id}"
-        records = [span.to_dict() for span in tracer.finished()]
-        assert find_orphans(records) == []
-        grouped = spans_by_trace(records)
-        multi_attempt = [
-            spans
-            for spans in grouped.values()
-            if sum(
-                1
-                for s in spans
-                if s["name"] == "request.attempt"
-            )
-            >= 2
-        ]
-        assert multi_attempt, "kill shed no in-flight attempts"

@@ -88,7 +88,6 @@ class TestProjectContextOnSrc:
         assert project.lock_kinds["RequestQueue.condition"] == (
             "Condition"
         )
-        assert project.lock_kinds["ServerFleet._cond"] == "Condition"
         assert (
             project.lock_kinds["InferenceServer._dispatch_lock"]
             == "Lock"

@@ -3,10 +3,10 @@
 Unit-level: proxy bookkeeping (order edges, inversions, plain-Lock
 re-entry refusal, Condition reentrancy and wait suspension, hold-time
 metrics).  Integration-level: a threaded hammer drives a real
-``ServerFleet`` — submitter threads racing the maintenance thread
-while chaos kills and recovers a replica — under the watchdog, and
-the observed acquisition order must neither invert at runtime nor
-contradict the static CONC-502 lock-order graph.
+``InferenceServer`` — two submitter threads racing two workers, and a
+non-draining stop cancelling the backlog mid-burst — under the
+watchdog, and the observed acquisition order must neither invert at
+runtime nor contradict the static CONC-502 lock-order graph.
 """
 
 import threading
@@ -23,13 +23,7 @@ from repro.robustness.lockwatch import (
     LockOrderWatchdog,
     static_lock_order,
 )
-from repro.serving import (
-    FleetConfig,
-    HedgePolicy,
-    RetryPolicy,
-    ServerFleet,
-    ServingConfig,
-)
+from repro.serving import AdmissionError, InferenceServer, ServingConfig
 
 N_POINTS = 32
 
@@ -150,6 +144,22 @@ class TestWatchdogUnit:
         cond = wd.wrap_condition(threading.Condition(), "C")
         assert wd.wrap_condition(cond, "C") is cond
 
+    def test_second_watchdog_chains_onto_the_first(self):
+        first, second = LockOrderWatchdog(), LockOrderWatchdog()
+        lock = second.wrap_lock(first.wrap_lock(threading.Lock(), "L"), "L")
+        cond = second.wrap_condition(
+            first.wrap_condition(threading.Condition(), "C"), "C"
+        )
+        with cond:
+            with lock:
+                cond.notify_all()
+            cond.wait(timeout=0.0)
+        for wd in (first, second):
+            report = wd.report()
+            assert report.acquisitions == {"C": 1, "L": 1}
+            assert report.edges == [("C", "L", 1)]
+            assert report.violations == []
+
 
 class TestStaticGraphExport:
     def test_static_lock_order_covers_the_serving_stack(self):
@@ -161,61 +171,55 @@ class TestStaticGraphExport:
 
 
 class TestThreadedHammer:
-    """Real threads + chaos under the sanitizer: zero violations."""
+    """Real threads under the sanitizer: zero violations."""
 
-    def test_fleet_hammer_has_no_order_violations(
-        self, rng, lockwatch_sanitizer
-    ):
+    def test_server_hammer_has_no_order_violations(self, rng):
         # Under REPRO_LOCKWATCH=1 the session sanitizer already wraps
-        # every serving lock at construction; wrapping is idempotent,
-        # so a second watchdog would observe nothing.  Assert against
-        # whichever watchdog actually owns the proxies.
+        # the server's locks at construction; this watchdog wraps its
+        # proxies, so both observe every acquire.
         registry = MetricsRegistry()
-        watchdog = lockwatch_sanitizer or LockOrderWatchdog(
+        watchdog = LockOrderWatchdog(
             static_edges=static_lock_order(), metrics=registry
         )
-        fleet = ServerFleet(
-            [_pipeline(seed=0) for _ in range(3)],
-            config=FleetConfig(
-                retry=RetryPolicy(max_attempts=4),
-                hedge=HedgePolicy(min_delay_s=0.001),
-            ),
-            serving_config=ServingConfig(
-                max_batch_size=4, max_wait_ms=5.0, workers=1
-            ),
+        server = InferenceServer(
+            _pipeline(seed=0),
+            ServingConfig(max_batch_size=4, max_wait_ms=5.0, workers=2),
         )
-        watchdog.instrument_fleet(fleet)
-        clouds = [rng.random((N_POINTS, 3)) for _ in range(12)]
+        watchdog.instrument_server(server)
+        clouds = [rng.random((N_POINTS, 3)) for _ in range(24)]
         requests = []
         requests_lock = threading.Lock()
+        halfway = threading.Event()
 
         def submitter(offset):
             for index in range(offset, len(clouds), 2):
+                if index >= len(clouds) // 2:
+                    halfway.set()
                 try:
-                    request = fleet.submit(
-                        clouds[index], tenant=f"tenant-{index % 4}"
-                    )
-                except Exception:
-                    continue
+                    request = server.submit(clouds[index])
+                except AdmissionError:
+                    continue  # closed by the stop mid-burst
                 with requests_lock:
                     requests.append(request)
 
-        with fleet:
-            threads = [
-                threading.Thread(target=submitter, args=(offset,))
-                for offset in range(2)
-            ]
-            for thread in threads:
-                thread.start()
-            fleet.kill_replica(0)
-            for thread in threads:
-                thread.join()
-            fleet.recover_replica(0)
-            for request in requests:
-                try:
-                    request.future.result(timeout=15.0)
-                except Exception:
-                    pass  # chaos losses are fine; order is not
+        server.start()
+        threads = [
+            threading.Thread(target=submitter, args=(offset,))
+            for offset in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        halfway.wait(timeout=15.0)
+        # Non-draining stop mid-burst: cancel_backlog races the
+        # workers' next_batch and the submitters' put.
+        server.stop(drain=False)
+        for thread in threads:
+            thread.join()
+        for request in requests:
+            try:
+                request.future.result(timeout=15.0)
+            except Exception:
+                pass  # cancellations are fine; order is not
         report = watchdog.report()
         assert report.violations == []
         assert report.contradictions == []

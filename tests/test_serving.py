@@ -21,7 +21,7 @@ from telemetry import spans_by_trace
 from repro.core import EdgePCConfig
 from repro.nn import PointNet2Segmentation, SAConfig
 from repro.observability import Tracer, find_orphans
-from repro.observability.clock import FixedClock
+from repro.observability.clock import FixedClock, wall_clock
 from repro.observability.metrics import NULL_METRICS, MetricsRegistry
 from repro.pipeline import EdgePCPipeline
 from repro.serving.server import REQUEST_LATENCY_BUCKETS
@@ -775,9 +775,11 @@ class TestLoadGenerator:
         )
 
     def test_requires_a_fixed_clock(self):
-        fleet = ServerFleet([_pipeline()])  # wall clock
-        with pytest.raises(TypeError):
-            FleetLoadGenerator(fleet, LoadGenConfig(duration_s=0.1))
+        """The fleet runs only in virtual time: its constructor
+        rejects a wall clock, so no load generator ever sees one."""
+        with pytest.raises(TypeError, match="FixedClock"):
+            ServerFleet([_pipeline()], clock=wall_clock)
+        assert isinstance(ServerFleet([_pipeline()]).clock, FixedClock)
 
     def test_report_roundtrips_to_json(self, tmp_path):
         report = self._run({"duration_s": 0.2})
