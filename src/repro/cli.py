@@ -22,20 +22,19 @@ Commands:
   lock-order violation or contradiction with the static CONC-502
   graph;
 - ``loadgen``  — deterministic virtual-time load generation against an
-  in-process replica fleet; reports admission decisions,
-  batch-size histogram, latency percentiles, and goodput (see
+  in-process replica fleet, optionally killing/stalling/slowing
+  replicas on a virtual ``--event`` schedule and evaluating an SLO
+  spec (``--slo``); reports admission decisions, batch-size
+  histogram, latency percentiles, and goodput, and writes the
+  dashboard artifact bundle (``--artifacts-dir``; see
   ``docs/serving.md``);
-- ``chaos``    — deterministic fault injection: drive load against a
-  replica fleet while killing/stalling/slowing replicas on a virtual
-  schedule, and optionally evaluate an SLO spec (``--slo``) and write
-  the dashboard artifact bundle (``--artifacts-dir``);
 - ``partition`` — scene-scale scatter/gather: Morton-chunk one
   tiled-room scene with a receptive-field halo, run it through the
   partitioned pipeline, verify the stitch, and write a deterministic
   report;
 - ``dashboard`` — render the deterministic text dashboard (fleet
   counters, replica health, SLO budgets, slowest traces) from the
-  artifacts a chaos/loadgen run saved;
+  artifacts a loadgen run saved;
 - ``lint``     — project-aware static analysis.
 
 ``compare`` and ``sample`` additionally accept ``--trace-out`` /
@@ -67,6 +66,7 @@ from repro.observability import (
     emit_stage_spans,
 )
 from repro.pipeline import record_priced_batch
+from repro.robustness.guard import GuardThresholds
 from repro.runtime import PipelineProfiler, compare
 from repro.sampling import farthest_point_sample, uniform_sample
 from repro.workloads import standard_workloads, trace
@@ -122,12 +122,16 @@ def _export_telemetry(args, tracer: Tracer, registry) -> None:
         print(f"wrote metrics snapshot -> {args.metrics_out}")
 
 
-def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
+def _add_telemetry_flags(
+    parser: argparse.ArgumentParser, metrics: bool = True
+) -> None:
     parser.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="write a Chrome trace_event file of this run "
         "(open in chrome://tracing or Perfetto)",
     )
+    if not metrics:
+        return
     parser.add_argument(
         "--metrics-out", default=None, metavar="FILE",
         help="write the JSON metrics snapshot of this run",
@@ -508,7 +512,6 @@ def _build_fleet(args, tracer, registry, clock):
         for _ in range(args.replicas)
     ]
     config = FleetConfig(
-        default_deadline_ms=args.deadline_ms,
         retry=RetryPolicy(max_attempts=args.retries),
         hedge=(
             None
@@ -756,45 +759,69 @@ def _loadgen_config(args) -> "object":
     return LoadGenConfig(
         duration_s=args.duration_s,
         rate=args.rate,
-        arrival=args.arrival,
         mode=args.mode,
         concurrency=args.concurrency,
         points=tuple(args.points),
         deadline_ms=args.deadline_ms,
         seed=args.seed,
-        tenants=getattr(args, "tenants", 4),
     )
 
 
-def _loadgen_gate(args, report) -> int:
-    """Shared ``--fail-on-error`` exit-code logic for load reports."""
-    if args.fail_on_error and (report.failed or report.lost):
-        print(
-            f"loadgen gate failed: {report.failed} failed and "
-            f"{report.lost} lost requests (admission rejections and "
-            "deadline expiries do not count)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+def _chaos_event(spec: str):
+    """``--event`` parser: a malformed spec is a usage error."""
+    from repro.serving import parse_chaos_event
+
+    try:
+        return parse_chaos_event(spec)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _slo_engine(args, registry, clock):
-    """Build the SLO engine when ``--slo SPEC.json`` was given."""
-    if not getattr(args, "slo", None):
-        return None
-    from repro.observability import SloEngine, SloSpec
+def _load_generator(args, tracer, registry, clock):
+    """The fleet, ``--event`` chaos harness, ``--slo`` engine and
+    load generator of one ``loadgen`` run, on the virtual ``clock``.
 
-    return SloEngine(SloSpec.load(args.slo), registry, clock=clock)
+    Raises ``ValueError`` before anything runs when the settings
+    cannot make a run (an event aimed at a replica the fleet lacks,
+    a non-positive rate or duration).
+    """
+    from repro.serving import (
+        ChaosHarness,
+        ChaosSchedule,
+        FleetLoadGenerator,
+    )
+
+    slo = None
+    if args.slo:
+        from repro.observability import SloEngine, SloSpec
+
+        slo = SloEngine(SloSpec.load(args.slo), registry, clock=clock)
+    fleet = _build_fleet(args, tracer, registry, clock=clock)
+    chaos = (
+        ChaosHarness(fleet, ChaosSchedule(tuple(args.event)))
+        if args.event
+        else None
+    )
+    return FleetLoadGenerator(
+        fleet, _loadgen_config(args), chaos=chaos, slo=slo
+    )
 
 
-def _finish_serving_run(
-    args, report, tracer, registry, slo, clock=None
-) -> int:
-    """Shared epilogue for ``loadgen`` / ``chaos``: write the
-    ``--artifacts-dir`` bundle (the files ``repro dashboard --from``
-    reads), print the SLO verdict, gate on budget exhaustion, and
-    render ``--dashboard`` from the bundle's in-memory contents."""
+def cmd_loadgen(args: argparse.Namespace) -> int:
+    """Deterministic virtual-time load run against an in-process fleet.
+
+    A :class:`~repro.serving.loadgen.FleetLoadGenerator` drives a
+    :class:`~repro.serving.fleet.ServerFleet` of ``--replicas``
+    replicas (one by default) through the router/retry/hedge path,
+    while a :class:`~repro.serving.chaos.ChaosHarness` replays the
+    ``--event`` fault schedule.  The run is fully deterministic
+    (FixedClock + seeded RNG); ``tests/test_chaos_golden.py`` pins
+    four runs.  ``--artifacts-dir`` is the one writer of the load
+    report, metrics snapshot, span JSONL and SLO report (the files
+    ``repro dashboard --from`` reads); ``--dashboard`` renders the
+    same data from memory.
+    """
+    from repro.observability.clock import FixedClock
     from repro.observability.dashboard import (
         ARTIFACT_LOADGEN,
         ARTIFACT_METRICS,
@@ -802,27 +829,37 @@ def _finish_serving_run(
         ARTIFACT_TRACE,
     )
 
-    status = 0
-    now = clock() if clock is not None else None
-    if getattr(args, "artifacts_dir", None):
+    clock = FixedClock(0.0)
+    tracer, registry = _telemetry(args, clock=clock)
+    try:
+        generator = _load_generator(args, tracer, registry, clock)
+    except ValueError as err:
+        print(f"repro loadgen: error: {err}", file=sys.stderr)
+        return 2
+    report = generator.run()
+    slo = generator.slo
+    now = clock()
+    print(report.summary())
+    if generator.chaos is not None:
+        for event in generator.chaos.applied:
+            print(f"  chaos: {event.describe()}")
+    _export_telemetry(args, tracer, registry)
+    if args.artifacts_dir:
         os.makedirs(args.artifacts_dir, exist_ok=True)
         report.save(os.path.join(args.artifacts_dir, ARTIFACT_LOADGEN))
         registry.export_json(
             os.path.join(args.artifacts_dir, ARTIFACT_METRICS)
         )
-        if tracer.enabled:
-            tracer.export_jsonl(
-                os.path.join(args.artifacts_dir, ARTIFACT_TRACE)
-            )
+        tracer.export_jsonl(
+            os.path.join(args.artifacts_dir, ARTIFACT_TRACE)
+        )
         if slo is not None:
             slo.save_report(
                 os.path.join(args.artifacts_dir, ARTIFACT_SLO), now
             )
         print(f"wrote dashboard artifacts -> {args.artifacts_dir}")
+    status = 0
     if slo is not None:
-        if getattr(args, "slo_out", None):
-            slo.save_report(args.slo_out, now)
-            print(f"wrote SLO report -> {args.slo_out}")
         exhausted = slo.exhausted()
         print(
             f"slo: {len(slo.spec.objectives)} objective(s), "
@@ -836,7 +873,7 @@ def _finish_serving_run(
                 file=sys.stderr,
             )
             status = 1
-    if getattr(args, "dashboard", False):
+    if args.dashboard:
         from repro.observability import (
             bundle_title,
             dashboard_data,
@@ -844,99 +881,29 @@ def _finish_serving_run(
         )
 
         data = dashboard_data(
-            bundle_title(getattr(args, "artifacts_dir", None)),
+            bundle_title(args.artifacts_dir),
             snapshot=registry.snapshot(),
             trace_records=[span.to_dict() for span in tracer.finished()],
             slo_report=None if slo is None else slo.report(now),
             loadgen=report.to_dict(),
         )
         print(render_dashboard(data))
+    if args.fail_on_error and (report.failed or report.lost):
+        print(
+            f"loadgen gate failed: {report.failed} failed and "
+            f"{report.lost} lost requests (admission rejections and "
+            "deadline expiries do not count)",
+            file=sys.stderr,
+        )
+        status = 1
     return status
-
-
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Deterministic virtual-time load run against an in-process fleet.
-
-    A :class:`~repro.serving.loadgen.FleetLoadGenerator` drives a
-    :class:`~repro.serving.fleet.ServerFleet` of ``--replicas``
-    replicas (one by default) through the router/retry/hedge path.
-    """
-    from repro.observability.clock import FixedClock
-    from repro.serving import FleetLoadGenerator
-
-    clock = FixedClock(0.0)
-    tracer, registry = _telemetry(args, clock=clock)
-    slo = _slo_engine(args, registry, clock)
-    fleet = _build_fleet(args, tracer, registry, clock=clock)
-    report = FleetLoadGenerator(
-        fleet, _loadgen_config(args), slo=slo
-    ).run()
-    print(report.summary())
-    if args.out:
-        report.save(args.out)
-        print(f"wrote load report -> {args.out}")
-    _export_telemetry(args, tracer, registry)
-    status = _finish_serving_run(
-        args, report, tracer, registry, slo, clock=clock
-    )
-    return status or _loadgen_gate(args, report)
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Deterministic chaos run: break replicas mid-load, gate the report.
-
-    Drives a virtual-time load generator against a replica fleet while
-    a :class:`~repro.serving.chaos.ChaosHarness` kills/stalls/slows
-    replicas on schedule.  The run is fully deterministic (FixedClock +
-    seeded RNG), so same-seed ``--out`` reports are byte-identical;
-    ``tests/test_chaos_golden.py`` pins them and bounds the standard
-    run's p95 latency and goodput.
-    """
-    from repro.observability.clock import FixedClock
-    from repro.serving import (
-        ChaosHarness,
-        ChaosSchedule,
-        FleetLoadGenerator,
-    )
-
-    if args.replicas < 2:
-        print("chaos runs need --replicas >= 2", file=sys.stderr)
-        return 2
-    clock = FixedClock(0.0)
-    tracer, registry = _telemetry(args, clock=clock)
-    slo = _slo_engine(args, registry, clock)
-    fleet = _build_fleet(args, tracer, registry, clock=clock)
-    if args.event:
-        schedule = ChaosSchedule.from_specs(args.event)
-    else:
-        schedule = ChaosSchedule.standard(
-            args.replicas, args.duration_s
-        )
-    harness = ChaosHarness(fleet, schedule)
-    report = FleetLoadGenerator(
-        fleet, _loadgen_config(args), chaos=harness, slo=slo
-    ).run()
-    print(report.summary())
-    for event in harness.applied:
-        print(f"  chaos: {event.describe()}")
-    if args.out:
-        report.save(args.out)
-        print(f"wrote load report -> {args.out}")
-    _export_telemetry(args, tracer, registry)
-    status = _loadgen_gate(args, report)
-    return (
-        _finish_serving_run(
-            args, report, tracer, registry, slo, clock=clock
-        )
-        or status
-    )
 
 
 def cmd_dashboard(args: argparse.Namespace) -> int:
     """Render the deterministic text dashboard from saved artifacts.
 
-    Reads the conventional files a ``repro chaos --artifacts-dir``
-    (or ``loadgen``) run writes — ``metrics.json``, ``trace.jsonl``,
+    Reads the conventional files a ``repro loadgen --artifacts-dir``
+    run writes — ``metrics.json``, ``trace.jsonl``,
     ``slo_report.json``, ``loadgen.json`` — and prints one snapshot:
     fleet counters, replica queues, SLO error budgets, and the top-K
     slowest request traces.  Same artifacts, same bytes out.
@@ -1031,7 +998,8 @@ def build_parser() -> argparse.ArgumentParser:
         "density-uniformity probe trips",
     )
     sample.add_argument(
-        "--guard-threshold", type=float, default=1.5,
+        "--guard-threshold", type=float,
+        default=GuardThresholds().max_density_cv,
         help="density-uniformity CV above which --guard trips",
     )
     _add_telemetry_flags(sample)
@@ -1123,7 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--workers", type=int, default=2,
             help="dispatch workers (threads for serve, modeled lanes "
-            "per replica for loadgen/chaos)",
+            "per replica for loadgen)",
         )
         cmd.add_argument(
             "--queue-depth", type=int, default=64,
@@ -1143,7 +1111,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="guard the pipeline: quality probes with per-stage "
             "exact-kernel fallback and circuit breakers",
         )
-        _add_telemetry_flags(cmd)
 
     serve_cmd = sub.add_parser(
         "serve",
@@ -1160,110 +1127,84 @@ def build_parser() -> argparse.ArgumentParser:
         help="points per submitted cloud",
     )
     _add_serving_flags(serve_cmd)
+    _add_telemetry_flags(serve_cmd)
     serve_cmd.set_defaults(func=cmd_serve)
-
-    def _add_loadgen_flags(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--duration-s", type=float, default=5.0,
-            help="virtual seconds of offered load",
-        )
-        cmd.add_argument(
-            "--rate", type=float, default=50.0,
-            help="offered requests per second (open loop)",
-        )
-        cmd.add_argument(
-            "--arrival", default="poisson",
-            choices=("poisson", "fixed"),
-            help="arrival process",
-        )
-        cmd.add_argument(
-            "--mode", default="open", choices=("open", "closed"),
-            help="open loop (rate-driven) or closed loop "
-            "(completion-driven)",
-        )
-        cmd.add_argument(
-            "--concurrency", type=int, default=8,
-            help="closed-loop in-flight clients",
-        )
-        cmd.add_argument(
-            "--points", type=int, nargs="+", default=[64],
-            metavar="N",
-            help="candidate cloud sizes; mixed sizes exercise the "
-            "queue's N-buckets",
-        )
-        cmd.add_argument(
-            "--tenants", type=int, default=4,
-            help="distinct tenant keys driving the fleet router",
-        )
-        cmd.add_argument(
-            "--out", default=None, metavar="FILE",
-            help="write the JSON load report",
-        )
-        cmd.add_argument(
-            "--fail-on-error", action="store_true",
-            help="exit 1 on any failed or lost request (admission "
-            "rejections and deadline expiries do not count)",
-        )
-        cmd.add_argument(
-            "--slo", default=None, metavar="SPEC.json",
-            help="evaluate this SLO spec during the run; exit 1 if "
-            "any error budget is exhausted",
-        )
-        cmd.add_argument(
-            "--slo-out", default=None, metavar="FILE",
-            help="write the JSON SLO report (burn rates, budgets, "
-            "alerts)",
-        )
-        cmd.add_argument(
-            "--artifacts-dir", default=None, metavar="DIR",
-            help="write the dashboard artifact bundle (metrics.json, "
-            "trace.jsonl, slo_report.json, loadgen.json) for "
-            "`repro dashboard --from DIR`",
-        )
-        cmd.add_argument(
-            "--dashboard", action="store_true",
-            help="print the live text dashboard after the run",
-        )
-        group = cmd.add_argument_group("fleet")
-        group.add_argument(
-            "--replicas", type=int, default=1,
-            help="replicas behind the ServerFleet router (health "
-            "tracking, retries, hedging); default 1",
-        )
-        group.add_argument(
-            "--retries", type=int, default=3,
-            help="fleet retry budget (max attempts per request, "
-            "including the first)",
-        )
-        group.add_argument(
-            "--hedge-ms", type=float, default=None,
-            help="enable hedged dispatch with this minimum delay; "
-            "unset disables hedging",
-        )
-        _add_serving_flags(cmd)
 
     loadgen_cmd = sub.add_parser(
         "loadgen",
         help="deterministic virtual-time load generation against an "
-        "in-process replica fleet (see docs/serving.md)",
+        "in-process replica fleet, with an optional fault schedule "
+        "(see docs/serving.md)",
     )
-    _add_loadgen_flags(loadgen_cmd)
-    loadgen_cmd.set_defaults(func=cmd_loadgen)
-
-    chaos_cmd = sub.add_parser(
-        "chaos",
-        help="deterministic fault injection against a replica fleet "
-        "under load (see docs/serving.md)",
+    loadgen_cmd.add_argument(
+        "--duration-s", type=float, default=5.0,
+        help="virtual seconds of offered load",
     )
-    chaos_cmd.add_argument(
-        "--event", action="append", default=None,
+    loadgen_cmd.add_argument(
+        "--rate", type=float, default=50.0,
+        help="offered requests per second (open loop, Poisson "
+        "arrivals)",
+    )
+    loadgen_cmd.add_argument(
+        "--mode", default="open", choices=("open", "closed"),
+        help="open loop (rate-driven) or closed loop "
+        "(completion-driven)",
+    )
+    loadgen_cmd.add_argument(
+        "--concurrency", type=int, default=8,
+        help="closed-loop in-flight clients",
+    )
+    loadgen_cmd.add_argument(
+        "--points", type=int, nargs="+", default=[64],
+        metavar="N",
+        help="candidate cloud sizes; mixed sizes exercise the "
+        "queue's N-buckets",
+    )
+    loadgen_cmd.add_argument(
+        "--fail-on-error", action="store_true",
+        help="exit 1 on any failed or lost request (admission "
+        "rejections and deadline expiries do not count)",
+    )
+    loadgen_cmd.add_argument(
+        "--slo", default=None, metavar="SPEC.json",
+        help="evaluate this SLO spec during the run; exit 1 if "
+        "any error budget is exhausted",
+    )
+    loadgen_cmd.add_argument(
+        "--artifacts-dir", default=None, metavar="DIR",
+        help="write the run's artifact bundle: loadgen.json (load "
+        "report), metrics.json, trace.jsonl and, with --slo, "
+        "slo_report.json; `repro dashboard --from DIR` renders it",
+    )
+    loadgen_cmd.add_argument(
+        "--dashboard", action="store_true",
+        help="print the live text dashboard after the run",
+    )
+    group = loadgen_cmd.add_argument_group("fleet")
+    group.add_argument(
+        "--replicas", type=int, default=1,
+        help="replicas behind the ServerFleet router (health "
+        "tracking, retries, hedging); default 1",
+    )
+    group.add_argument(
+        "--retries", type=int, default=3,
+        help="fleet retry budget (max attempts per request, "
+        "including the first)",
+    )
+    group.add_argument(
+        "--hedge-ms", type=float, default=None,
+        help="enable hedged dispatch with this minimum delay; "
+        "unset disables hedging",
+    )
+    group.add_argument(
+        "--event", action="append", default=None, type=_chaos_event,
         metavar="ACTION:REPLICA:AT_S[:FACTOR]",
-        help="chaos event spec, repeatable (kill/stall/slow/error/"
-        "recover); default: the standard kill-and-recover schedule",
+        help="chaos event, repeatable: kill/stall/slow/error/recover "
+        "a replica at a virtual instant (FACTOR: slow's multiplier)",
     )
-    _add_loadgen_flags(chaos_cmd)
-    chaos_cmd.set_defaults(func=cmd_chaos)
-    chaos_cmd.set_defaults(replicas=3)
+    _add_serving_flags(loadgen_cmd)
+    _add_telemetry_flags(loadgen_cmd, metrics=False)
+    loadgen_cmd.set_defaults(func=cmd_loadgen)
 
     dashboard_cmd = sub.add_parser(
         "dashboard",
@@ -1272,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dashboard_cmd.add_argument(
         "--from", dest="artifacts", required=True, metavar="DIR",
-        help="artifact directory written by `repro chaos "
+        help="artifact directory written by `repro loadgen "
         "--artifacts-dir` (metrics.json / trace.jsonl / "
         "slo_report.json / loadgen.json)",
     )

@@ -24,8 +24,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-#: Conventional artifact file names (written by ``repro chaos`` /
-#: ``repro loadgen`` with ``--artifacts-dir`` and read by ``--from``).
+#: Conventional artifact file names (written by ``repro loadgen
+#: --artifacts-dir`` and read by ``repro dashboard --from``).
 ARTIFACT_METRICS = "metrics.json"
 ARTIFACT_TRACE = "trace.jsonl"
 ARTIFACT_SLO = "slo_report.json"

@@ -153,7 +153,7 @@ class Histogram:
         An empty histogram has no quantiles: returning a number here
         (historically ``0.0``) let idle runs sail through latency
         gates, so absence is now explicit and gates must check
-        ``math.isnan`` (the chaos/bench CLIs fail loudly instead).
+        ``math.isnan`` (the SLO engine reads NaN as *no data*).
         The tail (+Inf) bucket reports its lower bound — the estimate
         saturates at the largest finite bucket boundary.
         """

@@ -117,30 +117,6 @@ class ChaosSchedule:
             events=tuple(parse_chaos_event(spec) for spec in specs)
         )
 
-    @classmethod
-    def standard(
-        cls, replicas: int, duration_s: float
-    ) -> "ChaosSchedule":
-        """The CI smoke schedule: kill one replica mid-run, recover it
-        late enough that probation re-admission is exercised."""
-        if replicas < 2:
-            return cls()
-        target = 1 % replicas
-        return cls(
-            events=(
-                ChaosEvent(
-                    at_s=0.4 * duration_s,
-                    replica=target,
-                    action="kill",
-                ),
-                ChaosEvent(
-                    at_s=0.7 * duration_s,
-                    replica=target,
-                    action="recover",
-                ),
-            )
-        )
-
     def ordered(self) -> Tuple[ChaosEvent, ...]:
         """Events sorted by (time, replica, action)."""
         return tuple(
@@ -191,6 +167,8 @@ class ChaosHarness:
         fleet: the target :class:`~repro.serving.fleet.ServerFleet`
             (not imported here, to avoid an import cycle).
         schedule: the fault schedule; replayed once, in time order.
+            Every event must target one of the fleet's replicas
+            (``ValueError`` otherwise, before anything runs).
 
     Applied events count into ``serving_chaos_events_total`` on the
     fleet's metrics registry.
@@ -200,6 +178,13 @@ class ChaosHarness:
         self.fleet = fleet
         self.schedule = schedule
         self._pending: List[ChaosEvent] = list(schedule.ordered())
+        for event in self._pending:
+            if event.replica >= len(fleet.replicas):
+                raise ValueError(
+                    f"chaos event '{event.describe()}' targets replica "
+                    f"{event.replica}, but the fleet has "
+                    f"{len(fleet.replicas)} replica(s)"
+                )
         self._cursor = 0
         self.applied: List[ChaosEvent] = []
 

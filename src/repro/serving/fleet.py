@@ -102,23 +102,13 @@ class FleetConfig:
     :class:`~repro.serving.server.ServingConfig`).
 
     Attributes:
-        default_deadline_ms: deadline applied to requests submitted
-            without one; ``None`` disables the default.
         retry: the deadline-aware retry policy.
         hedge: optional hedged-dispatch policy; ``None`` disables
             hedging.
     """
 
-    default_deadline_ms: Optional[float] = None
     retry: RetryPolicy = RetryPolicy()
     hedge: Optional[HedgePolicy] = None
-
-    def __post_init__(self) -> None:
-        if (
-            self.default_deadline_ms is not None
-            and self.default_deadline_ms <= 0
-        ):
-            raise ValueError("default_deadline_ms must be positive")
 
 
 class Router:
@@ -378,10 +368,6 @@ class ServerFleet:
             now = self.clock()
             self.submitted += 1
             self.metrics.counter("serving_fleet_submitted_total").inc()
-            if deadline_s is None and (
-                self.config.default_deadline_ms is not None
-            ):
-                deadline_s = self.config.default_deadline_ms / 1e3
             rid = self._next_id()
             span.set("request_id", rid)
             span.set("tenant", str(tenant))

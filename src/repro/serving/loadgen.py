@@ -3,7 +3,7 @@
 A :class:`FleetLoadGenerator` drives a
 :class:`~repro.serving.fleet.ServerFleet` — one replica stands in for
 a single server — in **virtual time**: it generates seeded clouds,
-tenants, and seeded Poisson (or fixed-rate) arrivals and feeds them,
+tenants, and seeded Poisson arrivals and feeds them,
 with an optional chaos schedule, into the fleet's event loop
 (:meth:`~repro.serving.fleet.ServerFleet.run`, then
 :meth:`~repro.serving.fleet.ServerFleet.drain`).  The fleet advances
@@ -22,7 +22,7 @@ the end-to-end budget EdgePC Sec. 7 is about, not host wall time.
 
 Two load shapes:
 
-- **open loop** — arrivals at a fixed or Poisson ``rate``, regardless
+- **open loop** — Poisson arrivals at ``rate``, regardless
   of completions (models independent users; overload shows up as
   admission rejections);
 - **closed loop** — ``concurrency`` clients, each submitting its next
@@ -33,7 +33,6 @@ Two load shapes:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -42,8 +41,10 @@ import numpy as np
 from repro.serving.fleet import Dispatch, FleetRequest, ServerFleet
 from repro.serving.queue import AdmissionError
 
-ARRIVALS = ("poisson", "fixed")
 MODES = ("open", "closed")
+#: Distinct tenant keys (the fleet's routing keys), drawn uniformly
+#: per request.
+TENANTS = 4
 
 
 @dataclass(frozen=True)
@@ -52,36 +53,29 @@ class LoadGenConfig:
 
     Attributes:
         duration_s: virtual seconds of arrivals to generate.
-        rate: offered requests/second (open loop).
-        arrival: ``"poisson"`` (seeded exponential gaps) or
-            ``"fixed"`` (metronome).
+        rate: offered requests/second (open loop, seeded
+            exponential gaps).
         mode: ``"open"`` or ``"closed"`` loop.
         concurrency: in-flight clients in closed-loop mode.
         points: candidate cloud sizes; each request draws one
             uniformly (mixed sizes exercise the queue's N-buckets).
         deadline_ms: per-request deadline; ``None`` disables.
         seed: seeds both the arrival process and the cloud contents.
-        tenants: distinct tenant keys drawn uniformly per request
-            (tenants are the fleet's routing keys).
     """
 
     duration_s: float = 5.0
     rate: float = 50.0
-    arrival: str = "poisson"
     mode: str = "open"
     concurrency: int = 8
     points: Tuple[int, ...] = (64,)
     deadline_ms: Optional[float] = None
     seed: int = 0
-    tenants: int = 4
 
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
-        if self.arrival not in ARRIVALS:
-            raise ValueError(f"arrival must be one of {ARRIVALS}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.concurrency < 1:
@@ -90,8 +84,6 @@ class LoadGenConfig:
             raise ValueError("points must be sizes >= 8")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
-        if self.tenants < 1:
-            raise ValueError("tenants must be positive")
 
 
 @dataclass
@@ -202,7 +194,7 @@ class FleetLoadGenerator:
     Args:
         fleet: the fleet under test; the run steps its virtual
             clock.
-        config: load shape; ``tenants`` draws routing keys.
+        config: load shape.
         chaos: optional :class:`~repro.serving.chaos.ChaosHarness`
             replayed as virtual time passes.
         slo: optional :class:`~repro.observability.slo.SloEngine`
@@ -230,9 +222,6 @@ class FleetLoadGenerator:
 
     def _open_arrivals(self, rng: np.random.Generator) -> List[float]:
         cfg = self.config
-        if cfg.arrival == "fixed":
-            count = int(math.floor(cfg.duration_s * cfg.rate))
-            return [i / cfg.rate for i in range(count)]
         times: List[float] = []
         t = 0.0
         while True:
@@ -271,7 +260,7 @@ class FleetLoadGenerator:
         rng = np.random.default_rng(cfg.seed)
         report = LoadReport(
             mode=cfg.mode,
-            arrival=cfg.arrival,
+            arrival="poisson",
             duration_s=cfg.duration_s,
             offered_rps=cfg.rate,
             seed=cfg.seed,
@@ -327,7 +316,7 @@ class FleetLoadGenerator:
             arrivals.pop()
             report.submitted += 1
             cloud = self._cloud(rng)
-            tenant = f"tenant-{int(rng.integers(cfg.tenants))}"
+            tenant = f"tenant-{int(rng.integers(TENANTS))}"
             try:
                 request = fleet.submit(
                     cloud, tenant=tenant, deadline_s=deadline_s

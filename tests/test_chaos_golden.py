@@ -1,17 +1,19 @@
 """Exact same-seed outputs of the virtual-time fleet event loop.
 
-``tests/data/chaos_golden.json`` pins, for four ``repro chaos``
-runs, everything the loop decides: the ``LoadReport``, the fleet's
-``RetryEvent`` trace, every replica's health transitions, and the
-report of the committed ``SLO_serving.json`` spec ticked through the
-run.  The runs are built with the CLI's own argument parser and fleet
-helpers, so they are the runs the CLI makes:
+``tests/data/chaos_golden.json`` pins, for four 3-replica
+``repro loadgen --event`` runs, everything the loop decides: the
+``LoadReport``, the fleet's ``RetryEvent`` trace, every replica's
+health transitions, and the report of the committed
+``SLO_serving.json`` spec ticked through the run.  The runs are built
+with the CLI's own argument parser and load-run helper, so they are
+the runs the CLI makes:
 
-- ``bench`` — the CI chaos-smoke run (3 replicas, standard
-  kill-and-recover schedule, 2 s at 40 req/s, seed 0), whose p95
-  latency and goodput are held to bounds below;
-- ``closed`` — a closed-loop run with hedging under the standard
-  schedule;
+- ``bench`` — the CI chaos-smoke run (kill replica 1 at 0.8 s and
+  recover it at 1.4 s, 2 s at 40 req/s, seed 0), whose p95 latency
+  and goodput are held to bounds below;
+- ``closed`` — a closed-loop run with hedging that kills and recovers
+  replica 1 at 0.4 and 0.7 of its 1.5 s (the exact doubles
+  ``0.4 * 1.5`` and ``0.7 * 1.5``, as the golden was recorded);
 - ``stall`` — an open-loop run with a tight deadline, a stalled
   replica (its backlog only expires), an erroring and a slowed one;
 - ``stall-hedge`` — the ``stall`` run with 25 ms hedging, where hedges
@@ -28,31 +30,28 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import (
-    _build_fleet,
-    _loadgen_config,
-    _slo_engine,
-    build_parser,
-)
+from repro.cli import _load_generator, build_parser
 from repro.observability.clock import FixedClock
 from repro.observability.tracing import NULL_TRACER
 from repro.observability.metrics import MetricsRegistry
-from repro.serving import ChaosHarness, ChaosSchedule, FleetLoadGenerator
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "data" / "chaos_golden.json"
 
-COMMON = ["--slo", str(REPO / "SLO_serving.json")]
+COMMON = ["--replicas", "3", "--slo", str(REPO / "SLO_serving.json")]
 
 RUNS = {
     "bench": [
         "--duration-s", "2", "--rate", "40", "--deadline-ms", "500",
         "--retries", "4", "--seed", "0",
+        "--event", "kill:1:0.8", "--event", "recover:1:1.4",
     ],
     "closed": [
         "--mode", "closed", "--concurrency", "6", "--duration-s", "1.5",
         "--deadline-ms", "500", "--retries", "4", "--hedge-ms", "25",
         "--seed", "3",
+        "--event", "kill:1:0.6000000000000001",
+        "--event", "recover:1:1.0499999999999998",
     ],
     "stall": [
         "--duration-s", "1.5", "--rate", "40", "--deadline-ms", "150",
@@ -66,20 +65,14 @@ RUNS["stall-hedge"] = RUNS["stall"] + ["--hedge-ms", "25"]
 
 
 def run_chaos(argv):
-    """One ``repro chaos`` run; returns its golden record."""
-    args = build_parser().parse_args(["chaos"] + argv + COMMON)
+    """One ``repro loadgen --event`` run; returns its golden record."""
+    args = build_parser().parse_args(["loadgen"] + argv + COMMON)
     clock = FixedClock(0.0)
-    registry = MetricsRegistry()
-    slo = _slo_engine(args, registry, clock)
-    fleet = _build_fleet(args, NULL_TRACER, registry, clock=clock)
-    if args.event:
-        schedule = ChaosSchedule.from_specs(args.event)
-    else:
-        schedule = ChaosSchedule.standard(args.replicas, args.duration_s)
-    harness = ChaosHarness(fleet, schedule)
-    report = FleetLoadGenerator(
-        fleet, _loadgen_config(args), chaos=harness, slo=slo
-    ).run()
+    generator = _load_generator(
+        args, NULL_TRACER, MetricsRegistry(), clock
+    )
+    report = generator.run()
+    fleet, slo = generator.fleet, generator.slo
     record = {
         "report": report.to_dict(),
         "trace": [event.to_dict() for event in fleet.trace],
@@ -118,7 +111,7 @@ def test_golden_runs_exercise_the_hard_paths(golden):
     )
     assert bench["report"]["chaos_events"] == 2
     assert bench["report"]["retries"] >= 1
-    # Bounded regression across a golden regen: the standard run's
+    # Bounded regression across a golden regen: the bench run's
     # p95 may grow by at most 25% and its goodput shrink by at most
     # 25% from 69.837 ms / 37.0 rps (floors rounded toward strict).
     assert bench["report"]["latency_ms"]["p95"] <= 87.29

@@ -384,24 +384,24 @@ class TestServingCommands:
         only ``replica_states`` is new."""
         fixture = REPO / "tests" / "data" / "loadgen_single_server.json"
         recorded = json.loads(fixture.read_text())["ci_smoke"]
-        out_path = tmp_path / "loadgen.json"
-        assert main(recorded["argv"] + ["--out", str(out_path)]) == 0
-        got = json.loads(out_path.read_text())
+        assert main(
+            recorded["argv"] + ["--artifacts-dir", str(tmp_path)]
+        ) == 0
+        got = json.loads((tmp_path / "loadgen.json").read_text())
         want = dict(recorded["report"])
         assert got.pop("replica_states") == {"0": "healthy"}
         want.pop("replica_states")
         assert got == want
 
     def test_loadgen_slo_at_one_replica(self, tmp_path, capsys):
-        slo_path = tmp_path / "slo.json"
         status = main(
             ["loadgen", "--duration-s", "1",
              "--slo", str(REPO / "SLO_serving.json"),
-             "--slo-out", str(slo_path)]
+             "--artifacts-dir", str(tmp_path)]
         )
-        report = json.loads(slo_path.read_text())
+        report = json.loads((tmp_path / "slo_report.json").read_text())
         assert status == (1 if report["exhausted"] else 0)
-        assert "wrote SLO report" in capsys.readouterr().out
+        assert "wrote dashboard artifacts" in capsys.readouterr().out
 
     def test_serve_prints_server_summary(self, capsys):
         assert main(["serve", "--requests", "8"]) == 0
@@ -473,6 +473,72 @@ class TestRetiredThreadedFleet:
         )
 
 
+class TestChaosEvents:
+    """``loadgen --event`` drives the fault schedule ``repro chaos``
+    ran, and refuses a bad schedule before the run starts."""
+
+    def test_events_run_and_print(self, capsys):
+        assert main(
+            ["loadgen", "--replicas", "2", "--duration-s", "0.5",
+             "--rate", "20", "--event", "kill:1:0.1",
+             "--event", "recover:1:0.3"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "chaos events 2" in out
+        assert "  chaos: 0.100s kill replica 1" in out
+
+    @pytest.mark.parametrize(
+        "spec", ["kill:1", "explode:0:0.1", "kill:x:0.1", "kill:0:-1"]
+    )
+    def test_malformed_event_is_a_usage_error(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["loadgen", "--event", spec])
+        assert exc.value.code == 2
+        assert "argument --event:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--replicas", "3", "--event", "kill:7:0.2"],
+             "targets replica 7, but the fleet has 3 replica(s)"),
+            (["--rate", "0"], "rate must be positive"),
+        ],
+    )
+    def test_unrunnable_settings_exit_2_before_the_run(
+        self, argv, message, capsys
+    ):
+        assert main(["loadgen"] + argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "loadgen:" not in captured.out  # no report: nothing ran
+
+
+class TestRetiredChaosCommand:
+    """``repro chaos`` folded into ``loadgen --event``, and the
+    ``--artifacts-dir`` bundle is the one writer of the load report,
+    metrics and SLO report."""
+
+    def test_chaos_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'chaos'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--out", "--slo-out", "--metrics-out", "--arrival", "--tenants"],
+    )
+    def test_duplicate_writers_and_unused_knobs_are_gone(
+        self, flag, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["loadgen", flag, "x"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in (
+            capsys.readouterr().err
+        )
+
+
 class TestBenchCommand:
     """``repro bench`` is gone: its bounds live in the test suite."""
 
@@ -488,7 +554,7 @@ class TestBenchCommand:
     )
     def test_chaos_gate_flags_are_gone(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["chaos", flag, "x"])
+            main(["loadgen", flag, "x"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 

@@ -324,11 +324,15 @@ class TestChaosSchedule:
         with pytest.raises(ValueError):
             parse_chaos_event("explode:0:1.0")
 
-    def test_standard_schedule_kills_then_recovers(self):
-        schedule = ChaosSchedule.standard(3, 2.0)
-        actions = [e.action for e in schedule.ordered()]
-        assert actions == ["kill", "recover"]
-        assert len(ChaosSchedule.standard(1, 2.0)) == 0
+    def test_harness_rejects_a_replica_outside_the_fleet(self):
+        """An out-of-range target fails at construction, not as an
+        ``IndexError`` when the event fires mid-run."""
+        fleet, _ = _fleet(replicas=3)
+        with pytest.raises(ValueError, match="targets replica 3, .* 3 "):
+            ChaosHarness(fleet, ChaosSchedule.from_specs(["kill:3:0.2"]))
+        assert ChaosHarness(
+            fleet, ChaosSchedule.from_specs(["kill:2:0.2"])
+        ).next_event_at == 0.2
 
 
 class TestFleetVirtual:
@@ -473,16 +477,13 @@ def _chaos_run(seed=0):
     clock = FixedClock(0.0)
     fleet = ServerFleet(
         [_pipeline(metrics, seed=0) for _ in range(3)],
-        config=FleetConfig(
-            default_deadline_ms=500.0,
-            retry=RetryPolicy(max_attempts=4),
-        ),
+        config=FleetConfig(retry=RetryPolicy(max_attempts=4)),
         serving_config=ServingConfig(
             max_batch_size=4, max_wait_ms=20.0, workers=1
         ),
         clock=clock,
     )
-    schedule = ChaosSchedule.standard(3, 2.0)
+    schedule = ChaosSchedule.from_specs(["kill:1:0.8", "recover:1:1.4"])
     harness = ChaosHarness(fleet, schedule)
     config = LoadGenConfig(
         duration_s=2.0, rate=40.0, deadline_ms=500.0, seed=seed
@@ -544,7 +545,6 @@ def _traced_chaos_run(seed=7):
     fleet = ServerFleet(
         [_pipeline(metrics, seed=0, tracer=tracer) for _ in range(3)],
         config=FleetConfig(
-            default_deadline_ms=500.0,
             retry=RetryPolicy(max_attempts=4),
             hedge=HedgePolicy(min_delay_s=0.015),
         ),
@@ -557,7 +557,9 @@ def _traced_chaos_run(seed=7):
         ["error:1:0.05", "slow:2:0.1:8", "recover:1:0.4", "recover:2:0.6"]
     )
     harness = ChaosHarness(fleet, schedule)
-    config = LoadGenConfig(duration_s=0.8, rate=60.0, seed=seed)
+    config = LoadGenConfig(
+        duration_s=0.8, rate=60.0, deadline_ms=500.0, seed=seed
+    )
     report = FleetLoadGenerator(fleet, config, chaos=harness).run()
     return report, fleet, tracer
 

@@ -703,7 +703,7 @@ class TestLoadGenerator:
         assert first == second
 
     @pytest.mark.parametrize(
-        "shape", ["default", "overload", "closed", "fixed"]
+        "shape", ["default", "overload", "closed"]
     )
     def test_matches_single_server_report(self, shape):
         """A 1-replica fleet reproduces the retired single-server
@@ -737,10 +737,6 @@ class TestLoadGenerator:
         assert report.completed == report.admitted
         assert report.latency_ms["p50"] > 0
         assert report.latency_ms["p99"] >= report.latency_ms["p95"]
-
-    def test_fixed_arrivals_offer_exact_count(self):
-        report = self._run({"arrival": "fixed", "duration_s": 1.0})
-        assert report.submitted == 50
 
     def test_closed_loop_self_limits(self):
         report = self._run(

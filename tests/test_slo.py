@@ -412,7 +412,9 @@ class TestArtifacts:
             os.path.dirname(__file__), "..", "SLO_serving.json"
         )
         assert main(
-            ["chaos", "--duration-s", "2", "--rate", "40",
+            ["loadgen", "--replicas", "3", "--event", "kill:1:0.8",
+             "--event", "recover:1:1.4",
+             "--duration-s", "2", "--rate", "40",
              "--deadline-ms", "500", "--retries", "4",
              "--hedge-ms", "25", "--seed", "0", "--slo", spec,
              "--artifacts-dir", str(bundle), "--dashboard"]
