@@ -6,15 +6,16 @@ Commands:
 - ``compare``  — baseline-vs-EdgePC speedups and energy for one or all
   workloads (Fig. 13 view);
 - ``sample``   — run a real sampler (fps / morton / uniform) on a
-  point-cloud file and write the result;
+  point-cloud file (or a seeded synthetic cloud) and write the
+  result; ``--guard`` falls back to exact FPS when the Morton
+  sample's density-uniformity probe trips;
 - ``sweep``    — the Fig. 15a window-size sensitivity table on a file
   or a synthetic cloud;
 - ``report``   — the one-shot headline summary: Fig. 3 breakdown,
   Fig. 13 speedups/energy for all configs, and Table 2;
 - ``trace``    — per-stage latency breakdown of the Table 1 workloads
   under a configuration (``--config baseline`` is the Fig. 3 view),
-  exporting Chrome ``trace_event`` / JSONL spans, a metrics snapshot,
-  and a merged run report with per-stage medians;
+  with a run report of per-stage medians;
 - ``serve``    — threaded micro-batching serving demo under the
   runtime lock-order sanitizer: submit a burst of seeded clouds to one
   in-process :class:`InferenceServer`, drain gracefully, print the
@@ -30,24 +31,22 @@ Commands:
   ``docs/serving.md``);
 - ``partition`` — scene-scale scatter/gather: Morton-chunk one
   tiled-room scene with a receptive-field halo, run it through the
-  partitioned pipeline, verify the stitch, and write a deterministic
-  report;
+  partitioned pipeline, verify the stitch, and report;
 - ``dashboard`` — render the deterministic text dashboard (fleet
-  counters, replica health, SLO budgets, slowest traces) from the
-  artifacts a loadgen run saved;
+  counters, replica health, SLO budgets, the partitioned scene,
+  slowest traces) from a saved artifact bundle;
 - ``lint``     — project-aware static analysis.
 
-``compare`` and ``sample`` additionally accept ``--trace-out`` /
-``--metrics-out`` to export the telemetry of that invocation;
-``sample`` runs without positional arguments on a seeded synthetic
-cloud, and with ``--guard`` it runs a guarded demo inference and
-prints the degradation log and per-stage breaker states.
+``compare``, ``trace``, ``partition``, ``serve`` and ``loadgen``
+export their telemetry with ``--artifacts-dir DIR``, their one export
+flag: one bundle of ``metrics.json``, ``trace.jsonl``, the Chrome
+trace ``trace.json`` and the command's own report
+(:func:`repro.observability.write_artifacts`).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional, Tuple
@@ -64,6 +63,13 @@ from repro.observability import (
     RunReport,
     Tracer,
     emit_stage_spans,
+    write_artifacts,
+)
+from repro.observability.dashboard import (
+    ARTIFACT_LOADGEN,
+    ARTIFACT_PARTITION,
+    ARTIFACT_RUN_REPORT,
+    ARTIFACT_SLO,
 )
 from repro.pipeline import record_priced_batch
 from repro.robustness.guard import GuardThresholds
@@ -97,44 +103,32 @@ def _resolve_workloads(name: str):
 def _telemetry(args, clock=None) -> Tuple[Tracer, MetricsRegistry]:
     """Tracer/registry pair for one CLI invocation.
 
-    The tracer is enabled only when the invocation exports somewhere
-    (``--trace-out`` or ``--artifacts-dir``), so un-instrumented runs
-    stay on the no-op path.  Virtual-time commands pass their
-    ``FixedClock`` so span timestamps live on the simulated timeline
-    and exports are byte-identical per seed.
+    The tracer is enabled only when the invocation saves a bundle
+    (``--artifacts-dir``), so un-instrumented runs stay on the no-op
+    path.  Virtual-time commands pass their ``FixedClock`` so span
+    timestamps live on the simulated timeline and exports are
+    byte-identical per seed.
     """
-    wants_trace = bool(
-        getattr(args, "trace_out", None)
-        or getattr(args, "artifacts_dir", None)
-    )
-    if not wants_trace:
+    if not args.artifacts_dir:
         return NULL_TRACER, MetricsRegistry()
     tracer = Tracer(clock=clock) if clock is not None else Tracer()
     return tracer, MetricsRegistry()
 
 
-def _export_telemetry(args, tracer: Tracer, registry) -> None:
-    if getattr(args, "trace_out", None):
-        tracer.export_chrome(args.trace_out)
-        print(f"wrote Chrome trace -> {args.trace_out}")
-    if getattr(args, "metrics_out", None):
-        registry.export_json(args.metrics_out)
-        print(f"wrote metrics snapshot -> {args.metrics_out}")
+def _save_bundle(args, tracer: Tracer, registry, reports=None) -> None:
+    """Write the ``--artifacts-dir`` bundle, if one was asked for."""
+    if args.artifacts_dir:
+        write_artifacts(args.artifacts_dir, tracer, registry, reports)
+        print(f"wrote dashboard artifacts -> {args.artifacts_dir}")
 
 
-def _add_telemetry_flags(
-    parser: argparse.ArgumentParser, metrics: bool = True
-) -> None:
+def _add_artifacts_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help="write a Chrome trace_event file of this run "
-        "(open in chrome://tracing or Perfetto)",
-    )
-    if not metrics:
-        return
-    parser.add_argument(
-        "--metrics-out", default=None, metavar="FILE",
-        help="write the JSON metrics snapshot of this run",
+        "--artifacts-dir", default=None, metavar="DIR",
+        help="write the run's artifact bundle to DIR: metrics.json, "
+        "trace.jsonl, the Chrome trace trace.json (chrome://tracing "
+        "or Perfetto) and the command's report; `repro dashboard "
+        "--from DIR` renders it",
     )
 
 
@@ -200,68 +194,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "compare_energy_saving_fraction", workload=name
         ).set(report.energy_saving_fraction)
         print(format_comparison_row(name, report))
-    _export_telemetry(args, tracer, registry)
+    _save_bundle(args, tracer, registry)
     return 0
-
-
-def _guarded_demo(
-    cloud_xyz: np.ndarray,
-    tracer: Tracer,
-    registry,
-    guard: bool,
-    seed: int,
-) -> None:
-    """Traced demo inference for ``sample --trace-out/--metrics-out``:
-    streams the cloud through a :class:`StreamingMortonOrder`, then
-    runs one (optionally guarded) profiled batch through a small
-    PointNet++ pipeline so the exported trace carries the full
-    sample/neighbor/grouping/feature stage timeline."""
-    from repro.core.streaming import StreamingMortonOrder
-    from repro.geometry.bbox import BoundingBox
-    from repro.robustness.guard import InferenceRejectedError
-
-    # Touch the headline counters so the snapshot always carries the
-    # guard/validation/streaming series, even when they stayed at 0.
-    registry.counter("validation_repairs_total")
-    registry.counter("validation_rejects_total")
-    registry.counter("guard_rejections_total")
-    registry.counter("streaming_evictions_total")
-
-    with tracer.span("demo.stream", "streaming") as span:
-        margin = 1e-6
-        box = BoundingBox(
-            cloud_xyz.min(axis=0) - margin,
-            cloud_xyz.max(axis=0) + margin,
-        )
-        stream = StreamingMortonOrder(box, metrics=registry)
-        for chunk in np.array_split(cloud_xyz, 4):
-            stream.insert(chunk)
-        stream.remove_oldest_duplicates()
-        span.set("points", len(stream))
-
-    pipeline = _serving_pipeline(seed, guard, tracer, registry)
-    batch = stream.points[: min(128, len(stream))][None, :, :]
-    if not guard:
-        pipeline.infer(batch)
-        return
-    rejection = None
-    try:
-        pipeline.infer(batch)
-    except InferenceRejectedError as err:
-        rejection = err
-    states = " ".join(
-        f"{stage}={state}"
-        for stage, state in pipeline.guard.breaker_states.items()
-    )
-    print(f"guard: breaker states: {states}")
-    if pipeline.guard.degradation_log:
-        print("guard: degradation log:")
-        for entry in pipeline.guard.degradation_log:
-            print(f"guard:   {entry}")
-    else:
-        print("guard: degradation log: empty (no fallbacks)")
-    if rejection is not None:
-        print(f"guard: demo batch rejected: {rejection.reason}")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -272,8 +206,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
         sanitize_cloud,
     )
 
-    tracer, registry = _telemetry(args)
-    wants_telemetry = bool(args.trace_out or args.metrics_out)
     if args.input:
         cloud = pc_io.load(args.input)
     else:
@@ -304,37 +236,33 @@ def cmd_sample(args: argparse.Namespace) -> int:
         raise SystemExit(
             f"--num-samples must be in [1, {len(cloud)}]"
         )
-    with tracer.span("cli.sample", "cli") as span:
-        span.set("method", args.method)
-        span.set("num_samples", n)
-        if args.method == "fps":
-            indices = farthest_point_sample(
-                cloud.xyz, n, start_index=0
-            )
-        elif args.method == "morton":
-            indices = MortonSampler().sample_batch(
-                cloud.xyz[None], n
-            ).indices[0]
-            if args.guard:
-                from repro.sampling.quality import density_uniformity
+    if args.method == "fps":
+        indices = farthest_point_sample(cloud.xyz, n, start_index=0)
+    elif args.method == "morton":
+        indices = MortonSampler().sample_batch(
+            cloud.xyz[None], n
+        ).indices[0]
+        if args.guard:
+            from repro.sampling.quality import density_uniformity
 
-                cv = density_uniformity(cloud.xyz, indices)
-                if cv > args.guard_threshold:
-                    print(
-                        f"guard: Morton sample density CV {cv:.2f} "
-                        f"exceeds {args.guard_threshold:.2f}; "
-                        "falling back to exact FPS"
-                    )
-                    indices = farthest_point_sample(
-                        cloud.xyz, n, start_index=0
-                    )
-                else:
-                    print(
-                        f"guard: Morton sample density CV {cv:.2f} "
-                        f"within {args.guard_threshold:.2f}"
-                    )
-        else:
-            indices = uniform_sample(cloud.xyz, n)
+            cv = density_uniformity(cloud.xyz, indices)
+            threshold = GuardThresholds().max_density_cv
+            if cv > threshold:
+                print(
+                    f"guard: Morton sample density CV {cv:.2f} "
+                    f"exceeds {threshold:.2f}; "
+                    "falling back to exact FPS"
+                )
+                indices = farthest_point_sample(
+                    cloud.xyz, n, start_index=0
+                )
+            else:
+                print(
+                    f"guard: Morton sample density CV {cv:.2f} "
+                    f"within {threshold:.2f}"
+                )
+    else:
+        indices = uniform_sample(cloud.xyz, n)
     sampled = cloud.select(indices)
     if args.output:
         pc_io.save(sampled, args.output)
@@ -347,11 +275,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
             f"sampled {n} of {len(cloud)} points with "
             f"{args.method} (no output file given; result not saved)"
         )
-    if wants_telemetry:
-        _guarded_demo(
-            cloud.xyz, tracer, registry, args.guard, args.seed
-        )
-        _export_telemetry(args, tracer, registry)
     return 0
 
 
@@ -384,11 +307,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     baseline = EdgePCConfig.baseline()
     specs = standard_workloads()
 
+    baselines = {name: trace(spec, baseline) for name, spec in specs.items()}
+
     print("=== Baseline latency breakdown (Fig. 3) ===")
-    for name, spec in specs.items():
-        breakdown = profiler.breakdown(
-            trace(spec, baseline), baseline
-        )
+    for name, recorder in baselines.items():
+        breakdown = profiler.breakdown(recorder, baseline)
         print(format_breakdown_row(name, breakdown))
 
     for label in ("edgepc", "tensorcores", "insights"):
@@ -398,7 +321,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         for name, spec in specs.items():
             report = compare(
                 profiler,
-                trace(spec, baseline), baseline,
+                baselines[name], baseline,
                 trace(spec, config), config,
             )
             sn.append(report.sample_neighbor_speedup)
@@ -421,7 +344,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Price the selected workloads under one config, print their
     per-stage breakdown rows (``--config baseline`` is the Fig. 3
-    view), and export the run's telemetry."""
+    view) and medians, and save the run's bundle."""
     tracer = Tracer()
     registry = MetricsRegistry()
     results = _smoke_workloads(
@@ -434,36 +357,24 @@ def cmd_trace(args: argparse.Namespace) -> int:
         f"traced {len(results)} workload(s) under {args.config}: "
         f"{len(spans)} spans, {len(registry)} metric series"
     )
-    if args.trace_out:
-        tracer.export_chrome(args.trace_out)
-        print(f"wrote Chrome trace -> {args.trace_out}")
-    if args.jsonl_out:
-        tracer.export_jsonl(args.jsonl_out)
-        print(f"wrote span JSONL -> {args.jsonl_out}")
-    if args.metrics_out:
-        registry.export_json(args.metrics_out)
-        print(f"wrote metrics snapshot -> {args.metrics_out}")
     report = RunReport.build(
-        tracer=tracer,
-        metrics=registry,
         breakdowns=[b for _, b, _ in results],
         energies=[e for _, _, e in results],
         command="trace",
         workload=args.workload,
         config=args.config,
     )
-    if args.report_out:
-        report.save(args.report_out)
-        print(f"wrote run report -> {args.report_out}")
+    _save_bundle(
+        args, tracer, registry, {ARTIFACT_RUN_REPORT: report.to_dict()}
+    )
     for stage, seconds in report.stage_medians_s().items():
         print(f"  median {stage:<12} {seconds * 1e3:9.2f} ms")
     return 0
 
 
 def _serving_pipeline(seed: int, guard: bool, tracer, registry):
-    """Demo pipeline for ``serve``/``loadgen`` and the ``sample``
-    telemetry demo: a small PointNet++ segmentation model, optionally
-    guarded."""
+    """Demo pipeline for ``serve``/``loadgen``: a small PointNet++
+    segmentation model, optionally guarded."""
     from repro.nn import PointNet2Segmentation, SAConfig
     from repro.pipeline import EdgePCPipeline
     from repro.robustness.guard import Guard
@@ -534,8 +445,10 @@ def cmd_partition(args: argparse.Namespace) -> int:
     receptive-field halo and runs it end-to-end through
     :class:`~repro.partition.PartitionedPipeline`.  Every run
     re-verifies the stitch identity on a single-chunk control scene,
-    checks the exported trace for orphan spans, and writes a deterministic JSON report (FixedClock
-    timeline + seeded scene, so same-seed reports are byte-identical).
+    checks the trace for orphan spans, and saves a deterministic JSON
+    report (``partition.json``) in the ``--artifacts-dir`` bundle
+    (FixedClock timeline + seeded scene, so same-seed bundles are
+    byte-identical).
     """
     from repro.observability.clock import FixedClock
     from repro.observability.tracing import find_orphans
@@ -650,26 +563,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         f"{len(roots)} partition root(s), {batch_chunks} chunks batched"
     )
 
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote partition report -> {args.report}")
-    if getattr(args, "artifacts_dir", None):
-        os.makedirs(args.artifacts_dir, exist_ok=True)
-        from repro.observability.dashboard import (
-            ARTIFACT_METRICS,
-            ARTIFACT_TRACE,
-        )
-
-        registry.export_json(
-            os.path.join(args.artifacts_dir, ARTIFACT_METRICS)
-        )
-        tracer.export_jsonl(
-            os.path.join(args.artifacts_dir, ARTIFACT_TRACE)
-        )
-        print(f"wrote dashboard artifacts -> {args.artifacts_dir}")
-    _export_telemetry(args, tracer, registry)
+    _save_bundle(args, tracer, registry, {ARTIFACT_PARTITION: report})
     if not control_ok:
         print("control identity check failed", file=sys.stderr)
         return 1
@@ -749,7 +643,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"  VIOLATION: {line}", file=sys.stderr)
     for line in report.contradictions:
         print(f"  CONTRADICTION: {line}", file=sys.stderr)
-    _export_telemetry(args, tracer, registry)
+    _save_bundle(args, tracer, registry)
     return 1 if report.violations or report.contradictions else 0
 
 
@@ -816,18 +710,12 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     while a :class:`~repro.serving.chaos.ChaosHarness` replays the
     ``--event`` fault schedule.  The run is fully deterministic
     (FixedClock + seeded RNG); ``tests/test_chaos_golden.py`` pins
-    four runs.  ``--artifacts-dir`` is the one writer of the load
-    report, metrics snapshot, span JSONL and SLO report (the files
-    ``repro dashboard --from`` reads); ``--dashboard`` renders the
-    same data from memory.
+    four runs.  Its ``--artifacts-dir`` bundle adds the load report
+    and, with ``--slo``, the SLO report (the files ``repro dashboard
+    --from`` reads); ``--dashboard`` renders the same data from
+    memory.
     """
     from repro.observability.clock import FixedClock
-    from repro.observability.dashboard import (
-        ARTIFACT_LOADGEN,
-        ARTIFACT_METRICS,
-        ARTIFACT_SLO,
-        ARTIFACT_TRACE,
-    )
 
     clock = FixedClock(0.0)
     tracer, registry = _telemetry(args, clock=clock)
@@ -838,26 +726,14 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         return 2
     report = generator.run()
     slo = generator.slo
-    now = clock()
     print(report.summary())
     if generator.chaos is not None:
         for event in generator.chaos.applied:
             print(f"  chaos: {event.describe()}")
-    _export_telemetry(args, tracer, registry)
-    if args.artifacts_dir:
-        os.makedirs(args.artifacts_dir, exist_ok=True)
-        report.save(os.path.join(args.artifacts_dir, ARTIFACT_LOADGEN))
-        registry.export_json(
-            os.path.join(args.artifacts_dir, ARTIFACT_METRICS)
-        )
-        tracer.export_jsonl(
-            os.path.join(args.artifacts_dir, ARTIFACT_TRACE)
-        )
-        if slo is not None:
-            slo.save_report(
-                os.path.join(args.artifacts_dir, ARTIFACT_SLO), now
-            )
-        print(f"wrote dashboard artifacts -> {args.artifacts_dir}")
+    reports = {ARTIFACT_LOADGEN: report.to_dict()}
+    if slo is not None:
+        reports[ARTIFACT_SLO] = slo.report(clock())
+    _save_bundle(args, tracer, registry, reports)
     status = 0
     if slo is not None:
         exhausted = slo.exhausted()
@@ -884,8 +760,8 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             bundle_title(args.artifacts_dir),
             snapshot=registry.snapshot(),
             trace_records=[span.to_dict() for span in tracer.finished()],
-            slo_report=None if slo is None else slo.report(now),
-            loadgen=report.to_dict(),
+            slo_report=reports.get(ARTIFACT_SLO),
+            loadgen=reports[ARTIFACT_LOADGEN],
         )
         print(render_dashboard(data))
     if args.fail_on_error and (report.failed or report.lost):
@@ -902,11 +778,11 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 def cmd_dashboard(args: argparse.Namespace) -> int:
     """Render the deterministic text dashboard from saved artifacts.
 
-    Reads the conventional files a ``repro loadgen --artifacts-dir``
-    run writes — ``metrics.json``, ``trace.jsonl``,
-    ``slo_report.json``, ``loadgen.json`` — and prints one snapshot:
-    fleet counters, replica queues, SLO error budgets, and the top-K
-    slowest request traces.  Same artifacts, same bytes out.
+    Reads an ``--artifacts-dir`` bundle — ``metrics.json``,
+    ``trace.jsonl``, ``slo_report.json``, ``loadgen.json`` — and
+    prints one snapshot: fleet counters, replica health, SLO error
+    budgets, the partitioned scene, and the top-K slowest request
+    traces.  Same artifacts, same bytes out.
     """
     from repro.observability import load_artifacts, render_dashboard
 
@@ -957,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument(
         "--config", default="edgepc", choices=sorted(CONFIGS)
     )
-    _add_telemetry_flags(comp)
+    _add_artifacts_flag(comp)
     comp.set_defaults(func=cmd_compare)
 
     sample = sub.add_parser(
@@ -985,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sample.add_argument(
         "--seed", type=int, default=0,
-        help="seed for the synthetic cloud and the guarded demo",
+        help="seed for the synthetic cloud",
     )
     sample.add_argument(
         "--validation-policy", default="reject",
@@ -997,12 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fall back to exact FPS when the Morton sample's "
         "density-uniformity probe trips",
     )
-    sample.add_argument(
-        "--guard-threshold", type=float,
-        default=GuardThresholds().max_density_cv,
-        help="density-uniformity CV above which --guard trips",
-    )
-    _add_telemetry_flags(sample)
     sample.set_defaults(func=cmd_sample)
 
     partition_cmd = sub.add_parser(
@@ -1033,16 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0,
         help="seeds the scene and the model weights (default 0)",
     )
-    partition_cmd.add_argument(
-        "--report", default=None, metavar="FILE",
-        help="write the deterministic JSON run report to FILE",
-    )
-    partition_cmd.add_argument(
-        "--artifacts-dir", default=None, metavar="DIR",
-        help="write the dashboard artifact bundle (metrics.json, "
-        "trace.jsonl) to DIR",
-    )
-    _add_telemetry_flags(partition_cmd)
+    _add_artifacts_flag(partition_cmd)
     partition_cmd.set_defaults(func=cmd_partition)
 
     sweep = sub.add_parser(
@@ -1061,21 +922,13 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd = sub.add_parser(
         "trace",
         help="per-stage latency breakdown (Fig. 3 view with --config "
-        "baseline): Chrome trace, metrics snapshot, run report",
+        "baseline) and per-stage medians",
     )
     trace_cmd.add_argument("--workload", default="all")
     trace_cmd.add_argument(
         "--config", default="edgepc", choices=sorted(CONFIGS)
     )
-    _add_telemetry_flags(trace_cmd)
-    trace_cmd.add_argument(
-        "--jsonl-out", default=None, metavar="FILE",
-        help="write one JSON span record per line",
-    )
-    trace_cmd.add_argument(
-        "--report-out", default=None, metavar="FILE",
-        help="write the merged RunReport (spans+metrics+breakdowns)",
-    )
+    _add_artifacts_flag(trace_cmd)
     trace_cmd.set_defaults(func=cmd_trace)
 
     def _add_serving_flags(cmd: argparse.ArgumentParser) -> None:
@@ -1127,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="points per submitted cloud",
     )
     _add_serving_flags(serve_cmd)
-    _add_telemetry_flags(serve_cmd)
+    _add_artifacts_flag(serve_cmd)
     serve_cmd.set_defaults(func=cmd_serve)
 
     loadgen_cmd = sub.add_parser(
@@ -1170,12 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate this SLO spec during the run; exit 1 if "
         "any error budget is exhausted",
     )
-    loadgen_cmd.add_argument(
-        "--artifacts-dir", default=None, metavar="DIR",
-        help="write the run's artifact bundle: loadgen.json (load "
-        "report), metrics.json, trace.jsonl and, with --slo, "
-        "slo_report.json; `repro dashboard --from DIR` renders it",
-    )
+    _add_artifacts_flag(loadgen_cmd)
     loadgen_cmd.add_argument(
         "--dashboard", action="store_true",
         help="print the live text dashboard after the run",
@@ -1203,7 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
         "a replica at a virtual instant (FACTOR: slow's multiplier)",
     )
     _add_serving_flags(loadgen_cmd)
-    _add_telemetry_flags(loadgen_cmd, metrics=False)
     loadgen_cmd.set_defaults(func=cmd_loadgen)
 
     dashboard_cmd = sub.add_parser(
@@ -1213,8 +1060,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dashboard_cmd.add_argument(
         "--from", dest="artifacts", required=True, metavar="DIR",
-        help="artifact directory written by `repro loadgen "
-        "--artifacts-dir` (metrics.json / trace.jsonl / "
+        help="artifact bundle written by a command's "
+        "--artifacts-dir (metrics.json / trace.jsonl / "
         "slo_report.json / loadgen.json)",
     )
     dashboard_cmd.add_argument(

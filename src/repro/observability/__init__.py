@@ -8,8 +8,8 @@ Three cooperating pieces, all zero-dependency and thread-safe:
 - :class:`MetricsRegistry` — counters, gauges, and fixed-bucket
   histograms with Prometheus-text and JSON snapshot exporters
   (:mod:`repro.observability.metrics`);
-- :class:`RunReport` — merges spans, metrics, and the profiler's
-  breakdown/energy reports into one serializable run summary
+- :class:`RunReport` — the profiler's breakdown/energy reports and
+  their per-stage medians as one serializable run summary
   (:mod:`repro.observability.report`).
 
 PR 7 adds end-to-end request observability on top:
@@ -21,9 +21,12 @@ PR 7 adds end-to-end request observability on top:
 - :class:`SloEngine` — declarative latency/error/goodput objectives
   evaluated over sliding metric windows with multi-window error-budget
   burn-rate alerts (:mod:`repro.observability.slo`);
-- :func:`render_dashboard` — deterministic text snapshot of fleet
-  health, SLO budgets, and slowest traces, also exposed as
-  ``repro dashboard`` (:mod:`repro.observability.dashboard`).
+- :func:`write_artifacts` — the one writer of a run's artifact
+  bundle (metrics snapshot, span JSONL, Chrome trace, command
+  report), and :func:`render_dashboard` — deterministic text snapshot
+  of fleet health, SLO budgets, the partitioned scene, and slowest
+  traces, also exposed as ``repro dashboard``
+  (:mod:`repro.observability.dashboard`).
 
 The wall clock is injectable: :mod:`repro.observability.clock` holds
 the one sanctioned ``time.time()`` call (:func:`wall_clock`) plus a
@@ -49,6 +52,7 @@ from repro.observability.dashboard import (
     load_artifacts,
     render_dashboard,
     slowest_traces,
+    write_artifacts,
 )
 from repro.observability.metrics import (
     DEFAULT_BUCKETS,
@@ -113,4 +117,5 @@ __all__ = [
     "render_dashboard",
     "slowest_traces",
     "wall_clock",
+    "write_artifacts",
 ]

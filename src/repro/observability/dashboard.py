@@ -1,10 +1,18 @@
-"""Deterministic text dashboard for the serving fleet.
+"""One run's artifact bundle, and the deterministic text dashboard.
 
-``repro dashboard`` renders one plain-text snapshot — replica health,
-SLO error budgets, and the top-K slowest request traces — of a run's
-artifact bundle (``metrics.json``, ``trace.jsonl``,
-``slo_report.json``, ``loadgen.json``).  :func:`dashboard_data` builds
-the renderable data from the bundle's contents, whether
+Every CLI command that exports telemetry (``compare``, ``trace``,
+``partition``, ``serve``, ``loadgen``) writes it through one function,
+:func:`write_artifacts`, into one ``--artifacts-dir`` bundle: the
+metrics snapshot (``metrics.json``), the span records
+(``trace.jsonl``), the same spans as a Chrome ``trace_event`` file
+(``trace.json``, for chrome://tracing or Perfetto), and the command's
+own report (``loadgen.json``, ``slo_report.json``, ``partition.json``
+or ``run_report.json``).
+
+``repro dashboard`` renders one plain-text snapshot of a bundle —
+fleet counters, replica health, SLO error budgets, the partitioned
+scene, and the top-K slowest request traces.  :func:`dashboard_data`
+builds the renderable data from the bundle's contents, whether
 :func:`load_artifacts` read them back from disk or a live load run
 (``--dashboard``) passes the in-memory objects it saves, so the two
 render byte-identical text for one run.  Output is a pure function of
@@ -24,12 +32,15 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-#: Conventional artifact file names (written by ``repro loadgen
-#: --artifacts-dir`` and read by ``repro dashboard --from``).
+#: Bundle file names (written by :func:`write_artifacts`; the first
+#: four are what ``repro dashboard --from`` reads).
 ARTIFACT_METRICS = "metrics.json"
 ARTIFACT_TRACE = "trace.jsonl"
 ARTIFACT_SLO = "slo_report.json"
 ARTIFACT_LOADGEN = "loadgen.json"
+ARTIFACT_CHROME = "trace.json"
+ARTIFACT_PARTITION = "partition.json"
+ARTIFACT_RUN_REPORT = "run_report.json"
 
 WIDTH = 66
 
@@ -40,6 +51,7 @@ class DashboardData:
 
     title: str = "serving"
     fleet_stats: Dict[str, float] = field(default_factory=dict)
+    partition_stats: Dict[str, float] = field(default_factory=dict)
     replica_states: Dict[str, str] = field(default_factory=dict)
     slo_report: Mapping[str, object] = field(default_factory=dict)
     latency_ms: Dict[str, float] = field(default_factory=dict)
@@ -68,7 +80,10 @@ def dashboard_data(
     optional)."""
     data = DashboardData(title=title)
     if snapshot is not None:
-        data.fleet_stats = _stats_from_snapshot(snapshot)
+        data.fleet_stats = _stats_from_snapshot(snapshot, _FLEET_SERIES)
+        data.partition_stats = _stats_from_snapshot(
+            snapshot, _PARTITION_SERIES
+        )
     if slo_report is not None:
         data.slo_report = slo_report
     if loadgen is not None:
@@ -79,6 +94,29 @@ def dashboard_data(
         }
     data.trace_records = list(trace_records)
     return data
+
+
+def write_artifacts(
+    directory: str,
+    tracer,
+    registry,
+    reports: Optional[Mapping[str, Mapping[str, object]]] = None,
+) -> None:
+    """Write one run's bundle into ``directory`` (created if missing):
+    the ``registry`` snapshot, the ``tracer``'s spans as JSONL and as
+    a Chrome trace, and each ``{file name: document}`` in ``reports``.
+
+    Every file is sorted-key JSON, so same-seed virtual-time runs
+    write byte-identical bundles.
+    """
+    os.makedirs(directory, exist_ok=True)
+    registry.export_json(os.path.join(directory, ARTIFACT_METRICS))
+    tracer.export_jsonl(os.path.join(directory, ARTIFACT_TRACE))
+    tracer.export_chrome(os.path.join(directory, ARTIFACT_CHROME))
+    for name, document in (reports or {}).items():
+        with open(os.path.join(directory, name), "w") as fh:
+            json.dump(document, fh, indent=1, sort_keys=True)
+            fh.write("\n")
 
 
 def _read_json(path: str):
@@ -120,20 +158,32 @@ def load_artifacts(directory: str) -> DashboardData:
     )
 
 
+#: Dashboard row label of each fleet series (``repro loadgen``).
+_FLEET_SERIES = {
+    "serving_fleet_submitted_total": "submitted",
+    "serving_fleet_completed_total": "completed",
+    "serving_fleet_failed_total": "failed",
+    "serving_fleet_expired_total": "expired",
+    "serving_fleet_retries_total": "retries",
+    "serving_fleet_hedges_total": "hedges",
+    "serving_fleet_hedge_wins_total": "hedge_wins",
+    "serving_fleet_healthy_replicas": "healthy",
+}
+
+#: Dashboard row label of each partition series (``repro partition``).
+_PARTITION_SERIES = {
+    "partition_scenes_total": "scenes",
+    "partition_chunks_total": "chunks",
+    "partition_points_total": "points",
+    "partition_simulated_seconds_total": "simulated_s",
+}
+
+
 def _stats_from_snapshot(
-    snapshot: Mapping[str, object]
+    snapshot: Mapping[str, object], wanted: Mapping[str, str]
 ) -> Dict[str, float]:
-    """Fleet-level counters out of a registry JSON snapshot."""
-    wanted = {
-        "serving_fleet_submitted_total": "submitted",
-        "serving_fleet_completed_total": "completed",
-        "serving_fleet_failed_total": "failed",
-        "serving_fleet_expired_total": "expired",
-        "serving_fleet_retries_total": "retries",
-        "serving_fleet_hedges_total": "hedges",
-        "serving_fleet_hedge_wins_total": "hedge_wins",
-        "serving_fleet_healthy_replicas": "healthy",
-    }
+    """The ``wanted`` series of a registry JSON snapshot, summed over
+    labels and keyed by their dashboard label."""
     stats: Dict[str, float] = {}
     for entry in snapshot.get("metrics", []):  # type: ignore[union-attr]
         name = str(entry.get("name", ""))
@@ -196,12 +246,14 @@ def render_dashboard(
         _rule("="),
     ]
 
-    if data.fleet_stats:
-        lines += _section("fleet")
-        for key in sorted(data.fleet_stats):
-            lines.append(
-                f"  {key:<22} {_fmt(data.fleet_stats[key]):>12}"
-            )
+    for title, stats in (
+        ("fleet", data.fleet_stats),
+        ("partition", data.partition_stats),
+    ):
+        if stats:
+            lines += _section(title)
+            for key in sorted(stats):
+                lines.append(f"  {key:<22} {_fmt(stats[key]):>12}")
 
     if data.replica_states:
         lines += _section("replicas")
@@ -243,9 +295,10 @@ def render_dashboard(
                     f"  {key:<6} {data.latency_ms[key]:>10.3f}"
                 )
 
-    if data.trace_records:
+    slowest = slowest_traces(data.trace_records, top_k)
+    if slowest:
         lines += _section(f"slowest traces (top {top_k})")
-        for record in slowest_traces(data.trace_records, top_k):
+        for record in slowest:
             duration_ms = float(
                 record.get("duration_s", 0.0)
             ) * 1e3

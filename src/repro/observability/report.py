@@ -1,25 +1,22 @@
-"""One-file run summaries: spans + metrics + breakdown + energy.
+"""Run summaries: simulated per-stage breakdowns and energy.
 
-:class:`RunReport` merges whatever telemetry a run produced — the
-tracer's spans, a metrics snapshot, and the simulated
+:class:`RunReport` serializes the simulated
 :class:`~repro.runtime.profiler.StageBreakdown` /
-:class:`~repro.runtime.profiler.EnergyReport` — into one
-JSON-serializable document, the artifact CI uploads and the BENCH
-trajectory consumes.
+:class:`~repro.runtime.profiler.EnergyReport` of a ``repro trace`` run
+and their per-stage medians into one JSON document, the bundle's
+``run_report.json``.  The run's spans and metrics sit beside it in the
+same bundle (``trace.jsonl``, ``metrics.json``), not inside it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from statistics import median
 from typing import Dict, List, Optional
 
 from repro.observability.clock import Clock, wall_clock
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.tracing import Tracer
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def breakdown_to_dict(breakdown) -> Dict[str, object]:
@@ -47,25 +44,21 @@ def energy_to_dict(energy) -> Dict[str, float]:
 
 @dataclass
 class RunReport:
-    """Aggregated, serializable summary of one run."""
+    """Serializable per-stage summary of one run."""
 
     meta: Dict[str, object] = field(default_factory=dict)
-    spans: List[Dict[str, object]] = field(default_factory=list)
-    metrics: Dict[str, object] = field(default_factory=dict)
     breakdowns: List[Dict[str, object]] = field(default_factory=list)
     energies: List[Dict[str, object]] = field(default_factory=list)
 
     @classmethod
     def build(
         cls,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
         breakdowns=(),
         energies=(),
         clock: Optional[Clock] = None,
         **meta: object,
     ) -> "RunReport":
-        """Collect telemetry objects into one report.
+        """Collect the profiler's results into one report.
 
         ``breakdowns``/``energies`` accept the profiler dataclasses
         directly; ``meta`` keyword arguments (workload name, config
@@ -80,10 +73,6 @@ class RunReport:
         report.meta.setdefault(
             "created_unix", (clock or wall_clock)()
         )
-        if tracer is not None:
-            report.spans = [s.to_dict() for s in tracer.finished()]
-        if metrics is not None:
-            report.metrics = metrics.snapshot()
         report.breakdowns = [breakdown_to_dict(b) for b in breakdowns]
         report.energies = [energy_to_dict(e) for e in energies]
         return report
@@ -104,29 +93,7 @@ class RunReport:
     def to_dict(self) -> Dict[str, object]:
         return {
             "meta": self.meta,
-            "spans": self.spans,
-            "metrics": self.metrics,
             "breakdowns": self.breakdowns,
             "energies": self.energies,
             "stage_medians_s": self.stage_medians_s(),
         }
-
-    def to_json(self, indent: int = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "RunReport":
-        with open(path) as fh:
-            data = json.load(fh)
-        return cls(
-            meta=data.get("meta", {}),
-            spans=data.get("spans", []),
-            metrics=data.get("metrics", {}),
-            breakdowns=data.get("breakdowns", []),
-            energies=data.get("energies", []),
-        )

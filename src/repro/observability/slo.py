@@ -605,12 +605,3 @@ class SloEngine:
                 and status.budget_remaining <= 0.0
             ],
         }
-
-    def save_report(
-        self, path: str, now: Optional[float] = None
-    ) -> None:
-        with open(path, "w") as fh:
-            json.dump(
-                self.report(now), fh, indent=1, sort_keys=True
-            )
-            fh.write("\n")

@@ -21,7 +21,7 @@ Hold-times and acquisition counts are folded into a
 :class:`~repro.observability.metrics.MetricsRegistry` under
 ``lockwatch_acquisitions_total{lock=}``,
 ``lockwatch_hold_seconds{lock=}`` and ``lockwatch_violations_total``
-so ``repro serve --metrics-out`` exports them alongside the serving
+so ``repro serve --artifacts-dir`` exports them alongside the serving
 metrics.
 
 The watchdog is test-infrastructure, not a production wrapper: proxies

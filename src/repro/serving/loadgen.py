@@ -32,7 +32,6 @@ Two load shapes:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -91,7 +90,6 @@ class LoadReport:
     """Deterministic outcome of one load run (see ``to_dict``)."""
 
     mode: str
-    arrival: str
     duration_s: float
     offered_rps: float
     seed: int
@@ -122,14 +120,9 @@ class LoadReport:
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
     def summary(self) -> str:
         lines = [
-            f"loadgen: {self.mode} loop, {self.arrival} arrivals, "
+            f"loadgen: {self.mode} loop, poisson arrivals, "
             f"{self.offered_rps:.0f} req/s offered for "
             f"{self.duration_s:.1f}s (seed {self.seed})",
             f"  submitted {self.submitted}  admitted {self.admitted}"
@@ -260,7 +253,6 @@ class FleetLoadGenerator:
         rng = np.random.default_rng(cfg.seed)
         report = LoadReport(
             mode=cfg.mode,
-            arrival="poisson",
             duration_s=cfg.duration_s,
             offered_rps=cfg.rate,
             seed=cfg.seed,

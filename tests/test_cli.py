@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.cli
 from repro.cli import main
 from repro.datasets import bunny_like
 from repro.geometry import io as pc_io
-from repro.observability import find_orphans
+from repro.observability import find_orphans, load_artifacts
+from repro.robustness.guard import GuardThresholds
 from repro.workloads import standard_workloads
 
 
@@ -120,12 +122,19 @@ class TestSampleCommand:
         assert "guard:" in capsys.readouterr().out
 
     def test_guard_falls_back_to_fps(
-        self, bunny_file, tmp_path, capsys
+        self, bunny_file, tmp_path, capsys, monkeypatch
     ):
+        """``--guard`` trips at the guard's own density threshold;
+        forcing that threshold to 0 forces the fallback."""
+        monkeypatch.setattr(
+            repro.cli,
+            "GuardThresholds",
+            lambda: GuardThresholds(max_density_cv=0.0),
+        )
         out_path = str(tmp_path / "o.xyz")
         assert main(
             ["sample", bunny_file, out_path, "--method", "morton",
-             "-n", "100", "--guard", "--guard-threshold", "0.0"]
+             "-n", "100", "--guard"]
         ) == 0
         out = capsys.readouterr().out
         assert "falling back to exact FPS" in out
@@ -139,38 +148,6 @@ class TestSampleCommand:
         assert np.allclose(
             pc_io.load(out_path).xyz, pc_io.load(fps_path).xyz
         )
-
-    def test_sample_probe_leaves_the_guard_series_to_the_guard(
-        self, tmp_path, capsys
-    ):
-        """The CLI's own Morton probe prints its decision but writes no
-        ``guard_*`` series: the snapshot's sampling fallbacks are the
-        ones the demo guard logged."""
-        metrics_path = str(tmp_path / "m.json")
-        assert main(
-            ["sample", "--guard", "--guard-threshold", "0.0",
-             "-n", "64", "--points", "512", "--seed", "0",
-             "--metrics-out", metrics_path]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "falling back to exact FPS" in out
-        logged = sum(
-            1
-            for line in out.splitlines()
-            if line.startswith("guard:   ")
-            and ": sampling -> exact (probe_tripped," in line
-        )
-        with open(metrics_path) as fh:
-            snapshot = json.load(fh)
-        counted = sum(
-            m["value"]
-            for m in snapshot["metrics"]
-            if m["name"] == "guard_fallbacks_total"
-            and m["labels"] == {
-                "stage": "sampling", "reason": "probe_tripped"
-            }
-        )
-        assert counted == logged
 
 
 def _load_chrome_trace(path):
@@ -190,6 +167,11 @@ def _metric_names(path):
     return {m["name"] for m in snapshot["metrics"]}
 
 
+def _span_names(bundle):
+    doc = _load_chrome_trace(bundle / "trace.json")
+    return {e["name"] for e in doc["traceEvents"]}
+
+
 class TestSampleTelemetry:
     def test_synthetic_cloud_without_positionals(self, capsys):
         assert main(["sample", "-n", "64", "--points", "256"]) == 0
@@ -197,39 +179,33 @@ class TestSampleTelemetry:
         assert "synthetic" in out
         assert "64" in out
 
-    def test_acceptance_invocation_writes_artifacts(
-        self, tmp_path, capsys
+
+class TestGuardedServeBundle:
+    """``serve --guard --artifacts-dir`` is the traced quickstart: a
+    real guarded run's stage spans, guard series and validation
+    span."""
+
+    def test_bundle_carries_stage_guard_and_validation_telemetry(
+        self, tmp_path
     ):
-        """The ISSUE acceptance command: guarded synthetic sample with
-        trace + metrics out, stage spans and guard/validation/streaming
-        counters present."""
-        trace_path = str(tmp_path / "trace.json")
-        metrics_path = str(tmp_path / "metrics.json")
+        bundle = tmp_path / "serve"
         assert main(
-            ["sample", "--guard", "-n", "64", "--points", "512",
-             "--trace-out", trace_path,
-             "--metrics-out", metrics_path]
+            ["serve", "--requests", "4", "--guard",
+             "--artifacts-dir", str(bundle)]
         ) == 0
-        doc = _load_chrome_trace(trace_path)
-        span_names = {e["name"] for e in doc["traceEvents"]}
+        span_names = _span_names(bundle)
         for required in (
             "sample", "neighbor_search", "grouping",
-            "feature_compute", "pipeline.infer", "guard.probe",
-            "demo.stream", "cli.sample",
+            "feature_compute", "pipeline.infer", "pipeline.validate",
+            "guard.probe",
         ):
             assert required in span_names, required
-        names = _metric_names(metrics_path)
+        names = _metric_names(bundle / "metrics.json")
         for family in (
             "guard_probes_total", "guard_batches_served_total",
-            "validation_repairs_total", "validation_rejects_total",
-            "guard_rejections_total", "streaming_inserts_total",
-            "streaming_evictions_total",
-            "pipeline_stage_latency_seconds",
+            "guard_breaker_state", "pipeline_stage_latency_seconds",
         ):
             assert family in names, family
-        out = capsys.readouterr().out
-        assert "guard: breaker states:" in out
-        assert "degradation log" in out
 
 
 class TestSweepCommand:
@@ -265,31 +241,29 @@ class TestReportCommand:
 
 class TestTraceCommand:
     def test_writes_all_artifacts(self, tmp_path, capsys):
-        trace_path = str(tmp_path / "trace.json")
-        jsonl_path = str(tmp_path / "spans.jsonl")
-        metrics_path = str(tmp_path / "metrics.json")
-        report_path = str(tmp_path / "report.json")
         assert main(
             ["trace", "--workload", "all", "--config", "edgepc",
-             "--trace-out", trace_path, "--jsonl-out", jsonl_path,
-             "--metrics-out", metrics_path,
-             "--report-out", report_path]
+             "--artifacts-dir", str(tmp_path)]
         ) == 0
-        doc = _load_chrome_trace(trace_path)
+        doc = _load_chrome_trace(tmp_path / "trace.json")
         span_names = {e["name"] for e in doc["traceEvents"]}
         assert {"sample", "neighbor_search", "grouping",
                 "feature_compute"} <= span_names
-        with open(jsonl_path) as fh:
+        with open(tmp_path / "trace.jsonl") as fh:
             lines = [json.loads(line) for line in fh]
         assert len(lines) == len(doc["traceEvents"])
         assert "pipeline_stage_latency_seconds" in _metric_names(
-            metrics_path
+            tmp_path / "metrics.json"
         )
-        with open(report_path) as fh:
+        with open(tmp_path / "run_report.json") as fh:
             report = json.load(fh)
-        assert report["meta"]["schema_version"] == 1
+        assert set(report) == {
+            "meta", "breakdowns", "energies", "stage_medians_s"
+        }
+        assert report["meta"]["schema_version"] == 2
         assert report["meta"]["workload"] == "all"
         assert len(report["breakdowns"]) == 6
+        assert len(report["energies"]) == 6
         assert set(report["stage_medians_s"]) == {
             "sample_s", "neighbor_s", "grouping_s", "feature_s",
             "total_s",
@@ -299,14 +273,10 @@ class TestTraceCommand:
         assert "median" in out
 
     def test_single_workload(self, tmp_path):
-        trace_path = str(tmp_path / "t.json")
         assert main(
-            ["trace", "--workload", "W2", "--trace-out", trace_path]
+            ["trace", "--workload", "W2", "--artifacts-dir", str(tmp_path)]
         ) == 0
-        doc = _load_chrome_trace(trace_path)
-        assert any(
-            e["name"] == "workload.W2" for e in doc["traceEvents"]
-        )
+        assert "workload.W2" in _span_names(tmp_path)
 
 
 class TestRetiredTelemetryCommands:
@@ -330,13 +300,13 @@ class TestRetiredTelemetryCommands:
         )
 
     def test_priced_series_have_one_writer(self, tmp_path):
-        """``trace --metrics-out`` carries the series an executed
-        ``EdgePCPipeline.infer`` writes, unlabeled by workload."""
-        metrics_path = str(tmp_path / "m.json")
+        """``trace``'s bundle ``metrics.json`` carries the series an
+        executed ``EdgePCPipeline.infer`` writes, unlabeled by
+        workload."""
         assert main(
-            ["trace", "--workload", "W1", "--metrics-out", metrics_path]
+            ["trace", "--workload", "W1", "--artifacts-dir", str(tmp_path)]
         ) == 0
-        with open(metrics_path) as fh:
+        with open(tmp_path / "metrics.json") as fh:
             metrics = json.load(fh)["metrics"]
         by_name = {m["name"]: m for m in metrics}
         assert by_name["pipeline_batches_total"]["labels"] == {}
@@ -349,25 +319,19 @@ class TestRetiredTelemetryCommands:
 
 class TestProfileCompareTelemetry:
     def test_profile_trace_and_metrics_out(self, tmp_path, capsys):
-        trace_path = str(tmp_path / "t.json")
-        metrics_path = str(tmp_path / "m.json")
         assert main(
-            ["trace", "--workload", "W1",
-             "--trace-out", trace_path,
-             "--metrics-out", metrics_path]
+            ["trace", "--workload", "W1", "--artifacts-dir", str(tmp_path)]
         ) == 0
-        _load_chrome_trace(trace_path)
+        _load_chrome_trace(tmp_path / "trace.json")
         assert "pipeline_stage_latency_seconds" in _metric_names(
-            metrics_path
+            tmp_path / "metrics.json"
         )
 
     def test_compare_exports_speedup_gauges(self, tmp_path):
-        metrics_path = str(tmp_path / "m.json")
         assert main(
-            ["compare", "--workload", "W1",
-             "--metrics-out", metrics_path]
+            ["compare", "--workload", "W1", "--artifacts-dir", str(tmp_path)]
         ) == 0
-        names = _metric_names(metrics_path)
+        names = _metric_names(tmp_path / "metrics.json")
         assert "compare_end_to_end_speedup" in names
         assert "compare_energy_saving_fraction" in names
 
@@ -420,9 +384,9 @@ class TestWatchedServe:
     lock-order sanitizer (it absorbed ``repro lockwatch-report``)."""
 
     def test_metrics_carry_the_watchdog_series(self, tmp_path):
-        metrics_path = tmp_path / "serve_metrics.json"
+        metrics_path = tmp_path / "metrics.json"
         assert main(
-            ["serve", "--requests", "8", "--metrics-out", str(metrics_path)]
+            ["serve", "--requests", "8", "--artifacts-dir", str(tmp_path)]
         ) == 0
         names = {
             m["name"]
@@ -572,17 +536,8 @@ class TestPartitionCommand:
         runs = []
         for name in ("first", "second"):
             out_dir = tmp_path / name
-            out_dir.mkdir()
-            report_path = out_dir / "report.json"
-            status = main(
-                self.ARGV
-                + [
-                    "--report", str(report_path),
-                    "--artifacts-dir", str(out_dir),
-                ]
-            )
-            assert status == 0
-            runs.append((report_path, out_dir / "trace.jsonl"))
+            assert main(self.ARGV + ["--artifacts-dir", str(out_dir)]) == 0
+            runs.append((out_dir / "partition.json", out_dir / "trace.jsonl"))
         return runs
 
     def test_one_trace_per_scene_no_orphans(self, runs):
@@ -625,6 +580,26 @@ class TestPartitionCommand:
         assert report_path.read_bytes() == again_report.read_bytes()
         assert trace_path.read_bytes() == again_trace.read_bytes()
 
+    def test_dashboard_renders_the_partition_section(self, runs, capsys):
+        """``dashboard --from`` a partition bundle shows the scene
+        from its ``partition_*`` counters."""
+        (report_path, _), _ = runs
+        report = json.loads(report_path.read_text())
+        assert main(["dashboard", "--from", str(report_path.parent)]) == 0
+        out = capsys.readouterr().out
+        section = out.split("\npartition\n", 1)[1]
+        rows = dict(
+            line.split()
+            for line in section.splitlines()[1:5]
+        )
+        # The control scene and the 3000-point scene.
+        assert rows["scenes"] == "2"
+        assert rows["points"] == str(
+            report["control"]["points"] + report["params"]["points"]
+        )
+        assert int(rows["chunks"]) == 1 + report["plan"]["num_chunks"]
+        assert float(rows["simulated_s"]) > 0
+
     @pytest.mark.parametrize(
         "flags", [["--serve"], ["--replicas", "2"]], ids=lambda f: f[0]
     )
@@ -635,6 +610,71 @@ class TestPartitionCommand:
         assert f"unrecognized arguments: {' '.join(flags)}" in (
             capsys.readouterr().err
         )
+
+
+class TestRetiredExportFlags:
+    """``--artifacts-dir`` is every command's one export flag, and
+    ``sample`` exports nothing: its demo pipeline and its copy of the
+    guard's density threshold are gone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--trace-out", "x"],
+            ["compare", "--metrics-out", "x"],
+            ["sample", "--trace-out", "x"],
+            ["sample", "--metrics-out", "x"],
+            ["sample", "--guard-threshold", "0.5"],
+            ["trace", "--trace-out", "x"],
+            ["trace", "--metrics-out", "x"],
+            ["trace", "--jsonl-out", "x"],
+            ["trace", "--report-out", "x"],
+            ["partition", "--report", "x"],
+            ["partition", "--trace-out", "x"],
+            ["partition", "--metrics-out", "x"],
+            ["serve", "--trace-out", "x"],
+            ["serve", "--metrics-out", "x"],
+            ["loadgen", "--trace-out", "x"],
+        ],
+        ids=" ".join,
+    )
+    def test_flag_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in (
+            capsys.readouterr().err
+        )
+
+
+class TestArtifactBundle:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--workload", "W1"],
+            ["trace", "--workload", "W1"],
+            ["partition", "--points", "1500", "--chunk-points", "1024"],
+            ["serve", "--requests", "4"],
+            ["loadgen", "--duration-s", "0.5", "--rate", "20"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_exporting_command_writes_one_bundle(self, argv, tmp_path):
+        """Each exporting command writes the bundle's three telemetry
+        files, and ``load_artifacts`` reads the bundle back."""
+        bundle = tmp_path / argv[0]
+        assert main(argv + ["--artifacts-dir", str(bundle)]) == 0
+        for name in ("metrics.json", "trace.jsonl", "trace.json"):
+            assert (bundle / name).is_file(), name
+        spans = [
+            json.loads(line)
+            for line in (bundle / "trace.jsonl").read_text().splitlines()
+        ]
+        chrome = _load_chrome_trace(bundle / "trace.json")
+        assert spans and len(chrome["traceEvents"]) == len(spans)
+        data = load_artifacts(str(bundle))
+        assert data.title == argv[0]
+        assert data.trace_records == spans
 
 
 class TestModuleDocstring:

@@ -522,38 +522,54 @@ class TestRegistryConcurrency:
 
 
 class TestRunReport:
+    """The run report holds only what its bundle does not: meta, the
+    simulated breakdowns and energies, and their per-stage medians."""
+
+    BREAKDOWNS = (
+        StageBreakdown(0.1, 0.2, 0.3, 0.4),
+        StageBreakdown(0.3, 0.4, 0.5, 0.6),
+        StageBreakdown(0.2, 0.3, 0.4, 0.5),
+    )
+
     def test_build_merges_all_sources(self):
-        tracer = _golden_tracer()
-        registry = MetricsRegistry()
-        registry.counter("pipeline_batches_total").inc(3)
-        breakdowns = [
-            StageBreakdown(0.1, 0.2, 0.3, 0.4),
-            StageBreakdown(0.3, 0.4, 0.5, 0.6),
-            StageBreakdown(0.2, 0.3, 0.4, 0.5),
-        ]
         report = RunReport.build(
-            tracer=tracer, metrics=registry,
-            breakdowns=breakdowns, workload="W3",
+            breakdowns=self.BREAKDOWNS, workload="W3"
         )
         assert report.meta["workload"] == "W3"
-        assert report.meta["schema_version"] == 1
-        assert len(report.spans) == 4
+        assert report.meta["schema_version"] == 2
+        assert len(report.breakdowns) == 3
         medians = report.stage_medians_s()
         assert medians["sample_s"] == pytest.approx(0.2)
         assert medians["total_s"] == pytest.approx(1.4)
+        assert set(report.to_dict()) == {
+            "meta", "breakdowns", "energies", "stage_medians_s"
+        }
 
     def test_save_load_round_trip(self, tmp_path):
+        """Saved as the bundle's ``run_report.json``, beside (not
+        inside) the run's spans and metrics."""
+        from repro.observability import write_artifacts
+        from repro.observability.dashboard import ARTIFACT_RUN_REPORT
+        from repro.runtime.profiler import EnergyReport
+
         report = RunReport.build(
-            tracer=_golden_tracer(),
-            metrics=MetricsRegistry(),
+            breakdowns=self.BREAKDOWNS,
+            energies=[EnergyReport(1.0, 2.0)],
+            clock=FixedClock(5.0),
             command="test",
         )
-        path = str(tmp_path / "report.json")
-        report.save(path)
-        loaded = RunReport.load(path)
-        assert loaded.meta == report.meta
-        assert loaded.spans == report.spans
-        assert loaded.metrics == report.metrics
+        write_artifacts(
+            str(tmp_path),
+            _golden_tracer(),
+            MetricsRegistry(),
+            {ARTIFACT_RUN_REPORT: report.to_dict()},
+        )
+        loaded = json.loads((tmp_path / ARTIFACT_RUN_REPORT).read_text())
+        assert loaded == report.to_dict()
+        assert loaded["energies"] == [
+            {"compute_j": 1.0, "memory_j": 2.0, "total_j": 3.0}
+        ]
+        assert len((tmp_path / "trace.jsonl").read_text().splitlines()) == 4
 
     def test_empty_report_has_no_medians(self):
         assert RunReport.build().stage_medians_s() == {}

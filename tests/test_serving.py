@@ -778,13 +778,22 @@ class TestLoadGenerator:
         assert isinstance(ServerFleet([_pipeline()]).clock, FixedClock)
 
     def test_report_roundtrips_to_json(self, tmp_path):
+        from repro.observability import NULL_TRACER, write_artifacts
+        from repro.observability.dashboard import ARTIFACT_LOADGEN
+
         report = self._run({"duration_s": 0.2})
-        path = tmp_path / "report.json"
-        report.save(str(path))
+        write_artifacts(
+            str(tmp_path),
+            NULL_TRACER,
+            MetricsRegistry(),
+            {ARTIFACT_LOADGEN: report.to_dict()},
+        )
+        path = tmp_path / ARTIFACT_LOADGEN
         assert json.loads(path.read_text()) == json.loads(
             json.dumps(report.to_dict())
         )
-        assert "loadgen" in report.summary()
+        assert "arrival" not in report.to_dict()
+        assert "loadgen: open loop, poisson arrivals" in report.summary()
 
     def test_summary_shows_fleet_lines_for_one_replica(self):
         report = self._run({"duration_s": 0.2})
