@@ -231,9 +231,29 @@ class MetricsRegistry:
 
     def items(self) -> List[Tuple[Tuple[str, LabelItems], object]]:
         """Stable-ordered snapshot of ``((name, labels), metric)``
-        pairs (the SLO engine's raw-series reader)."""
+        pairs (the SLO engine's histogram reader)."""
         with self._lock:
             return sorted(self._metrics.items())
+
+    def sum_by(self, name: str, label: str = "") -> Dict[str, float]:
+        """Values of the counter and gauge series named ``name``,
+        summed per value of their ``label`` label (every series into
+        one ``""`` entry when ``label`` is empty), in label order.
+
+        ``{}`` when no such series exists: unlike :meth:`counter`,
+        reading never creates a series.
+        """
+        with self._lock:
+            series = sorted(
+                (labels, metric)
+                for (key, labels), metric in self._metrics.items()
+                if key == name and metric.kind != "histogram"
+            )
+        sums: Dict[str, float] = {}
+        for labels, metric in series:
+            group = dict(labels).get(label, "") if label else ""
+            sums[group] = sums.get(group, 0.0) + float(metric.value)
+        return sums
 
     # Exporters -------------------------------------------------------
 

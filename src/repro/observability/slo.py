@@ -40,12 +40,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.observability.clock import Clock, wall_clock
-from repro.observability.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.observability.metrics import Histogram, MetricsRegistry
 
 #: Supported objective kinds.
 KINDS = ("latency_quantile", "error_rate", "goodput")
@@ -327,15 +322,15 @@ class SloEngine:
 
     def _extract(self) -> _Frame:
         counter_names, histogram_names = self._needed_names()
-        frame = _Frame(counters={}, hists={})
+        frame = _Frame(
+            counters={
+                name: self.registry.sum_by(name).get("", 0.0)
+                for name in counter_names
+            },
+            hists={},
+        )
         for (name, _labels), metric in self.registry.items():
-            if name in counter_names and isinstance(
-                metric, (Counter, Gauge)
-            ):
-                frame.counters[name] = frame.counters.get(
-                    name, 0.0
-                ) + float(metric.value)
-            elif name in histogram_names and isinstance(
+            if name in histogram_names and isinstance(
                 metric, Histogram
             ):
                 cumulative = metric.cumulative_counts()

@@ -57,7 +57,6 @@ from repro.serving.queue import (
 )
 from repro.serving.retry import (
     HedgePolicy,
-    RetryEvent,
     RetryExhaustedError,
     RetryPolicy,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "ReplicaFaultError",
     "ReplicaHealth",
     "RequestQueue",
-    "RetryEvent",
     "RetryExhaustedError",
     "RetryPolicy",
     "Router",

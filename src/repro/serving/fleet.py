@@ -37,9 +37,14 @@ its one event loop (:attr:`~ServerFleet.next_event_at`,
 to its chaos gate, and the load generator and the chaos harness both
 step that loop.  Threaded serving is one
 :class:`~repro.serving.server.InferenceServer` (``repro serve``).
-Every decision is recorded in :attr:`ServerFleet.trace` as
-:class:`~repro.serving.retry.RetryEvent` rows, byte-identical across
-same-seed runs.
+
+Each decision is recorded once, byte-identical across same-seed runs:
+its tally is a ``serving_fleet_*`` counter in the shared metrics
+registry (the only place a load report reads), and its place in time
+is the request's trace — a ``request`` root span with the outcome,
+attempt and hedge counts, and one ``request.attempt`` span per
+dispatch, carrying its replica, hedge flag, outcome and whether it
+was cancelled.
 """
 
 from __future__ import annotations
@@ -65,16 +70,17 @@ import numpy as np
 
 from repro.observability.clock import FixedClock
 from repro.observability.context import TraceContext
+from repro.observability.metrics import NULL_METRICS
 from repro.serving.chaos import ChaosGate, ReplicaFaultError
 from repro.serving.health import ReplicaHealth
 from repro.serving.queue import (
     AdmissionError,
     DeadlineExceededError,
     ServingRequest,
+    emit_request_root,
 )
 from repro.serving.retry import (
     HedgePolicy,
-    RetryEvent,
     RetryExhaustedError,
     RetryPolicy,
 )
@@ -250,6 +256,8 @@ class ServerFleet:
         pipelines: one pipeline per replica (each replica needs its
             own model instance).  They must share one tracer and one
             metrics registry, which the fleet reports through too.
+            The registry holds the fleet's only tallies, so one that
+            records nothing (``NULL_METRICS``) is a ``ValueError``.
         config: fleet-level policy knobs.
         serving_config: per-replica serving knobs.
         clock: the virtual clock shared by every replica, which only
@@ -297,6 +305,12 @@ class ServerFleet:
                 "a fleet's pipelines must share one tracer and one "
                 "metrics registry"
             )
+        if first.metrics is NULL_METRICS:
+            raise ValueError(
+                "a ServerFleet keeps its tallies in its pipelines' "
+                "metrics registry and needs one that records, got "
+                "NULL_METRICS"
+            )
         self.config = config or FleetConfig()
         self.serving_config = serving_config or ServingConfig()
         self.clock = clock
@@ -327,19 +341,6 @@ class ServerFleet:
         self._sequence = 0
         self._attempt_latencies: Deque[float] = deque(maxlen=256)
         self._requests: Dict[str, FleetRequest] = {}
-        #: Byte-identical-per-seed decision log (RetryEvent rows).
-        self.trace: List[RetryEvent] = []
-        self.submitted = 0
-        self.accepted = 0
-        self.completed = 0
-        self.failed = 0
-        self.expired = 0
-        self.retries = 0
-        self.hedges = 0
-        self.hedge_wins = 0
-        self.hedge_cancelled = 0
-        self.submit_rejected = 0
-        self.rejection_reasons: Dict[str, int] = {}
 
     # Submission ------------------------------------------------------
 
@@ -366,7 +367,6 @@ class ServerFleet:
                     f"{cloud.shape}"
                 )
             now = self.clock()
-            self.submitted += 1
             self.metrics.counter("serving_fleet_submitted_total").inc()
             rid = self._next_id()
             span.set("request_id", rid)
@@ -396,7 +396,6 @@ class ServerFleet:
                     )
                 self._reject(now, rid, refusal.reason, ctx=ctx)
                 raise refusal
-            self.accepted += 1
             self._requests[rid] = request
             return request
 
@@ -411,68 +410,23 @@ class ServerFleet:
         reason: str,
         ctx: Optional[TraceContext] = None,
     ) -> None:
-        self.submit_rejected += 1
-        self._count_reason(reason)
         self.metrics.counter(
             "serving_fleet_rejected_total", reason=reason
         ).inc()
-        self.trace.append(
-            RetryEvent(
-                now,
-                rid,
-                0,
-                -1,
-                "rejected",
-                reason,
-                trace_id=ctx.trace_id if ctx is not None else "",
-            )
-        )
         if ctx is not None:
             # Shed-at-the-door requests still close their trace: a
             # zero-length root span records the rejection.
-            self.tracer.emit_span(
-                "request",
-                start_s=self.tracer.rel(now),
-                duration_s=0.0,
-                trace_id=ctx.trace_id,
-                span_id=ctx.span_id,
-                thread="requests",
-                attrs={
+            emit_request_root(
+                self.tracer,
+                ctx,
+                self.tracer.rel(now),
+                0.0,
+                {
                     "request_id": rid,
                     "outcome": "rejected",
                     "reason": reason,
                 },
             )
-
-    def _count_reason(self, reason: str) -> None:
-        """Tally one rejection reason."""
-        self.rejection_reasons[reason] = (
-            self.rejection_reasons.get(reason, 0) + 1
-        )
-
-    def _log(
-        self,
-        request: FleetRequest,
-        now: float,
-        replica: int,
-        event: str,
-        detail: str = "",
-        backoff_s: float = 0.0,
-    ) -> None:
-        """Log one decision about ``request`` at its current attempt
-        count to :attr:`trace`."""
-        self.trace.append(
-            RetryEvent(
-                now,
-                request.request_id,
-                request.attempts,
-                replica,
-                event,
-                detail,
-                backoff_s=backoff_s,
-                trace_id=self._trace_of(request),
-            )
-        )
 
     # Routing and dispatch --------------------------------------------
 
@@ -530,7 +484,6 @@ class ServerFleet:
                 )
             except AdmissionError as err:
                 last_refusal = err
-                self._log(request, now, index, "refused", type(err).__name__)
                 continue
             request.attempts = attempt_number
             request.tried.append(index)
@@ -547,9 +500,7 @@ class ServerFleet:
             self._attempts[attempt_id] = attempt
             if hedge:
                 request.hedges += 1
-                self.hedges += 1
                 self.metrics.counter("serving_fleet_hedges_total").inc()
-            self._log(request, now, index, "hedge" if hedge else "dispatch")
             if not hedge and self.config.hedge is not None:
                 delay = self.config.hedge.delay_s(
                     list(self._attempt_latencies)
@@ -595,9 +546,6 @@ class ServerFleet:
             if attempt is not None:
                 self._handle_outcome(attempt, now)
 
-    def _trace_of(self, request: FleetRequest) -> str:
-        return request.ctx.trace_id if request.ctx is not None else ""
-
     def _emit_attempt_span(
         self, attempt: _Attempt, now: float, error: Optional[BaseException]
     ) -> None:
@@ -641,8 +589,7 @@ class ServerFleet:
     ) -> None:
         """Emit the span reserved at fleet admission: the trace
         root."""
-        ctx = request.ctx
-        if ctx is None:
+        if request.ctx is None:
             return
         attrs: Dict[str, object] = {
             "request_id": request.request_id,
@@ -653,14 +600,12 @@ class ServerFleet:
         }
         if detail:
             attrs["detail"] = detail
-        self.tracer.emit_span(
-            "request",
-            start_s=self.tracer.rel(request.arrival_s),
-            duration_s=max(0.0, now - request.arrival_s),
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-            thread="requests",
-            attrs=attrs,
+        emit_request_root(
+            self.tracer,
+            request.ctx,
+            self.tracer.rel(request.arrival_s),
+            now - request.arrival_s,
+            attrs,
         )
 
     def _handle_outcome(self, attempt: _Attempt, now: float) -> None:
@@ -679,16 +624,13 @@ class ServerFleet:
             request.future.set_result(
                 attempt.serving_request.future.result()
             )
-            self.completed += 1
             self.metrics.counter("serving_fleet_completed_total").inc()
             if attempt.hedge:
-                self.hedge_wins += 1
                 self.metrics.counter(
                     "serving_fleet_hedge_wins_total"
                 ).inc()
-                self._log(request, now, attempt.replica, "hedge_win")
             self._close_request_trace(request, now, "ok")
-            self._cancel_siblings(request, now)
+            self._cancel_siblings(request)
             return
         failure_kind = (
             "deadline"
@@ -701,59 +643,39 @@ class ServerFleet:
         if request.inflight:
             return  # a sibling attempt may still win
         if isinstance(error, DeadlineExceededError):
-            self._expire_request(request, now, attempt.replica, error)
+            self._expire_request(request, now, error)
             return
         if not isinstance(error, RETRYABLE_ERRORS):
-            self._fail_request(request, now, attempt.replica, error)
+            self._fail_request(request, now, error)
             return
-        self._schedule_retry(request, now, attempt.replica, error)
+        self._schedule_retry(request, now, error)
 
     def _expire_request(
-        self,
-        request: FleetRequest,
-        now: float,
-        replica: int,
-        error: Exception,
+        self, request: FleetRequest, now: float, error: Exception
     ) -> None:
-        self.expired += 1
-        self._count_reason("deadline")
         self.metrics.counter("serving_fleet_expired_total").inc()
-        self._log(request, now, replica, "expired")
         self._close_request_trace(request, now, "expired")
         request.future.set_exception(error)
 
     def _fail_request(
-        self,
-        request: FleetRequest,
-        now: float,
-        replica: int,
-        error: Exception,
+        self, request: FleetRequest, now: float, error: Exception
     ) -> None:
-        self.failed += 1
         self.metrics.counter(
             "serving_fleet_failed_total",
             reason=type(error).__name__,
         ).inc()
-        self._log(request, now, replica, "failed", type(error).__name__)
         self._close_request_trace(
             request, now, "failed", detail=type(error).__name__
         )
         request.future.set_exception(error)
 
     def _exhaust_request(
-        self,
-        request: FleetRequest,
-        now: float,
-        replica: int,
-        cause: Exception,
+        self, request: FleetRequest, now: float, cause: Exception
     ) -> None:
-        self.failed += 1
-        self._count_reason("retry_exhausted")
         self.metrics.counter(
             "serving_fleet_failed_total",
             reason="retry_exhausted",
         ).inc()
-        self._log(request, now, replica, "exhausted", type(cause).__name__)
         self._close_request_trace(
             request, now, "exhausted", detail=type(cause).__name__
         )
@@ -766,16 +688,10 @@ class ServerFleet:
         request.future.set_exception(exhausted)
 
     def _schedule_retry(
-        self,
-        request: FleetRequest,
-        now: float,
-        replica: int,
-        error: Exception,
-        detail: str = "",
+        self, request: FleetRequest, now: float, error: Exception
     ) -> None:
         """Back off and re-dispatch ``request`` later, or exhaust it
-        when the policy (attempts or remaining deadline) says no;
-        ``detail`` labels the retry event (default: the error type)."""
+        when the policy (attempts or remaining deadline) says no."""
         remaining = (
             None
             if request.deadline_s is None
@@ -785,33 +701,24 @@ class ServerFleet:
             request.attempts, request.request_id, remaining
         )
         if backoff is None:
-            self._exhaust_request(request, now, replica, error)
+            self._exhaust_request(request, now, error)
             return
-        self.retries += 1
         self.metrics.counter("serving_fleet_retries_total").inc()
-        self._log(
-            request, now, replica, "retry",
-            detail or type(error).__name__, backoff_s=backoff,
-        )
         self._timer_seq += 1
         heapq.heappush(
             self._retries,
             (now + backoff, self._timer_seq, request),
         )
 
-    def _cancel_siblings(
-        self, request: FleetRequest, now: float
-    ) -> None:
+    def _cancel_siblings(self, request: FleetRequest) -> None:
         for attempt_id in sorted(request.inflight):
             sibling = self._attempts.get(attempt_id)
             if sibling is None or sibling.cancelled:
                 continue
             sibling.cancelled = True
-            self.hedge_cancelled += 1
             self.metrics.counter(
                 "serving_fleet_hedge_cancelled_total"
             ).inc()
-            self._log(request, now, sibling.replica, "hedge_cancel")
 
     # Timers ----------------------------------------------------------
 
@@ -832,7 +739,6 @@ class ServerFleet:
                 self._expire_request(
                     request,
                     now,
-                    -1,
                     DeadlineExceededError(
                         f"request {request.request_id!r} deadline "
                         "passed before its retry could dispatch"
@@ -851,12 +757,10 @@ class ServerFleet:
             self._schedule_retry(
                 request,
                 now,
-                -1,
                 NoHealthyReplicaError(
                     f"request {request.request_id!r}: no replica "
                     "accepted the retry"
                 ),
-                detail="placement",
             )
 
     def _fire_hedges(self, now: float) -> None:
@@ -1181,23 +1085,4 @@ class ServerFleet:
         return {
             str(replica.index): replica.health.state_at(now)
             for replica in self.replicas
-        }
-
-    def stats(self) -> Dict[str, float]:
-        """Snapshot of the fleet counters (also exported as
-        ``serving_fleet_*`` metrics)."""
-        now = self.clock()
-        return {
-            "replicas": float(len(self.replicas)),
-            "submitted": float(self.submitted),
-            "accepted": float(self.accepted),
-            "rejected": float(self.submit_rejected),
-            "completed": float(self.completed),
-            "failed": float(self.failed),
-            "expired": float(self.expired),
-            "retries": float(self.retries),
-            "hedges": float(self.hedges),
-            "hedge_wins": float(self.hedge_wins),
-            "hedge_cancelled": float(self.hedge_cancelled),
-            "healthy": float(self.healthy_count(now)),
         }

@@ -180,9 +180,13 @@ class FleetLoadGenerator:
     across micro-batch flushes (clamped by each replica's modeled
     lanes), retry/hedge timers, and deadline expiries — then drains
     the tail so every submitted request reaches a terminal future
-    state.  Two runs at the same seed (and the same chaos schedule)
-    produce byte-identical reports and fleet retry traces.  A
-    1-replica fleet is how a single server is load-tested.
+    state.  The report's request tallies are read from the fleet's
+    ``serving_fleet_*`` counters after the run, so each run needs a
+    registry of its own; the batch, latency and lateness books are
+    kept here from the dispatches the loop hands back.  Two runs at
+    the same seed (and the same chaos schedule) produce byte-identical
+    reports, metrics and traces.  A 1-replica fleet is how a single
+    server is load-tested.
 
     Args:
         fleet: the fleet under test; the run steps its virtual
@@ -306,7 +310,6 @@ class FleetLoadGenerator:
 
         def submit_arrival(now: float) -> None:
             arrivals.pop()
-            report.submitted += 1
             cloud = self._cloud(rng)
             tenant = f"tenant-{int(rng.integers(TENANTS))}"
             try:
@@ -314,7 +317,7 @@ class FleetLoadGenerator:
                     cloud, tenant=tenant, deadline_s=deadline_s
                 )
             except AdmissionError:
-                pass  # counted by the fleet's typed reason counters
+                pass  # counted in serving_fleet_rejected_total{reason}
             else:
                 tracked.append(request)
                 tracked_by_id[request.request_id] = request
@@ -329,19 +332,10 @@ class FleetLoadGenerator:
         now = self.clock()
         if self.slo is not None:
             self.slo.tick(now)
-        report.admitted = fleet.accepted
-        report.rejected = fleet.submit_rejected
-        report.expired = fleet.expired
-        report.completed = fleet.completed
-        report.failed = fleet.failed
+        self._fill_tallies(report)
         report.lost = sum(
             1 for request in tracked if not request.future.done()
         )
-        report.retries = fleet.retries
-        report.hedges = fleet.hedges
-        report.hedge_wins = fleet.hedge_wins
-        report.hedge_cancelled = fleet.hedge_cancelled
-        report.rejection_reasons = dict(fleet.rejection_reasons)
         report.replica_states = fleet.replica_states(now)
         report.chaos_events = (
             len(self.chaos.applied) if self.chaos is not None else 0
@@ -364,6 +358,39 @@ class FleetLoadGenerator:
         on_time = report.completed - report.late
         report.goodput_rps = max(0.0, on_time) / cfg.duration_s
         return report
+
+    def _fill_tallies(self, report: LoadReport) -> None:
+        """Copy the fleet's request tallies from its registry.
+
+        ``rejection_reasons`` counts every request that did not
+        complete for a typed reason: door rejections by their
+        admission reason, expiries as ``deadline`` and exhausted
+        retries as ``retry_exhausted``.
+        """
+        sum_by = self.metrics.sum_by
+        for tally in (
+            "submitted", "rejected", "expired", "completed", "failed",
+            "retries", "hedges", "hedge_wins", "hedge_cancelled",
+        ):
+            counts = sum_by(f"serving_fleet_{tally}_total")
+            setattr(report, tally, int(sum(counts.values())))
+        report.admitted = report.submitted - report.rejected
+        reasons = {
+            reason: int(count)
+            for reason, count in sum_by(
+                "serving_fleet_rejected_total", "reason"
+            ).items()
+        }
+        exhausted = sum_by("serving_fleet_failed_total", "reason").get(
+            "retry_exhausted", 0.0
+        )
+        for reason, count in (
+            ("deadline", report.expired),
+            ("retry_exhausted", int(exhausted)),
+        ):
+            if count:
+                reasons[reason] = reasons.get(reason, 0) + count
+        report.rejection_reasons = reasons
 
 
 class _Arrivals:

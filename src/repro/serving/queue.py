@@ -146,6 +146,32 @@ class MicroBatch:
         return int(self.xyz.shape[1])
 
 
+def emit_request_root(
+    tracer: Tracer,
+    ctx: TraceContext,
+    start_s: float,
+    duration_s: float,
+    attrs: Dict[str, object],
+) -> None:
+    """Write a trace's root span ``request`` under the span id ``ctx``
+    reserved at mint time, once the request's path is known.
+
+    The one writer of the root, for every way a request ends: served
+    by a lone server, failed or expired in a replica's queue, or
+    settled by the fleet.  ``start_s`` is trace-relative and ``attrs``
+    carry the path's outcome.
+    """
+    tracer.emit_span(
+        "request",
+        start_s=start_s,
+        duration_s=duration_s,
+        trace_id=ctx.trace_id,
+        span_id=ctx.span_id,
+        thread="requests",
+        attrs=attrs,
+    )
+
+
 def emit_request_trace(
     tracer: Tracer,
     request: ServingRequest,
@@ -179,18 +205,12 @@ def emit_request_trace(
         attrs=attrs,
     )
     if ctx.is_root:
-        root_attrs: Dict[str, object] = {
-            "request_id": request.request_id,
-            "outcome": outcome,
-        }
-        tracer.emit_span(
-            "request",
-            start_s=tracer.rel(request.arrival_s),
-            duration_s=max(0.0, now - request.arrival_s),
-            trace_id=ctx.trace_id,
-            span_id=ctx.span_id,
-            thread="requests",
-            attrs=root_attrs,
+        emit_request_root(
+            tracer,
+            ctx,
+            tracer.rel(request.arrival_s),
+            now - request.arrival_s,
+            {"request_id": request.request_id, "outcome": outcome},
         )
 
 
@@ -357,9 +377,8 @@ class RequestQueue:
 
     def _fail_expired(self, expired: List[_Expired], now: float) -> None:
         """Trace and fail expired requests in expiry order.  Callers
-        have released :attr:`condition`, so done callbacks (the fleet's
-        ``_attempt_resolved`` takes the fleet lock) never run under the
-        queue lock."""
+        have released :attr:`condition`, so done callbacks, which may
+        take their owner's locks, never run under the queue lock."""
         for request, error in expired:
             emit_request_trace(
                 self.tracer, request, now, "expired", detail="pre-dispatch"

@@ -15,17 +15,13 @@ latencies have been observed, a request still pending past the
 latency quantile gets a second, hedged dispatch on another replica;
 first result wins and the loser is cancelled
 (:class:`~repro.serving.fleet.ServerFleet` does the bookkeeping).
-
-Every retry/hedge decision is appended to the fleet's trace as a
-:class:`RetryEvent` — a plain record keyed on virtual-time instants,
-so two runs at the same seed produce byte-identical traces.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class RetryExhaustedError(RuntimeError):
@@ -146,44 +142,3 @@ class HedgePolicy:
         frac = position - low
         estimate = ordered[low] * (1.0 - frac) + ordered[high] * frac
         return max(self.min_delay_s, estimate)
-
-
-@dataclass(frozen=True)
-class RetryEvent:
-    """One entry of a fleet's retry/hedge trace.
-
-    Attributes:
-        t_s: virtual-clock instant of the decision.
-        request_id: the fleet-level request id.
-        attempt: dispatch attempts made so far for the request.
-        replica: replica index involved (``-1`` when none applies).
-        event: ``dispatch`` | ``refused`` | ``retry`` | ``hedge`` |
-            ``hedge_win`` | ``hedge_cancel`` | ``exhausted`` |
-            ``failed`` | ``expired``.
-        detail: error type or free-form annotation.
-        backoff_s: scheduled backoff (retry events only).
-        trace_id: the request's trace id, so a retry-trace row can be
-            joined against the span trace it belongs to (empty when
-            tracing was disabled or the request never got a context).
-    """
-
-    t_s: float
-    request_id: str
-    attempt: int
-    replica: int
-    event: str
-    detail: str = ""
-    backoff_s: float = 0.0
-    trace_id: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "t_s": self.t_s,
-            "request_id": self.request_id,
-            "attempt": self.attempt,
-            "replica": self.replica,
-            "event": self.event,
-            "detail": self.detail,
-            "backoff_s": self.backoff_s,
-            "trace_id": self.trace_id,
-        }

@@ -48,6 +48,7 @@ from repro.serving.queue import (
     QueueClosedError,
     RequestQueue,
     ServingRequest,
+    emit_request_root,
     emit_request_trace,
 )
 
@@ -459,17 +460,12 @@ class InferenceServer:
             offset += seconds
         if ctx.is_root:
             end = dispatch + breakdown.total_s
-            tracer.emit_span(
-                "request",
-                start_s=start,
-                duration_s=max(0.0, end - start),
-                trace_id=ctx.trace_id,
-                span_id=ctx.span_id,
-                thread="requests",
-                attrs={
-                    "request_id": request.request_id,
-                    "outcome": "ok",
-                },
+            emit_request_root(
+                tracer,
+                ctx,
+                start,
+                end - start,
+                {"request_id": request.request_id, "outcome": "ok"},
             )
 
     # Threaded mode ---------------------------------------------------

@@ -1,19 +1,6 @@
-"""Known-bad trace-context fixture: OBS-303 must fire three times
-(a RetryEvent built without trace_id=, and two functions that resolve
-a request future without ever touching the trace context)."""
-
-
-def record_retry(timeline, request_id, replica, now):
-    # Terminal retry bookkeeping with no trace_id: the retry timeline
-    # cannot be stitched back to the request's end-to-end trace.
-    timeline.append(
-        RetryEvent(  # noqa: F821
-            t_s=now,
-            request_id=request_id,
-            replica=replica,
-            kind="retry",
-        )
-    )
+"""Known-bad trace-context fixture: OBS-303 must fire twice (two
+functions that resolve a request future without ever touching the
+trace context)."""
 
 
 def complete(request, result):

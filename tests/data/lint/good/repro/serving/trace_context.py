@@ -1,18 +1,6 @@
-"""Known-good trace-context fixture: retry events carry trace_id and
-future resolutions happen next to the trace context, so OBS-303 stays
-silent (as does every other rule)."""
-
-
-def record_retry(timeline, request, replica, now):
-    timeline.append(
-        RetryEvent(  # noqa: F821
-            t_s=now,
-            request_id=request.request_id,
-            replica=replica,
-            kind="retry",
-            trace_id=request.ctx.trace_id if request.ctx else "",
-        )
-    )
+"""Known-good trace-context fixture: future resolutions happen next to
+the trace context, so OBS-303 stays silent (as does every other
+rule)."""
 
 
 def complete(request, result, tracer, now):

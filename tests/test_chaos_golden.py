@@ -2,8 +2,12 @@
 
 ``tests/data/chaos_golden.json`` pins, for four 3-replica
 ``repro loadgen --event`` runs, everything the loop decides: the
-``LoadReport``, the fleet's ``RetryEvent`` trace, every replica's
-health transitions, and the report of the committed
+``LoadReport`` (whose tallies are the fleet registry's
+``serving_fleet_*`` counters), the run's timeline as its ``request``
+and ``request.attempt`` spans (name, trace id, start, duration and
+attributes: each attempt's replica, hedge flag, outcome and
+cancellation, each root's outcome and attempt and hedge counts),
+every replica's health transitions, and the report of the committed
 ``SLO_serving.json`` spec ticked through the run.  The runs are built
 with the CLI's own argument parser and load-run helper, so they are
 the runs the CLI makes:
@@ -32,7 +36,7 @@ import pytest
 
 from repro.cli import _load_generator, build_parser
 from repro.observability.clock import FixedClock
-from repro.observability.tracing import NULL_TRACER
+from repro.observability.tracing import Tracer
 from repro.observability.metrics import MetricsRegistry
 
 REPO = Path(__file__).resolve().parent.parent
@@ -63,19 +67,27 @@ RUNS = {
 }
 RUNS["stall-hedge"] = RUNS["stall"] + ["--hedge-ms", "25"]
 
+#: The spans that record the fleet's decisions, and the fields pinned
+#: (span ids are left out: they number every span of the run).
+TIMELINE_SPANS = ("request", "request.attempt")
+TIMELINE_FIELDS = ("name", "trace_id", "start_s", "duration_s", "attrs")
+
 
 def run_chaos(argv):
     """One ``repro loadgen --event`` run; returns its golden record."""
     args = build_parser().parse_args(["loadgen"] + argv + COMMON)
     clock = FixedClock(0.0)
-    generator = _load_generator(
-        args, NULL_TRACER, MetricsRegistry(), clock
-    )
+    tracer = Tracer(clock=clock)
+    generator = _load_generator(args, tracer, MetricsRegistry(), clock)
     report = generator.run()
     fleet, slo = generator.fleet, generator.slo
     record = {
         "report": report.to_dict(),
-        "trace": [event.to_dict() for event in fleet.trace],
+        "trace": [
+            {key: span.to_dict()[key] for key in TIMELINE_FIELDS}
+            for span in tracer.finished()
+            if span.name in TIMELINE_SPANS
+        ],
         "transitions": {
             str(replica.index): replica.health.transitions
             for replica in fleet.replicas

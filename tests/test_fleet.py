@@ -4,8 +4,10 @@ Covers the retry/hedge policies, the replica health state machine
 (including eject -> probation -> re-admit), consistent-hash routing,
 deterministic chaos injection, and the fleet itself: zero lost
 requests when a replica dies mid-load, deadline-aware retries, hedged
-dispatch, door rejection, and byte-identical reports and retry
-traces across same-seed runs — all in virtual time.
+dispatch, door rejection, and byte-identical reports, metrics and
+traces across same-seed runs — all in virtual time.  The fleet's
+tallies are read from its registry's ``serving_fleet_*`` counters and
+its decisions from its ``request`` / ``request.attempt`` spans.
 
 PR 7 adds the trace-propagation contract: one trace id per request,
 stitched across queue/batch/attempt/kernel-stage spans on every
@@ -59,16 +61,38 @@ def _pipeline(metrics=None, seed=0, tracer=None):
     return EdgePCPipeline(model, tracer=tracer, metrics=metrics)
 
 
-def _fleet(replicas=3, clock=None, config=None, serving=None, metrics=None):
+def _fleet(
+    replicas=3, clock=None, config=None, serving=None, metrics=None,
+    tracer=None,
+):
     clock = clock if clock is not None else FixedClock(0.0)
+    metrics = metrics if metrics is not None else MetricsRegistry()
     fleet = ServerFleet(
-        [_pipeline(metrics=metrics, seed=0) for _ in range(replicas)],
+        [
+            _pipeline(metrics=metrics, seed=0, tracer=tracer)
+            for _ in range(replicas)
+        ],
         config=config or FleetConfig(),
         serving_config=serving
         or ServingConfig(max_batch_size=4, max_wait_ms=20.0, workers=1),
         clock=clock,
     )
     return fleet, clock
+
+
+def _count(fleet, name, **labels):
+    """One ``serving_fleet_<name>_total`` series of the fleet's
+    registry."""
+    return fleet.metrics.counter(
+        f"serving_fleet_{name}_total", **labels
+    ).value
+
+
+def _spans(tracer, name):
+    """Finished spans called ``name``, as dicts, in emission order."""
+    return [
+        span.to_dict() for span in tracer.finished() if span.name == name
+    ]
 
 
 def _drive(fleet, request):
@@ -199,8 +223,8 @@ class TestReplicaHealth:
         assert health.transitions == []
 
 
-class TestStatsIsReadOnly:
-    def test_stats_counts_an_elapsed_sit_out_without_ticking(self):
+class TestHealthyCountIsReadOnly:
+    def test_counts_an_elapsed_sit_out_without_ticking(self):
         registry = MetricsRegistry()
         fleet, clock = _fleet(replicas=2, metrics=registry)
         health = fleet.replicas[1].health
@@ -208,7 +232,7 @@ class TestStatsIsReadOnly:
         clock.advance(1.5)
         before = registry.to_prometheus()
         for _ in range(2):
-            assert fleet.stats()["healthy"] == 2.0
+            assert fleet.healthy_count(clock()) == 2
         assert health.state == "ejected"
         assert registry.to_prometheus() == before
         assert 'to_state="probation"' not in before
@@ -292,6 +316,11 @@ class TestTelemetryWiring:
         with pytest.raises(ValueError, match="share one tracer"):
             ServerFleet(pipelines, clock=FixedClock(0.0))
 
+    def test_a_registry_that_records_nothing_is_refused(self):
+        """The registry holds the fleet's only tallies."""
+        with pytest.raises(ValueError, match="NULL_METRICS"):
+            ServerFleet([_pipeline()], clock=FixedClock(0.0))
+
 
 class TestRouter:
     def test_same_key_same_route(self):
@@ -344,10 +373,12 @@ class TestFleetVirtual:
         _drive(fleet, request)
         result = request.future.result()
         assert result.prediction.shape == (N_POINTS,)
-        assert fleet.completed == 1
+        assert _count(fleet, "completed") == 1
 
     def test_kill_mid_flight_retries_on_another_replica(self, rng):
-        fleet, clock = _fleet()
+        clock = FixedClock(0.0)
+        tracer = Tracer(clock=clock)
+        fleet, _ = _fleet(clock=clock, tracer=tracer)
         request = fleet.submit(
             rng.random((N_POINTS, 3)),
             tenant="tenant-1",
@@ -358,12 +389,14 @@ class TestFleetVirtual:
         assert shed == 1
         _drive(fleet, request)
         assert request.future.result() is not None
-        assert fleet.retries >= 1
-        assert fleet.completed == 1
+        assert _count(fleet, "retries") >= 1
+        assert _count(fleet, "completed") == 1
         assert request.tried[0] == primary
         assert len(request.tried) >= 2  # the retry ran elsewhere
-        events = [e.event for e in fleet.trace]
-        assert "retry" in events
+        attempts = _spans(tracer, "request.attempt")
+        assert [a["attrs"]["replica"] for a in attempts] == request.tried
+        assert attempts[0]["attrs"]["outcome"] == "ReplicaFaultError"
+        assert attempts[-1]["attrs"]["outcome"] == "ok"
 
     def test_all_replicas_erroring_exhausts_retries_typed(self, rng):
         fleet, clock = _fleet(
@@ -379,7 +412,7 @@ class TestFleetVirtual:
             request.future.result()
         assert err.value.reason == "retry_exhausted"
         assert isinstance(err.value.__cause__, ReplicaFaultError)
-        assert fleet.failed == 1
+        assert _count(fleet, "failed", reason="retry_exhausted") == 1
 
     def test_deadline_expiry_is_typed_and_counted(self, rng):
         fleet, clock = _fleet()
@@ -391,7 +424,7 @@ class TestFleetVirtual:
         _drive(fleet, request)
         with pytest.raises(DeadlineExceededError):
             request.future.result()
-        assert fleet.expired == 1
+        assert _count(fleet, "expired") == 1
 
     def test_no_routable_replica_rejects_at_the_door(self, rng):
         fleet, clock = _fleet()
@@ -400,13 +433,19 @@ class TestFleetVirtual:
         with pytest.raises(NoHealthyReplicaError) as err:
             fleet.submit(rng.random((N_POINTS, 3)))
         assert err.value.reason == "no_healthy_replica"
-        assert fleet.rejection_reasons["no_healthy_replica"] == 1
+        assert _count(
+            fleet, "rejected", reason="no_healthy_replica"
+        ) == 1
 
     def test_hedge_fires_and_cancels_loser(self, rng):
-        fleet, clock = _fleet(
+        clock = FixedClock(0.0)
+        tracer = Tracer(clock=clock)
+        fleet, _ = _fleet(
+            clock=clock,
             config=FleetConfig(
                 hedge=HedgePolicy(min_delay_s=0.03)
-            )
+            ),
+            tracer=tracer,
         )
         request = fleet.submit(
             rng.random((N_POINTS, 3)), tenant="tenant-1"
@@ -415,12 +454,90 @@ class TestFleetVirtual:
         fleet.stall_replica(primary)
         _drive(fleet, request)
         assert request.future.result() is not None
-        assert fleet.hedges == 1
-        assert fleet.hedge_wins == 1
-        assert fleet.hedge_cancelled == 1
+        assert _count(fleet, "hedges") == 1
+        assert _count(fleet, "hedge_wins") == 1
+        assert _count(fleet, "hedge_cancelled") == 1
         assert request.winner.endswith(".a2")
-        events = [e.event for e in fleet.trace]
-        assert "hedge" in events and "hedge_cancel" in events
+        # The stalled primary never resolves, so only the winning
+        # hedge closes its attempt span.
+        (hedge,) = _spans(tracer, "request.attempt")
+        assert hedge["attrs"]["hedge"] is True
+        assert hedge["attrs"]["outcome"] == "ok"
+        (root,) = _spans(tracer, "request")
+        assert root["attrs"]["hedges"] == 1
+
+
+class TestSettlementPaths:
+    """Ways a request settles that a load run rarely or never takes."""
+
+    def test_drain_sheds_a_stalled_backlog_without_deadlines(self, rng):
+        fleet, clock = _fleet(replicas=1)
+        fleet.stall_replica(0)
+        requests = [
+            fleet.submit(rng.random((N_POINTS, 3))) for _ in range(3)
+        ]
+        fleet.run()  # nothing can expire: the loop just returns
+        assert fleet.replicas[0].server.queue.depth == 3
+        fleet.drain()
+        assert fleet.replicas[0].server.queue.depth == 0
+        lost = sum(1 for r in requests if not r.future.done())
+        assert lost == 0
+        for request in requests:
+            error = request.future.exception()
+            assert isinstance(error, RetryExhaustedError)
+            assert isinstance(error.__cause__, NoHealthyReplicaError)
+        assert _count(fleet, "failed", reason="retry_exhausted") == 3
+
+    def test_a_retry_whose_deadline_passed_expires_unfired(self, rng):
+        fleet, clock = _fleet()
+        request = fleet.submit(
+            rng.random((N_POINTS, 3)), tenant="tenant-1", deadline_s=0.5
+        )
+        fleet.kill_replica(fleet.router.preference("tenant-1")[0])
+        fleet.service()  # the shed attempt schedules a retry
+        assert _count(fleet, "retries") == 1
+        clock.advance(1.0)  # past the deadline before the retry fires
+        fleet.service()
+        error = request.future.exception()
+        assert isinstance(error, DeadlineExceededError)
+        assert "before its retry could dispatch" in str(error)
+        assert request.attempts == 1
+        assert _count(fleet, "expired") == 1
+
+    def test_a_retry_with_no_replica_uses_up_an_attempt(self, rng):
+        fleet, clock = _fleet(
+            replicas=1,
+            config=FleetConfig(retry=RetryPolicy(max_attempts=3)),
+        )
+        request = fleet.submit(rng.random((N_POINTS, 3)))
+        fleet.kill_replica(0)
+        _drive(fleet, request)
+        error = request.future.exception()
+        assert isinstance(error, RetryExhaustedError)
+        # One dispatch, then two placements that found nowhere to go.
+        assert request.tried == [0]
+        assert request.attempts == 3
+        assert isinstance(error.__cause__, NoHealthyReplicaError)
+        assert _count(fleet, "retries") == 2
+        assert _count(fleet, "failed", reason="retry_exhausted") == 1
+
+    def test_a_non_retryable_replica_error_fails_the_request(
+        self, rng, monkeypatch
+    ):
+        fleet, clock = _fleet()
+
+        def infer(xyz):
+            raise ValueError("model exploded")
+
+        for replica in fleet.replicas:
+            monkeypatch.setattr(replica.server.pipeline, "infer", infer)
+        request = fleet.submit(rng.random((N_POINTS, 3)))
+        _drive(fleet, request)
+        error = request.future.exception()
+        assert isinstance(error, ValueError)
+        assert request.attempts == 1
+        assert _count(fleet, "retries") == 0
+        assert _count(fleet, "failed", reason="ValueError") == 1
 
 
 class TestVirtualLoop:
@@ -525,10 +642,10 @@ class TestChaosUnderLoad:
         assert json.dumps(
             report_a.to_dict(), sort_keys=True
         ) == json.dumps(report_b.to_dict(), sort_keys=True)
-        trace_a = [e.to_dict() for e in fleet_a.trace]
-        trace_b = [e.to_dict() for e in fleet_b.trace]
-        assert json.dumps(trace_a) == json.dumps(trace_b)
-        assert any(e.event == "retry" for e in fleet_a.trace)
+        assert json.dumps(fleet_a.metrics.snapshot()) == json.dumps(
+            fleet_b.metrics.snapshot()
+        )
+        assert report_a.retries >= 1
 
     def test_different_seed_changes_the_report(self):
         report_a, _, _ = _chaos_run(seed=0)
@@ -567,14 +684,7 @@ def _traced_chaos_run(seed=7):
 class TestTracePropagation:
     def test_every_result_carries_its_trace_id(self, rng):
         clock = FixedClock(0.0)
-        tracer = Tracer(clock=clock)
-        fleet = ServerFleet(
-            [_pipeline(seed=0, tracer=tracer) for _ in range(3)],
-            serving_config=ServingConfig(
-                max_batch_size=4, max_wait_ms=20.0, workers=1
-            ),
-            clock=clock,
-        )
+        fleet, _ = _fleet(clock=clock, tracer=Tracer(clock=clock))
         requests = [
             fleet.submit(
                 rng.random((N_POINTS, 3)), tenant=f"tenant-{i}"
@@ -593,7 +703,7 @@ class TestTracePropagation:
         report, fleet, tracer = _traced_chaos_run()
         # The scenario must actually exercise the hard paths.
         assert report.retries >= 1
-        assert fleet.hedges >= 1
+        assert report.hedges >= 1
         records = [span.to_dict() for span in tracer.finished()]
         assert find_orphans(records) == []
         grouped = spans_by_trace(records)
@@ -638,12 +748,19 @@ class TestTracePropagation:
             }
             assert len(replicas) >= 2
 
-    def test_retry_events_carry_trace_ids(self):
+    def test_retries_are_the_roots_extra_attempts(self):
+        """Every retry the registry counts is one more attempt on its
+        request's root span than its first dispatch and its hedge."""
         report, fleet, tracer = _traced_chaos_run()
-        assert fleet.trace, "no retry events recorded"
-        for event in fleet.trace:
-            assert event.trace_id.startswith("trace-"), event
-            assert event.to_dict()["trace_id"] == event.trace_id
+        roots = [
+            root["attrs"]
+            for root in _spans(tracer, "request")
+            if "attempts" in root["attrs"]
+        ]
+        assert len(roots) == report.admitted
+        extra = sum(r["attempts"] - r["hedges"] - 1 for r in roots)
+        assert report.retries >= 1
+        assert extra == report.retries
 
     def test_same_seed_trace_export_byte_identical(self):
         _, _, tracer_a = _traced_chaos_run()

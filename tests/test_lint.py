@@ -55,7 +55,7 @@ SERVING_FIXTURES = {
     "OBS-301": ("repro/serving/servers.py", 3),
     "OBS-302": ("repro/serving/metric_names.py", 3),
     # PR 7: terminal serving events must stay on the request trace.
-    "OBS-303": ("repro/serving/trace_context.py", 3),
+    "OBS-303": ("repro/serving/trace_context.py", 2),
 }
 
 # Partition-layer extension of OBS-302 (PR 10): metrics emitted from
@@ -171,7 +171,7 @@ class TestServingFixtures:
 
     def test_trace_context_rule_only_applies_inside_serving(self):
         # OBS-303 guards the serving trace-propagation invariant; the
-        # same future/RetryEvent patterns elsewhere are not flagged.
+        # same future-resolution patterns elsewhere are not flagged.
         source = (BAD / "repro/serving/trace_context.py").read_text()
         findings = lint_source("repro/sim/trace_context.py", source)
         assert findings == []

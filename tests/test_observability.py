@@ -344,6 +344,21 @@ class TestMetricsRegistry:
         hist = MetricsRegistry().histogram("h", buckets=(1.0,))
         assert math.isnan(hist.quantile(0.5))
 
+    def test_sum_by_groups_a_name_by_label_and_creates_nothing(self):
+        registry = MetricsRegistry()
+        registry.counter("failed_total", reason="a").inc(2)
+        registry.counter("failed_total", reason="b").inc()
+        registry.counter("failed_total").inc(4)
+        registry.histogram("failed_total_seconds").observe(1.0)
+        assert registry.sum_by("failed_total") == {"": 7.0}
+        assert registry.sum_by("failed_total", "reason") == {
+            "": 4.0, "a": 2.0, "b": 1.0,
+        }
+        assert registry.sum_by("failed_total_seconds") == {}
+        assert registry.sum_by("absent_total") == {}
+        assert len(registry) == 4
+        assert NULL_METRICS.sum_by("failed_total") == {}
+
     def test_snapshot_is_sorted_and_json_serializable(self):
         registry = MetricsRegistry()
         registry.counter("z_total").inc()

@@ -775,7 +775,8 @@ class TestLoadGenerator:
         rejects a wall clock, so no load generator ever sees one."""
         with pytest.raises(TypeError, match="FixedClock"):
             ServerFleet([_pipeline()], clock=wall_clock)
-        assert isinstance(ServerFleet([_pipeline()]).clock, FixedClock)
+        fleet = ServerFleet([_pipeline(MetricsRegistry())])
+        assert isinstance(fleet.clock, FixedClock)
 
     def test_report_roundtrips_to_json(self, tmp_path):
         from repro.observability import NULL_TRACER, write_artifacts
